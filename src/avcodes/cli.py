@@ -343,9 +343,8 @@ def build_parser():
     for name, inverse in (("dft", False), ("idft", True)):
         p = sub.add_parser(name, help="generalized %s" % name.upper())
         _add_code_args(p)
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--fast", action="store_true", default=True)
-        mode.add_argument("--direct", action="store_true")
+        p.add_argument("--direct", action="store_true",
+                       help="defining formulas instead of the fast path")
         p.add_argument("--grid", action="store_true", help="dense grid output")
         p.add_argument("--output")
         p.add_argument("input", help="input file or - for stdin")

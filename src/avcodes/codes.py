@@ -12,7 +12,7 @@ import math
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, dft_partial
+from .transform import Spectrum, dft_partial, omega_space
 from .maps import PointSet, canonical_iso, evaluate
 from .ideal import vanishing_gb
 
@@ -23,7 +23,10 @@ class CodeConfigError(ValueError):
 
 class CodeSpec:
     """A dual affine variety code C_perp(V_B, Psi) with its precomputed
-    Groebner basis, delta set, and the supplied distance bound d_fr."""
+    Groebner basis, delta set, and the supplied distance bound d_fr.
+
+    ``b_set`` is a list of check indices or a B spec ("wdeg<=K",
+    "prodplus<K"), resolved against the delta set of psi."""
 
     def __init__(self, field, ndim, order, psi, b_set, d_fr, name=None):
         self.field = field
@@ -33,8 +36,7 @@ class CodeSpec:
         self.gb, self.delta = vanishing_gb(psi, order)
         b_norm = []
         seen = set()
-        for b in b_set:
-            b = tuple(b)
+        for b in _parse_b(order, self.delta, b_set):
             if b not in self.delta:
                 raise CodeConfigError("check index %s is outside the delta set" % (b,))
             if b in seen:
@@ -115,19 +117,11 @@ def _hermitian_points(field, ndim):
     return tuple(pts)
 
 
-def _full_grid_points(field, ndim):
-    coords = [ZERO] + list(range(field.q - 1))
-    pts = [()]
-    for _ in range(ndim):
-        pts = [rest + (v,) for rest in pts for v in coords]
-    return tuple(pts)
-
-
 def _parse_points(field, ndim, spec):
     if spec == "hermitian":
         return PointSet(field, ndim, _hermitian_points(field, ndim))
     if spec == "full-grid":
-        return PointSet(field, ndim, _full_grid_points(field, ndim))
+        return PointSet(field, ndim, tuple(omega_space(field, ndim)))
     if isinstance(spec, str):
         raise CodeConfigError("unknown point generator %r" % (spec,))
     pts = tuple(tuple(field.check_element(x) for x in p) for p in spec)
@@ -135,20 +129,25 @@ def _parse_points(field, ndim, spec):
 
 
 def _parse_b(order, delta, spec):
-    if isinstance(spec, str):
-        text = spec.replace(" ", "")
-        if text.startswith("wdeg<="):
-            bound = int(text[len("wdeg<="):])
-            if order.weights is None:
-                raise CodeConfigError("wdeg B-spec needs a weighted order")
-            return [d for d in sorted(delta.members)
-                    if sum(w * x for w, x in zip(order.weights, d)) <= bound]
-        if text.startswith("prodplus<"):
-            bound = int(text[len("prodplus<"):])
-            return [d for d in sorted(delta.members)
-                    if math.prod(x + 1 for x in d) < bound]
+    if not isinstance(spec, str):
+        try:
+            return [tuple(b) for b in spec]
+        except TypeError:
+            raise CodeConfigError("B must be a list of index tuples or a spec string")
+    text = spec.replace(" ", "")
+    prefix = next((k for k in ("wdeg<=", "prodplus<") if text.startswith(k)), None)
+    if prefix is None:
         raise CodeConfigError("unknown B spec %r" % (spec,))
-    return [tuple(b) for b in spec]
+    try:
+        bound = int(text[len(prefix):])
+    except ValueError:
+        raise CodeConfigError("bad bound in B spec %r" % (spec,))
+    if prefix == "prodplus<":
+        return [d for d in sorted(delta.members) if math.prod(x + 1 for x in d) < bound]
+    if order.weights is None:
+        raise CodeConfigError("wdeg B-spec needs a weighted order")
+    return [d for d in sorted(delta.members)
+            if sum(w * x for w, x in zip(order.weights, d)) <= bound]
 
 
 def code_from_config(cfg, name=None):
@@ -165,22 +164,13 @@ def code_from_config(cfg, name=None):
         ospec = cfg["order"]
         order = MonomialOrder(ospec["kind"], tuple(ospec.get("weights") or ()) or None)
         psi = _parse_points(field, ndim, cfg["points"])
-        interim = CodeSpecBuilder(field, ndim, order, psi)
-        b_set = _parse_b(order, interim.delta, cfg["B"])
+        b_spec = cfg["B"]
         d_fr = int(cfg["d_fr"])
     except (KeyError, TypeError, ValueError, FieldError) as exc:
         if isinstance(exc, CodeConfigError):
             raise
         raise CodeConfigError("bad code config: %s" % (exc,))
-    return CodeSpec(field, ndim, order, psi, b_set, d_fr, name=name)
-
-
-class CodeSpecBuilder:
-    """Delta set of a point set, for resolving B-specs before the CodeSpec
-    itself is constructed."""
-
-    def __init__(self, field, ndim, order, psi):
-        _, self.delta = vanishing_gb(psi, order)
+    return CodeSpec(field, ndim, order, psi, b_spec, d_fr, name=name)
 
 
 def load_code(path):

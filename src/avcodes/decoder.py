@@ -13,17 +13,14 @@ returns exactly the same supports as plain enumeration.
 import itertools
 from dataclasses import dataclass
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, dft_partial, idft_fast, index_space, point_power
-from .maps import PointSet, VanishingError
+from .transform import Spectrum, Word, dft_partial, index_space, point_power
+from .maps import PointSet, restrict_idft
 from .ideal import (vanishing_gb, check_set_basis, extend, ReducedGroebnerBasis,
-                    DeltaSet, Polynomial, IdealError)
-from .codes import syndrome, is_dual_codeword
+                    DeltaSet, Polynomial, IdealError, Eliminator)
+from .codes import is_dual_codeword
 
 
 class UndecodableError(Exception):
@@ -94,33 +91,8 @@ def _trivial_locator(field, ndim, order):
     return ReducedGroebnerBasis(field, ndim, order, [one], [origin], DeltaSet(frozenset()))
 
 
-# -- linear algebra over the check set --------------------------------------
-
 def _column(field, b_list, point):
     return [point_power(field, point, b) for b in b_list]
-
-
-def _echelon_insert(field, ech, col):
-    v = list(col)
-    for pr, row in ech:
-        c = v[pr]
-        if c != ZERO:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    piv = next((i for i in range(len(v)) if v[i] != ZERO), None)
-    if piv is None:
-        return None
-    inv = field.inv(v[piv])
-    ech.append((piv, [field.mul(x, inv) for x in v]))
-    return piv
-
-
-def _reduce(field, ech, vec):
-    v = list(vec)
-    for pr, row in ech:
-        c = v[pr]
-        if c != ZERO:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    return v
 
 
 def _np_tables(field):
@@ -130,14 +102,14 @@ def _np_tables(field):
     if cached is not None:
         return cached
     q = field.q
-    if _np is None or q > 4096:
+    if q > 4096:
         return None
     snapshot = field.op_count
-    dtype = _np.uint8 if q <= 255 else _np.uint16
+    dtype = np.uint8 if q <= 255 else np.uint16
     codes = [ZERO] + list(range(q - 1))
-    add = _np.zeros((q, q), dtype=dtype)
-    mul = _np.zeros((q, q), dtype=dtype)
-    neg = _np.zeros(q, dtype=dtype)
+    add = np.zeros((q, q), dtype=dtype)
+    mul = np.zeros((q, q), dtype=dtype)
+    neg = np.zeros(q, dtype=dtype)
     for a in codes:
         neg[a + 1] = field.neg(a) + 1
         for b in codes:
@@ -156,19 +128,19 @@ def _find_supports_np(field, target, columns, t):
     q = field.q
     ncand = len(columns)
     veclen = len(target)
-    U = _np.array([[x + 1 for x in col] for col in columns], dtype=dtype)
-    tgt = _np.array([x + 1 for x in target], dtype=dtype)
+    U = np.array([[x + 1 for x in col] for col in columns], dtype=dtype)
+    tgt = np.array([x + 1 for x in target], dtype=dtype)
     rowbytes = veclen * dtype().itemsize
 
     def blocks(k):
         """(value matrix, combo list) per nonzero coefficient tuple."""
         if k == 0:
-            yield _np.zeros((1, veclen), dtype=dtype), [()]
+            yield np.zeros((1, veclen), dtype=dtype), [()]
             return
         combos = list(itertools.combinations(range(ncand), k))
         if not combos:
             return
-        C = _np.array(combos, dtype=_np.intp)
+        C = np.array(combos, dtype=np.intp)
         cols = [U[C[:, j]] for j in range(k)]
         for coeffs in itertools.product(range(1, q), repeat=k):
             acc = mul[coeffs[0]][cols[0]]
@@ -248,10 +220,10 @@ def locate(synd, phi1, code, t_max=None):
     s = [synd.values[b] for b in b_list]
 
     phi1_set = set(phi1.points)
-    ech = []
+    elim = Eliminator(f)
     for p in phi1.points:
-        _echelon_insert(f, ech, _column(f, b_list, p))
-    target = _reduce(f, ech, s)
+        elim.insert(_column(f, b_list, p), p)
+    target, _ = elim.reduce(s)
 
     chosen = ()
     if any(x != ZERO for x in target):
@@ -259,7 +231,7 @@ def locate(synd, phi1, code, t_max=None):
         reduced_cols = []
         eligible = []
         for i, p in enumerate(candidates):
-            rc = _reduce(f, ech, _column(f, b_list, p))
+            rc, _ = elim.reduce(_column(f, b_list, p))
             if any(x != ZERO for x in rc):
                 eligible.append(i)
                 reduced_cols.append(rc)
@@ -315,29 +287,32 @@ def _erasure_syndrome(field, b_list, phi1):
 
 
 def _locator_seed(synd_values, gb_loc, located, code):
-    """Recurrence basis and matching seed spectrum for the error-spectrum
+    """Seed spectrum and matching recurrence basis for the error-spectrum
     extension.  Inside the radius the locator's delta set sits inside the
     check set and seeds the extension directly; beyond it (erasure-only
     decoding with |Phi1| up to |B|) the check-set-seeded family takes
     over, per the erasure-only decodable condition."""
     delta = gb_loc.delta.members
     if delta <= code.b_members:
-        return gb_loc, Spectrum(code.field, code.ndim,
-                                {d: synd_values[d] for d in delta})
+        return Spectrum(code.field, code.ndim, {d: synd_values[d] for d in delta}), gb_loc
     try:
         gb_b = check_set_basis(located, code.b_list, code.order)
     except IdealError as exc:
         raise UndecodableError(
             "locator delta escapes the check set and the check-set system "
             "is unsolvable: %s" % (exc,))
-    return gb_b, Spectrum(code.field, code.ndim,
-                          {b: synd_values[b] for b in code.b_list})
+    return Spectrum(code.field, code.ndim, {b: synd_values[b] for b in code.b_list}), gb_b
 
 
-def decode_info(r, phi1, code, t_max=None):
-    """Recover the information spectrum on D\\B from a received word
-    (non-systematic decoding).  Erased positions of r must hold zero."""
-    global _LAST_REPORT
+def _decode_head(r, phi1, code, t_max, kind, indices):
+    """Steps 1-4 shared by both decoders: erasure syndrome (1), basis of
+    Phi1 (2), transform of r on ``indices`` (3) and the locator (4), plus
+    the recurrence basis and seed for the error-spectrum extension, whose
+    cost falls into the caller's step 5a.
+
+    Returns (meter, report, transform, located point set, (seed, basis) or
+    None when nothing is located).
+    """
     f = code.field
     _validate_received(r, code)
     _validate_phi1(phi1, code)
@@ -349,30 +324,36 @@ def decode_info(r, phi1, code, t_max=None):
     else:
         gb_phi1 = _trivial_locator(f, code.ndim, code.order)
     meter.lap("2")
-    dsorted = code.delta.sorted(code.order)
-    rtilde = dft_partial(r, dsorted)
+    rt = dft_partial(r, indices)
     meter.lap("3")
-    synd = rtilde.restrict(code.b_list)
-    gb_loc, located = locate(synd, phi1, code, t_max)
+    gb_loc, located = locate(rt.restrict(code.b_list), phi1, code, t_max)
     meter.lap("4")
-    if len(located):
-        gb_ext, seed = _locator_seed(rtilde.values, gb_loc, located, code)
-        k = extend(seed, gb_ext, dsorted)
-    else:
-        k = Spectrum(f, code.ndim, {d: ZERO for d in dsorted})
+    report = StepCounts(meter.steps, _report_meta(code, gb_loc, located,
+                                                  erasure_synd, kind, gb_phi1))
+    ext = _locator_seed(rt.values, gb_loc, located, code) if len(located) else None
+    return meter, report, rt, located, ext
+
+
+def decode_info(r, phi1, code, t_max=None):
+    """Recover the information spectrum on D\\B from a received word
+    (non-systematic decoding).  Erased positions of r must hold zero."""
+    global _LAST_REPORT
+    f = code.field
+    dsorted = code.delta.sorted(code.order)
+    meter, report, rtilde, _, ext = _decode_head(r, phi1, code, t_max,
+                                                 "decode_info", dsorted)
+    k = extend(*ext, dsorted).values if ext else {d: ZERO for d in dsorted}
     meter.lap("5a")
     meter.lap("5b")
     out = {}
     for d in dsorted:
-        out[d] = f.sub(rtilde.values[d], k.values[d])
+        out[d] = f.sub(rtilde.values[d], k[d])
     meter.lap("6")
     for b in code.b_list:
         if out[b] != ZERO:
             raise UndecodableError("recovered spectrum has support at check index %s" % (b,))
     info = Spectrum(f, code.ndim, {d: out[d] for d in dsorted if d not in code.b_members})
-    _LAST_REPORT = StepCounts(meter.steps, _report_meta(code, gb_loc, located,
-                                                        erasure_synd, "decode_info",
-                                                        gb_phi1))
+    _LAST_REPORT = report
     return info
 
 
@@ -381,45 +362,22 @@ def decode_word(r, phi1, code, t_max=None):
     decoding with explicit error values)."""
     global _LAST_REPORT
     f = code.field
-    _validate_received(r, code)
-    _validate_phi1(phi1, code)
-    meter = _Meter(f)
-    erasure_synd = _erasure_syndrome(f, code.b_list, phi1)
-    meter.lap("1")
-    if len(phi1):
-        gb_phi1, _ = vanishing_gb(phi1, code.order)
-    else:
-        gb_phi1 = _trivial_locator(f, code.ndim, code.order)
-    meter.lap("2")
-    synd = syndrome(r, code.b_list)
-    meter.lap("3")
-    gb_loc, located = locate(synd, phi1, code, t_max)
-    meter.lap("4")
-    if len(located):
-        gb_ext, seed = _locator_seed(synd.values, gb_loc, located, code)
-        full = extend(seed, gb_ext, index_space(f, code.ndim))
-        meter.lap("5a")
-        w = idft_fast(full)
-        inside = set(located.points)
-        for pt, v in w.values.items():
-            if v != ZERO and pt not in inside:
-                raise VanishingError("error word is nonzero at %s outside the located set"
-                                     % (pt,))
-        evalues = {p: w.values.get(p, ZERO) for p in code.psi.points}
-        meter.lap("5b")
-    else:
-        meter.lap("5a")
-        evalues = {p: ZERO for p in code.psi.points}
-        meter.lap("5b")
+    meter, report, _, located, ext = _decode_head(r, phi1, code, t_max,
+                                                  "decode_word", code.b_list)
+    evalues = {p: ZERO for p in code.psi.points}
+    if ext:
+        full = extend(*ext, index_space(f, code.ndim))
+    meter.lap("5a")
+    if ext:
+        evalues.update(restrict_idft(full, located)[0].values)
+    meter.lap("5b")
     e = Word(f, code.ndim, evalues)
     c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
     meter.lap("6")
     if not is_dual_codeword(c, code):
         raise UndecodableError("decoded word fails the check set")
     meter.lap("check")
-    _LAST_REPORT = StepCounts(meter.steps, _report_meta(code, gb_loc, located,
-                                                        erasure_synd, "decode_word",
-                                                        gb_phi1))
+    _LAST_REPORT = report
     return DecodeResult(codeword=c, error=e, located=located)
 
 
@@ -445,10 +403,9 @@ def check_systematic_support(phi, code):
     if len(phi) != len(code.b_list):
         raise SystematicSupportError("|Phi| = %d but |B| = %d" % (len(phi), len(code.b_list)))
     f = code.field
-    rows = [[point_power(f, p, b) for p in phi.points] for b in code.b_list]
-    from .maps import _gauss_invertible
-
-    return _gauss_invertible(f, rows)
+    elim = Eliminator(f)
+    return all(elim.insert([point_power(f, p, b) for p in phi.points], b) is None
+               for b in code.b_list)
 
 
 def systematic_basis(phi, code):
@@ -475,13 +432,8 @@ def systematic_encode(info, phi, code):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
 
     gb_phi = systematic_basis(phi, code)
-    rt = dft_partial(info, code.b_list)
-    seed = Spectrum(f, code.ndim, dict(rt.values))
-    full = extend(seed, gb_phi, index_space(f, code.ndim))
-    w = idft_fast(full)
-    for pt, v in w.values.items():
-        if v != ZERO and pt not in phi_set:
-            raise VanishingError("prolonged word is nonzero at %s outside Phi" % (pt,))
+    seed = dft_partial(info, code.b_list)
+    w, _ = restrict_idft(extend(seed, gb_phi, index_space(f, code.ndim)), phi)
     out = dict(info.values)
     for p in phi.points:
         out[p] = f.neg(w.values[p])

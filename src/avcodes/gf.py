@@ -278,8 +278,3 @@ class Field:
 
     def __repr__(self):
         return "Field(p=%d, m=%d, q=%d)" % (self.p, self.m, self.q)
-
-
-def build_field(spec):
-    """Construct the log/antilog tables for a FieldSpec (spec op name)."""
-    return Field.from_spec(spec)

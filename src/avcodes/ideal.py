@@ -20,7 +20,7 @@ beyond the radius and systematic encoding require.
 
 from dataclasses import dataclass
 
-from .gf import ZERO
+from .gf import ZERO, ONE
 from .mindex import dominates, dominated_sub, semigroup_add, index_box
 from .transform import Spectrum, point_power
 
@@ -158,8 +158,62 @@ class Polynomial:
         return "Polynomial(%s)" % self.text()
 
 
-def leading_monomial(f, order):
-    return f.leading(order)
+class Eliminator:
+    """Incremental Gaussian elimination over a field, the linear algebra of
+    Buchberger-Moeller.
+
+    Each inserted vector is reduced against the rows so far and, if
+    independent of them, kept as a row normalized at its pivot (its first
+    nonzero entry) together with its expression over the inserted tags.
+    ``reduce`` subtracts the rows in insertion order and returns the
+    residual and the combination ``comb`` with
+    vec = residual + sum(comb[t] * vec_t).
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []  # (pivot, normalized row, row as a combination over tags)
+
+    def reduce(self, vec):
+        f = self.field
+        vec = list(vec)
+        comb = {}
+        for pivot, row, row_comb in self.rows:
+            c = vec[pivot]
+            if c == ZERO:
+                continue
+            for i, y in enumerate(row):
+                if y != ZERO:
+                    vec[i] = f.sub(vec[i], f.mul(c, y))
+            for t, y in row_comb.items():
+                s = f.add(comb.get(t, ZERO), f.mul(c, y))
+                if s == ZERO:
+                    comb.pop(t, None)
+                else:
+                    comb[t] = s
+        return vec, comb
+
+    def insert(self, vec, tag):
+        """Add ``vec`` under ``tag`` and return None; if it depends on the
+        rows already inserted, add nothing and return its combination."""
+        f = self.field
+        vec, comb = self.reduce(vec)
+        pivot = next((i for i, x in enumerate(vec) if x != ZERO), None)
+        if pivot is None:
+            return comb
+        inv = f.inv(vec[pivot])
+        row_comb = {t: f.neg(f.mul(y, inv)) for t, y in comb.items()}
+        row_comb[tag] = inv
+        self.rows.append((pivot, [f.mul(x, inv) for x in vec], row_comb))
+        return None
+
+
+def _vanishing_element(field, ndim, lead, comb):
+    """x^lead - sum comb[d] x^d: the monic relation that ``comb`` expresses
+    between evaluation vectors on a point set."""
+    terms = {lead: ONE}
+    terms.update((d, field.neg(c)) for d, c in comb.items())
+    return Polynomial(field, ndim, terms)
 
 
 @dataclass(frozen=True)
@@ -248,44 +302,19 @@ def vanishing_gb(points, order):
     q = f.q
 
     candidates = sorted(index_box(q, ndim, top=q), key=order.key)
+    elim = Eliminator(f)
     delta = []
-    echelon = []  # (pivot position, normalized row, combination over delta)
     min_leads = []
     scan_tails = {}
-
-    def reduce_vector(e):
-        vec = [point_power(f, p, e) for p in pts]
-        comb = {}
-        for pivot, row, rc in echelon:
-            c = vec[pivot]
-            if c == ZERO:
-                continue
-            for i in range(n):
-                if row[i] != ZERO:
-                    vec[i] = f.sub(vec[i], f.mul(c, row[i]))
-            for d, v in rc.items():
-                s = f.add(comb.get(d, ZERO), f.mul(c, v))
-                if s == ZERO:
-                    comb.pop(d, None)
-                else:
-                    comb[d] = s
-        return vec, comb
-
     for e in candidates:
         if any(dominates(e, m) for m in min_leads):
             continue
-        vec, comb = reduce_vector(e)
-        pivot = next((i for i in range(n) if vec[i] != ZERO), None)
-        if pivot is None:
+        comb = elim.insert([point_power(f, p, e) for p in pts], e)
+        if comb is None:
+            delta.append(e)
+        else:
             min_leads.append(e)
             scan_tails[e] = comb
-        else:
-            inv = f.inv(vec[pivot])
-            row = [f.mul(v, inv) for v in vec]
-            rc = {d: f.neg(f.mul(v, inv)) for d, v in comb.items()}
-            rc[e] = inv
-            echelon.append((pivot, row, rc))
-            delta.append(e)
 
     if len(delta) != n:
         raise IdealError("delta set size %d != %d points (non-distinct points?)"
@@ -304,13 +333,10 @@ def vanishing_gb(points, order):
         if e in scan_tails:
             comb = scan_tails[e]
         else:
-            vec, comb = reduce_vector(e)
+            vec, comb = elim.reduce([point_power(f, p, e) for p in pts])
             if any(v != ZERO for v in vec):
                 raise IdealError("lead %s is not in the ideal (internal error)" % (e,))
-        terms = {e: 0}
-        for d, cd in comb.items():
-            terms[d] = f.neg(cd)
-        elements.append(Polynomial(f, ndim, terms))
+        elements.append(_vanishing_element(f, ndim, e, comb))
 
     ds = DeltaSet(frozenset(delta))
     gb = ReducedGroebnerBasis(f, ndim, order, elements, leads, ds)
@@ -351,40 +377,18 @@ def check_set_basis(points, b_set, order):
             emit.add(m)
     leads = sorted(emit, key=lambda a: tuple(reversed(a)))
 
-    # one elimination of the point-evaluation matrix serves every lead
-    mat = [[point_power(f, p, b) for b in b_list] for p in pts]
-    rhs = [[f.neg(point_power(f, p, a)) for a in leads] for p in pts]
-    nb = len(b_list)
-    nl = len(leads)
-    aug = [mat[i] + rhs[i] for i in range(len(pts))]
-    pivots = []
-    rank = 0
-    for col in range(nb):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != ZERO), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = f.inv(aug[rank][col])
-        aug[rank] = [f.mul(x, inv) for x in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != ZERO:
-                c = aug[r][col]
-                aug[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if any(aug[r][nb + j] != ZERO for j in range(nl)):
+    # tails use only the B columns independent of the earlier ones, so a
+    # lead's solution is unique: the free-variables-zero one
+    elim = Eliminator(f)
+    for b in b_list:
+        elim.insert([point_power(f, p, b) for p in pts], b)
+    elements = []
+    for a in leads:
+        vec, comb = elim.reduce([point_power(f, p, a) for p in pts])
+        if any(v != ZERO for v in vec):
             raise IdealError(
                 "check-set system unsolvable on the points (ev not surjective)")
-
-    elements = []
-    for j, a in enumerate(leads):
-        terms = {a: 0}
-        for r, col in enumerate(pivots):
-            c = aug[r][nb + j]
-            if c != ZERO:
-                terms[b_list[col]] = c
-        elements.append(Polynomial(f, ndim, terms))
+        elements.append(_vanishing_element(f, ndim, a, comb))
     return ReducedGroebnerBasis(f, ndim, order, elements, leads,
                                 DeltaSet(frozenset(members)))
 

@@ -3,7 +3,9 @@ V_D -> V_Psi realized as restrict(idft(extend(.))).
 
 The canonical map always computes the full Omega-word and verifies that
 it vanishes off Psi before restricting, turning the vanishing guarantee
-into a runtime self-test.
+into a runtime self-test.  The same inverse-transform-and-restrict step
+(``restrict_idft``) finishes decoding and systematic encoding, on the
+located and the redundant point sets.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from .gf import ZERO
 from .mindex import format_index, parse_index
 from .transform import Spectrum, Word, dft_partial, idft_fast, point_power, index_space
-from .ideal import extend, DeltaSet
+from .ideal import extend, DeltaSet, Eliminator
 
 
 class MapError(ValueError):
@@ -92,41 +94,32 @@ def proper_transform(c, delta):
     return dft_partial(c, members)
 
 
-def canonical_iso(h, gb, psi, return_omega=False):
-    """Canonical isomorphism: extend h over A, inverse-transform, restrict to psi.
+def restrict_idft(full, psi):
+    """Inverse-transform a spectrum over all of A and restrict the
+    Omega-word to psi; returns (restricted word, Omega-word).
 
-    Raises VanishingError if the Omega-word is nonzero off psi, which
-    signals inconsistent basis / point-set inputs.
+    Raises VanishingError if the Omega-word is nonzero off psi.
     """
-    f = gb.field
-    full = extend(h, gb, index_space(f, gb.ndim))
+    f = full.field
     w = idft_fast(full)
     inside = set(psi.points)
     for pt, v in w.values.items():
         if v != ZERO and pt not in inside:
             raise VanishingError("nonzero value %s at %s outside the point set"
                                  % (f.format(v), format_index(pt)))
-    restricted = Word(f, gb.ndim, {p: w.values[p] for p in psi.points})
+    return Word(f, full.ndim, {p: w.values[p] for p in psi.points}), w
+
+
+def canonical_iso(h, gb, psi, return_omega=False):
+    """Canonical isomorphism: extend h over A, inverse-transform, restrict to psi.
+
+    Raises VanishingError if the Omega-word is nonzero off psi, which
+    signals inconsistent basis / point-set inputs.
+    """
+    restricted, w = restrict_idft(extend(h, gb, index_space(gb.field, gb.ndim)), psi)
     if return_omega:
         return restricted, w
     return restricted
-
-
-def _gauss_invertible(field, rows):
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != ZERO), None)
-        if piv is None:
-            return False
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = field.inv(mat[col][col])
-        mat[col] = [field.mul(x, inv) for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != ZERO:
-                c = mat[r][col]
-                mat[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[r], mat[col])]
-    return True
 
 
 def transpose_check(delta, psi):
@@ -154,4 +147,5 @@ def transpose_check(delta, psi):
         for j in range(n):
             if ev_rows[i][j] != pt_rows[j][i]:
                 return False
-    return _gauss_invertible(f, ev_rows)
+    elim = Eliminator(f)
+    return all(elim.insert(row, i) is None for i, row in enumerate(ev_rows))

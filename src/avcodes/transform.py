@@ -13,7 +13,7 @@ omega, including zero.
 from dataclasses import dataclass
 
 from .gf import ZERO, ONE, FieldError
-from .mindex import format_index, parse_index
+from .mindex import format_index, parse_index, index_box
 
 
 class DomainError(ValueError):
@@ -64,10 +64,7 @@ class Word:
 
 def index_space(field, ndim):
     """A = {0..q-1}^N in serialization order (first component fastest)."""
-    out = [()]
-    for _ in range(ndim):
-        out = [(v,) + rest for rest in out for v in range(field.q)]
-    return out
+    return index_box(field.q, ndim)
 
 
 def omega_space(field, ndim):
@@ -306,22 +303,16 @@ def grid_lines(obj, kind):
     """Dense grid matching the worked figures: first index down, second
     across, -1 for the zero element.  One row for N = 1."""
     f = obj.field
-    if kind == "spectrum":
-        coords = list(range(f.q))
-        label = lambda x: str(x)
-        fetch = lambda r, c: obj.values.get((r,) if obj.ndim == 1 else (r, c), ZERO)
-    else:
-        coords = [ZERO] + list(range(f.q - 1))
-        label = lambda x: str(x)
-        fetch = lambda r, c: obj.values.get((r,) if obj.ndim == 1 else (r, c), ZERO)
+    coords = list(range(f.q)) if kind == "spectrum" else list(f.elements())
+    fetch = lambda r, c: obj.values.get((r,) if obj.ndim == 1 else (r, c), ZERO)
     if obj.ndim == 1:
         return [" ".join("%3s" % f.format(fetch(r, None)) for r in coords)]
     if obj.ndim != 2:
         raise DomainError("grid form is only defined for N <= 2")
     lines = []
-    header = "     " + " ".join("%3s" % label(c) for c in coords)
+    header = "     " + " ".join("%3s" % c for c in coords)
     lines.append(header)
     for r in coords:
         row = " ".join("%3s" % f.format(fetch(r, c)) for c in coords)
-        lines.append("%4s %s" % (label(r), row))
+        lines.append("%4s %s" % (r, row))
     return lines

@@ -194,6 +194,10 @@ def test_config_errors(tmp_path):
     cfg["d_fr"] = 99
     with pytest.raises(CodeConfigError):
         code_from_config(cfg)
+    cfg = dict(PRESET_CONFIGS["hermitian"])
+    cfg["B"] = "wdeg<=x"
+    with pytest.raises(CodeConfigError):
+        code_from_config(cfg)
     cfg = dict(PRESET_CONFIGS["rs-like"])
     cfg["points"] = "no-such-generator"
     with pytest.raises(CodeConfigError):
@@ -207,6 +211,22 @@ def test_config_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(PRESET_CONFIGS["rs-like"]))
     assert load_code(str(good)).n == 4
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_CONFIGS))
+def test_config_builds_one_vanishing_basis(name, monkeypatch):
+    from avcodes import codes
+
+    calls = []
+    original = codes.vanishing_gb
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(codes, "vanishing_gb", counting)
+    code_from_config(PRESET_CONFIGS[name], name=name)
+    assert len(calls) == 1
 
 
 def test_unknown_preset():

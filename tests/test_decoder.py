@@ -5,7 +5,7 @@ import pytest
 from avcodes.gf import ZERO, ONE
 from avcodes.transform import Spectrum, Word
 from avcodes.maps import PointSet
-from avcodes.codes import encode_nonsystematic, is_dual_codeword, syndrome
+from avcodes.codes import encode_nonsystematic, is_dual_codeword, syndrome, code_from_config
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
                              systematic_basis, check_systematic_support,
                              op_counter_report, default_t_max, UndecodableError,
@@ -234,6 +234,25 @@ def test_python_support_search_matches_numpy(hermitian, rng):
             target = [rng.randrange(-1, 8) for _ in range(4)]
             assert (_find_supports_np(f, target, cols, t)
                     == _find_supports_python(f, target, cols, t))
+
+
+def test_decode_info_above_dense_tables():
+    # q = 2^13 > 4096: Zech-log arithmetic and the pure-Python support search
+    code = code_from_config({
+        "field": {"p": 2, "m": 13,
+                  "primitive_poly": [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]},
+        "N": 1,
+        "order": {"kind": "lex"},
+        "points": [[-1], [0], [5], [77], [123], [1000], [4000], [8000]],
+        "B": [[0], [1], [2], [3]],
+        "d_fr": 5,
+    })
+    f = code.field
+    r = Word(f, 1, {p: ZERO for p in code.psi.points})
+    r.values[(5,)] = 17
+    r.values[(4000,)] = 4321
+    info = decode_info(r, PointSet(f, 1, ()), code)
+    assert info.values == {d: ZERO for d in code.info_support()}
 
 
 def test_systematic_rs_like(rs_like, rng):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avcodes.gf import Field, FieldSpec, FieldError, NotPrimitiveError, ZERO, ONE, build_field
+from avcodes.gf import Field, FieldSpec, FieldError, NotPrimitiveError, ZERO, ONE
 
 
 def test_f8_construction(f8):
@@ -24,7 +24,7 @@ def test_not_primitive_rejected():
 
 
 def test_build_field_from_spec():
-    f = build_field(FieldSpec(2, 3, (1, 1, 0, 1)))
+    f = Field.from_spec(FieldSpec(2, 3, (1, 1, 0, 1)))
     assert f.q == 8
 
 

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avcodes.gf import ZERO, ONE
+from avcodes.gf import Field, ZERO, ONE
 from avcodes.mindex import MonomialOrder, dominates
 from avcodes.transform import Spectrum, index_space, dft, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form,
-                           extend, leading_monomial, IdealError, ReducedGroebnerBasis)
+                           extend, IdealError, ReducedGroebnerBasis)
 from avcodes.maps import PointSet, proper_transform
 from avcodes.golden import (RS_PSI, RS_G, RS_SEED, RS_EXTENSION, CROSS_PSI,
                             CROSS_SEED_KNOWN, CROSS_H22, HERM_PHI1, HERM_G_PHI1,
@@ -221,13 +222,13 @@ def test_check_set_basis_unsolvable(f9):
 
 def test_leading_monomial(f8_module, f9):
     g = Polynomial(f8_module, 1, RS_G)
-    assert leading_monomial(g, MonomialOrder("lex")) == (4,)
+    assert g.leading(MonomialOrder("lex")) == (4,)
     curve = Polynomial(f9, 2, {(0, 3): 0, (4, 0): 4, (0, 1): 0})
-    assert leading_monomial(curve, MonomialOrder("weighted_grlex", (3, 4))) == (0, 3)
+    assert curve.leading(MonomialOrder("weighted_grlex", (3, 4))) == (0, 3)
     const = Polynomial(f9, 2, {(0, 0): 5})
-    assert leading_monomial(const, MonomialOrder("grlex")) == (0, 0)
+    assert const.leading(MonomialOrder("grlex")) == (0, 0)
     with pytest.raises(IdealError):
-        leading_monomial(Polynomial(f9, 2, {}), MonomialOrder("grlex"))
+        Polynomial(f9, 2, {}).leading(MonomialOrder("grlex"))
 
 
 def test_polynomial_text_roundtrip(f9, rng):
@@ -250,3 +251,39 @@ def test_polynomial_arithmetic(f9, rng):
     assert prod.terms == {(2, 0): f9.mul(2, 2), (1, 1): f9.mul(3, 2)}
     pt = (4, 7)
     assert prod.eval(pt) == f9.mul(a.eval(pt), b.eval(pt))
+
+
+PROPERTY_FIELDS = {4: Field(2, 2, (1, 1, 1)), 8: Field(2, 3, (1, 1, 0, 1)),
+                   9: Field(3, 2, (2, 1, 1))}
+
+
+@st.composite
+def point_sets(draw):
+    f = PROPERTY_FIELDS[draw(st.sampled_from(sorted(PROPERTY_FIELDS)))]
+    ndim = draw(st.sampled_from([1, 2]))
+    coords = st.tuples(*[st.integers(-1, f.q - 2)] * ndim)
+    pts = draw(st.lists(coords, min_size=1, max_size=min(f.q ** ndim, 12), unique=True))
+    order = MonomialOrder(draw(st.sampled_from(["lex", "grlex"])))
+    return PointSet(f, ndim, tuple(pts)), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.randoms(use_true_random=False))
+def test_check_set_basis_agrees_with_vanishing_gb(case, rnd):
+    pts, order = case
+    f = pts.field
+    gb, delta = vanishing_gb(pts, order)
+    in_a = {aw: g for g, aw in zip(gb.elements, gb.leading) if all(x < f.q for x in aw)}
+    cs = check_set_basis(pts, order.sort(delta.members), order)
+    assert dict(zip(cs.leading, cs.elements)) == in_a
+    # the delta set plus up to three other indices, in shuffled order:
+    # dependent columns are skipped, every element still vanishes with
+    # its tail inside B
+    extra = [a for a in index_space(f, pts.ndim) if a not in delta]
+    b_list = list(delta.members) + rnd.sample(extra, min(3, len(extra)))
+    rnd.shuffle(b_list)
+    cs = check_set_basis(pts, b_list, order)
+    for g, aw in zip(cs.elements, cs.leading):
+        assert g.coeff(aw) == ONE
+        assert all(e == aw or e in b_list for e in g.terms)
+        assert all(g.eval(p) == ZERO for p in pts)
