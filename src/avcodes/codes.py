@@ -12,7 +12,7 @@ import math
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, dft_partial, omega_space
+from .transform import Spectrum, dft_partial, omega_space, point_power
 from .maps import PointSet, canonical_iso, evaluate
 from .ideal import vanishing_gb
 
@@ -51,6 +51,20 @@ class CodeSpec:
             raise CodeConfigError("d_fr = %d outside 1..%d" % (d_fr, self.n))
         self.d_fr = d_fr
         self.name = name
+        self._columns = {}
+
+    def column(self, point):
+        """Evaluation column (point^b for b in B) of a code point, cached
+        on first use and, like the code's other precomputed data, not
+        op-counted."""
+        col = self._columns.get(point)
+        if col is None:
+            f = self.field
+            before = f.op_count
+            col = tuple(point_power(f, point, b) for b in self.b_list)
+            f.op_count = before
+            self._columns[point] = col
+        return col
 
     def info_support(self):
         """D \\ B in increasing monomial order."""

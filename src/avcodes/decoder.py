@@ -5,12 +5,26 @@ The locator step replaces shift-register synthesis at desk scale: the
 smallest error support consistent with the check-set syndrome is found
 by exhaustive search over candidate supports (minimal size first, then
 lexicographically by the code's point order), after projecting the known
-erasure columns out of the linear system.  Sizes above one are searched
-meet-in-the-middle over (point, coefficient) half-combinations, which
-returns exactly the same supports as plain enumeration.
+erasure columns out of the linear system.
+
+The search is meet-in-the-middle.  A support of size t splits into its
+first t//2 and its last t - t//2 candidates, and a size-k half holds
+every all-nonzero combination of k reduced columns.  Each half is turned
+into sorted uint64 keys once per ``locate`` call, as itself (the left
+side) or added to the target (the right side, target minus a
+combination), and serves every t that needs it.  Keys pack the rows in
+base q, after a fixed pseudo-random GF(q)-linear projection when the rows
+are longer than a key needs; the two sides are joined with
+``searchsorted`` and every key match is re-checked on the full-length
+vectors, so the search returns exactly the supports of plain
+enumeration.  Before a half is built its size is estimated
+(``half_table_bytes``); above TABLE_BUDGET the locator raises
+UndecodableError instead of allocating it.  Fields without numpy tables
+(q > gf.NP_TABLE_Q) use the pure-Python search.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,85 +105,199 @@ def _trivial_locator(field, ndim, order):
     return ReducedGroebnerBasis(field, ndim, order, [one], [origin], DeltaSet(frozenset()))
 
 
-def _column(field, b_list, point):
-    return [point_power(field, point, b) for b in b_list]
+# -- the support search ------------------------------------------------------
+
+# ceiling on the estimated bytes of all half tables of one locate call
+TABLE_BUDGET = 256 << 20
+_MASK64 = (1 << 64) - 1
 
 
-def _np_tables(field):
-    """Dense GF tables in shifted coding (0 = zero element, k+1 = alpha^k),
-    cached on the field; table building is excluded from op counting."""
-    cached = getattr(field, "_np_gf_tables", None)
-    if cached is not None:
-        return cached
-    q = field.q
-    if q > 4096:
-        return None
-    snapshot = field.op_count
-    dtype = np.uint8 if q <= 255 else np.uint16
-    codes = [ZERO] + list(range(q - 1))
-    add = np.zeros((q, q), dtype=dtype)
-    mul = np.zeros((q, q), dtype=dtype)
-    neg = np.zeros(q, dtype=dtype)
-    for a in codes:
-        neg[a + 1] = field.neg(a) + 1
-        for b in codes:
-            add[a + 1][b + 1] = field.add(a, b) + 1
-            mul[a + 1][b + 1] = field.mul(a, b) + 1
-    field.op_count = snapshot
-    tables = (add, mul, neg, dtype)
-    field._np_gf_tables = tables
-    return tables
+def _half_rows(ncand, k, q):
+    return math.comb(ncand, k) * (q - 1) ** k
 
 
-def _find_supports_np(field, target, columns, t):
-    """All index supports of size t admitting an all-nonzero combination
-    equal to target, via meet-in-the-middle halves."""
-    add, mul, neg, dtype = _np_tables(field)
-    q = field.q
-    ncand = len(columns)
-    veclen = len(target)
-    U = np.array([[x + 1 for x in col] for col in columns], dtype=dtype)
-    tgt = np.array([x + 1 for x in target], dtype=dtype)
-    rowbytes = veclen * dtype().itemsize
+def half_table_bytes(ncand, k, q, r):
+    """Estimated peak bytes of one half table over ncand columns with
+    r-symbol keys: on each of its two key sides a uint64 key and an intp
+    sort index per row, plus the symbols and intp gather indices of the
+    largest block (one leading coefficient) while it is built."""
+    rows = _half_rows(ncand, k, q)
+    return rows * 32 + rows // (q - 1) * r * 16
 
-    def blocks(k):
-        """(value matrix, combo list) per nonzero coefficient tuple."""
-        if k == 0:
-            yield np.zeros((1, veclen), dtype=dtype), [()]
-            return
-        combos = list(itertools.combinations(range(ncand), k))
-        if not combos:
-            return
-        C = np.array(combos, dtype=np.intp)
-        cols = [U[C[:, j]] for j in range(k)]
-        for coeffs in itertools.product(range(1, q), repeat=k):
-            acc = mul[coeffs[0]][cols[0]]
-            for j in range(1, k):
-                acc = add[acc, mul[coeffs[j]][cols[j]]]
-            field.op_count += len(combos) * veclen * (2 * k - 1)
-            yield acc, combos
 
-    ka = t // 2
-    kb = t - ka
-    lookup = {}
-    for acc, combos in blocks(ka):
-        blob = acc.tobytes()
-        for i, combo in enumerate(combos):
-            lookup.setdefault(blob[i * rowbytes:(i + 1) * rowbytes], []).append(combo)
-    found = set()
-    get = lookup.get
-    for acc, combos in blocks(kb):
-        want = add[tgt, neg[acc]]
-        field.op_count += acc.size * 2
-        blob = want.tobytes()
-        for i, combo in enumerate(combos):
-            hit = get(blob[i * rowbytes:(i + 1) * rowbytes])
-            if hit:
-                for combo_a in hit:
-                    if combo_a and combo and combo_a[-1] >= combo[0]:
-                        continue
-                    found.add(tuple(combo_a) + tuple(combo))
-    return sorted(found)
+def _key_width(q, veclen, largest):
+    """Coordinates a packed key keeps: r with q^(r-2) >= largest^2, so that
+    a chance key match between two sides of at most ``largest`` rows has
+    odds about 1/q^2; at most veclen, and q^r must fit in 64 bits."""
+    need = 2
+    while q ** (need - 2) < largest * largest:
+        need += 1
+    cap = 1
+    while q ** (cap + 1) <= 1 << 64:
+        cap += 1
+    return min(veclen, need, cap)
+
+
+def _mix(x):
+    """splitmix64 finalizer: a fixed integer hash."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _pack(rows, q):
+    """Base-q uint64 key of each row."""
+    keys = rows[:, 0].astype(np.uint64)
+    for j in range(1, rows.shape[1]):
+        keys *= np.uint64(q)
+        keys += rows[:, j]
+    return keys
+
+
+class _SupportSearch:
+    """All index supports of each size t <= t_max admitting an all-nonzero
+    combination of ``columns`` equal to ``target``, by a sort join of
+    half tables that are built on first use and kept for larger t."""
+
+    def __init__(self, field, target, columns, t_max):
+        self.field = field
+        self.target = target
+        self.columns = columns
+        add, mul, self.neg, dtype = field.np_tables()
+        self.q = q = field.q
+        self.add_flat = add.ravel()
+        self.idx_dtype = np.uint16 if q <= 256 else np.uint32
+        self.ncand = len(columns)
+        cols = np.array([[x + 1 for x in col] for col in columns],
+                        dtype=dtype).reshape(self.ncand, len(target))
+        tgt = np.array([x + 1 for x in target], dtype=dtype)
+        # coordinates zero in every column and in the target (the pivots
+        # of the erasure reduction) carry nothing
+        live = (cols != 0).any(axis=0) | (tgt != 0)
+        cols, tgt = cols[:, live], tgt[live]
+        veclen = len(tgt)
+        largest = _half_rows(self.ncand, (t_max + 1) // 2, q)
+        self.r = r = _key_width(q, veclen, largest)
+        if r < veclen:
+            # a fixed pseudo-random r x veclen matrix over GF(q)
+            P = np.array([[_mix(i * veclen + j) % q for j in range(veclen)]
+                          for i in range(r)], dtype=dtype)
+            both = mul[P, np.vstack([cols, tgt])[:, None, :]]
+            acc = both[..., 0]
+            for j in range(1, veclen):
+                acc = self._add(acc, both[..., j])
+            cols, tgt = acc[:-1], acc[-1]
+            field.op_count += (self.ncand + 1) * r * (2 * veclen - 1)
+        self.tgt = tgt
+        self.scaled = mul[:, cols]  # scaled[c, i] = c * column i
+        self.combos = {}
+        self.sides = {}  # (k, want) -> (sorted keys, row of each key)
+        self.reserved = {}  # k -> estimated bytes of half k
+        self.stats = {"t": 0, "candidates": self.ncand, "r": r,
+                      "entries": 0, "matches": 0}
+
+    def _add(self, a, b):
+        """Elementwise a + b in shifted coding, gathered from the flat add
+        table through one index array."""
+        return self.add_flat.take(a.astype(self.idx_dtype) * self.q + b)
+
+    def _reserve(self, t, ks):
+        for k in ks:
+            if k not in self.reserved:
+                self.reserved[k] = half_table_bytes(self.ncand, k, self.q, self.r)
+        need = sum(self.reserved.values())
+        if need > TABLE_BUDGET:
+            raise UndecodableError(
+                "support search of size %d needs about %d MB of tables, over the "
+                "%d MB budget" % (t, need >> 20, TABLE_BUDGET >> 20))
+
+    def _combos(self, k):
+        if k not in self.combos:
+            combos = list(itertools.combinations(range(self.ncand), k))
+            self.combos[k] = np.array(combos, dtype=np.intp).reshape(len(combos), k)
+        return self.combos[k]
+
+    def _side(self, k, want):
+        """Sorted keys, with the row number of each, of the half rows
+        c_1*col_i1 + ... + c_k*col_ik or, with ``want``, of the rows
+        target + c_1*col_i1 + ... (target minus the row of the negated
+        coefficients).  Rows run in the order (c_1, ..., c_k, i1 < ... <
+        ik) and are built one leading coefficient at a time."""
+        if (k, want) not in self.sides:
+            q, r = self.q, self.r
+            combos = self._combos(k)
+            nrows = _half_rows(self.ncand, k, q)
+            keys = np.empty(nrows, dtype=np.uint64)
+            if k == 0:
+                keys[:] = _pack((self.tgt if want else np.zeros_like(self.tgt))[None], q)
+            elif nrows:
+                rest = [self.scaled[1:, combos[:, j]] for j in range(1, k)]
+                block = nrows // (q - 1)
+                for c in range(1, q):
+                    acc = self.scaled[c, combos[:, 0]]
+                    if want:
+                        acc = self._add(self.tgt, acc)
+                    for part in rest:
+                        acc = self._add(acc[..., None, :, :], part)
+                    keys[(c - 1) * block:c * block] = _pack(acc.reshape(-1, r), q)
+                self.field.op_count += nrows * r * (2 * k - 1 + want)
+            order = np.argsort(keys)
+            self.sides[k, want] = keys[order], order
+            self.stats["entries"] += nrows
+        return self.sides[k, want]
+
+    def _entry(self, k, e, want):
+        """(combination, coefficient exponents) of row e of a side: the
+        coefficients are the base-(q-1) digits of the row's block number,
+        negated on the ``want`` side."""
+        combos = self.combos[k]
+        block, i = divmod(e, len(combos))
+        coeffs = []
+        for _ in range(k):
+            block, c = divmod(block, self.q - 1)
+            coeffs.append(int(self.neg[c + 1]) - 1 if want else c)
+        return tuple(combos[i].tolist()), tuple(reversed(coeffs))
+
+    def _exact(self, support, coeffs):
+        f = self.field
+        acc = list(self.target)
+        for i, c in zip(support, coeffs):
+            acc = [f.sub(a, f.mul(c, x)) for a, x in zip(acc, self.columns[i])]
+        return all(a == ZERO for a in acc)
+
+    def supports(self, t):
+        ka, kb = t // 2, t - t // 2
+        self._reserve(t, (ka, kb))
+        self.stats["t"] = t
+        a_keys, a_order = self._side(ka, False)
+        b_keys, b_order = self._side(kb, True)
+        if not len(a_keys) or not len(b_keys):
+            return []
+        lo = np.searchsorted(a_keys, b_keys)
+        hit = np.flatnonzero(a_keys[np.minimum(lo, len(a_keys) - 1)] == b_keys)
+        lo = lo[hit]
+        counts = np.searchsorted(a_keys, b_keys[hit], "right") - lo
+        total = int(counts.sum())
+        self.stats["matches"] += total
+        if not total:
+            return []
+        first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        a_rows = a_order[first + np.arange(total)]
+        b_rows = b_order[np.repeat(hit, counts)]
+        if ka:
+            # a support splits as combo_a[-1] < combo_b[0]
+            ca, cb = self.combos[ka], self.combos[kb]
+            keep = ca[a_rows % len(ca), -1] < cb[b_rows % len(cb), 0]
+            a_rows, b_rows = a_rows[keep], b_rows[keep]
+        found = set()
+        for ea, eb in zip(a_rows.tolist(), b_rows.tolist()):
+            combo_a, coeffs_a = self._entry(ka, ea, False)
+            combo_b, coeffs_b = self._entry(kb, eb, True)
+            support = combo_a + combo_b
+            if support not in found and self._exact(support, coeffs_a + coeffs_b):
+                found.add(support)
+        return sorted(found)
 
 
 def _find_supports_python(field, target, columns, t):
@@ -200,13 +328,26 @@ def _find_supports_python(field, target, columns, t):
     return sorted(found)
 
 
+class LocateResult(tuple):
+    """The pair (basis, located) returned by ``locate``, with the search
+    statistics as ``stats``: the largest size t searched, the candidate
+    count, the key width r, and the half-table rows built and key matches
+    joined (both 0 on the pure-Python path)."""
+
+    def __new__(cls, basis, located, stats):
+        pair = super().__new__(cls, (basis, located))
+        pair.stats = stats
+        return pair
+
+
 def locate(synd, phi1, code, t_max=None):
     """Smallest error support consistent with the B-indexed syndrome.
 
-    Returns (reduced basis of the vanishing ideal of Phi1 union Phi2,
-    located point set in the code's point order).  Raises
-    UndecodableError when no support of size <= t_max is consistent and
-    AmbiguousPatternError when several minimal ones are.
+    Returns a LocateResult (reduced basis of the vanishing ideal of Phi1
+    union Phi2, located point set in the code's point order).  Raises
+    UndecodableError when no support of size <= t_max is consistent, or
+    when the search would need more than TABLE_BUDGET bytes of tables,
+    and AmbiguousPatternError when several minimal ones are.
     """
     f = code.field
     if t_max is None:
@@ -222,23 +363,33 @@ def locate(synd, phi1, code, t_max=None):
     phi1_set = set(phi1.points)
     elim = Eliminator(f)
     for p in phi1.points:
-        elim.insert(_column(f, b_list, p), p)
+        elim.insert(code.column(p), p)
     target, _ = elim.reduce(s)
 
     chosen = ()
+    stats = {"t": 0, "candidates": 0, "r": 0, "entries": 0, "matches": 0}
     if any(x != ZERO for x in target):
         candidates = [p for p in code.psi.points if p not in phi1_set]
         reduced_cols = []
         eligible = []
         for i, p in enumerate(candidates):
-            rc, _ = elim.reduce(_column(f, b_list, p))
+            rc, _ = elim.reduce(code.column(p))
             if any(x != ZERO for x in rc):
                 eligible.append(i)
                 reduced_cols.append(rc)
-        finder = _find_supports_np if _np_tables(f) is not None else _find_supports_python
+        search = None
+        if f.np_tables() is not None:
+            search = _SupportSearch(f, target, reduced_cols, t_max)
+            stats = search.stats
+        else:
+            stats["candidates"] = len(reduced_cols)
         supports = []
         for t in range(1, t_max + 1):
-            supports = finder(f, target, reduced_cols, t)
+            if search:
+                supports = search.supports(t)
+            else:
+                stats["t"] = t
+                supports = _find_supports_python(f, target, reduced_cols, t)
             if supports:
                 break
         if not supports:
@@ -255,9 +406,9 @@ def locate(synd, phi1, code, t_max=None):
     pts = tuple(p for p in code.psi.points if p in located)
     loc_ps = PointSet(f, code.ndim, pts)
     if not pts:
-        return _trivial_locator(f, code.ndim, code.order), loc_ps
+        return LocateResult(_trivial_locator(f, code.ndim, code.order), loc_ps, stats)
     gb, _ = vanishing_gb(loc_ps, code.order)
-    return gb, loc_ps
+    return LocateResult(gb, loc_ps, stats)
 
 
 # -- the two decoding algorithms --------------------------------------------
@@ -326,10 +477,11 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     meter.lap("2")
     rt = dft_partial(r, indices)
     meter.lap("3")
-    gb_loc, located = locate(rt.restrict(code.b_list), phi1, code, t_max)
+    loc = locate(rt.restrict(code.b_list), phi1, code, t_max)
+    gb_loc, located = loc
     meter.lap("4")
     report = StepCounts(meter.steps, _report_meta(code, gb_loc, located,
-                                                  erasure_synd, kind, gb_phi1))
+                                                  erasure_synd, kind, gb_phi1, loc.stats))
     ext = _locator_seed(rt.values, gb_loc, located, code) if len(located) else None
     return meter, report, rt, located, ext
 
@@ -381,7 +533,7 @@ def decode_word(r, phi1, code, t_max=None):
     return DecodeResult(codeword=c, error=e, located=located)
 
 
-def _report_meta(code, gb_loc, located, erasure_synd, kind, gb_phi1):
+def _report_meta(code, gb_loc, located, erasure_synd, kind, gb_phi1, search):
     return {
         "kind": kind,
         "code": code.name or repr(code),
@@ -393,6 +545,7 @@ def _report_meta(code, gb_loc, located, erasure_synd, kind, gb_phi1):
         "located": len(located),
         "fast_idft_bound": 3 * code.ndim * code.field.q ** (code.ndim + 1),
         "erasure_syndrome": erasure_synd,
+        "locator": search,
     }
 
 

@@ -8,6 +8,8 @@ text convention used everywhere in this package ("-1 means 0").
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 ZERO = -1
 ONE = 0
 
@@ -15,6 +17,8 @@ MAX_Q = 1 << 16
 # dense q x q add tables are built below this size; larger fields fall
 # back to Zech logarithms
 DENSE_Q = 512
+# numpy tables (``Field.np_tables``) are built up to this size
+NP_TABLE_Q = 4096
 
 
 class FieldError(ValueError):
@@ -87,6 +91,7 @@ class Field:
         self.m = m
         self.q = spec.q
         self.op_count = 0
+        self._np_tables = None
         self._build_tables()
 
     @classmethod
@@ -159,17 +164,46 @@ class Field:
         return list(range(self.q - 1)) + [ZERO]
 
     def _digit_add(self, ea, eb):
+        # ints or numpy integer arrays (elementwise)
         p = self.p
         if p == 2:
             return ea ^ eb
         out = 0
         mult = 1
         for _ in range(self.m):
-            out += ((ea + eb) % p) * mult
-            ea //= p
-            eb //= p
+            out = out + ((ea + eb) % p) * mult
+            ea = ea // p
+            eb = eb // p
             mult *= p
         return out
+
+    def np_tables(self):
+        """Dense numpy tables ``(add, mul, neg, dtype)`` in shifted coding
+        (0 is the zero element, k+1 is alpha^k), or None for q above
+        NP_TABLE_Q.  Built with numpy from the antilog table on first use,
+        cached, and not op-counted."""
+        q = self.q
+        if self._np_tables is not None or q > NP_TABLE_Q:
+            return self._np_tables
+        n = q - 1
+        dtype = np.uint8 if q <= 255 else np.uint16
+        lg = np.arange(-1, n)  # exponent of each shifted code, -1 for zero
+        enc = np.array((0,) + self.antilog)
+        dec = np.empty(q, dtype=dtype)
+        dec[enc] = np.arange(q)
+        add = np.empty((q, q), dtype=dtype)
+        mul = np.empty((q, q), dtype=dtype)
+        # row blocks keep the int64 temporaries near 8 MB
+        step = max(1, (1 << 20) // q)
+        for lo in range(0, q, step):
+            rows = slice(lo, lo + step)
+            add[rows] = dec[self._digit_add(enc[rows, None], enc)]
+            mul[rows] = (lg[rows, None] + lg) % n + 1
+        mul[0] = mul[:, 0] = 0
+        neg = np.zeros(q, dtype=dtype)
+        neg[1:] = (lg[1:] + self._neg_code) % n + 1
+        self._np_tables = (add, mul, neg, dtype)
+        return self._np_tables
 
     # -- arithmetic on exponent codes ------------------------------------
 

@@ -1,9 +1,13 @@
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from avcodes.gf import ZERO, ONE
-from avcodes.transform import Spectrum, Word
+from avcodes import decoder
+from avcodes.gf import Field, ZERO, ONE
+from avcodes.transform import Spectrum, Word, point_power
 from avcodes.maps import PointSet
 from avcodes.codes import encode_nonsystematic, is_dual_codeword, syndrome, code_from_config
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
@@ -223,17 +227,106 @@ def test_systematic_support_errors(hermitian, rs_like, rng):
         systematic_encode(Word(f, 2, {}), okphi, hermitian)
 
 
-def test_python_support_search_matches_numpy(hermitian, rng):
-    # the large-field fallback must agree with the table-driven search
-    from avcodes.decoder import _find_supports_np, _find_supports_python
+SEARCH_FIELDS = {q: Field(*spec) for q, spec in {
+    4: (2, 2, (1, 1, 1)),
+    8: (2, 3, (1, 1, 0, 1)),
+    9: (3, 2, (2, 1, 1)),
+    16: (2, 4, (1, 1, 0, 0, 1)),
+}.items()}
 
+
+@st.composite
+def support_systems(draw):
+    """(field, target, columns) shaped like the locator's input after
+    erasure reduction: nonzero columns, some of them equal or proportional
+    to others, coordinates that are zero everywhere, and often a planted
+    combination of up to four columns as the target."""
+    q = draw(st.sampled_from(sorted(SEARCH_FIELDS)))
+    f = SEARCH_FIELDS[q]
+    ncand = draw(st.integers(1, 4 if q == 16 else 6))
+    veclen = draw(st.integers(1, 12))
+    elem = st.integers(-1, q - 2)
+    cols = draw(st.lists(st.lists(elem, min_size=veclen, max_size=veclen),
+                         min_size=ncand, max_size=ncand))
+    for src, dst, c in draw(st.lists(st.tuples(st.integers(0, ncand - 1),
+                                               st.integers(0, ncand - 1),
+                                               st.integers(0, q - 2)), max_size=2)):
+        cols[dst] = [f.mul(c, x) for x in cols[src]]
+    size = draw(st.integers(0, min(4, ncand)))
+    if size:
+        support = draw(st.lists(st.integers(0, ncand - 1), min_size=size,
+                                max_size=size, unique=True))
+        target = [ZERO] * veclen
+        for i in support:
+            c = draw(st.integers(0, q - 2))
+            target = [f.add(a, f.mul(c, x)) for a, x in zip(target, cols[i])]
+    else:
+        target = draw(st.lists(elem, min_size=veclen, max_size=veclen))
+    dead = draw(st.sets(st.integers(0, veclen - 1), max_size=veclen - 1))
+    cols = [[ZERO if j in dead else x for j, x in enumerate(col)] for col in cols]
+    target = [ZERO if j in dead else x for j, x in enumerate(target)]
+    assume(any(x != ZERO for x in target))
+    assume(all(any(x != ZERO for x in col) for col in cols))
+    return f, target, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_systems(), st.booleans())
+def test_support_search_matches_python_oracle(system, narrow_keys):
+    # the sort-join search equals plain meet-in-the-middle enumeration for
+    # every t, whether one search serves t = 1..4 or a fresh one serves
+    # each t; one-symbol keys make hash collisions the rule, which the
+    # exact re-check must filter out
+    f, target, cols = system
+    width = (lambda q, veclen, largest: 1) if narrow_keys else decoder._key_width
+    with mock.patch.object(decoder, "_key_width", width):
+        shared = decoder._SupportSearch(f, target, cols, 4)
+        for t in range(1, 5):
+            want = decoder._find_supports_python(f, target, cols, t)
+            assert shared.supports(t) == want
+            assert decoder._SupportSearch(f, target, cols, t).supports(t) == want
+
+
+def test_locator_table_budget(hcrs):
+    # the size-3 half table of hcrs (C(81,3) * 8^3 rows) is over the
+    # budget at any key width; the size-2 one that full-radius decoding
+    # builds is far below it
+    assert decoder.half_table_bytes(81, 3, 9, 1) > decoder.TABLE_BUDGET
+    assert 10 * decoder.half_table_bytes(81, 2, 9, 20) < decoder.TABLE_BUDGET
+    # so a search for 5 or more errors is refused before that table exists
+    f = hcrs.field
+    pts = list(hcrs.psi.points)
+    e = Word(f, 2, {p: ZERO for p in pts})
+    for j, v in zip((3, 17, 29, 40, 58, 77), (0, 1, 2, 3, 4, 5)):
+        e.values[pts[j]] = v
+    synd = syndrome(e, hcrs.b_list)
+    with pytest.raises(UndecodableError, match="budget"):
+        locate(synd, PointSet(f, 2, ()), hcrs, t_max=6)
+
+
+def test_locator_report(hermitian, rng):
+    h = random_info(hermitian, rng)
+    cw = encode_nonsystematic(h, hermitian)
+    r, phi1 = corrupt(hermitian, cw, 0, 3, rng)
+    decode_word(r, phi1, hermitian)
+    loc = op_counter_report().meta["locator"]
+    # t = 1, 2, 3 use the size-1 half, its target side, and the size-2
+    # target side: 1 + 27*8 + 27*8 + C(27,2)*8^2 rows
+    assert loc == {"t": 3, "candidates": 27, "r": 9, "entries": 22897,
+                   "matches": loc["matches"]}
+    assert loc["matches"] >= 1
+    decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian)
+    assert op_counter_report().meta["locator"]["t"] == 0
+
+
+def test_code_columns_cached(hermitian):
     f = hermitian.field
-    for t in (1, 2):
-        for trial in range(5):
-            cols = [[rng.randrange(-1, 8) for _ in range(4)] for _ in range(7)]
-            target = [rng.randrange(-1, 8) for _ in range(4)]
-            assert (_find_supports_np(f, target, cols, t)
-                    == _find_supports_python(f, target, cols, t))
+    p = hermitian.psi.points[5]
+    before = f.op_count
+    col = hermitian.column(p)
+    assert f.op_count == before
+    assert hermitian.column(p) is col
+    assert list(col) == [point_power(f, p, b) for b in hermitian.b_list]
 
 
 def test_decode_info_above_dense_tables():
@@ -253,6 +346,28 @@ def test_decode_info_above_dense_tables():
     r.values[(4000,)] = 4321
     info = decode_info(r, PointSet(f, 1, ()), code)
     assert info.values == {d: ZERO for d in code.info_support()}
+
+
+def test_decode_info_zech_range():
+    # 512 < q = 2^10 <= 4096: Zech arithmetic with uint16 numpy tables and
+    # the sort-join search
+    code = code_from_config({
+        "field": {"p": 2, "m": 10,
+                  "primitive_poly": [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]},
+        "N": 1,
+        "order": {"kind": "lex"},
+        "points": [[-1], [0], [3], [17], [100], [250], [511], [700], [900], [1022]],
+        "B": [[0], [1], [2], [3]],
+        "d_fr": 5,
+    })
+    f = code.field
+    assert f.np_tables()[3] == np.uint16
+    r = Word(f, 1, {p: ZERO for p in code.psi.points})
+    r.values[(17,)] = 5
+    r.values[(700,)] = 1000
+    info = decode_info(r, PointSet(f, 1, ()), code)
+    assert info.values == {d: ZERO for d in code.info_support()}
+    assert op_counter_report().meta["locator"]["t"] == 2
 
 
 def test_systematic_rs_like(rs_like, rng):

@@ -150,3 +150,27 @@ def test_op_counter(f8):
     f8.add(1, 2)
     f8.mul(3, 4)
     assert f8.op_count - before == 2
+
+
+@pytest.mark.parametrize("p,m,poly", [
+    (3, 2, (2, 1, 1)),
+    (2, 4, (1, 1, 0, 0, 1)),
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # Zech arithmetic, uint16 tables
+])
+def test_np_tables_match_scalar(p, m, poly):
+    f = Field(p, m, poly)
+    add, mul, neg, dtype = f.np_tables()
+    assert f.op_count == 0  # building the tables is not op-counted
+    assert f.np_tables() is f.np_tables()
+    q = f.q
+    assert add.shape == mul.shape == (q, q) and neg.shape == (q,)
+    assert add.dtype == mul.dtype == neg.dtype == dtype
+    shifted = [ZERO] + list(range(q - 1))  # slot s holds the element s - 1
+    rows = range(q) if q <= 16 else list(range(4)) + list(range(5, q, 97))
+    for i in rows:
+        a = shifted[i]
+        assert add[i].tolist() == [f.add(a, b) + 1 for b in shifted]
+        assert mul[i].tolist() == [f.mul(a, b) + 1 for b in shifted]
+        # the tables are symmetric, so this checks column i as well
+        assert (add[:, i] == add[i]).all() and (mul[:, i] == mul[i]).all()
+    assert all(neg[i] == f.neg(shifted[i]) + 1 for i in range(q))
