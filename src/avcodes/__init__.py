@@ -11,5 +11,5 @@ from .maps import PointSet, evaluate, proper_transform, canonical_iso, transpose
 from .codes import CodeSpec, preset, load_code, code_from_config, \
     encode_nonsystematic, primal_encode, syndrome, is_dual_codeword
 from .decoder import (locate, decode_info, decode_word, systematic_encode,
-                      check_systematic_support, op_counter_report, DecodeResult,
+                      check_systematic_support, DecodeResult, InfoSpectrum,
                       UndecodableError)

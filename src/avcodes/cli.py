@@ -16,8 +16,7 @@ from .ideal import vanishing_gb, extend, IdealError
 from .maps import PointSet, MapError, VanishingError
 from .codes import (CodeConfigError, load_code, preset, PRESET_CONFIGS,
                     encode_nonsystematic, is_dual_codeword)
-from .decoder import (decode_info, decode_word, systematic_encode,
-                      op_counter_report, UndecodableError)
+from .decoder import decode_info, decode_word, systematic_encode, UndecodableError
 from .golden import run_examples
 
 EXIT_OK = 0
@@ -284,8 +283,7 @@ def cmd_bench(args):
         n_err = max(0, (code.d_fr - 1 - len(erase)) // 2)
         for p in rng.sample(rest, min(1, n_err)):
             r.values[p] = f.add(r.values[p], rng.randrange(0, f.q - 1))
-        decode_word(r, phi1, code)
-        rep = op_counter_report()
+        rep = decode_word(r, phi1, code).report
         lines.append("%s (n=%d, k=%d, q=%d, N=%d, d_fr=%d)"
                      % (name, code.n, code.k, f.q, code.ndim, code.d_fr))
         for row in rep.lines():

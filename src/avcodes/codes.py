@@ -12,7 +12,7 @@ import math
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, dft_partial, omega_space, point_power
+from .transform import Spectrum, check_values, dft_partial, omega_space, point_power
 from .maps import PointSet, canonical_iso, evaluate
 from .ideal import vanishing_gb
 
@@ -89,6 +89,7 @@ def encode_nonsystematic(h, code):
     for d in h.values:
         if tuple(d) not in code.delta:
             raise CodeConfigError("information index %s outside the delta set" % (d,))
+    check_values(h, "information spectrum")
     full = code.zero_padded(h)
     return canonical_iso(full, code.gb, code.psi)
 

@@ -1,6 +1,15 @@
 """Erasure-and-error decoding and DFT systematic encoding for dual affine
 variety codes, plus per-step field-operation accounting.
 
+Each decode call returns its own report (``StepCounts``): the field
+operations of every named step it runs, in order ``transform`` (the
+received word's transform), ``locator``, ``extension`` (the locator
+seed and the error-spectrum extension), ``idft``, ``subtract`` and
+``check``, and meta data on the code and the support search.
+``decode_word`` runs all six and carries the report in
+``DecodeResult.report``; ``decode_info`` skips ``idft`` and ``check``
+and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
+
 The locator step replaces shift-register synthesis at desk scale: the
 smallest error support consistent with the check-set syndrome is found
 by exhaustive search over candidate supports (minimal size first, then
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, dft_partial, index_space, point_power
+from .transform import Spectrum, Word, dft_partial, index_space, point_power, check_values
 from .maps import PointSet, restrict_idft
 from .ideal import (vanishing_gb, check_set_basis, extend, ReducedGroebnerBasis,
                     DeltaSet, Polynomial, IdealError, Eliminator)
@@ -51,15 +60,9 @@ class SystematicSupportError(Exception):
 
 
 @dataclass
-class DecodeResult:
-    codeword: Word
-    error: Word
-    located: PointSet
-    info: Spectrum = None
-
-
-@dataclass
 class StepCounts:
+    """Field operations per named step of one decode call, with meta data."""
+
     steps: dict
     meta: dict
 
@@ -68,19 +71,25 @@ class StepCounts:
         return sum(self.steps.values())
 
     def lines(self):
-        out = ["%-6s %10d" % (k, v) for k, v in self.steps.items()]
-        out.append("%-6s %10d" % ("total", self.total))
+        out = ["%-9s %10d" % (k, v) for k, v in self.steps.items()]
+        out.append("%-9s %10d" % ("total", self.total))
         return out
 
 
-_LAST_REPORT = None
+@dataclass
+class DecodeResult:
+    codeword: Word
+    error: Word
+    located: PointSet
+    report: StepCounts
 
 
-def op_counter_report():
-    """Per-step field-operation counts of the most recent decode call."""
-    if _LAST_REPORT is None:
-        raise UndecodableError("no decode has been instrumented yet")
-    return _LAST_REPORT
+@dataclass
+class InfoSpectrum(Spectrum):
+    """The information spectrum returned by ``decode_info``, with the
+    call's report."""
+
+    report: StepCounts
 
 
 class _Meter:
@@ -416,6 +425,7 @@ def locate(synd, phi1, code, t_max=None):
 def _validate_received(r, code):
     if r.domain() != set(code.psi.points):
         raise UndecodableError("received word is not indexed by the code's point set")
+    check_values(r, "received word")
 
 
 def _validate_phi1(phi1, code):
@@ -425,16 +435,6 @@ def _validate_phi1(phi1, code):
             raise UndecodableError("erasure location %s is not a code point" % (p,))
     if len(phi1) == len(code.psi):
         raise UndecodableError("every position erased, no information positions")
-
-
-def _erasure_syndrome(field, b_list, phi1):
-    out = {}
-    for b in b_list:
-        acc = ZERO
-        for p in phi1.points:
-            acc = field.add(acc, point_power(field, p, b))
-        out[b] = acc
-    return out
 
 
 def _locator_seed(synd_values, gb_loc, located, code):
@@ -456,97 +456,76 @@ def _locator_seed(synd_values, gb_loc, located, code):
 
 
 def _decode_head(r, phi1, code, t_max, kind, indices):
-    """Steps 1-4 shared by both decoders: erasure syndrome (1), basis of
-    Phi1 (2), transform of r on ``indices`` (3) and the locator (4), plus
-    the recurrence basis and seed for the error-spectrum extension, whose
-    cost falls into the caller's step 5a.
+    """The steps shared by both decoders: the transform of r on
+    ``indices`` and the locator, plus the recurrence basis and seed for
+    the error-spectrum extension, whose cost falls into the caller's
+    ``extension`` step.
 
-    Returns (meter, report, transform, located point set, (seed, basis) or
-    None when nothing is located).
+    Returns (meter, report, transform, located point set, (seed, basis)
+    or None when nothing is located).
     """
-    f = code.field
     _validate_received(r, code)
     _validate_phi1(phi1, code)
-    meter = _Meter(f)
-    erasure_synd = _erasure_syndrome(f, code.b_list, phi1)
-    meter.lap("1")
-    if len(phi1):
-        gb_phi1, _ = vanishing_gb(phi1, code.order)
-    else:
-        gb_phi1 = _trivial_locator(f, code.ndim, code.order)
-    meter.lap("2")
+    meter = _Meter(code.field)
     rt = dft_partial(r, indices)
-    meter.lap("3")
+    meter.lap("transform")
     loc = locate(rt.restrict(code.b_list), phi1, code, t_max)
     gb_loc, located = loc
-    meter.lap("4")
-    report = StepCounts(meter.steps, _report_meta(code, gb_loc, located,
-                                                  erasure_synd, kind, gb_phi1, loc.stats))
-    ext = _locator_seed(rt.values, gb_loc, located, code) if len(located) else None
-    return meter, report, rt, located, ext
-
-
-def decode_info(r, phi1, code, t_max=None):
-    """Recover the information spectrum on D\\B from a received word
-    (non-systematic decoding).  Erased positions of r must hold zero."""
-    global _LAST_REPORT
-    f = code.field
-    dsorted = code.delta.sorted(code.order)
-    meter, report, rtilde, _, ext = _decode_head(r, phi1, code, t_max,
-                                                 "decode_info", dsorted)
-    k = extend(*ext, dsorted).values if ext else {d: ZERO for d in dsorted}
-    meter.lap("5a")
-    meter.lap("5b")
-    out = {}
-    for d in dsorted:
-        out[d] = f.sub(rtilde.values[d], k[d])
-    meter.lap("6")
-    for b in code.b_list:
-        if out[b] != ZERO:
-            raise UndecodableError("recovered spectrum has support at check index %s" % (b,))
-    info = Spectrum(f, code.ndim, {d: out[d] for d in dsorted if d not in code.b_members})
-    _LAST_REPORT = report
-    return info
-
-
-def decode_word(r, phi1, code, t_max=None):
-    """Split a received word into codeword + error (erasure-and-error
-    decoding with explicit error values)."""
-    global _LAST_REPORT
-    f = code.field
-    meter, report, _, located, ext = _decode_head(r, phi1, code, t_max,
-                                                  "decode_word", code.b_list)
-    evalues = {p: ZERO for p in code.psi.points}
-    if ext:
-        full = extend(*ext, index_space(f, code.ndim))
-    meter.lap("5a")
-    if ext:
-        evalues.update(restrict_idft(full, located)[0].values)
-    meter.lap("5b")
-    e = Word(f, code.ndim, evalues)
-    c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
-    meter.lap("6")
-    if not is_dual_codeword(c, code):
-        raise UndecodableError("decoded word fails the check set")
-    meter.lap("check")
-    _LAST_REPORT = report
-    return DecodeResult(codeword=c, error=e, located=located)
-
-
-def _report_meta(code, gb_loc, located, erasure_synd, kind, gb_phi1, search):
-    return {
+    meter.lap("locator")
+    report = StepCounts(meter.steps, {
         "kind": kind,
         "code": code.name or repr(code),
         "q": code.field.q,
         "N": code.ndim,
         "n": code.n,
         "z": len(gb_loc),
-        "z_phi1": len(gb_phi1),
         "located": len(located),
         "fast_idft_bound": 3 * code.ndim * code.field.q ** (code.ndim + 1),
-        "erasure_syndrome": erasure_synd,
-        "locator": search,
-    }
+        "locator": loc.stats,
+    })
+    ext = _locator_seed(rt.values, gb_loc, located, code) if len(located) else None
+    return meter, report, rt, located, ext
+
+
+def decode_info(r, phi1, code, t_max=None):
+    """Recover the information spectrum on D\\B from a received word
+    (non-systematic decoding).  Erased positions of r must hold zero.
+    Returns an InfoSpectrum, whose ``report`` holds the call's counts."""
+    f = code.field
+    dsorted = code.delta.sorted(code.order)
+    meter, report, rtilde, _, ext = _decode_head(r, phi1, code, t_max,
+                                                 "decode_info", dsorted)
+    k = extend(*ext, dsorted).values if ext else {d: ZERO for d in dsorted}
+    meter.lap("extension")
+    out = {d: f.sub(rtilde.values[d], k[d]) for d in dsorted}
+    meter.lap("subtract")
+    for b in code.b_list:
+        if out[b] != ZERO:
+            raise UndecodableError("recovered spectrum has support at check index %s" % (b,))
+    return InfoSpectrum(f, code.ndim,
+                        {d: out[d] for d in dsorted if d not in code.b_members}, report)
+
+
+def decode_word(r, phi1, code, t_max=None):
+    """Split a received word into codeword + error (erasure-and-error
+    decoding with explicit error values)."""
+    f = code.field
+    meter, report, _, located, ext = _decode_head(r, phi1, code, t_max,
+                                                  "decode_word", code.b_list)
+    evalues = {p: ZERO for p in code.psi.points}
+    if ext:
+        full = extend(*ext, index_space(f, code.ndim))
+    meter.lap("extension")
+    if ext:
+        evalues.update(restrict_idft(full, located)[0].values)
+    meter.lap("idft")
+    e = Word(f, code.ndim, evalues)
+    c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
+    meter.lap("subtract")
+    if not is_dual_codeword(c, code):
+        raise UndecodableError("decoded word fails the check set")
+    meter.lap("check")
+    return DecodeResult(codeword=c, error=e, located=located, report=report)
 
 
 # -- systematic encoding -----------------------------------------------------
@@ -583,6 +562,7 @@ def systematic_encode(info, phi, code):
     expected = inside - phi_set
     if info.domain() != expected:
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
+    check_values(info, "information word")
 
     gb_phi = systematic_basis(phi, code)
     seed = dft_partial(info, code.b_list)

@@ -345,8 +345,9 @@ def vanishing_gb(points, order):
 
 def check_set_basis(points, b_set, order):
     """Recurrence family seeded on a check set B: one monic element per
-    needed leading index of A\\B, with tail supported on B, vanishing on
-    the points.
+    needed leading index of A\\B (its corners, and when B is not closed
+    under division also every border index x_i * b outside B), with tail
+    supported on B, vanishing on the points.
 
     This is the basis that drives erasure-only decoding beyond the
     radius (and hence systematic encoding): the tail coefficients of
@@ -375,6 +376,13 @@ def check_set_basis(points, b_set, order):
     for m in minimal:
         if m not in emit and not any(dominates(m, e) for e in emit):
             emit.add(m)
+    b_delta = DeltaSet(frozenset(members))
+    if not b_delta.is_downward_closed():
+        # the corners alone can leave indices undetermined: every border
+        # index x_i * b outside B leads an element too
+        units = [tuple(int(j == i) for j in range(ndim)) for i in range(ndim)]
+        emit.update(a for a in (semigroup_add(b, e, q) for b in b_list for e in units)
+                    if a not in members)
     leads = sorted(emit, key=lambda a: tuple(reversed(a)))
 
     # tails use only the B columns independent of the earlier ones, so a
@@ -389,8 +397,7 @@ def check_set_basis(points, b_set, order):
             raise IdealError(
                 "check-set system unsolvable on the points (ev not surjective)")
         elements.append(_vanishing_element(f, ndim, a, comb))
-    return ReducedGroebnerBasis(f, ndim, order, elements, leads,
-                                DeltaSet(frozenset(members)))
+    return ReducedGroebnerBasis(f, ndim, order, elements, leads, b_delta)
 
 
 def normal_form(poly, gb):

@@ -52,9 +52,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def index_of(self):
-        return {p: i for i, p in enumerate(self.points)}
-
     def subset(self, pts):
         keep = set(tuple(p) for p in pts)
         return PointSet(self.field, self.ndim, tuple(p for p in self.points if p in keep))

@@ -62,6 +62,16 @@ class Word:
         return Word(self.field, self.ndim, {w: self.values[w] for w in points})
 
 
+def check_values(vec, what):
+    """Raise FieldError, naming the position, at the first value of a Word
+    or Spectrum that is not an element code of its field."""
+    for key, x in vec.values.items():
+        try:
+            vec.field.check_element(x)
+        except FieldError as exc:
+            raise FieldError("%s at %s: %s" % (what, key, exc)) from None
+
+
 def index_space(field, ndim):
     """A = {0..q-1}^N in serialization order (first component fastest)."""
     return index_box(field.q, ndim)

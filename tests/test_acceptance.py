@@ -20,7 +20,7 @@ from avcodes.ideal import vanishing_gb, extend
 from avcodes.maps import PointSet, canonical_iso, proper_transform, evaluate
 from avcodes.codes import (preset, code_from_config, encode_nonsystematic,
                            primal_encode, syndrome, is_dual_codeword)
-from avcodes.decoder import decode_info, decode_word, op_counter_report
+from avcodes.decoder import decode_info, decode_word
 from avcodes import golden
 from avcodes.golden import run_examples
 
@@ -349,7 +349,7 @@ def test_criterion_11_complexity_trend(codes):
         r.values[p] = f.add(r.values[p], rng.randrange(0, f.q - 1))
         res = decode_word(r, PointSet(f, code.ndim, ()), code)
         assert res.codeword.values == cw.values
-        rep = op_counter_report()
+        rep = res.report
         bound = rep.meta["z"] * code.n ** 2 + code.ndim * f.q ** (code.ndim + 1)
         table.append((name, code.n, rep.total, bound, rep.total / bound))
     # constant calibrated at the smallest configuration; larger ones must

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from avcodes import decoder
-from avcodes.gf import Field, ZERO, ONE
+from avcodes.gf import Field, FieldError, ZERO, ONE
+from avcodes.mindex import MonomialOrder
+from avcodes.ideal import vanishing_gb, _is_sequential
 from avcodes.transform import Spectrum, Word, point_power
 from avcodes.maps import PointSet
-from avcodes.codes import encode_nonsystematic, is_dual_codeword, syndrome, code_from_config
+from avcodes.codes import (CodeSpec, encode_nonsystematic, is_dual_codeword, syndrome,
+                           code_from_config)
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
                              systematic_basis, check_systematic_support,
-                             op_counter_report, default_t_max, UndecodableError,
+                             default_t_max, UndecodableError,
                              AmbiguousPatternError, SystematicSupportError)
-from avcodes.golden import hermitian_alg2_received, HERM_G_LOCATED
+from avcodes.golden import hermitian_alg2_received, HERM_G_LOCATED, HERM_SYS_PHI
 
 
 def random_info(code, rng):
@@ -43,8 +46,8 @@ def test_no_corruption_fast_path(hermitian, rng):
     assert res.codeword.values == cw.values
     assert all(v == ZERO for v in res.error.values.values())
     assert len(res.located) == 0
-    rep = op_counter_report()
-    assert rep.steps["5a"] == 0 and rep.steps["5b"] == 0
+    rep = res.report
+    assert rep.steps["extension"] == 0 and rep.steps["idft"] == 0
 
 
 def test_decode_info_no_corruption(hermitian, rng):
@@ -183,13 +186,51 @@ def test_op_report(hermitian, rng):
     h = random_info(hermitian, rng)
     cw = encode_nonsystematic(h, hermitian)
     r, phi1 = corrupt(hermitian, cw, 2, 1, rng)
-    decode_word(r, phi1, hermitian)
-    rep = op_counter_report()
-    assert set(rep.steps) == {"1", "2", "3", "4", "5a", "5b", "6", "check"}
-    assert rep.steps["5b"] <= rep.meta["fast_idft_bound"] == 4374
+    rep = decode_word(r, phi1, hermitian).report
+    assert list(rep.steps) == ["transform", "locator", "extension", "idft", "subtract",
+                               "check"]
+    assert rep.steps["idft"] <= rep.meta["fast_idft_bound"] == 4374
     assert rep.total == sum(rep.steps.values())
     assert rep.meta["n"] == 27 and rep.meta["N"] == 2
     assert len(rep.lines()) == len(rep.steps) + 1
+
+
+def test_reports_are_per_call(hermitian, rng):
+    h = random_info(hermitian, rng)
+    cw = encode_nonsystematic(h, hermitian)
+    r_a, phi_a = corrupt(hermitian, cw, 0, 3, rng)
+    r_b, phi_b = corrupt(hermitian, cw, 4, 0, rng)
+    res_a = decode_word(r_a, phi_a, hermitian)
+    info_b = decode_info(r_b, phi_b, hermitian)
+    assert info_b.values == h.values
+    rep_a, rep_b = res_a.report, info_b.report
+    assert rep_a.meta["kind"] == "decode_word" and rep_a.meta["located"] == 3
+    assert rep_a.meta["locator"]["t"] == 3
+    assert rep_b.meta["kind"] == "decode_info" and rep_b.meta["located"] == 4
+    assert rep_b.meta["locator"]["t"] == 0
+    assert list(rep_b.steps) == ["transform", "locator", "extension", "subtract"]
+    assert rep_a.steps is not rep_b.steps
+    # decoding A again gives the same counts, and leaves B's report alone
+    steps_b = dict(rep_b.steps)
+    assert decode_word(r_a, phi_a, hermitian).report.steps == rep_a.steps
+    assert info_b.report.steps == steps_b
+
+
+def test_failed_decode_leaves_no_report(hermitian, rng):
+    cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
+    empty = PointSet(hermitian.field, 2, ())
+    res = decode_word(cw, empty, hermitian)
+    steps = dict(res.report.steps)
+    # four errors against a 3-error radius: no support of size <= 3
+    pts = hermitian.psi.points
+    r = cw.copy()
+    for j in (0, 5, 11, 20):
+        r.values[pts[j]] = hermitian.field.add(r.values[pts[j]], 1)
+    with pytest.raises(UndecodableError):
+        decode_word(r, empty, hermitian)
+    assert not hasattr(decoder, "op_counter_report")
+    assert not hasattr(decoder, "_LAST_REPORT")
+    assert res.report.steps == steps
 
 
 def test_systematic_zero_info(hermitian):
@@ -225,6 +266,33 @@ def test_systematic_support_errors(hermitian, rs_like, rng):
     okphi = PointSet(f, 2, HERM_SYS_PHI)
     with pytest.raises(SystematicSupportError):
         systematic_encode(Word(f, 2, {}), okphi, hermitian)
+
+
+@pytest.mark.parametrize("bad", [8, 50, -2])
+@pytest.mark.parametrize("entry", ["decode_info", "decode_word", "systematic_encode",
+                                   "encode_nonsystematic"])
+def test_out_of_range_values_rejected(hermitian, rng, entry, bad):
+    # valid element codes of GF(9) are -1..7
+    f = hermitian.field
+    h = random_info(hermitian, rng)
+    if entry == "encode_nonsystematic":
+        pos = hermitian.info_support()[2]
+        h.values[pos] = bad
+        call = lambda: encode_nonsystematic(h, hermitian)
+    elif entry == "systematic_encode":
+        phi = PointSet(f, 2, HERM_SYS_PHI)
+        info = Word(f, 2, {p: ZERO for p in hermitian.psi.points if p not in set(phi.points)})
+        pos = next(iter(info.values))
+        info.values[pos] = bad
+        call = lambda: systematic_encode(info, phi, hermitian)
+    else:
+        r = encode_nonsystematic(h, hermitian)
+        pos = hermitian.psi.points[3]
+        r.values[pos] = bad
+        fn = decode_info if entry == "decode_info" else decode_word
+        call = lambda: fn(r, PointSet(f, 2, ()), hermitian)
+    with pytest.raises(FieldError, match=r"at \(%d, %d\): bad element code %d" % (*pos, bad)):
+        call()
 
 
 SEARCH_FIELDS = {q: Field(*spec) for q, spec in {
@@ -308,15 +376,14 @@ def test_locator_report(hermitian, rng):
     h = random_info(hermitian, rng)
     cw = encode_nonsystematic(h, hermitian)
     r, phi1 = corrupt(hermitian, cw, 0, 3, rng)
-    decode_word(r, phi1, hermitian)
-    loc = op_counter_report().meta["locator"]
+    loc = decode_word(r, phi1, hermitian).report.meta["locator"]
     # t = 1, 2, 3 use the size-1 half, its target side, and the size-2
     # target side: 1 + 27*8 + 27*8 + C(27,2)*8^2 rows
     assert loc == {"t": 3, "candidates": 27, "r": 9, "entries": 22897,
                    "matches": loc["matches"]}
     assert loc["matches"] >= 1
-    decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian)
-    assert op_counter_report().meta["locator"]["t"] == 0
+    res = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian)
+    assert res.report.meta["locator"]["t"] == 0
 
 
 def test_code_columns_cached(hermitian):
@@ -367,7 +434,7 @@ def test_decode_info_zech_range():
     r.values[(700,)] = 1000
     info = decode_info(r, PointSet(f, 1, ()), code)
     assert info.values == {d: ZERO for d in code.info_support()}
-    assert op_counter_report().meta["locator"]["t"] == 2
+    assert info.report.meta["locator"]["t"] == 2
 
 
 def test_systematic_rs_like(rs_like, rng):
@@ -384,3 +451,55 @@ def test_systematic_rs_like(rs_like, rng):
         res = decode_word(zero_filled, phi, rs_like)
         assert res.codeword.values == cw.values
         assert all(res.error.values[p] == f.neg(cw.values[p]) for p in phi.points)
+
+
+@st.composite
+def systematic_cases(draw):
+    """A small random code (GF(4)..GF(16), N = 1 or 2, random points,
+    random check set B inside the delta set) with a redundant-position set
+    Phi that passes check_systematic_support, and an information word."""
+    q = draw(st.sampled_from(sorted(SEARCH_FIELDS)))
+    f = SEARCH_FIELDS[q]
+    ndim = draw(st.sampled_from([1, 2]))
+    coords = st.tuples(*[st.integers(-1, q - 2)] * ndim)
+    pts = tuple(draw(st.lists(coords, min_size=2, max_size=min(q ** ndim, 10),
+                              unique=True)))
+    order = MonomialOrder(draw(st.sampled_from(["lex", "grlex"])))
+    psi = PointSet(f, ndim, pts)
+    _, delta = vanishing_gb(psi, order)
+    members = order.sort(delta.members)
+    b_list = draw(st.lists(st.sampled_from(members), min_size=1,
+                           max_size=len(members) - 1, unique=True))
+    # d_fr only sets the locator's t_max, which is 0 for |Phi| = |B|
+    code = CodeSpec(f, ndim, order, psi, b_list, 1)
+    rnd = draw(st.randoms(use_true_random=False))
+    for _ in range(10):
+        phi = PointSet(f, ndim, tuple(sorted(rnd.sample(pts, len(b_list)),
+                                             key=pts.index)))
+        if check_systematic_support(phi, code):
+            break
+    else:
+        assume(False)
+    info = Word(f, ndim, {p: rnd.randrange(-1, q - 1) for p in pts if p not in phi.points})
+    return code, phi, info
+
+
+def test_systematic_encode_equals_erasure_decoding():
+    worklist = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(systematic_cases())
+    def check(case):
+        code, phi, info = case
+        f = code.field
+        word = systematic_encode(info, phi, code)
+        assert is_dual_codeword(word, code)
+        assert all(word.values[p] == v for p, v in info.values.items())
+        padded = Word(f, code.ndim, {p: info.values.get(p, ZERO) for p in code.psi.points})
+        res = decode_word(padded, phi, code)
+        assert res.codeword.values == word.values
+        worklist.append(not _is_sequential(systematic_basis(phi, code)))
+
+    check()
+    # the check-set families with forward tails take extend's worklist path
+    assert any(worklist) and not all(worklist)

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from avcodes.gf import Field, ZERO, ONE
 from avcodes.mindex import MonomialOrder, dominates
-from avcodes.transform import Spectrum, index_space, dft, Word, omega_space
+from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form,
                            extend, IdealError, ReducedGroebnerBasis)
 from avcodes.maps import PointSet, proper_transform
@@ -218,6 +218,28 @@ def test_check_set_basis_unsolvable(f9):
     pts = PointSet(f9, 2, ((-1, 0), (-1, 1)))
     with pytest.raises(IdealError):
         check_set_basis(pts, [(0, 0), (1, 0)], MonomialOrder("grlex"))
+
+
+@pytest.mark.parametrize("q,ndim,pts,b_list,leads", [
+    # B = {1, x^2}: the corner x alone gives recurrences that never reach
+    # x^3..x^7; the border lead x^3 closes them
+    (8, 1, ((0,), (1,)), [(0,), (2,)], [(1,), (3,)]),
+    # B = {x^3}: x^4 = x wraps to the border lead x
+    (4, 1, ((1,),), [(3,)], [(0,), (1,)]),
+    # B = {y}: the corner 1 alone never ties the x-slices together
+    (4, 2, ((0, 0),), [(0, 1)], [(0, 0), (0, 2), (1, 1)]),
+])
+def test_check_set_basis_off_a_closed_check_set(q, ndim, pts, b_list, leads):
+    f = {4: Field(2, 2, (1, 1, 1)), 8: Field(2, 3, (1, 1, 0, 1))}[q]
+    points = PointSet(f, ndim, pts)
+    gb = check_set_basis(points, b_list, MonomialOrder("lex"))
+    assert sorted(gb.leading) == leads
+    # the recurrences from the B values reproduce the transform of every
+    # word on the points
+    word = Word(f, ndim, {p: j for j, p in enumerate(pts)})
+    full = dft_partial(word, index_space(f, ndim))
+    seed = Spectrum(f, ndim, {b: full.values[b] for b in b_list})
+    assert extend(seed, gb, index_space(f, ndim)).values == full.values
 
 
 def test_leading_monomial(f8_module, f9):
