@@ -261,12 +261,15 @@ def cmd_examples(args):
 
 
 def cmd_bench(args):
+    """Decode one seeded word per preset and report the field operations
+    (and, with --json, the wall time) of each step, plus the fast and
+    direct IDFT counts on hermitian."""
+    import json
     import random
-
-    from .transform import idft as idft_direct
 
     rng = random.Random(args.seed)
     lines = []
+    doc = {"seed": args.seed, "presets": {}}
     for name in sorted(PRESET_CONFIGS):
         code = preset(name)
         f = code.field
@@ -289,6 +292,7 @@ def cmd_bench(args):
         for row in rep.lines():
             lines.append("  step " + row)
         lines.append("  fast-idft bound 3*N*q^(N+1) = %d" % rep.meta["fast_idft_bound"])
+        doc["presets"][name] = {"steps": rep.steps, "ms": rep.ms, "meta": rep.meta}
     herm = preset("hermitian")
     f = herm.field
     h = Spectrum(f, 2, {a: rng.randrange(-1, f.q - 1) for a in index_space(f, 2)})
@@ -296,9 +300,12 @@ def cmd_bench(args):
     idft_fast(h)
     fast_ops = f.op_count - before
     before = f.op_count
-    idft_direct(h)
+    idft(h)
     direct_ops = f.op_count - before
     lines.append("idft q=9 N=2: fast %d ops, direct %d ops" % (fast_ops, direct_ops))
+    doc["idft"] = {"q": f.q, "N": 2, "fast_ops": fast_ops, "direct_ops": direct_ops}
+    if args.json:
+        lines = [json.dumps(doc, indent=2)]
     _emit(args, lines)
     return EXIT_OK
 
@@ -402,6 +409,8 @@ def build_parser():
 
     p = sub.add_parser("bench", help="field-operation counts on the presets")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true",
+                   help="one JSON document with per-step counts, times and meta")
     p.add_argument("--output")
     p.set_defaults(fn=cmd_bench)
 

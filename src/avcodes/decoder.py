@@ -5,7 +5,8 @@ Each decode call returns its own report (``StepCounts``): the field
 operations of every named step it runs, in order ``transform`` (the
 received word's transform), ``locator``, ``extension`` (the locator
 seed and the error-spectrum extension), ``idft``, ``subtract`` and
-``check``, and meta data on the code and the support search.
+``check``, their wall times in milliseconds (``ms``, same labels), and
+meta data on the code and the support search.
 ``decode_word`` runs all six and carries the report in
 ``DecodeResult.report``; ``decode_info`` skips ``idft`` and ``check``
 and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
@@ -34,6 +35,7 @@ UndecodableError instead of allocating it.  Fields without numpy tables
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +63,12 @@ class SystematicSupportError(Exception):
 
 @dataclass
 class StepCounts:
-    """Field operations per named step of one decode call, with meta data."""
+    """Field operations per named step of one decode call, with meta data,
+    and the wall time of each step in milliseconds (``ms``, same labels)."""
 
     steps: dict
     meta: dict
+    ms: dict
 
     @property
     def total(self):
@@ -96,12 +100,15 @@ class _Meter:
     def __init__(self, field):
         self.field = field
         self.steps = {}
+        self.ms = {}
         self.mark = field.op_count
+        self.clock = time.perf_counter()
 
     def lap(self, label):
-        now = self.field.op_count
+        now, clock = self.field.op_count, time.perf_counter()
         self.steps[label] = self.steps.get(label, 0) + (now - self.mark)
-        self.mark = now
+        self.ms[label] = self.ms.get(label, 0.0) + (clock - self.clock) * 1e3
+        self.mark, self.clock = now, clock
 
 
 def default_t_max(code, phi1_size):
@@ -482,7 +489,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
         "located": len(located),
         "fast_idft_bound": 3 * code.ndim * code.field.q ** (code.ndim + 1),
         "locator": loc.stats,
-    })
+    }, meter.ms)
     ext = _locator_seed(rt.values, gb_loc, located, code) if len(located) else None
     return meter, report, rt, located, ext
 

@@ -300,7 +300,9 @@ class Field:
         raise FieldError("exponent %d out of range for GF(%d)" % (a, self.q))
 
     def check_element(self, a):
-        if a == ZERO or 0 <= a <= self.q - 2:
+        """Return ``a`` if it is an element code (an int from -1 to q-2,
+        not a bool), else raise FieldError."""
+        if isinstance(a, int) and not isinstance(a, bool) and ZERO <= a <= self.q - 2:
             return a
         raise FieldError("bad element code %r for GF(%d)" % (a, self.q))
 

@@ -16,12 +16,27 @@ the x_i^q-carrying minimal generators; see vanishing_gb.  A second
 construction, check_set_basis, seeds the recurrence tails on a check
 set B instead of the delta set, which is what erasure-only decoding
 beyond the radius and systematic encoding require.
+
+The extension (``extend``) is split in two.  A plan, built from the
+basis shape alone (q, N, order, leading indices, seed set, target and
+family kind) and kept in a bounded cache of PLAN_CACHE_SIZE shapes,
+lists over flat integer slots the seed slots, then for each other index
+in evaluation order its admissible recurrences as reference slots, then
+the output slots.  Sequential families read every element at the seed
+exponents preceding its lead, so their key holds only the tail exponents
+outside the seed set; worklist families, whose pass order depends on
+which references are known, are keyed on their exact tail supports.
+The executor fills the slots from the seed values and the coefficients
+read from the basis on each call, skipping zero coefficients, and
+checks every admissible recurrence.  Building a plan costs no field
+operations, so the counts of a call do not depend on the cache.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf import ZERO, ONE
-from .mindex import dominates, dominated_sub, semigroup_add, index_box
+from .mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
 from .transform import Spectrum, point_power
 
 
@@ -420,14 +435,6 @@ def normal_form(poly, gb):
     return Polynomial(f, gb.ndim, remainder)
 
 
-def extension_prefix(field, ndim, order, target):
-    """Indices of A up to the order-maximum of the target, ascending."""
-    top = max(target, key=order.key)
-    space = index_box(field.q, ndim)
-    kt = order.key(top)
-    return sorted((a for a in space if order.key(a) <= kt), key=order.key)
-
-
 def _is_sequential(gb):
     """True when every tail monomial precedes its element's lead in the
     order, so the recurrences close over the already-generated prefix."""
@@ -442,15 +449,123 @@ def _is_sequential(gb):
     return cached
 
 
-def _recur_value(f, gb, w, a, values, q):
-    base = dominated_sub(a, gb.leading[w])
-    acc = ZERO
-    for d, gd in gb._tails[w]:
-        ref = semigroup_add(base, d, q)
-        if ref not in values:
-            return None
-        acc = f.add(acc, f.mul(gd, values[ref]))
-    return f.neg(acc)
+# extension plans kept at once, one per basis shape (see _extension_plan)
+PLAN_CACHE_SIZE = 256
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The schedule of one extension over flat integer slots, one slot
+    per index of the swept part of A (``indices``)."""
+
+    indices: tuple  # the index of each slot
+    seeds: tuple  # (seed index, slot)
+    exps: tuple  # per basis element, the exponents its coefficients are read at
+    program: tuple  # (slot, element, reference slots), in evaluation order
+    checks: tuple  # (slot, element, reference slots) that must reproduce the slot
+    outputs: tuple  # (target index, slot)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails):
+    """Build the plan of a basis shape; no field operations.
+
+    ``tails`` holds per element the tail exponents the schedule reads
+    besides the aligned ones: a sequential family reads every element at
+    the seed exponents preceding its lead, plus its tail exponents
+    outside the seed set; a worklist family reads its exact tails."""
+    order = MonomialOrder(*order_spec)
+    key = order.key
+    for t in target:
+        if len(t) != ndim or any(not 0 <= x < q for x in t):
+            raise IdealError("target index %s outside A" % (t,))
+    admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
+    space = sorted(index_box(q, ndim), key=key)
+    if sequential:
+        # the prefix of A up to the order-maximum of the target
+        top = key(max(target, key=key))
+        space = [a for a in space if key(a) <= top]
+        seed_order = sorted(seeds, key=key)
+        exps = [tuple(d for d in seed_order if key(d) < key(aw)) + tail
+                for aw, tail in zip(leads, tails)]
+    else:
+        exps = list(tails)
+    exps = tuple(exps[w] if w in admissible else () for w in range(len(leads)))
+    slot = {a: s for s, a in enumerate(space)}
+
+    recs = {}
+    for a in space:
+        if a in seeds:
+            continue
+        recs[a] = [
+            (w, tuple(slot[semigroup_add(dominated_sub(a, leads[w]), d, q)]
+                      for d in exps[w]))
+            for w in admissible if dominates(a, leads[w])
+        ]
+        if not recs[a]:
+            raise IdealError("no admissible basis element for %s (corrupt basis)" % (a,))
+
+    if sequential:
+        # one increasing sweep: the first recurrence sets the value, the
+        # others must agree with it
+        program = [(slot[a],) + r[0] for a, r in recs.items()]
+        checks = [(slot[a],) + rec for a, r in recs.items() for rec in r[1:]]
+    else:
+        # worklist passes: each index takes its first recurrence whose
+        # references are known; every recurrence is verified at the end
+        known = {slot[a] for a in space if a in seeds}
+        program = []
+        pending = list(recs)
+        while pending:
+            left = []
+            for a in pending:
+                rec = next((r for r in recs[a] if known.issuperset(r[1])), None)
+                if rec is None:
+                    left.append(a)
+                else:
+                    program.append((slot[a],) + rec)
+                    known.add(slot[a])
+            if len(left) == len(pending):
+                raise IdealError(
+                    "recurrence family is not sequentially computable (stuck on %d indices)"
+                    % len(left))
+            pending = left
+        checks = [(slot[a],) + rec for a, r in recs.items() for rec in r]
+    return _Plan(
+        indices=tuple(space),
+        seeds=tuple((d, slot[d]) for d in seeds if d in slot),
+        exps=exps,
+        program=tuple(program),
+        checks=tuple(checks),
+        outputs=tuple((t, slot[t]) for t in target),
+    )
+
+
+def _run_plan(plan, gb, seed_values):
+    """Fill the plan's slots from the seed values and the basis
+    coefficients; zero coefficients cost no field operations."""
+    f = gb.field
+    add, mul, neg = f.add, f.mul, f.neg
+    coeffs = [[g.terms.get(d, ZERO) for d in exps]
+              for g, exps in zip(gb.elements, plan.exps)]
+    vals = [ZERO] * len(plan.indices)
+    for d, s in plan.seeds:
+        vals[s] = seed_values[d]
+
+    def recur(w, refs):
+        acc = ZERO
+        for c, s in zip(coeffs[w], refs):
+            if c != ZERO:
+                acc = add(acc, mul(c, vals[s]))
+        return neg(acc)
+
+    for s, w, refs in plan.program:
+        vals[s] = recur(w, refs)
+    for s, w, refs in plan.checks:
+        if recur(w, refs) != vals[s]:
+            raise IdealError("inconsistent recurrences at %s (corrupt basis)"
+                             % (plan.indices[s],))
+    return vals
 
 
 def extend(h, gb, target):
@@ -462,82 +577,23 @@ def extend(h, gb, target):
     agree.  For bases whose tails precede their leads (vanishing-ideal
     bases) the values are generated in one increasing-order sweep of the
     prefix of A covering the target; check-set-seeded families may
-    reference forward indices, so they are generated over all of A by
+    reference forward indices, so they are generated over all of A in
     worklist passes and every admissible recurrence is verified at the
-    end.
+    end.  The schedule comes from the plan of the basis shape, built once
+    and cached; only the coefficients and seed values are read per call.
     """
-    f = gb.field
-    ndim = gb.ndim
-    q = f.q
-    order = gb.order
     dset = gb.delta.members
     if h.domain() != set(dset):
         raise IdealError("seed spectrum domain does not match the basis seed set")
-    target = [tuple(t) for t in target]
-    for t in target:
-        if len(t) != ndim or any(not 0 <= x < q for x in t):
-            raise IdealError("target index %s outside A" % (t,))
+    target = tuple(tuple(t) for t in target)
     if not target:
-        return Spectrum(f, ndim, dict(h.values))
-
-    admissible = [w for w, aw in enumerate(gb.leading) if all(x < q for x in aw)]
+        return Spectrum(gb.field, gb.ndim, dict(h.values))
+    sequential = _is_sequential(gb)
+    tails = tuple(tuple(sorted(e for e, _ in tail if not (sequential and e in dset)))
+                  for tail in gb._tails)
+    plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
+                           tuple(gb.leading), dset, target, sequential, tails)
+    vals = _run_plan(plan, gb, h.values)
     out = dict(h.values)
-
-    if _is_sequential(gb):
-        values = {}
-        for a in extension_prefix(f, ndim, order, target):
-            if a in dset:
-                values[a] = h.values[a]
-                continue
-            result = None
-            for w in admissible:
-                if not dominates(a, gb.leading[w]):
-                    continue
-                r = _recur_value(f, gb, w, a, values, q)
-                if result is None:
-                    result = r
-                elif r != result:
-                    raise IdealError("inconsistent recurrences at %s (corrupt basis)" % (a,))
-            if result is None:
-                raise IdealError("no admissible basis element for %s (corrupt basis)" % (a,))
-            values[a] = result
-    else:
-        values = dict(h.values)
-        space = sorted(index_box(q, ndim), key=order.key)
-        pending = [a for a in space if a not in values]
-        per_index = {
-            a: [w for w in admissible if dominates(a, gb.leading[w])] for a in pending
-        }
-        for a in pending:
-            if not per_index[a]:
-                raise IdealError("no admissible basis element for %s (corrupt basis)" % (a,))
-        while pending:
-            stalled = True
-            left = []
-            for a in pending:
-                result = None
-                for w in per_index[a]:
-                    result = _recur_value(f, gb, w, a, values, q)
-                    if result is not None:
-                        break
-                if result is None:
-                    left.append(a)
-                else:
-                    values[a] = result
-                    stalled = False
-            if stalled:
-                raise IdealError(
-                    "recurrence family is not sequentially computable (stuck on %d indices)"
-                    % len(left))
-            pending = left
-        for a in space:
-            if a in dset:
-                continue
-            for w in per_index[a]:
-                r = _recur_value(f, gb, w, a, values, q)
-                if r != values[a]:
-                    raise IdealError("inconsistent recurrences at %s (corrupt basis)" % (a,))
-
-    for t in target:
-        out[t] = values[t]
-    return Spectrum(f, ndim, out)
+    out.update((t, vals[s]) for t, s in plan.outputs)
+    return Spectrum(gb.field, gb.ndim, out)

@@ -175,6 +175,31 @@ def test_bench_subcommand(capsys):
     assert out2 == out
 
 
+def test_bench_json(tmp_path, capsys):
+    rc, text, _ = run(capsys, "bench", "--seed", "5")
+    rc2, out, _ = run(capsys, "bench", "--seed", "5", "--json")
+    assert rc == rc2 == EXIT_OK
+    doc = json.loads(out)
+    assert sorted(doc["presets"]) == sorted(PRESET_CONFIGS)
+    # the JSON steps are the counts the text mode prints
+    lines = iter(text.splitlines())
+    for name in sorted(PRESET_CONFIGS):
+        rec = doc["presets"][name]
+        assert next(lines).startswith(name + " ")
+        for label, ops in rec["steps"].items():
+            assert next(lines).split() == ["step", label, str(ops)]
+        next(lines)  # total
+        next(lines)  # fast-idft bound
+        assert list(rec["ms"]) == list(rec["steps"])
+        assert rec["meta"]["code"] == name and "candidates" in rec["meta"]["locator"]
+    assert next(lines) == "idft q=9 N=2: fast %d ops, direct %d ops" % (
+        doc["idft"]["fast_ops"], doc["idft"]["direct_ops"])
+    path = tmp_path / "bench.json"
+    rc, out, _ = run(capsys, "bench", "--seed", "5", "--json", "--output", str(path))
+    assert rc == EXIT_OK and out == ""
+    assert json.loads(path.read_text())["presets"].keys() == doc["presets"].keys()
+
+
 def test_config_file_pipeline(tmp_path, capsys, rng):
     cfg = tmp_path / "code.json"
     cfg.write_text(json.dumps(PRESET_CONFIGS["hermitian"]))

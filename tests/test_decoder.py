@@ -1,4 +1,5 @@
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -195,6 +196,17 @@ def test_op_report(hermitian, rng):
     assert len(rep.lines()) == len(rep.steps) + 1
 
 
+def test_step_wall_times(hermitian, rng):
+    # each step's wall time sits next to its op count, under the same labels
+    h = random_info(hermitian, rng)
+    cw = encode_nonsystematic(h, hermitian)
+    r, phi1 = corrupt(hermitian, cw, 2, 1, rng)
+    for rep in (decode_word(r, phi1, hermitian).report,
+                decode_info(r, phi1, hermitian).report):
+        assert list(rep.ms) == list(rep.steps)
+        assert all(isinstance(v, float) and v >= 0.0 for v in rep.ms.values())
+
+
 def test_reports_are_per_call(hermitian, rng):
     h = random_info(hermitian, rng)
     cw = encode_nonsystematic(h, hermitian)
@@ -268,7 +280,7 @@ def test_systematic_support_errors(hermitian, rs_like, rng):
         systematic_encode(Word(f, 2, {}), okphi, hermitian)
 
 
-@pytest.mark.parametrize("bad", [8, 50, -2])
+@pytest.mark.parametrize("bad", [8, 50, -2, 1.5, True])
 @pytest.mark.parametrize("entry", ["decode_info", "decode_word", "systematic_encode",
                                    "encode_nonsystematic"])
 def test_out_of_range_values_rejected(hermitian, rng, entry, bad):
@@ -291,7 +303,9 @@ def test_out_of_range_values_rejected(hermitian, rng, entry, bad):
         r.values[pos] = bad
         fn = decode_info if entry == "decode_info" else decode_word
         call = lambda: fn(r, PointSet(f, 2, ()), hermitian)
-    with pytest.raises(FieldError, match=r"at \(%d, %d\): bad element code %d" % (*pos, bad)):
+    # 1.5 would die inside the tables, True would pass for the code 1
+    msg = r"at \(%d, %d\): bad element code %s" % (*pos, re.escape(repr(bad)))
+    with pytest.raises(FieldError, match=msg):
         call()
 
 

@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from avcodes.gf import Field, ZERO, ONE
 from avcodes.mindex import MonomialOrder, dominates
 from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form,
-                           extend, IdealError, ReducedGroebnerBasis)
+                           extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
+                           _extension_plan, _is_sequential)
 from avcodes.maps import PointSet, proper_transform
 from avcodes.golden import (RS_PSI, RS_G, RS_SEED, RS_EXTENSION, CROSS_PSI,
                             CROSS_SEED_KNOWN, CROSS_H22, HERM_PHI1, HERM_G_PHI1,
@@ -167,8 +170,13 @@ def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng):
     tail_key = next(e for e in bad_elems[0].terms if e != gb.leading[0])
     bad_elems[0].terms[tail_key] = f9.add(bad_elems[0].terms[tail_key], ONE)
     bad = ReducedGroebnerBasis(f9, 2, gb.order, bad_elems, gb.leading, gb.delta)
-    with pytest.raises(IdealError):
-        extend(seed, bad, index_space(f9, 2))
+    # the plan of the shape is built by the first call and reused by the
+    # second, which must still check every recurrence
+    _extension_plan.cache_clear()
+    for hits in (0, 1):
+        with pytest.raises(IdealError, match="inconsistent recurrences"):
+            extend(seed, bad, index_space(f9, 2))
+        assert _extension_plan.cache_info().hits == hits
     # cross pattern: dropping the only in-range element leaves indices with
     # no admissible generator
     f = f8_module
@@ -309,3 +317,141 @@ def test_check_set_basis_agrees_with_vanishing_gb(case, rnd):
         assert g.coeff(aw) == ONE
         assert all(e == aw or e in b_list for e in g.terms)
         assert all(g.eval(p) == ZERO for p in pts)
+
+
+def _extend_ops(seed, gb, target):
+    before = gb.field.op_count
+    out = extend(seed, gb, target)
+    return out, gb.field.op_count - before
+
+
+def test_extend_ops_independent_of_call_history(f8_module, hermitian, rng):
+    from avcodes.golden import HERM_G_LOCATED, located_points
+
+    f = f8_module
+    loc = located_points(hermitian, HERM_G_LOCATED)
+    gb_h, delta_h = vanishing_gb(loc, hermitian.order)
+    seed_h = Spectrum(hermitian.field, 2, {d: rng.randrange(-1, 8) for d in delta_h.members})
+    # B = {1, x^2} over GF(8): a worklist family
+    gb_w = check_set_basis(PointSet(f, 1, ((0,), (1,))), [(0,), (2,)], MonomialOrder("lex"))
+    assert not _is_sequential(gb_w)
+    seed_w = Spectrum(f, 1, {(0,): 3, (2,): 5})
+    counts = []
+    for seed, gb in ((seed_h, gb_h), (seed_w, gb_w)):
+        space = index_space(gb.field, gb.ndim)
+        _extension_plan.cache_clear()
+        first, built = _extend_ops(seed, gb, space)
+        assert _extension_plan.cache_info().misses == 1
+        again, cached = _extend_ops(seed, gb, space)
+        assert _extension_plan.cache_info().hits == 1
+        assert again.values == first.values and built == cached > 0
+        counts.append(built)
+    # a sequential sweep costs one mul and one add per tail term and one
+    # neg per admissible recurrence, whatever the cache holds
+    q = hermitian.field.q
+    assert counts[0] == sum(2 * (len(g.terms) - 1) + 1
+                          for a in index_space(hermitian.field, 2) if a not in delta_h
+                          for g, aw in zip(gb_h.elements, gb_h.leading)
+                          if all(x < q for x in aw) and dominates(a, aw))
+    # one shape, other coefficients: the RS tail scaled by alpha is another
+    # recurrence of the same support
+    gb, delta = vanishing_gb(PointSet(f, 1, RS_PSI), MonomialOrder("lex"))
+    g = gb.elements[0]
+    scaled = Polynomial(f, 1, {e: c if e == (4,) else f.mul(c, 1) for e, c in g.terms.items()})
+    gb2 = ReducedGroebnerBasis(f, 1, gb.order, [scaled], gb.leading, gb.delta)
+    seed = Spectrum(f, 1, dict(RS_SEED))
+    out1, ops1 = _extend_ops(seed, gb, index_space(f, 1))
+    out2, ops2 = _extend_ops(seed, gb2, index_space(f, 1))
+    assert out1.values != out2.values and ops1 == ops2
+
+
+def test_extend_plan_key_holds_tails_outside_the_seed_set(f9, rng):
+    # y^2 + c*g_(2,0) is another ideal element of lead (0,2), with the
+    # non-seed x^2 in its tail: its plan must read that coefficient
+    pts = PointSet(f9, 2, ((-1, -1), (0, -1), (-1, 0)))
+    order = MonomialOrder("grlex")
+    gb, delta = vanishing_gb(pts, order)
+    assert gb.leading == [(2, 0), (1, 1), (0, 2)]
+    mixed = gb.elements[2].add(gb.elements[0].scale(3))
+    assert (2, 0) in mixed.terms and (2, 0) not in delta
+    gb2 = ReducedGroebnerBasis(f9, 2, order, gb.elements[:2] + [mixed], gb.leading, delta)
+    assert _is_sequential(gb2)
+    c = Word(f9, 2, {p: rng.randrange(-1, 8) for p in pts.points})
+    seed = proper_transform(c, delta)
+    padded = Word(f9, 2, {w: c.values.get(w, ZERO) for w in omega_space(f9, 2)})
+    space = index_space(f9, 2)
+    assert extend(seed, gb, space).values == dft(padded).values
+    assert extend(seed, gb2, space).values == dft(padded).values
+
+
+def test_plan_cache_is_bounded():
+    # tiny GF(4) shapes that differ only in their target
+    f = PROPERTY_FIELDS[4]
+    gb, delta = vanishing_gb(PointSet(f, 2, ((-1, 0), (1, 2))), MonomialOrder("grlex"))
+    seed = Spectrum(f, 2, {d: ONE for d in delta.members})
+    space = index_space(f, 2)
+    targets = itertools.chain(*(itertools.permutations(space, k) for k in (1, 2, 3)))
+    _extension_plan.cache_clear()
+    for target in itertools.islice(targets, PLAN_CACHE_SIZE + 5):
+        extend(seed, gb, target)
+    info = _extension_plan.cache_info()
+    assert info.misses == PLAN_CACHE_SIZE + 5
+    assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
+
+
+PLAN_FIELDS = {**PROPERTY_FIELDS, 16: Field(2, 4, (1, 1, 0, 0, 1))}
+
+
+@st.composite
+def extension_cases(draw):
+    """Random points over GF(4)..GF(16), N = 1 or 2, a random check set B
+    inside their delta set and |B| of the points that carry it."""
+    f = PLAN_FIELDS[draw(st.sampled_from(sorted(PLAN_FIELDS)))]
+    ndim = draw(st.sampled_from([1, 2]))
+    coords = st.tuples(*[st.integers(-1, f.q - 2)] * ndim)
+    pts = draw(st.lists(coords, min_size=2, max_size=min(f.q ** ndim, 10), unique=True))
+    order = MonomialOrder(draw(st.sampled_from(["lex", "grlex"])))
+    psi = PointSet(f, ndim, tuple(pts))
+    gb, delta = vanishing_gb(psi, order)
+    members = order.sort(delta.members)
+    b_list = draw(st.lists(st.sampled_from(members), min_size=1,
+                           max_size=len(members) - 1, unique=True))
+    phi_pts = draw(st.permutations(pts))[:len(b_list)]
+    try:
+        gb_b = check_set_basis(PointSet(f, ndim, tuple(phi_pts)), b_list, order)
+    except IdealError:
+        assume(False)
+    word = draw(st.lists(st.integers(-1, f.q - 2), min_size=len(pts), max_size=len(pts)))
+    return f, ndim, dict(zip(pts, word)), gb, delta, gb_b, b_list, phi_pts
+
+
+def test_extend_plans_match_transform():
+    worklist = []
+    built = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(extension_cases())
+    def check(case):
+        f, ndim, values, gb, delta, gb_b, b_list, phi_pts = case
+        space = index_space(f, ndim)
+        c = Word(f, ndim, values)
+        c_phi = Word(f, ndim, {p: values[p] for p in phi_pts})
+        families = ((proper_transform(c, delta), gb, c), (dft_partial(c_phi, b_list), gb_b, c_phi))
+        for seed, basis, word in families:
+            padded = Word(f, ndim, {w: word.values.get(w, ZERO) for w in omega_space(f, ndim)})
+            want = dft(padded).values
+            misses = _extension_plan.cache_info().misses
+            # builds the plan, or reuses one an earlier basis of its shape built
+            assert extend(seed, basis, space).values == want
+            info = _extension_plan.cache_info()
+            built.append(info.misses > misses)
+            assert extend(seed, basis, space).values == want  # reuses it
+            assert _extension_plan.cache_info().hits == info.hits + 1
+        worklist.append(not _is_sequential(gb_b))
+
+    _extension_plan.cache_clear()
+    check()
+    # the check-set families include forward-referencing (worklist) ones,
+    # and some first calls find their shape's plan already cached
+    assert any(worklist) and not all(worklist)
+    assert any(built) and not all(built)
