@@ -3,6 +3,14 @@
 Elements are plain ints in exponent notation: ``k`` stands for alpha^k
 (0 <= k <= q-2) and ``-1`` stands for the zero element, matching the
 text convention used everywhere in this package ("-1 means 0").
+
+Two implementations share the field.  The scalar methods (``add``,
+``mul``, ...) take one element per call and bump ``op_count`` once per
+call.  The numpy layer (``np_arith``, ``np_dot``) works on whole arrays
+of exponents over O(q) arrays, for every field up to MAX_Q: a product is
+a sum of exponents, a sum is the XOR (p = 2) or the digit-wise sum mod p
+of base-p encodings.  Its callers add the analytic count of the scalar
+operations a kernel stands for to ``op_count`` in one addition.
 """
 
 from dataclasses import dataclass
@@ -38,6 +46,27 @@ def is_prime(n):
             return False
         d += 1
     return True
+
+
+@dataclass(frozen=True, eq=False)
+class GFArrays:
+    """The numpy layer's arrays of one field.  An element is its exponent,
+    the zero element is ``zero`` = 2(q-1), so the exponent sum of two
+    elements is at most 2 * zero: ``exp[x + y]`` is the digit encoding of
+    their product (0 when either is zero) with no reduction mod q-1 and
+    no zero test.  For p = 2 the encoding is the base-2 one and sums are
+    XORs.  For odd p the m base-p digits sit ``bits`` bits apart in an
+    int64, so an integer sum adds them digit-wise without carries as long
+    as at most ``chunk`` terms meet before the digits are reduced mod p.
+    ``log`` maps a base-p encoding back to its exponent (``zero`` for 0)
+    and ``neg`` is the exponent of -1."""
+
+    exp: np.ndarray
+    log: np.ndarray
+    zero: int
+    neg: int
+    bits: int
+    chunk: int
 
 
 @dataclass(frozen=True)
@@ -92,6 +121,7 @@ class Field:
         self.q = spec.q
         self.op_count = 0
         self._np_tables = None
+        self._np_arith = None
         self._build_tables()
 
     @classmethod
@@ -204,6 +234,50 @@ class Field:
         neg[1:] = (lg[1:] + self._neg_code) % n + 1
         self._np_tables = (add, mul, neg, dtype)
         return self._np_tables
+
+    def np_arith(self):
+        """The numpy layer's ``GFArrays``, built on first use, cached, and
+        not op-counted."""
+        if self._np_arith is None:
+            p, m, n = self.p, self.m, self.q - 1
+            zero = 2 * n
+            enc = np.array(self.antilog, dtype=np.int64)
+            bits = 63 // m
+            spread = enc
+            if p > 2:
+                digits = enc[:, None] // p ** np.arange(m) % p
+                spread = (digits << bits * np.arange(m)).sum(axis=1)
+            exp = np.zeros(2 * zero + 1, dtype=np.uint16 if p == 2 else np.int64)
+            exp[:zero] = np.tile(spread, 2)
+            log = np.full(self.q, zero, dtype=np.intp)
+            log[enc] = np.arange(n)
+            # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
+            chunk = ((1 << bits) - 1) // (p - 1) - 1
+            self._np_arith = GFArrays(exp, log, zero, self._neg_code, bits, chunk)
+        return self._np_arith
+
+    def np_codes(self, x):
+        """Element codes (a list of ints, -1 for zero) of an exponent array."""
+        return np.where(x == self.np_arith().zero, ZERO, x).ravel().tolist()
+
+    def np_exponents(self, codes):
+        """Exponent array of an intp array of element codes."""
+        return np.where(codes < 0, self.np_arith().zero, codes)
+
+    def np_dot(self, x, y):
+        """sum_k x[..., k] * y[..., k] over the last axis of the broadcast
+        exponent arrays, as exponents; not op-counted."""
+        ar = self.np_arith()
+        terms = ar.exp[x + y]
+        if self.p == 2:
+            return ar.log[np.bitwise_xor.reduce(terms, axis=-1)]
+        shifts = ar.bits * np.arange(self.m)
+        mask = (1 << ar.bits) - 1
+        while terms.shape[-1] > ar.chunk:
+            part = np.add.reduceat(terms, np.arange(0, terms.shape[-1], ar.chunk), axis=-1)
+            terms = ((part[..., None] >> shifts & mask) % self.p << shifts).sum(axis=-1)
+        digits = (terms.sum(axis=-1)[..., None] >> shifts & mask) % self.p
+        return ar.log[digits @ self.p ** np.arange(self.m)]
 
     # -- arithmetic on exponent codes ------------------------------------
 

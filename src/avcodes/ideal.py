@@ -21,19 +21,26 @@ The extension (``extend``) is split in two.  A plan, built from the
 basis shape alone (q, N, order, leading indices, seed set, target and
 family kind) and kept in a bounded cache of PLAN_CACHE_SIZE shapes,
 lists over flat integer slots the seed slots, then for each other index
-in evaluation order its admissible recurrences as reference slots, then
-the output slots.  Sequential families read every element at the seed
+in evaluation order its admissible recurrences as reference slots (the
+sweep's as tuples, the checks packed into integer arrays), then the
+output slots.  Sequential families read every element at the seed
 exponents preceding its lead, so their key holds only the tail exponents
 outside the seed set; worklist families, whose pass order depends on
 which references are known, are keyed on their exact tail supports.
 The executor fills the slots from the seed values and the coefficients
-read from the basis on each call, skipping zero coefficients, and
-checks every admissible recurrence.  Building a plan costs no field
+read from the basis on each call with a scalar sweep of Field calls,
+skipping zero coefficients.  It then checks every admissible recurrence
+the sweep did not use to set a value (every one, for worklist families)
+as one numpy product over the plan's packed check arrays, and counts it
+analytically as the sweep would: one mul and one add per nonzero
+coefficient and one neg per recurrence.  Building a plan costs no field
 operations, so the counts of a call do not depend on the cache.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .gf import ZERO, ONE
 from .mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
@@ -453,17 +460,32 @@ def _is_sequential(gb):
 PLAN_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """The schedule of one extension over flat integer slots, one slot
-    per index of the swept part of A (``indices``)."""
+    per index of the swept part of A: the first ``size`` indices of
+    ``indices``, all of A in increasing order and shared by every plan
+    of the same q, N and order.
 
-    indices: tuple  # the index of each slot
+    The checks are packed: check k applies element ``check_elems[k]``
+    with the lead at slot ``check_slots[k, 0]`` and the coefficients at
+    the slots that follow, padded with slot ``size``, which holds zero;
+    ``check_uses[w]`` counts the checks of element w."""
+
+    indices: tuple
+    size: int
     seeds: tuple  # (seed index, slot)
     exps: tuple  # per basis element, the exponents its coefficients are read at
     program: tuple  # (slot, element, reference slots), in evaluation order
-    checks: tuple  # (slot, element, reference slots) that must reproduce the slot
-    outputs: tuple  # (target index, slot)
+    check_elems: np.ndarray
+    check_slots: np.ndarray
+    check_uses: tuple
+    output_slots: tuple  # the slot of each target index
+
+
+@lru_cache(maxsize=16)
+def _sorted_space(q, ndim, order_spec):
+    return tuple(sorted(index_box(q, ndim), key=MonomialOrder(*order_spec).key))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -480,11 +502,11 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
         if len(t) != ndim or any(not 0 <= x < q for x in t):
             raise IdealError("target index %s outside A" % (t,))
     admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
-    space = sorted(index_box(q, ndim), key=key)
+    space = box = _sorted_space(q, ndim, order_spec)
     if sequential:
         # the prefix of A up to the order-maximum of the target
         top = key(max(target, key=key))
-        space = [a for a in space if key(a) <= top]
+        space = space[:sum(1 for a in space if key(a) <= top)]
         seed_order = sorted(seeds, key=key)
         exps = [tuple(d for d in seed_order if key(d) < key(aw)) + tail
                 for aw, tail in zip(leads, tails)]
@@ -531,38 +553,55 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
                     % len(left))
             pending = left
         checks = [(slot[a],) + rec for a, r in recs.items() for rec in r]
+    width = 1 + max(map(len, exps), default=0)
+    check_slots = np.full((len(checks), width), len(space), dtype=np.intp)
+    for row, (s, _, refs) in zip(check_slots, checks):
+        row[:1 + len(refs)] = (s,) + refs
+    elems = np.array([w for _, w, _ in checks], dtype=np.intp)
     return _Plan(
-        indices=tuple(space),
+        indices=box,
+        size=len(space),
         seeds=tuple((d, slot[d]) for d in seeds if d in slot),
         exps=exps,
         program=tuple(program),
-        checks=tuple(checks),
-        outputs=tuple((t, slot[t]) for t in target),
+        check_elems=elems,
+        check_slots=check_slots,
+        check_uses=tuple(np.bincount(elems, minlength=len(leads)).tolist()),
+        output_slots=tuple(slot[t] for t in target),
     )
 
 
 def _run_plan(plan, gb, seed_values):
     """Fill the plan's slots from the seed values and the basis
-    coefficients; zero coefficients cost no field operations."""
+    coefficients with a scalar sweep, where zero coefficients cost no
+    field operations, then run every check as one numpy product, counted
+    as the scalar recurrences it stands for."""
     f = gb.field
     add, mul, neg = f.add, f.mul, f.neg
     coeffs = [[g.terms.get(d, ZERO) for d in exps]
               for g, exps in zip(gb.elements, plan.exps)]
-    vals = [ZERO] * len(plan.indices)
+    vals = [ZERO] * plan.size
     for d, s in plan.seeds:
         vals[s] = seed_values[d]
 
-    def recur(w, refs):
-        acc = ZERO
-        for c, s in zip(coeffs[w], refs):
-            if c != ZERO:
-                acc = add(acc, mul(c, vals[s]))
-        return neg(acc)
-
     for s, w, refs in plan.program:
-        vals[s] = recur(w, refs)
-    for s, w, refs in plan.checks:
-        if recur(w, refs) != vals[s]:
+        acc = ZERO
+        for c, r in zip(coeffs[w], refs):
+            if c != ZERO:
+                acc = add(acc, mul(c, vals[r]))
+        vals[s] = neg(acc)
+
+    if len(plan.check_elems):
+        # lead coefficient one, then the tail, padded with zero
+        width = plan.check_slots.shape[1]
+        rows = [[ONE] + cw + [ZERO] * (width - 1 - len(cw)) for cw in coeffs]
+        cmat = f.np_exponents(np.array(rows, dtype=np.intp))
+        x = f.np_exponents(np.array(vals + [ZERO], dtype=np.intp))
+        f.op_count += sum(u * (2 * (len(cw) - cw.count(ZERO)) + 1)
+                          for u, cw in zip(plan.check_uses, coeffs))
+        bad = f.np_dot(cmat[plan.check_elems], x[plan.check_slots]) != f.np_arith().zero
+        if bad.any():
+            s = plan.check_slots[bad.argmax(), 0]
             raise IdealError("inconsistent recurrences at %s (corrupt basis)"
                              % (plan.indices[s],))
     return vals
@@ -595,5 +634,5 @@ def extend(h, gb, target):
                            tuple(gb.leading), dset, target, sequential, tails)
     vals = _run_plan(plan, gb, h.values)
     out = dict(h.values)
-    out.update((t, vals[s]) for t, s in plan.outputs)
+    out.update(zip(target, map(vals.__getitem__, plan.output_slots)))
     return Spectrum(gb.field, gb.ndim, out)

@@ -2,15 +2,28 @@
 
 Vectors indexed by A = {0..q-1}^N are Spectrum values, vectors indexed
 by points of Omega = GF(q)^N are Word values.  Both transforms exist in
-two implementations: the direct pointwise formulas (the test oracle) and
-the axis-by-axis decomposition into 1-D kernels (the default fast path,
-at most 3*N*q^(N+1) field operations).
+two implementations: the direct pointwise formulas (``dft``, ``idft``;
+the test oracle, one Field call per operation) and the numpy kernels of
+the gf layer, for every field up to MAX_Q.  ``dft_fast`` and ``idft_fast``
+run one pass per axis, each the q x q kernel matrix applied to every
+fiber at once, blocked so that a temporary stays near BLOCK elements;
+``dft_kernel`` and ``idft_kernel`` are the N = 1 case.  ``dft_partial`` is
+one |indices| x |points| product over the matrix of exponents of
+omega^a.  The kernels count analytically: each adds, in one addition to
+``Field.op_count``, the field operations the scalar loop kernels make
+(at most 3*N*q^(N+1) for the fast transforms), and each rejects a value
+that is no element code with FieldError, naming its position.
 
 Powers follow the substituted-value convention omega^0 = 1 for every
 omega, including zero.
 """
 
+import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .gf import ZERO, ONE, FieldError
 from .mindex import format_index, parse_index, index_box
@@ -62,9 +75,24 @@ class Word:
         return Word(self.field, self.ndim, {w: self.values[w] for w in points})
 
 
+def _codes(field, vals):
+    """The values as an intp array if each is an element code of type int,
+    else None; vectorized past one C-level pass over the types."""
+    if not set(map(type, vals)) <= {int}:
+        return None
+    try:
+        codes = np.array(vals, dtype=np.intp)
+    except OverflowError:
+        return None
+    return codes if ((codes >= ZERO) & (codes < field.q - 1)).all() else None
+
+
 def check_values(vec, what):
     """Raise FieldError, naming the position, at the first value of a Word
-    or Spectrum that is not an element code of its field."""
+    or Spectrum that is not an element code of its field.  The test is
+    vectorized; only a vector that fails it is walked."""
+    if _codes(vec.field, list(vec.values.values())) is not None:
+        return
     for key, x in vec.values.items():
         try:
             vec.field.check_element(x)
@@ -122,8 +150,30 @@ def dft(c, indices=None):
 def dft_partial(c, indices):
     """Restricted-output transform: the sum runs over the word's own domain,
     so applied to a word on Psi (zero-padded elsewhere) this is the proper
-    transform of the word restricted to ``indices``."""
-    return dft(c, indices=list(indices))
+    transform of the word restricted to ``indices``.  One numpy product
+    of the |indices| x |points| matrix of exponents of omega^a (0^0 = 1)
+    with the values; same output and op count as dft(c, indices)."""
+    f = c.field
+    n = f.q - 1
+    zero = f.np_arith().zero
+    indices = list(indices)
+    x = _element_array(c, list(c.values.values()), "dft input")
+    f.op_count += len(indices) * len(x) * (2 * c.ndim + 1)
+    a = np.array(indices, dtype=np.intp).reshape(len(indices), c.ndim)
+    negative = (a < 0).any(axis=1)
+    if negative.any():
+        raise DomainError("index %s outside A" % (indices[negative.argmax()],))
+    w = np.array(list(c.values), dtype=np.intp).reshape(len(x), c.ndim).T
+    at_zero = w < 0
+    logs = np.where(at_zero, 0, w)
+    out = np.empty(len(indices), dtype=np.intp)
+    step = max(1, BLOCK // max(1, len(x)))
+    for lo in range(0, len(indices), step):
+        rows = a[lo:lo + step]
+        e = rows @ logs % n
+        e[(rows != 0) @ at_zero] = zero  # a zero coordinate to a positive power
+        out[lo:lo + step] = f.np_dot(e, x)
+    return Spectrum(f, c.ndim, dict(zip(indices, f.np_codes(out))))
 
 
 def idft(h):
@@ -171,106 +221,130 @@ def idft(h):
     return Word(f, ndim, out)
 
 
-# -- 1-D kernels and the multidimensional fast path -----------------------
+# -- the numpy kernels -------------------------------------------------------
+
+# elements of one kernel temporary: about 8 MB of intp gather indices
+BLOCK = 1 << 20
+
+
+def _element_array(vec, vals, what):
+    """The values ``vals`` of ``vec`` as an exponent array; FieldError from
+    check_values if one is not an element code."""
+    codes = _codes(vec.field, vals)
+    if codes is None:
+        check_values(vec, what)
+        codes = np.array(vals, dtype=np.intp)  # int subclasses check_element accepts
+    return vec.field.np_exponents(codes)
+
+
+@lru_cache(maxsize=32)
+def _flat_keys(q, ndim, shift):
+    """Keys of the q^N flat positions (first component fastest), each
+    component the position plus ``shift``: the indices of A for 0, the
+    points of Omega (position 0 the zero element) for -1; with a getter
+    reading a dict's values in that order."""
+    keys = tuple(tuple(x + shift for x in reversed(k))
+                 for k in itertools.product(range(q), repeat=ndim))
+    return keys, operator.itemgetter(*keys)
+
+
+def _full_array(vec, shift, what):
+    """The values of a vector on all of A (shift 0) or Omega (shift -1) as
+    an exponent array in flat order."""
+    keys, getter = _flat_keys(vec.field.q, vec.ndim, shift)
+    try:
+        vals = getter(vec.values)
+    except KeyError:
+        vals = None
+    if vals is None or len(vec.values) != len(keys):
+        _require_full(vec.domain(), keys, what)
+    return _element_array(vec, vals, what)
+
+
+def _kernel_rows(f, lo, hi, inverse):
+    """Rows lo..hi-1 of the 1-D kernel's exponent matrix, columns the q
+    input positions.  DFT: row 0 sums the fiber, row a >= 1 weighs
+    position j >= 1 (omega = alpha^(j-1)) by alpha^((j-1)a).  IDFT: row 0
+    is h_0 - h_(q-1), row t+1 is -sum_(i>=1) h_i alpha^(-ti)."""
+    ar = f.np_arith()
+    n = f.q - 1
+    out = np.empty((hi - lo, f.q), dtype=np.intp)
+    out[:, 0] = ar.zero
+    # uint32 products stay below q(q-1) + q/2 < 2^32 for q <= MAX_Q
+    r = np.arange(lo, hi, dtype=np.uint32)
+    i = np.arange(1, f.q, dtype=np.uint32)
+    if inverse:
+        k = np.multiply.outer(n + 1 - r, i)  # row r = t+1: (n - t)i + neg
+        k += ar.neg
+    else:
+        k = np.multiply.outer(r % n, i - 1)
+    k %= n
+    out[:, 1:] = k
+    if lo == 0:
+        out[0] = ar.zero if inverse else 0
+        if inverse:
+            out[0, 0], out[0, n] = 0, ar.neg
+    return out
+
+
+def _kernel_ops(q, inverse):
+    return 1 + (q - 1) * (3 * q - 2) if inverse else (q - 1) + 3 * (q - 1) ** 2
+
+
+def _fibers(f, x, inverse):
+    """The 1-D kernel on every row of the (fibers, q) exponent array x,
+    blocked over rows and kernel rows so a temporary stays near BLOCK
+    elements; adds the kernel's scalar count per fiber to op_count."""
+    q = f.q
+    nfib = x.shape[0]
+    rstep = min(q, max(1, BLOCK // q))
+    fstep = max(1, BLOCK // (rstep * q))
+    out = np.empty_like(x)
+    for lo in range(0, q, rstep):
+        k = _kernel_rows(f, lo, min(q, lo + rstep), inverse)
+        for flo in range(0, nfib, fstep):
+            out[flo:flo + fstep, lo:lo + rstep] = f.np_dot(k, x[flo:flo + fstep, None, :])
+    f.op_count += nfib * _kernel_ops(q, inverse)
+    return out
+
+
+def _passes(f, x, ndim, axis_order, inverse):
+    q = f.q
+    for axis in axis_order if axis_order is not None else range(ndim):
+        # flat position = sum pos_i q^i: component ``axis`` has stride q^axis
+        cube = x.reshape(q ** (ndim - axis - 1), q, q ** axis)
+        fib = _fibers(f, cube.transpose(0, 2, 1).reshape(-1, q), inverse)
+        x = fib.reshape(cube.shape[0], cube.shape[2], q).transpose(0, 2, 1).ravel()
+    return x
+
 
 def dft_kernel(field, vec):
     """1-D DFT of a length-q fiber; position j holds the value at omega =
     alpha^(j-1), position 0 the value at omega = 0."""
-    q = field.q
-    out = [ZERO] * q
-    acc = vec[0]
-    for j in range(1, q):
-        acc = field.add(acc, vec[j])
-    out[0] = acc
-    for a in range(1, q):
-        step = a % (q - 1)
-        acc = ZERO
-        pw = ONE
-        for j in range(q - 1):
-            acc = field.add(acc, field.mul(vec[j + 1], pw))
-            pw = field.mul(pw, step)
-        out[a] = acc
-    return out
+    x = field.np_exponents(np.array(vec, dtype=np.intp))
+    return field.np_codes(_fibers(field, x[None, :], False))
 
 
 def idft_kernel(field, vec):
     """1-D IDFT of a length-q fiber indexed by a; output is omega-positioned
     like dft_kernel's input.  c_0 = h_0 - h_{q-1}, and for omega != 0,
     c_omega = -(h_1 omega^-1 + ... + h_{q-1} omega^-(q-1))."""
-    q = field.q
-    out = [ZERO] * q
-    out[0] = field.sub(vec[0], vec[q - 1])
-    for t in range(q - 1):
-        step = (q - 1 - t) % (q - 1)
-        acc = ZERO
-        pw = ONE
-        for i in range(1, q):
-            pw = field.mul(pw, step)
-            acc = field.add(acc, field.mul(vec[i], pw))
-        out[t + 1] = field.neg(acc)
-    return out
-
-
-def _to_flat(values, ndim, q, pos_of):
-    data = [ZERO] * (q ** ndim)
-    for key, v in values.items():
-        flat = 0
-        stride = 1
-        for i in range(ndim):
-            flat += pos_of(key[i]) * stride
-            stride *= q
-        data[flat] = v
-    return data
-
-
-def _axis_pass(field, data, ndim, axis, kernel):
-    q = field.q
-    stride = q ** axis
-    outer = q ** (ndim - axis - 1)
-    for hi in range(outer):
-        base_hi = hi * stride * q
-        for lo in range(stride):
-            base = base_hi + lo
-            vec = [data[base + j * stride] for j in range(q)]
-            res = kernel(field, vec)
-            for j in range(q):
-                data[base + j * stride] = res[j]
+    x = field.np_exponents(np.array(vec, dtype=np.intp))
+    return field.np_codes(_fibers(field, x[None, :], True))
 
 
 def dft_fast(c, axis_order=None):
     """Axis-by-axis 1-D DFT passes; identical output to dft()."""
     f = c.field
-    ndim = c.ndim
-    _require_full(c.domain(), omega_space(f, ndim), "dft input")
-    data = _to_flat(c.values, ndim, f.q, lambda w: w + 1)
-    for axis in axis_order if axis_order is not None else range(ndim):
-        _axis_pass(f, data, ndim, axis, dft_kernel)
-    out = {}
-    for flat, v in enumerate(data):
-        rem, idx = flat, []
-        for _ in range(ndim):
-            idx.append(rem % f.q)
-            rem //= f.q
-        out[tuple(idx)] = v
-    return Spectrum(f, ndim, out)
+    x = _passes(f, _full_array(c, -1, "dft input"), c.ndim, axis_order, False)
+    return Spectrum(f, c.ndim, dict(zip(_flat_keys(f.q, c.ndim, 0)[0], f.np_codes(x))))
 
 
 def idft_fast(h, axis_order=None):
     """Axis-by-axis 1-D IDFT passes; identical output to idft()."""
     f = h.field
-    ndim = h.ndim
-    _require_full(h.domain(), index_space(f, ndim), "idft input")
-    data = _to_flat(h.values, ndim, f.q, lambda a: a)
-    for axis in axis_order if axis_order is not None else range(ndim):
-        _axis_pass(f, data, ndim, axis, idft_kernel)
-    out = {}
-    for flat, v in enumerate(data):
-        rem, pt = flat, []
-        for _ in range(ndim):
-            pt.append(rem % f.q - 1)
-            rem //= f.q
-        out[tuple(pt)] = v
-    return Word(f, ndim, out)
+    x = _passes(f, _full_array(h, 0, "idft input"), h.ndim, axis_order, True)
+    return Word(f, h.ndim, dict(zip(_flat_keys(f.q, h.ndim, -1)[0], f.np_codes(x))))
 
 
 # -- text forms ------------------------------------------------------------

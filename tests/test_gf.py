@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,3 +175,32 @@ def test_np_tables_match_scalar(p, m, poly):
         # the tables are symmetric, so this checks column i as well
         assert (add[:, i] == add[i]).all() and (mul[:, i] == mul[i]).all()
     assert all(neg[i] == f.neg(shifted[i]) + 1 for i in range(q))
+
+
+@pytest.mark.parametrize("p,m,poly", [
+    (2, 3, (1, 1, 0, 1)),
+    (3, 2, (2, 1, 1)),
+    (5, 2, (2, 1, 1)),
+    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),  # above NP_TABLE_Q
+    (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1)),  # odd p, more terms than one digit chunk
+])
+def test_np_dot_matches_scalar(p, m, poly):
+    f = Field(p, m, poly)
+    ar = f.np_arith()
+    assert f.np_arith() is ar and f.op_count == 0
+    q = f.q
+    assert ar.exp.shape == (4 * (q - 1) + 1,) and ar.log.shape == (q,)  # O(q), no q x q table
+    rng = np.random.default_rng(q)
+    codes = rng.integers(-1, q - 1, size=(3, 300))  # 300 > ar.chunk for GF(3^8)
+    codes[:, :3] = ZERO
+    x = f.np_exponents(codes[:2])
+    y = f.np_exponents(codes[2])
+    got = f.np_codes(f.np_dot(x, y))
+    want = []
+    for row in codes[:2].tolist():
+        acc = ZERO
+        for a, b in zip(row, codes[2].tolist()):
+            acc = f.add(acc, f.mul(a, b))
+        want.append(acc)
+    assert got == want
+    assert f.np_codes(f.np_dot(x[:, :0], y[:0])) == [ZERO, ZERO]

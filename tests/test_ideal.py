@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +12,7 @@ from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_for
                            extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
                            _extension_plan, _is_sequential)
 from avcodes.maps import PointSet, proper_transform
+import scalar_reference as reference
 from avcodes.golden import (RS_PSI, RS_G, RS_SEED, RS_EXTENSION, CROSS_PSI,
                             CROSS_SEED_KNOWN, CROSS_H22, HERM_PHI1, HERM_G_PHI1,
                             HCRS_SYS_PHI, HCRS_SYS_LEADS)
@@ -172,9 +175,12 @@ def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng):
     bad = ReducedGroebnerBasis(f9, 2, gb.order, bad_elems, gb.leading, gb.delta)
     # the plan of the shape is built by the first call and reused by the
     # second, which must still check every recurrence
+    # and must name the first failing index that the scalar checks name
+    with pytest.raises(IdealError, match="inconsistent recurrences") as want:
+        reference.extend(seed, bad, index_space(f9, 2))
     _extension_plan.cache_clear()
     for hits in (0, 1):
-        with pytest.raises(IdealError, match="inconsistent recurrences"):
+        with pytest.raises(IdealError, match="^%s$" % re.escape(str(want.value))):
             extend(seed, bad, index_space(f9, 2))
         assert _extension_plan.cache_info().hits == hits
     # cross pattern: dropping the only in-range element leaves indices with
@@ -319,9 +325,9 @@ def test_check_set_basis_agrees_with_vanishing_gb(case, rnd):
         assert all(g.eval(p) == ZERO for p in pts)
 
 
-def _extend_ops(seed, gb, target):
+def _extend_ops(seed, gb, target, fn=extend):
     before = gb.field.op_count
-    out = extend(seed, gb, target)
+    out = fn(seed, gb, target)
     return out, gb.field.op_count - before
 
 
@@ -455,3 +461,45 @@ def test_extend_plans_match_transform():
     # and some first calls find their shape's plan already cached
     assert any(worklist) and not all(worklist)
     assert any(built) and not all(built)
+
+
+REFERENCE_FIELDS = {**PLAN_FIELDS, 25: Field(5, 2, (2, 1, 1)), 27: Field(3, 3, (1, 2, 0, 1))}
+
+
+def test_extend_matches_scalar_reference():
+    """Values and exact op counts of extend against the scalar checks, on
+    vanishing-ideal and check-set families over GF(4)..GF(27), N in
+    {1, 2, 3} with q^N <= 729, with the plan built and reused."""
+    worklist = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(REFERENCE_FIELDS)), st.sampled_from([1, 2, 3]),
+           st.integers(0, 2 ** 32))
+    def check(q, ndim, seed):
+        assume(q ** ndim <= 729)
+        f = REFERENCE_FIELDS[q]
+        rnd = random.Random(seed)
+        omega = omega_space(f, ndim)
+        pts = rnd.sample(omega, rnd.randrange(2, min(10, len(omega)) + 1))
+        order = MonomialOrder(rnd.choice(["lex", "grlex"]))
+        gb, delta = vanishing_gb(PointSet(f, ndim, tuple(pts)), order)
+        families = [gb]
+        b_list = rnd.sample(order.sort(delta.members), rnd.randrange(1, len(delta)))
+        try:
+            families.append(check_set_basis(PointSet(f, ndim, tuple(pts[:len(b_list)])),
+                                            b_list, order))
+        except IdealError:
+            pass
+        space = index_space(f, ndim)
+        for basis in families:
+            worklist.append(not _is_sequential(basis))
+            seed_h = Spectrum(f, ndim, {d: rnd.randrange(-1, q - 1) for d in basis.delta.members})
+            target = rnd.sample(space, rnd.randrange(1, len(space) + 1))
+            for tgt in (space, target):
+                want, ops = _extend_ops(seed_h, basis, tgt, reference.extend)
+                for _ in range(2):  # the plan is built, then reused
+                    got, got_ops = _extend_ops(seed_h, basis, tgt)
+                    assert got.values == want.values and got_ops == ops
+
+    check()
+    assert any(worklist) and not all(worklist)

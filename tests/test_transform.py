@@ -1,8 +1,15 @@
-import pytest
+import random
+import re
+import tracemalloc
 
-from avcodes.gf import ZERO, ONE
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scalar_reference as reference
+from avcodes.codes import is_dual_codeword
+from avcodes.gf import ZERO, ONE, Field, FieldError, NP_TABLE_Q
 from avcodes.transform import (Spectrum, Word, dft, idft, dft_fast, idft_fast,
-                               dft_partial, idft_kernel,
+                               dft_partial, dft_kernel, idft_kernel,
                                index_space, omega_space,
                                spectrum_lines, word_lines, parse_assoc_lines,
                                grid_lines, DomainError)
@@ -204,6 +211,8 @@ def test_partial_domain_rejected(f8):
     h = Spectrum(f8, 1, {(0,): ONE})
     with pytest.raises(DomainError):
         idft(h)
+    with pytest.raises(DomainError, match=r"index \(-1,\) outside A"):
+        dft_partial(c, [(0,), (-1,)])
 
 
 def test_serialization_roundtrip(f9, rng):
@@ -223,3 +232,106 @@ def test_grid_lines_shape(f8, rng):
     assert len(lines) == 9  # header + 8 rows
     c = random_word(f8, 1, rng)
     assert len(grid_lines(c, "word")) == 1
+
+
+@pytest.mark.parametrize("bad", [-2, 9, 1.5, True, 2 ** 70])
+@pytest.mark.parametrize("entry", ["idft_fast", "dft_fast", "dft_partial", "is_dual_codeword"])
+def test_out_of_field_values_rejected(hermitian, rng, entry, bad):
+    # valid element codes of GF(9) are -1..7
+    f = hermitian.field
+    if entry == "idft_fast":
+        vec = random_spectrum(f, 2, rng)
+        pos = (3, 5)
+        call = lambda: idft_fast(vec)
+    else:
+        vec = random_word(f, 2, rng)
+        if entry == "is_dual_codeword":
+            vec = vec.restrict(hermitian.psi.points)
+        pos = hermitian.psi.points[4]
+        call = {"dft_fast": lambda: dft_fast(vec),
+                "dft_partial": lambda: dft_partial(vec, hermitian.b_list),
+                "is_dual_codeword": lambda: is_dual_codeword(vec, hermitian)}[entry]
+    vec.values[pos] = bad
+    msg = r"at \(%d, %d\): bad element code %s" % (*pos, re.escape(repr(bad)))
+    with pytest.raises(FieldError, match=msg):
+        call()
+
+
+REFERENCE_FIELDS = {4: Field(2, 2, (1, 1, 1)), 8: Field(2, 3, (1, 1, 0, 1)),
+                    9: Field(3, 2, (2, 1, 1)), 16: Field(2, 4, (1, 1, 0, 0, 1)),
+                    25: Field(5, 2, (2, 1, 1)), 27: Field(3, 3, (1, 2, 0, 1))}
+
+
+REFERENCE_CASES = [(q, n) for q in sorted(REFERENCE_FIELDS) for n in (1, 2, 3) if q ** n <= 4096]
+
+
+def _counted(field, fn, *args):
+    before = field.op_count
+    out = fn(*args)
+    return out, field.op_count - before
+
+
+@pytest.mark.parametrize("q,ndim", REFERENCE_CASES)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32))
+def test_kernels_match_scalar_reference(q, ndim, seed):
+    # same values, in the same order, and the same op counts as the scalar
+    # loop kernels, on a full word and spectrum, a word on a random subset
+    # of Omega, random indices and one fiber
+    f = REFERENCE_FIELDS[q]
+    rnd = random.Random(seed)
+    values = lambda k: [rnd.randrange(-1, q - 1) for _ in range(k)]
+    word = Word(f, ndim, dict(zip(omega_space(f, ndim), values(q ** ndim))))
+    spectrum = Spectrum(f, ndim, dict(zip(index_space(f, ndim), values(q ** ndim))))
+    points = rnd.sample(omega_space(f, ndim), rnd.randrange(0, min(13, q ** ndim)))
+    partial = Word(f, ndim, dict(zip(points, values(len(points)))))
+    indices = rnd.choices(index_space(f, ndim), k=rnd.randrange(0, 13))
+    order = tuple(rnd.sample(range(ndim), ndim))
+    for fast, ref, arg in ((dft_fast, reference.dft_fast, word),
+                           (idft_fast, reference.idft_fast, spectrum)):
+        for axes in (None, order):
+            got, ops = _counted(f, fast, arg, axes)
+            want, ref_ops = _counted(f, ref, arg, axes)
+            assert list(got.values.items()) == list(want.values.items())
+            assert ops == ref_ops
+    for vec in (word, partial):
+        got, ops = _counted(f, dft_partial, vec, indices)
+        want, ref_ops = _counted(f, dft, vec, indices)
+        assert got.values == want.values and ops == ref_ops
+        assert ops == len(indices) * len(vec.values) * (2 * ndim + 1)
+    fiber = values(q)
+    for fast, ref in ((dft_kernel, reference.dft_kernel), (idft_kernel, reference.idft_kernel)):
+        got, ops = _counted(f, fast, f, fiber)
+        want, ref_ops = _counted(f, ref, f, fiber)
+        assert got == want and ops == ref_ops
+
+
+# fields above the dense-table limits: no q x q table exists for them
+LARGE_FIELDS = [(2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),
+                (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1))]
+# one idft_fast must stay far below a single q x q intp temporary
+# (512 MB for GF(2^13), 328 MB for GF(3^8))
+IDFT_PEAK_BOUND = 64 << 20
+
+
+@pytest.mark.parametrize("spec", LARGE_FIELDS, ids=["GF(2^13)", "GF(3^8)"])
+def test_transforms_beyond_table_limits(spec, rng):
+    f = Field(*spec)
+    q = f.q
+    assert q > NP_TABLE_Q and f.np_tables() is None
+    c = random_word(f, 1, rng)
+    h, dft_ops = _counted(f, dft_fast, c)
+    assert dft_ops == (q - 1) + 3 * (q - 1) ** 2
+    tracemalloc.start()
+    try:
+        back, idft_ops = _counted(f, idft_fast, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values == c.values
+    assert idft_ops == 1 + (q - 1) * (3 * q - 2)
+    assert peak < IDFT_PEAK_BOUND
+    indices = [(0,), (1,), (q // 3,), (q - 1,)]
+    part, ops = _counted(f, dft_partial, c, indices)
+    assert part.values == {a: h.values[a] for a in indices} == dft(c, indices).values
+    assert ops == len(indices) * q * 3
