@@ -6,18 +6,19 @@ error, 4 I/O error.
 
 import argparse
 import sys
+import time
 
 from .gf import Field, FieldError, ZERO
 from .mindex import MonomialOrder, IndexError_, format_index
 from .transform import (Spectrum, Word, dft, idft, dft_fast, idft_fast,
                         index_space, omega_space, spectrum_lines, word_lines,
                         parse_assoc_lines, grid_lines, DomainError)
-from .ideal import vanishing_gb, extend, IdealError
+from .ideal import vanishing_gb, check_set_basis, extend, IdealError
 from .maps import PointSet, MapError, VanishingError
 from .codes import (CodeConfigError, load_code, preset, PRESET_CONFIGS,
                     encode_nonsystematic, is_dual_codeword)
 from .decoder import decode_info, decode_word, systematic_encode, UndecodableError
-from .golden import run_examples
+from .golden import run_examples, HERM_SYS_PHI, HCRS_SYS_PHI
 
 EXIT_OK = 0
 EXIT_UNDECODABLE = 2
@@ -260,10 +261,25 @@ def cmd_examples(args):
     return EXIT_OK if bad == 0 else 1
 
 
+# the golden systematic redundant sets, per preset
+SYS_PHI = {"hermitian": HERM_SYS_PHI, "hcrs": HCRS_SYS_PHI}
+
+
+def _layer(field, call):
+    """Field operations and wall time in milliseconds of one call."""
+    before, clock = field.op_count, time.perf_counter()
+    call()
+    return {"ops": field.op_count - before, "ms": (time.perf_counter() - clock) * 1e3}
+
+
 def cmd_bench(args):
     """Decode one seeded word per preset and report the field operations
     (and, with --json, the wall time) of each step, plus the fast and
-    direct IDFT counts on hermitian."""
+    direct IDFT counts on hermitian.  The JSON form adds per preset the
+    ``layers`` block: the ops and ms of vanishing_gb on the decoded
+    word's located set and of check_set_basis on the preset's golden
+    systematic set, where it has one (its first call on the preset's
+    check set, so it includes building the cached leads)."""
     import json
     import random
 
@@ -286,13 +302,20 @@ def cmd_bench(args):
         n_err = max(0, (code.d_fr - 1 - len(erase)) // 2)
         for p in rng.sample(rest, min(1, n_err)):
             r.values[p] = f.add(r.values[p], rng.randrange(0, f.q - 1))
-        rep = decode_word(r, phi1, code).report
+        res = decode_word(r, phi1, code)
+        rep = res.report
+        layers = {"vanishing_gb": _layer(f, lambda: vanishing_gb(res.located, code.order))}
+        if name in SYS_PHI:
+            phi = PointSet(f, code.ndim, SYS_PHI[name])
+            layers["check_set_basis"] = _layer(
+                f, lambda: check_set_basis(phi, code.b_list, code.order))
         lines.append("%s (n=%d, k=%d, q=%d, N=%d, d_fr=%d)"
                      % (name, code.n, code.k, f.q, code.ndim, code.d_fr))
         for row in rep.lines():
             lines.append("  step " + row)
         lines.append("  fast-idft bound 3*N*q^(N+1) = %d" % rep.meta["fast_idft_bound"])
-        doc["presets"][name] = {"steps": rep.steps, "ms": rep.ms, "meta": rep.meta}
+        doc["presets"][name] = {"steps": rep.steps, "ms": rep.ms, "meta": rep.meta,
+                                "layers": layers}
     herm = preset("hermitian")
     f = herm.field
     h = Spectrum(f, 2, {a: rng.randrange(-1, f.q - 1) for a in index_space(f, 2)})

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, dft_partial, index_space, point_power, check_values
+from .transform import Spectrum, Word, dft_partial, index_space, power_matrix
 from .maps import PointSet, restrict_idft
 from .ideal import (vanishing_gb, check_set_basis, extend, ReducedGroebnerBasis,
-                    DeltaSet, Polynomial, IdealError, Eliminator)
+                    DeltaSet, Polynomial, IdealError, Eliminator, index_array)
 from .codes import is_dual_codeword
 
 
@@ -356,6 +356,13 @@ class LocateResult(tuple):
         return pair
 
 
+def _column_exponents(code, points):
+    """The evaluation columns of the points as a |points| x |B| exponent
+    array."""
+    cols = np.array([code.column(p) for p in points], dtype=np.intp)
+    return code.field.np_exponents(cols.reshape(len(points), len(code.b_list)))
+
+
 def locate(synd, phi1, code, t_max=None):
     """Smallest error support consistent with the B-indexed syndrome.
 
@@ -377,22 +384,26 @@ def locate(synd, phi1, code, t_max=None):
     s = [synd.values[b] for b in b_list]
 
     phi1_set = set(phi1.points)
-    elim = Eliminator(f)
-    for p in phi1.points:
-        elim.insert(code.column(p), p)
-    target, _ = elim.reduce(s)
+    elim = Eliminator(f, len(b_list))
+    _, ops = elim.insert(_column_exponents(code, phi1.points), phi1.points)
+    # the target and every candidate column in one batch; the columns
+    # count only when the target is nonzero
+    candidates = [p for p in code.psi.points if p not in phi1_set]
+    batch = np.vstack([f.np_exponents(np.array(s, dtype=np.intp)),
+                       _column_exponents(code, candidates)])
+    res, _, reduce_ops = elim.reduce(batch)
+    f.op_count += ops + int(reduce_ops[0])
+    live = res != f.np_arith().zero
+    res = np.where(live, res, ZERO)
 
     chosen = ()
     stats = {"t": 0, "candidates": 0, "r": 0, "entries": 0, "matches": 0}
-    if any(x != ZERO for x in target):
-        candidates = [p for p in code.psi.points if p not in phi1_set]
-        reduced_cols = []
-        eligible = []
-        for i, p in enumerate(candidates):
-            rc, _ = elim.reduce(code.column(p))
-            if any(x != ZERO for x in rc):
-                eligible.append(i)
-                reduced_cols.append(rc)
+    if live[0].any():
+        f.op_count += int(reduce_ops[1:].sum())
+        target = res[0].tolist()
+        eligible = np.flatnonzero(live[1:].any(axis=1))
+        reduced_cols = res[1 + eligible].tolist()
+        eligible = eligible.tolist()
         search = None
         if f.np_tables() is not None:
             search = _SupportSearch(f, target, reduced_cols, t_max)
@@ -430,9 +441,9 @@ def locate(synd, phi1, code, t_max=None):
 # -- the two decoding algorithms --------------------------------------------
 
 def _validate_received(r, code):
+    # the values are checked by the received word's transform
     if r.domain() != set(code.psi.points):
         raise UndecodableError("received word is not indexed by the code's point set")
-    check_values(r, "received word")
 
 
 def _validate_phi1(phi1, code):
@@ -472,9 +483,9 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     or None when nothing is located).
     """
     _validate_received(r, code)
-    _validate_phi1(phi1, code)
     meter = _Meter(code.field)
-    rt = dft_partial(r, indices)
+    rt = dft_partial(r, indices, "received word")
+    _validate_phi1(phi1, code)  # a bad value is reported before a bad erasure set
     meter.lap("transform")
     loc = locate(rt.restrict(code.b_list), phi1, code, t_max)
     gb_loc, located = loc
@@ -542,9 +553,13 @@ def check_systematic_support(phi, code):
     if len(phi) != len(code.b_list):
         raise SystematicSupportError("|Phi| = %d but |B| = %d" % (len(phi), len(code.b_list)))
     f = code.field
-    elim = Eliminator(f)
-    return all(elim.insert([point_power(f, p, b) for p in phi.points], b) is None
-               for b in code.b_list)
+    vecs = power_matrix(f, index_array(code.b_list, code.ndim),
+                        index_array(phi.points, code.ndim))
+    # insertion stops at the first dependent row
+    done, ops = Eliminator(f, len(phi)).insert(
+        vecs, code.b_list, lambda row, tail: np.ones(len(vecs), dtype=bool))
+    f.op_count += len(done) * (2 * code.ndim - 1) * len(phi) + ops
+    return all(tail is None for _, tail in done)
 
 
 def systematic_basis(phi, code):
@@ -569,10 +584,8 @@ def systematic_encode(info, phi, code):
     expected = inside - phi_set
     if info.domain() != expected:
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
-    check_values(info, "information word")
-
+    seed = dft_partial(info, code.b_list, "information word")
     gb_phi = systematic_basis(phi, code)
-    seed = dft_partial(info, code.b_list)
     w, _ = restrict_idft(extend(seed, gb_phi, index_space(f, code.ndim)), phi)
     out = dict(info.values)
     for p in phi.points:

@@ -57,9 +57,10 @@ class GFArrays:
     no zero test.  For p = 2 the encoding is the base-2 one and sums are
     XORs.  For odd p the m base-p digits sit ``bits`` bits apart in an
     int64, so an integer sum adds them digit-wise without carries as long
-    as at most ``chunk`` terms meet before the digits are reduced mod p.
-    ``log`` maps a base-p encoding back to its exponent (``zero`` for 0)
-    and ``neg`` is the exponent of -1."""
+    as at most ``chunk`` terms meet before the digits are reduced mod p;
+    digit i sits at bit ``shifts[i]`` and has place value ``place[i]`` in
+    the base-p encoding.  ``log`` maps a base-p encoding back to its
+    exponent (``zero`` for 0) and ``neg`` is the exponent of -1."""
 
     exp: np.ndarray
     log: np.ndarray
@@ -67,6 +68,8 @@ class GFArrays:
     neg: int
     bits: int
     chunk: int
+    shifts: np.ndarray
+    place: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -243,17 +246,18 @@ class Field:
             zero = 2 * n
             enc = np.array(self.antilog, dtype=np.int64)
             bits = 63 // m
+            shifts, place = bits * np.arange(m), p ** np.arange(m)
             spread = enc
             if p > 2:
-                digits = enc[:, None] // p ** np.arange(m) % p
-                spread = (digits << bits * np.arange(m)).sum(axis=1)
+                spread = (enc[:, None] // place % p << shifts).sum(axis=1)
             exp = np.zeros(2 * zero + 1, dtype=np.uint16 if p == 2 else np.int64)
             exp[:zero] = np.tile(spread, 2)
             log = np.full(self.q, zero, dtype=np.intp)
             log[enc] = np.arange(n)
             # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
             chunk = ((1 << bits) - 1) // (p - 1) - 1
-            self._np_arith = GFArrays(exp, log, zero, self._neg_code, bits, chunk)
+            self._np_arith = GFArrays(exp, log, zero, self._neg_code, bits, chunk,
+                                      shifts, place)
         return self._np_arith
 
     def np_codes(self, x):
@@ -271,13 +275,21 @@ class Field:
         terms = ar.exp[x + y]
         if self.p == 2:
             return ar.log[np.bitwise_xor.reduce(terms, axis=-1)]
-        shifts = ar.bits * np.arange(self.m)
         mask = (1 << ar.bits) - 1
         while terms.shape[-1] > ar.chunk:
             part = np.add.reduceat(terms, np.arange(0, terms.shape[-1], ar.chunk), axis=-1)
-            terms = ((part[..., None] >> shifts & mask) % self.p << shifts).sum(axis=-1)
-        digits = (terms.sum(axis=-1)[..., None] >> shifts & mask) % self.p
-        return ar.log[digits @ self.p ** np.arange(self.m)]
+            terms = ((part[..., None] >> ar.shifts & mask) % self.p << ar.shifts).sum(axis=-1)
+        return self.np_log(terms.sum(axis=-1))
+
+    def np_log(self, x):
+        """Exponents of an array of encodings, each ``exp`` of an exponent
+        or, for odd p, a sum of at most ``chunk`` + 1 of them; not
+        op-counted."""
+        ar = self.np_arith()
+        if self.p == 2:
+            return ar.log[x]
+        digits = (x[..., None] >> ar.shifts & (1 << ar.bits) - 1) % self.p
+        return ar.log[digits @ ar.place]
 
     # -- arithmetic on exponent codes ------------------------------------
 

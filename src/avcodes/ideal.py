@@ -9,6 +9,18 @@ the delta set.  Scanning the box {0..q}^N suffices because x_i^q - x_i
 vanishes everywhere, so no minimal leading exponent has a component
 above q.
 
+The elimination (``Eliminator``) works on numpy exponent arrays of the
+gf layer: evaluation vectors come from one power-matrix kernel
+(transform.power_matrix), and a batch of vectors is eliminated
+right-looking, one pivot step per kept row over the stacked
+[vectors | -combination] matrix.  In exact arithmetic that is the
+sequence of row operations of inserting one vector at a time, so each
+step returns the scalar count of its rows and the bases count exactly
+what the one-vector-at-a-time scan counts (2N - 1 per evaluated entry,
+as point_power).  What does not depend on the points is cached per
+(q, N, order): the sorted scan box of vanishing_gb, and per check set B
+the leads of check_set_basis.
+
 The emitted basis carries one element per last-coordinate level of the
 staircase (the shape shift-register synthesis produces, which may
 include order-redundant elements such as y*g over a two-point set) plus
@@ -44,7 +56,7 @@ import numpy as np
 
 from .gf import ZERO, ONE
 from .mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
-from .transform import Spectrum, point_power
+from .transform import Spectrum, point_power, power_matrix
 
 
 class IdealError(ValueError):
@@ -181,61 +193,123 @@ class Polynomial:
 
 
 class Eliminator:
-    """Incremental Gaussian elimination over a field, the linear algebra of
-    Buchberger-Moeller.
+    """Incremental Gaussian elimination over GF(q) on numpy exponent
+    arrays, the linear algebra of Buchberger-Moeller.
 
-    Each inserted vector is reduced against the rows so far and, if
-    independent of them, kept as a row normalized at its pivot (its first
-    nonzero entry) together with its expression over the inserted tags.
-    ``reduce`` subtracts the rows in insertion order and returns the
-    residual and the combination ``comb`` with
-    vec = residual + sum(comb[t] * vec_t).
+    Vectors have ``length`` entries.  Each inserted vector is reduced
+    against the kept rows in insertion order and, if independent of them,
+    kept as a row normalized at its pivot (its first nonzero entry) with
+    its expression over the tags of the kept rows.  A vector in work is
+    the encoding array of [vector | -combination], so one pivot step
+    subtracts c * [row | row combination] from every vector of a batch at
+    once, c being each vector's entry at the pivot.  ``insert`` runs
+    right-looking: the batch is first reduced by the rows kept before it,
+    then each vector that stays independent becomes a row and is
+    eliminated from the vectors after it.  In exact arithmetic these are
+    the row operations of inserting one vector at a time, so each step
+    knows its scalar count: 2 (nnz(row) + nnz(row combination)) per vector
+    it hits, plus 1 + 2 nnz(combination) + length per kept vector.  The
+    eliminator adds nothing to ``op_count``; it returns those counts, and
+    a caller adds those of the vectors a scalar scan would have touched.
+
+    A combination is returned as its tail: the exponents of -combination
+    over ``tags``, the coefficients of the monic relation it expresses.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, length):
         self.field = field
-        self.rows = []  # (pivot, normalized row, row as a combination over tags)
+        self.length = length
+        self.tags = []  # tag of each kept row
+        self.pivots = []  # pivot entry of each kept row
+        self._ar = field.np_arith()
+        # exponents of -[row | row combination], one line per kept row
+        self._rows = np.empty((length, 2 * length), dtype=np.intp)
+        self._weights = []  # scalar count of subtracting each row once
 
-    def reduce(self, vec):
-        f = self.field
-        vec = list(vec)
-        comb = {}
-        for pivot, row, row_comb in self.rows:
-            c = vec[pivot]
-            if c == ZERO:
-                continue
-            for i, y in enumerate(row):
-                if y != ZERO:
-                    vec[i] = f.sub(vec[i], f.mul(c, y))
-            for t, y in row_comb.items():
-                s = f.add(comb.get(t, ZERO), f.mul(c, y))
-                if s == ZERO:
-                    comb.pop(t, None)
-                else:
-                    comb[t] = s
-        return vec, comb
+    def _work(self, vecs):
+        vecs = np.asarray(vecs, dtype=np.intp).reshape(-1, self.length)
+        x = np.zeros((len(vecs), 2 * self.length), dtype=self._ar.exp.dtype)
+        x[:, :self.length] = self._ar.exp[vecs]
+        return x
 
-    def insert(self, vec, tag):
-        """Add ``vec`` under ``tag`` and return None; if it depends on the
-        rows already inserted, add nothing and return its combination."""
-        f = self.field
-        vec, comb = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(vec) if x != ZERO), None)
-        if pivot is None:
-            return comb
-        inv = f.inv(vec[pivot])
-        row_comb = {t: f.neg(f.mul(y, inv)) for t, y in comb.items()}
-        row_comb[tag] = inv
-        self.rows.append((pivot, [f.mul(x, inv) for x in vec], row_comb))
-        return None
+    def _step(self, j, x, ops):
+        """Subtract c * row j from each vector of x, c its entry at the
+        row's pivot, and add the scalar count of each to ``ops``."""
+        f, ar = self.field, self._ar
+        if not len(x):
+            return
+        cols = self.length + j + 1  # the row's combination covers tags 0..j
+        c = f.np_log(x[:, self.pivots[j]])
+        terms = ar.exp[c[:, None] + self._rows[j, :cols]]
+        if f.p == 2:
+            x[:, :cols] ^= terms
+        else:
+            # digit sums: a vector meets rows 0, 1, ... in turn, so it
+            # holds at most j + 2 terms here
+            x[:, :cols] += terms
+            if (j + 1) % ar.chunk == 0:
+                x[:] = ar.exp[f.np_log(x)]
+        ops += self._weights[j] * (c != ar.zero)
 
+    def reduce(self, vecs):
+        """Reduce each vector (a row of the exponent array ``vecs``) by the
+        kept rows.  Returns the residuals and the tails as exponent arrays
+        and the scalar count of each reduction."""
+        x = self._work(vecs)
+        ops = np.zeros(len(x), dtype=np.int64)
+        for j in range(len(self.pivots)):
+            self._step(j, x, ops)
+        e = self.field.np_log(x)
+        return e[:, :self.length], e[:, self.length:self.length + len(self.pivots)], ops
 
-def _vanishing_element(field, ndim, lead, comb):
-    """x^lead - sum comb[d] x^d: the monic relation that ``comb`` expresses
-    between evaluation vectors on a point set."""
-    terms = {lead: ONE}
-    terms.update((d, field.neg(c)) for d, c in comb.items())
-    return Polynomial(field, ndim, terms)
+    def insert(self, vecs, tags, prune=None):
+        """Insert the vectors (rows of the exponent array ``vecs``) in order
+        under their tags.  Returns a list with one (row, tail) pair per
+        vector inserted, the tail None for a kept one, and the scalar
+        count of the insertions.  ``prune``, called as prune(row, tail) at
+        each dependent vector, returns a boolean mask over the rows of
+        ``vecs`` marking later vectors not to insert."""
+        f, ar = self.field, self._ar
+        n, size = f.q - 1, self.length
+        x = self._work(vecs)
+        ops = np.zeros(len(x), dtype=np.int64)
+        for j in range(len(self.pivots)):
+            self._step(j, x, ops)
+        rows = np.arange(len(x))
+        out = []
+        total = 0
+        i = 0
+        while i < len(x):
+            e = f.np_log(x[i])
+            live = e != ar.zero
+            r = len(self.pivots)
+            pivot = int(live[:size].argmax()) if size else 0
+            if not size or not live[pivot]:
+                tail = e[size:size + r]
+                out.append((int(rows[i]), tail))
+                if prune is not None:
+                    keep = ~prune(int(rows[i]), tail)[rows]
+                    keep[:i + 1] = True
+                    if not keep.all():
+                        x, ops, rows = x[keep], ops[keep], rows[keep]
+            else:
+                nnz, nnz_comb = np.count_nonzero(live), np.count_nonzero(live[size:])
+                total += 1 + 2 * int(nnz_comb) + size
+                self._weights.append(2 * (int(nnz) + 1))
+                # scale by -1/pivot, with the row's own tag at coefficient one
+                e[size + r], live[size + r] = 0, True
+                self._rows[r] = np.where(live, (e + (ar.neg - e[pivot])) % n, ar.zero)
+                self.pivots.append(pivot)
+                self.tags.append(tags[rows[i]])
+                out.append((int(rows[i]), None))
+                self._step(r, x[i + 1:], ops[i + 1:])
+            i += 1
+        # every vector left in x was inserted
+        return out, total + int(ops.sum())
+
+    def terms(self, tail):
+        """The nonzero entries of a tail as {tag: element code}."""
+        return {t: x for t, x in zip(self.tags, tail.tolist()) if x != self._ar.zero}
 
 
 @dataclass(frozen=True)
@@ -305,6 +379,22 @@ def _level_leads(members, q, ndim):
     return out
 
 
+@lru_cache(maxsize=16)
+def _scan_space(q, ndim, order_spec):
+    """The box {0..q}^N that vanishing_gb scans, in increasing order, as
+    tuples and as an integer array."""
+    box = tuple(sorted(index_box(q, ndim, top=q), key=MonomialOrder(*order_spec).key))
+    arr = index_array(box, ndim)
+    arr.flags.writeable = False  # shared by every caller
+    return box, arr
+
+
+def index_array(indices, ndim):
+    """Multi-indices or points (tuples of length ndim) as a 2-D integer
+    array, one row each."""
+    return np.array(indices, dtype=np.intp).reshape(len(indices), ndim)
+
+
 def vanishing_gb(points, order):
     """Reduced basis of the vanishing ideal of a point set, plus its
     delta set.  ``points`` is a PointSet (or anything with .field, .ndim,
@@ -314,29 +404,46 @@ def vanishing_gb(points, order):
     emitted leading indices are the per-level ones (one per slice of the
     staircase, the shape shift-register synthesis produces) together
     with the divisibility-minimal generators that carry a component q,
-    ordered by level."""
+    ordered by level.
+
+    The scan inserts the candidates of the box in batches of 2 |points|,
+    skipping every candidate that dominates a minimal lead found before
+    it, and counts exactly the candidates the scan inserts."""
     f = points.field
     ndim = points.ndim
-    pts = list(points.points)
-    n = len(pts)
+    n = len(points.points)
     if n == 0:
         raise IdealError("empty point set has no vanishing-ideal basis")
     q = f.q
-
-    candidates = sorted(index_box(q, ndim, top=q), key=order.key)
-    elim = Eliminator(f)
+    per = (2 * ndim - 1) * n  # evaluating one monomial on the points
+    box, arr = _scan_space(q, ndim, (order.kind, order.weights))
+    w = index_array(points.points, ndim)
+    elim = Eliminator(f, n)
+    skipped = np.zeros(len(box), dtype=bool)
     delta = []
     min_leads = []
     scan_tails = {}
-    for e in candidates:
-        if any(dominates(e, m) for m in min_leads):
-            continue
-        comb = elim.insert([point_power(f, p, e) for p in pts], e)
-        if comb is None:
-            delta.append(e)
-        else:
-            min_leads.append(e)
-            scan_tails[e] = comb
+    pos = 0
+    while pos < len(box):
+        batch = pos + np.flatnonzero(~skipped[pos:])[:2 * n]
+        if not batch.size:
+            break
+        pos = int(batch[-1]) + 1
+
+        def prune(row, tail):
+            skipped[:] |= (arr >= arr[batch[row]]).all(axis=1)
+            return skipped[batch]
+
+        done, ops = elim.insert(power_matrix(f, arr[batch], w),
+                                [box[k] for k in batch], prune)
+        f.op_count += len(done) * per + ops
+        for row, tail in done:
+            e = box[batch[row]]
+            if tail is None:
+                delta.append(e)
+            else:
+                min_leads.append(e)
+                scan_tails[e] = elim.terms(tail)
 
     if len(delta) != n:
         raise IdealError("delta set size %d != %d points (non-distinct points?)"
@@ -350,19 +457,50 @@ def vanishing_gb(points, order):
             emit.add(m)
     leads = sorted(emit, key=lambda a: tuple(reversed(a)))
 
+    rest = [e for e in leads if e not in scan_tails]
+    if rest:
+        res, tails, ops = elim.reduce(power_matrix(f, index_array(rest, ndim), w))
+        f.op_count += len(rest) * per + int(ops.sum())
+        outside = (res != f.np_arith().zero).any(axis=1)
+        if outside.any():
+            raise IdealError("lead %s is not in the ideal (internal error)"
+                             % (rest[outside.argmax()],))
+        scan_tails.update(zip(rest, map(elim.terms, tails)))
     elements = []
     for e in leads:
-        if e in scan_tails:
-            comb = scan_tails[e]
-        else:
-            vec, comb = elim.reduce([point_power(f, p, e) for p in pts])
-            if any(v != ZERO for v in vec):
-                raise IdealError("lead %s is not in the ideal (internal error)" % (e,))
-        elements.append(_vanishing_element(f, ndim, e, comb))
+        tail = scan_tails[e]
+        f.op_count += len(tail)  # the negated combination
+        elements.append(Polynomial(f, ndim, {e: ONE, **tail}))
 
     ds = DeltaSet(frozenset(delta))
     gb = ReducedGroebnerBasis(f, ndim, order, elements, leads, ds)
     return gb, ds
+
+
+@lru_cache(maxsize=64)
+def _check_set_leads(q, ndim, order_spec, members):
+    """The leading indices of check_set_basis for the check set
+    ``members`` (a frozenset), in level order; no field operations."""
+    emit = set(_level_leads(members, q, ndim))
+    outside = [a for a in _sorted_space(q, ndim, order_spec) if a not in members]
+    out = index_array(outside, ndim)
+    # the minimal indices outside B, in increasing order: the order
+    # extends dominance, so the first index dominating no earlier minimal
+    # one is minimal
+    live = np.ones(len(outside), dtype=bool)
+    while live.any():
+        k = int(live.argmax())
+        live &= ~(out >= out[k]).all(axis=1)
+        a = outside[k]
+        if a not in emit and not any(dominates(a, e) for e in emit):
+            emit.add(a)
+    if not DeltaSet(members).is_downward_closed():
+        # the corners alone can leave indices undetermined: every border
+        # index x_i * b outside B leads an element too
+        units = [tuple(int(j == i) for j in range(ndim)) for i in range(ndim)]
+        emit.update(a for a in (semigroup_add(b, e, q) for b in members for e in units)
+                    if a not in members)
+    return tuple(sorted(emit, key=lambda a: tuple(reversed(a))))
 
 
 def check_set_basis(points, b_set, order):
@@ -377,49 +515,41 @@ def check_set_basis(points, b_set, order):
     solvable for every lead exactly when ev restricted to (V_B, points)
     is surjective.  When the delta set of the points equals B it
     coincides with vanishing_gb.  The returned object's delta set is B,
-    the seed domain of the recurrences.
+    the seed domain of the recurrences.  The leads depend on (q, N,
+    order, B) alone and are cached.
     """
     f = points.field
     ndim = points.ndim
-    pts = list(points.points)
-    if not pts:
+    n = len(points.points)
+    if not n:
         raise IdealError("empty point set")
     q = f.q
     b_list = [tuple(b) for b in b_set]
-    members = set(b_list)
+    members = frozenset(b_list)
     for b in members:
         if len(b) != ndim or any(not 0 <= x < q for x in b):
             raise IdealError("check index %s outside A" % (b,))
-
-    emit = set(_level_leads(members, q, ndim))
-    space = index_box(q, ndim)
-    outside = [a for a in sorted(space, key=order.key) if a not in members]
-    minimal = [a for a in outside if not any(dominates(a, m) and a != m for m in outside)]
-    for m in minimal:
-        if m not in emit and not any(dominates(m, e) for e in emit):
-            emit.add(m)
-    b_delta = DeltaSet(frozenset(members))
-    if not b_delta.is_downward_closed():
-        # the corners alone can leave indices undetermined: every border
-        # index x_i * b outside B leads an element too
-        units = [tuple(int(j == i) for j in range(ndim)) for i in range(ndim)]
-        emit.update(a for a in (semigroup_add(b, e, q) for b in b_list for e in units)
-                    if a not in members)
-    leads = sorted(emit, key=lambda a: tuple(reversed(a)))
+    leads = _check_set_leads(q, ndim, (order.kind, order.weights), members)
 
     # tails use only the B columns independent of the earlier ones, so a
     # lead's solution is unique: the free-variables-zero one
-    elim = Eliminator(f)
-    for b in b_list:
-        elim.insert([point_power(f, p, b) for p in pts], b)
+    per = (2 * ndim - 1) * n
+    w = index_array(points.points, ndim)
+    elim = Eliminator(f, n)
+    _, ops = elim.insert(power_matrix(f, index_array(b_list, ndim), w), b_list)
+    f.op_count += len(b_list) * per + ops
+    res, tails, ops = elim.reduce(power_matrix(f, index_array(leads, ndim), w))
+    bad = (res != f.np_arith().zero).any(axis=1).tolist()
     elements = []
-    for a in leads:
-        vec, comb = elim.reduce([point_power(f, p, a) for p in pts])
-        if any(v != ZERO for v in vec):
+    for a, tail, unsolvable, cost in zip(leads, tails, bad, ops.tolist()):
+        f.op_count += per + cost
+        if unsolvable:
             raise IdealError(
                 "check-set system unsolvable on the points (ev not surjective)")
-        elements.append(_vanishing_element(f, ndim, a, comb))
-    return ReducedGroebnerBasis(f, ndim, order, elements, leads, b_delta)
+        terms = elim.terms(tail)
+        f.op_count += len(terms)  # the negated combination
+        elements.append(Polynomial(f, ndim, {a: ONE, **terms}))
+    return ReducedGroebnerBasis(f, ndim, order, elements, leads, DeltaSet(members))
 
 
 def normal_form(poly, gb):

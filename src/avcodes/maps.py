@@ -10,6 +10,8 @@ located and the redundant point sets.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import ZERO
 from .mindex import format_index, parse_index
 from .transform import Spectrum, Word, dft_partial, idft_fast, point_power, index_space
@@ -144,5 +146,8 @@ def transpose_check(delta, psi):
         for j in range(n):
             if ev_rows[i][j] != pt_rows[j][i]:
                 return False
-    elim = Eliminator(f)
-    return all(elim.insert(row, i) is None for i, row in enumerate(ev_rows))
+    # insertion stops at the first dependent row
+    rows = f.np_exponents(np.array(ev_rows, dtype=np.intp).reshape(n, n))
+    done, ops = Eliminator(f, n).insert(rows, range(n), lambda row, tail: np.ones(n, dtype=bool))
+    f.op_count += ops
+    return all(tail is None for _, tail in done)

@@ -147,33 +147,38 @@ def dft(c, indices=None):
     return Spectrum(f, c.ndim, out)
 
 
-def dft_partial(c, indices):
+def dft_partial(c, indices, what="dft input"):
     """Restricted-output transform: the sum runs over the word's own domain,
     so applied to a word on Psi (zero-padded elsewhere) this is the proper
     transform of the word restricted to ``indices``.  One numpy product
-    of the |indices| x |points| matrix of exponents of omega^a (0^0 = 1)
-    with the values; same output and op count as dft(c, indices)."""
+    of the power matrix with the values; same output and op count as
+    dft(c, indices).  A value that is no element code raises FieldError
+    naming ``what`` and its position."""
     f = c.field
-    n = f.q - 1
-    zero = f.np_arith().zero
     indices = list(indices)
-    x = _element_array(c, list(c.values.values()), "dft input")
+    x = _element_array(c, list(c.values.values()), what)
     f.op_count += len(indices) * len(x) * (2 * c.ndim + 1)
     a = np.array(indices, dtype=np.intp).reshape(len(indices), c.ndim)
     negative = (a < 0).any(axis=1)
     if negative.any():
         raise DomainError("index %s outside A" % (indices[negative.argmax()],))
-    w = np.array(list(c.values), dtype=np.intp).reshape(len(x), c.ndim).T
-    at_zero = w < 0
-    logs = np.where(at_zero, 0, w)
+    w = np.array(list(c.values), dtype=np.intp).reshape(len(x), c.ndim)
     out = np.empty(len(indices), dtype=np.intp)
     step = max(1, BLOCK // max(1, len(x)))
     for lo in range(0, len(indices), step):
-        rows = a[lo:lo + step]
-        e = rows @ logs % n
-        e[(rows != 0) @ at_zero] = zero  # a zero coordinate to a positive power
-        out[lo:lo + step] = f.np_dot(e, x)
+        out[lo:lo + step] = f.np_dot(power_matrix(f, a[lo:lo + step], w), x)
     return Spectrum(f, c.ndim, dict(zip(indices, f.np_codes(out))))
+
+
+def power_matrix(field, a, w):
+    """Exponent matrix of omega^a (0^0 = 1): one row per row of the
+    integer array ``a`` (|indices| x N), one column per row of ``w`` (the
+    points as element codes, |points| x N).  Not op-counted; it stands
+    for 2N - 1 field operations per entry, like point_power."""
+    at_zero = w.T < 0
+    e = a @ np.where(at_zero, 0, w.T) % (field.q - 1)
+    e[(a != 0) @ at_zero] = field.np_arith().zero  # a zero coordinate to a positive power
+    return e
 
 
 def idft(h):

@@ -5,16 +5,21 @@ field operation.
 ``dft_kernel``/``idft_kernel`` and the axis-by-axis ``dft_fast``/
 ``idft_fast`` are the loop kernels of ``avcodes.transform``; ``extend``
 runs the tuple-based extension plan and checks every recurrence one
-field operation at a time, like ``avcodes.ideal.extend`` did.  The
-direct formulas (``transform.dft``, ``transform.idft``) stay in the
-library as the transform oracle; ``dft(c, indices)`` is the reference of
-``dft_partial``.
+field operation at a time, like ``avcodes.ideal.extend`` did.
+``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
+``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
+``transpose_check`` build on it and on point_power as the library did
+before its batched eliminator.  The direct formulas (``transform.dft``,
+``transform.idft``) stay in the library as the transform oracle;
+``dft(c, indices)`` is the reference of ``dft_partial``.
 """
 
 from avcodes.gf import ZERO, ONE
-from avcodes.ideal import IdealError, _is_sequential
+from avcodes.ideal import (IdealError, _is_sequential, _level_leads, DeltaSet, Polynomial,
+                           ReducedGroebnerBasis)
 from avcodes.mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
-from avcodes.transform import Spectrum, Word, index_space, omega_space, _require_full
+from avcodes.transform import (Spectrum, Word, index_space, omega_space, _require_full,
+                               point_power, dft_partial)
 
 
 # -- 1-D kernels and the multidimensional fast path -----------------------
@@ -208,3 +213,187 @@ def extend(h, gb, target):
     out = dict(h.values)
     out.update((t, vals[s]) for t, s in outputs)
     return Spectrum(gb.field, gb.ndim, out)
+
+
+# -- scalar Gaussian elimination and the bases built on it -----------------
+
+class Eliminator:
+    """Incremental Gaussian elimination with one Field call per operation.
+
+    Each inserted vector is reduced against the rows so far and, if
+    independent of them, kept as a row normalized at its pivot (its first
+    nonzero entry) together with its expression over the inserted tags.
+    ``reduce`` subtracts the rows in insertion order and returns the
+    residual and the combination ``comb`` with
+    vec = residual + sum(comb[t] * vec_t).
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []  # (pivot, normalized row, row as a combination over tags)
+
+    def reduce(self, vec):
+        f = self.field
+        vec = list(vec)
+        comb = {}
+        for pivot, row, row_comb in self.rows:
+            c = vec[pivot]
+            if c == ZERO:
+                continue
+            for i, y in enumerate(row):
+                if y != ZERO:
+                    vec[i] = f.sub(vec[i], f.mul(c, y))
+            for t, y in row_comb.items():
+                s = f.add(comb.get(t, ZERO), f.mul(c, y))
+                if s == ZERO:
+                    comb.pop(t, None)
+                else:
+                    comb[t] = s
+        return vec, comb
+
+    def insert(self, vec, tag):
+        """Add ``vec`` under ``tag`` and return None; if it depends on the
+        rows already inserted, add nothing and return its combination."""
+        f = self.field
+        vec, comb = self.reduce(vec)
+        pivot = next((i for i, x in enumerate(vec) if x != ZERO), None)
+        if pivot is None:
+            return comb
+        inv = f.inv(vec[pivot])
+        row_comb = {t: f.neg(f.mul(y, inv)) for t, y in comb.items()}
+        row_comb[tag] = inv
+        self.rows.append((pivot, [f.mul(x, inv) for x in vec], row_comb))
+        return None
+
+
+def _vanishing_element(field, ndim, lead, comb):
+    terms = {lead: ONE}
+    terms.update((d, field.neg(c)) for d, c in comb.items())
+    return Polynomial(field, ndim, terms)
+
+
+def vanishing_gb(points, order):
+    f = points.field
+    ndim = points.ndim
+    pts = list(points.points)
+    n = len(pts)
+    if n == 0:
+        raise IdealError("empty point set has no vanishing-ideal basis")
+    q = f.q
+
+    candidates = sorted(index_box(q, ndim, top=q), key=order.key)
+    elim = Eliminator(f)
+    delta = []
+    min_leads = []
+    scan_tails = {}
+    for e in candidates:
+        if any(dominates(e, m) for m in min_leads):
+            continue
+        comb = elim.insert([point_power(f, p, e) for p in pts], e)
+        if comb is None:
+            delta.append(e)
+        else:
+            min_leads.append(e)
+            scan_tails[e] = comb
+
+    if len(delta) != n:
+        raise IdealError("delta set size %d != %d points (non-distinct points?)"
+                         % (len(delta), n))
+    members = set(delta)
+
+    emit = set(_level_leads(members, q, ndim))
+    emit.update(m for m in min_leads if any(x >= q for x in m))
+    for m in min_leads:
+        if m not in emit and not any(dominates(m, e) for e in emit):
+            emit.add(m)
+    leads = sorted(emit, key=lambda a: tuple(reversed(a)))
+
+    elements = []
+    for e in leads:
+        if e in scan_tails:
+            comb = scan_tails[e]
+        else:
+            vec, comb = elim.reduce([point_power(f, p, e) for p in pts])
+            if any(v != ZERO for v in vec):
+                raise IdealError("lead %s is not in the ideal (internal error)" % (e,))
+        elements.append(_vanishing_element(f, ndim, e, comb))
+
+    ds = DeltaSet(frozenset(delta))
+    gb = ReducedGroebnerBasis(f, ndim, order, elements, leads, ds)
+    return gb, ds
+
+
+def check_set_basis(points, b_set, order):
+    f = points.field
+    ndim = points.ndim
+    pts = list(points.points)
+    if not pts:
+        raise IdealError("empty point set")
+    q = f.q
+    b_list = [tuple(b) for b in b_set]
+    members = set(b_list)
+    for b in members:
+        if len(b) != ndim or any(not 0 <= x < q for x in b):
+            raise IdealError("check index %s outside A" % (b,))
+
+    emit = set(_level_leads(members, q, ndim))
+    space = index_box(q, ndim)
+    outside = [a for a in sorted(space, key=order.key) if a not in members]
+    minimal = [a for a in outside if not any(dominates(a, m) and a != m for m in outside)]
+    for m in minimal:
+        if m not in emit and not any(dominates(m, e) for e in emit):
+            emit.add(m)
+    b_delta = DeltaSet(frozenset(members))
+    if not b_delta.is_downward_closed():
+        units = [tuple(int(j == i) for j in range(ndim)) for i in range(ndim)]
+        emit.update(a for a in (semigroup_add(b, e, q) for b in b_list for e in units)
+                    if a not in members)
+    leads = sorted(emit, key=lambda a: tuple(reversed(a)))
+
+    elim = Eliminator(f)
+    for b in b_list:
+        elim.insert([point_power(f, p, b) for p in pts], b)
+    elements = []
+    for a in leads:
+        vec, comb = elim.reduce([point_power(f, p, a) for p in pts])
+        if any(v != ZERO for v in vec):
+            raise IdealError(
+                "check-set system unsolvable on the points (ev not surjective)")
+        elements.append(_vanishing_element(f, ndim, a, comb))
+    return ReducedGroebnerBasis(f, ndim, order, elements, leads, b_delta)
+
+
+def check_systematic_support(phi, code):
+    """``avcodes.decoder.check_systematic_support`` after its size check."""
+    f = code.field
+    elim = Eliminator(f)
+    return all(elim.insert([point_power(f, p, b) for p in phi.points], b) is None
+               for b in code.b_list)
+
+
+def transpose_check(delta, psi):
+    from avcodes.maps import evaluate
+
+    f = psi.field
+    members = delta.members if isinstance(delta, DeltaSet) else frozenset(delta)
+    if len(members) != len(psi):
+        return False
+    monos = sorted(members)
+    pts = list(psi.points)
+    n = len(pts)
+    ev_rows = []
+    for d in monos:
+        unit = Spectrum(f, psi.ndim, {e: (0 if e == d else ZERO) for e in monos})
+        w = evaluate(unit, psi)
+        ev_rows.append([w.values[p] for p in pts])
+    pt_rows = []
+    for p in pts:
+        unit = Word(f, psi.ndim, {pp: (0 if pp == p else ZERO) for pp in pts})
+        s = dft_partial(unit, monos)
+        pt_rows.append([s.values[d] for d in monos])
+    for i in range(len(monos)):
+        for j in range(n):
+            if ev_rows[i][j] != pt_rows[j][i]:
+                return False
+    elim = Eliminator(f)
+    return all(elim.insert(row, i) is None for i, row in enumerate(ev_rows))

@@ -197,7 +197,16 @@ def test_bench_json(tmp_path, capsys):
     path = tmp_path / "bench.json"
     rc, out, _ = run(capsys, "bench", "--seed", "5", "--json", "--output", str(path))
     assert rc == EXIT_OK and out == ""
-    assert json.loads(path.read_text())["presets"].keys() == doc["presets"].keys()
+    again = json.loads(path.read_text())
+    assert again["presets"].keys() == doc["presets"].keys()
+    # the basis layers: keys per preset, and op counts that repeat
+    for name, rec in doc["presets"].items():
+        layers = rec["layers"]
+        sys_phi = {"check_set_basis"} if name in ("hermitian", "hcrs") else set()
+        assert set(layers) == {"vanishing_gb"} | sys_phi
+        for layer, row in layers.items():
+            assert set(row) == {"ops", "ms"} and row["ops"] > 0 and row["ms"] >= 0
+            assert again["presets"][name]["layers"][layer]["ops"] == row["ops"]
 
 
 def test_config_file_pipeline(tmp_path, capsys, rng):

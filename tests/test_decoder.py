@@ -291,20 +291,23 @@ def test_out_of_range_values_rejected(hermitian, rng, entry, bad):
         pos = hermitian.info_support()[2]
         h.values[pos] = bad
         call = lambda: encode_nonsystematic(h, hermitian)
+        what = "information spectrum"
     elif entry == "systematic_encode":
         phi = PointSet(f, 2, HERM_SYS_PHI)
         info = Word(f, 2, {p: ZERO for p in hermitian.psi.points if p not in set(phi.points)})
         pos = next(iter(info.values))
         info.values[pos] = bad
         call = lambda: systematic_encode(info, phi, hermitian)
+        what = "information word"
     else:
         r = encode_nonsystematic(h, hermitian)
         pos = hermitian.psi.points[3]
         r.values[pos] = bad
         fn = decode_info if entry == "decode_info" else decode_word
         call = lambda: fn(r, PointSet(f, 2, ()), hermitian)
+        what = "received word"
     # 1.5 would die inside the tables, True would pass for the code 1
-    msg = r"at \(%d, %d\): bad element code %s" % (*pos, re.escape(repr(bad)))
+    msg = r"^%s at \(%d, %d\): bad element code %s" % (what, *pos, re.escape(repr(bad)))
     with pytest.raises(FieldError, match=msg):
         call()
 
