@@ -22,15 +22,14 @@ first t//2 and its last t - t//2 candidates, and a size-k half holds
 every all-nonzero combination of k reduced columns.  Each half is turned
 into sorted uint64 keys once per ``locate`` call, as itself (the left
 side) or added to the target (the right side, target minus a
-combination), and serves every t that needs it.  Keys pack the rows in
-base q, after a fixed pseudo-random GF(q)-linear projection when the rows
-are longer than a key needs; the two sides are joined with
-``searchsorted`` and every key match is re-checked on the full-length
-vectors, so the search returns exactly the supports of plain
-enumeration.  Before a half is built its size is estimated
-(``half_table_bytes``); above TABLE_BUDGET the locator raises
-UndecodableError instead of allocating it.  Fields without numpy tables
-(q > gf.NP_TABLE_Q) use the pure-Python search.
+combination), and serves every t that needs it.  Keys pack the canonical
+base-p encodings of the rows (gf ``np_enc_add``) in base q, after a
+fixed pseudo-random GF(q)-linear projection when the rows are longer
+than a key needs; the two sides are joined with ``searchsorted`` and
+every key match is re-checked on the full-length vectors, so the search
+returns exactly the supports of plain enumeration.  Before a half is
+built its size is estimated (``half_table_bytes``); above TABLE_BUDGET
+the locator raises UndecodableError instead of allocating it.
 """
 
 import itertools
@@ -44,7 +43,8 @@ from .gf import ZERO
 from .transform import Spectrum, Word, dft_partial, index_space, power_matrix
 from .maps import PointSet, restrict_idft
 from .ideal import (vanishing_gb, check_set_basis, extend, ReducedGroebnerBasis,
-                    DeltaSet, Polynomial, IdealError, Eliminator, index_array)
+                    DeltaSet, Polynomial, IdealError, Eliminator, index_array,
+                    rows_independent)
 from .codes import is_dual_codeword
 
 
@@ -125,6 +125,9 @@ def _trivial_locator(field, ndim, order):
 
 # ceiling on the estimated bytes of all half tables of one locate call
 TABLE_BUDGET = 256 << 20
+# a half is built in passes of whole leading coefficients, at least this
+# many rows each so that small blocks amortize numpy's per-call cost
+_PASS_ROWS = 4096
 _MASK64 = (1 << 64) - 1
 
 
@@ -135,10 +138,11 @@ def _half_rows(ncand, k, q):
 def half_table_bytes(ncand, k, q, r):
     """Estimated peak bytes of one half table over ncand columns with
     r-symbol keys: on each of its two key sides a uint64 key and an intp
-    sort index per row, plus the symbols and intp gather indices of the
-    largest block (one leading coefficient) while it is built."""
+    sort index per row, the join's intp positions and gathered keys per
+    row, 16 bytes a row for the scaled columns and slack, plus the symbols
+    and gather indices of the largest pass while it is built."""
     rows = _half_rows(ncand, k, q)
-    return rows * 32 + rows // (q - 1) * r * 16
+    return rows * 64 + max(rows // (q - 1), _PASS_ROWS) * r * 16
 
 
 def _key_width(q, veclen, largest):
@@ -173,50 +177,42 @@ def _pack(rows, q):
 
 class _SupportSearch:
     """All index supports of each size t <= t_max admitting an all-nonzero
-    combination of ``columns`` equal to ``target``, by a sort join of
-    half tables that are built on first use and kept for larger t."""
+    combination of ``columns`` equal to ``target`` (element codes), by a
+    sort join of half tables that are built on first use and kept for
+    larger t."""
 
     def __init__(self, field, target, columns, t_max):
         self.field = field
         self.target = target
         self.columns = columns
-        add, mul, self.neg, dtype = field.np_tables()
+        self.ar = ar = field.np_arith()
         self.q = q = field.q
-        self.add_flat = add.ravel()
-        self.idx_dtype = np.uint16 if q <= 256 else np.uint32
         self.ncand = len(columns)
-        cols = np.array([[x + 1 for x in col] for col in columns],
-                        dtype=dtype).reshape(self.ncand, len(target))
-        tgt = np.array([x + 1 for x in target], dtype=dtype)
+        cols = np.array(columns, dtype=np.intp).reshape(self.ncand, len(target))
+        cols, tgt = field.np_exponents(cols), field.np_exponents(np.array(target, dtype=np.intp))
         # coordinates zero in every column and in the target (the pivots
         # of the erasure reduction) carry nothing
-        live = (cols != 0).any(axis=0) | (tgt != 0)
+        live = (cols != ar.zero).any(axis=0) | (tgt != ar.zero)
         cols, tgt = cols[:, live], tgt[live]
         veclen = len(tgt)
         largest = _half_rows(self.ncand, (t_max + 1) // 2, q)
         self.r = r = _key_width(q, veclen, largest)
         if r < veclen:
-            # a fixed pseudo-random r x veclen matrix over GF(q)
+            # a fixed pseudo-random r x veclen matrix over GF(q): entry v
+            # is alpha^(v-1), or zero for v = 0
             P = np.array([[_mix(i * veclen + j) % q for j in range(veclen)]
-                          for i in range(r)], dtype=dtype)
-            both = mul[P, np.vstack([cols, tgt])[:, None, :]]
-            acc = both[..., 0]
-            for j in range(1, veclen):
-                acc = self._add(acc, both[..., j])
-            cols, tgt = acc[:-1], acc[-1]
+                          for i in range(r)], dtype=np.intp)
+            both = field.np_dot(field.np_exponents(P - 1), np.vstack([cols, tgt])[:, None, :])
+            cols, tgt = both[:-1], both[-1]
             field.op_count += (self.ncand + 1) * r * (2 * veclen - 1)
-        self.tgt = tgt
-        self.scaled = mul[:, cols]  # scaled[c, i] = c * column i
+        self.tgt = ar.enc[tgt]
+        # scaled[c, i] = alpha^c * column i, as encodings
+        self.scaled = ar.enc[np.arange(q - 1)[:, None, None] + cols]
         self.combos = {}
         self.sides = {}  # (k, want) -> (sorted keys, row of each key)
         self.reserved = {}  # k -> estimated bytes of half k
         self.stats = {"t": 0, "candidates": self.ncand, "r": r,
                       "entries": 0, "matches": 0}
-
-    def _add(self, a, b):
-        """Elementwise a + b in shifted coding, gathered from the flat add
-        table through one index array."""
-        return self.add_flat.take(a.astype(self.idx_dtype) * self.q + b)
 
     def _reserve(self, t, ks):
         for k in ks:
@@ -239,25 +235,26 @@ class _SupportSearch:
         c_1*col_i1 + ... + c_k*col_ik or, with ``want``, of the rows
         target + c_1*col_i1 + ... (target minus the row of the negated
         coefficients).  Rows run in the order (c_1, ..., c_k, i1 < ... <
-        ik) and are built one leading coefficient at a time."""
+        ik) and are built a few leading coefficients at a time."""
         if (k, want) not in self.sides:
-            q, r = self.q, self.r
+            f, q, r = self.field, self.q, self.r
             combos = self._combos(k)
             nrows = _half_rows(self.ncand, k, q)
             keys = np.empty(nrows, dtype=np.uint64)
             if k == 0:
                 keys[:] = _pack((self.tgt if want else np.zeros_like(self.tgt))[None], q)
             elif nrows:
-                rest = [self.scaled[1:, combos[:, j]] for j in range(1, k)]
+                rest = [self.scaled[:, combos[:, j]] for j in range(1, k)]
                 block = nrows // (q - 1)
-                for c in range(1, q):
-                    acc = self.scaled[c, combos[:, 0]]
+                step = max(1, _PASS_ROWS // block)
+                for c in range(0, q - 1, step):
+                    acc = self.scaled[c:c + step, combos[:, 0]]
                     if want:
-                        acc = self._add(self.tgt, acc)
+                        acc = f.np_enc_add(self.tgt, acc)
                     for part in rest:
-                        acc = self._add(acc[..., None, :, :], part)
-                    keys[(c - 1) * block:c * block] = _pack(acc.reshape(-1, r), q)
-                self.field.op_count += nrows * r * (2 * k - 1 + want)
+                        acc = f.np_enc_add(acc[..., None, :, :], part)
+                    keys[c * block:(c + step) * block] = _pack(acc.reshape(-1, r), q)
+                f.op_count += nrows * r * (2 * k - 1 + want)
             order = np.argsort(keys)
             self.sides[k, want] = keys[order], order
             self.stats["entries"] += nrows
@@ -272,7 +269,7 @@ class _SupportSearch:
         coeffs = []
         for _ in range(k):
             block, c = divmod(block, self.q - 1)
-            coeffs.append(int(self.neg[c + 1]) - 1 if want else c)
+            coeffs.append((c + self.ar.neg) % (self.q - 1) if want else c)
         return tuple(combos[i].tolist()), tuple(reversed(coeffs))
 
     def _exact(self, support, coeffs):
@@ -291,7 +288,7 @@ class _SupportSearch:
         if not len(a_keys) or not len(b_keys):
             return []
         lo = np.searchsorted(a_keys, b_keys)
-        hit = np.flatnonzero(a_keys[np.minimum(lo, len(a_keys) - 1)] == b_keys)
+        hit = np.flatnonzero(a_keys.take(lo, mode="clip") == b_keys)
         lo = lo[hit]
         counts = np.searchsorted(a_keys, b_keys[hit], "right") - lo
         total = int(counts.sum())
@@ -316,39 +313,11 @@ class _SupportSearch:
         return sorted(found)
 
 
-def _find_supports_python(field, target, columns, t):
-    """Pure fallback for fields too large for dense tables."""
-    def half_entries(k):
-        if k == 0:
-            yield tuple([ZERO] * len(target)), ()
-            return
-        for combo in itertools.combinations(range(len(columns)), k):
-            for coeffs in itertools.product(field.nonzero(), repeat=k):
-                acc = [ZERO] * len(target)
-                for idx, c in zip(combo, coeffs):
-                    col = columns[idx]
-                    acc = [field.add(a, field.mul(c, x)) for a, x in zip(acc, col)]
-                yield tuple(acc), combo
-
-    ka = t // 2
-    lookup = {}
-    for vec, combo in half_entries(ka):
-        lookup.setdefault(vec, []).append(combo)
-    found = set()
-    for vec, combo in half_entries(t - ka):
-        want = tuple(field.sub(tv, v) for tv, v in zip(target, vec))
-        for combo_a in lookup.get(want, ()):
-            if combo_a and combo and combo_a[-1] >= combo[0]:
-                continue
-            found.add(tuple(combo_a) + tuple(combo))
-    return sorted(found)
-
-
 class LocateResult(tuple):
     """The pair (basis, located) returned by ``locate``, with the search
     statistics as ``stats``: the largest size t searched, the candidate
     count, the key width r, and the half-table rows built and key matches
-    joined (both 0 on the pure-Python path)."""
+    joined."""
 
     def __new__(cls, basis, located, stats):
         pair = super().__new__(cls, (basis, located))
@@ -386,11 +355,13 @@ def locate(synd, phi1, code, t_max=None):
     phi1_set = set(phi1.points)
     elim = Eliminator(f, len(b_list))
     _, ops = elim.insert(_column_exponents(code, phi1.points), phi1.points)
-    # the target and every candidate column in one batch; the columns
-    # count only when the target is nonzero
+    # the target, and every candidate column when a search may follow
+    # (t_max > 0), in one batch; the columns count only when the target
+    # is nonzero
     candidates = [p for p in code.psi.points if p not in phi1_set]
-    batch = np.vstack([f.np_exponents(np.array(s, dtype=np.intp)),
-                       _column_exponents(code, candidates)])
+    batch = f.np_exponents(np.array(s, dtype=np.intp))[None]
+    if t_max:
+        batch = np.vstack([batch, _column_exponents(code, candidates)])
     res, _, reduce_ops = elim.reduce(batch)
     f.op_count += ops + int(reduce_ops[0])
     live = res != f.np_arith().zero
@@ -400,25 +371,15 @@ def locate(synd, phi1, code, t_max=None):
     stats = {"t": 0, "candidates": 0, "r": 0, "entries": 0, "matches": 0}
     if live[0].any():
         f.op_count += int(reduce_ops[1:].sum())
-        target = res[0].tolist()
         eligible = np.flatnonzero(live[1:].any(axis=1))
-        reduced_cols = res[1 + eligible].tolist()
-        eligible = eligible.tolist()
-        search = None
-        if f.np_tables() is not None:
-            search = _SupportSearch(f, target, reduced_cols, t_max)
-            stats = search.stats
-        else:
-            stats["candidates"] = len(reduced_cols)
         supports = []
-        for t in range(1, t_max + 1):
-            if search:
+        if t_max:
+            search = _SupportSearch(f, res[0].tolist(), res[1 + eligible].tolist(), t_max)
+            stats = search.stats
+            for t in range(1, t_max + 1):
                 supports = search.supports(t)
-            else:
-                stats["t"] = t
-                supports = _find_supports_python(f, target, reduced_cols, t)
-            if supports:
-                break
+                if supports:
+                    break
         if not supports:
             raise UndecodableError(
                 "no error support of size <= %d is consistent with the syndrome" % t_max)
@@ -555,11 +516,9 @@ def check_systematic_support(phi, code):
     f = code.field
     vecs = power_matrix(f, index_array(code.b_list, code.ndim),
                         index_array(phi.points, code.ndim))
-    # insertion stops at the first dependent row
-    done, ops = Eliminator(f, len(phi)).insert(
-        vecs, code.b_list, lambda row, tail: np.ones(len(vecs), dtype=bool))
-    f.op_count += len(done) * (2 * code.ndim - 1) * len(phi) + ops
-    return all(tail is None for _, tail in done)
+    independent, inserted = rows_independent(f, vecs)
+    f.op_count += inserted * (2 * code.ndim - 1) * len(phi)
+    return independent
 
 
 def systematic_basis(phi, code):

@@ -4,13 +4,15 @@ Elements are plain ints in exponent notation: ``k`` stands for alpha^k
 (0 <= k <= q-2) and ``-1`` stands for the zero element, matching the
 text convention used everywhere in this package ("-1 means 0").
 
-Two implementations share the field.  The scalar methods (``add``,
-``mul``, ...) take one element per call and bump ``op_count`` once per
-call.  The numpy layer (``np_arith``, ``np_dot``) works on whole arrays
-of exponents over O(q) arrays, for every field up to MAX_Q: a product is
-a sum of exponents, a sum is the XOR (p = 2) or the digit-wise sum mod p
-of base-p encodings.  Its callers add the analytic count of the scalar
-operations a kernel stands for to ``op_count`` in one addition.
+The scalar methods (``add``, ``mul``, ...) take one element per call
+and bump ``op_count`` once per call.  The numpy methods work on whole
+arrays of exponents over the O(q) arrays of ``np_arith``, for every
+field up to MAX_Q, and are not op-counted: their callers add the
+analytic count of the scalar operations a kernel stands for to
+``op_count`` in one addition.  A product is a sum of exponents.
+``np_dot`` sums products as XORs (p = 2) or as digit-wise sums mod p of
+spread base-p encodings; ``np_enc_add`` adds canonical base-p encodings
+elementwise.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ MAX_Q = 1 << 16
 # dense q x q add tables are built below this size; larger fields fall
 # back to Zech logarithms
 DENSE_Q = 512
-# numpy tables (``Field.np_tables``) are built up to this size
+# ``Field.np_enc_add`` reads a q x q sum table for odd p up to this size
 NP_TABLE_Q = 4096
 
 
@@ -60,9 +62,13 @@ class GFArrays:
     as at most ``chunk`` terms meet before the digits are reduced mod p;
     digit i sits at bit ``shifts[i]`` and has place value ``place[i]`` in
     the base-p encoding.  ``log`` maps a base-p encoding back to its
-    exponent (``zero`` for 0) and ``neg`` is the exponent of -1."""
+    exponent (``zero`` for 0) and ``neg`` is the exponent of -1.
+    ``enc[x]`` is the canonical base-p encoding of exponent x (0 for the
+    zero element) as uint16, ``exp`` itself for p = 2; ``Field.np_enc_add``
+    adds encodings."""
 
     exp: np.ndarray
+    enc: np.ndarray
     log: np.ndarray
     zero: int
     neg: int
@@ -123,8 +129,8 @@ class Field:
         self.m = m
         self.q = spec.q
         self.op_count = 0
-        self._np_tables = None
         self._np_arith = None
+        self._enc_sums = None
         self._build_tables()
 
     @classmethod
@@ -210,55 +216,50 @@ class Field:
             mult *= p
         return out
 
-    def np_tables(self):
-        """Dense numpy tables ``(add, mul, neg, dtype)`` in shifted coding
-        (0 is the zero element, k+1 is alpha^k), or None for q above
-        NP_TABLE_Q.  Built with numpy from the antilog table on first use,
-        cached, and not op-counted."""
-        q = self.q
-        if self._np_tables is not None or q > NP_TABLE_Q:
-            return self._np_tables
-        n = q - 1
-        dtype = np.uint8 if q <= 255 else np.uint16
-        lg = np.arange(-1, n)  # exponent of each shifted code, -1 for zero
-        enc = np.array((0,) + self.antilog)
-        dec = np.empty(q, dtype=dtype)
-        dec[enc] = np.arange(q)
-        add = np.empty((q, q), dtype=dtype)
-        mul = np.empty((q, q), dtype=dtype)
-        # row blocks keep the int64 temporaries near 8 MB
-        step = max(1, (1 << 20) // q)
-        for lo in range(0, q, step):
-            rows = slice(lo, lo + step)
-            add[rows] = dec[self._digit_add(enc[rows, None], enc)]
-            mul[rows] = (lg[rows, None] + lg) % n + 1
-        mul[0] = mul[:, 0] = 0
-        neg = np.zeros(q, dtype=dtype)
-        neg[1:] = (lg[1:] + self._neg_code) % n + 1
-        self._np_tables = (add, mul, neg, dtype)
-        return self._np_tables
-
     def np_arith(self):
         """The numpy layer's ``GFArrays``, built on first use, cached, and
         not op-counted."""
         if self._np_arith is None:
             p, m, n = self.p, self.m, self.q - 1
             zero = 2 * n
-            enc = np.array(self.antilog, dtype=np.int64)
+            codes = np.array(self.antilog, dtype=np.int64)
+            enc = np.zeros(2 * zero + 1, dtype=np.uint16)
+            enc[:zero] = np.tile(codes, 2)
             bits = 63 // m
             shifts, place = bits * np.arange(m), p ** np.arange(m)
-            spread = enc
+            exp = enc
             if p > 2:
-                spread = (enc[:, None] // place % p << shifts).sum(axis=1)
-            exp = np.zeros(2 * zero + 1, dtype=np.uint16 if p == 2 else np.int64)
-            exp[:zero] = np.tile(spread, 2)
+                exp = np.zeros(2 * zero + 1, dtype=np.int64)
+                exp[:zero] = np.tile((codes[:, None] // place % p << shifts).sum(axis=1), 2)
             log = np.full(self.q, zero, dtype=np.intp)
-            log[enc] = np.arange(n)
+            log[codes] = np.arange(n)
             # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
             chunk = ((1 << bits) - 1) // (p - 1) - 1
-            self._np_arith = GFArrays(exp, log, zero, self._neg_code, bits, chunk,
+            self._np_arith = GFArrays(exp, enc, log, zero, self._neg_code, bits, chunk,
                                       shifts, place)
         return self._np_arith
+
+    def np_enc_add(self, a, b):
+        """Elementwise sum of two broadcast arrays of canonical encodings,
+        as uint16 encodings: XOR for p = 2, a flat q x q sum table (built
+        on first use) for odd p up to NP_TABLE_Q, digit arithmetic above;
+        not op-counted."""
+        p, q = self.p, self.q
+        if p == 2:
+            return a ^ b
+        if q > NP_TABLE_Q:
+            return self._digit_add(a.astype(np.int64), b).astype(np.uint16)
+        if self._enc_sums is None:
+            # one base-p digit at a time: [a' p + a0, b' p + b0] holds
+            # p * sum(a', b') + (a0 + b0) % p
+            digit = np.arange(p, dtype=np.uint16)
+            table = np.zeros((1, 1), dtype=np.uint16)
+            for k in p ** np.arange(self.m):
+                table = (p * table[:, None, :, None]
+                         + (digit[:, None, None] + digit) % p).reshape(k * p, k * p)
+            self._enc_sums = table.ravel()
+        # flat indices a * q + b fit uint16 up to q = 256
+        return self._enc_sums.take(a * (np.uint16(q) if q <= 256 else np.uint32(q)) + b)
 
     def np_codes(self, x):
         """Element codes (a list of ints, -1 for zero) of an exponent array."""

@@ -312,6 +312,18 @@ class Eliminator:
         return {t: x for t, x in zip(self.tags, tail.tolist()) if x != self._ar.zero}
 
 
+def rows_independent(field, vecs):
+    """Whether the rows of the exponent array ``vecs`` are linearly
+    independent, by inserting them in order up to the first dependent one.
+    Adds the insertion's count to ``op_count`` and returns (answer, number
+    of rows inserted)."""
+    n = len(vecs)
+    done, ops = Eliminator(field, vecs.shape[1]).insert(
+        vecs, range(n), lambda row, tail: np.ones(n, dtype=bool))
+    field.op_count += ops
+    return all(tail is None for _, tail in done), len(done)
+
+
 @dataclass(frozen=True)
 class DeltaSet:
     members: frozenset

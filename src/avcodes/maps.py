@@ -15,7 +15,7 @@ import numpy as np
 from .gf import ZERO
 from .mindex import format_index, parse_index
 from .transform import Spectrum, Word, dft_partial, idft_fast, point_power, index_space
-from .ideal import extend, DeltaSet, Eliminator
+from .ideal import extend, DeltaSet, rows_independent
 
 
 class MapError(ValueError):
@@ -146,8 +146,5 @@ def transpose_check(delta, psi):
         for j in range(n):
             if ev_rows[i][j] != pt_rows[j][i]:
                 return False
-    # insertion stops at the first dependent row
     rows = f.np_exponents(np.array(ev_rows, dtype=np.intp).reshape(n, n))
-    done, ops = Eliminator(f, n).insert(rows, range(n), lambda row, tail: np.ones(n, dtype=bool))
-    f.op_count += ops
-    return all(tail is None for _, tail in done)
+    return rows_independent(f, rows)[0]

@@ -9,10 +9,14 @@ field operation at a time, like ``avcodes.ideal.extend`` did.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
 ``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
 ``transpose_check`` build on it and on point_power as the library did
-before its batched eliminator.  The direct formulas (``transform.dft``,
-``transform.idft``) stay in the library as the transform oracle;
-``dft(c, indices)`` is the reference of ``dft_partial``.
+before its batched eliminator.  ``find_supports`` is the plain
+meet-in-the-middle enumeration the locator's sort-join search must
+match.  The direct formulas (``transform.dft``, ``transform.idft``) stay
+in the library as the transform oracle; ``dft(c, indices)`` is the
+reference of ``dft_partial``.
 """
+
+import itertools
 
 from avcodes.gf import ZERO, ONE
 from avcodes.ideal import (IdealError, _is_sequential, _level_leads, DeltaSet, Polynomial,
@@ -397,3 +401,34 @@ def transpose_check(delta, psi):
                 return False
     elim = Eliminator(f)
     return all(elim.insert(row, i) is None for i, row in enumerate(ev_rows))
+
+
+# -- the locator's support search -----------------------------------------
+
+def find_supports(field, target, columns, t):
+    """The sorted supports of size t admitting an all-nonzero combination
+    of ``columns`` equal to ``target``: every half combination enumerated
+    with Field calls and joined through a dict."""
+    def half_entries(k):
+        if k == 0:
+            yield tuple([ZERO] * len(target)), ()
+            return
+        for combo in itertools.combinations(range(len(columns)), k):
+            for coeffs in itertools.product(field.nonzero(), repeat=k):
+                acc = [ZERO] * len(target)
+                for idx, c in zip(combo, coeffs):
+                    acc = [field.add(a, field.mul(c, x)) for a, x in zip(acc, columns[idx])]
+                yield tuple(acc), combo
+
+    ka = t // 2
+    lookup = {}
+    for vec, combo in half_entries(ka):
+        lookup.setdefault(vec, []).append(combo)
+    found = set()
+    for vec, combo in half_entries(t - ka):
+        want = tuple(field.sub(tv, v) for tv, v in zip(target, vec))
+        for combo_a in lookup.get(want, ()):
+            if combo_a and combo and combo_a[-1] >= combo[0]:
+                continue
+            found.add(tuple(combo_a) + tuple(combo))
+    return sorted(found)

@@ -1,13 +1,16 @@
 import itertools
 import re
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import scalar_reference as reference
 from avcodes import decoder
-from avcodes.gf import Field, FieldError, ZERO, ONE
+from avcodes.gf import Field, FieldError, ZERO, ONE, NP_TABLE_Q
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import vanishing_gb, _is_sequential
 from avcodes.transform import Spectrum, Word, point_power
@@ -318,18 +321,23 @@ SEARCH_FIELDS = {q: Field(*spec) for q, spec in {
     9: (3, 2, (2, 1, 1)),
     16: (2, 4, (1, 1, 0, 0, 1)),
 }.items()}
+# odd p above NP_TABLE_Q: the search adds encodings digit by digit
+GF3_8 = Field(3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1))
 
 
 @st.composite
 def support_systems(draw):
-    """(field, target, columns) shaped like the locator's input after
-    erasure reduction: nonzero columns, some of them equal or proportional
-    to others, coordinates that are zero everywhere, and often a planted
-    combination of up to four columns as the target."""
-    q = draw(st.sampled_from(sorted(SEARCH_FIELDS)))
-    f = SEARCH_FIELDS[q]
-    ncand = draw(st.integers(1, 4 if q == 16 else 6))
-    veclen = draw(st.integers(1, 12))
+    """(field, target, columns, t_max) shaped like the locator's input
+    after erasure reduction: nonzero columns, some of them equal or
+    proportional to others, coordinates that are zero everywhere, and
+    often a planted combination of up to t_max columns as the target.
+    GF(3^8) gets t_max = 2 and at most 2 short columns, so that the
+    oracle's enumeration stays fast."""
+    q = draw(st.sampled_from(sorted(SEARCH_FIELDS) + [GF3_8.q]))
+    f = SEARCH_FIELDS.get(q, GF3_8)
+    t_max = 2 if q > NP_TABLE_Q else 4
+    ncand = draw(st.integers(1, 2 if q > NP_TABLE_Q else 4 if q == 16 else 6))
+    veclen = draw(st.integers(1, 4 if q > NP_TABLE_Q else 12))
     elem = st.integers(-1, q - 2)
     cols = draw(st.lists(st.lists(elem, min_size=veclen, max_size=veclen),
                          min_size=ncand, max_size=ncand))
@@ -337,7 +345,7 @@ def support_systems(draw):
                                                st.integers(0, ncand - 1),
                                                st.integers(0, q - 2)), max_size=2)):
         cols[dst] = [f.mul(c, x) for x in cols[src]]
-    size = draw(st.integers(0, min(4, ncand)))
+    size = draw(st.integers(0, min(t_max, ncand)))
     if size:
         support = draw(st.lists(st.integers(0, ncand - 1), min_size=size,
                                 max_size=size, unique=True))
@@ -352,22 +360,22 @@ def support_systems(draw):
     target = [ZERO if j in dead else x for j, x in enumerate(target)]
     assume(any(x != ZERO for x in target))
     assume(all(any(x != ZERO for x in col) for col in cols))
-    return f, target, cols
+    return f, target, cols, t_max
 
 
 @settings(max_examples=60, deadline=None)
 @given(support_systems(), st.booleans())
 def test_support_search_matches_python_oracle(system, narrow_keys):
     # the sort-join search equals plain meet-in-the-middle enumeration for
-    # every t, whether one search serves t = 1..4 or a fresh one serves
+    # every t, whether one search serves t = 1..t_max or a fresh one serves
     # each t; one-symbol keys make hash collisions the rule, which the
     # exact re-check must filter out
-    f, target, cols = system
+    f, target, cols, t_max = system
     width = (lambda q, veclen, largest: 1) if narrow_keys else decoder._key_width
     with mock.patch.object(decoder, "_key_width", width):
-        shared = decoder._SupportSearch(f, target, cols, 4)
-        for t in range(1, 5):
-            want = decoder._find_supports_python(f, target, cols, t)
+        shared = decoder._SupportSearch(f, target, cols, t_max)
+        for t in range(1, t_max + 1):
+            want = reference.find_supports(f, target, cols, t)
             assert shared.supports(t) == want
             assert decoder._SupportSearch(f, target, cols, t).supports(t) == want
 
@@ -413,28 +421,82 @@ def test_code_columns_cached(hermitian):
     assert list(col) == [point_power(f, p, b) for b in hermitian.b_list]
 
 
-def test_decode_info_above_dense_tables():
-    # q = 2^13 > 4096: Zech-log arithmetic and the pure-Python support search
-    code = code_from_config({
-        "field": {"p": 2, "m": 13,
-                  "primitive_poly": [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]},
+# fields above NP_TABLE_Q: p = 2 adds encodings by XOR, odd p digit by digit
+LARGE_FIELDS = {
+    "GF(2^13)": {"p": 2, "m": 13,
+                 "primitive_poly": [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]},
+    "GF(3^8)": {"p": 3, "m": 8, "primitive_poly": [2, 0, 0, 0, 0, 1, 0, 0, 1]},
+}
+
+
+def _line_code(field, n, nb):
+    """An N = 1 code over a large field: n points (zero and spread powers
+    of alpha), B = {0, ..., nb - 1} and d_fr = nb + 1."""
+    q = field["p"] ** field["m"]
+    return code_from_config({
+        "field": field,
         "N": 1,
         "order": {"kind": "lex"},
-        "points": [[-1], [0], [5], [77], [123], [1000], [4000], [8000]],
-        "B": [[0], [1], [2], [3]],
-        "d_fr": 5,
+        "points": [[-1]] + [[k * 97 % (q - 1)] for k in range(n - 1)],
+        "B": [[b] for b in range(nb)],
+        "d_fr": nb + 1,
     })
+
+
+def test_decode_info_above_dense_tables(rng):
+    # q > 4096: Zech-log arithmetic and the sort-join search over the
+    # encodings of both large-field paths, two errors on a random codeword
+    for field in LARGE_FIELDS.values():
+        code = _line_code(field, 8, 4)
+        f = code.field
+        assert f.q > NP_TABLE_Q and f._zech is not None
+        h = random_info(code, rng)
+        cw = encode_nonsystematic(h, code)
+        r, phi1 = corrupt(code, cw, 0, 2, rng)
+        info = decode_info(r, phi1, code)
+        assert info.values == h.values
+        assert info.report.meta["locator"]["t"] == 2
+        res = decode_word(r, phi1, code)
+        assert res.codeword.values == cw.values
+        assert len(res.located) == 2
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FIELDS))
+def test_large_field_search_refused_by_budget(name, rng):
+    # three errors among 40 points: the size-1 halves of t = 1, 2 are
+    # searched, and the size-2 half of t = 3 (about 780 q^2 rows) is
+    # refused before it is built
+    code = _line_code(LARGE_FIELDS[name], 40, 6)
     f = code.field
     r = Word(f, 1, {p: ZERO for p in code.psi.points})
-    r.values[(5,)] = 17
-    r.values[(4000,)] = 4321
-    info = decode_info(r, PointSet(f, 1, ()), code)
-    assert info.values == {d: ZERO for d in code.info_support()}
+    for p in rng.sample(list(code.psi.points), 3):
+        r.values[p] = rng.randrange(0, f.q - 1)
+    start = time.perf_counter()
+    with pytest.raises(UndecodableError, match="support search of size 3 .* budget"):
+        decode_info(r, PointSet(f, 1, ()), code)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_large_field_search_memory_within_estimate(rng):
+    # one t = 2 search over GF(3^8), digit-by-digit sums, 40 candidates:
+    # its traced peak stays below the half-table estimate it reserved
+    f = GF3_8
+    cols = [[rng.randrange(-1, f.q - 1) for _ in range(6)] for _ in range(40)]
+    target = [rng.randrange(-1, f.q - 1) for _ in range(6)]
+    tracemalloc.start()
+    try:
+        search = decoder._SupportSearch(f, target, cols, 2)
+        search.supports(1)
+        search.supports(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert search.stats["entries"] == 1 + 2 * 40 * (f.q - 1)
+    assert peak < sum(search.reserved.values())
 
 
 def test_decode_info_zech_range():
-    # 512 < q = 2^10 <= 4096: Zech arithmetic with uint16 numpy tables and
-    # the sort-join search
+    # 512 < q = 2^10 <= 4096: Zech arithmetic and the sort-join search
     code = code_from_config({
         "field": {"p": 2, "m": 10,
                   "primitive_poly": [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]},
@@ -445,7 +507,7 @@ def test_decode_info_zech_range():
         "d_fr": 5,
     })
     f = code.field
-    assert f.np_tables()[3] == np.uint16
+    assert f._zech is not None and f.q <= NP_TABLE_Q
     r = Word(f, 1, {p: ZERO for p in code.psi.points})
     r.values[(17,)] = 5
     r.values[(700,)] = 1000

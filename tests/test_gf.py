@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avcodes.gf import Field, FieldSpec, FieldError, NotPrimitiveError, ZERO, ONE
+from avcodes.gf import (Field, FieldSpec, FieldError, NotPrimitiveError, ZERO, ONE,
+                        NP_TABLE_Q)
 
 
 def test_f8_construction(f8):
@@ -154,27 +155,33 @@ def test_op_counter(f8):
 
 
 @pytest.mark.parametrize("p,m,poly", [
+    (2, 2, (1, 1, 1)),
     (3, 2, (2, 1, 1)),
     (2, 4, (1, 1, 0, 0, 1)),
-    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # Zech arithmetic, uint16 tables
-])
-def test_np_tables_match_scalar(p, m, poly):
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # Zech arithmetic
+    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),  # above NP_TABLE_Q
+    (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1)),  # odd p above NP_TABLE_Q: digit arithmetic
+], ids=["GF(4)", "GF(9)", "GF(16)", "GF(2^10)", "GF(2^13)", "GF(3^8)"])
+def test_enc_add_matches_scalar(p, m, poly):
     f = Field(p, m, poly)
-    add, mul, neg, dtype = f.np_tables()
-    assert f.op_count == 0  # building the tables is not op-counted
-    assert f.np_tables() is f.np_tables()
+    ar = f.np_arith()
     q = f.q
-    assert add.shape == mul.shape == (q, q) and neg.shape == (q,)
-    assert add.dtype == mul.dtype == neg.dtype == dtype
-    shifted = [ZERO] + list(range(q - 1))  # slot s holds the element s - 1
-    rows = range(q) if q <= 16 else list(range(4)) + list(range(5, q, 97))
-    for i in rows:
-        a = shifted[i]
-        assert add[i].tolist() == [f.add(a, b) + 1 for b in shifted]
-        assert mul[i].tolist() == [f.mul(a, b) + 1 for b in shifted]
-        # the tables are symmetric, so this checks column i as well
-        assert (add[:, i] == add[i]).all() and (mul[:, i] == mul[i]).all()
-    assert all(neg[i] == f.neg(shifted[i]) + 1 for i in range(q))
+    # every exponent the numpy layer forms, the zero element's included
+    x = np.arange(2 * ar.zero + 1)
+    codes = np.where(x >= ar.zero, ZERO, x % (q - 1)).tolist()
+    assert ar.enc.dtype == np.uint16 and (p > 2 or ar.enc is ar.exp)
+    assert ar.enc.tolist() == [0 if c == ZERO else f.antilog[c] for c in codes]
+    rng = np.random.default_rng(q)
+    rows = x if q <= 16 else rng.choice(x, 200)
+    cols = x if q <= 16 else rng.choice(x, 200)
+    got = f.np_enc_add(ar.enc[rows, None], ar.enc[cols])
+    assert f.op_count == 0  # neither the arrays nor the sums are op-counted
+    assert got.dtype == np.uint16 and got.shape == (len(rows), len(cols))
+    for i, row in zip(rows.tolist(), got.tolist()):
+        want = [f.add(codes[i], codes[j]) for j in cols.tolist()]
+        assert row == [0 if w == ZERO else f.antilog[w] for w in want]
+    # only odd p up to NP_TABLE_Q reads a q x q sum table
+    assert (f._enc_sums is not None) == (p > 2 and q <= NP_TABLE_Q)
 
 
 @pytest.mark.parametrize("p,m,poly", [
