@@ -57,6 +57,12 @@ def _parse_poly(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def _nonnegative(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def _field_from_args(args):
     if args.p is None or args.m is None or args.poly is None:
         raise CliError("need --p, --m and --poly (or --config/--preset)", EXIT_CONFIG)
@@ -407,7 +413,7 @@ def build_parser():
     p = sub.add_parser("decode", help="recover the information spectrum")
     _add_code_args(p, need_field_flags=False)
     p.add_argument("--erasures", help="erasure point file")
-    p.add_argument("--t-max", type=int, default=None)
+    p.add_argument("--t-max", type=_nonnegative, default=None)
     p.add_argument("--output")
     p.add_argument("input", help="received word file ('?' marks an erasure)")
     p.set_defaults(fn=cmd_decode)
@@ -415,7 +421,7 @@ def build_parser():
     p = sub.add_parser("decode-word", help="split received word into codeword + error")
     _add_code_args(p, need_field_flags=False)
     p.add_argument("--erasures")
-    p.add_argument("--t-max", type=int, default=None)
+    p.add_argument("--t-max", type=_nonnegative, default=None)
     p.add_argument("--output")
     p.add_argument("input")
     p.set_defaults(fn=cmd_decode_word)

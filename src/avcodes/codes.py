@@ -12,9 +12,9 @@ import math
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, check_values, dft_partial, omega_space, point_power
+from .transform import Spectrum, check_values, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
-from .ideal import vanishing_gb
+from .ideal import index_array, vanishing_gb
 
 
 class CodeConfigError(ValueError):
@@ -33,6 +33,11 @@ class CodeSpec:
         self.ndim = ndim
         self.order = order
         self.psi = psi
+        if not len(psi):
+            raise CodeConfigError("the code has no points")
+        if order.weights is not None and len(order.weights) != ndim:
+            raise CodeConfigError("%d order weights for N = %d"
+                                  % (len(order.weights), ndim))
         self.gb, self.delta = vanishing_gb(psi, order)
         b_norm = []
         seen = set()
@@ -51,20 +56,11 @@ class CodeSpec:
             raise CodeConfigError("d_fr = %d outside 1..%d" % (d_fr, self.n))
         self.d_fr = d_fr
         self.name = name
-        self._columns = {}
-
-    def column(self, point):
-        """Evaluation column (point^b for b in B) of a code point, cached
-        on first use and, like the code's other precomputed data, not
-        op-counted."""
-        col = self._columns.get(point)
-        if col is None:
-            f = self.field
-            before = f.op_count
-            col = tuple(point_power(f, point, b) for b in self.b_list)
-            f.op_count = before
-            self._columns[point] = col
-        return col
+        # the evaluation column (point^b for b in B) of each code point, as
+        # one exponent row; precomputed like the basis, so not op-counted
+        self.columns = power_matrix(field, index_array(self.b_list, ndim),
+                                    index_array(psi.points, ndim)).T
+        self.point_row = {p: i for i, p in enumerate(psi.points)}
 
     def info_support(self):
         """D \\ B in increasing monomial order."""

@@ -325,13 +325,6 @@ class LocateResult(tuple):
         return pair
 
 
-def _column_exponents(code, points):
-    """The evaluation columns of the points as a |points| x |B| exponent
-    array."""
-    cols = np.array([code.column(p) for p in points], dtype=np.intp)
-    return code.field.np_exponents(cols.reshape(len(points), len(code.b_list)))
-
-
 def locate(synd, phi1, code, t_max=None):
     """Smallest error support consistent with the B-indexed syndrome.
 
@@ -353,15 +346,19 @@ def locate(synd, phi1, code, t_max=None):
     s = [synd.values[b] for b in b_list]
 
     phi1_set = set(phi1.points)
+    try:
+        phi1_rows = [code.point_row[p] for p in phi1.points]
+    except KeyError as exc:
+        raise UndecodableError("erasure location %s is not a code point" % (exc.args[0],))
     elim = Eliminator(f, len(b_list))
-    _, ops = elim.insert(_column_exponents(code, phi1.points), phi1.points)
+    _, ops = elim.insert(code.columns[phi1_rows], phi1.points)
     # the target, and every candidate column when a search may follow
     # (t_max > 0), in one batch; the columns count only when the target
     # is nonzero
     candidates = [p for p in code.psi.points if p not in phi1_set]
     batch = f.np_exponents(np.array(s, dtype=np.intp))[None]
     if t_max:
-        batch = np.vstack([batch, _column_exponents(code, candidates)])
+        batch = np.vstack([batch, np.delete(code.columns, phi1_rows, axis=0)])
     res, _, reduce_ops = elim.reduce(batch)
     f.op_count += ops + int(reduce_ops[0])
     live = res != f.np_arith().zero

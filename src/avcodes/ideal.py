@@ -18,16 +18,17 @@ sequence of row operations of inserting one vector at a time, so each
 step returns the scalar count of its rows and the bases count exactly
 what the one-vector-at-a-time scan counts (2N - 1 per evaluated entry,
 as point_power).  What does not depend on the points is cached per
-(q, N, order): the sorted scan box of vanishing_gb, and per check set B
-the leads of check_set_basis.
+(q, N, order): the sorted scan box, and per seed set its leads.
 
-The emitted basis carries one element per last-coordinate level of the
-staircase (the shape shift-register synthesis produces, which may
-include order-redundant elements such as y*g over a two-point set) plus
-the x_i^q-carrying minimal generators; see vanishing_gb.  A second
-construction, check_set_basis, seeds the recurrence tails on a check
-set B instead of the delta set, which is what erasure-only decoding
-beyond the radius and systematic encoding require.
+Both bases are one recurrence family, built by one routine: seeded on a
+set S of indices, it has one monic element with tail on S per
+last-coordinate level of the staircase of S (the shape shift-register
+synthesis produces, which may include order-redundant elements such as
+y*g over a two-point set) and per minimal index outside S.
+vanishing_gb seeds it on the delta set its scan finds and adds the
+x_i^q-carrying minimal generators; check_set_basis seeds it on a check
+set B, which is what erasure-only decoding beyond the radius and
+systematic encoding require.
 
 The extension (``extend``) is split in two.  A plan, built from the
 basis shape alone (q, N, order, leading indices, seed set, target and
@@ -401,6 +402,13 @@ def _scan_space(q, ndim, order_spec):
     return box, arr
 
 
+@lru_cache(maxsize=16)
+def _sorted_space(q, ndim, order_spec):
+    """A = {0..q-1}^N in increasing order: the scan box without the
+    indices that carry a component q."""
+    return tuple(a for a in _scan_space(q, ndim, order_spec)[0] if max(a) < q)
+
+
 def index_array(indices, ndim):
     """Multi-indices or points (tuples of length ndim) as a 2-D integer
     array, one row each."""
@@ -412,11 +420,10 @@ def vanishing_gb(points, order):
     delta set.  ``points`` is a PointSet (or anything with .field, .ndim,
     .points).
 
-    Every element is monic with tail supported on the delta set; the
-    emitted leading indices are the per-level ones (one per slice of the
-    staircase, the shape shift-register synthesis produces) together
-    with the divisibility-minimal generators that carry a component q,
-    ordered by level.
+    The scan finds the delta set and the minimal leads with their tails.
+    The basis is the family check_set_basis builds for B = delta (per
+    level and minimal leads) plus the minimal leads that carry a
+    component q.
 
     The scan inserts the candidates of the box in batches of 2 |points|,
     skipping every candidate that dominates a minimal lead found before
@@ -433,8 +440,7 @@ def vanishing_gb(points, order):
     elim = Eliminator(f, n)
     skipped = np.zeros(len(box), dtype=bool)
     delta = []
-    min_leads = []
-    scan_tails = {}
+    scan_tails = {}  # per minimal lead, in increasing order
     pos = 0
     while pos < len(box):
         batch = pos + np.flatnonzero(~skipped[pos:])[:2 * n]
@@ -454,39 +460,16 @@ def vanishing_gb(points, order):
             if tail is None:
                 delta.append(e)
             else:
-                min_leads.append(e)
                 scan_tails[e] = elim.terms(tail)
 
     if len(delta) != n:
         raise IdealError("delta set size %d != %d points (non-distinct points?)"
                          % (len(delta), n))
-    members = set(delta)
-
-    emit = set(_level_leads(members, q, ndim))
-    emit.update(m for m in min_leads if any(x >= q for x in m))
-    for m in min_leads:
-        if m not in emit and not any(dominates(m, e) for e in emit):
-            emit.add(m)
-    leads = sorted(emit, key=lambda a: tuple(reversed(a)))
-
-    rest = [e for e in leads if e not in scan_tails]
-    if rest:
-        res, tails, ops = elim.reduce(power_matrix(f, index_array(rest, ndim), w))
-        f.op_count += len(rest) * per + int(ops.sum())
-        outside = (res != f.np_arith().zero).any(axis=1)
-        if outside.any():
-            raise IdealError("lead %s is not in the ideal (internal error)"
-                             % (rest[outside.argmax()],))
-        scan_tails.update(zip(rest, map(elim.terms, tails)))
-    elements = []
-    for e in leads:
-        tail = scan_tails[e]
-        f.op_count += len(tail)  # the negated combination
-        elements.append(Polynomial(f, ndim, {e: ONE, **tail}))
-
-    ds = DeltaSet(frozenset(delta))
-    gb = ReducedGroebnerBasis(f, ndim, order, elements, leads, ds)
-    return gb, ds
+    # the minimal leads inside A are the corners of A \ delta, which
+    # _check_set_leads finds in the same order; none of them dominates a
+    # lead with a component q
+    gb = _family(elim, w, order, frozenset(delta), scan_tails)
+    return gb, gb.delta
 
 
 @lru_cache(maxsize=64)
@@ -515,6 +498,38 @@ def _check_set_leads(q, ndim, order_spec, members):
     return tuple(sorted(emit, key=lambda a: tuple(reversed(a))))
 
 
+def _family(elim, w, order, members, solved):
+    """The recurrence family seeded on ``members`` that vanishes on the
+    points ``w`` (one row each); ``elim`` holds the evaluation vectors of
+    the seed indices as rows.  Its leads are those of check_set_basis plus
+    the leads outside A among the tails already ``solved`` (lead ->
+    terms).  The other leads are reduced in one batch, and each is
+    counted in lead order as the scalar scan counts it."""
+    f = elim.field
+    ndim = w.shape[1]
+    per = (2 * ndim - 1) * len(w)
+    leads = sorted(_check_set_leads(f.q, ndim, (order.kind, order.weights), members)
+                   + tuple(a for a in solved if f.q in a), key=lambda a: tuple(reversed(a)))
+    rest = [a for a in leads if a not in solved]
+    if rest:
+        res, tails, ops = elim.reduce(power_matrix(f, index_array(rest, ndim), w))
+        bad = (res != f.np_arith().zero).any(axis=1).tolist()
+        fresh = dict(zip(rest, zip(bad, ops.tolist(), tails)))
+    elements = []
+    for a in leads:
+        terms = solved.get(a)
+        if terms is None:
+            unsolvable, cost, tail = fresh[a]
+            f.op_count += per + cost
+            if unsolvable:
+                raise IdealError(
+                    "check-set system unsolvable on the points (ev not surjective)")
+            terms = elim.terms(tail)
+        f.op_count += len(terms)  # the negated combination
+        elements.append(Polynomial(f, ndim, {a: ONE, **terms}))
+    return ReducedGroebnerBasis(f, ndim, order, elements, leads, DeltaSet(members))
+
+
 def check_set_basis(points, b_set, order):
     """Recurrence family seeded on a check set B: one monic element per
     needed leading index of A\\B (its corners, and when B is not closed
@@ -526,9 +541,9 @@ def check_set_basis(points, b_set, order):
     each element are solved from the point-evaluation system, which is
     solvable for every lead exactly when ev restricted to (V_B, points)
     is surjective.  When the delta set of the points equals B it
-    coincides with vanishing_gb.  The returned object's delta set is B,
-    the seed domain of the recurrences.  The leads depend on (q, N,
-    order, B) alone and are cached.
+    coincides with vanishing_gb on the leads inside A.  The returned
+    object's delta set is B, the seed domain of the recurrences.  The
+    leads depend on (q, N, order, B) alone and are cached.
     """
     f = points.field
     ndim = points.ndim
@@ -541,27 +556,13 @@ def check_set_basis(points, b_set, order):
     for b in members:
         if len(b) != ndim or any(not 0 <= x < q for x in b):
             raise IdealError("check index %s outside A" % (b,))
-    leads = _check_set_leads(q, ndim, (order.kind, order.weights), members)
-
     # tails use only the B columns independent of the earlier ones, so a
     # lead's solution is unique: the free-variables-zero one
-    per = (2 * ndim - 1) * n
     w = index_array(points.points, ndim)
     elim = Eliminator(f, n)
     _, ops = elim.insert(power_matrix(f, index_array(b_list, ndim), w), b_list)
-    f.op_count += len(b_list) * per + ops
-    res, tails, ops = elim.reduce(power_matrix(f, index_array(leads, ndim), w))
-    bad = (res != f.np_arith().zero).any(axis=1).tolist()
-    elements = []
-    for a, tail, unsolvable, cost in zip(leads, tails, bad, ops.tolist()):
-        f.op_count += per + cost
-        if unsolvable:
-            raise IdealError(
-                "check-set system unsolvable on the points (ev not surjective)")
-        terms = elim.terms(tail)
-        f.op_count += len(terms)  # the negated combination
-        elements.append(Polynomial(f, ndim, {a: ONE, **terms}))
-    return ReducedGroebnerBasis(f, ndim, order, elements, leads, DeltaSet(members))
+    f.op_count += len(b_list) * (2 * ndim - 1) * n + ops
+    return _family(elim, w, order, members, {})
 
 
 def normal_form(poly, gb):
@@ -623,11 +624,6 @@ class _Plan:
     check_slots: np.ndarray
     check_uses: tuple
     output_slots: tuple  # the slot of each target index
-
-
-@lru_cache(maxsize=16)
-def _sorted_space(q, ndim, order_spec):
-    return tuple(sorted(index_box(q, ndim), key=MonomialOrder(*order_spec).key))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -313,9 +313,9 @@ def _fibers(f, x, inverse):
     return out
 
 
-def _passes(f, x, ndim, axis_order, inverse):
+def _passes(f, x, ndim, inverse):
     q = f.q
-    for axis in axis_order if axis_order is not None else range(ndim):
+    for axis in range(ndim):
         # flat position = sum pos_i q^i: component ``axis`` has stride q^axis
         cube = x.reshape(q ** (ndim - axis - 1), q, q ** axis)
         fib = _fibers(f, cube.transpose(0, 2, 1).reshape(-1, q), inverse)
@@ -338,17 +338,17 @@ def idft_kernel(field, vec):
     return field.np_codes(_fibers(field, x[None, :], True))
 
 
-def dft_fast(c, axis_order=None):
+def dft_fast(c):
     """Axis-by-axis 1-D DFT passes; identical output to dft()."""
     f = c.field
-    x = _passes(f, _full_array(c, -1, "dft input"), c.ndim, axis_order, False)
+    x = _passes(f, _full_array(c, -1, "dft input"), c.ndim, False)
     return Spectrum(f, c.ndim, dict(zip(_flat_keys(f.q, c.ndim, 0)[0], f.np_codes(x))))
 
 
-def idft_fast(h, axis_order=None):
+def idft_fast(h):
     """Axis-by-axis 1-D IDFT passes; identical output to idft()."""
     f = h.field
-    x = _passes(f, _full_array(h, 0, "idft input"), h.ndim, axis_order, True)
+    x = _passes(f, _full_array(h, 0, "idft input"), h.ndim, True)
     return Word(f, h.ndim, dict(zip(_flat_keys(f.q, h.ndim, -1)[0], f.np_codes(x))))
 
 

@@ -139,6 +139,13 @@ def test_undecodable_exit(tmp_path, capsys, rng):
     assert "undecodable" in err
 
 
+def test_negative_t_max_is_a_config_error(capsys):
+    for cmd in ("decode", "decode-word"):
+        rc, _, err = run(capsys, cmd, "--preset", "rs-like", "--t-max", "-1", "-")
+        assert rc == EXIT_CONFIG
+        assert "--t-max" in err and "nonnegative" in err
+
+
 def test_config_error_exits(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

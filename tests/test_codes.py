@@ -204,6 +204,14 @@ def test_config_errors(tmp_path):
         code_from_config(cfg)
     with pytest.raises(CodeConfigError):
         code_from_config({})
+    cfg = dict(PRESET_CONFIGS["hermitian"])
+    cfg["order"] = {"kind": "weighted_grlex", "weights": [1]}
+    with pytest.raises(CodeConfigError, match="1 order weights for N = 2"):
+        code_from_config(cfg)
+    cfg = dict(PRESET_CONFIGS["rs-like"])
+    cfg["points"] = []
+    with pytest.raises(CodeConfigError, match="no points"):
+        code_from_config(cfg)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(CodeConfigError):

@@ -181,9 +181,12 @@ def test_decode_rejects_bad_inputs(hermitian, rng):
     with pytest.raises(UndecodableError):
         decode_word(cw, hermitian.psi, hermitian)
     # erasure location outside the code
+    outside = PointSet(f, 2, ((0, 0),) if (0, 0) not in set(hermitian.psi.points)
+                       else ((2, 0),))
     with pytest.raises(UndecodableError):
-        decode_word(cw, PointSet(f, 2, ((0, 0),) if (0, 0) not in set(hermitian.psi.points)
-                    else ((2, 0),)), hermitian)
+        decode_word(cw, outside, hermitian)
+    with pytest.raises(UndecodableError, match="not a code point"):
+        locate(syndrome(cw, hermitian.b_list), outside, hermitian)
 
 
 def test_op_report(hermitian, rng):
@@ -413,12 +416,12 @@ def test_locator_report(hermitian, rng):
 
 def test_code_columns_cached(hermitian):
     f = hermitian.field
-    p = hermitian.psi.points[5]
     before = f.op_count
-    col = hermitian.column(p)
+    rows = [hermitian.columns[hermitian.point_row[p]] for p in hermitian.psi.points]
     assert f.op_count == before
-    assert hermitian.column(p) is col
-    assert list(col) == [point_power(f, p, b) for b in hermitian.b_list]
+    assert hermitian.columns.shape == (hermitian.n, len(hermitian.b_list))
+    for p, row in zip(hermitian.psi.points, rows):
+        assert f.np_codes(row) == [point_power(f, p, b) for b in hermitian.b_list]
 
 
 # fields above NP_TABLE_Q: p = 2 adds encodings by XOR, odd p digit by digit

@@ -293,25 +293,36 @@ PROPERTY_FIELDS = {4: Field(2, 2, (1, 1, 1)), 8: Field(2, 3, (1, 1, 0, 1)),
                    9: Field(3, 2, (2, 1, 1))}
 
 
+BASIS_FIELDS = {**PROPERTY_FIELDS, 16: Field(2, 4, (1, 1, 0, 0, 1)),
+                27: Field(3, 3, (1, 2, 0, 1))}
+
+
 @st.composite
 def point_sets(draw):
-    f = PROPERTY_FIELDS[draw(st.sampled_from(sorted(PROPERTY_FIELDS)))]
+    f = BASIS_FIELDS[draw(st.sampled_from(sorted(BASIS_FIELDS)))]
     ndim = draw(st.sampled_from([1, 2]))
     coords = st.tuples(*[st.integers(-1, f.q - 2)] * ndim)
     pts = draw(st.lists(coords, min_size=1, max_size=min(f.q ** ndim, 12), unique=True))
-    order = MonomialOrder(draw(st.sampled_from(["lex", "grlex"])))
-    return PointSet(f, ndim, tuple(pts)), order
+    kind = draw(st.sampled_from(["lex", "grlex", "weighted_grlex"]))
+    weights = None
+    if kind == "weighted_grlex":
+        weights = draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim))
+    return PointSet(f, ndim, tuple(pts)), MonomialOrder(kind, weights)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(point_sets(), st.randoms(use_true_random=False))
 def test_check_set_basis_agrees_with_vanishing_gb(case, rnd):
+    # the family seeded on the delta set is the vanishing-ideal basis: the
+    # same leads and elements inside A, and only the leads that carry a
+    # component q on top
     pts, order = case
     f = pts.field
     gb, delta = vanishing_gb(pts, order)
-    in_a = {aw: g for g, aw in zip(gb.elements, gb.leading) if all(x < f.q for x in aw)}
     cs = check_set_basis(pts, order.sort(delta.members), order)
-    assert dict(zip(cs.leading, cs.elements)) == in_a
+    inside = [(aw, g) for g, aw in zip(gb.elements, gb.leading) if max(aw) < f.q]
+    assert list(zip(cs.leading, cs.elements)) == inside
+    assert all(max(aw) == f.q for aw in gb.leading if aw not in cs.leading)
     # the delta set plus up to three other indices, in shuffled order:
     # dependent columns are skipped, every element still vanishes with
     # its tail inside B
