@@ -404,15 +404,6 @@ def _validate_received(r, code):
         raise UndecodableError("received word is not indexed by the code's point set")
 
 
-def _validate_phi1(phi1, code):
-    inside = set(code.psi.points)
-    for p in phi1.points:
-        if p not in inside:
-            raise UndecodableError("erasure location %s is not a code point" % (p,))
-    if len(phi1) == len(code.psi):
-        raise UndecodableError("every position erased, no information positions")
-
-
 def _locator_seed(synd_values, gb_loc, located, code):
     """Seed spectrum and matching recurrence basis for the error-spectrum
     extension.  Inside the radius the locator's delta set sits inside the
@@ -443,7 +434,10 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     _validate_received(r, code)
     meter = _Meter(code.field)
     rt = dft_partial(r, indices, "received word")
-    _validate_phi1(phi1, code)  # a bad value is reported before a bad erasure set
+    # a bad value is reported before a bad erasure set; locate rejects an
+    # erasure outside the code
+    if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
+        raise UndecodableError("every position erased, no information positions")
     meter.lap("transform")
     loc = locate(rt.restrict(code.b_list), phi1, code, t_max)
     gb_loc, located = loc

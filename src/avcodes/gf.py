@@ -133,10 +133,6 @@ class Field:
         self._enc_sums = None
         self._build_tables()
 
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(spec.p, spec.m, spec.primitive_poly)
-
     def _poly_mul_x_mod(self, coeffs):
         # multiply by x and reduce by the primitive polynomial
         p, m = self.p, self.m

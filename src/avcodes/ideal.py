@@ -78,50 +78,6 @@ class Polynomial:
                         raise IdealError("exponent %s has wrong arity" % (e,))
                     self.terms[tuple(e)] = c
 
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, e):
-        return self.terms.get(tuple(e), ZERO)
-
-    def add(self, other):
-        f = self.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = f.add(out.get(e, ZERO), c)
-            if s == ZERO:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(f, self.ndim, out)
-
-    def neg(self):
-        f = self.field
-        return Polynomial(f, self.ndim, {e: f.neg(c) for e, c in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def scale(self, c):
-        f = self.field
-        if c == ZERO:
-            return Polynomial(f, self.ndim, {})
-        return Polynomial(f, self.ndim, {e: f.mul(c, v) for e, v in self.terms.items()})
-
-    def mul_term(self, e, c):
-        """Multiply by c * x^e (plain exponent addition, no wrap)."""
-        f = self.field
-        out = {}
-        for e2, c2 in self.terms.items():
-            out[tuple(a + b for a, b in zip(e, e2))] = f.mul(c, c2)
-        return Polynomial(f, self.ndim, out)
-
-    def mul(self, other):
-        acc = Polynomial(self.field, self.ndim, {})
-        for e, c in other.terms.items():
-            acc = acc.add(self.mul_term(e, c))
-        return acc
-
     def eval(self, point):
         f = self.field
         acc = ZERO
@@ -152,38 +108,6 @@ class Polynomial:
             )
             parts.append("%d*%s" % (c, mono) if mono else "%d" % c)
         return " + ".join(parts)
-
-    @classmethod
-    def parse(cls, field, ndim, text):
-        terms = {}
-        body = text.strip()
-        if body == "0":
-            return cls(field, ndim, {})
-        for part in body.split("+"):
-            part = part.strip()
-            if not part:
-                continue
-            factors = part.split("*")
-            coeff = field.parse(factors[0])
-            exps = [0] * ndim
-            for fac in factors[1:]:
-                fac = fac.strip()
-                if not fac.startswith("x"):
-                    raise IdealError("bad factor %r" % (fac,))
-                if "^" in fac:
-                    var, k = fac[1:].split("^")
-                else:
-                    var, k = fac[1:], "1"
-                i = int(var) - 1
-                if not 0 <= i < ndim:
-                    raise IdealError("variable x%s out of range" % (var,))
-                exps[i] += int(k)
-            e = tuple(exps)
-            if e in terms:
-                raise IdealError("duplicate monomial %s" % (e,))
-            if coeff != ZERO:
-                terms[e] = coeff
-        return cls(field, ndim, terms)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.field == other.field
@@ -363,6 +287,12 @@ class ReducedGroebnerBasis:
             [(e, c) for e, c in g.terms.items() if e != aw]
             for g, aw in zip(self.elements, self.leading)
         ]
+        # every tail monomial precedes its lead: the recurrences close over
+        # the prefix already generated, in one increasing sweep
+        key = {e: order.key(e)
+               for e in set(self.leading).union(*(g.terms for g in self.elements))}
+        self.sequential = all(key[e] < key[aw] for tail, aw in zip(self._tails, self.leading)
+                              for e, _ in tail)
 
     def __len__(self):
         return len(self.elements)
@@ -567,36 +497,30 @@ def check_set_basis(points, b_set, order):
 
 def normal_form(poly, gb):
     """Remainder of the division algorithm by the basis; support lies in
-    the delta set and poly - remainder is in the ideal."""
+    the delta set and poly - remainder is in the ideal.  Each step takes
+    the leading term c x^a of the working terms and subtracts c x^(a - a_w)
+    g_w for the first element whose lead a_w it dominates: g_w is monic,
+    so the lead cancels, and each tail term costs one mul and one sub."""
     f = gb.field
-    order = gb.order
-    work = Polynomial(f, gb.ndim, dict(poly.terms))
+    key = gb.order.key
+    work = dict(poly.terms)
     remainder = {}
-    while work.terms:
-        lt = work.leading(order)
-        c = work.terms[lt]
+    while work:
+        lt = max(work, key=key)
+        c = work.pop(lt)
         hit = next((w for w, aw in enumerate(gb.leading) if dominates(lt, aw)), None)
         if hit is None:
             remainder[lt] = c
-            del work.terms[lt]
             continue
         shift = dominated_sub(lt, gb.leading[hit])
-        work = work.sub(gb.elements[hit].mul_term(shift, c))
+        for e, t in gb._tails[hit]:
+            e = tuple(a + b for a, b in zip(shift, e))
+            v = f.sub(work.get(e, ZERO), f.mul(c, t))
+            if v == ZERO:
+                work.pop(e, None)
+            else:
+                work[e] = v
     return Polynomial(f, gb.ndim, remainder)
-
-
-def _is_sequential(gb):
-    """True when every tail monomial precedes its element's lead in the
-    order, so the recurrences close over the already-generated prefix."""
-    cached = getattr(gb, "_sequential", None)
-    if cached is None:
-        key = gb.order.key
-        cached = all(
-            all(key(e) < key(aw) for e, _ in tail)
-            for tail, aw in zip(gb._tails, gb.leading)
-        )
-        gb._sequential = cached
-    return cached
 
 
 # extension plans kept at once, one per basis shape (see _extension_plan)
@@ -765,11 +689,10 @@ def extend(h, gb, target):
     target = tuple(tuple(t) for t in target)
     if not target:
         return Spectrum(gb.field, gb.ndim, dict(h.values))
-    sequential = _is_sequential(gb)
-    tails = tuple(tuple(sorted(e for e, _ in tail if not (sequential and e in dset)))
+    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
                   for tail in gb._tails)
     plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
-                           tuple(gb.leading), dset, target, sequential, tails)
+                           tuple(gb.leading), dset, target, gb.sequential, tails)
     vals = _run_plan(plan, gb, h.values)
     out = dict(h.values)
     out.update(zip(target, map(vals.__getitem__, plan.output_slots)))

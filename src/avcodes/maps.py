@@ -58,9 +58,6 @@ class PointSet:
         keep = set(tuple(p) for p in pts)
         return PointSet(self.field, self.ndim, tuple(p for p in self.points if p in keep))
 
-    def lines(self):
-        return [format_index(p) for p in self.points]
-
     @classmethod
     def parse(cls, field, ndim, lines):
         pts = []

@@ -48,9 +48,6 @@ def dominates(a, b):
     return all(x >= y for x, y in zip(a, b))
 
 
-LT, EQ, GT = -1, 0, 1
-
-
 class MonomialOrder:
     """One of lex, grlex, weighted_grlex (the latter carries positive weights)."""
 
@@ -80,20 +77,8 @@ class MonomialOrder:
         wdeg = sum(w * x for w, x in zip(self.weights, a))
         return (wdeg,) + tuple(reversed(a))
 
-    def compare(self, a, b):
-        _check_pair(a, b)
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
-
     def sort(self, indices):
         return sorted(indices, key=self.key)
-
-    def max(self, indices):
-        return max(indices, key=self.key)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)

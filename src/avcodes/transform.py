@@ -44,9 +44,6 @@ class Spectrum:
     def domain(self):
         return set(self.values)
 
-    def get(self, a):
-        return self.values.get(a, ZERO)
-
     def copy(self):
         return Spectrum(self.field, self.ndim, dict(self.values))
 
@@ -64,9 +61,6 @@ class Word:
 
     def domain(self):
         return set(self.values)
-
-    def get(self, w):
-        return self.values.get(w, ZERO)
 
     def copy(self):
         return Word(self.field, self.ndim, dict(self.values))

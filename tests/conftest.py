@@ -1,6 +1,17 @@
 import random
+import warnings
 
 import pytest
+
+# hypothesis imports this module (and libcst with it) to write the patch of
+# a failing example; libcst's import raises a DeprecationWarning, which
+# under `-W error` would end the whole run instead of failing that one test
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from avcodes.gf import Field
 from avcodes.codes import preset

@@ -19,8 +19,7 @@ reference of ``dft_partial``.
 import itertools
 
 from avcodes.gf import ZERO, ONE
-from avcodes.ideal import (IdealError, _is_sequential, _level_leads, DeltaSet, Polynomial,
-                           ReducedGroebnerBasis)
+from avcodes.ideal import IdealError, _level_leads, DeltaSet, Polynomial, ReducedGroebnerBasis
 from avcodes.mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
 from avcodes.transform import (Spectrum, Word, index_space, omega_space, _require_full,
                                point_power, dft_partial)
@@ -87,12 +86,12 @@ def _axis_pass(field, data, ndim, axis, kernel):
                 data[base + j * stride] = res[j]
 
 
-def dft_fast(c, axis_order=None):
+def dft_fast(c):
     f = c.field
     ndim = c.ndim
     _require_full(c.domain(), omega_space(f, ndim), "dft input")
     data = _to_flat(c.values, ndim, f.q, lambda w: w + 1)
-    for axis in axis_order if axis_order is not None else range(ndim):
+    for axis in range(ndim):
         _axis_pass(f, data, ndim, axis, dft_kernel)
     out = {}
     for flat, v in enumerate(data):
@@ -104,12 +103,12 @@ def dft_fast(c, axis_order=None):
     return Spectrum(f, ndim, out)
 
 
-def idft_fast(h, axis_order=None):
+def idft_fast(h):
     f = h.field
     ndim = h.ndim
     _require_full(h.domain(), index_space(f, ndim), "idft input")
     data = _to_flat(h.values, ndim, f.q, lambda a: a)
-    for axis in axis_order if axis_order is not None else range(ndim):
+    for axis in range(ndim):
         _axis_pass(f, data, ndim, axis, idft_kernel)
     out = {}
     for flat, v in enumerate(data):
@@ -190,7 +189,7 @@ def extend(h, gb, target):
     target = tuple(tuple(t) for t in target)
     if not target:
         return Spectrum(gb.field, gb.ndim, dict(h.values))
-    sequential = _is_sequential(gb)
+    sequential = gb.sequential
     tails = tuple(tuple(sorted(e for e, _ in tail if not (sequential and e in dset)))
                   for tail in gb._tails)
     indices, seeds, exps, program, checks, outputs = _extension_plan(

@@ -12,8 +12,8 @@ import scalar_reference as reference
 from avcodes import decoder
 from avcodes.gf import Field, FieldError, ZERO, ONE, NP_TABLE_Q
 from avcodes.mindex import MonomialOrder
-from avcodes.ideal import vanishing_gb, _is_sequential
-from avcodes.transform import Spectrum, Word, point_power
+from avcodes.ideal import vanishing_gb
+from avcodes.transform import Spectrum, Word, point_power, omega_space
 from avcodes.maps import PointSet
 from avcodes.codes import (CodeSpec, encode_nonsystematic, is_dual_codeword, syndrome,
                            code_from_config)
@@ -187,6 +187,19 @@ def test_decode_rejects_bad_inputs(hermitian, rng):
         decode_word(cw, outside, hermitian)
     with pytest.raises(UndecodableError, match="not a code point"):
         locate(syndrome(cw, hermitian.b_list), outside, hermitian)
+
+
+def test_decode_names_a_foreign_erasure_among_n_points(hermitian):
+    # n erasures, one of them outside the code: not every position is
+    # erased, so the foreign point is what gets reported
+    f = hermitian.field
+    inside = set(hermitian.psi.points)
+    outside = next(p for p in omega_space(f, 2) if p not in inside)
+    phi1 = PointSet(f, 2, hermitian.psi.points[1:] + (outside,))
+    r = Word(f, 2, {p: ZERO for p in hermitian.psi.points})
+    for decode in (decode_word, decode_info):
+        with pytest.raises(UndecodableError, match="not a code point"):
+            decode(r, phi1, hermitian)
 
 
 def test_op_report(hermitian, rng):
@@ -580,7 +593,7 @@ def test_systematic_encode_equals_erasure_decoding():
         padded = Word(f, code.ndim, {p: info.values.get(p, ZERO) for p in code.psi.points})
         res = decode_word(padded, phi, code)
         assert res.codeword.values == word.values
-        worklist.append(not _is_sequential(systematic_basis(phi, code)))
+        worklist.append(not systematic_basis(phi, code).sequential)
 
     check()
     # the check-set families with forward tails take extend's worklist path

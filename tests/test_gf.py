@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avcodes.gf import (Field, FieldSpec, FieldError, NotPrimitiveError, ZERO, ONE,
-                        NP_TABLE_Q)
+from avcodes.gf import Field, FieldError, NotPrimitiveError, ZERO, ONE, NP_TABLE_Q
 
 
 def test_f8_construction(f8):
@@ -23,11 +22,6 @@ def test_not_primitive_rejected():
     # x^3 + x^2 + x + 1 = (x+1)(x^2+1) over GF(2): root order < 7
     with pytest.raises(NotPrimitiveError):
         Field(2, 3, (1, 1, 1, 1))
-
-
-def test_build_field_from_spec():
-    f = Field.from_spec(FieldSpec(2, 3, (1, 1, 0, 1)))
-    assert f.q == 8
 
 
 def test_spec_validation():

@@ -10,7 +10,7 @@ from avcodes.mindex import MonomialOrder, dominates
 from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form,
                            extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
-                           _extension_plan, _is_sequential)
+                           _extension_plan)
 from avcodes.maps import PointSet, proper_transform
 import scalar_reference as reference
 from avcodes.golden import (RS_PSI, RS_G, RS_SEED, RS_EXTENSION, CROSS_PSI,
@@ -35,10 +35,13 @@ def test_rs_basis_matches_root_product(f8_module):
     f = f8_module
     psi = PointSet(f, 1, RS_PSI)
     gb, delta = vanishing_gb(psi, MonomialOrder("lex"))
-    # oracle: multiply out prod (x - psi) independently
-    poly = Polynomial(f, 1, {(0,): ONE})
+    # oracle: multiply out prod (x - psi) independently, on coefficient
+    # lists lowest degree first: p <- x p - psi p
+    coeffs = [ONE]
     for (w,) in RS_PSI:
-        poly = poly.mul(Polynomial(f, 1, {(1,): ONE, (0,): f.neg(w)}))
+        coeffs = [f.add(a, f.mul(f.neg(w), b))
+                  for a, b in zip([ZERO] + coeffs, coeffs + [ZERO])]
+    poly = Polynomial(f, 1, {(k,): c for k, c in enumerate(coeffs)})
     assert len(gb) == 1
     assert gb.elements[0] == poly
     assert gb.elements[0] == Polynomial(f, 1, RS_G)
@@ -82,8 +85,8 @@ def test_erasure_basis_level_shape(f9):
     assert [g.terms for g in gb.elements] == [dict(t) for t in HERM_G_PHI1]
     assert delta.members == frozenset({(0, 0), (0, 1)})
     # the level-1 element is y times the level-0 element
-    y = Polynomial(f9, 2, {(0, 1): ONE})
-    assert gb.elements[1] == gb.elements[0].mul(y)
+    y_g0 = {(a, b + 1): c for (a, b), c in gb.elements[0].terms.items()}
+    assert gb.elements[1] == Polynomial(f9, 2, y_g0)
 
 
 def test_normal_form(f8_module):
@@ -96,7 +99,7 @@ def test_normal_form(f8_module):
     # x^4 reduces to the tail of the basis element (characteristic 2)
     x4 = Polynomial(f, 1, {(4,): ONE})
     assert normal_form(x4, gb) == Polynomial(f, 1, {(1,): 3, (2,): 3, (3,): 2})
-    assert normal_form(gb.elements[0], gb).is_zero()
+    assert normal_form(gb.elements[0], gb).terms == {}
 
 
 def test_normal_form_idempotent_and_ideal_difference(f9, hermitian, rng):
@@ -110,9 +113,8 @@ def test_normal_form_idempotent_and_ideal_difference(f9, hermitian, rng):
         nf = normal_form(poly, gb)
         assert normal_form(nf, gb) == nf
         assert all(d in hermitian.delta for d in nf.terms)
-        diff = poly.sub(nf)
         for p in hermitian.psi.points:
-            assert diff.eval(p) == ZERO
+            assert poly.eval(p) == nf.eval(p)
 
 
 def test_extend_worked_example(f8_module):
@@ -219,7 +221,7 @@ def test_check_set_basis_properties(hcrs):
     gb = check_set_basis(phi, hcrs.b_list, hcrs.order)
     assert tuple(gb.leading) == HCRS_SYS_LEADS
     for g, aw in zip(gb.elements, gb.leading):
-        assert g.coeff(aw) == ONE
+        assert g.terms[aw] == ONE
         for e in g.terms:
             assert e == aw or e in hcrs.b_members
         for p in phi.points:
@@ -267,28 +269,6 @@ def test_leading_monomial(f8_module, f9):
         Polynomial(f9, 2, {}).leading(MonomialOrder("grlex"))
 
 
-def test_polynomial_text_roundtrip(f9, rng):
-    for _ in range(20):
-        terms = {}
-        for _ in range(5):
-            terms[(rng.randrange(0, 10), rng.randrange(0, 10))] = rng.randrange(-1, 8)
-        poly = Polynomial(f9, 2, terms)
-        assert Polynomial.parse(f9, 2, poly.text()) == poly
-    assert Polynomial.parse(f9, 2, "0").is_zero()
-    assert Polynomial.parse(f9, 2, "3*x1*x2^2 + 0").terms == {(1, 2): 3, (0, 0): 0}
-
-
-def test_polynomial_arithmetic(f9, rng):
-    a = Polynomial(f9, 2, {(1, 0): 2, (0, 1): 3})
-    b = Polynomial(f9, 2, {(1, 0): 2})
-    assert a.sub(a).is_zero()
-    assert a.add(b).terms == {(1, 0): f9.add(2, 2), (0, 1): 3}
-    prod = a.mul(b)
-    assert prod.terms == {(2, 0): f9.mul(2, 2), (1, 1): f9.mul(3, 2)}
-    pt = (4, 7)
-    assert prod.eval(pt) == f9.mul(a.eval(pt), b.eval(pt))
-
-
 PROPERTY_FIELDS = {4: Field(2, 2, (1, 1, 1)), 8: Field(2, 3, (1, 1, 0, 1)),
                    9: Field(3, 2, (2, 1, 1))}
 
@@ -298,8 +278,8 @@ BASIS_FIELDS = {**PROPERTY_FIELDS, 16: Field(2, 4, (1, 1, 0, 0, 1)),
 
 
 @st.composite
-def point_sets(draw):
-    f = BASIS_FIELDS[draw(st.sampled_from(sorted(BASIS_FIELDS)))]
+def point_sets(draw, fields=BASIS_FIELDS):
+    f = fields[draw(st.sampled_from(sorted(fields)))]
     ndim = draw(st.sampled_from([1, 2]))
     coords = st.tuples(*[st.integers(-1, f.q - 2)] * ndim)
     pts = draw(st.lists(coords, min_size=1, max_size=min(f.q ** ndim, 12), unique=True))
@@ -331,9 +311,27 @@ def test_check_set_basis_agrees_with_vanishing_gb(case, rnd):
     rnd.shuffle(b_list)
     cs = check_set_basis(pts, b_list, order)
     for g, aw in zip(cs.elements, cs.leading):
-        assert g.coeff(aw) == ONE
+        assert g.terms[aw] == ONE
         assert all(e == aw or e in b_list for e in g.terms)
         assert all(g.eval(p) == ZERO for p in pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets(PROPERTY_FIELDS), st.data())
+def test_normal_form_properties(case, data):
+    # random polynomials, with exponents past q - 1 so that the x_i^q
+    # leads divide too: the remainder lies on the delta set, is its own
+    # remainder, and agrees with the polynomial on every point
+    pts, order = case
+    f = pts.field
+    gb, delta = vanishing_gb(pts, order)
+    exps = st.tuples(*[st.integers(0, 2 * f.q)] * pts.ndim)
+    poly = Polynomial(f, pts.ndim, data.draw(
+        st.dictionaries(exps, st.integers(-1, f.q - 2), max_size=8)))
+    nf = normal_form(poly, gb)
+    assert all(e in delta for e in nf.terms)
+    assert normal_form(nf, gb) == nf
+    assert all(poly.eval(p) == nf.eval(p) for p in pts)
 
 
 def _extend_ops(seed, gb, target, fn=extend):
@@ -351,7 +349,7 @@ def test_extend_ops_independent_of_call_history(f8_module, hermitian, rng):
     seed_h = Spectrum(hermitian.field, 2, {d: rng.randrange(-1, 8) for d in delta_h.members})
     # B = {1, x^2} over GF(8): a worklist family
     gb_w = check_set_basis(PointSet(f, 1, ((0,), (1,))), [(0,), (2,)], MonomialOrder("lex"))
-    assert not _is_sequential(gb_w)
+    assert not gb_w.sequential
     seed_w = Spectrum(f, 1, {(0,): 3, (2,): 5})
     counts = []
     for seed, gb in ((seed_h, gb_h), (seed_w, gb_w)):
@@ -389,10 +387,12 @@ def test_extend_plan_key_holds_tails_outside_the_seed_set(f9, rng):
     order = MonomialOrder("grlex")
     gb, delta = vanishing_gb(pts, order)
     assert gb.leading == [(2, 0), (1, 1), (0, 2)]
-    mixed = gb.elements[2].add(gb.elements[0].scale(3))
+    g0, g2 = gb.elements[0].terms, gb.elements[2].terms
+    mixed = Polynomial(f9, 2, {e: f9.add(g2.get(e, ZERO), f9.mul(3, g0.get(e, ZERO)))
+                               for e in {**g0, **g2}})
     assert (2, 0) in mixed.terms and (2, 0) not in delta
     gb2 = ReducedGroebnerBasis(f9, 2, order, gb.elements[:2] + [mixed], gb.leading, delta)
-    assert _is_sequential(gb2)
+    assert gb2.sequential
     c = Word(f9, 2, {p: rng.randrange(-1, 8) for p in pts.points})
     seed = proper_transform(c, delta)
     padded = Word(f9, 2, {w: c.values.get(w, ZERO) for w in omega_space(f9, 2)})
@@ -464,7 +464,7 @@ def test_extend_plans_match_transform():
             built.append(info.misses > misses)
             assert extend(seed, basis, space).values == want  # reuses it
             assert _extension_plan.cache_info().hits == info.hits + 1
-        worklist.append(not _is_sequential(gb_b))
+        worklist.append(not gb_b.sequential)
 
     _extension_plan.cache_clear()
     check()
@@ -503,7 +503,7 @@ def test_extend_matches_scalar_reference():
             pass
         space = index_space(f, ndim)
         for basis in families:
-            worklist.append(not _is_sequential(basis))
+            worklist.append(not basis.sequential)
             seed_h = Spectrum(f, ndim, {d: rnd.randrange(-1, q - 1) for d in basis.delta.members})
             target = rnd.sample(space, rnd.randrange(1, len(space) + 1))
             for tgt in (space, target):

@@ -1,7 +1,7 @@
 import pytest
 
 from avcodes.gf import ZERO, ONE
-from avcodes.mindex import MonomialOrder
+from avcodes.mindex import MonomialOrder, format_index
 from avcodes.transform import Spectrum, Word, omega_space
 from avcodes.ideal import vanishing_gb
 from avcodes.maps import (PointSet, evaluate, proper_transform, canonical_iso,
@@ -36,7 +36,7 @@ def test_pointset_invariants(f8_module):
 
 def test_pointset_text_roundtrip(f9):
     ps = PointSet(f9, 2, ((-1, 3), (0, 2), (7, -1)))
-    assert PointSet.parse(f9, 2, ps.lines()).points == ps.points
+    assert PointSet.parse(f9, 2, [format_index(p) for p in ps.points]).points == ps.points
 
 
 def test_evaluate_worked_examples(f8_module, rs_setup):
