@@ -281,7 +281,8 @@ def _layer(field, call):
 def cmd_bench(args):
     """Decode one seeded word per preset and report the field operations
     (and, with --json, the wall time) of each step, plus the fast and
-    direct IDFT counts on hermitian.  The JSON form adds per preset the
+    direct IDFT counts on hermitian, and per preset d_fr, the Feng-Rao
+    bound and the locator's votes.  The JSON form adds per preset the
     ``layers`` block: the ops and ms of vanishing_gb on the decoded
     word's located set and of check_set_basis on the preset's golden
     systematic set, where it has one (its first call on the preset's
@@ -315,8 +316,9 @@ def cmd_bench(args):
             phi = PointSet(f, code.ndim, SYS_PHI[name])
             layers["check_set_basis"] = _layer(
                 f, lambda: check_set_basis(phi, code.b_list, code.order))
-        lines.append("%s (n=%d, k=%d, q=%d, N=%d, d_fr=%d)"
-                     % (name, code.n, code.k, f.q, code.ndim, code.d_fr))
+        lines.append("%s (n=%d, k=%d, q=%d, N=%d, d_fr=%d, feng_rao=%d): %d votes"
+                     % (name, code.n, code.k, f.q, code.ndim, code.d_fr, code.feng_rao,
+                        rep.meta["locator"]["votes"]))
         for row in rep.lines():
             lines.append("  step " + row)
         lines.append("  fast-idft bound 3*N*q^(N+1) = %d" % rep.meta["fast_idft_bound"])

@@ -9,12 +9,15 @@ isomorphism.  Code parameters come from a JSON config (see
 
 import json
 import math
+from functools import cached_property
+
+import numpy as np
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
 from .transform import Spectrum, check_values, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
-from .ideal import index_array, vanishing_gb
+from .ideal import SumForms, index_array, vanishing_gb
 
 
 class CodeConfigError(ValueError):
@@ -61,6 +64,23 @@ class CodeSpec:
         self.columns = power_matrix(field, index_array(self.b_list, ndim),
                                     index_array(psi.points, ndim)).T
         self.point_row = {p: i for i, p in enumerate(psi.points)}
+
+    @cached_property
+    def sum_forms(self):
+        """The normal forms of the delta-set products (ideal.SumForms)."""
+        return SumForms(self.field, self.psi, self.delta.sorted(self.order),
+                        self.gb.eliminator)
+
+    @cached_property
+    def feng_rao(self):
+        """The Feng-Rao bound of the dual code, computed on first use: the
+        least number of well-behaving pairs (ideal.SumForms.block) at an
+        index of the delta set outside B; n + 1 when B is all of it."""
+        forms = self.sum_forms
+        _, lead, _, good = forms.block(self.n)
+        counts = np.bincount(lead[good], minlength=self.n)
+        outside = [forms.position[d] for d in forms.delta if d not in self.b_members]
+        return int(counts[outside].min()) if outside else self.n + 1
 
     def info_support(self):
         """D \\ B in increasing monomial order."""

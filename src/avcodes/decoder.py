@@ -6,34 +6,30 @@ operations of every named step it runs, in order ``transform`` (the
 received word's transform), ``locator``, ``extension`` (the locator
 seed and the error-spectrum extension), ``idft``, ``subtract`` and
 ``check``, their wall times in milliseconds (``ms``, same labels), and
-meta data on the code and the support search.
+meta data on the code and the locator.
 ``decode_word`` runs all six and carries the report in
 ``DecodeResult.report``; ``decode_info`` skips ``idft`` and ``check``
 and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
 
-The locator step replaces shift-register synthesis at desk scale: the
-smallest error support consistent with the check-set syndrome is found
-by exhaustive search over candidate supports (minimal size first, then
-lexicographically by the code's point order), after projecting the known
-erasure columns out of the linear system.
-
-The search is meet-in-the-middle.  A support of size t splits into its
-first t//2 and its last t - t//2 candidates, and a size-k half holds
-every all-nonzero combination of k reduced columns.  Each half is turned
-into sorted uint64 keys once per ``locate`` call, as itself (the left
-side) or added to the target (the right side, target minus a
-combination), and serves every t that needs it.  Keys pack the canonical
-base-p encodings of the rows (gf ``np_enc_add``) in base q, after a
-fixed pseudo-random GF(q)-linear projection when the rows are longer
-than a key needs; the two sides are joined with ``searchsorted`` and
-every key match is re-checked on the full-length vectors, so the search
-returns exactly the supports of plain enumeration.  Before a half is
-built its size is estimated (``half_table_bytes``); above TABLE_BUDGET
-the locator raises UndecodableError instead of allocating it.
+The locator finds the errors off the erasures Phi1 by Feng-Rao majority
+voting, the erasures entering through erasure rows (Sakata, Leonard,
+Jensen and Hoeholdt 1998).  A syndrome projected to zero off the columns
+of Phi1 locates Phi1 alone.  Otherwise the known staircase of the
+syndrome matrix M[g, b] = sum_p e_p R_g(p) p^b is eliminated: rows
+R_g = x^g + tail vanishing on Phi1 for g in the delta set outside
+Delta(Phi1), columns b in the delta set, entries through the normal forms
+of x^(g+b) (ideal.SumForms), known while every pair of the box leads below
+eta, the first unknown syndrome; more than t_max pivots is undecodable.
+The common zeros Z off Phi1 of the pivot-free rows covering every pivot
+column are accepted when |Z| is the pivot count and the syndrome lies in
+the span of the columns of Phi1 and Z.  Otherwise the well-behaving pairs
+at eta free of pivots to their left and above vote on the syndrome at
+eta.  Inside the Feng-Rao radius the majority is always right and Z is
+the error support; beyond it a decode returns a checked word or raises
+UndecodableError.  The numpy steps count the scalar operations they
+stand for, each once.
 """
 
-import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -50,11 +46,6 @@ from .codes import is_dual_codeword
 
 class UndecodableError(Exception):
     pass
-
-
-class AmbiguousPatternError(UndecodableError):
-    """More than one minimal support is consistent with the syndrome
-    (impossible while |Phi1| + 2|Phi2| < d_fr)."""
 
 
 class SystematicSupportError(Exception):
@@ -121,203 +112,12 @@ def _trivial_locator(field, ndim, order):
     return ReducedGroebnerBasis(field, ndim, order, [one], [origin], DeltaSet(frozenset()))
 
 
-# -- the support search ------------------------------------------------------
-
-# ceiling on the estimated bytes of all half tables of one locate call
-TABLE_BUDGET = 256 << 20
-# a half is built in passes of whole leading coefficients, at least this
-# many rows each so that small blocks amortize numpy's per-call cost
-_PASS_ROWS = 4096
-_MASK64 = (1 << 64) - 1
-
-
-def _half_rows(ncand, k, q):
-    return math.comb(ncand, k) * (q - 1) ** k
-
-
-def half_table_bytes(ncand, k, q, r):
-    """Estimated peak bytes of one half table over ncand columns with
-    r-symbol keys: on each of its two key sides a uint64 key and an intp
-    sort index per row, the join's intp positions and gathered keys per
-    row, 16 bytes a row for the scaled columns and slack, plus the symbols
-    and gather indices of the largest pass while it is built."""
-    rows = _half_rows(ncand, k, q)
-    return rows * 64 + max(rows // (q - 1), _PASS_ROWS) * r * 16
-
-
-def _key_width(q, veclen, largest):
-    """Coordinates a packed key keeps: r with q^(r-2) >= largest^2, so that
-    a chance key match between two sides of at most ``largest`` rows has
-    odds about 1/q^2; at most veclen, and q^r must fit in 64 bits."""
-    need = 2
-    while q ** (need - 2) < largest * largest:
-        need += 1
-    cap = 1
-    while q ** (cap + 1) <= 1 << 64:
-        cap += 1
-    return min(veclen, need, cap)
-
-
-def _mix(x):
-    """splitmix64 finalizer: a fixed integer hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _pack(rows, q):
-    """Base-q uint64 key of each row."""
-    keys = rows[:, 0].astype(np.uint64)
-    for j in range(1, rows.shape[1]):
-        keys *= np.uint64(q)
-        keys += rows[:, j]
-    return keys
-
-
-class _SupportSearch:
-    """All index supports of each size t <= t_max admitting an all-nonzero
-    combination of ``columns`` equal to ``target`` (element codes), by a
-    sort join of half tables that are built on first use and kept for
-    larger t."""
-
-    def __init__(self, field, target, columns, t_max):
-        self.field = field
-        self.target = target
-        self.columns = columns
-        self.ar = ar = field.np_arith()
-        self.q = q = field.q
-        self.ncand = len(columns)
-        cols = np.array(columns, dtype=np.intp).reshape(self.ncand, len(target))
-        cols, tgt = field.np_exponents(cols), field.np_exponents(np.array(target, dtype=np.intp))
-        # coordinates zero in every column and in the target (the pivots
-        # of the erasure reduction) carry nothing
-        live = (cols != ar.zero).any(axis=0) | (tgt != ar.zero)
-        cols, tgt = cols[:, live], tgt[live]
-        veclen = len(tgt)
-        largest = _half_rows(self.ncand, (t_max + 1) // 2, q)
-        self.r = r = _key_width(q, veclen, largest)
-        if r < veclen:
-            # a fixed pseudo-random r x veclen matrix over GF(q): entry v
-            # is alpha^(v-1), or zero for v = 0
-            P = np.array([[_mix(i * veclen + j) % q for j in range(veclen)]
-                          for i in range(r)], dtype=np.intp)
-            both = field.np_dot(field.np_exponents(P - 1), np.vstack([cols, tgt])[:, None, :])
-            cols, tgt = both[:-1], both[-1]
-            field.op_count += (self.ncand + 1) * r * (2 * veclen - 1)
-        self.tgt = ar.enc[tgt]
-        # scaled[c, i] = alpha^c * column i, as encodings
-        self.scaled = ar.enc[np.arange(q - 1)[:, None, None] + cols]
-        self.combos = {}
-        self.sides = {}  # (k, want) -> (sorted keys, row of each key)
-        self.reserved = {}  # k -> estimated bytes of half k
-        self.stats = {"t": 0, "candidates": self.ncand, "r": r,
-                      "entries": 0, "matches": 0}
-
-    def _reserve(self, t, ks):
-        for k in ks:
-            if k not in self.reserved:
-                self.reserved[k] = half_table_bytes(self.ncand, k, self.q, self.r)
-        need = sum(self.reserved.values())
-        if need > TABLE_BUDGET:
-            raise UndecodableError(
-                "support search of size %d needs about %d MB of tables, over the "
-                "%d MB budget" % (t, need >> 20, TABLE_BUDGET >> 20))
-
-    def _combos(self, k):
-        if k not in self.combos:
-            combos = list(itertools.combinations(range(self.ncand), k))
-            self.combos[k] = np.array(combos, dtype=np.intp).reshape(len(combos), k)
-        return self.combos[k]
-
-    def _side(self, k, want):
-        """Sorted keys, with the row number of each, of the half rows
-        c_1*col_i1 + ... + c_k*col_ik or, with ``want``, of the rows
-        target + c_1*col_i1 + ... (target minus the row of the negated
-        coefficients).  Rows run in the order (c_1, ..., c_k, i1 < ... <
-        ik) and are built a few leading coefficients at a time."""
-        if (k, want) not in self.sides:
-            f, q, r = self.field, self.q, self.r
-            combos = self._combos(k)
-            nrows = _half_rows(self.ncand, k, q)
-            keys = np.empty(nrows, dtype=np.uint64)
-            if k == 0:
-                keys[:] = _pack((self.tgt if want else np.zeros_like(self.tgt))[None], q)
-            elif nrows:
-                rest = [self.scaled[:, combos[:, j]] for j in range(1, k)]
-                block = nrows // (q - 1)
-                step = max(1, _PASS_ROWS // block)
-                for c in range(0, q - 1, step):
-                    acc = self.scaled[c:c + step, combos[:, 0]]
-                    if want:
-                        acc = f.np_enc_add(self.tgt, acc)
-                    for part in rest:
-                        acc = f.np_enc_add(acc[..., None, :, :], part)
-                    keys[c * block:(c + step) * block] = _pack(acc.reshape(-1, r), q)
-                f.op_count += nrows * r * (2 * k - 1 + want)
-            order = np.argsort(keys)
-            self.sides[k, want] = keys[order], order
-            self.stats["entries"] += nrows
-        return self.sides[k, want]
-
-    def _entry(self, k, e, want):
-        """(combination, coefficient exponents) of row e of a side: the
-        coefficients are the base-(q-1) digits of the row's block number,
-        negated on the ``want`` side."""
-        combos = self.combos[k]
-        block, i = divmod(e, len(combos))
-        coeffs = []
-        for _ in range(k):
-            block, c = divmod(block, self.q - 1)
-            coeffs.append((c + self.ar.neg) % (self.q - 1) if want else c)
-        return tuple(combos[i].tolist()), tuple(reversed(coeffs))
-
-    def _exact(self, support, coeffs):
-        f = self.field
-        acc = list(self.target)
-        for i, c in zip(support, coeffs):
-            acc = [f.sub(a, f.mul(c, x)) for a, x in zip(acc, self.columns[i])]
-        return all(a == ZERO for a in acc)
-
-    def supports(self, t):
-        ka, kb = t // 2, t - t // 2
-        self._reserve(t, (ka, kb))
-        self.stats["t"] = t
-        a_keys, a_order = self._side(ka, False)
-        b_keys, b_order = self._side(kb, True)
-        if not len(a_keys) or not len(b_keys):
-            return []
-        lo = np.searchsorted(a_keys, b_keys)
-        hit = np.flatnonzero(a_keys.take(lo, mode="clip") == b_keys)
-        lo = lo[hit]
-        counts = np.searchsorted(a_keys, b_keys[hit], "right") - lo
-        total = int(counts.sum())
-        self.stats["matches"] += total
-        if not total:
-            return []
-        first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        a_rows = a_order[first + np.arange(total)]
-        b_rows = b_order[np.repeat(hit, counts)]
-        if ka:
-            # a support splits as combo_a[-1] < combo_b[0]
-            ca, cb = self.combos[ka], self.combos[kb]
-            keep = ca[a_rows % len(ca), -1] < cb[b_rows % len(cb), 0]
-            a_rows, b_rows = a_rows[keep], b_rows[keep]
-        found = set()
-        for ea, eb in zip(a_rows.tolist(), b_rows.tolist()):
-            combo_a, coeffs_a = self._entry(ka, ea, False)
-            combo_b, coeffs_b = self._entry(kb, eb, True)
-            support = combo_a + combo_b
-            if support not in found and self._exact(support, coeffs_a + coeffs_b):
-                found.add(support)
-        return sorted(found)
-
+# -- the locator -------------------------------------------------------------
 
 class LocateResult(tuple):
-    """The pair (basis, located) returned by ``locate``, with the search
-    statistics as ``stats``: the largest size t searched, the candidate
-    count, the key width r, and the half-table rows built and key matches
-    joined."""
+    """The pair (basis, located) of ``locate``; ``stats`` holds the errors
+    located off Phi1 (t), the syndromes filled by majority (votes), the
+    pivot count (rank) and the staircase block's rows and cols."""
 
     def __new__(cls, basis, located, stats):
         pair = super().__new__(cls, (basis, located))
@@ -325,14 +125,186 @@ class LocateResult(tuple):
         return pair
 
 
-def locate(synd, phi1, code, t_max=None):
-    """Smallest error support consistent with the B-indexed syndrome.
+def _dots(ar, x):
+    """Scalar count of a dot product per row of x: mul per term, add between."""
+    live = x != ar.zero
+    return 2 * int(live.sum()) - int(live.any(axis=1).sum())
 
-    Returns a LocateResult (reduced basis of the vanishing ideal of Phi1
+
+class _Staircase:
+    """Feng-Rao majority voting for one locate call, over delta indices
+    in increasing order.  ``poly[i]`` is row i reduced by the pivot rows
+    above it, a polynomial over the delta monomials (at first R_g);
+    ``red`` holds its known entries (the two side by side in ``both``),
+    ``u`` the syndrome sum of each normal form of ``code.sum_forms``."""
+
+    def __init__(self, code, target, erasures, phi1_rows, t_max):
+        f = code.field
+        self.f, self.ar, self.code, self.forms = f, f.np_arith(), code, code.sum_forms
+        self.target, self.erasures, self.t_max = target, erasures, t_max
+        n = self.n = code.n
+        zero = self.ar.zero
+        self.sval = np.full(n, zero, dtype=np.intp)
+        self.known = np.zeros(n, dtype=bool)
+        at = [self.forms.position[b] for b in code.b_list]
+        self.sval[at], self.known[at] = target, True
+        self.both = np.full((n, 2 * n), zero, dtype=np.intp)
+        self.red, self.poly = self.both[:, :n], self.both[:, n:]
+        np.fill_diagonal(self.poly, 0)
+        self.rows = np.ones(n, dtype=bool)
+        if phi1_rows:
+            # R_g = x^g + tail vanishes on Phi1: one insertion of the delta
+            # monomials' values on Phi1 until the footprint is complete,
+            # the rest reduced in one batch
+            evals = self.forms.evals[:, phi1_rows]
+            ne = len(phi1_rows)
+            elim = Eliminator(f, ne)
+            done, ops = elim.insert(evals, range(n), lambda row, tail: np.full(
+                n, len(elim.pivots) == ne))
+            _, tails, more = elim.reduce(evals)
+            f.op_count += ops + int(more[len(done):].sum())
+            self.poly[:, elim.tags] = tails
+            self.rows[elim.tags] = False
+        self.off = np.delete(np.arange(n), phi1_rows)  # the points off Phi1
+        self.width = np.zeros(n, dtype=np.intp)  # the known prefix of each row
+        self.pivots = []  # (column, row, -1 / pivot entry)
+        self.pivot_col = np.full(n, -1, dtype=np.intp)
+        self.u = np.empty(0, dtype=np.intp)
+        self.votes = 0
+        self.tried = None
+
+    def run(self):
+        """The located positions off Phi1 and the statistics."""
+        while True:
+            eta = self.n if self.known.all() else int(self.known.argmin())
+            m = min(self.n, eta + 1)
+            self._advance(eta, m)
+            z = self._located(m)
+            if z is not None:
+                return z, {"t": len(z), "votes": self.votes, "rank": len(self.pivots),
+                           "rows": int(np.count_nonzero(self.rows & (self.width > 0))),
+                           "cols": int(self.width.max())}
+            if eta == self.n:
+                raise UndecodableError("no error support of size <= %d is consistent "
+                                       "with the syndrome" % self.t_max)
+            self._vote(eta, m)
+
+    def _advance(self, eta, m):
+        """Grow the staircase to the syndromes below eta; eliminate its new
+        entries by the old pivots, in column order, then the new ones."""
+        f, zero = self.f, self.ar.zero
+        slots, self.lead, box, self.good = self.forms.block(m)
+        known = box < eta
+        width = known.sum(axis=1)
+        old = self.width[:m].copy()
+        ii, jj = np.nonzero(known & (np.arange(m) >= old[:, None]))
+        if len(self.u) < len(self.forms.leads):
+            self.u = np.append(self.u, np.full(len(self.forms.leads) - len(self.u), -1))
+        need = np.zeros(len(self.u), dtype=bool)
+        need[slots[ii, jj]] = True
+        need = np.flatnonzero(need & (self.u < 0))
+        forms = self.forms.forms[need]
+        self.u[need] = f.np_dot(forms, self.sval)
+        ops = _dots(self.ar, forms)
+        # the sums of unknown forms are never read: a row reaches a cell
+        # only through the known box of one of its own cells
+        self.slots, self.sums = slots, np.where(self.u[slots] < 0, zero, self.u[slots])
+        ii, jj = ii[self.rows[ii]], jj[self.rows[ii]]
+        poly = self.poly[ii, :m]
+        self.red[ii, jj] = f.np_dot(poly, self.sums[:, jj].T)
+        ops += _dots(self.ar, poly)
+        self.width[:m] = width
+        below = np.arange(m)
+        for col, p, scale in sorted(self.pivots):
+            hit = (below > p) & self.rows[:m] & (old <= col) & (col < width)
+            ops += self._eliminate(p, col, scale, np.flatnonzero(hit), m)
+        start = 0
+        while True:
+            live = self.rows[:m] & (self.pivot_col[:m] < 0) & (below >= start)
+            nz = (self.red[:m, :m] != zero) & known & live[:, None]
+            hit = nz.any(axis=1)
+            if not hit.any():
+                break
+            if len(self.pivots) == self.t_max:
+                raise UndecodableError("more than t_max = %d pivots" % self.t_max)
+            p = int(hit.argmax())
+            col = int(nz[p].argmax())
+            scale = (self.ar.neg - self.red[p, col]) % (f.q - 1)
+            self.pivots.append((col, p, scale))
+            self.pivot_col[p] = col
+            hit = (below > p) & self.rows[:m] & (col < width)
+            ops += 1 + self._eliminate(p, col, scale, np.flatnonzero(hit), m)
+            start = p + 1
+        f.op_count += ops
+
+    def _eliminate(self, p, col, scale, rows, m):
+        """Clear column col of ``rows`` with pivot row p; the scalar count."""
+        f, ar = self.f, self.ar
+        rows = rows[self.red[rows, col] != ar.zero]
+        coeff = ((self.red[rows, col] + scale) % (f.q - 1))[:, None]
+        a, b = ar.exp[self.both[rows]], ar.exp[coeff + self.both[p]]
+        self.both[rows] = f.np_log(a ^ b if f.p == 2 else a + b)
+        return (len(rows) * (1 + 2 * int(np.count_nonzero(self.poly[p] != self.ar.zero)))
+                + 2 * int((self.width[rows] - col - 1).sum()))
+
+    def _located(self, m):
+        """The stop rule: the candidate locator's zeros off Phi1, or None."""
+        f, code, zero = self.f, self.code, self.ar.zero
+        last = max((col for col, _, _ in self.pivots), default=0)
+        cand = np.flatnonzero(self.rows[:m] & (self.pivot_col[:m] < 0)
+                              & (self.width[:m] > last))
+        key = (tuple(cand.tolist()), len(self.pivots))
+        if not cand.size or key == self.tried:
+            return None
+        self.tried = key
+        # the first polynomial on every point off Phi1, the others on its zeros
+        poly, evals = self.poly[cand, :m], self.forms.evals[:m]
+        z = self.off[f.np_dot(poly[0], evals[:, self.off].T) == zero]
+        ops = _dots(self.ar, poly[:1]) * len(self.off) + _dots(self.ar, poly[1:]) * len(z)
+        if len(cand) > 1 and z.size:
+            z = z[(f.np_dot(poly[1:, None, :], evals[:, z].T[None]) == zero).all(axis=0)]
+        f.op_count += ops
+        if len(z) != len(self.pivots):
+            return None
+        # the target is in the span of the columns of Phi1 and Z when its
+        # residual off Phi1 is in the span of theirs
+        res, _, more = self.erasures.reduce(np.vstack([code.columns[z], self.target]))
+        done, ops = Eliminator(f, len(code.b_list)).insert(res, range(len(res)))
+        f.op_count += ops + int(more.sum())
+        return z if done[-1][1] is not None else None
+
+    def _vote(self, eta, m):
+        """Fill the syndrome at eta with the majority vote of the
+        well-behaving pairs at eta free of pivots left and above."""
+        f, zero = self.f, self.ar.zero
+        good = self.good & (self.lead == eta)
+        good &= (self.rows[:m] & (self.pivot_col[:m] < 0))[:, None]
+        good[:, [col for col, _, _ in self.pivots]] = False
+        ii, jj = np.nonzero(good)
+        if not ii.size:
+            raise UndecodableError("no pair votes at %s" % (self.forms.delta[eta],))
+        forms = self.forms.forms[self.slots[ii, jj]]
+        # each entry with the syndrome at eta left out, then reduced
+        sums = self.sums[:, jj].copy()
+        sums[ii, np.arange(len(ii))] = f.np_dot(forms[:, :eta], self.sval[:eta])
+        poly = self.poly[ii, :m]
+        rest = f.np_dot(poly, sums.T)
+        # the partial sum, the combination and a division per pair
+        ops = _dots(self.ar, forms[:, :eta]) + 2 * int((poly != zero).sum())
+        # the vote: -rest / (the coefficient of the syndrome at eta)
+        votes = np.where(rest == zero, zero, (rest + self.ar.neg - forms[:, eta]) % (f.q - 1))
+        values, counts = np.unique(votes, return_counts=True)
+        self.sval[eta], self.known[eta] = values[counts.argmax()], True
+        self.votes += 1
+        f.op_count += ops
+
+
+def locate(synd, phi1, code, t_max=None):
+    """The error support of the B-indexed syndrome, by Feng-Rao majority
+    voting: a LocateResult (reduced basis of the vanishing ideal of Phi1
     union Phi2, located point set in the code's point order).  Raises
-    UndecodableError when no support of size <= t_max is consistent, or
-    when the search would need more than TABLE_BUDGET bytes of tables,
-    and AmbiguousPatternError when several minimal ones are.
+    UndecodableError at more than t_max pivots, when no pair votes, or
+    when no support passes the stop rule once every syndrome is filled.
     """
     f = code.field
     if t_max is None:
@@ -343,51 +315,27 @@ def locate(synd, phi1, code, t_max=None):
     missing = [b for b in b_list if b not in synd.values]
     if missing:
         raise UndecodableError("syndrome is missing %d check indices" % len(missing))
-    s = [synd.values[b] for b in b_list]
+    target = f.np_exponents(np.array([synd.values[b] for b in b_list], dtype=np.intp))
 
     phi1_set = set(phi1.points)
     try:
         phi1_rows = [code.point_row[p] for p in phi1.points]
     except KeyError as exc:
         raise UndecodableError("erasure location %s is not a code point" % (exc.args[0],))
+    # the erasure projection: only the target is reduced
     elim = Eliminator(f, len(b_list))
     _, ops = elim.insert(code.columns[phi1_rows], phi1.points)
-    # the target, and every candidate column when a search may follow
-    # (t_max > 0), in one batch; the columns count only when the target
-    # is nonzero
-    candidates = [p for p in code.psi.points if p not in phi1_set]
-    batch = f.np_exponents(np.array(s, dtype=np.intp))[None]
-    if t_max:
-        batch = np.vstack([batch, np.delete(code.columns, phi1_rows, axis=0)])
-    res, _, reduce_ops = elim.reduce(batch)
+    res, _, reduce_ops = elim.reduce(target[None])
     f.op_count += ops + int(reduce_ops[0])
-    live = res != f.np_arith().zero
-    res = np.where(live, res, ZERO)
 
-    chosen = ()
-    stats = {"t": 0, "candidates": 0, "r": 0, "entries": 0, "matches": 0}
-    if live[0].any():
-        f.op_count += int(reduce_ops[1:].sum())
-        eligible = np.flatnonzero(live[1:].any(axis=1))
-        supports = []
-        if t_max:
-            search = _SupportSearch(f, res[0].tolist(), res[1 + eligible].tolist(), t_max)
-            stats = search.stats
-            for t in range(1, t_max + 1):
-                supports = search.supports(t)
-                if supports:
-                    break
-        if not supports:
+    located = phi1_set
+    stats = {"t": 0, "votes": 0, "rank": 0, "rows": 0, "cols": 0}
+    if (res != f.np_arith().zero).any():
+        if not t_max:
             raise UndecodableError(
-                "no error support of size <= %d is consistent with the syndrome" % t_max)
-        if len(supports) > 1:
-            raise AmbiguousPatternError(
-                "distinct minimal supports: %s"
-                % "; ".join(str(tuple(candidates[eligible[i]] for i in sup))
-                            for sup in supports))
-        chosen = tuple(candidates[eligible[i]] for i in supports[0])
-
-    located = set(phi1_set) | set(chosen)
+                "no error support of size <= 0 is consistent with the syndrome")
+        z, stats = _Staircase(code, target, elim, phi1_rows, t_max).run()
+        located = phi1_set | {code.psi.points[k] for k in z.tolist()}
     pts = tuple(p for p in code.psi.points if p in located)
     loc_ps = PointSet(f, code.ndim, pts)
     if not pts:

@@ -11,8 +11,7 @@ field up to MAX_Q, and are not op-counted: their callers add the
 analytic count of the scalar operations a kernel stands for to
 ``op_count`` in one addition.  A product is a sum of exponents.
 ``np_dot`` sums products as XORs (p = 2) or as digit-wise sums mod p of
-spread base-p encodings; ``np_enc_add`` adds canonical base-p encodings
-elementwise.
+spread base-p encodings.
 """
 
 from dataclasses import dataclass
@@ -27,8 +26,6 @@ MAX_Q = 1 << 16
 # dense q x q add tables are built below this size; larger fields fall
 # back to Zech logarithms
 DENSE_Q = 512
-# ``Field.np_enc_add`` reads a q x q sum table for odd p up to this size
-NP_TABLE_Q = 4096
 
 
 class FieldError(ValueError):
@@ -62,13 +59,9 @@ class GFArrays:
     as at most ``chunk`` terms meet before the digits are reduced mod p;
     digit i sits at bit ``shifts[i]`` and has place value ``place[i]`` in
     the base-p encoding.  ``log`` maps a base-p encoding back to its
-    exponent (``zero`` for 0) and ``neg`` is the exponent of -1.
-    ``enc[x]`` is the canonical base-p encoding of exponent x (0 for the
-    zero element) as uint16, ``exp`` itself for p = 2; ``Field.np_enc_add``
-    adds encodings."""
+    exponent (``zero`` for 0) and ``neg`` is the exponent of -1."""
 
     exp: np.ndarray
-    enc: np.ndarray
     log: np.ndarray
     zero: int
     neg: int
@@ -130,7 +123,6 @@ class Field:
         self.q = spec.q
         self.op_count = 0
         self._np_arith = None
-        self._enc_sums = None
         self._build_tables()
 
     def _poly_mul_x_mod(self, coeffs):
@@ -219,43 +211,18 @@ class Field:
             p, m, n = self.p, self.m, self.q - 1
             zero = 2 * n
             codes = np.array(self.antilog, dtype=np.int64)
-            enc = np.zeros(2 * zero + 1, dtype=np.uint16)
-            enc[:zero] = np.tile(codes, 2)
             bits = 63 // m
             shifts, place = bits * np.arange(m), p ** np.arange(m)
-            exp = enc
-            if p > 2:
-                exp = np.zeros(2 * zero + 1, dtype=np.int64)
-                exp[:zero] = np.tile((codes[:, None] // place % p << shifts).sum(axis=1), 2)
+            exp = np.zeros(2 * zero + 1, dtype=np.uint16 if p == 2 else np.int64)
+            exp[:zero] = np.tile(codes if p == 2 else
+                                 (codes[:, None] // place % p << shifts).sum(axis=1), 2)
             log = np.full(self.q, zero, dtype=np.intp)
             log[codes] = np.arange(n)
             # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
             chunk = ((1 << bits) - 1) // (p - 1) - 1
-            self._np_arith = GFArrays(exp, enc, log, zero, self._neg_code, bits, chunk,
+            self._np_arith = GFArrays(exp, log, zero, self._neg_code, bits, chunk,
                                       shifts, place)
         return self._np_arith
-
-    def np_enc_add(self, a, b):
-        """Elementwise sum of two broadcast arrays of canonical encodings,
-        as uint16 encodings: XOR for p = 2, a flat q x q sum table (built
-        on first use) for odd p up to NP_TABLE_Q, digit arithmetic above;
-        not op-counted."""
-        p, q = self.p, self.q
-        if p == 2:
-            return a ^ b
-        if q > NP_TABLE_Q:
-            return self._digit_add(a.astype(np.int64), b).astype(np.uint16)
-        if self._enc_sums is None:
-            # one base-p digit at a time: [a' p + a0, b' p + b0] holds
-            # p * sum(a', b') + (a0 + b0) % p
-            digit = np.arange(p, dtype=np.uint16)
-            table = np.zeros((1, 1), dtype=np.uint16)
-            for k in p ** np.arange(self.m):
-                table = (p * table[:, None, :, None]
-                         + (digit[:, None, None] + digit) % p).reshape(k * p, k * p)
-            self._enc_sums = table.ravel()
-        # flat indices a * q + b fit uint16 up to q = 256
-        return self._enc_sums.take(a * (np.uint16(q) if q <= 256 else np.uint32(q)) + b)
 
     def np_codes(self, x):
         """Element codes (a list of ints, -1 for zero) of an exponent array."""

@@ -50,6 +50,7 @@ coefficient and one neg per recurrence.  Building a plan costs no field
 operations, so the counts of a call do not depend on the cache.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -357,7 +358,9 @@ def vanishing_gb(points, order):
 
     The scan inserts the candidates of the box in batches of 2 |points|,
     skipping every candidate that dominates a minimal lead found before
-    it, and counts exactly the candidates the scan inserts."""
+    it, and counts exactly the candidates the scan inserts.  The basis
+    keeps the scan's Eliminator as ``eliminator``: its rows are the
+    evaluation vectors of the delta set, in increasing order."""
     f = points.field
     ndim = points.ndim
     n = len(points.points)
@@ -399,6 +402,7 @@ def vanishing_gb(points, order):
     # _check_set_leads finds in the same order; none of them dominates a
     # lead with a component q
     gb = _family(elim, w, order, frozenset(delta), scan_tails)
+    gb.eliminator = elim
     return gb, gb.delta
 
 
@@ -521,6 +525,64 @@ def normal_form(poly, gb):
             else:
                 work[e] = v
     return Polynomial(f, gb.ndim, remainder)
+
+
+class SumForms:
+    """Normal forms mod I(Psi) of the products of pairs (i, j) of delta
+    monomials (in increasing order), memoized per semigroup sum, computed
+    for the pairs asked for: coefficient exponents over the delta set (the
+    negated tail of the product's values reduced by the delta set's), and
+    the lead position (-1 for zero).  Not op-counted: they belong to the
+    code, like its evaluation columns."""
+
+    def __init__(self, field, psi, delta, elim):
+        self.field = field
+        self.delta = list(delta)
+        self.position = {d: k for k, d in enumerate(self.delta)}
+        self._exps = index_array(self.delta, psi.ndim)
+        self._points = index_array(psi.points, psi.ndim)
+        # evals[k, p]: the k-th delta monomial at the p-th point
+        self.evals = power_matrix(field, self._exps, self._points)
+        self.forms = np.empty((0, len(self.delta)), dtype=np.intp)
+        self.leads = np.empty(0, dtype=np.intp)
+        self._slot = {}
+        self._block = (np.empty((0, 0), dtype=np.intp),) * 4
+        self._elim = elim  # holds the delta set's evaluation vectors
+        self._lock = threading.Lock()
+
+    def block(self, m):
+        """(slots into forms and leads, leads, box maxima, well-behaving
+        mask) of the pairs of the first m monomials.  The box of (i, j)
+        holds the (i', j') with i' <= i, j' <= j; a pair is well-behaving
+        when its lead tops those of the rest of its box."""
+        with self._lock:
+            if m > len(self._block[0]):
+                self._grow(m)
+            return tuple(a[:m, :m] for a in self._block)
+
+    def _grow(self, m):
+        f, n = self.field, len(self.delta)
+        ar = f.np_arith()
+        s = self._exps[:m, None] + self._exps[None, :m]
+        s = np.where(s == 0, 0, (s - 1) % (f.q - 1) + 1)  # x^q = x on GF(q)
+        uniq, inv = np.unique(s.reshape(m * m, -1), axis=0, return_inverse=True)
+        keys = list(map(tuple, uniq.tolist()))
+        new = [k for k, key in enumerate(keys) if key not in self._slot]
+        if new:
+            _, tails, _ = self._elim.reduce(power_matrix(f, uniq[new], self._points))
+            live = tails != ar.zero
+            self._slot.update((keys[k], len(self.leads) + i) for i, k in enumerate(new))
+            self.forms = np.vstack([self.forms,
+                                    np.where(live, (tails + ar.neg) % (f.q - 1), ar.zero)])
+            self.leads = np.concatenate([self.leads, np.where(
+                live.any(axis=1), n - 1 - live[:, ::-1].argmax(axis=1), -1)])
+        pairs = np.array([self._slot[key] for key in keys])[inv.ravel()].reshape(m, m)
+        lead = self.leads[pairs]
+        box = np.maximum.accumulate(np.maximum.accumulate(lead, axis=0), axis=1)
+        rest = np.full_like(box, -1)
+        rest[1:] = box[:-1]
+        rest[:, 1:] = np.maximum(rest[:, 1:], box[:, :-1])
+        self._block = (pairs, lead, box, lead > rest)
 
 
 # extension plans kept at once, one per basis shape (see _extension_plan)

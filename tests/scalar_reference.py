@@ -10,8 +10,8 @@ field operation at a time, like ``avcodes.ideal.extend`` did.
 ``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
 ``transpose_check`` build on it and on point_power as the library did
 before its batched eliminator.  ``find_supports`` is the plain
-meet-in-the-middle enumeration the locator's sort-join search must
-match.  The direct formulas (``transform.dft``, ``transform.idft``) stay
+meet-in-the-middle enumeration of consistent supports, the oracle of the
+voting locator.  The direct formulas (``transform.dft``, ``transform.idft``) stay
 in the library as the transform oracle; ``dft(c, indices)`` is the
 reference of ``dft_partial``.
 """
@@ -402,7 +402,7 @@ def transpose_check(delta, psi):
     return all(elim.insert(row, i) is None for i, row in enumerate(ev_rows))
 
 
-# -- the locator's support search -----------------------------------------
+# -- the locator's oracle ------------------------------------------------
 
 def find_supports(field, target, columns, t):
     """The sorted supports of size t admitting an all-nonzero combination

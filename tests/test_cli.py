@@ -198,7 +198,7 @@ def test_bench_json(tmp_path, capsys):
         next(lines)  # total
         next(lines)  # fast-idft bound
         assert list(rec["ms"]) == list(rec["steps"])
-        assert rec["meta"]["code"] == name and "candidates" in rec["meta"]["locator"]
+        assert rec["meta"]["code"] == name and "votes" in rec["meta"]["locator"]
     assert next(lines) == "idft q=9 N=2: fast %d ops, direct %d ops" % (
         doc["idft"]["fast_ops"], doc["idft"]["direct_ops"])
     path = tmp_path / "bench.json"

@@ -4,7 +4,8 @@ import pytest
 
 from avcodes.gf import ZERO, ONE
 from avcodes.transform import Spectrum, Word
-from avcodes.maps import evaluate
+from avcodes.maps import PointSet, evaluate
+from avcodes.decoder import locate
 from avcodes.codes import (CodeConfigError, code_from_config, load_code,
                            preset, PRESET_CONFIGS, encode_nonsystematic, primal_encode,
                            syndrome, is_dual_codeword)
@@ -24,6 +25,46 @@ def test_preset_parameters(rs_like, hermitian, hcrs):
     for code in (rs_like, hermitian, hcrs):
         assert set(code.b_list) <= code.delta.members
         assert code.k == code.n - len(code.b_list)
+
+
+# the Hermitian code over GF(16) (n = 64) and criterion 11's two small codes
+HERM16 = {
+    "field": {"p": 2, "m": 4, "primitive_poly": [1, 1, 0, 0, 1]},
+    "N": 2,
+    "order": {"kind": "weighted_grlex", "weights": [4, 5]},
+    "points": "hermitian",
+    "B": "wdeg<=20",
+    "d_fr": 10,
+}
+RS4 = {"field": {"p": 2, "m": 2, "primitive_poly": [1, 1, 1]},
+       "N": 1, "order": {"kind": "lex"}, "points": "full-grid",
+       "B": [[0], [1]], "d_fr": 3}
+HYP4 = {"field": {"p": 2, "m": 2, "primitive_poly": [1, 1, 1]},
+        "N": 2, "order": {"kind": "grlex"}, "points": "full-grid",
+        "B": "prodplus<4", "d_fr": 4}
+
+
+FENG_RAO = {"rs-like": (PRESET_CONFIGS["rs-like"], 3),
+            "hermitian": (PRESET_CONFIGS["hermitian"], 7),
+            "hcrs": (PRESET_CONFIGS["hcrs"], 9),
+            "herm16": (HERM16, 10),
+            "rs4": (RS4, 3),
+            "hyp4": (HYP4, 4)}
+
+
+@pytest.mark.parametrize("name", list(FENG_RAO))
+def test_feng_rao_bound(name):
+    cfg, bound = FENG_RAO[name]
+    code = code_from_config(cfg, name=name)
+    # computed on first use only: a one-error locate, which reads the
+    # normal forms the bound shares, does not compute it
+    error = Word(code.field, code.ndim, {p: ZERO for p in code.psi.points})
+    error.values[code.psi.points[-1]] = ONE
+    _, located = locate(syndrome(error, code.b_list), PointSet(code.field, code.ndim, ()),
+                        code)
+    assert located.points == code.psi.points[-1:]
+    assert "sum_forms" in vars(code) and "feng_rao" not in vars(code)
+    assert code.feng_rao == bound == code.d_fr
 
 
 def test_hermitian_b_chain(hermitian):

@@ -1,26 +1,26 @@
 import itertools
+import math
 import re
+import sys
+import threading
 import time
-import tracemalloc
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference as reference
+from test_codes import HERM16
 from avcodes import decoder
-from avcodes.gf import Field, FieldError, ZERO, ONE, NP_TABLE_Q
+from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import vanishing_gb
 from avcodes.transform import Spectrum, Word, point_power, omega_space
 from avcodes.maps import PointSet
 from avcodes.codes import (CodeSpec, encode_nonsystematic, is_dual_codeword, syndrome,
-                           code_from_config)
+                           code_from_config, preset)
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
                              systematic_basis, check_systematic_support,
-                             default_t_max, UndecodableError,
-                             AmbiguousPatternError, SystematicSupportError)
+                             default_t_max, UndecodableError, SystematicSupportError)
 from avcodes.golden import hermitian_alg2_received, HERM_G_LOCATED, HERM_SYS_PHI
 
 
@@ -135,6 +135,19 @@ def weight3_dual_codeword(code, rng):
     raise AssertionError("no weight-3 codeword found")
 
 
+def _column(code, p):
+    return [point_power(code.field, p, b) for b in code.b_list]
+
+
+def _consistent(code, synd, points):
+    """Whether the syndrome is a combination of the columns of the points."""
+    elim = reference.Eliminator(code.field)
+    for p in points:
+        elim.insert(_column(code, p), p)
+    residual, _ = elim.reduce([synd.values[b] for b in code.b_list])
+    return all(x == ZERO for x in residual)
+
+
 def test_locate_ambiguous_beyond_radius(rs_like, rng):
     # split a weight-3 codeword across two overlapping weight-2 errors with
     # equal syndromes; at t_max = 2 both supports are minimal and consistent
@@ -147,9 +160,20 @@ def test_locate_ambiguous_beyond_radius(rs_like, rng):
     e1.values[p1] = f.add(cw.values[p1], t)
     e1.values[p2] = cw.values[p2]
     synd = syndrome(e1, rs_like.b_list)
+    target = [synd.values[b] for b in rs_like.b_list]
+    columns = [_column(rs_like, p) for p in rs_like.psi.points]
+    # e1 and e1 - cw: no single column fits, both pairs do
+    pos = {p: i for i, p in enumerate(rs_like.psi.points)}
+    assert reference.find_supports(f, target, columns, 1) == []
+    pairs = reference.find_supports(f, target, columns, 2)
+    assert {tuple(sorted((pos[p1], pos[p]))) for p in (p2, p3)} <= set(pairs)
+    # the locator settles on one consistent support or gives up
     empty = PointSet(f, 1, ())
-    with pytest.raises(AmbiguousPatternError):
-        locate(synd, empty, rs_like, t_max=2)
+    try:
+        _, located = locate(synd, empty, rs_like, t_max=2)
+    except UndecodableError:
+        return
+    assert 1 <= len(located) <= 2 and _consistent(rs_like, synd, located.points)
 
 
 def test_locate_undecodable(rs_like, rng):
@@ -331,86 +355,182 @@ def test_out_of_range_values_rejected(hermitian, rng, entry, bad):
         call()
 
 
-SEARCH_FIELDS = {q: Field(*spec) for q, spec in {
+SMALL_FIELDS = {q: Field(*spec) for q, spec in {
     4: (2, 2, (1, 1, 1)),
     8: (2, 3, (1, 1, 0, 1)),
     9: (3, 2, (2, 1, 1)),
     16: (2, 4, (1, 1, 0, 0, 1)),
 }.items()}
-# odd p above NP_TABLE_Q: the search adds encodings digit by digit
-GF3_8 = Field(3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1))
 
 
 @st.composite
-def support_systems(draw):
-    """(field, target, columns, t_max) shaped like the locator's input
-    after erasure reduction: nonzero columns, some of them equal or
-    proportional to others, coordinates that are zero everywhere, and
-    often a planted combination of up to t_max columns as the target.
-    GF(3^8) gets t_max = 2 and at most 2 short columns, so that the
-    oracle's enumeration stays fast."""
-    q = draw(st.sampled_from(sorted(SEARCH_FIELDS) + [GF3_8.q]))
-    f = SEARCH_FIELDS.get(q, GF3_8)
-    t_max = 2 if q > NP_TABLE_Q else 4
-    ncand = draw(st.integers(1, 2 if q > NP_TABLE_Q else 4 if q == 16 else 6))
-    veclen = draw(st.integers(1, 4 if q > NP_TABLE_Q else 12))
+def located_cases(draw):
+    """A random code over GF(4), GF(8) or GF(9) (N = 1 or 2; lex, grlex
+    or weighted_grlex; random points or a product grid; B a prefix, a
+    hyperbolic set or a random subset of the delta set; d_fr its Feng-Rao
+    bound) and an erasure-and-error pattern with |Phi1| + 2t < d_fr: the
+    erasure set and the error word."""
+    q = draw(st.sampled_from([4, 8, 9]))
+    f = SMALL_FIELDS[q]
+    ndim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(MonomialOrder.KINDS))
+    weights = (tuple(draw(st.integers(1, 3)) for _ in range(ndim))
+               if kind == "weighted_grlex" else None)
+    order = MonomialOrder(kind, weights)
+
+    def large(lo, hi):
+        # hypothesis starts from small draws; these sizes start large
+        return hi - draw(st.integers(0, max(0, hi - lo)))
+
     elem = st.integers(-1, q - 2)
-    cols = draw(st.lists(st.lists(elem, min_size=veclen, max_size=veclen),
-                         min_size=ncand, max_size=ncand))
-    for src, dst, c in draw(st.lists(st.tuples(st.integers(0, ncand - 1),
-                                               st.integers(0, ncand - 1),
-                                               st.integers(0, q - 2)), max_size=2)):
-        cols[dst] = [f.mul(c, x) for x in cols[src]]
-    size = draw(st.integers(0, min(t_max, ncand)))
-    if size:
-        support = draw(st.lists(st.integers(0, ncand - 1), min_size=size,
-                                max_size=size, unique=True))
-        target = [ZERO] * veclen
-        for i in support:
-            c = draw(st.integers(0, q - 2))
-            target = [f.add(a, f.mul(c, x)) for a, x in zip(target, cols[i])]
+    if ndim == 2 and draw(st.booleans()):
+        # a product grid, whose normal forms are monomials
+        axes = [draw(st.lists(elem, min_size=large(2, 4), max_size=4, unique=True))
+                for _ in range(2)]
+        pts = tuple(itertools.product(*axes))
     else:
-        target = draw(st.lists(elem, min_size=veclen, max_size=veclen))
-    dead = draw(st.sets(st.integers(0, veclen - 1), max_size=veclen - 1))
-    cols = [[ZERO if j in dead else x for j, x in enumerate(col)] for col in cols]
-    target = [ZERO if j in dead else x for j, x in enumerate(target)]
-    assume(any(x != ZERO for x in target))
-    assume(all(any(x != ZERO for x in col) for col in cols))
-    return f, target, cols, t_max
+        n = large(min(q ** ndim, 6), min(q ** ndim, 16))
+        pts = tuple(draw(st.lists(st.tuples(*[elem] * ndim), min_size=n, max_size=n,
+                                  unique=True)))
+    psi = PointSet(f, ndim, pts)
+    members = order.sort(vanishing_gb(psi, order)[1].members)
+    # two to half the delta set, so that d_fr leaves room for errors
+    size = large(min(2, len(members) // 2), len(members) // 2)
+    pick = draw(st.sampled_from(["prefix", "hyperbolic", "subset"]))
+    if pick == "prefix":
+        b_list = members[:size]
+    elif pick == "hyperbolic":
+        # the first `size` indices by the product of (b_i + 1), as hcrs
+        b_list = sorted(members, key=lambda b: math.prod(x + 1 for x in b))[:size]
+    else:
+        b_list = draw(st.lists(st.sampled_from(members), min_size=size, max_size=size,
+                               unique=True))
+    code = CodeSpec(f, ndim, order, psi, b_list, 1)
+    code.d_fr = code.feng_rao
+    assume(code.d_fr >= 2)
+    # the full radius half the time, where the votes come in
+    t = (code.d_fr - 1) // 2
+    t = t if draw(st.booleans()) else draw(st.integers(0, t))
+    n_erase = draw(st.integers(0, min(code.d_fr - 1 - 2 * t, len(pts) - t)))
+    rnd = draw(st.randoms(use_true_random=False))
+    chosen = rnd.sample(pts, n_erase + t)
+    e = Word(f, ndim, {p: ZERO for p in pts})
+    for p in chosen[:n_erase]:
+        e.values[p] = rnd.randrange(-1, q - 1)
+    for p in chosen[n_erase:]:
+        e.values[p] = rnd.randrange(0, q - 1)
+    phi1 = PointSet(f, ndim, tuple(p for p in pts if p in set(chosen[:n_erase])))
+    return code, phi1, e
 
 
-@settings(max_examples=60, deadline=None)
-@given(support_systems(), st.booleans())
-def test_support_search_matches_python_oracle(system, narrow_keys):
-    # the sort-join search equals plain meet-in-the-middle enumeration for
-    # every t, whether one search serves t = 1..t_max or a fresh one serves
-    # each t; one-symbol keys make hash collisions the rule, which the
-    # exact re-check must filter out
-    f, target, cols, t_max = system
-    width = (lambda q, veclen, largest: 1) if narrow_keys else decoder._key_width
-    with mock.patch.object(decoder, "_key_width", width):
-        shared = decoder._SupportSearch(f, target, cols, t_max)
-        for t in range(1, t_max + 1):
-            want = reference.find_supports(f, target, cols, t)
-            assert shared.supports(t) == want
-            assert decoder._SupportSearch(f, target, cols, t).supports(t) == want
+def _oracle_support(code, synd, phi1):
+    """The unique minimal support off Phi1 consistent with the syndrome,
+    from the plain enumeration after projecting out the erasure columns."""
+    f = code.field
+    elim = reference.Eliminator(f)
+    for p in phi1.points:
+        elim.insert(_column(code, p), p)
+    target, _ = elim.reduce([synd.values[b] for b in code.b_list])
+    if all(x == ZERO for x in target):
+        return set()
+    cands = [p for p in code.psi.points if p not in set(phi1.points)]
+    cols = [elim.reduce(_column(code, p))[0] for p in cands]
+    live = [i for i, col in enumerate(cols) if any(x != ZERO for x in col)]
+    for t in range(1, len(live) + 1):
+        supports = reference.find_supports(f, target, [cols[i] for i in live], t)
+        if supports:
+            assert len(supports) == 1
+            return {cands[live[i]] for i in supports[0]}
+    raise AssertionError("no consistent support")
 
 
-def test_locator_table_budget(hcrs):
-    # the size-3 half table of hcrs (C(81,3) * 8^3 rows) is over the
-    # budget at any key width; the size-2 one that full-radius decoding
-    # builds is far below it
-    assert decoder.half_table_bytes(81, 3, 9, 1) > decoder.TABLE_BUDGET
-    assert 10 * decoder.half_table_bytes(81, 2, 9, 20) < decoder.TABLE_BUDGET
-    # so a search for 5 or more errors is refused before that table exists
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(located_cases())
+def test_locate_matches_oracle_inside_radius(case):
+    # inside the Feng-Rao radius the voting locator returns the oracle's
+    # unique minimal support, which is the true error support
+    code, phi1, e = case
+    synd = syndrome(e, code.b_list)
+    want = _oracle_support(code, synd, phi1)
+    erased = set(phi1.points)
+    assert want == {p for p, v in e.values.items() if v != ZERO and p not in erased}
+    loc = locate(synd, phi1, code)
+    assert set(loc[1].points) == erased | want
+    assert loc.stats["t"] == len(want)
+
+
+@pytest.mark.parametrize("name,t", [("hermitian", 3), ("hcrs", 4), ("herm16", 4)])
+def test_locator_ops_within_model(name, t, rng):
+    # full-radius decodes: the locator step counts at most the
+    # criterion-11 model z*n^2 + N*q^(N+1)
+    code = code_from_config(HERM16) if name == "herm16" else preset(name)
+    f = code.field
+    assert t == (code.d_fr - 1) // 2
+    votes = 0
+    for _ in range(5):
+        cw = encode_nonsystematic(random_info(code, rng), code)
+        r, phi1 = corrupt(code, cw, 0, t, rng)
+        res = decode_word(r, phi1, code)
+        assert res.codeword.values == cw.values
+        rep = res.report
+        assert rep.meta["locator"]["t"] == t
+        votes += rep.meta["locator"]["votes"]
+        model = rep.meta["z"] * code.n ** 2 + code.ndim * f.q ** (code.ndim + 1)
+        assert rep.steps["locator"] <= model, (rep.steps["locator"], model)
+    # on hcrs, whose B is no prefix of the order, four errors need votes
+    assert votes > 0 or name != "hcrs"
+
+
+def test_locate_threads_share_sum_forms(rng):
+    # eight threads locating four errors each on one fresh code grow its
+    # normal-form memo at the same time; each must find its own errors
+    code = preset("hcrs")
+    f = code.field
+    empty = PointSet(f, 2, ())
+    cases = []
+    for _ in range(8):
+        e = Word(f, 2, {p: ZERO for p in code.psi.points})
+        errors = rng.sample(code.psi.points, 4)
+        for p in errors:
+            e.values[p] = rng.randrange(0, f.q - 1)
+        cases.append((syndrome(e, code.b_list), set(errors)))
+    found = {}
+
+    def work(k):
+        synd, want = cases[k]
+        found[k] = set(locate(synd, empty, code)[1].points) == want
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert found == {k: True for k in range(len(cases))}
+
+
+def test_locator_six_errors_hcrs(hcrs, rng):
+    # six errors against a 4-error radius with t_max raised to 6: the
+    # decode returns a dual codeword or raises, quickly and without tables
     f = hcrs.field
     pts = list(hcrs.psi.points)
-    e = Word(f, 2, {p: ZERO for p in pts})
+    cw = encode_nonsystematic(random_info(hcrs, rng), hcrs)
+    r = cw.copy()
     for j, v in zip((3, 17, 29, 40, 58, 77), (0, 1, 2, 3, 4, 5)):
-        e.values[pts[j]] = v
-    synd = syndrome(e, hcrs.b_list)
-    with pytest.raises(UndecodableError, match="budget"):
-        locate(synd, PointSet(f, 2, ()), hcrs, t_max=6)
+        r.values[pts[j]] = f.add(r.values[pts[j]], v)
+    start = time.perf_counter()
+    try:
+        res = decode_word(r, PointSet(f, 2, ()), hcrs, t_max=6)
+    except UndecodableError:
+        pass
+    else:
+        assert is_dual_codeword(res.codeword, hcrs)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_locator_report(hermitian, rng):
@@ -418,13 +538,13 @@ def test_locator_report(hermitian, rng):
     cw = encode_nonsystematic(h, hermitian)
     r, phi1 = corrupt(hermitian, cw, 0, 3, rng)
     loc = decode_word(r, phi1, hermitian).report.meta["locator"]
-    # t = 1, 2, 3 use the size-1 half, its target side, and the size-2
-    # target side: 1 + 27*8 + 27*8 + C(27,2)*8^2 rows
-    assert loc == {"t": 3, "candidates": 27, "r": 9, "entries": 22897,
-                   "matches": loc["matches"]}
-    assert loc["matches"] >= 1
+    assert set(loc) == {"t", "votes", "rank", "rows", "cols"}
+    # three errors, three pivots, on a staircase inside the n x n matrix
+    assert loc["t"] == loc["rank"] == 3
+    assert loc["votes"] >= 0 and 3 <= loc["rows"] <= 27 and 3 <= loc["cols"] <= 27
     res = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian)
-    assert res.report.meta["locator"]["t"] == 0
+    assert res.report.meta["locator"] == {"t": 0, "votes": 0, "rank": 0, "rows": 0,
+                                          "cols": 0}
 
 
 def test_code_columns_cached(hermitian):
@@ -437,7 +557,7 @@ def test_code_columns_cached(hermitian):
         assert f.np_codes(row) == [point_power(f, p, b) for b in hermitian.b_list]
 
 
-# fields above NP_TABLE_Q: p = 2 adds encodings by XOR, odd p digit by digit
+# fields above q = 4096, with Zech-log scalar arithmetic
 LARGE_FIELDS = {
     "GF(2^13)": {"p": 2, "m": 13,
                  "primitive_poly": [1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]},
@@ -460,12 +580,12 @@ def _line_code(field, n, nb):
 
 
 def test_decode_info_above_dense_tables(rng):
-    # q > 4096: Zech-log arithmetic and the sort-join search over the
-    # encodings of both large-field paths, two errors on a random codeword
+    # q > 4096: Zech-log arithmetic and the voting locator on the numpy
+    # layer, two errors on a random codeword
     for field in LARGE_FIELDS.values():
         code = _line_code(field, 8, 4)
         f = code.field
-        assert f.q > NP_TABLE_Q and f._zech is not None
+        assert f.q > 4096 and f._zech is not None
         h = random_info(code, rng)
         cw = encode_nonsystematic(h, code)
         r, phi1 = corrupt(code, cw, 0, 2, rng)
@@ -478,41 +598,23 @@ def test_decode_info_above_dense_tables(rng):
 
 
 @pytest.mark.parametrize("name", sorted(LARGE_FIELDS))
-def test_large_field_search_refused_by_budget(name, rng):
-    # three errors among 40 points: the size-1 halves of t = 1, 2 are
-    # searched, and the size-2 half of t = 3 (about 780 q^2 rows) is
-    # refused before it is built
+def test_large_field_three_error_roundtrip(name, rng):
+    # three errors among 40 points, inside d_fr = 7, decode exactly in
+    # well under a second
     code = _line_code(LARGE_FIELDS[name], 40, 6)
     f = code.field
     r = Word(f, 1, {p: ZERO for p in code.psi.points})
     for p in rng.sample(list(code.psi.points), 3):
         r.values[p] = rng.randrange(0, f.q - 1)
     start = time.perf_counter()
-    with pytest.raises(UndecodableError, match="support search of size 3 .* budget"):
-        decode_info(r, PointSet(f, 1, ()), code)
+    info = decode_info(r, PointSet(f, 1, ()), code)
     assert time.perf_counter() - start < 1.0
-
-
-def test_large_field_search_memory_within_estimate(rng):
-    # one t = 2 search over GF(3^8), digit-by-digit sums, 40 candidates:
-    # its traced peak stays below the half-table estimate it reserved
-    f = GF3_8
-    cols = [[rng.randrange(-1, f.q - 1) for _ in range(6)] for _ in range(40)]
-    target = [rng.randrange(-1, f.q - 1) for _ in range(6)]
-    tracemalloc.start()
-    try:
-        search = decoder._SupportSearch(f, target, cols, 2)
-        search.supports(1)
-        search.supports(2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert search.stats["entries"] == 1 + 2 * 40 * (f.q - 1)
-    assert peak < sum(search.reserved.values())
+    assert info.values == {d: ZERO for d in code.info_support()}
+    assert info.report.meta["located"] == info.report.meta["locator"]["t"] == 3
 
 
 def test_decode_info_zech_range():
-    # 512 < q = 2^10 <= 4096: Zech arithmetic and the sort-join search
+    # 512 < q = 2^10 <= 4096: Zech arithmetic and the voting locator
     code = code_from_config({
         "field": {"p": 2, "m": 10,
                   "primitive_poly": [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]},
@@ -523,7 +625,7 @@ def test_decode_info_zech_range():
         "d_fr": 5,
     })
     f = code.field
-    assert f._zech is not None and f.q <= NP_TABLE_Q
+    assert f._zech is not None and f.q <= 4096
     r = Word(f, 1, {p: ZERO for p in code.psi.points})
     r.values[(17,)] = 5
     r.values[(700,)] = 1000
@@ -553,8 +655,8 @@ def systematic_cases(draw):
     """A small random code (GF(4)..GF(16), N = 1 or 2, random points,
     random check set B inside the delta set) with a redundant-position set
     Phi that passes check_systematic_support, and an information word."""
-    q = draw(st.sampled_from(sorted(SEARCH_FIELDS)))
-    f = SEARCH_FIELDS[q]
+    q = draw(st.sampled_from(sorted(SMALL_FIELDS)))
+    f = SMALL_FIELDS[q]
     ndim = draw(st.sampled_from([1, 2]))
     coords = st.tuples(*[st.integers(-1, q - 2)] * ndim)
     pts = tuple(draw(st.lists(coords, min_size=2, max_size=min(q ** ndim, 10),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avcodes.gf import Field, FieldError, NotPrimitiveError, ZERO, ONE, NP_TABLE_Q
+from avcodes.gf import Field, FieldError, NotPrimitiveError, ZERO, ONE
 
 
 def test_f8_construction(f8):
@@ -153,36 +153,32 @@ def test_op_counter(f8):
     (3, 2, (2, 1, 1)),
     (2, 4, (1, 1, 0, 0, 1)),
     (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # Zech arithmetic
-    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),  # above NP_TABLE_Q
-    (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1)),  # odd p above NP_TABLE_Q: digit arithmetic
+    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),  # q > 4096
+    (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1)),  # odd p, q > 4096
 ], ids=["GF(4)", "GF(9)", "GF(16)", "GF(2^10)", "GF(2^13)", "GF(3^8)"])
 def test_enc_add_matches_scalar(p, m, poly):
+    # canonical base-p encodings added digit by digit, elementwise over
+    # numpy arrays, agree with Field.add
     f = Field(p, m, poly)
-    ar = f.np_arith()
     q = f.q
-    # every exponent the numpy layer forms, the zero element's included
-    x = np.arange(2 * ar.zero + 1)
-    codes = np.where(x >= ar.zero, ZERO, x % (q - 1)).tolist()
-    assert ar.enc.dtype == np.uint16 and (p > 2 or ar.enc is ar.exp)
-    assert ar.enc.tolist() == [0 if c == ZERO else f.antilog[c] for c in codes]
+    codes = np.arange(-1, q - 1)
+    enc = np.array([0] + list(f.antilog), dtype=np.int64)
     rng = np.random.default_rng(q)
-    rows = x if q <= 16 else rng.choice(x, 200)
-    cols = x if q <= 16 else rng.choice(x, 200)
-    got = f.np_enc_add(ar.enc[rows, None], ar.enc[cols])
-    assert f.op_count == 0  # neither the arrays nor the sums are op-counted
-    assert got.dtype == np.uint16 and got.shape == (len(rows), len(cols))
+    rows = codes if q <= 16 else rng.choice(codes, 200)
+    cols = codes if q <= 16 else rng.choice(codes, 200)
+    got = f._digit_add(enc[rows + 1][:, None], enc[cols + 1][None, :])
+    assert f.op_count == 0
+    assert got.shape == (len(rows), len(cols))
     for i, row in zip(rows.tolist(), got.tolist()):
-        want = [f.add(codes[i], codes[j]) for j in cols.tolist()]
+        want = [f.add(i, j) for j in cols.tolist()]
         assert row == [0 if w == ZERO else f.antilog[w] for w in want]
-    # only odd p up to NP_TABLE_Q reads a q x q sum table
-    assert (f._enc_sums is not None) == (p > 2 and q <= NP_TABLE_Q)
 
 
 @pytest.mark.parametrize("p,m,poly", [
     (2, 3, (1, 1, 0, 1)),
     (3, 2, (2, 1, 1)),
     (5, 2, (2, 1, 1)),
-    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),  # above NP_TABLE_Q
+    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),  # q > 4096
     (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1)),  # odd p, more terms than one digit chunk
 ])
 def test_np_dot_matches_scalar(p, m, poly):
