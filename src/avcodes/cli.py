@@ -17,7 +17,8 @@ from .ideal import vanishing_gb, check_set_basis, extend, IdealError
 from .maps import PointSet, MapError, VanishingError
 from .codes import (CodeConfigError, load_code, preset, PRESET_CONFIGS,
                     encode_nonsystematic, is_dual_codeword)
-from .decoder import decode_info, decode_word, systematic_encode, UndecodableError
+from .decoder import (decode_info, decode_word, systematic_encode,
+                      UndecodableError, SystematicSupportError)
 from .golden import run_examples, HERM_SYS_PHI, HCRS_SYS_PHI
 
 EXIT_OK = 0
@@ -27,14 +28,12 @@ EXIT_IO = 4
 
 
 class CliError(Exception):
-    def __init__(self, msg, code):
-        super().__init__(msg)
-        self.code = code
+    """A malformed command line (exit 3)."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message, EXIT_CONFIG)
+        raise CliError(message)
 
 
 def _read_text(path):
@@ -44,9 +43,13 @@ def _read_text(path):
         return fh.read()
 
 
+def _read_points(path, field, ndim):
+    return PointSet.parse(field, ndim, _read_text(path).splitlines())
+
+
 def _emit(args, lines):
     text = "\n".join(lines) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -63,34 +66,31 @@ def _nonnegative(text):
     return int(text)
 
 
-def _field_from_args(args):
-    if args.p is None or args.m is None or args.poly is None:
-        raise CliError("need --p, --m and --poly (or --config/--preset)", EXIT_CONFIG)
-    return Field(args.p, args.m, _parse_poly(args.poly))
-
-
-def _order_from_args(args):
-    weights = _parse_poly(args.weights) if args.weights else None
-    return MonomialOrder(args.order, weights)
-
-
-def _code_from_args(args):
-    if getattr(args, "preset", None):
-        return preset(args.preset)
-    if getattr(args, "config", None):
-        return load_code(args.config)
-    return None
+def _positive(text):
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
 
 
 def _context(args):
-    """(field, ndim, order) from a code reference or explicit flags."""
-    code = _code_from_args(args)
-    if code is not None:
-        return code.field, code.ndim, code.order, code
-    field = _field_from_args(args)
-    if args.ndim is None:
-        raise CliError("need --ndim with explicit field flags", EXIT_CONFIG)
-    return field, args.ndim, _order_from_args(args), None
+    """(field, ndim, order, code) of the code named by --preset or --config;
+    without one, the field, N and order of the explicit field flags, and
+    code None."""
+    if args.preset:
+        code = preset(args.preset)
+    elif args.config:
+        code = load_code(args.config)
+    elif "ndim" not in args:
+        raise CliError("need --config FILE or --preset NAME")
+    else:
+        if None in (args.p, args.m, args.poly):
+            raise CliError("need --p, --m and --poly (or --config/--preset)")
+        field = Field(args.p, args.m, _parse_poly(args.poly))
+        if args.ndim is None:
+            raise CliError("need --ndim with explicit field flags")
+        weights = _parse_poly(args.weights) if args.weights else None
+        return field, args.ndim, MonomialOrder(args.order, weights), None
+    return code.field, code.ndim, code.order, code
 
 
 def _parse_flat_word(field, ndim, text, points):
@@ -132,7 +132,7 @@ def _flat_word_line(word, points):
 # -- subcommand bodies -------------------------------------------------------
 
 def cmd_field_table(args):
-    field = _field_from_args(args)
+    field = Field(args.p, args.m, _parse_poly(args.poly))
     lines = ["# GF(%d), p=%d, m=%d, poly=%s" % (field.q, field.p, field.m,
                                                 ",".join(map(str, field.spec.primitive_poly)))]
     lines.append("-1 -> " + ":".join(map(str, field.poly_coeffs(ZERO))))
@@ -152,7 +152,7 @@ def cmd_dft(args, inverse):
     else:
         word, erased = _parse_word_input(field, ndim, text, omega_space(field, ndim))
         if erased:
-            raise CliError("erasure marks are not meaningful for a transform", EXIT_CONFIG)
+            raise CliError("erasure marks are not meaningful for a transform")
         out = dft(word) if args.direct else dft_fast(word)
         lines = grid_lines(out, "spectrum") if args.grid else spectrum_lines(out)
     _emit(args, lines)
@@ -161,8 +161,7 @@ def cmd_dft(args, inverse):
 
 def cmd_gb(args):
     field, ndim, order, _ = _context(args)
-    pts = PointSet.parse(field, ndim, _read_text(args.points).splitlines())
-    gb, delta = vanishing_gb(pts, order)
+    gb, delta = vanishing_gb(_read_points(args.points, field, ndim), order)
     lines = ["g%d = %s" % (w, g.text(order)) for w, g in enumerate(gb.elements)]
     lines.append("delta = " + " ".join(format_index(d) for d in delta.sorted(order)))
     _emit(args, lines)
@@ -171,20 +170,18 @@ def cmd_gb(args):
 
 def cmd_extend(args):
     field, ndim, order, _ = _context(args)
-    pts = PointSet.parse(field, ndim, _read_text(args.points).splitlines())
-    gb, delta = vanishing_gb(pts, order)
+    gb, delta = vanishing_gb(_read_points(args.points, field, ndim), order)
     seed = _parse_spectrum_input(field, ndim, _read_text(args.input))
     if seed.domain() != set(delta.members):
         raise CliError("seed spectrum must be indexed exactly by the delta set "
-                       "(%s)" % " ".join(format_index(d) for d in delta.sorted(order)),
-                       EXIT_CONFIG)
+                       "(%s)" % " ".join(format_index(d) for d in delta.sorted(order)))
     out = extend(seed, gb, index_space(field, ndim))
     _emit(args, spectrum_lines(out))
     return EXIT_OK
 
 
 def cmd_encode(args):
-    code = _require_code(args)
+    code = _context(args)[3]
     seed = _parse_spectrum_input(code.field, code.ndim, _read_text(args.input))
     word = encode_nonsystematic(seed, code)
     _emit(args, [_flat_word_line(word, code.psi.points)])
@@ -192,46 +189,44 @@ def cmd_encode(args):
 
 
 def cmd_encode_sys(args):
-    code = _require_code(args)
-    phi = PointSet.parse(code.field, code.ndim, _read_text(args.phi).splitlines())
-    info_points = [p for p in code.psi.points if p not in set(phi.points)]
+    code = _context(args)[3]
+    phi = _read_points(args.phi, code.field, code.ndim)
+    info_points = [p for p in code.psi.points if p not in phi.points]
     text = _read_text(args.input)
     word, erased = _parse_word_input(code.field, code.ndim, text, info_points)
     if erased:
-        raise CliError("information word cannot contain erasures", EXIT_CONFIG)
+        raise CliError("information word cannot contain erasures")
     out = systematic_encode(word, phi, code)
     _emit(args, [_flat_word_line(out, code.psi.points)])
     return EXIT_OK
 
 
-def _received(args, code):
+def _received(args):
+    """The code, the received word and its erasure set: every '?'-marked
+    and --erasures point, in the code's point order with any foreign point
+    after them for the decoder to reject.  Erased code positions read
+    zero."""
+    code = _context(args)[3]
     word, erased = _parse_word_input(code.field, code.ndim,
                                      _read_text(args.input), code.psi.points)
-    pts = list(erased)
     if args.erasures:
-        extra = PointSet.parse(code.field, code.ndim,
-                               _read_text(args.erasures).splitlines())
-        for p in extra.points:
-            if p not in set(pts):
-                pts.append(p)
-        for p in extra.points:
-            word.values[p] = ZERO
-    phi1 = PointSet(code.field, code.ndim,
-                    tuple(p for p in code.psi.points if p in set(pts)))
-    return word, phi1
+        erased += _read_points(args.erasures, code.field, code.ndim).points
+    inside = code.psi.subset(erased)
+    for p in inside.points:
+        word.values[p] = ZERO
+    foreign = sorted(set(erased) - set(inside.points))
+    return code, word, PointSet(code.field, code.ndim, inside.points + tuple(foreign))
 
 
 def cmd_decode(args):
-    code = _require_code(args)
-    word, phi1 = _received(args, code)
+    code, word, phi1 = _received(args)
     info = decode_info(word, phi1, code, t_max=args.t_max)
     _emit(args, spectrum_lines(info))
     return EXIT_OK
 
 
 def cmd_decode_word(args):
-    code = _require_code(args)
-    word, phi1 = _received(args, code)
+    code, word, phi1 = _received(args)
     res = decode_word(word, phi1, code, t_max=args.t_max)
     lines = ["codeword " + _flat_word_line(res.codeword, code.psi.points),
              "error    " + _flat_word_line(res.error, code.psi.points),
@@ -241,11 +236,11 @@ def cmd_decode_word(args):
 
 
 def cmd_check(args):
-    code = _require_code(args)
+    code = _context(args)[3]
     word, erased = _parse_word_input(code.field, code.ndim,
                                      _read_text(args.input), code.psi.points)
     if erased:
-        raise CliError("cannot check a word with erasures", EXIT_CONFIG)
+        raise CliError("cannot check a word with erasures")
     if is_dual_codeword(word, code):
         _emit(args, ["codeword"])
         return EXIT_OK
@@ -254,17 +249,13 @@ def cmd_check(args):
 
 
 def cmd_examples(args):
-    bad = 0
-    lines = []
-    for name, ok, detail in run_examples():
-        if ok:
-            lines.append("PASS %s" % name)
-        else:
-            bad += 1
-            lines.append("FAIL %s  (%s)" % (name, detail))
+    results = run_examples()
+    lines = ["PASS %s" % name if ok else "FAIL %s  (%s)" % (name, detail)
+             for name, ok, detail in results]
+    bad = sum(not ok for _, ok, _ in results)
     lines.append("%d golden vectors, %d failures" % (len(lines), bad))
     _emit(args, lines)
-    return EXIT_OK if bad == 0 else 1
+    return EXIT_UNDECODABLE if bad else EXIT_OK
 
 
 # the golden systematic redundant sets, per preset
@@ -298,18 +289,16 @@ def cmd_bench(args):
         f = code.field
         seed = Spectrum(f, code.ndim,
                         {d: rng.randrange(-1, f.q - 1) for d in code.info_support()})
-        cw = encode_nonsystematic(seed, code)
-        r = cw.copy()
+        r = encode_nonsystematic(seed, code)
         pts = list(code.psi.points)
         erase = rng.sample(pts, min(2, code.d_fr - 1))
         for p in erase:
             r.values[p] = ZERO
-        phi1 = PointSet(f, code.ndim, tuple(p for p in code.psi.points if p in set(erase)))
-        rest = [p for p in pts if p not in set(erase)]
+        rest = [p for p in pts if p not in erase]
         n_err = max(0, (code.d_fr - 1 - len(erase)) // 2)
         for p in rng.sample(rest, min(1, n_err)):
             r.values[p] = f.add(r.values[p], rng.randrange(0, f.q - 1))
-        res = decode_word(r, phi1, code)
+        res = decode_word(r, code.psi.subset(erase), code)
         rep = res.report
         layers = {"vanishing_gb": _layer(f, lambda: vanishing_gb(res.located, code.order))}
         if name in SYS_PHI:
@@ -324,15 +313,10 @@ def cmd_bench(args):
         lines.append("  fast-idft bound 3*N*q^(N+1) = %d" % rep.meta["fast_idft_bound"])
         doc["presets"][name] = {"steps": rep.steps, "ms": rep.ms, "meta": rep.meta,
                                 "layers": layers}
-    herm = preset("hermitian")
-    f = herm.field
+    f = preset("hermitian").field
     h = Spectrum(f, 2, {a: rng.randrange(-1, f.q - 1) for a in index_space(f, 2)})
-    before = f.op_count
-    idft_fast(h)
-    fast_ops = f.op_count - before
-    before = f.op_count
-    idft(h)
-    direct_ops = f.op_count - before
+    fast_ops = _layer(f, lambda: idft_fast(h))["ops"]
+    direct_ops = _layer(f, lambda: idft(h))["ops"]
     lines.append("idft q=9 N=2: fast %d ops, direct %d ops" % (fast_ops, direct_ops))
     doc["idft"] = {"q": f.q, "N": 2, "fast_ops": fast_ops, "direct_ops": direct_ops}
     if args.json:
@@ -341,129 +325,87 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def _require_code(args):
-    code = _code_from_args(args)
-    if code is None:
-        raise CliError("need --config FILE or --preset NAME", EXIT_CONFIG)
-    return code
-
-
 # -- argument wiring ---------------------------------------------------------
-
-def _add_code_args(p, need_field_flags=True):
-    p.add_argument("--config", help="code config JSON")
-    p.add_argument("--preset", choices=sorted(PRESET_CONFIGS),
-                   help="bundled code preset")
-    if need_field_flags:
-        p.add_argument("--p", type=int, help="field characteristic")
-        p.add_argument("--m", type=int, help="extension degree")
-        p.add_argument("--poly", help="primitive polynomial coefficients, ascending, comma-separated")
-        p.add_argument("--ndim", type=int, help="number of variables N")
-        p.add_argument("--order", default="lex",
-                       choices=("lex", "grlex", "weighted_grlex"))
-        p.add_argument("--weights", help="weights for weighted_grlex, comma-separated")
-
 
 def build_parser():
     root = _Parser(prog="avcodes",
                    description="finite-field transforms and affine variety codes")
     sub = root.add_subparsers(dest="command", required=True)
+    output = _Parser(add_help=False)
+    output.add_argument("--output")
+    code = _Parser(add_help=False)
+    code.add_argument("--config", help="code config JSON")
+    code.add_argument("--preset", choices=sorted(PRESET_CONFIGS),
+                      help="bundled code preset")
+    flags = _Parser(add_help=False)
+    flags.add_argument("--p", type=int, help="field characteristic")
+    flags.add_argument("--m", type=int, help="extension degree")
+    flags.add_argument("--poly", help="primitive polynomial coefficients, ascending, comma-separated")
+    flags.add_argument("--ndim", type=_positive, help="number of variables N")
+    flags.add_argument("--order", default="lex", choices=("lex", "grlex", "weighted_grlex"))
+    flags.add_argument("--weights", help="weights for weighted_grlex, comma-separated")
 
-    p = sub.add_parser("field-table", help="print the log/antilog table")
+    def add(name, fn, text, *parents):
+        p = sub.add_parser(name, help=text, parents=[*parents, output])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = add("field-table", cmd_field_table, "print the log/antilog table")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--poly", required=True)
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_field_table)
 
     for name, inverse in (("dft", False), ("idft", True)):
-        p = sub.add_parser(name, help="generalized %s" % name.upper())
-        _add_code_args(p)
+        p = add(name, lambda a, inv=inverse: cmd_dft(a, inv),
+                "generalized %s" % name.upper(), code, flags)
         p.add_argument("--direct", action="store_true",
                        help="defining formulas instead of the fast path")
         p.add_argument("--grid", action="store_true", help="dense grid output")
-        p.add_argument("--output")
         p.add_argument("input", help="input file or - for stdin")
-        p.set_defaults(fn=lambda a, inv=inverse: cmd_dft(a, inv))
 
-    p = sub.add_parser("gb", help="vanishing-ideal basis of a point set")
-    _add_code_args(p)
-    p.add_argument("--output")
+    p = add("gb", cmd_gb, "vanishing-ideal basis of a point set", code, flags)
     p.add_argument("points", help="point list file")
-    p.set_defaults(fn=cmd_gb)
 
-    p = sub.add_parser("extend", help="prolong a delta-set spectrum over A")
-    _add_code_args(p)
+    p = add("extend", cmd_extend, "prolong a delta-set spectrum over A", code, flags)
     p.add_argument("--points", required=True, help="point list file")
-    p.add_argument("--output")
     p.add_argument("input", help="seed spectrum file")
-    p.set_defaults(fn=cmd_extend)
 
-    p = sub.add_parser("encode", help="non-systematic encoding")
-    _add_code_args(p, need_field_flags=False)
-    p.add_argument("--output")
+    p = add("encode", cmd_encode, "non-systematic encoding", code)
     p.add_argument("input", help="information spectrum file (support in D\\B)")
-    p.set_defaults(fn=cmd_encode)
 
-    p = sub.add_parser("encode-sys", help="systematic (DFT) encoding")
-    _add_code_args(p, need_field_flags=False)
+    p = add("encode-sys", cmd_encode_sys, "systematic (DFT) encoding", code)
     p.add_argument("--phi", required=True, help="redundant position file")
-    p.add_argument("--output")
     p.add_argument("input", help="information word file (over Psi \\ Phi)")
-    p.set_defaults(fn=cmd_encode_sys)
 
-    p = sub.add_parser("decode", help="recover the information spectrum")
-    _add_code_args(p, need_field_flags=False)
-    p.add_argument("--erasures", help="erasure point file")
-    p.add_argument("--t-max", type=_nonnegative, default=None)
-    p.add_argument("--output")
-    p.add_argument("input", help="received word file ('?' marks an erasure)")
-    p.set_defaults(fn=cmd_decode)
+    for name, fn, text in (("decode", cmd_decode, "recover the information spectrum"),
+                           ("decode-word", cmd_decode_word,
+                            "split received word into codeword + error")):
+        p = add(name, fn, text, code)
+        p.add_argument("--erasures", help="erasure point file")
+        p.add_argument("--t-max", type=_nonnegative, default=None)
+        p.add_argument("input", help="received word file ('?' marks an erasure)")
 
-    p = sub.add_parser("decode-word", help="split received word into codeword + error")
-    _add_code_args(p, need_field_flags=False)
-    p.add_argument("--erasures")
-    p.add_argument("--t-max", type=_nonnegative, default=None)
-    p.add_argument("--output")
+    p = add("check", cmd_check, "test dual-code membership", code)
     p.add_argument("input")
-    p.set_defaults(fn=cmd_decode_word)
 
-    p = sub.add_parser("check", help="test dual-code membership")
-    _add_code_args(p, need_field_flags=False)
-    p.add_argument("--output")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_check)
+    add("examples", cmd_examples, "run the bundled golden vectors")
 
-    p = sub.add_parser("examples", help="run the bundled golden vectors")
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_examples)
-
-    p = sub.add_parser("bench", help="field-operation counts on the presets")
+    p = add("bench", cmd_bench, "field-operation counts on the presets")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="one JSON document with per-step counts, times and meta")
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_bench)
-
     return root
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
-    except UndecodableError as exc:
+    except (UndecodableError, VanishingError) as exc:
         print("undecodable: %s" % exc, file=sys.stderr)
         return EXIT_UNDECODABLE
-    except VanishingError as exc:
-        print("undecodable: %s" % exc, file=sys.stderr)
-        return EXIT_UNDECODABLE
-    except (CodeConfigError, FieldError, MapError, IndexError_, IdealError,
-            DomainError) as exc:
+    except (CliError, CodeConfigError, FieldError, MapError, IndexError_, IdealError,
+            DomainError, SystematicSupportError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -9,6 +9,7 @@ isomorphism.  Code parameters come from a JSON config (see
 
 import json
 import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +37,8 @@ class CodeSpec:
         self.ndim = ndim
         self.order = order
         self.psi = psi
+        if ndim < 1:
+            raise CodeConfigError("N = %d, need N >= 1" % ndim)
         if not len(psi):
             raise CodeConfigError("the code has no points")
         if order.weights is not None and len(order.weights) != ndim:
@@ -51,10 +54,14 @@ class CodeSpec:
                 raise CodeConfigError("repeated check index %s" % (b,))
             seen.add(b)
             b_norm.append(b)
+        if not b_norm:
+            raise CodeConfigError("the check set B is empty")
         self.b_list = order.sort(b_norm)
         self.b_members = frozenset(self.b_list)
         self.n = len(psi)
         self.k = self.n - len(self.b_list)
+        if isinstance(d_fr, bool) or not isinstance(d_fr, numbers.Integral):
+            raise CodeConfigError("d_fr = %r is not an integer" % (d_fr,))
         if not 1 <= d_fr <= self.n:
             raise CodeConfigError("d_fr = %d outside 1..%d" % (d_fr, self.n))
         self.d_fr = d_fr
@@ -196,7 +203,7 @@ def code_from_config(cfg, name=None):
         order = MonomialOrder(ospec["kind"], tuple(ospec.get("weights") or ()) or None)
         psi = _parse_points(field, ndim, cfg["points"])
         b_spec = cfg["B"]
-        d_fr = int(cfg["d_fr"])
+        d_fr = cfg["d_fr"]
     except (KeyError, TypeError, ValueError, FieldError) as exc:
         if isinstance(exc, CodeConfigError):
             raise
@@ -208,8 +215,6 @@ def load_code(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise CodeConfigError("config %s is not valid JSON: %s" % (path, exc))
     return code_from_config(cfg, name=str(path))

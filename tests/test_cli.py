@@ -164,6 +164,63 @@ def test_io_error_exit(tmp_path, capsys):
     assert rc == EXIT_IO
 
 
+def test_examples_failure_exit(capsys, monkeypatch):
+    from avcodes import cli
+
+    monkeypatch.setattr(cli, "run_examples",
+                        lambda: [("a", True, ""), ("b", False, "bad value")])
+    rc, out, _ = run(capsys, "examples")
+    assert rc == EXIT_UNDECODABLE
+    assert out.splitlines() == ["PASS a", "FAIL b  (bad value)",
+                                "2 golden vectors, 1 failures"]
+
+
+def test_malformed_input_exits_without_traceback(tmp_path, capsys):
+    from avcodes.golden import HERM_SYS_PHI
+    from avcodes.transform import omega_space
+
+    code_obj = preset("hermitian")
+    foreign = next(p for p in omega_space(code_obj.field, 2) if p not in code_obj.psi.points)
+    non_generic = [(-1, 2), (1, 3), (2, 4), (3, 0), (3, 1), (4, 4), (4, 5), (7, 0), (7, 3)]
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def points(name, pts):
+        return write(name, "".join("(%d,%d)\n" % p for p in pts))
+
+    def config(name, **change):
+        return write(name, json.dumps(dict(PRESET_CONFIGS["hermitian"], **change)))
+
+    info19 = write("info19.txt", " ".join(["0"] * 19) + "\n")
+    info18 = write("info18.txt", " ".join(["0"] * 18) + "\n")
+    zeros = write("zeros.txt", " ".join(["0"] * 27) + "\n")
+    sys_cmd = ["encode-sys", "--preset", "hermitian", "--phi"]
+    cases = [
+        # |Phi| = 8, |B| = 9
+        (sys_cmd + [points("phi8.txt", HERM_SYS_PHI[:8]), info19], EXIT_CONFIG, "|B| = 9"),
+        (sys_cmd + [points("phi_out.txt", HERM_SYS_PHI[:8] + (foreign,)), info19],
+         EXIT_CONFIG, "not a subset"),
+        (sys_cmd + [points("phi_ng.txt", non_generic), info18], EXIT_CONFIG, "not generic"),
+        (["decode-word", "--preset", "hermitian", "--erasures",
+          points("er.txt", [code_obj.psi.points[0], foreign]), zeros],
+         EXIT_UNDECODABLE, "is not a code point"),
+        # a one-symbol word over the one point of GF(8)^0
+        (["dft", *F8_FLAGS[:-1], "0", write("one.txt", "0\n")], EXIT_CONFIG, "--ndim"),
+        (["decode", "--config", config("empty_b.json", B=[]), zeros],
+         EXIT_CONFIG, "B is empty"),
+        (["encode", "--config",
+          config("n0.json", N=0, points="full-grid", order={"kind": "lex"}), zeros],
+         EXIT_CONFIG, "N >= 1"),
+    ]
+    for argv, want, fragment in cases:
+        rc, _, err = run(capsys, *argv)
+        assert (rc, len(err.splitlines())) == (want, 1), argv
+        assert fragment in err, err
+
+
 def test_examples_subcommand(capsys):
     rc, out, _ = run(capsys, "examples")
     assert rc == EXIT_OK

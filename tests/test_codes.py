@@ -262,6 +262,26 @@ def test_config_errors(tmp_path):
     assert load_code(str(good)).n == 4
 
 
+def test_config_needs_positive_n():
+    # N = 0 used to end in a bare IndexError inside the basis scan
+    with pytest.raises(CodeConfigError, match="N = 0"):
+        code_from_config(dict(PRESET_CONFIGS["hcrs"], N=0))
+
+
+@pytest.mark.parametrize("b_spec", [[], "wdeg<=-5"])
+def test_config_needs_nonempty_b(b_spec):
+    # an empty B used to build a code that no decoder could run on
+    with pytest.raises(CodeConfigError, match="B is empty"):
+        code_from_config(dict(PRESET_CONFIGS["hermitian"], B=b_spec))
+
+
+@pytest.mark.parametrize("d_fr", [7.9, True])
+def test_config_d_fr_must_be_an_integer(d_fr):
+    # 7.9 used to be read as 7 and true as 1
+    with pytest.raises(CodeConfigError, match="not an integer"):
+        code_from_config(dict(PRESET_CONFIGS["hermitian"], d_fr=d_fr))
+
+
 @pytest.mark.parametrize("name", sorted(PRESET_CONFIGS))
 def test_config_builds_one_vanishing_basis(name, monkeypatch):
     from avcodes import codes
