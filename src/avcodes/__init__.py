@@ -3,7 +3,7 @@ codes with erasure-and-error decoding and DFT systematic encoding."""
 
 __version__ = "0.1.0"
 
-from .gf import Field, FieldSpec, ZERO, ONE
+from .gf import Field, ZERO, ONE
 from .mindex import MonomialOrder, semigroup_add, dominates
 from .transform import Spectrum, Word, dft, idft, dft_fast, idft_fast, dft_partial
 from .ideal import Polynomial, vanishing_gb, check_set_basis, normal_form, extend

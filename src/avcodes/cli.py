@@ -134,7 +134,7 @@ def _flat_word_line(word, points):
 def cmd_field_table(args):
     field = Field(args.p, args.m, _parse_poly(args.poly))
     lines = ["# GF(%d), p=%d, m=%d, poly=%s" % (field.q, field.p, field.m,
-                                                ",".join(map(str, field.spec.primitive_poly)))]
+                                                ",".join(map(str, field.primitive_poly)))]
     lines.append("-1 -> " + ":".join(map(str, field.poly_coeffs(ZERO))))
     for k in range(field.q - 1):
         lines.append("%d -> %s" % (k, ":".join(map(str, field.poly_coeffs(k)))))

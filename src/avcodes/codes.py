@@ -60,9 +60,7 @@ class CodeSpec:
         self.b_members = frozenset(self.b_list)
         self.n = len(psi)
         self.k = self.n - len(self.b_list)
-        if isinstance(d_fr, bool) or not isinstance(d_fr, numbers.Integral):
-            raise CodeConfigError("d_fr = %r is not an integer" % (d_fr,))
-        if not 1 <= d_fr <= self.n:
+        if not 1 <= _integer("d_fr", d_fr) <= self.n:
             raise CodeConfigError("d_fr = %d outside 1..%d" % (d_fr, self.n))
         self.d_fr = d_fr
         self.name = name
@@ -137,6 +135,12 @@ def is_dual_codeword(c, code):
 
 # -- configuration ----------------------------------------------------------
 
+def _integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise CodeConfigError("%s = %r is not an integer" % (name, value))
+    return value
+
+
 def _hermitian_points(field, ndim):
     if ndim != 2:
         raise CodeConfigError("hermitian point generator needs N = 2")
@@ -198,7 +202,7 @@ def code_from_config(cfg, name=None):
     try:
         fld = cfg["field"]
         field = Field(fld["p"], fld["m"], tuple(fld["primitive_poly"]))
-        ndim = int(cfg["N"])
+        ndim = _integer("N", cfg["N"])
         ospec = cfg["order"]
         order = MonomialOrder(ospec["kind"], tuple(ospec.get("weights") or ()) or None)
         psi = _parse_points(field, ndim, cfg["points"])

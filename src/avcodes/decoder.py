@@ -242,8 +242,7 @@ class _Staircase:
         f, ar = self.f, self.ar
         rows = rows[self.red[rows, col] != ar.zero]
         coeff = ((self.red[rows, col] + scale) % (f.q - 1))[:, None]
-        a, b = ar.exp[self.both[rows]], ar.exp[coeff + self.both[p]]
-        self.both[rows] = f.np_log(a ^ b if f.p == 2 else a + b)
+        self.both[rows] = f.np_add(self.both[rows], coeff + self.both[p])
         return (len(rows) * (1 + 2 * int(np.count_nonzero(self.poly[p] != self.ar.zero)))
                 + 2 * int((self.width[rows] - col - 1).sum()))
 

@@ -71,43 +71,16 @@ class GFArrays:
     place: np.ndarray
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Parameters of GF(p^m): prime p, degree m, monic primitive polynomial.
-
-    ``primitive_poly`` holds m+1 base-field coefficients in ascending
-    order, e.g. x^3 + x + 1 over GF(2) is (1, 1, 0, 1).
-    """
-
-    p: int
-    m: int
-    primitive_poly: tuple
-
-    @property
-    def q(self):
-        return self.p ** self.m
-
-    def validate(self):
-        if not is_prime(self.p):
-            raise FieldError("p = %d is not prime" % self.p)
-        if self.m < 1:
-            raise FieldError("extension degree must be >= 1")
-        if self.q > MAX_Q:
-            raise FieldError("field size %d exceeds the %d table limit" % (self.q, MAX_Q))
-        if len(self.primitive_poly) != self.m + 1:
-            raise FieldError("primitive polynomial needs m+1 coefficients")
-        if any(c % self.p != self.primitive_poly[i] for i, c in enumerate(self.primitive_poly)):
-            raise FieldError("polynomial coefficients must be reduced mod p")
-        if self.primitive_poly[self.m] != 1:
-            raise FieldError("primitive polynomial must be monic")
-
-
 class Field:
-    """GF(q) with log/antilog tables built from a FieldSpec.
+    """GF(p^m) with log/antilog tables; ``primitive_poly`` holds the m+1
+    coefficients of a monic primitive polynomial, reduced mod p, in
+    ascending order, e.g. x^3 + x + 1 over GF(2) is (1, 1, 0, 1).
 
     ``antilog[k]`` is the base-p digit encoding of alpha^k and ``log``
     inverts it.  Construction fails with NotPrimitiveError unless the
-    root of the polynomial has multiplicative order exactly q-1.
+    root of the polynomial has multiplicative order exactly q-1.  The
+    scalar add tables are read off ``np_add``, the one definition of
+    the sum: a dense q x q table up to DENSE_Q, Zech logarithms above.
 
     The instance is immutable after construction apart from
     ``op_count``, a diagnostic counter bumped once per arithmetic call;
@@ -115,14 +88,22 @@ class Field:
     """
 
     def __init__(self, p, m, primitive_poly):
-        spec = FieldSpec(p, m, tuple(c % p for c in primitive_poly))
-        spec.validate()
-        self.spec = spec
+        if not is_prime(p):
+            raise FieldError("p = %d is not prime" % p)
+        poly = tuple(c % p for c in primitive_poly)
+        if m < 1:
+            raise FieldError("extension degree must be >= 1")
+        if p ** m > MAX_Q:
+            raise FieldError("field size %d exceeds the %d table limit" % (p ** m, MAX_Q))
+        if len(poly) != m + 1:
+            raise FieldError("primitive polynomial needs m+1 coefficients")
+        if poly[m] != 1:
+            raise FieldError("primitive polynomial must be monic")
         self.p = p
         self.m = m
-        self.q = spec.q
+        self.q = p ** m
+        self.primitive_poly = poly
         self.op_count = 0
-        self._np_arith = None
         self._build_tables()
 
     def _poly_mul_x_mod(self, coeffs):
@@ -132,7 +113,7 @@ class Field:
         top = coeffs[m - 1]
         if top:
             for i in range(m):
-                shifted[i] = (shifted[i] - top * self.spec.primitive_poly[i]) % p
+                shifted[i] = (shifted[i] - top * self.primitive_poly[i]) % p
         return tuple(shifted)
 
     def _encode(self, coeffs):
@@ -158,70 +139,35 @@ class Field:
         self.antilog = tuple(antilog)
         self.log = seen
 
-        # code of -1; for p = 2 negation is the identity
-        self._neg_code = 0 if p == 2 else (q - 1) // 2
+        n = q - 1
+        zero = 2 * n
+        codes = np.array(antilog, dtype=np.int64)
+        bits = 63 // m
+        shifts, place = bits * np.arange(m), p ** np.arange(m)
+        exp = np.zeros(2 * zero + 1, dtype=np.uint16 if p == 2 else np.int64)
+        exp[:zero] = np.tile(codes if p == 2 else
+                             (codes[:, None] // place % p << shifts).sum(axis=1), 2)
+        log = np.full(q, zero, dtype=np.intp)
+        log[codes] = np.arange(n)
+        # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
+        chunk = ((1 << bits) - 1) // (p - 1) - 1
+        # exponent of -1; for p = 2 negation is the identity
+        neg = 0 if p == 2 else n // 2
+        self._np_arith = GFArrays(exp, log, zero, neg, bits, chunk, shifts, place)
 
-        neg = [(-1 if a == ZERO else (a + self._neg_code) % (q - 1)) for a in self._codes()]
-        self._neg = neg
-
+        # table layout: exponents 0..q-2 in slots 0..q-2, ZERO in slot q-1
+        # so that Python's index -1 lands on the ZERO row/column
+        self._neg = [(a + neg) % n for a in range(n)] + [ZERO]
         if q <= DENSE_Q:
-            dec = {enc: k for k, enc in enumerate(antilog)}
-            dec[0] = ZERO
-            rows = []
-            for a in self._codes():
-                ea = 0 if a == ZERO else antilog[a]
-                row = []
-                for b in self._codes():
-                    eb = 0 if b == ZERO else antilog[b]
-                    row.append(dec[self._digit_add(ea, eb)])
-                rows.append(row)
-            self._add_table = rows
+            slots = np.append(np.arange(n), zero)
+            self._add_table = [self.np_codes(row) for row in self.np_add(slots[:, None], slots)]
             self._zech = None
         else:
             self._add_table = None
-            zech = []
-            for d in range(q - 1):
-                s = self._digit_add(antilog[0], antilog[d])
-                zech.append(ZERO if s == 0 else self.log[s])
-            self._zech = tuple(zech)
-
-    def _codes(self):
-        # table layout: exponents 0..q-2 in slots 0..q-2, ZERO in slot q-1
-        # so that Python's index -1 lands on the ZERO row/column
-        return list(range(self.q - 1)) + [ZERO]
-
-    def _digit_add(self, ea, eb):
-        # ints or numpy integer arrays (elementwise)
-        p = self.p
-        if p == 2:
-            return ea ^ eb
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out = out + ((ea + eb) % p) * mult
-            ea = ea // p
-            eb = eb // p
-            mult *= p
-        return out
+            self._zech = tuple(self.np_codes(self.np_add(ONE, np.arange(n))))
 
     def np_arith(self):
-        """The numpy layer's ``GFArrays``, built on first use, cached, and
-        not op-counted."""
-        if self._np_arith is None:
-            p, m, n = self.p, self.m, self.q - 1
-            zero = 2 * n
-            codes = np.array(self.antilog, dtype=np.int64)
-            bits = 63 // m
-            shifts, place = bits * np.arange(m), p ** np.arange(m)
-            exp = np.zeros(2 * zero + 1, dtype=np.uint16 if p == 2 else np.int64)
-            exp[:zero] = np.tile(codes if p == 2 else
-                                 (codes[:, None] // place % p << shifts).sum(axis=1), 2)
-            log = np.full(self.q, zero, dtype=np.intp)
-            log[codes] = np.arange(n)
-            # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
-            chunk = ((1 << bits) - 1) // (p - 1) - 1
-            self._np_arith = GFArrays(exp, log, zero, self._neg_code, bits, chunk,
-                                      shifts, place)
+        """The numpy layer's ``GFArrays``; not op-counted."""
         return self._np_arith
 
     def np_codes(self, x):
@@ -244,6 +190,14 @@ class Field:
             part = np.add.reduceat(terms, np.arange(0, terms.shape[-1], ar.chunk), axis=-1)
             terms = ((part[..., None] >> ar.shifts & mask) % self.p << ar.shifts).sum(axis=-1)
         return self.np_log(terms.sum(axis=-1))
+
+    def np_add(self, x, y):
+        """x + y of the broadcast exponent arrays (each entry an exponent
+        or a sum of two, as ``exp`` reads them), as exponents; not
+        op-counted."""
+        ar = self.np_arith()
+        a, b = ar.exp[x], ar.exp[y]
+        return self.np_log(a ^ b if self.p == 2 else a + b)
 
     def np_log(self, x):
         """Exponents of an array of encodings, each ``exp`` of an exponent
@@ -357,10 +311,11 @@ class Field:
         raise FieldError("bad element code %r for GF(%d)" % (a, self.q))
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.spec == other.spec
+        return isinstance(other, Field) and (self.p, self.m, self.primitive_poly) == (
+            other.p, other.m, other.primitive_poly)
 
     def __hash__(self):
-        return hash(self.spec)
+        return hash((self.p, self.m, self.primitive_poly))
 
     def __repr__(self):
         return "Field(p=%d, m=%d, q=%d)" % (self.p, self.m, self.q)

@@ -17,18 +17,18 @@ right-looking, one pivot step per kept row over the stacked
 sequence of row operations of inserting one vector at a time, so each
 step returns the scalar count of its rows and the bases count exactly
 what the one-vector-at-a-time scan counts (2N - 1 per evaluated entry,
-as point_power).  What does not depend on the points is cached per
-(q, N, order): the sorted scan box, and per seed set its leads.
+as point_power).  What does not depend on the points is cached: the
+sorted scan box per (q, N, order), and the leads per (q, N, seed set).
 
 Both bases are one recurrence family, built by one routine: seeded on a
 set S of indices, it has one monic element with tail on S per
 last-coordinate level of the staircase of S (the shape shift-register
 synthesis produces, which may include order-redundant elements such as
-y*g over a two-point set) and per minimal index outside S.
-vanishing_gb seeds it on the delta set its scan finds and adds the
-x_i^q-carrying minimal generators; check_set_basis seeds it on a check
-set B, which is what erasure-only decoding beyond the radius and
-systematic encoding require.
+y*g over a two-point set); every minimal index outside S is one of these
+leads or dominates one.  vanishing_gb seeds it on the delta set its scan
+finds and adds the x_i^q-carrying minimal generators; check_set_basis
+seeds it on a check set B, which is what erasure-only decoding beyond
+the radius and systematic encoding require.
 
 The extension (``extend``) is split in two.  A plan, built from the
 basis shape alone (q, N, order, leading indices, seed set, target and
@@ -58,7 +58,7 @@ import numpy as np
 
 from .gf import ZERO, ONE
 from .mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
-from .transform import Spectrum, point_power, power_matrix
+from .transform import Spectrum, check_values, point_power, power_matrix
 
 
 class IdealError(ValueError):
@@ -352,9 +352,8 @@ def vanishing_gb(points, order):
     .points).
 
     The scan finds the delta set and the minimal leads with their tails.
-    The basis is the family check_set_basis builds for B = delta (per
-    level and minimal leads) plus the minimal leads that carry a
-    component q.
+    The basis is the family check_set_basis builds for B = delta (its
+    level leads) plus the minimal leads that carry a component q.
 
     The scan inserts the candidates of the box in batches of 2 |points|,
     skipping every candidate that dominates a minimal lead found before
@@ -398,8 +397,8 @@ def vanishing_gb(points, order):
     if len(delta) != n:
         raise IdealError("delta set size %d != %d points (non-distinct points?)"
                          % (len(delta), n))
-    # the minimal leads inside A are the corners of A \ delta, which
-    # _check_set_leads finds in the same order; none of them dominates a
+    # the minimal leads inside A are the corners of A \ delta, which are
+    # level leads of delta (delta is closed); none of them dominates a
     # lead with a component q
     gb = _family(elim, w, order, frozenset(delta), scan_tails)
     gb.eliminator = elim
@@ -407,22 +406,12 @@ def vanishing_gb(points, order):
 
 
 @lru_cache(maxsize=64)
-def _check_set_leads(q, ndim, order_spec, members):
+def _check_set_leads(q, ndim, members):
     """The leading indices of check_set_basis for the check set
-    ``members`` (a frozenset), in level order; no field operations."""
+    ``members`` (a frozenset), in level order; no field operations.
+    Every minimal index of A \\ B is a level lead or dominates one, so
+    the level leads cover the corners."""
     emit = set(_level_leads(members, q, ndim))
-    outside = [a for a in _sorted_space(q, ndim, order_spec) if a not in members]
-    out = index_array(outside, ndim)
-    # the minimal indices outside B, in increasing order: the order
-    # extends dominance, so the first index dominating no earlier minimal
-    # one is minimal
-    live = np.ones(len(outside), dtype=bool)
-    while live.any():
-        k = int(live.argmax())
-        live &= ~(out >= out[k]).all(axis=1)
-        a = outside[k]
-        if a not in emit and not any(dominates(a, e) for e in emit):
-            emit.add(a)
     if not DeltaSet(members).is_downward_closed():
         # the corners alone can leave indices undetermined: every border
         # index x_i * b outside B leads an element too
@@ -442,7 +431,7 @@ def _family(elim, w, order, members, solved):
     f = elim.field
     ndim = w.shape[1]
     per = (2 * ndim - 1) * len(w)
-    leads = sorted(_check_set_leads(f.q, ndim, (order.kind, order.weights), members)
+    leads = sorted(_check_set_leads(f.q, ndim, members)
                    + tuple(a for a in solved if f.q in a), key=lambda a: tuple(reversed(a)))
     rest = [a for a in leads if a not in solved]
     if rest:
@@ -466,9 +455,10 @@ def _family(elim, w, order, members, solved):
 
 def check_set_basis(points, b_set, order):
     """Recurrence family seeded on a check set B: one monic element per
-    needed leading index of A\\B (its corners, and when B is not closed
-    under division also every border index x_i * b outside B), with tail
-    supported on B, vanishing on the points.
+    needed leading index of A\\B (its level leads, which cover its
+    corners, and when B is not closed under division also every border
+    index x_i * b outside B), with tail supported on B, vanishing on the
+    points.
 
     This is the basis that drives erasure-only decoding beyond the
     radius (and hence systematic encoding): the tail coefficients of
@@ -477,7 +467,7 @@ def check_set_basis(points, b_set, order):
     is surjective.  When the delta set of the points equals B it
     coincides with vanishing_gb on the leads inside A.  The returned
     object's delta set is B, the seed domain of the recurrences.  The
-    leads depend on (q, N, order, B) alone and are cached.
+    leads depend on (q, N, B) alone and are cached.
     """
     f = points.field
     ndim = points.ndim
@@ -744,10 +734,13 @@ def extend(h, gb, target):
     worklist passes and every admissible recurrence is verified at the
     end.  The schedule comes from the plan of the basis shape, built once
     and cached; only the coefficients and seed values are read per call.
+    A seed domain other than the basis seed set raises IdealError, and a
+    seed value that is no element code FieldError.
     """
     dset = gb.delta.members
     if h.domain() != set(dset):
         raise IdealError("seed spectrum domain does not match the basis seed set")
+    check_values(h, "seed spectrum")
     target = tuple(tuple(t) for t in target)
     if not target:
         return Spectrum(gb.field, gb.ndim, dict(h.values))

@@ -2,10 +2,12 @@
 the tests compare values and exact op counts against: one Field call per
 field operation.
 
-``dft_kernel``/``idft_kernel`` and the axis-by-axis ``dft_fast``/
-``idft_fast`` are the loop kernels of ``avcodes.transform``; ``extend``
-runs the tuple-based extension plan and checks every recurrence one
-field operation at a time, like ``avcodes.ideal.extend`` did.
+``digit_add`` adds two base-p encodings digit by digit, the oracle of
+``Field.add``.  ``dft_kernel``/``idft_kernel`` and the axis-by-axis
+``dft_fast``/``idft_fast`` are the loop kernels of ``avcodes.transform``;
+``extend`` runs the tuple-based extension plan and checks every
+recurrence one field operation at a time, like ``avcodes.ideal.extend``
+did.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
 ``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
 ``transpose_check`` build on it and on point_power as the library did
@@ -23,6 +25,25 @@ from avcodes.ideal import IdealError, _level_leads, DeltaSet, Polynomial, Reduce
 from avcodes.mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
 from avcodes.transform import (Spectrum, Word, index_space, omega_space, _require_full,
                                point_power, dft_partial)
+
+
+# -- field addition, digit by digit ----------------------------------------
+
+def digit_add(field, ea, eb):
+    """Sum of two canonical base-p encodings (ints, or numpy integer
+    arrays elementwise), added digit by digit mod p: the oracle of the
+    field's add tables, which the library reads off ``Field.np_add``."""
+    p = field.p
+    if p == 2:
+        return ea ^ eb
+    out = 0
+    mult = 1
+    for _ in range(field.m):
+        out = out + ((ea + eb) % p) * mult
+        ea = ea // p
+        eb = eb // p
+        mult *= p
+    return out
 
 
 # -- 1-D kernels and the multidimensional fast path -----------------------

@@ -282,6 +282,21 @@ def test_config_d_fr_must_be_an_integer(d_fr):
         code_from_config(dict(PRESET_CONFIGS["hermitian"], d_fr=d_fr))
 
 
+@pytest.mark.parametrize("n", [2.7, "2", True])
+def test_config_n_must_be_an_integer(n):
+    # 2.7 and "2" used to build the code with N = 2, and true a code over
+    # GF(9)^1
+    with pytest.raises(CodeConfigError, match="N = .* is not an integer"):
+        code_from_config(dict(PRESET_CONFIGS["hcrs"], N=n))
+
+
+def test_config_p_zero_is_a_config_error():
+    # p = 0 used to end in a ZeroDivisionError reducing the polynomial
+    cfg = dict(PRESET_CONFIGS["hcrs"], field={"p": 0, "m": 2, "primitive_poly": [2, 1, 1]})
+    with pytest.raises(CodeConfigError, match="p = 0 is not prime"):
+        code_from_config(cfg)
+
+
 @pytest.mark.parametrize("name", sorted(PRESET_CONFIGS))
 def test_config_builds_one_vanishing_basis(name, monkeypatch):
     from avcodes import codes

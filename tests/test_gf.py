@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avcodes.gf import Field, FieldError, NotPrimitiveError, ZERO, ONE
+import scalar_reference as reference
 
 
 def test_f8_construction(f8):
@@ -152,13 +153,16 @@ def test_op_counter(f8):
     (2, 2, (1, 1, 1)),
     (3, 2, (2, 1, 1)),
     (2, 4, (1, 1, 0, 0, 1)),
+    (2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),  # the largest dense table
+    (3, 5, (1, 2, 0, 0, 0, 1)),  # dense, odd p, five digits
     (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # Zech arithmetic
     (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),  # q > 4096
     (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1)),  # odd p, q > 4096
-], ids=["GF(4)", "GF(9)", "GF(16)", "GF(2^10)", "GF(2^13)", "GF(3^8)"])
+], ids=["GF(4)", "GF(9)", "GF(16)", "GF(2^9)", "GF(3^5)", "GF(2^10)", "GF(2^13)",
+        "GF(3^8)"])
 def test_enc_add_matches_scalar(p, m, poly):
     # canonical base-p encodings added digit by digit, elementwise over
-    # numpy arrays, agree with Field.add
+    # numpy arrays, agree with Field.add, Field.sub and Field.neg
     f = Field(p, m, poly)
     q = f.q
     codes = np.arange(-1, q - 1)
@@ -166,12 +170,16 @@ def test_enc_add_matches_scalar(p, m, poly):
     rng = np.random.default_rng(q)
     rows = codes if q <= 16 else rng.choice(codes, 200)
     cols = codes if q <= 16 else rng.choice(codes, 200)
-    got = f._digit_add(enc[rows + 1][:, None], enc[cols + 1][None, :])
+    got = reference.digit_add(f, enc[rows + 1][:, None], enc[cols + 1][None, :])
     assert f.op_count == 0
     assert got.shape == (len(rows), len(cols))
     for i, row in zip(rows.tolist(), got.tolist()):
         want = [f.add(i, j) for j in cols.tolist()]
         assert row == [0 if w == ZERO else f.antilog[w] for w in want]
+        diff = np.array([f.sub(i, j) for j in cols.tolist()])
+        assert (reference.digit_add(f, enc[diff + 1], enc[cols + 1]) == enc[i + 1]).all()
+    negs = np.array([f.neg(a) for a in codes.tolist()])
+    assert (reference.digit_add(f, enc[codes + 1], enc[negs + 1]) == 0).all()
 
 
 @pytest.mark.parametrize("p,m,poly", [

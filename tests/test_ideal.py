@@ -5,13 +5,13 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from avcodes.gf import Field, ZERO, ONE
+from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder, dominates
 from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form,
                            extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
-                           _extension_plan)
-from avcodes.maps import PointSet, proper_transform
+                           _extension_plan, _level_leads)
+from avcodes.maps import PointSet, canonical_iso, proper_transform
 import scalar_reference as reference
 from avcodes.golden import (RS_PSI, RS_G, RS_SEED, RS_EXTENSION, CROSS_PSI,
                             CROSS_SEED_KNOWN, CROSS_H22, HERM_PHI1, HERM_G_PHI1,
@@ -163,6 +163,20 @@ def test_extend_rejects_bad_seed_domain(f8_module):
         extend(Spectrum(f8_module, 1, {(0,): ONE}), gb, index_space(f8_module, 1))
 
 
+@pytest.mark.parametrize("bad", [100, True, 2.5])
+@pytest.mark.parametrize("entry", [extend, canonical_iso])
+def test_extend_rejects_bad_seed_values(f8_module, entry, bad):
+    # 100 used to come back next to wrapped values, True was read as
+    # alpha^1 and 2.5 ended in a TypeError
+    psi = PointSet(f8_module, 1, RS_PSI)
+    gb, _ = vanishing_gb(psi, MonomialOrder("lex"))
+    seed = dict(RS_SEED)
+    seed[(1,)] = bad
+    h = Spectrum(f8_module, 1, seed)
+    with pytest.raises(FieldError, match=r"seed spectrum at \(1,\)"):
+        entry(h, gb, index_space(f8_module, 1) if entry is extend else psi)
+
+
 def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng):
     # flip one tail coefficient of the worked located basis: the
     # multi-generator consistency check must fail somewhere
@@ -256,6 +270,24 @@ def test_check_set_basis_off_a_closed_check_set(q, ndim, pts, b_list, leads):
     full = dft_partial(word, index_space(f, ndim))
     seed = Spectrum(f, ndim, {b: full.values[b] for b in b_list})
     assert extend(seed, gb, index_space(f, ndim)).values == full.values
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_level_leads_cover_the_minimal_indices(seed):
+    # every minimal index of A \ B is a level lead or dominates one,
+    # whether B is closed or not: check_set_basis needs no corner scan
+    rnd = random.Random(seed)
+    for _ in range(2400):
+        q, ndim = rnd.randint(2, 5), rnd.randint(1, 3)
+        space = list(itertools.product(range(q), repeat=ndim))
+        members = set(rnd.sample(space, rnd.randint(0, len(space))))
+        if rnd.random() < 0.5:
+            members = {a for a in space if any(dominates(b, a) for b in members)}
+        leads = _level_leads(members, q, ndim)
+        for a in space:
+            below = itertools.product(*(range(x + 1) for x in a))
+            if a not in members and all(b == a or b in members for b in below):
+                assert any(dominates(a, e) for e in leads), (q, sorted(members), a)
 
 
 def test_leading_monomial(f8_module, f9):
