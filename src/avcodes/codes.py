@@ -10,19 +10,70 @@ isomorphism.  Code parameters come from a JSON config (see
 import json
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from functools import cached_property
 
 import numpy as np
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, check_values, dft_partial, omega_space, power_matrix
+from .transform import Spectrum, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
-from .ideal import SumForms, index_array, vanishing_gb
+from .ideal import Eliminator, SumForms, check_set_basis, index_array, vanishing_gb
 
 
 class CodeConfigError(ValueError):
     pass
+
+
+# point sets whose precomputations a code keeps at once (CodeSpec.point_set)
+POINT_SET_CACHE_SIZE = 64
+
+
+class PointSetEntry:
+    """What a code precomputes for one set Phi of its points, each member
+    built on first use and then kept:
+
+    - ``projection``: an Eliminator holding the check columns of Phi, which
+      projects a syndrome off them (the erasure projection of decoder.locate);
+    - ``vanishing``: the reduced basis of the vanishing ideal of Phi
+      (ideal.vanishing_gb), the locator of a located set;
+    - ``check_set``: the check-set family of Phi (ideal.check_set_basis),
+      which seeds systematic encoding and erasure decoding beyond the radius.
+
+    ``points`` is Phi in the code's point order.  ``get(name)`` returns a
+    member and whether the call built it.  A build adds its field
+    operations to ``op_count`` as the uncached call does; a reuse adds
+    none.  A build that raises keeps nothing."""
+
+    def __init__(self, code, rows):
+        self.code = code
+        self.rows = rows
+        self.points = PointSet(code.field, code.ndim, tuple(code.psi.points[r] for r in rows))
+        self._members = {}
+        self._lock = threading.Lock()
+
+    def get(self, name):
+        with self._lock:
+            if name in self._members:
+                return self._members[name], False
+            value = getattr(self, "_" + name)()
+            self._members[name] = value
+            return value, True
+
+    def _projection(self):
+        code = self.code
+        elim = Eliminator(code.field, len(code.b_list))
+        _, ops = elim.insert(code.columns[list(self.rows)], self.points.points)
+        code.field.op_count += ops
+        return elim
+
+    def _vanishing(self):
+        return vanishing_gb(self.points, self.code.order)[0]
+
+    def _check_set(self):
+        return check_set_basis(self.points, self.code.b_list, self.code.order)
 
 
 class CodeSpec:
@@ -30,7 +81,9 @@ class CodeSpec:
     Groebner basis, delta set, and the supplied distance bound d_fr.
 
     ``b_set`` is a list of check indices or a B spec ("wdeg<=K",
-    "prodplus<K"), resolved against the delta set of psi."""
+    "prodplus<K"), resolved against the delta set of psi.  What the
+    decoders and systematic encoding precompute per set of the code's
+    points is kept in a bounded store (``point_set``)."""
 
     def __init__(self, field, ndim, order, psi, b_set, d_fr, name=None):
         self.field = field
@@ -69,6 +122,24 @@ class CodeSpec:
         self.columns = power_matrix(field, index_array(self.b_list, ndim),
                                     index_array(psi.points, ndim)).T
         self.point_row = {p: i for i, p in enumerate(psi.points)}
+        self._point_sets = OrderedDict()  # the store: row tuple -> PointSetEntry
+        self._point_sets_lock = threading.Lock()
+
+    def point_set(self, points):
+        """The store entry (PointSetEntry) of a set of the code's points,
+        given in any order; KeyError at a point outside the code.  The
+        store is keyed by the points in the code's order and keeps the
+        POINT_SET_CACHE_SIZE entries used last."""
+        key = tuple(sorted(self.point_row[p] for p in points))
+        with self._point_sets_lock:
+            entry = self._point_sets.get(key)
+            if entry is None:
+                entry = self._point_sets[key] = PointSetEntry(self, key)
+                if len(self._point_sets) > POINT_SET_CACHE_SIZE:
+                    self._point_sets.popitem(last=False)
+            else:
+                self._point_sets.move_to_end(key)
+        return entry
 
     @cached_property
     def sum_forms(self):
@@ -93,7 +164,9 @@ class CodeSpec:
 
     def zero_padded(self, h):
         """Spectrum on the full delta set with missing entries zero."""
-        vals = {d: h.values.get(d, ZERO) for d in self.delta.members}
+        vals = dict(h.values)
+        for d in self.delta.members:
+            vals.setdefault(d, ZERO)
         return Spectrum(self.field, self.ndim, vals)
 
     def __repr__(self):
@@ -110,9 +183,12 @@ def encode_nonsystematic(h, code):
     for d in h.values:
         if tuple(d) not in code.delta:
             raise CodeConfigError("information index %s outside the delta set" % (d,))
-    check_values(h, "information spectrum")
-    full = code.zero_padded(h)
-    return canonical_iso(full, code.gb, code.psi)
+    # the extension checks the values, in h's order; its message names them
+    # as the caller knows them
+    try:
+        return canonical_iso(code.zero_padded(h), code.gb, code.psi)
+    except FieldError as exc:
+        raise FieldError(str(exc).replace("seed spectrum", "information spectrum", 1)) from None
 
 
 def primal_encode(h, code):

@@ -38,9 +38,8 @@ import numpy as np
 from .gf import ZERO
 from .transform import Spectrum, Word, dft_partial, index_space, power_matrix
 from .maps import PointSet, restrict_idft
-from .ideal import (vanishing_gb, check_set_basis, extend, ReducedGroebnerBasis,
-                    DeltaSet, Polynomial, IdealError, Eliminator, index_array,
-                    rows_independent)
+from .ideal import (extend, ReducedGroebnerBasis, DeltaSet, Polynomial, IdealError,
+                    Eliminator, index_array, rows_independent)
 from .codes import is_dual_codeword
 
 
@@ -117,11 +116,12 @@ def _trivial_locator(field, ndim, order):
 class LocateResult(tuple):
     """The pair (basis, located) of ``locate``; ``stats`` holds the errors
     located off Phi1 (t), the syndromes filled by majority (votes), the
-    pivot count (rank) and the staircase block's rows and cols."""
+    pivot count (rank) and the staircase block's rows and cols, and
+    ``built`` the point-set store members the call built."""
 
-    def __new__(cls, basis, located, stats):
+    def __new__(cls, basis, located, stats, built):
         pair = super().__new__(cls, (basis, located))
-        pair.stats = stats
+        pair.stats, pair.built = stats, built
         return pair
 
 
@@ -304,6 +304,9 @@ def locate(synd, phi1, code, t_max=None):
     union Phi2, located point set in the code's point order).  Raises
     UndecodableError at more than t_max pivots, when no pair votes, or
     when no support passes the stop rule once every syndrome is filled.
+    The erasure projection of Phi1 and the basis of the located set come
+    from the code's point-set store; ``built`` on the result counts the
+    members this call built.
     """
     f = code.field
     if t_max is None:
@@ -322,10 +325,9 @@ def locate(synd, phi1, code, t_max=None):
     except KeyError as exc:
         raise UndecodableError("erasure location %s is not a code point" % (exc.args[0],))
     # the erasure projection: only the target is reduced
-    elim = Eliminator(f, len(b_list))
-    _, ops = elim.insert(code.columns[phi1_rows], phi1.points)
+    elim, built = code.point_set(phi1.points).get("projection")
     res, _, reduce_ops = elim.reduce(target[None])
-    f.op_count += ops + int(reduce_ops[0])
+    f.op_count += int(reduce_ops[0])
 
     located = phi1_set
     stats = {"t": 0, "votes": 0, "rank": 0, "rows": 0, "cols": 0}
@@ -335,12 +337,12 @@ def locate(synd, phi1, code, t_max=None):
                 "no error support of size <= 0 is consistent with the syndrome")
         z, stats = _Staircase(code, target, elim, phi1_rows, t_max).run()
         located = phi1_set | {code.psi.points[k] for k in z.tolist()}
-    pts = tuple(p for p in code.psi.points if p in located)
-    loc_ps = PointSet(f, code.ndim, pts)
-    if not pts:
-        return LocateResult(_trivial_locator(f, code.ndim, code.order), loc_ps, stats)
-    gb, _ = vanishing_gb(loc_ps, code.order)
-    return LocateResult(gb, loc_ps, stats)
+    if not located:
+        loc_ps = PointSet(f, code.ndim, ())
+        return LocateResult(_trivial_locator(f, code.ndim, code.order), loc_ps, stats, built)
+    entry = code.point_set(located)
+    gb, fresh = entry.get("vanishing")
+    return LocateResult(gb, entry.points, stats, built + fresh)
 
 
 # -- the two decoding algorithms --------------------------------------------
@@ -353,20 +355,22 @@ def _validate_received(r, code):
 
 def _locator_seed(synd_values, gb_loc, located, code):
     """Seed spectrum and matching recurrence basis for the error-spectrum
-    extension.  Inside the radius the locator's delta set sits inside the
-    check set and seeds the extension directly; beyond it (erasure-only
-    decoding with |Phi1| up to |B|) the check-set-seeded family takes
-    over, per the erasure-only decodable condition."""
+    extension, and whether the store built the basis.  Inside the radius
+    the locator's delta set sits inside the check set and seeds the
+    extension directly; beyond it (erasure-only decoding with |Phi1| up
+    to |B|) the check-set-seeded family of the located set takes over,
+    per the erasure-only decodable condition."""
     delta = gb_loc.delta.members
     if delta <= code.b_members:
-        return Spectrum(code.field, code.ndim, {d: synd_values[d] for d in delta}), gb_loc
+        return Spectrum(code.field, code.ndim, {d: synd_values[d] for d in delta}), gb_loc, 0
     try:
-        gb_b = check_set_basis(located, code.b_list, code.order)
+        gb_b, built = code.point_set(located).get("check_set")
     except IdealError as exc:
         raise UndecodableError(
             "locator delta escapes the check set and the check-set system "
             "is unsolvable: %s" % (exc,))
-    return Spectrum(code.field, code.ndim, {b: synd_values[b] for b in code.b_list}), gb_b
+    seed = Spectrum(code.field, code.ndim, {b: synd_values[b] for b in code.b_list})
+    return seed, gb_b, built
 
 
 def _decode_head(r, phi1, code, t_max, kind, indices):
@@ -389,6 +393,12 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     loc = locate(rt.restrict(code.b_list), phi1, code, t_max)
     gb_loc, located = loc
     meter.lap("locator")
+    ext, family, built = None, None, loc.built
+    if len(located):
+        seed, basis, fresh = _locator_seed(rt.values, gb_loc, located, code)
+        ext, built = (seed, basis), built + fresh
+        family = {"family": "vanishing-ideal" if basis is gb_loc else "check-set",
+                  "schedule": "sequential" if basis.sequential else "worklist"}
     report = StepCounts(meter.steps, {
         "kind": kind,
         "code": code.name or repr(code),
@@ -399,8 +409,9 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
         "located": len(located),
         "fast_idft_bound": 3 * code.ndim * code.field.q ** (code.ndim + 1),
         "locator": loc.stats,
+        "extension": family,
+        "point_sets_reused": not built,
     }, meter.ms)
-    ext = _locator_seed(rt.values, gb_loc, located, code) if len(located) else None
     return meter, report, rt, located, ext
 
 
@@ -461,9 +472,16 @@ def check_systematic_support(phi, code):
 
 def systematic_basis(phi, code):
     """The check-set-seeded recurrence family G_Phi used by systematic
-    encoding (precomputable per redundant-position set)."""
+    encoding.  It is built once per redundant-position set and kept in the
+    code's point-set store (CodeSpec.point_set), where the erasure decoding
+    of Phi beyond the radius finds it too; a repeated call counts no field
+    operations."""
     try:
-        return check_set_basis(phi, code.b_list, code.order)
+        entry = code.point_set(phi.points)
+    except KeyError:
+        raise SystematicSupportError("Phi is not a subset of the code's point set")
+    try:
+        return entry.get("check_set")[0]
     except IdealError as exc:
         raise SystematicSupportError("Phi not generic: %s" % (exc,))
 

@@ -170,6 +170,14 @@ class Field:
         """The numpy layer's ``GFArrays``; not op-counted."""
         return self._np_arith
 
+    def scalar_tables(self):
+        """The tables of the scalar methods, (dense add table or None, Zech
+        logarithms or None, negation), for a loop that reads them directly
+        and adds its own count; not op-counted.  The add table and the
+        negation are indexed by element codes, ZERO landing on the last
+        entry; ``zech[d]`` is the code of 1 + alpha^d, d = 0..q-2."""
+        return self._add_table, self._zech, self._neg
+
     def np_codes(self, x):
         """Element codes (a list of ints, -1 for zero) of an exponent array."""
         return np.where(x == self.np_arith().zero, ZERO, x).ravel().tolist()

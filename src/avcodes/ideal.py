@@ -41,13 +41,15 @@ exponents preceding its lead, so their key holds only the tail exponents
 outside the seed set; worklist families, whose pass order depends on
 which references are known, are keyed on their exact tail supports.
 The executor fills the slots from the seed values and the coefficients
-read from the basis on each call with a scalar sweep of Field calls,
-skipping zero coefficients.  It then checks every admissible recurrence
-the sweep did not use to set a value (every one, for worklist families)
-as one numpy product over the plan's packed check arrays, and counts it
-analytically as the sweep would: one mul and one add per nonzero
-coefficient and one neg per recurrence.  Building a plan costs no field
-operations, so the counts of a call do not depend on the cache.
+read from the basis on each call with one scalar sweep that reads the
+field's add (or Zech) and negation tables directly, skipping zero
+coefficients and zero values.  It then checks every admissible
+recurrence the sweep did not use to set a value (every one, for
+worklist families) as one numpy product over the plan's packed check
+arrays.  The count of both is added once, as the scalar recurrences
+they stand for: one mul and one add per nonzero coefficient and one
+neg per recurrence.  Building a plan costs no field operations, so the
+counts of a call do not depend on the cache.
 """
 
 import threading
@@ -589,7 +591,7 @@ class _Plan:
     The checks are packed: check k applies element ``check_elems[k]``
     with the lead at slot ``check_slots[k, 0]`` and the coefficients at
     the slots that follow, padded with slot ``size``, which holds zero;
-    ``check_uses[w]`` counts the checks of element w."""
+    ``uses[w]`` counts the recurrences of element w, swept or checked."""
 
     indices: tuple
     size: int
@@ -598,7 +600,7 @@ class _Plan:
     program: tuple  # (slot, element, reference slots), in evaluation order
     check_elems: np.ndarray
     check_slots: np.ndarray
-    check_uses: tuple
+    uses: tuple  # per element, the recurrences (swept and checked) it applies
     output_slots: tuple  # the slot of each target index
 
 
@@ -672,6 +674,7 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
     for row, (s, _, refs) in zip(check_slots, checks):
         row[:1 + len(refs)] = (s,) + refs
     elems = np.array([w for _, w, _ in checks], dtype=np.intp)
+    swept = np.array([w for _, w, _ in program], dtype=np.intp)
     return _Plan(
         indices=box,
         size=len(space),
@@ -680,30 +683,47 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
         program=tuple(program),
         check_elems=elems,
         check_slots=check_slots,
-        check_uses=tuple(np.bincount(elems, minlength=len(leads)).tolist()),
+        uses=tuple(np.bincount(np.concatenate([swept, elems]),
+                               minlength=len(leads)).tolist()),
         output_slots=tuple(slot[t] for t in target),
     )
 
 
 def _run_plan(plan, gb, seed_values):
     """Fill the plan's slots from the seed values and the basis
-    coefficients with a scalar sweep, where zero coefficients cost no
-    field operations, then run every check as one numpy product, counted
-    as the scalar recurrences it stands for."""
+    coefficients with one scalar sweep over the field's tables, skipping
+    zero coefficients and zero values, then run every check as one numpy
+    product.  The count is added once, as the scalar recurrences the
+    sweep and the checks stand for: one mul and one add per nonzero
+    coefficient and one neg per recurrence."""
     f = gb.field
-    add, mul, neg = f.add, f.mul, f.neg
+    table, zech, neg = f.scalar_tables()
+    n = f.q - 1
     coeffs = [[g.terms.get(d, ZERO) for d in exps]
               for g, exps in zip(gb.elements, plan.exps)]
+    # per element, its nonzero coefficients with their reference positions
+    terms = [[(c, k) for k, c in enumerate(cw) if c != ZERO] for cw in coeffs]
     vals = [ZERO] * plan.size
     for d, s in plan.seeds:
         vals[s] = seed_values[d]
 
     for s, w, refs in plan.program:
         acc = ZERO
-        for c, r in zip(coeffs[w], refs):
-            if c != ZERO:
-                acc = add(acc, mul(c, vals[r]))
-        vals[s] = neg(acc)
+        for c, k in terms[w]:
+            v = vals[refs[k]]
+            if v != ZERO:
+                t = (c + v) % n
+                if table:
+                    acc = table[acc][t]
+                elif acc == ZERO:
+                    acc = t
+                else:
+                    # acc + t = acc (1 + alpha^(t - acc)); a negative
+                    # difference indexes zech modulo q - 1
+                    z = zech[t - acc]
+                    acc = ZERO if z == ZERO else (acc + z) % n
+        vals[s] = neg[acc]
+    f.op_count += sum(u * (2 * len(tw) + 1) for u, tw in zip(plan.uses, terms))
 
     if len(plan.check_elems):
         # lead coefficient one, then the tail, padded with zero
@@ -711,8 +731,6 @@ def _run_plan(plan, gb, seed_values):
         rows = [[ONE] + cw + [ZERO] * (width - 1 - len(cw)) for cw in coeffs]
         cmat = f.np_exponents(np.array(rows, dtype=np.intp))
         x = f.np_exponents(np.array(vals + [ZERO], dtype=np.intp))
-        f.op_count += sum(u * (2 * (len(cw) - cw.count(ZERO)) + 1)
-                          for u, cw in zip(plan.check_uses, coeffs))
         bad = f.np_dot(cmat[plan.check_elems], x[plan.check_slots]) != f.np_arith().zero
         if bad.any():
             s = plan.check_slots[bad.argmax(), 0]

@@ -256,6 +256,10 @@ def test_bench_json(tmp_path, capsys):
         next(lines)  # fast-idft bound
         assert list(rec["ms"]) == list(rec["steps"])
         assert rec["meta"]["code"] == name and "votes" in rec["meta"]["locator"]
+        # each preset is decoded once on a fresh code: every point set is built
+        assert rec["meta"]["point_sets_reused"] is False
+        assert rec["meta"]["extension"]["family"] in ("vanishing-ideal", "check-set")
+        assert rec["meta"]["extension"]["schedule"] in ("sequential", "worklist")
     assert next(lines) == "idft q=9 N=2: fast %d ops, direct %d ops" % (
         doc["idft"]["fast_ops"], doc["idft"]["direct_ops"])
     path = tmp_path / "bench.json"

@@ -16,12 +16,13 @@ from avcodes.mindex import MonomialOrder
 from avcodes.ideal import vanishing_gb
 from avcodes.transform import Spectrum, Word, point_power, omega_space
 from avcodes.maps import PointSet
-from avcodes.codes import (CodeSpec, encode_nonsystematic, is_dual_codeword, syndrome,
-                           code_from_config, preset)
+from avcodes.codes import (CodeSpec, POINT_SET_CACHE_SIZE, encode_nonsystematic,
+                           is_dual_codeword, syndrome, code_from_config, preset)
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
                              systematic_basis, check_systematic_support,
                              default_t_max, UndecodableError, SystematicSupportError)
-from avcodes.golden import hermitian_alg2_received, HERM_G_LOCATED, HERM_SYS_PHI
+from avcodes.golden import (hermitian_alg2_received, HERM_G_LOCATED, HERM_SYS_PHI,
+                            HCRS_SYS_PHI)
 
 
 def random_info(code, rng):
@@ -265,9 +266,13 @@ def test_reports_are_per_call(hermitian, rng):
     assert rep_b.meta["locator"]["t"] == 0
     assert list(rep_b.steps) == ["transform", "locator", "extension", "subtract"]
     assert rep_a.steps is not rep_b.steps
-    # decoding A again gives the same counts, and leaves B's report alone
+    # decoding A again reads its point sets from the store: the same counts
+    # but the locator's builds, and B's report is left alone
     steps_b = dict(rep_b.steps)
-    assert decode_word(r_a, phi_a, hermitian).report.steps == rep_a.steps
+    again = decode_word(r_a, phi_a, hermitian).report
+    assert again.meta["point_sets_reused"]
+    assert again.steps["locator"] <= rep_a.steps["locator"]
+    assert dict(again.steps, locator=0) == dict(rep_a.steps, locator=0)
     assert info_b.report.steps == steps_b
 
 
@@ -545,6 +550,23 @@ def test_locator_report(hermitian, rng):
     res = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian)
     assert res.report.meta["locator"] == {"t": 0, "votes": 0, "rank": 0, "rows": 0,
                                           "cols": 0}
+    # nothing located, nothing extended; the empty erasure set's projection
+    # was built by the first decode
+    assert res.report.meta["extension"] is None and res.report.meta["point_sets_reused"]
+
+
+def test_extension_meta(hcrs, rng):
+    # the report names the family and schedule of the extension; the
+    # check-set family of hcrs's golden systematic set has forward tails,
+    # so it runs the worklist schedule
+    cw = encode_nonsystematic(random_info(hcrs, rng), hcrs)
+    r, phi1 = corrupt(hcrs, cw, 0, 2, rng)
+    meta = decode_info(r, phi1, hcrs).report.meta
+    assert meta["extension"] == {"family": "vanishing-ideal", "schedule": "sequential"}
+    phi = PointSet(hcrs.field, 2, HCRS_SYS_PHI)
+    r = Word(hcrs.field, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
+    meta = decode_word(r, phi, hcrs).report.meta
+    assert meta["extension"] == {"family": "check-set", "schedule": "worklist"}
 
 
 def test_code_columns_cached(hermitian):
@@ -689,14 +711,156 @@ def test_systematic_encode_equals_erasure_decoding():
     def check(case):
         code, phi, info = case
         f = code.field
-        word = systematic_encode(info, phi, code)
-        assert is_dual_codeword(word, code)
-        assert all(word.values[p] == v for p, v in info.values.items())
         padded = Word(f, code.ndim, {p: info.values.get(p, ZERO) for p in code.psi.points})
-        res = decode_word(padded, phi, code)
-        assert res.codeword.values == word.values
+        # the first round builds Phi's store entry, the second reads it
+        for reused in (False, True):
+            word = systematic_encode(info, phi, code)
+            assert is_dual_codeword(word, code)
+            assert all(word.values[p] == v for p, v in info.values.items())
+            res = decode_word(padded, phi, code)
+            assert res.codeword.values == word.values
+            assert res.report.meta["point_sets_reused"] == reused
         worklist.append(not systematic_basis(phi, code).sequential)
 
     check()
     # the check-set families with forward tails take extend's worklist path
     assert any(worklist) and not all(worklist)
+
+
+def _systematic_sets(code, count, rng):
+    """``count`` distinct redundant-position sets Phi of the code with a
+    check-set family, drawn at random."""
+    found = []
+    while len(found) < count:
+        phi = code.psi.subset(rng.sample(code.psi.points, len(code.b_list)))
+        if phi in found or not check_systematic_support(phi, code):
+            continue
+        try:
+            systematic_basis(phi, code)
+        except SystematicSupportError:
+            continue
+        found.append(phi)
+    return found
+
+
+def _erasure_round(code, phi, info):
+    """Systematic encoding of info, then the erasure decoding of Phi."""
+    word = systematic_encode(info, phi, code)
+    r = word.copy()
+    for p in phi.points:
+        r.values[p] = ZERO
+    res = decode_word(r, phi, code)
+    return word.values, res.codeword.values, res.error.values
+
+
+def test_point_set_store_threads(rng):
+    # eight threads encode systematically and erasure-decode on one fresh
+    # code, four on one shared Phi and four on Phis of their own, so that
+    # they build and read the store at once; each must get the solo result
+    solo = preset("hermitian")
+    f = solo.field
+    phis = _systematic_sets(solo, 5, rng)
+    cases = []
+    for k in range(8):
+        phi = phis[0] if k < 4 else phis[k - 3]
+        info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
+                           for p in solo.psi.points if p not in set(phi.points)})
+        cases.append((phi, info, _erasure_round(solo, phi, info)))
+    code = preset("hermitian")
+    found = {}
+
+    def work(k):
+        phi, info, want = cases[k]
+        found[k] = _erasure_round(code, phi, info) == want
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert found == {k: True for k in range(len(cases))}
+
+
+def test_point_set_store_is_bounded(rng):
+    # distinct erasure pairs, each with its own located set: the store keeps
+    # at most POINT_SET_CACHE_SIZE entries, the ones used last
+    code = preset("hermitian")
+    f = code.field
+    cw = encode_nonsystematic(random_info(code, rng), code)
+    pairs = list(itertools.combinations(code.psi.points, 2))[:POINT_SET_CACHE_SIZE + 20]
+    for pair in pairs:
+        r = cw.copy()
+        for p in pair:
+            r.values[p] = ZERO
+        phi1 = code.psi.subset(pair)
+        assert decode_word(r, phi1, code).codeword.values == cw.values
+        assert len(code._point_sets) <= POINT_SET_CACHE_SIZE
+        assert code.point_set(pair) is code.point_set(reversed(pair))
+    assert len(code._point_sets) == POINT_SET_CACHE_SIZE
+    last = {tuple(sorted(code.point_row[p] for p in pair)) for pair in pairs[-20:]}
+    assert last <= set(code._point_sets)
+
+
+def _build_ops(code, points, name):
+    """Field operations of building one store member from cold."""
+    f = code.field
+    before = f.op_count
+    code.point_set(points).get(name)
+    return f.op_count - before
+
+
+@pytest.mark.parametrize("name, n_erase, n_err", [
+    ("hermitian", 0, 3), ("hermitian", 2, 2), ("hermitian", 4, 0), ("hcrs", None, 0)])
+def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
+    # decoding the same word again reads the store: its steps are the first
+    # call's minus the ops of building the members it read, counted on a
+    # third fresh code.  Erasing the golden systematic set of hcrs (None),
+    # whose delta set leaves B, takes the check-set family, the other
+    # patterns the vanishing-ideal one.
+    code = preset(name)
+    cw = encode_nonsystematic(random_info(code, rng), code)
+    if n_erase is None:
+        phi1 = PointSet(code.field, 2, HCRS_SYS_PHI)
+        r = Word(code.field, 2, {p: ZERO if p in phi1 else v for p, v in cw.values.items()})
+    else:
+        r, phi1 = corrupt(code, cw, n_erase, n_err, rng)
+    cold = decode_word(r, phi1, code)
+    warm = decode_word(r, phi1, code).report
+    rep = cold.report
+    assert cold.codeword.values == cw.values
+    assert not rep.meta["point_sets_reused"] and warm.meta["point_sets_reused"]
+    assert warm.meta["extension"] == rep.meta["extension"]
+    family = rep.meta["extension"]["family"]
+    assert family == ("check-set" if n_erase is None else "vanishing-ideal")
+    fresh = preset(name)
+    locator = (_build_ops(fresh, phi1.points, "projection")
+               + _build_ops(fresh, cold.located.points, "vanishing"))
+    extension = (_build_ops(fresh, cold.located.points, "check_set")
+                 if family == "check-set" else 0)
+    assert locator > 0
+    assert warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator,
+                              extension=rep.steps["extension"] - extension)
+    assert warm.total == rep.total - locator - extension
+
+
+def test_warm_systematic_encode_leaves_out_the_build(rng):
+    # the first systematic encoding on Phi builds its check-set family;
+    # later ones count everything else the same
+    code = preset("hermitian")
+    f = code.field
+    phi = PointSet(f, 2, HERM_SYS_PHI)
+    build = _build_ops(preset("hermitian"), phi.points, "check_set")
+    counts = []
+    for _ in range(3):
+        info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
+                           for p in code.psi.points if p not in set(phi.points)})
+        before = f.op_count
+        systematic_encode(info, phi, code)
+        counts.append(f.op_count - before)
+    assert build > 0 and counts[0] - build == counts[1] == counts[2]

@@ -506,21 +506,26 @@ def test_extend_plans_match_transform():
     assert any(built) and not all(built)
 
 
-REFERENCE_FIELDS = {**PLAN_FIELDS, 25: Field(5, 2, (2, 1, 1)), 27: Field(3, 3, (1, 2, 0, 1))}
+# GF(2^10) is above DENSE_Q: its sweep runs on Zech logarithms
+REFERENCE_FIELDS = {**PLAN_FIELDS, 25: Field(5, 2, (2, 1, 1)), 27: Field(3, 3, (1, 2, 0, 1)),
+                    1024: Field(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))}
 
 
 def test_extend_matches_scalar_reference():
     """Values and exact op counts of extend against the scalar checks, on
     vanishing-ideal and check-set families over GF(4)..GF(27), N in
-    {1, 2, 3} with q^N <= 729, with the plan built and reused."""
+    {1, 2, 3} with q^N <= 729, and over GF(2^10) at N = 1, with the plan
+    built and reused."""
     worklist = []
+    zech = []
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(REFERENCE_FIELDS)), st.sampled_from([1, 2, 3]),
            st.integers(0, 2 ** 32))
     def check(q, ndim, seed):
-        assume(q ** ndim <= 729)
+        assume(q ** ndim <= 729 or (q, ndim) == (1024, 1))
         f = REFERENCE_FIELDS[q]
+        zech.append(f.scalar_tables()[0] is None)
         rnd = random.Random(seed)
         omega = omega_space(f, ndim)
         pts = rnd.sample(omega, rnd.randrange(2, min(10, len(omega)) + 1))
@@ -546,3 +551,4 @@ def test_extend_matches_scalar_reference():
 
     check()
     assert any(worklist) and not all(worklist)
+    assert any(zech) and not all(zech)
