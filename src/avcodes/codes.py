@@ -20,7 +20,8 @@ from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
 from .transform import Spectrum, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
-from .ideal import Eliminator, SumForms, check_set_basis, index_array, vanishing_gb
+from .ideal import (DeltaSet, Eliminator, Polynomial, ReducedGroebnerBasis, SumForms,
+                    check_set_basis, index_array, vanishing_gb)
 
 
 class CodeConfigError(ValueError):
@@ -38,14 +39,15 @@ class PointSetEntry:
     - ``projection``: an Eliminator holding the check columns of Phi, which
       projects a syndrome off them (the erasure projection of decoder.locate);
     - ``vanishing``: the reduced basis of the vanishing ideal of Phi
-      (ideal.vanishing_gb), the locator of a located set;
+      (ideal.vanishing_gb), the locator of a located set ({1} for no points);
     - ``check_set``: the check-set family of Phi (ideal.check_set_basis),
       which seeds systematic encoding and erasure decoding beyond the radius.
 
-    ``points`` is Phi in the code's point order.  ``get(name)`` returns a
-    member and whether the call built it.  A build adds its field
-    operations to ``op_count`` as the uncached call does; a reuse adds
-    none.  A build that raises keeps nothing."""
+    ``rows`` is Phi as increasing point rows, ``points`` in the code's
+    point order.  ``get(name)`` returns a member and whether the call built
+    it.  A build adds its field operations to ``op_count`` as the uncached
+    call does; a reuse adds none.  A build that raises keeps nothing.
+    decoder.locate makes an unstored entry for a set it locates errors in."""
 
     def __init__(self, code, rows):
         self.code = code
@@ -70,7 +72,12 @@ class PointSetEntry:
         return elim
 
     def _vanishing(self):
-        return vanishing_gb(self.points, self.code.order)[0]
+        code, one = self.code, (0,) * self.code.ndim
+        if not self.rows:
+            unit = Polynomial(code.field, code.ndim, {one: 0})
+            return ReducedGroebnerBasis(code.field, code.ndim, code.order, [unit], [one],
+                                        DeltaSet(frozenset()))
+        return vanishing_gb(self.points, code.order)[0]
 
     def _check_set(self):
         return check_set_basis(self.points, self.code.b_list, self.code.order)
@@ -129,7 +136,8 @@ class CodeSpec:
         """The store entry (PointSetEntry) of a set of the code's points,
         given in any order; KeyError at a point outside the code.  The
         store is keyed by the points in the code's order and keeps the
-        POINT_SET_CACHE_SIZE entries used last."""
+        POINT_SET_CACHE_SIZE entries used last: erasure sets and systematic
+        redundant sets, the sets callers name."""
         key = tuple(sorted(self.point_row[p] for p in points))
         with self._point_sets_lock:
             entry = self._point_sets.get(key)

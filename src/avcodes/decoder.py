@@ -38,9 +38,8 @@ import numpy as np
 from .gf import ZERO
 from .transform import Spectrum, Word, dft_partial, index_space, power_matrix
 from .maps import PointSet, restrict_idft
-from .ideal import (extend, ReducedGroebnerBasis, DeltaSet, Polynomial, IdealError,
-                    Eliminator, index_array, rows_independent)
-from .codes import is_dual_codeword
+from .ideal import extend, IdealError, Eliminator, index_array, rows_independent
+from .codes import PointSetEntry, is_dual_codeword
 
 
 class UndecodableError(Exception):
@@ -105,23 +104,18 @@ def default_t_max(code, phi1_size):
     return max(0, (code.d_fr - 1 - phi1_size) // 2)
 
 
-def _trivial_locator(field, ndim, order):
-    origin = (0,) * ndim
-    one = Polynomial(field, ndim, {origin: 0})
-    return ReducedGroebnerBasis(field, ndim, order, [one], [origin], DeltaSet(frozenset()))
-
-
 # -- the locator -------------------------------------------------------------
 
 class LocateResult(tuple):
-    """The pair (basis, located) of ``locate``; ``stats`` holds the errors
-    located off Phi1 (t), the syndromes filled by majority (votes), the
-    pivot count (rank) and the staircase block's rows and cols, and
-    ``built`` the point-set store members the call built."""
+    """The pair (basis, located) of ``locate``; ``entry`` holds the located
+    set's PointSetEntry, ``stats`` the errors located off Phi1 (t), the
+    syndromes filled by majority (votes), the pivot count (rank) and the
+    staircase block's rows and cols, and ``built`` the members the call
+    built."""
 
-    def __new__(cls, basis, located, stats, built):
-        pair = super().__new__(cls, (basis, located))
-        pair.stats, pair.built = stats, built
+    def __new__(cls, basis, entry, stats, built):
+        pair = super().__new__(cls, (basis, entry.points))
+        pair.entry, pair.stats, pair.built = entry, stats, built
         return pair
 
 
@@ -304,9 +298,10 @@ def locate(synd, phi1, code, t_max=None):
     union Phi2, located point set in the code's point order).  Raises
     UndecodableError at more than t_max pivots, when no pair votes, or
     when no support passes the stop rule once every syndrome is filled.
-    The erasure projection of Phi1 and the basis of the located set come
-    from the code's point-set store; ``built`` on the result counts the
-    members this call built.
+    The erasure projection comes from Phi1's entry in the code's point-set
+    store, which is also the located set's when no error is located;
+    errors make the located set an entry that is not stored.  ``built`` on
+    the result counts the members this call built.
     """
     f = code.field
     if t_max is None:
@@ -319,30 +314,24 @@ def locate(synd, phi1, code, t_max=None):
         raise UndecodableError("syndrome is missing %d check indices" % len(missing))
     target = f.np_exponents(np.array([synd.values[b] for b in b_list], dtype=np.intp))
 
-    phi1_set = set(phi1.points)
     try:
-        phi1_rows = [code.point_row[p] for p in phi1.points]
+        entry = code.point_set(phi1.points)
     except KeyError as exc:
         raise UndecodableError("erasure location %s is not a code point" % (exc.args[0],))
     # the erasure projection: only the target is reduced
-    elim, built = code.point_set(phi1.points).get("projection")
+    elim, built = entry.get("projection")
     res, _, reduce_ops = elim.reduce(target[None])
     f.op_count += int(reduce_ops[0])
 
-    located = phi1_set
     stats = {"t": 0, "votes": 0, "rank": 0, "rows": 0, "cols": 0}
     if (res != f.np_arith().zero).any():
         if not t_max:
             raise UndecodableError(
                 "no error support of size <= 0 is consistent with the syndrome")
-        z, stats = _Staircase(code, target, elim, phi1_rows, t_max).run()
-        located = phi1_set | {code.psi.points[k] for k in z.tolist()}
-    if not located:
-        loc_ps = PointSet(f, code.ndim, ())
-        return LocateResult(_trivial_locator(f, code.ndim, code.order), loc_ps, stats, built)
-    entry = code.point_set(located)
+        z, stats = _Staircase(code, target, elim, entry.rows, t_max).run()
+        entry = PointSetEntry(code, tuple(sorted(entry.rows + tuple(z.tolist()))))
     gb, fresh = entry.get("vanishing")
-    return LocateResult(gb, entry.points, stats, built + fresh)
+    return LocateResult(gb, entry, stats, built + fresh)
 
 
 # -- the two decoding algorithms --------------------------------------------
@@ -353,18 +342,19 @@ def _validate_received(r, code):
         raise UndecodableError("received word is not indexed by the code's point set")
 
 
-def _locator_seed(synd_values, gb_loc, located, code):
+def _locator_seed(synd_values, loc, code):
     """Seed spectrum and matching recurrence basis for the error-spectrum
-    extension, and whether the store built the basis.  Inside the radius
-    the locator's delta set sits inside the check set and seeds the
-    extension directly; beyond it (erasure-only decoding with |Phi1| up
-    to |B|) the check-set-seeded family of the located set takes over,
-    per the erasure-only decodable condition."""
+    extension from a LocateResult, and whether the call built the basis.
+    Inside the radius the locator's delta set sits inside the check set
+    and seeds the extension directly; beyond it (erasure-only decoding
+    with |Phi1| up to |B|) the check-set-seeded family of the located set
+    takes over, per the erasure-only decodable condition."""
+    gb_loc = loc[0]
     delta = gb_loc.delta.members
     if delta <= code.b_members:
         return Spectrum(code.field, code.ndim, {d: synd_values[d] for d in delta}), gb_loc, 0
     try:
-        gb_b, built = code.point_set(located).get("check_set")
+        gb_b, built = loc.entry.get("check_set")
     except IdealError as exc:
         raise UndecodableError(
             "locator delta escapes the check set and the check-set system "
@@ -395,7 +385,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     meter.lap("locator")
     ext, family, built = None, None, loc.built
     if len(located):
-        seed, basis, fresh = _locator_seed(rt.values, gb_loc, located, code)
+        seed, basis, fresh = _locator_seed(rt.values, loc, code)
         ext, built = (seed, basis), built + fresh
         family = {"family": "vanishing-ideal" if basis is gb_loc else "check-set",
                   "schedule": "sequential" if basis.sequential else "worklist"}

@@ -251,7 +251,8 @@ def test_step_wall_times(hermitian, rng):
         assert all(isinstance(v, float) and v >= 0.0 for v in rep.ms.values())
 
 
-def test_reports_are_per_call(hermitian, rng):
+def test_reports_are_per_call(rng):
+    hermitian = preset("hermitian")
     h = random_info(hermitian, rng)
     cw = encode_nonsystematic(h, hermitian)
     r_a, phi_a = corrupt(hermitian, cw, 0, 3, rng)
@@ -266,13 +267,14 @@ def test_reports_are_per_call(hermitian, rng):
     assert rep_b.meta["locator"]["t"] == 0
     assert list(rep_b.steps) == ["transform", "locator", "extension", "subtract"]
     assert rep_a.steps is not rep_b.steps
-    # decoding A again reads its point sets from the store: the same counts
-    # but the locator's builds, and B's report is left alone
+    # decoding A again reads Phi1's projection from the store but builds
+    # the basis of its located set, which holds errors, again: the same
+    # counts but the projection's build, and B's report is left alone
     steps_b = dict(rep_b.steps)
     again = decode_word(r_a, phi_a, hermitian).report
-    assert again.meta["point_sets_reused"]
-    assert again.steps["locator"] <= rep_a.steps["locator"]
-    assert dict(again.steps, locator=0) == dict(rep_a.steps, locator=0)
+    assert not again.meta["point_sets_reused"]
+    projection = _build_ops(preset("hermitian"), phi_a.points, "projection")
+    assert again.steps == dict(rep_a.steps, locator=rep_a.steps["locator"] - projection)
     assert info_b.report.steps == steps_b
 
 
@@ -464,6 +466,61 @@ def test_locate_matches_oracle_inside_radius(case):
     assert loc.stats["t"] == len(want)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(located_cases(), st.randoms(use_true_random=False))
+def test_decode_round_trip_inside_radius(case, rnd):
+    # the drawn erasures and errors on an encoded random spectrum: both
+    # decoders recover it exactly
+    code, phi1, e = case
+    f = code.field
+    h = Spectrum(f, code.ndim, {d: rnd.randrange(-1, f.q - 1) for d in code.info_support()})
+    cw = encode_nonsystematic(h, code)
+    r = Word(f, code.ndim, {p: ZERO if p in phi1 else f.add(v, e.values[p])
+                            for p, v in cw.values.items()})
+    assert decode_word(r, phi1, code).codeword.values == cw.values
+    assert decode_info(r, phi1, code).values == h.values
+
+
+@pytest.mark.parametrize("name", ["hermitian", "hcrs"])
+def test_beyond_radius_returns_checked_or_raises(name, rng):
+    # d_fr/2 ... d_fr errors and up to two erasures, at the default and a
+    # raised t_max: each decoder returns or raises UndecodableError, a
+    # returned word is a dual codeword, and a returned spectrum encodes to
+    # it
+    code = preset(name)
+    returned = 0
+    for _ in range(150):
+        cw = encode_nonsystematic(random_info(code, rng), code)
+        n_err = rng.randint((code.d_fr - 1) // 2 + 1, code.d_fr)
+        r, phi1 = corrupt(code, cw, rng.randint(0, 2), n_err, rng)
+        for t_max in (None, code.d_fr):
+            try:
+                res = decode_word(r, phi1, code, t_max)
+            except UndecodableError:
+                res = None
+            else:
+                assert is_dual_codeword(res.codeword, code)
+            try:
+                info = decode_info(r, phi1, code, t_max)
+            except UndecodableError:
+                continue
+            assert res is not None
+            assert encode_nonsystematic(info, code).values == res.codeword.values
+            returned += 1
+    assert returned
+
+
+def test_store_keeps_only_named_sets(rng):
+    # decoding a word with errors located off Phi1 stores Phi1's entry and
+    # not the located set's
+    code = preset("hermitian")
+    cw = encode_nonsystematic(random_info(code, rng), code)
+    r, phi1 = corrupt(code, cw, 2, 2, rng)
+    assert decode_word(r, phi1, code).report.meta["locator"]["t"] == 2
+    decode_info(r, phi1, code)
+    assert list(code._point_sets) == [tuple(sorted(code.point_row[p] for p in phi1.points))]
+
+
 @pytest.mark.parametrize("name,t", [("hermitian", 3), ("hcrs", 4), ("herm16", 4)])
 def test_locator_ops_within_model(name, t, rng):
     # full-radius decodes: the locator step counts at most the
@@ -547,12 +604,14 @@ def test_locator_report(hermitian, rng):
     # three errors, three pivots, on a staircase inside the n x n matrix
     assert loc["t"] == loc["rank"] == 3
     assert loc["votes"] >= 0 and 3 <= loc["rows"] <= 27 and 3 <= loc["cols"] <= 27
-    res = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian)
+    for _ in range(2):
+        res = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian)
     assert res.report.meta["locator"] == {"t": 0, "votes": 0, "rank": 0, "rows": 0,
                                           "cols": 0}
-    # nothing located, nothing extended; the empty erasure set's projection
-    # was built by the first decode
+    # nothing located, nothing extended; the repeated decode reads the empty
+    # erasure set's projection and its locator {1} from the store
     assert res.report.meta["extension"] is None and res.report.meta["point_sets_reused"]
+    assert res.report.meta["z"] == 1
 
 
 def test_extension_meta(hcrs, rng):
@@ -819,8 +878,8 @@ def _build_ops(code, points, name):
     ("hermitian", 0, 3), ("hermitian", 2, 2), ("hermitian", 4, 0), ("hcrs", None, 0)])
 def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     # decoding the same word again reads the store: its steps are the first
-    # call's minus the ops of building the members it read, counted on a
-    # third fresh code.  Erasing the golden systematic set of hcrs (None),
+    # call's minus the ops of building the stored members it read, counted
+    # on a third fresh code.  Erasing the golden systematic set of hcrs (None),
     # whose delta set leaves B, takes the check-set family, the other
     # patterns the vanishing-ideal one.
     code = preset(name)
@@ -834,16 +893,19 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     warm = decode_word(r, phi1, code).report
     rep = cold.report
     assert cold.codeword.values == cw.values
-    assert not rep.meta["point_sets_reused"] and warm.meta["point_sets_reused"]
+    # a located set with errors is built per call, so only Phi1 reads warm
+    assert not rep.meta["point_sets_reused"] and warm.meta["point_sets_reused"] == (not n_err)
     assert warm.meta["extension"] == rep.meta["extension"]
     family = rep.meta["extension"]["family"]
     assert family == ("check-set" if n_erase is None else "vanishing-ideal")
     fresh = preset(name)
-    locator = (_build_ops(fresh, phi1.points, "projection")
-               + _build_ops(fresh, cold.located.points, "vanishing"))
+    locator = _build_ops(fresh, phi1.points, "projection")
+    if not n_err:
+        locator += _build_ops(fresh, cold.located.points, "vanishing")
     extension = (_build_ops(fresh, cold.located.points, "check_set")
                  if family == "check-set" else 0)
-    assert locator > 0
+    # the empty erasure set's projection costs nothing to build
+    assert (locator > 0) == bool(len(phi1))
     assert warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator,
                               extension=rep.steps["extension"] - extension)
     assert warm.total == rep.total - locator - extension
