@@ -151,9 +151,9 @@ class CodeSpec:
 
     @cached_property
     def sum_forms(self):
-        """The normal forms of the delta-set products (ideal.SumForms)."""
-        return SumForms(self.field, self.psi, self.delta.sorted(self.order),
-                        self.gb.eliminator)
+        """The normal forms of the delta-set products (ideal.SumForms), by
+        division on the code's basis."""
+        return SumForms(self.gb, self.psi)
 
     @cached_property
     def feng_rao(self):
@@ -303,7 +303,7 @@ def load_code(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise CodeConfigError("config %s is not valid JSON: %s" % (path, exc))
     return code_from_config(cfg, name=str(path))
 

@@ -88,13 +88,14 @@ class Field:
     """
 
     def __init__(self, p, m, primitive_poly):
+        if m < 1:
+            raise FieldError("extension degree must be >= 1")
+        # p and m bounded (p >= 2 in a field) before p ** m is taken or p tested
+        if p > MAX_Q or m >= MAX_Q.bit_length() or p ** m > MAX_Q:
+            raise FieldError("field size p^m exceeds the %d table limit" % MAX_Q)
         if not is_prime(p):
             raise FieldError("p = %d is not prime" % p)
         poly = tuple(c % p for c in primitive_poly)
-        if m < 1:
-            raise FieldError("extension degree must be >= 1")
-        if p ** m > MAX_Q:
-            raise FieldError("field size %d exceeds the %d table limit" % (p ** m, MAX_Q))
         if len(poly) != m + 1:
             raise FieldError("primitive polynomial needs m+1 coefficients")
         if poly[m] != 1:

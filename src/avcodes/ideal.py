@@ -359,9 +359,7 @@ def vanishing_gb(points, order):
 
     The scan inserts the candidates of the box in batches of 2 |points|,
     skipping every candidate that dominates a minimal lead found before
-    it, and counts exactly the candidates the scan inserts.  The basis
-    keeps the scan's Eliminator as ``eliminator``: its rows are the
-    evaluation vectors of the delta set, in increasing order."""
+    it, and counts exactly the candidates the scan inserts."""
     f = points.field
     ndim = points.ndim
     n = len(points.points)
@@ -403,7 +401,6 @@ def vanishing_gb(points, order):
     # level leads of delta (delta is closed); none of them dominates a
     # lead with a component q
     gb = _family(elim, w, order, frozenset(delta), scan_tails)
-    gb.eliminator = elim
     return gb, gb.delta
 
 
@@ -496,10 +493,12 @@ def normal_form(poly, gb):
     the delta set and poly - remainder is in the ideal.  Each step takes
     the leading term c x^a of the working terms and subtracts c x^(a - a_w)
     g_w for the first element whose lead a_w it dominates: g_w is monic,
-    so the lead cancels, and each tail term costs one mul and one sub."""
+    so the lead cancels, and its tail terms are updated in one
+    Field.np_add.  Runs on the numpy layer, so it is not op-counted."""
     f = gb.field
+    ar = f.np_arith()
     key = gb.order.key
-    work = dict(poly.terms)
+    work = dict(poly.terms)  # nonzero codes, which are their exponents
     remainder = {}
     while work:
         lt = max(work, key=key)
@@ -509,37 +508,33 @@ def normal_form(poly, gb):
             remainder[lt] = c
             continue
         shift = dominated_sub(lt, gb.leading[hit])
-        for e, t in gb._tails[hit]:
-            e = tuple(a + b for a, b in zip(shift, e))
-            v = f.sub(work.get(e, ZERO), f.mul(c, t))
-            if v == ZERO:
-                work.pop(e, None)
-            else:
-                work[e] = v
+        exps = [tuple(a + b for a, b in zip(shift, e)) for e, _ in gb._tails[hit]]
+        # -c t reduced below q - 1 (np_add reads 2(q - 1) and up as zero)
+        minus = [(c + t + ar.neg) % (f.q - 1) for _, t in gb._tails[hit]]
+        old = [work.pop(e, ar.zero) for e in exps]
+        work.update((e, v) for e, v in zip(exps, f.np_add(old, minus).tolist()) if v != ar.zero)
     return Polynomial(f, gb.ndim, remainder)
 
 
 class SumForms:
     """Normal forms mod I(Psi) of the products of pairs (i, j) of delta
     monomials (in increasing order), memoized per semigroup sum, computed
-    for the pairs asked for: coefficient exponents over the delta set (the
-    negated tail of the product's values reduced by the delta set's), and
+    for the pairs asked for: the coefficient exponents over the delta set
+    of normal_form(x^sum, gb), by division on the code's basis ``gb``, and
     the lead position (-1 for zero).  Not op-counted: they belong to the
     code, like its evaluation columns."""
 
-    def __init__(self, field, psi, delta, elim):
-        self.field = field
-        self.delta = list(delta)
+    def __init__(self, gb, psi):
+        self.gb = gb
+        self.delta = gb.delta.sorted(gb.order)
         self.position = {d: k for k, d in enumerate(self.delta)}
-        self._exps = index_array(self.delta, psi.ndim)
-        self._points = index_array(psi.points, psi.ndim)
         # evals[k, p]: the k-th delta monomial at the p-th point
-        self.evals = power_matrix(field, self._exps, self._points)
+        self.evals = power_matrix(gb.field, index_array(self.delta, gb.ndim),
+                                  index_array(psi.points, gb.ndim))
         self.forms = np.empty((0, len(self.delta)), dtype=np.intp)
         self.leads = np.empty(0, dtype=np.intp)
         self._slot = {}
         self._block = (np.empty((0, 0), dtype=np.intp),) * 4
-        self._elim = elim  # holds the delta set's evaluation vectors
         self._lock = threading.Lock()
 
     def block(self, m):
@@ -553,21 +548,24 @@ class SumForms:
             return tuple(a[:m, :m] for a in self._block)
 
     def _grow(self, m):
-        f, n = self.field, len(self.delta)
-        ar = f.np_arith()
-        s = self._exps[:m, None] + self._exps[None, :m]
+        gb, f = self.gb, self.gb.field
+        e = index_array(self.delta[:m], gb.ndim)
+        s = e[:, None] + e[None, :]
         s = np.where(s == 0, 0, (s - 1) % (f.q - 1) + 1)  # x^q = x on GF(q)
         uniq, inv = np.unique(s.reshape(m * m, -1), axis=0, return_inverse=True)
         keys = list(map(tuple, uniq.tolist()))
-        new = [k for k, key in enumerate(keys) if key not in self._slot]
+        new = [key for key in keys if key not in self._slot]
         if new:
-            _, tails, _ = self._elim.reduce(power_matrix(f, uniq[new], self._points))
-            live = tails != ar.zero
-            self._slot.update((keys[k], len(self.leads) + i) for i, k in enumerate(new))
-            self.forms = np.vstack([self.forms,
-                                    np.where(live, (tails + ar.neg) % (f.q - 1), ar.zero)])
-            self.leads = np.concatenate([self.leads, np.where(
-                live.any(axis=1), n - 1 - live[:, ::-1].argmax(axis=1), -1)])
+            forms = np.full((len(new), len(self.delta)), f.np_arith().zero, dtype=np.intp)
+            leads = np.full(len(new), -1, dtype=np.intp)
+            for k, key in enumerate(new):
+                terms = normal_form(Polynomial(f, gb.ndim, {key: ONE}), gb).terms
+                at = [self.position[d] for d in terms]
+                forms[k, at] = list(terms.values())
+                leads[k] = max(at, default=-1)
+            self._slot.update((key, len(self.leads) + k) for k, key in enumerate(new))
+            self.forms = np.vstack([self.forms, forms])
+            self.leads = np.concatenate([self.leads, leads])
         pairs = np.array([self._slot[key] for key in keys])[inv.ravel()].reshape(m, m)
         lead = self.leads[pairs]
         box = np.maximum.accumulate(np.maximum.accumulate(lead, axis=0), axis=1)

@@ -13,18 +13,24 @@ did.
 ``transpose_check`` build on it and on point_power as the library did
 before its batched eliminator.  ``find_supports`` is the plain
 meet-in-the-middle enumeration of consistent supports, the oracle of the
-voting locator.  The direct formulas (``transform.dft``, ``transform.idft``) stay
-in the library as the transform oracle; ``dft(c, indices)`` is the
-reference of ``dft_partial``.
+voting locator.  ``sum_forms`` computes normal forms of monomials by
+eliminating evaluation vectors, the oracle of ``ideal.SumForms``, which
+divides on the basis.  The direct formulas (``transform.dft``,
+``transform.idft``) stay in the library as the transform oracle;
+``dft(c, indices)`` is the reference of ``dft_partial``.
 """
 
 import itertools
 
+import numpy as np
+
+from avcodes import ideal
 from avcodes.gf import ZERO, ONE
-from avcodes.ideal import IdealError, _level_leads, DeltaSet, Polynomial, ReducedGroebnerBasis
+from avcodes.ideal import (IdealError, _level_leads, DeltaSet, Polynomial, ReducedGroebnerBasis,
+                           index_array)
 from avcodes.mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
 from avcodes.transform import (Spectrum, Word, index_space, omega_space, _require_full,
-                               point_power, dft_partial)
+                               point_power, dft_partial, power_matrix)
 
 
 # -- field addition, digit by digit ----------------------------------------
@@ -452,3 +458,26 @@ def find_supports(field, target, columns, t):
                 continue
             found.add(tuple(combo_a) + tuple(combo))
     return sorted(found)
+
+
+# -- the sum forms by elimination ------------------------------------------
+
+def sum_forms(gb, psi, keys):
+    """(forms, leads) of the monomials x^key, one row of the index array
+    ``keys`` each, mod the vanishing ideal of ``psi`` with basis ``gb``:
+    x^key evaluated on psi and reduced against an Eliminator holding the
+    vectors of the sorted delta set, the negated tail taken as the
+    coefficient exponents over it, the lead the last nonzero position
+    (-1 for zero).  This is how ideal.SumForms filled its rows before it
+    divided on the basis."""
+    f = gb.field
+    ar = f.np_arith()
+    delta = gb.delta.sorted(gb.order)
+    pts = index_array(psi.points, gb.ndim)
+    elim = ideal.Eliminator(f, len(delta))
+    elim.insert(power_matrix(f, index_array(delta, gb.ndim), pts), delta)
+    _, tails, _ = elim.reduce(power_matrix(f, keys, pts))
+    live = tails != ar.zero
+    forms = np.where(live, (tails + ar.neg) % (f.q - 1), ar.zero)
+    leads = np.where(live.any(axis=1), len(delta) - 1 - live[:, ::-1].argmax(axis=1), -1)
+    return forms, leads

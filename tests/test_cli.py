@@ -1,4 +1,6 @@
 import json
+import pathlib
+import time
 
 from avcodes.cli import main, EXIT_OK, EXIT_UNDECODABLE, EXIT_CONFIG, EXIT_IO
 from avcodes.codes import preset, PRESET_CONFIGS, encode_nonsystematic
@@ -157,6 +159,25 @@ def test_config_error_exits(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_oversized_fields_exit_3_at_once(tmp_path, capsys):
+    # each used to hang (trial division of p) or end in a traceback
+    # (formatting p ** m, or json.load on a 5,000-digit p)
+    from test_codes import _hcrs_config_text
+
+    configs = []
+    for k, p in enumerate((str(2 ** 61 - 1), "1" + "0" * 4999)):
+        configs.append(tmp_path / ("big%d.json" % k))
+        configs[-1].write_text(_hcrs_config_text(p))
+    for argv in (["field-table", "--p", "3", "--m", "2000000", "--poly", "1,1"],
+                 ["field-table", "--p", str(2 ** 61 - 1), "--m", "1", "--poly", "1,1"],
+                 *(["encode", "--config", str(c), str(c)] for c in configs)):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
 def test_io_error_exit(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(PRESET_CONFIGS["rs-like"]))
@@ -237,6 +258,15 @@ def test_bench_subcommand(capsys):
     # reproducible byte for byte
     rc, out2, _ = run(capsys, "bench", "--seed", "5")
     assert out2 == out
+
+
+def test_bench_seed0_is_pinned(capsys):
+    # every op count of `avcodes bench --seed 0` on freshly built presets,
+    # byte for byte; a change that moves a count on purpose regenerates
+    # tests/data/bench_seed0.txt and says so
+    rc, out, _ = run(capsys, "bench", "--seed", "0")
+    assert rc == EXIT_OK
+    assert out == (pathlib.Path(__file__).parent / "data" / "bench_seed0.txt").read_text()
 
 
 def test_bench_json(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -295,6 +296,25 @@ def test_config_p_zero_is_a_config_error():
     cfg = dict(PRESET_CONFIGS["hcrs"], field={"p": 0, "m": 2, "primitive_poly": [2, 1, 1]})
     with pytest.raises(CodeConfigError, match="p = 0 is not prime"):
         code_from_config(cfg)
+
+
+def _hcrs_config_text(p):
+    # the hcrs config with p written as given (json.dumps cannot write an
+    # int past Python's digit limit)
+    return json.dumps(PRESET_CONFIGS["hcrs"]).replace('"p": 3,', '"p": %s,' % p, 1)
+
+
+@pytest.mark.parametrize("p", [str(2 ** 61 - 1), "1" + "0" * 4999],
+                         ids=["p=2^61-1", "p-of-5000-digits"])
+def test_config_with_a_huge_p_fails_at_once(tmp_path, p):
+    # 2^61 - 1 hung in trial division; json.load raises a plain ValueError
+    # on 5,000 digits, which ended in a traceback
+    path = tmp_path / "big.json"
+    path.write_text(_hcrs_config_text(p))
+    start = time.perf_counter()
+    with pytest.raises(CodeConfigError):
+        load_code(path)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_CONFIGS))

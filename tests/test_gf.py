@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,18 @@ def test_spec_validation():
         Field(2, 0, (1,))
     with pytest.raises(FieldError):
         Field(2, 17, tuple([1] + [0] * 16 + [1]))  # q above the table limit
+
+
+@pytest.mark.parametrize("p,m", [(2 ** 61 - 1, 1), (3, 2_000_000), (10 ** 4999 + 1, 1)],
+                         ids=["p=2^61-1", "m=2e6", "p-of-5000-digits"])
+def test_oversized_field_fails_at_once(p, m):
+    # the size is checked before p is tested for primality (trial division
+    # of 2^61 - 1 did not return in 20 s) and p ** m is never formatted
+    # (the 954,243 digits of 3^2000000 are past Python's conversion limit)
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="exceeds the 65536 table limit"):
+        Field(p, m, (1, 1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_identities(f8, f9):

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from avcodes.gf import Field, FieldError, ZERO, ONE
-from avcodes.mindex import MonomialOrder, dominates
+from avcodes.mindex import MonomialOrder, dominates, semigroup_add
 from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
-from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form,
+from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form, SumForms,
                            extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
-                           _extension_plan, _level_leads)
+                           _extension_plan, _level_leads, index_array)
 from avcodes.maps import PointSet, canonical_iso, proper_transform
+from avcodes.codes import code_from_config, preset
 import scalar_reference as reference
+from test_codes import HERM16
 from avcodes.golden import (RS_PSI, RS_G, RS_SEED, RS_EXTENSION, CROSS_PSI,
                             CROSS_SEED_KNOWN, CROSS_H22, HERM_PHI1, HERM_G_PHI1,
                             HCRS_SYS_PHI, HCRS_SYS_LEADS)
@@ -364,6 +366,37 @@ def test_normal_form_properties(case, data):
     assert all(e in delta for e in nf.terms)
     assert normal_form(nf, gb) == nf
     assert all(poly.eval(p) == nf.eval(p) for p in pts)
+
+
+def _assert_sum_forms_match_elimination(forms, gb, psi):
+    # the form and lead of every pair of delta monomials, as division on
+    # the basis gives them, equal the elimination's of the pair's sum
+    n = len(forms.delta)
+    slots, lead, _, _ = forms.block(n)
+    keys = index_array([semigroup_add(a, b, gb.field.q)
+                        for a in forms.delta for b in forms.delta], gb.ndim)
+    want_forms, want_leads = reference.sum_forms(gb, psi, keys)
+    assert (forms.forms[slots.ravel()] == want_forms).all()
+    assert (lead.ravel() == want_leads).all()
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_sum_forms_match_elimination(name):
+    # a fresh code: growing its forms over the whole block adds no field
+    # operation, since they belong to the code like its basis
+    code = code_from_config(HERM16) if name == "herm16" else preset(name)
+    before = code.field.op_count
+    code.sum_forms.block(code.n)
+    assert code.field.op_count == before
+    _assert_sum_forms_match_elimination(code.sum_forms, code.gb, code.psi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets())
+def test_sum_forms_match_elimination_on_random_codes(case):
+    pts, order = case
+    gb, _ = vanishing_gb(pts, order)
+    _assert_sum_forms_match_elimination(SumForms(gb, pts), gb, pts)
 
 
 def _extend_ops(seed, gb, target, fn=extend):
