@@ -6,10 +6,14 @@ operations of every named step it runs, in order ``transform`` (the
 received word's transform), ``locator``, ``extension`` (the locator
 seed and the error-spectrum extension), ``idft``, ``subtract`` and
 ``check``, their wall times in milliseconds (``ms``, same labels), and
-meta data on the code and the locator.
+meta data on the code, the locator and the IDFT form that ran.
 ``decode_word`` runs all six and carries the report in
 ``DecodeResult.report``; ``decode_info`` skips ``idft`` and ``check``
 and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
+``decode_word`` and ``systematic_encode`` hand the extension to the
+inverse transform as a flat array, read the values on the located or
+redundant set alone (maps.idft_on) and check the result by the syndrome
+of that set's part, by linearity.
 
 The locator finds the errors off the erasures Phi1 by Feng-Rao majority
 voting, the erasures entering through erasure rows (Sakata, Leonard,
@@ -36,10 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, dft_partial, index_space, power_matrix
-from .maps import PointSet, restrict_idft
-from .ideal import extend, IdealError, Eliminator, index_array, rows_independent
-from .codes import PointSetEntry, is_dual_codeword
+from .transform import Spectrum, Word, dft_partial, power_matrix
+from .maps import PointSet, idft_on
+from .ideal import (extend, IdealError, Eliminator, index_array, rows_independent,
+                    _extension_array)
+from .codes import PointSetEntry
 
 
 class UndecodableError(Exception):
@@ -398,6 +403,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
         "z": len(gb_loc),
         "located": len(located),
         "fast_idft_bound": 3 * code.ndim * code.field.q ** (code.ndim + 1),
+        "idft": None,
         "locator": loc.stats,
         "extension": family,
         "point_sets_reused": not built,
@@ -426,21 +432,27 @@ def decode_info(r, phi1, code, t_max=None):
 
 def decode_word(r, phi1, code, t_max=None):
     """Split a received word into codeword + error (erasure-and-error
-    decoding with explicit error values)."""
+    decoding with explicit error values).  The error values come from the
+    IDFT of the extended error spectrum on the located set alone (the
+    form that ran and its count in ``report.meta["idft"]``).  The codeword
+    is checked by linearity: its syndrome is the received word's, already
+    computed on B, minus the error's, which vanishes off the located set."""
     f = code.field
-    meter, report, _, located, ext = _decode_head(r, phi1, code, t_max,
-                                                  "decode_word", code.b_list)
-    evalues = {p: ZERO for p in code.psi.points}
+    meter, report, rt, located, ext = _decode_head(r, phi1, code, t_max,
+                                                   "decode_word", code.b_list)
     if ext:
-        full = extend(*ext, index_space(f, code.ndim))
+        x = _extension_array(*ext)
     meter.lap("extension")
+    e_loc = Word(f, code.ndim, {})
     if ext:
-        evalues.update(restrict_idft(full, located)[0].values)
+        vals, form, ops = idft_on(x, located)
+        report.meta["idft"] = {"form": form, "ops": ops}
+        e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(vals))))
     meter.lap("idft")
-    e = Word(f, code.ndim, evalues)
+    e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
     c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
     meter.lap("subtract")
-    if not is_dual_codeword(c, code):
+    if dft_partial(e_loc, code.b_list).values != rt.values:
         raise UndecodableError("decoded word fails the check set")
     meter.lap("check")
     return DecodeResult(codeword=c, error=e, located=located, report=report)
@@ -491,11 +503,13 @@ def systematic_encode(info, phi, code):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
     seed = dft_partial(info, code.b_list, "information word")
     gb_phi = systematic_basis(phi, code)
-    w, _ = restrict_idft(extend(seed, gb_phi, index_space(f, code.ndim)), phi)
+    w = Word(f, code.ndim, dict(zip(phi.points, f.np_codes(
+        idft_on(_extension_array(seed, gb_phi), phi)[0]))))
+    # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
+    # seed - syndrome(w): zero when the seed is minus the Phi part's
+    if dft_partial(w, code.b_list).values != seed.values:
+        raise SystematicSupportError("systematic output fails the check set")
     out = dict(info.values)
     for p in phi.points:
         out[p] = f.neg(w.values[p])
-    word = Word(f, code.ndim, out)
-    if not is_dual_codeword(word, code):
-        raise SystematicSupportError("systematic output fails the check set")
-    return word
+    return Word(f, code.ndim, out)

@@ -14,6 +14,7 @@ analytic count of the scalar operations a kernel stands for to
 spread base-p encodings.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -80,7 +81,7 @@ class Field:
     inverts it.  Construction fails with NotPrimitiveError unless the
     root of the polynomial has multiplicative order exactly q-1.  The
     scalar add tables are read off ``np_add``, the one definition of
-    the sum: a dense q x q table up to DENSE_Q, Zech logarithms above.
+    the sum: a dense table up to DENSE_Q, Zech logarithms above.
 
     The instance is immutable after construction apart from
     ``op_count``, a diagnostic counter bumped once per arithmetic call;
@@ -88,6 +89,9 @@ class Field:
     """
 
     def __init__(self, p, m, primitive_poly):
+        for name, value in (("p", p), ("m", m)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise FieldError("%s = %r is not an integer" % (name, value))
         if m < 1:
             raise FieldError("extension degree must be >= 1")
         # p and m bounded (p >= 2 in a field) before p ** m is taken or p tested
@@ -160,8 +164,10 @@ class Field:
         # so that Python's index -1 lands on the ZERO row/column
         self._neg = [(a + neg) % n for a in range(n)] + [ZERO]
         if q <= DENSE_Q:
-            slots = np.append(np.arange(n), zero)
-            self._add_table = [self.np_codes(row) for row in self.np_add(slots[:, None], slots)]
+            # each row twice over: a sum of two exponents indexes it unreduced
+            slots = np.concatenate([np.arange(n), np.arange(n), [zero]])
+            self._add_table = [self.np_codes(row)
+                               for row in self.np_add(slots[n:, None], slots)]
             self._zech = None
         else:
             self._add_table = None
@@ -176,7 +182,10 @@ class Field:
         logarithms or None, negation), for a loop that reads them directly
         and adds its own count; not op-counted.  The add table and the
         negation are indexed by element codes, ZERO landing on the last
-        entry; ``zech[d]`` is the code of 1 + alpha^d, d = 0..q-2."""
+        entry; each add-table row holds its q - 1 nonzero columns twice
+        over, so that it is also indexed by the sum of two exponents
+        (a product) without reduction.  ``zech[d]`` is the code of
+        1 + alpha^d, d = 0..q-2."""
         return self._add_table, self._zech, self._neg
 
     def np_codes(self, x):

@@ -49,7 +49,9 @@ worklist families) as one numpy product over the plan's packed check
 arrays.  The count of both is added once, as the scalar recurrences
 they stand for: one mul and one add per nonzero coefficient and one
 neg per recurrence.  Building a plan costs no field operations, so the
-counts of a call do not depend on the cache.
+counts of a call do not depend on the cache.  ``extend`` returns the
+values on its target as a dict; the inverse transform is handed the
+values on all of A as one flat exponent array (``_extension_array``).
 """
 
 import threading
@@ -60,7 +62,7 @@ import numpy as np
 
 from .gf import ZERO, ONE
 from .mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
-from .transform import Spectrum, check_values, point_power, power_matrix
+from .transform import Spectrum, check_values, index_space, point_power, power_matrix
 
 
 class IdealError(ValueError):
@@ -531,8 +533,10 @@ class SumForms:
         # evals[k, p]: the k-th delta monomial at the p-th point
         self.evals = power_matrix(gb.field, index_array(self.delta, gb.ndim),
                                   index_array(psi.points, gb.ndim))
-        self.forms = np.empty((0, len(self.delta)), dtype=np.intp)
-        self.leads = np.empty(0, dtype=np.intp)
+        # the forms and leads filled so far: views of buffers that double
+        # when they fill up
+        self._buf = (np.empty((0, len(self.delta)), dtype=np.intp), np.empty(0, dtype=np.intp))
+        self.forms, self.leads = self._buf
         self._slot = {}
         self._block = (np.empty((0, 0), dtype=np.intp),) * 4
         self._lock = threading.Lock()
@@ -563,9 +567,14 @@ class SumForms:
                 at = [self.position[d] for d in terms]
                 forms[k, at] = list(terms.values())
                 leads[k] = max(at, default=-1)
-            self._slot.update((key, len(self.leads) + k) for k, key in enumerate(new))
-            self.forms = np.vstack([self.forms, forms])
-            self.leads = np.concatenate([self.leads, leads])
+            size, end = len(self.leads), len(self.leads) + len(new)
+            self._slot.update((key, size + k) for k, key in enumerate(new))
+            if end > len(self._buf[1]):
+                grow = max(len(self._buf[1]), len(new))  # at least double
+                self._buf = tuple(np.concatenate([b, np.empty_like(b, shape=(grow,) + b.shape[1:])])
+                                  for b in self._buf)
+            self._buf[0][size:end], self._buf[1][size:end] = forms, leads
+            self.forms, self.leads = self._buf[0][:end], self._buf[1][:end]
         pairs = np.array([self._slot[key] for key in keys])[inv.ravel()].reshape(m, m)
         lead = self.leads[pairs]
         box = np.maximum.accumulate(np.maximum.accumulate(lead, axis=0), axis=1)
@@ -599,7 +608,7 @@ class _Plan:
     check_elems: np.ndarray
     check_slots: np.ndarray
     uses: tuple  # per element, the recurrences (swept and checked) it applies
-    output_slots: tuple  # the slot of each target index
+    output_slots: np.ndarray  # the slot of each target index
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -683,7 +692,7 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
         check_slots=check_slots,
         uses=tuple(np.bincount(np.concatenate([swept, elems]),
                                minlength=len(leads)).tolist()),
-        output_slots=tuple(slot[t] for t in target),
+        output_slots=np.array([slot[t] for t in target], dtype=np.intp),
     )
 
 
@@ -705,22 +714,30 @@ def _run_plan(plan, gb, seed_values):
     for d, s in plan.seeds:
         vals[s] = seed_values[d]
 
-    for s, w, refs in plan.program:
-        acc = ZERO
-        for c, k in terms[w]:
-            v = vals[refs[k]]
-            if v != ZERO:
-                t = (c + v) % n
-                if table:
-                    acc = table[acc][t]
-                elif acc == ZERO:
-                    acc = t
-                else:
-                    # acc + t = acc (1 + alpha^(t - acc)); a negative
-                    # difference indexes zech modulo q - 1
-                    z = zech[t - acc]
-                    acc = ZERO if z == ZERO else (acc + z) % n
-        vals[s] = neg[acc]
+    if table:
+        # each row holds its entries twice over, so c + v needs no mod
+        for s, w, refs in plan.program:
+            acc = ZERO
+            for c, k in terms[w]:
+                v = vals[refs[k]]
+                if v != ZERO:
+                    acc = table[acc][c + v]
+            vals[s] = neg[acc]
+    else:
+        for s, w, refs in plan.program:
+            acc = ZERO
+            for c, k in terms[w]:
+                v = vals[refs[k]]
+                if v != ZERO:
+                    t = (c + v) % n
+                    if acc == ZERO:
+                        acc = t
+                    else:
+                        # acc + t = acc (1 + alpha^(t - acc)); a negative
+                        # difference indexes zech modulo q - 1
+                        z = zech[t - acc]
+                        acc = ZERO if z == ZERO else (acc + z) % n
+            vals[s] = neg[acc]
     f.op_count += sum(u * (2 * len(tw) + 1) for u, tw in zip(plan.uses, terms))
 
     if len(plan.check_elems):
@@ -737,6 +754,33 @@ def _run_plan(plan, gb, seed_values):
     return vals
 
 
+def _extension_run(h, gb, target):
+    """Check the seed spectrum and run the plan of the basis shape for the
+    target (a tuple of index tuples); returns (plan, slot values), or
+    (None, None) for an empty target."""
+    dset = gb.delta.members
+    if h.domain() != set(dset):
+        raise IdealError("seed spectrum domain does not match the basis seed set")
+    check_values(h, "seed spectrum")
+    if not target:
+        return None, None
+    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
+                  for tail in gb._tails)
+    plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
+                           tuple(gb.leading), dset, target, gb.sequential, tails)
+    return plan, _run_plan(plan, gb, h.values)
+
+
+def _extension_array(h, gb):
+    """The extension of h over all of A as an exponent array in the flat
+    order of the transform kernels (first component fastest, as
+    index_space), read through the plan's output slots: the hand-off to
+    the inverse transform, with no dict built and no value checked again."""
+    f = gb.field
+    plan, vals = _extension_run(h, gb, index_space(f, gb.ndim))
+    return f.np_exponents(np.array(vals, dtype=np.intp)[plan.output_slots])
+
+
 def extend(h, gb, target):
     """LFSR prolongation of a seed spectrum along the basis recurrences.
 
@@ -751,20 +795,13 @@ def extend(h, gb, target):
     end.  The schedule comes from the plan of the basis shape, built once
     and cached; only the coefficients and seed values are read per call.
     A seed domain other than the basis seed set raises IdealError, and a
-    seed value that is no element code FieldError.
+    seed value that is no element code FieldError.  A tuple target is
+    taken as a tuple of index tuples.
     """
-    dset = gb.delta.members
-    if h.domain() != set(dset):
-        raise IdealError("seed spectrum domain does not match the basis seed set")
-    check_values(h, "seed spectrum")
-    target = tuple(tuple(t) for t in target)
-    if not target:
-        return Spectrum(gb.field, gb.ndim, dict(h.values))
-    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
-                  for tail in gb._tails)
-    plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
-                           tuple(gb.leading), dset, target, gb.sequential, tails)
-    vals = _run_plan(plan, gb, h.values)
+    if not isinstance(target, tuple):
+        target = tuple(tuple(t) for t in target)
+    plan, vals = _extension_run(h, gb, target)
     out = dict(h.values)
-    out.update(zip(target, map(vals.__getitem__, plan.output_slots)))
+    if plan is not None:
+        out.update(zip(target, map(vals.__getitem__, plan.output_slots.tolist())))
     return Spectrum(gb.field, gb.ndim, out)

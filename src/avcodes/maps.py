@@ -1,21 +1,27 @@
 """Evaluation map, proper transform, and the canonical isomorphism
 V_D -> V_Psi realized as restrict(idft(extend(.))).
 
-The canonical map always computes the full Omega-word and verifies that
-it vanishes off Psi before restricting, turning the vanishing guarantee
-into a runtime self-test.  The same inverse-transform-and-restrict step
-(``restrict_idft``) finishes decoding and systematic encoding, on the
-located and the redundant point sets.
+The extension reaches the inverse transform as one flat exponent array
+over A (ideal._extension_array).  The canonical map always computes the
+full Omega-word with the fast transform and verifies that it vanishes
+off Psi before restricting, turning the vanishing guarantee into a
+runtime self-test.  Decoding and systematic encoding need the values on
+the located and the redundant point sets only: ``idft_on`` evaluates the
+IDFT there alone (transform.idft_at) when that counts fewer operations
+than the fast transform, whose path, with the same self-test, it takes
+otherwise.  Both counts are known before any work starts.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .gf import ZERO
 from .mindex import format_index, parse_index
-from .transform import Spectrum, Word, dft_partial, idft_fast, point_power, index_space
-from .ideal import extend, DeltaSet, rows_independent
+from .transform import (Spectrum, Word, dft_partial, idft_at, idft_counts, idft_flat,
+                        point_power, _flat_keys)
+from .ideal import DeltaSet, rows_independent, index_array, _extension_array
 
 
 class MapError(ValueError):
@@ -44,6 +50,11 @@ class PointSet:
             if p in seen:
                 raise MapError("repeated point %s" % (p,))
             seen.add(p)
+
+    @cached_property
+    def array(self):
+        """The points as an integer array of element codes, one row each."""
+        return index_array(self.points, self.ndim)
 
     def __len__(self):
         return len(self.points)
@@ -90,20 +101,36 @@ def proper_transform(c, delta):
     return dft_partial(c, members)
 
 
-def restrict_idft(full, psi):
-    """Inverse-transform a spectrum over all of A and restrict the
-    Omega-word to psi; returns (restricted word, Omega-word).
+def _omega_idft(x, psi):
+    """The fast IDFT of the flat extension x over all of Omega, and the
+    flat positions of psi's points in it.  Raises VanishingError, naming
+    the first position in flat order, if the Omega-word is nonzero off
+    psi."""
+    f, ndim = psi.field, psi.ndim
+    w = idft_flat(f, x, ndim)
+    at = (psi.array + 1) @ f.q ** np.arange(ndim)
+    off = w != f.np_arith().zero
+    off[at] = False
+    if off.any():
+        j = int(off.argmax())
+        raise VanishingError("nonzero value %s at %s outside the point set"
+                             % (f.format(f.np_codes(w[j])[0]),
+                                format_index(_flat_keys(f.q, ndim, -1)[0][j])))
+    return w, at
 
-    Raises VanishingError if the Omega-word is nonzero off psi.
-    """
-    f = full.field
-    w = idft_fast(full)
-    inside = set(psi.points)
-    for pt, v in w.values.items():
-        if v != ZERO and pt not in inside:
-            raise VanishingError("nonzero value %s at %s outside the point set"
-                                 % (f.format(v), format_index(pt)))
-    return Word(f, full.ndim, {p: w.values[p] for p in psi.points}), w
+
+def idft_on(x, psi):
+    """The values on psi's points, as exponents in psi's order, of the
+    IDFT of the flat extension x (an exponent array over all of A), with
+    the form that ran and its count: "restricted" evaluates at psi alone,
+    "fast" transforms all of Omega and raises VanishingError if the
+    Omega-word is nonzero off psi.  The form with the smaller count runs
+    (the restricted one on a tie)."""
+    restricted, fast = idft_counts(psi.field.q, psi.ndim, psi.array)
+    if restricted <= fast:
+        return idft_at(psi.field, x, psi.array), "restricted", restricted
+    w, at = _omega_idft(x, psi)
+    return w[at], "fast", fast
 
 
 def canonical_iso(h, gb, psi, return_omega=False):
@@ -112,9 +139,12 @@ def canonical_iso(h, gb, psi, return_omega=False):
     Raises VanishingError if the Omega-word is nonzero off psi, which
     signals inconsistent basis / point-set inputs.
     """
-    restricted, w = restrict_idft(extend(h, gb, index_space(gb.field, gb.ndim)), psi)
+    f = gb.field
+    w, at = _omega_idft(_extension_array(h, gb), psi)
+    restricted = Word(f, gb.ndim, dict(zip(psi.points, f.np_codes(w[at]))))
     if return_omega:
-        return restricted, w
+        omega = Word(f, gb.ndim, dict(zip(_flat_keys(f.q, gb.ndim, -1)[0], f.np_codes(w))))
+        return restricted, omega
     return restricted
 
 

@@ -9,10 +9,13 @@ run one pass per axis, each the q x q kernel matrix applied to every
 fiber at once, blocked so that a temporary stays near BLOCK elements;
 ``dft_kernel`` and ``idft_kernel`` are the N = 1 case.  ``dft_partial`` is
 one |indices| x |points| product over the matrix of exponents of
-omega^a.  The kernels count analytically: each adds, in one addition to
-``Field.op_count``, the field operations the scalar loop kernels make
-(at most 3*N*q^(N+1) for the fast transforms), and each rejects a value
-that is no element code with FieldError, naming its position.
+omega^a.  ``idft_at`` evaluates the IDFT at given points only, one
+inverse kernel row per point and axis, and ``idft_flat`` is the fast
+IDFT; both take and return flat exponent arrays.  The kernels count
+analytically: each adds, in one addition to ``Field.op_count``, the
+field operations the scalar loop kernels make (at most 3*N*q^(N+1) for
+the fast transforms).  Each that takes a Word or Spectrum rejects a
+value that is no element code with FieldError, naming its position.
 
 Powers follow the substituted-value convention omega^0 = 1 for every
 omega, including zero.
@@ -26,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import ZERO, ONE, FieldError
-from .mindex import format_index, parse_index, index_box
+from .mindex import format_index, parse_index
 
 
 class DomainError(ValueError):
@@ -95,8 +98,9 @@ def check_values(vec, what):
 
 
 def index_space(field, ndim):
-    """A = {0..q-1}^N in serialization order (first component fastest)."""
-    return index_box(field.q, ndim)
+    """A = {0..q-1}^N in serialization order (first component fastest), as
+    a tuple shared by every caller: the flat order of the kernels."""
+    return _flat_keys(field.q, ndim, 0)[0]
 
 
 def omega_space(field, ndim):
@@ -260,17 +264,18 @@ def _full_array(vec, shift, what):
     return _element_array(vec, vals, what)
 
 
-def _kernel_rows(f, lo, hi, inverse):
-    """Rows lo..hi-1 of the 1-D kernel's exponent matrix, columns the q
-    input positions.  DFT: row 0 sums the fiber, row a >= 1 weighs
-    position j >= 1 (omega = alpha^(j-1)) by alpha^((j-1)a).  IDFT: row 0
-    is h_0 - h_(q-1), row t+1 is -sum_(i>=1) h_i alpha^(-ti)."""
+def _kernel_rows(f, rows, inverse):
+    """The rows ``rows`` (an integer array) of the 1-D kernel's exponent
+    matrix, columns the q input positions.  DFT: row 0 sums the fiber, row
+    a >= 1 weighs position j >= 1 (omega = alpha^(j-1)) by
+    alpha^((j-1)a).  IDFT: row 0 is h_0 - h_(q-1), row t+1 is
+    -sum_(i>=1) h_i alpha^(-ti)."""
     ar = f.np_arith()
     n = f.q - 1
-    out = np.empty((hi - lo, f.q), dtype=np.intp)
+    out = np.empty((len(rows), f.q), dtype=np.intp)
     out[:, 0] = ar.zero
     # uint32 products stay below q(q-1) + q/2 < 2^32 for q <= MAX_Q
-    r = np.arange(lo, hi, dtype=np.uint32)
+    r = np.asarray(rows, dtype=np.uint32)
     i = np.arange(1, f.q, dtype=np.uint32)
     if inverse:
         k = np.multiply.outer(n + 1 - r, i)  # row r = t+1: (n - t)i + neg
@@ -279,10 +284,12 @@ def _kernel_rows(f, lo, hi, inverse):
         k = np.multiply.outer(r % n, i - 1)
     k %= n
     out[:, 1:] = k
-    if lo == 0:
-        out[0] = ar.zero if inverse else 0
-        if inverse:
-            out[0, 0], out[0, n] = 0, ar.neg
+    first = r == 0
+    if inverse:
+        out[first] = ar.zero
+        out[first, 0], out[first, n] = 0, ar.neg
+    else:
+        out[first] = 0
     return out
 
 
@@ -300,7 +307,7 @@ def _fibers(f, x, inverse):
     fstep = max(1, BLOCK // (rstep * q))
     out = np.empty_like(x)
     for lo in range(0, q, rstep):
-        k = _kernel_rows(f, lo, min(q, lo + rstep), inverse)
+        k = _kernel_rows(f, np.arange(lo, min(q, lo + rstep)), inverse)
         for flo in range(0, nfib, fstep):
             out[flo:flo + fstep, lo:lo + rstep] = f.np_dot(k, x[flo:flo + fstep, None, :])
     f.op_count += nfib * _kernel_ops(q, inverse)
@@ -344,6 +351,54 @@ def idft_fast(h):
     f = h.field
     x = _passes(f, _full_array(h, 0, "idft input"), h.ndim, True)
     return Word(f, h.ndim, dict(zip(_flat_keys(f.q, h.ndim, -1)[0], f.np_codes(x))))
+
+
+def idft_counts(q, ndim, points):
+    """(restricted, fast): the scalar counts of idft_at at the points (an
+    integer array of element codes, one row each) and of the fast IDFT
+    over all of Omega, both known before any work.  The restricted form
+    contracts the spectrum axis by axis, the first component first, so
+    axis i has q^(N-1-i) fibers per point.  A zero coordinate takes
+    h_0 - h_(q-1) per fiber; a nonzero one builds its q - 1 kernel powers
+    once and takes q - 1 muls, q - 2 adds and a neg per fiber, as the
+    scalar kernel does."""
+    fibers = q ** np.arange(ndim - 1, -1, -1, dtype=np.int64)
+    per = np.where(points < 0, fibers, (q - 1) + (2 * q - 2) * fibers)
+    return int(per.sum()), ndim * q ** (ndim - 1) * _kernel_ops(q, True)
+
+
+def idft_at(field, x, points):
+    """The generalized IDFT of the flat exponent array x (all of A, first
+    component fastest) at the given points only (an integer array of
+    element codes, one row each), as exponents.  Per point and axis the
+    inverse kernel row of the point's coordinate is built, never the
+    q x q matrix, and contracted with the spectrum axis by axis; points
+    and fibers are blocked so that a temporary stays near BLOCK elements.
+    Adds the restricted count of idft_counts to op_count."""
+    q, ndim = field.q, points.shape[1]
+    pos = np.where(points < 0, 0, points + 1)  # the kernel row of each coordinate
+    out = np.empty(len(points), dtype=np.intp)
+    step = max(1, BLOCK // q ** ndim)
+    for lo in range(0, len(points), step):
+        y = x[None]
+        for axis in range(ndim):
+            y = y.reshape(len(y), -1, q)  # the last axis is component ``axis``
+            k = _kernel_rows(field, pos[lo:lo + step, axis], True)[:, None, :]
+            z = np.empty((len(k), y.shape[1]), dtype=np.intp)
+            rstep = max(1, BLOCK // (len(k) * q))
+            for r in range(0, y.shape[1], rstep):
+                z[:, r:r + rstep] = field.np_dot(k, y[:, r:r + rstep])
+            y = z
+        out[lo:lo + step] = y[:, 0]
+    field.op_count += idft_counts(q, ndim, points)[0]
+    return out
+
+
+def idft_flat(field, x, ndim):
+    """The fast IDFT of the flat exponent array x over all of Omega, as a
+    flat exponent array (position j of a component the element j - 1);
+    counts as idft_fast."""
+    return _passes(field, x, ndim, True)
 
 
 # -- text forms ------------------------------------------------------------

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference as reference
 from test_codes import HERM16
-from avcodes import decoder
+from avcodes import decoder, maps
 from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import vanishing_gb
 from avcodes.transform import Spectrum, Word, point_power, omega_space
-from avcodes.maps import PointSet
+from avcodes.maps import PointSet, idft_on
 from avcodes.codes import (CodeSpec, POINT_SET_CACHE_SIZE, encode_nonsystematic,
                            is_dual_codeword, syndrome, code_from_config, preset)
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
@@ -510,6 +510,39 @@ def test_beyond_radius_returns_checked_or_raises(name, rng):
     assert returned
 
 
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs"])
+def test_omega_word_vanishes_off_the_located_set(name, rng, monkeypatch):
+    # decode_word reads the error values on the located set L alone; at
+    # every call that reaches its idft step, the full Omega-word of the
+    # extended error spectrum must vanish off L (as the lemma says for a
+    # basis of I(L)) and agree with the restricted values on it.  400
+    # words with 1..|B| errors and 0-2 erasures, each decoded at the
+    # default t_max, d_fr and |B|
+    code = preset(name)
+    reached = []
+
+    def checked(x, psi):
+        got = idft_on(x, psi)
+        w, at = maps._omega_idft(x, psi)  # VanishingError off psi
+        assert (w[at] == got[0]).all()
+        reached.append(got[1])
+        return got
+
+    monkeypatch.setattr(decoder, "idft_on", checked)
+    nb = len(code.b_list)
+    for _ in range(400):
+        cw = encode_nonsystematic(random_info(code, rng), code)
+        n_err = rng.randint(1, nb)
+        r, phi1 = corrupt(code, cw, min(rng.randint(0, 2), code.n - n_err), n_err, rng)
+        for t_max in (None, code.d_fr, nb):
+            try:
+                res = decode_word(r, phi1, code, t_max)
+            except UndecodableError:
+                continue
+            assert is_dual_codeword(res.codeword, code)
+    assert len(reached) > 100
+
+
 def test_store_keeps_only_named_sets(rng):
     # decoding a word with errors located off Phi1 stores Phi1's entry and
     # not the located set's
@@ -692,6 +725,55 @@ def test_large_field_three_error_roundtrip(name, rng):
     assert time.perf_counter() - start < 1.0
     assert info.values == {d: ZERO for d in code.info_support()}
     assert info.report.meta["located"] == info.report.meta["locator"]["t"] == 3
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FIELDS))
+def test_line_code_idft_reads_three_values(name, rng):
+    # the error values of three located points: one inverse kernel row
+    # each, q - 1 powers plus q - 1 muls, q - 2 adds and a neg, against
+    # the fast transform's q^2-sized count
+    code = _line_code(LARGE_FIELDS[name], 40, 6)
+    f, q = code.field, code.field.q
+    r = Word(f, 1, {p: ZERO for p in code.psi.points})
+    errs = rng.sample([p for p in code.psi.points if p != (ZERO,)], 3)
+    for p in errs:
+        r.values[p] = rng.randrange(0, f.q - 1)
+    rep = decode_word(r, PointSet(f, 1, ()), code).report
+    assert rep.meta["idft"] == {"form": "restricted", "ops": 3 * (3 * q - 3)}
+    assert rep.steps["idft"] == 3 * (3 * q - 3) < 1 + (q - 1) * (3 * q - 2)
+    assert rep.steps["check"] == 3 * len(code.b_list) * 3
+
+
+def test_idft_report_meta(hermitian, rng):
+    # which IDFT form ran and its count, next to fast_idft_bound; None
+    # when no IDFT runs
+    cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
+    r, phi1 = corrupt(hermitian, cw, 2, 1, rng)
+    rep = decode_word(r, phi1, hermitian).report
+    assert rep.meta["idft"] == {"form": "restricted", "ops": rep.steps["idft"]}
+    assert rep.meta["idft"]["ops"] < rep.meta["fast_idft_bound"]
+    assert decode_info(r, phi1, hermitian).report.meta["idft"] is None
+    clean = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian).report
+    assert clean.meta["idft"] is None and clean.steps["idft"] == clean.steps["check"] == 0
+    # GF(4)^2 full grid: the fast transform counts 248 and a point with
+    # both coordinates nonzero 36, so erasing |B| = 8 of them takes the
+    # fast form, with its vanishing check.  B is every x^a y^b with
+    # a, b < 3 but x^2 y^2, independent on the 3 x 3 grid of such points
+    b_list = [[a, b] for b in range(3) for a in range(3) if a + b < 4]
+    code = code_from_config({"field": {"p": 2, "m": 2, "primitive_poly": [1, 1, 1]},
+                             "N": 2, "order": {"kind": "grlex"}, "points": "full-grid",
+                             "B": b_list, "d_fr": 3})
+    f = code.field
+    inner = [p for p in code.psi.points if ZERO not in p]
+    assert len(code.b_list) == 8 and len(inner) == 9
+    cw = encode_nonsystematic(random_info(code, rng), code)
+    phi1 = PointSet(f, 2, tuple(inner[1:]))
+    r = cw.copy()
+    r.values.update(dict.fromkeys(phi1.points, ZERO))
+    res = decode_word(r, phi1, code)
+    assert res.codeword.values == cw.values
+    assert res.report.meta["idft"] == {"form": "fast", "ops": 248}
+    assert res.report.steps["idft"] == 248
 
 
 def test_decode_info_zech_range():

@@ -52,6 +52,31 @@ def test_oversized_field_fails_at_once(p, m):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("p,m,poly", [(2.5, 1, (1, 1)), (3, 2.0, (2, 1, 1)),
+                                        (True, 1, (1, 1)), (2, True, (1, 1)),
+                                        ("3", 2, (2, 1, 1))])
+def test_non_integer_p_or_m_is_a_field_error(p, m, poly):
+    # rejected before any arithmetic on them, which raised TypeError
+    with pytest.raises(FieldError, match="is not an integer"):
+        Field(p, m, poly)
+
+
+@pytest.mark.parametrize("p,m,poly", [(2, 3, (1, 1, 0, 1)), (3, 2, (2, 1, 1)),
+                                      (5, 1, (2, 1))])
+def test_add_table_rows_read_unreduced_products(p, m, poly):
+    # each dense row holds its nonzero columns twice over: a sum c + v of
+    # two exponents indexes it as the element of exponent (c + v) mod q-1,
+    # and the last entry still adds the zero element
+    f = Field(p, m, poly)
+    table = f.scalar_tables()[0]
+    n = f.q - 1
+    enc = lambda x: 0 if x == ZERO else f.antilog[x]
+    for a in f.elements():
+        assert len(table[a]) == 2 * n + 1 and table[a][ZERO] == a
+        for s in range(2 * n - 1):
+            assert enc(table[a][s]) == reference.digit_add(f, enc(a), enc(s % n))
+
+
 def test_identities(f8, f9):
     for f in (f8, f9):
         for x in f.elements():

@@ -391,6 +391,22 @@ def test_sum_forms_match_elimination(name):
     _assert_sum_forms_match_elimination(code.sum_forms, code.gb, code.psi)
 
 
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_sum_forms_grow_amortized(name):
+    # grown one monomial at a time, the memo is reallocated a logarithmic
+    # number of times (capacity doubling, not a copy per growth), and its
+    # entries stay the elimination's
+    code = code_from_config(HERM16) if name == "herm16" else preset(name)
+    forms = SumForms(code.gb, code.psi)
+    capacities = set()
+    for m in range(1, code.n + 1):
+        forms.block(m)
+        capacities.add(len(forms._buf[1]))
+        assert len(forms._buf[1]) >= len(forms.leads)
+    assert len(capacities) <= len(forms.leads).bit_length() + 1
+    _assert_sum_forms_match_elimination(forms, code.gb, code.psi)
+
+
 @settings(max_examples=100, deadline=None)
 @given(point_sets())
 def test_sum_forms_match_elimination_on_random_codes(case):

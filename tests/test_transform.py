@@ -2,6 +2,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +10,13 @@ import scalar_reference as reference
 from avcodes.codes import is_dual_codeword
 from avcodes.gf import ZERO, ONE, Field, FieldError, DENSE_Q
 from avcodes.transform import (Spectrum, Word, dft, idft, dft_fast, idft_fast,
-                               dft_partial, dft_kernel, idft_kernel,
-                               index_space, omega_space,
+                               dft_partial, dft_kernel, idft_kernel, idft_at, idft_counts,
+                               idft_flat, index_space, omega_space,
                                spectrum_lines, word_lines, parse_assoc_lines,
                                grid_lines, DomainError)
+from avcodes.ideal import vanishing_gb, index_array, _extension_array
+from avcodes.mindex import MonomialOrder
+from avcodes.maps import PointSet
 from avcodes.golden import (RS_OMEGA_WORD, RS_SEED, RS_EXTENSION,
                             FIG_COLUMN, FIG_COLUMN_OUT, FIG_ROW, FIG_ROW_OUT)
 
@@ -322,7 +326,58 @@ def test_transforms_beyond_table_limits(spec, rng):
     assert back.values == c.values
     assert idft_ops == 1 + (q - 1) * (3 * q - 2)
     assert peak < IDFT_PEAK_BOUND
+    # the restricted form builds one kernel row per point, never the
+    # q x q kernel: the zero point and two others, read off the same word
+    pts = [(ZERO,), (0,), (q // 2,)]
+    x = f.np_exponents(np.array([h.values[a] for a in index_space(f, 1)], dtype=np.intp))
+    tracemalloc.start()
+    try:
+        at, at_ops = _counted(f, idft_at, f, x, index_array(pts, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.np_codes(at) == [c.values[p] for p in pts]
+    assert at_ops == 1 + 2 * (3 * q - 3)
+    assert peak < IDFT_PEAK_BOUND
     indices = [(0,), (1,), (q // 3,), (q - 1,)]
     part, ops = _counted(f, dft_partial, c, indices)
     assert part.values == {a: h.values[a] for a in indices} == dft(c, indices).values
     assert ops == len(indices) * q * 3
+
+
+@st.composite
+def restricted_cases(draw):
+    """A random code (points with zero coordinates among them, a random
+    seed on its delta set) over one of the reference fields, N = 1..3."""
+    q, ndim = draw(st.sampled_from(REFERENCE_CASES))
+    f = REFERENCE_FIELDS[q]
+    coord = st.integers(-1, q - 2)
+    zeroed = st.lists(coord, min_size=ndim, max_size=ndim).flatmap(
+        lambda p: st.integers(0, ndim - 1).map(lambda i: tuple(p[:i] + [ZERO] + p[i + 1:])))
+    pts = draw(st.lists(zeroed, min_size=1, max_size=3, unique=True))
+    pts += [p for p in draw(st.lists(st.tuples(*[coord] * ndim), max_size=8, unique=True))
+            if p not in pts]
+    seed = draw(st.lists(st.integers(-1, q - 2), min_size=len(pts), max_size=len(pts)))
+    return f, ndim, pts, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(restricted_cases(), st.randoms(use_true_random=False))
+def test_restricted_idft_agrees_with_full(case, rnd):
+    # on the points of a random code, and on random points of a random
+    # spectrum, the restricted IDFT reads the full transform's values and
+    # counts what idft_counts says before the work
+    f, ndim, pts, seed = case
+    gb, delta = vanishing_gb(PointSet(f, ndim, tuple(pts)), MonomialOrder("grlex"))
+    ext = _extension_array(Spectrum(f, ndim, dict(zip(sorted(delta.members), seed))), gb)
+    other = rnd.sample(omega_space(f, ndim), min(5, f.q ** ndim))
+    noise = f.np_exponents(np.array([rnd.randrange(-1, f.q - 1) for _ in range(f.q ** ndim)],
+                                    dtype=np.intp))
+    for x, where in ((ext, pts), (noise, other + pts)):
+        points = index_array(where, ndim)
+        full = idft_flat(f, x, ndim)
+        got, ops = _counted(f, idft_at, f, x, points)
+        assert (got == full[(points + 1) @ f.q ** np.arange(ndim)]).all()
+        assert ops == idft_counts(f.q, ndim, points)[0]
+        assert idft_counts(f.q, ndim, points)[1] == ndim * f.q ** (ndim - 1) * (
+            1 + (f.q - 1) * (3 * f.q - 2))
