@@ -6,14 +6,14 @@ operations of every named step it runs, in order ``transform`` (the
 received word's transform), ``locator``, ``extension`` (the locator
 seed and the error-spectrum extension), ``idft``, ``subtract`` and
 ``check``, their wall times in milliseconds (``ms``, same labels), and
-meta data on the code, the locator and the IDFT form that ran.
+meta data on the code, the locator and the IDFT.
 ``decode_word`` runs all six and carries the report in
 ``DecodeResult.report``; ``decode_info`` skips ``idft`` and ``check``
 and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
 ``decode_word`` and ``systematic_encode`` hand the extension to the
 inverse transform as a flat array, read the values on the located or
-redundant set alone (maps.idft_on) and check the result by the syndrome
-of that set's part, by linearity.
+redundant set alone (transform.idft_at) and check the result by the
+syndrome of that set's part, by linearity.
 
 The locator finds the errors off the erasures Phi1 by Feng-Rao majority
 voting, the erasures entering through erasure rows (Sakata, Leonard,
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, dft_partial, power_matrix
-from .maps import PointSet, idft_on
+from .transform import Spectrum, Word, dft_partial, idft_at, idft_at_count, power_matrix
+from .maps import PointSet
 from .ideal import (extend, IdealError, Eliminator, index_array, rows_independent,
                     _extension_array)
 from .codes import PointSetEntry
@@ -433,10 +433,10 @@ def decode_info(r, phi1, code, t_max=None):
 def decode_word(r, phi1, code, t_max=None):
     """Split a received word into codeword + error (erasure-and-error
     decoding with explicit error values).  The error values come from the
-    IDFT of the extended error spectrum on the located set alone (the
-    form that ran and its count in ``report.meta["idft"]``).  The codeword
-    is checked by linearity: its syndrome is the received word's, already
-    computed on B, minus the error's, which vanishes off the located set."""
+    IDFT of the extended error spectrum on the located set alone (its
+    count in ``report.meta["idft"]``).  The codeword is checked by
+    linearity: its syndrome is the received word's, already computed on
+    B, minus the error's, which vanishes off the located set."""
     f = code.field
     meter, report, rt, located, ext = _decode_head(r, phi1, code, t_max,
                                                    "decode_word", code.b_list)
@@ -445,8 +445,8 @@ def decode_word(r, phi1, code, t_max=None):
     meter.lap("extension")
     e_loc = Word(f, code.ndim, {})
     if ext:
-        vals, form, ops = idft_on(x, located)
-        report.meta["idft"] = {"form": form, "ops": ops}
+        vals = idft_at(f, x, located.array)
+        report.meta["idft"] = idft_at_count(f.q, located.array)
         e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(vals))))
     meter.lap("idft")
     e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
@@ -504,7 +504,7 @@ def systematic_encode(info, phi, code):
     seed = dft_partial(info, code.b_list, "information word")
     gb_phi = systematic_basis(phi, code)
     w = Word(f, code.ndim, dict(zip(phi.points, f.np_codes(
-        idft_on(_extension_array(seed, gb_phi), phi)[0]))))
+        idft_at(f, _extension_array(seed, gb_phi), phi.array)))))
     # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
     # seed - syndrome(w): zero when the seed is minus the Phi part's
     if dft_partial(w, code.b_list).values != seed.values:

@@ -164,10 +164,11 @@ class Field:
         # so that Python's index -1 lands on the ZERO row/column
         self._neg = [(a + neg) % n for a in range(n)] + [ZERO]
         if q <= DENSE_Q:
-            # each row twice over: a sum of two exponents indexes it unreduced
-            slots = np.concatenate([np.arange(n), np.arange(n), [zero]])
-            self._add_table = [self.np_codes(row)
-                               for row in self.np_add(slots[n:, None], slots)]
+            # each row's nonzero columns twice over, sharing their int
+            # objects: a sum of two exponents indexes it unreduced
+            slots = np.append(np.arange(n), zero)
+            self._add_table = [row[:n] * 2 + row[n:] for row in
+                               map(self.np_codes, self.np_add(slots[:, None], slots))]
             self._zech = None
         else:
             self._add_table = None

@@ -2,14 +2,12 @@
 V_D -> V_Psi realized as restrict(idft(extend(.))).
 
 The extension reaches the inverse transform as one flat exponent array
-over A (ideal._extension_array).  The canonical map always computes the
-full Omega-word with the fast transform and verifies that it vanishes
-off Psi before restricting, turning the vanishing guarantee into a
-runtime self-test.  Decoding and systematic encoding need the values on
-the located and the redundant point sets only: ``idft_on`` evaluates the
-IDFT there alone (transform.idft_at) when that counts fewer operations
-than the fast transform, whose path, with the same self-test, it takes
-otherwise.  Both counts are known before any work starts.
+over A (ideal._extension_array).  The canonical map computes the full
+Omega-word with the fast transform and verifies that it vanishes off
+Psi before restricting, turning the vanishing guarantee into a runtime
+self-test.  Decoding and systematic encoding need the values on the
+located and the redundant point sets only, and evaluate the IDFT there
+alone (transform.idft_at, on ``PointSet.array``).
 """
 
 from dataclasses import dataclass
@@ -19,8 +17,7 @@ import numpy as np
 
 from .gf import ZERO
 from .mindex import format_index, parse_index
-from .transform import (Spectrum, Word, dft_partial, idft_at, idft_counts, idft_flat,
-                        point_power, _flat_keys)
+from .transform import Spectrum, Word, dft_partial, idft_flat, point_power, _flat_keys
 from .ideal import DeltaSet, rows_independent, index_array, _extension_array
 
 
@@ -117,20 +114,6 @@ def _omega_idft(x, psi):
                              % (f.format(f.np_codes(w[j])[0]),
                                 format_index(_flat_keys(f.q, ndim, -1)[0][j])))
     return w, at
-
-
-def idft_on(x, psi):
-    """The values on psi's points, as exponents in psi's order, of the
-    IDFT of the flat extension x (an exponent array over all of A), with
-    the form that ran and its count: "restricted" evaluates at psi alone,
-    "fast" transforms all of Omega and raises VanishingError if the
-    Omega-word is nonzero off psi.  The form with the smaller count runs
-    (the restricted one on a tie)."""
-    restricted, fast = idft_counts(psi.field.q, psi.ndim, psi.array)
-    if restricted <= fast:
-        return idft_at(psi.field, x, psi.array), "restricted", restricted
-    w, at = _omega_idft(x, psi)
-    return w[at], "fast", fast
 
 
 def canonical_iso(h, gb, psi, return_omega=False):

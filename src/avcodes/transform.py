@@ -11,10 +11,10 @@ fiber at once, blocked so that a temporary stays near BLOCK elements;
 one |indices| x |points| product over the matrix of exponents of
 omega^a.  ``idft_at`` evaluates the IDFT at given points only, one
 inverse kernel row per point and axis, and ``idft_flat`` is the fast
-IDFT; both take and return flat exponent arrays.  The kernels count
-analytically: each adds, in one addition to ``Field.op_count``, the
-field operations the scalar loop kernels make (at most 3*N*q^(N+1) for
-the fast transforms).  Each that takes a Word or Spectrum rejects a
+IDFT that ``idft_fast`` wraps; both take and return flat exponent
+arrays.  The kernels count analytically: each adds, in one addition to
+``Field.op_count``, the field operations the scalar loop kernels make
+(at most 3*N*q^(N+1) for the fast transforms).  Each that takes a Word or Spectrum rejects a
 value that is no element code with FieldError, naming its position.
 
 Powers follow the substituted-value convention omega^0 = 1 for every
@@ -349,22 +349,27 @@ def dft_fast(c):
 def idft_fast(h):
     """Axis-by-axis 1-D IDFT passes; identical output to idft()."""
     f = h.field
-    x = _passes(f, _full_array(h, 0, "idft input"), h.ndim, True)
+    x = idft_flat(f, _full_array(h, 0, "idft input"), h.ndim)
     return Word(f, h.ndim, dict(zip(_flat_keys(f.q, h.ndim, -1)[0], f.np_codes(x))))
 
 
-def idft_counts(q, ndim, points):
-    """(restricted, fast): the scalar counts of idft_at at the points (an
-    integer array of element codes, one row each) and of the fast IDFT
-    over all of Omega, both known before any work.  The restricted form
-    contracts the spectrum axis by axis, the first component first, so
-    axis i has q^(N-1-i) fibers per point.  A zero coordinate takes
+def idft_flat(field, x, ndim):
+    """The fast IDFT of the flat exponent array x over all of Omega, as a
+    flat exponent array (position j of a component the element j - 1)."""
+    return _passes(field, x, ndim, True)
+
+
+def idft_at_count(q, points):
+    """The scalar count of idft_at at the points (an integer array of
+    element codes, one row each), known before any work.  The spectrum
+    is contracted axis by axis, the first component first, so axis i has
+    q^(N-1-i) fibers per point.  A zero coordinate takes
     h_0 - h_(q-1) per fiber; a nonzero one builds its q - 1 kernel powers
     once and takes q - 1 muls, q - 2 adds and a neg per fiber, as the
     scalar kernel does."""
-    fibers = q ** np.arange(ndim - 1, -1, -1, dtype=np.int64)
+    fibers = q ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
     per = np.where(points < 0, fibers, (q - 1) + (2 * q - 2) * fibers)
-    return int(per.sum()), ndim * q ** (ndim - 1) * _kernel_ops(q, True)
+    return int(per.sum())
 
 
 def idft_at(field, x, points):
@@ -374,7 +379,7 @@ def idft_at(field, x, points):
     inverse kernel row of the point's coordinate is built, never the
     q x q matrix, and contracted with the spectrum axis by axis; points
     and fibers are blocked so that a temporary stays near BLOCK elements.
-    Adds the restricted count of idft_counts to op_count."""
+    Adds idft_at_count to op_count."""
     q, ndim = field.q, points.shape[1]
     pos = np.where(points < 0, 0, points + 1)  # the kernel row of each coordinate
     out = np.empty(len(points), dtype=np.intp)
@@ -390,15 +395,8 @@ def idft_at(field, x, points):
                 z[:, r:r + rstep] = field.np_dot(k, y[:, r:r + rstep])
             y = z
         out[lo:lo + step] = y[:, 0]
-    field.op_count += idft_counts(q, ndim, points)[0]
+    field.op_count += idft_at_count(q, points)
     return out
-
-
-def idft_flat(field, x, ndim):
-    """The fast IDFT of the flat exponent array x over all of Omega, as a
-    flat exponent array (position j of a component the element j - 1);
-    counts as idft_fast."""
-    return _passes(field, x, ndim, True)
 
 
 # -- text forms ------------------------------------------------------------

@@ -14,8 +14,8 @@ from avcodes import decoder, maps
 from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import vanishing_gb
-from avcodes.transform import Spectrum, Word, point_power, omega_space
-from avcodes.maps import PointSet, idft_on
+from avcodes.transform import Spectrum, Word, point_power, omega_space, idft_at
+from avcodes.maps import PointSet
 from avcodes.codes import (CodeSpec, POINT_SET_CACHE_SIZE, encode_nonsystematic,
                            is_dual_codeword, syndrome, code_from_config, preset)
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
@@ -521,14 +521,15 @@ def test_omega_word_vanishes_off_the_located_set(name, rng, monkeypatch):
     code = preset(name)
     reached = []
 
-    def checked(x, psi):
-        got = idft_on(x, psi)
+    def checked(field, x, points):
+        got = idft_at(field, x, points)
+        psi = PointSet(field, code.ndim, tuple(map(tuple, points.tolist())))
         w, at = maps._omega_idft(x, psi)  # VanishingError off psi
-        assert (w[at] == got[0]).all()
-        reached.append(got[1])
+        assert (w[at] == got).all()
+        reached.append(len(points))
         return got
 
-    monkeypatch.setattr(decoder, "idft_on", checked)
+    monkeypatch.setattr(decoder, "idft_at", checked)
     nb = len(code.b_list)
     for _ in range(400):
         cw = encode_nonsystematic(random_info(code, rng), code)
@@ -739,41 +740,21 @@ def test_line_code_idft_reads_three_values(name, rng):
     for p in errs:
         r.values[p] = rng.randrange(0, f.q - 1)
     rep = decode_word(r, PointSet(f, 1, ()), code).report
-    assert rep.meta["idft"] == {"form": "restricted", "ops": 3 * (3 * q - 3)}
+    assert rep.meta["idft"] == 3 * (3 * q - 3)
     assert rep.steps["idft"] == 3 * (3 * q - 3) < 1 + (q - 1) * (3 * q - 2)
     assert rep.steps["check"] == 3 * len(code.b_list) * 3
 
 
 def test_idft_report_meta(hermitian, rng):
-    # which IDFT form ran and its count, next to fast_idft_bound; None
-    # when no IDFT runs
+    # the count of the IDFT at the located points, next to
+    # fast_idft_bound; None when no IDFT runs
     cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
     r, phi1 = corrupt(hermitian, cw, 2, 1, rng)
     rep = decode_word(r, phi1, hermitian).report
-    assert rep.meta["idft"] == {"form": "restricted", "ops": rep.steps["idft"]}
-    assert rep.meta["idft"]["ops"] < rep.meta["fast_idft_bound"]
+    assert rep.meta["idft"] == rep.steps["idft"] < rep.meta["fast_idft_bound"]
     assert decode_info(r, phi1, hermitian).report.meta["idft"] is None
     clean = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian).report
     assert clean.meta["idft"] is None and clean.steps["idft"] == clean.steps["check"] == 0
-    # GF(4)^2 full grid: the fast transform counts 248 and a point with
-    # both coordinates nonzero 36, so erasing |B| = 8 of them takes the
-    # fast form, with its vanishing check.  B is every x^a y^b with
-    # a, b < 3 but x^2 y^2, independent on the 3 x 3 grid of such points
-    b_list = [[a, b] for b in range(3) for a in range(3) if a + b < 4]
-    code = code_from_config({"field": {"p": 2, "m": 2, "primitive_poly": [1, 1, 1]},
-                             "N": 2, "order": {"kind": "grlex"}, "points": "full-grid",
-                             "B": b_list, "d_fr": 3})
-    f = code.field
-    inner = [p for p in code.psi.points if ZERO not in p]
-    assert len(code.b_list) == 8 and len(inner) == 9
-    cw = encode_nonsystematic(random_info(code, rng), code)
-    phi1 = PointSet(f, 2, tuple(inner[1:]))
-    r = cw.copy()
-    r.values.update(dict.fromkeys(phi1.points, ZERO))
-    res = decode_word(r, phi1, code)
-    assert res.codeword.values == cw.values
-    assert res.report.meta["idft"] == {"form": "fast", "ops": 248}
-    assert res.report.steps["idft"] == 248
 
 
 def test_decode_info_zech_range():

@@ -2,10 +2,10 @@ import pytest
 
 from avcodes.gf import ZERO, ONE
 from avcodes.mindex import MonomialOrder, format_index
-from avcodes.transform import Spectrum, Word, omega_space
+from avcodes.transform import Spectrum, Word, omega_space, idft_at
 from avcodes.ideal import vanishing_gb
 from avcodes.maps import (PointSet, evaluate, proper_transform, canonical_iso,
-                          transpose_check, idft_on, _omega_idft, MapError, VanishingError)
+                          transpose_check, _omega_idft, MapError, VanishingError)
 from avcodes.ideal import _extension_array
 from avcodes.golden import (RS_PSI, RS_SEED, RS_RESTRICTION, RS_OMEGA_WORD,
                             EV_GEN_SPECTRA, EV_GEN_WORDS, DUAL_SEEDS, DUAL_CODEWORDS,
@@ -122,30 +122,28 @@ def test_vanishing_violation_detected(f8_module, rs_setup):
     h = Spectrum(f8_module, 1, {d: ONE for d in delta.members})
     with pytest.raises(VanishingError, match=r"^nonzero value 3 at \(6\) outside the point set$"):
         canonical_iso(h, gb, smaller)
-    # idft_on's fast form runs the same check; its restricted form reads
-    # the values on the smaller set alone
+    # the flat Omega-word runs the same check; the IDFT at the smaller
+    # set's points alone reads the values there without it
     x = _extension_array(h, gb)
-    assert idft_on(x, smaller)[1] == "restricted"
     with pytest.raises(VanishingError, match="at \\(6\\)"):
         _omega_idft(x, smaller)
+    assert len(idft_at(f8_module, x, smaller.array)) == 3
 
 
-def test_idft_on_takes_the_form_with_the_smaller_count(hcrs, rng):
-    # on hcrs (q = 9, N = 2) the fast transform counts 3618; a point with
-    # both coordinates nonzero costs the restricted form 176, so 20 such
-    # points stay restricted and 21 switch; both forms read the values
-    # of the canonical map
+def test_idft_at_reads_the_canonical_map(hcrs, rng):
+    # on hcrs (q = 9, N = 2) a point with both coordinates nonzero costs
+    # the IDFT at given points 176 operations: 20 such points read the
+    # canonical map's values for 3520, against 3618 for the fast transform
     f = hcrs.field
     inner = [p for p in hcrs.psi.points if ZERO not in p]
-    for size, form, ops in ((20, "restricted", 20 * 176), (21, "fast", 3618)):
-        pts = PointSet(f, 2, tuple(rng.sample(inner, size)))
-        gb, delta = vanishing_gb(pts, hcrs.order)
-        h = Spectrum(f, 2, {d: rng.randrange(-1, 8) for d in delta.members})
-        x = _extension_array(h, gb)
-        before = f.op_count
-        vals, got_form, got_ops = idft_on(x, pts)
-        assert (got_form, got_ops) == (form, ops) == (form, f.op_count - before)
-        assert f.np_codes(vals) == list(canonical_iso(h, gb, pts).values.values())
+    pts = PointSet(f, 2, tuple(rng.sample(inner, 20)))
+    gb, delta = vanishing_gb(pts, hcrs.order)
+    h = Spectrum(f, 2, {d: rng.randrange(-1, 8) for d in delta.members})
+    x = _extension_array(h, gb)
+    before = f.op_count
+    vals = idft_at(f, x, pts.array)
+    assert f.op_count - before == 20 * 176
+    assert f.np_codes(vals) == list(canonical_iso(h, gb, pts).values.values())
 
 
 def test_transpose_check(f8_module, f9, rs_setup, hermitian):
