@@ -34,6 +34,7 @@ UndecodableError.  The numpy steps count the scalar operations they
 stand for, each once.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -224,7 +225,7 @@ class _Staircase:
             hit = nz.any(axis=1)
             if not hit.any():
                 break
-            if len(self.pivots) == self.t_max:
+            if len(self.pivots) >= self.t_max:
                 raise UndecodableError("more than t_max = %d pivots" % self.t_max)
             p = int(hit.argmax())
             col = int(nz[p].argmax())
@@ -302,17 +303,18 @@ def locate(synd, phi1, code, t_max=None):
     voting: a LocateResult (reduced basis of the vanishing ideal of Phi1
     union Phi2, located point set in the code's point order).  Raises
     UndecodableError at more than t_max pivots, when no pair votes, or
-    when no support passes the stop rule once every syndrome is filled.
-    The erasure projection comes from Phi1's entry in the code's point-set
-    store, which is also the located set's when no error is located;
-    errors make the located set an entry that is not stored.  ``built`` on
-    the result counts the members this call built.
+    when no support passes the stop rule once every syndrome is filled,
+    and ValueError at a t_max that is not a nonnegative integer (a bool
+    or 2.5 included).  The erasure projection comes from Phi1's entry in
+    the code's point-set store, which is also the located set's when no
+    error is located; errors make the located set an entry that is not
+    stored.  ``built`` on the result counts the members this call built.
     """
     f = code.field
     if t_max is None:
         t_max = default_t_max(code, len(phi1))
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
+        raise ValueError("t_max must be a nonnegative integer, not %r" % (t_max,))
     b_list = code.b_list
     missing = [b for b in b_list if b not in synd.values]
     if missing:

@@ -6,15 +6,18 @@ text convention used everywhere in this package ("-1 means 0").
 
 The scalar methods (``add``, ``mul``, ...) take one element per call
 and bump ``op_count`` once per call.  The numpy methods work on whole
-arrays of exponents over the O(q) arrays of ``np_arith``, for every
+arrays of exponents over the arrays of ``np_arith``, an antilog array
+of O(q) entries and a log table of at most max(q, 2^16), for every
 field up to MAX_Q, and are not op-counted: their callers add the
 analytic count of the scalar operations a kernel stands for to
 ``op_count`` in one addition.  A product is a sum of exponents.
-``np_dot`` sums products as XORs (p = 2) or as digit-wise sums mod p of
-spread base-p encodings.
+``np_dot`` sums products as XORs (p = 2) or as integer sums of spread
+base-p encodings, which the log table reads back in one gather
+(``np_log``) on every field whose m digits fit 16 bits.
 """
 
 import numbers
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 
@@ -54,22 +57,68 @@ class GFArrays:
     the zero element is ``zero`` = 2(q-1), so the exponent sum of two
     elements is at most 2 * zero: ``exp[x + y]`` is the digit encoding of
     their product (0 when either is zero) with no reduction mod q-1 and
-    no zero test.  For p = 2 the encoding is the base-2 one and sums are
-    XORs.  For odd p the m base-p digits sit ``bits`` bits apart in an
-    int64, so an integer sum adds them digit-wise without carries as long
-    as at most ``chunk`` terms meet before the digits are reduced mod p;
-    digit i sits at bit ``shifts[i]`` and has place value ``place[i]`` in
-    the base-p encoding.  ``log`` maps a base-p encoding back to its
-    exponent (``zero`` for 0) and ``neg`` is the exponent of -1."""
+    no zero test.  For p = 2 the encoding is the base-2 one, sums are
+    XORs and ``log`` (q entries) maps an encoding to its exponent
+    (``zero`` for 0).  For odd p the m base-p digits sit apart in an
+    integer, so an integer sum of at most ``chunk`` + 1 encodings adds
+    them digit-wise without carries.  Where the digits fit 16 bits with
+    ``chunk`` >= 1, they sit 16 // m bits apart and ``log`` (at most 2^16
+    entries) maps every such sum straight to its exponent.  Otherwise
+    (GF(3^6) and up, GF(5^5), primes above 2^15, ...) they sit 63 // m
+    bits apart in an int64 and ``fold`` = (shifts, mask, place) reduces
+    them mod p first: digit i sits at bit ``shifts[i]`` and has place
+    value ``place[i]`` in the base-p encoding that ``log`` (q entries)
+    reads.  ``neg`` is the exponent of -1."""
 
     exp: np.ndarray
     log: np.ndarray
     zero: int
     neg: int
-    bits: int
     chunk: int
-    shifts: np.ndarray
-    place: np.ndarray
+    fold: tuple
+
+
+# GFArrays by (p, m, primitive_poly)
+_LIVE_ARRAYS = weakref.WeakValueDictionary()
+
+
+def _np_tables(p, m, antilog):
+    """The GFArrays of GF(p^m) from its antilog table."""
+    q = p ** m
+    n = q - 1
+    zero = 2 * n
+    codes = np.array(antilog, dtype=np.int64)
+    log = np.full(q, zero, dtype=np.intp)
+    log[codes] = np.arange(n)
+    # exponent of -1; for p = 2 negation is the identity
+    neg = 0 if p == 2 else n // 2
+    if p == 2:
+        exp, chunk, fold = codes.astype(np.uint16), 0, None
+    else:
+        # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
+        bits = 16 // m
+        chunk = ((1 << bits) - 1) // (p - 1) - 1
+        table = chunk >= 1
+        if not table:
+            # two terms would overflow a digit: spread over an int64
+            bits = 63 // m
+            chunk = ((1 << bits) - 1) // (p - 1) - 1
+        shifts, place = bits * np.arange(m), p ** np.arange(m)
+        exp = (codes[:, None] // place % p << shifts).sum(axis=1)
+        fold = None if table else (shifts, (1 << bits) - 1, place)
+        if table:
+            # slot sum_i d_i 2^(bits i) holds the exponent of the
+            # digits d_i mod p, by outer sums one digit at a time
+            enc = np.zeros(1, dtype=np.uint16)
+            for i in range(m):
+                top = (chunk + 1) * (p - 1) + 1 if i == m - 1 else 1 << bits
+                d = np.arange(top, dtype=np.uint16)
+                enc = np.add.outer(d % p * p ** i, enc).ravel()
+            log = log[enc]
+            exp = exp.astype(np.uint16)
+    exp = np.concatenate([exp, exp, np.zeros(zero + 1, dtype=exp.dtype)])
+    exp.flags.writeable = log.flags.writeable = False  # shared by equal fields
+    return GFArrays(exp, log, zero, neg, chunk, fold)
 
 
 class Field:
@@ -145,20 +194,14 @@ class Field:
         self.log = seen
 
         n = q - 1
-        zero = 2 * n
-        codes = np.array(antilog, dtype=np.int64)
-        bits = 63 // m
-        shifts, place = bits * np.arange(m), p ** np.arange(m)
-        exp = np.zeros(2 * zero + 1, dtype=np.uint16 if p == 2 else np.int64)
-        exp[:zero] = np.tile(codes if p == 2 else
-                             (codes[:, None] // place % p << shifts).sum(axis=1), 2)
-        log = np.full(q, zero, dtype=np.intp)
-        log[codes] = np.arange(n)
-        # digit sums stay below 2^bits: (chunk + 1) terms of at most p-1
-        chunk = ((1 << bits) - 1) // (p - 1) - 1
-        # exponent of -1; for p = 2 negation is the identity
-        neg = 0 if p == 2 else n // 2
-        self._np_arith = GFArrays(exp, log, zero, neg, bits, chunk, shifts, place)
+        # equal fields share their arrays (the log table holds up to 2^16
+        # entries) while one of them lives
+        key = (p, m, self.primitive_poly)
+        ar = _LIVE_ARRAYS.get(key)
+        if ar is None:
+            ar = _LIVE_ARRAYS[key] = _np_tables(p, m, antilog)
+        self._np_arith = ar
+        neg, zero = ar.neg, ar.zero
 
         # table layout: exponents 0..q-2 in slots 0..q-2, ZERO in slot q-1
         # so that Python's index -1 lands on the ZERO row/column
@@ -199,15 +242,17 @@ class Field:
 
     def np_dot(self, x, y):
         """sum_k x[..., k] * y[..., k] over the last axis of the broadcast
-        exponent arrays, as exponents; not op-counted."""
+        exponent arrays, as exponents; not op-counted.  For odd p the
+        products are summed ``chunk`` + 1 at a time, each partial sum
+        read back to one encoding through ``np_log``."""
         ar = self.np_arith()
         terms = ar.exp[x + y]
         if self.p == 2:
             return ar.log[np.bitwise_xor.reduce(terms, axis=-1)]
-        mask = (1 << ar.bits) - 1
-        while terms.shape[-1] > ar.chunk:
-            part = np.add.reduceat(terms, np.arange(0, terms.shape[-1], ar.chunk), axis=-1)
-            terms = ((part[..., None] >> ar.shifts & mask) % self.p << ar.shifts).sum(axis=-1)
+        step = ar.chunk + 1
+        while terms.shape[-1] > step:
+            part = np.add.reduceat(terms, np.arange(0, terms.shape[-1], step), axis=-1)
+            terms = ar.exp[self.np_log(part)]
         return self.np_log(terms.sum(axis=-1))
 
     def np_add(self, x, y):
@@ -221,12 +266,12 @@ class Field:
     def np_log(self, x):
         """Exponents of an array of encodings, each ``exp`` of an exponent
         or, for odd p, a sum of at most ``chunk`` + 1 of them; not
-        op-counted."""
+        op-counted.  One gather where the encodings fit the log table."""
         ar = self.np_arith()
-        if self.p == 2:
+        if ar.fold is None:
             return ar.log[x]
-        digits = (x[..., None] >> ar.shifts & (1 << ar.bits) - 1) % self.p
-        return ar.log[digits @ ar.place]
+        shifts, mask, place = ar.fold
+        return ar.log[(x[..., None] >> shifts & mask) % self.p @ place]
 
     # -- arithmetic on exponent codes ------------------------------------
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -193,6 +194,20 @@ def test_locate_undecodable(rs_like, rng):
             except UndecodableError:
                 return
     raise AssertionError("every weight-2 syndrome matched a weight-1 support")
+
+
+@pytest.mark.parametrize("t_max", [1.5, 2.5, True, -1])
+@pytest.mark.parametrize("fn", [decode_info, decode_word], ids=["decode_info", "decode_word"])
+def test_t_max_must_be_a_nonnegative_integer(hermitian, rng, fn, t_max):
+    # a pivot count never equals 1.5 or 2.5, so the limit used to be
+    # dropped and all three errors decoded; True would stand for 1
+    cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
+    r, phi1 = corrupt(hermitian, cw, 0, 3, rng)
+    with pytest.raises(UndecodableError, match="more than t_max = 2 pivots"):
+        fn(r, phi1, hermitian, t_max=2)
+    with pytest.raises(ValueError, match="nonnegative integer, not %r" % (t_max,)):
+        fn(r, phi1, hermitian, t_max=t_max)
+    assert decode_word(r, phi1, hermitian, t_max=np.int64(3)).codeword.values == cw.values
 
 
 def test_decode_rejects_bad_inputs(hermitian, rng):

@@ -215,3 +215,64 @@ def test_decode_info_at_max_q():
         r.values[p] = ZERO
     got = decode_info(r, erased, code)
     assert got.values == want and got.report.meta["located"] == 3
+
+
+@pytest.mark.parametrize("spec", [
+    (3, 2, (2, 1, 1)),
+    (5, 2, (2, 1, 1)),
+    (3, 3, (1, 2, 0, 1)),
+    (7, 2, (3, 1, 1)),
+    (3, 5, (1, 2, 0, 0, 0, 1)),  # chunk 2
+    (7, 4, (3, 0, 1, 1, 1)),  # chunk 1, the least the log table takes
+    *LARGE_FIELDS[1:],  # the digit fold
+    (65521, 1, (65504, 1)),
+], ids=["GF(9)", "GF(25)", "GF(27)", "GF(49)", "GF(3^5)", "GF(7^4)", "GF(3^8)", "GF(3^10)",
+        "GF(65521)"])
+def test_packed_sums_at_the_chunk_bound(spec):
+    # every term is the element whose base-p digits are all p - 1, so that
+    # a sum of chunk + 1 terms reaches each digit's bound (chunk + 1)(p - 1)
+    # and chunk + 2 terms make np_dot and the eliminator reduce in between
+    f = Field(*spec)
+    ar, q = f.np_arith(), f.q
+    assert (ar.fold is None) == (q not in (3 ** 8, 3 ** 10, 65521))
+    assert len(ar.log) <= max(q, 1 << 16)
+    top = f.log[q - 1]
+    rnd = random.Random(q)
+    # one digit spread over 63 bits: no sum reaches GF(65521)'s chunk
+    ks = (ar.chunk + 1, ar.chunk + 2) if ar.chunk < 300 else (300,)
+    want = ZERO
+    for _ in range(ks[0]):
+        want = f.add(want, top)
+    assert f.np_codes(f.np_log(ar.exp[np.full(ks[0], top)].sum())) == [want]
+    for k in ks:
+        pairs = [(rnd.randrange(-1, q - 1), rnd.randrange(-1, q - 1)) for _ in range(k)]
+        x = np.array([[top] * k, [a for a, _ in pairs]])
+        y = np.array([[ONE] * k, [b for _, b in pairs]])
+        want = []
+        for row_x, row_y in zip(x.tolist(), y.tolist()):
+            acc = ZERO
+            for a, b in zip(row_x, row_y):
+                acc = f.add(acc, f.mul(a, b))
+            want.append(acc)
+        assert f.np_codes(f.np_dot(f.np_exponents(x), f.np_exponents(y))) == want
+        a, b = (np.array(v) for v in zip(*pairs))
+        assert f.np_codes(f.np_add(f.np_exponents(a), f.np_exponents(b))) == [
+            f.add(u, v) for u, v in pairs]
+        # rows e_i - top e_k, i < k: reducing (1, ..., 1, top) adds top at
+        # position k once per row
+        rows = [[ONE if j == i else f.neg(top) if j == k else ZERO for j in range(k + 1)]
+                for i in range(k)]
+        vecs = rows + [[ONE] * k + [top]]
+        ref = reference.Eliminator(f)
+        want, want_ops = _counted(f, lambda: [ref.insert(v, t) for t, v in enumerate(vecs)])
+        elim = Eliminator(f, k + 1)
+        (done, ops), got_ops = _counted(f, lambda: elim.insert(
+            _exponents(f, vecs, k + 1), range(k + 1)))
+        assert got_ops == 0 and ops == want_ops
+        assert [None if tail is None else elim.terms(tail) for _, tail in done] == [
+            None if comb is None else _negated(f, comb) for comb in want]
+        (residuals, tails, costs), _ = _counted(f, lambda: elim.reduce(
+            _exponents(f, vecs[-1:], k + 1)))
+        (residual, comb), want_ops = _counted(f, lambda: ref.reduce(vecs[-1]))
+        assert f.np_codes(residuals[0]) == residual and elim.terms(tails[0]) == _negated(f, comb)
+        assert costs.tolist() == [want_ops]

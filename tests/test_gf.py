@@ -221,6 +221,19 @@ def test_enc_add_matches_scalar(p, m, poly):
     assert (reference.digit_add(f, enc[codes + 1], enc[negs + 1]) == 0).all()
 
 
+def test_equal_fields_share_their_arrays():
+    # GF(9)'s log table holds 65,280 entries: built once while a field
+    # of the same parameters lives, read-only, and not shared with another
+    # primitive polynomial
+    a, b = Field(3, 2, (2, 1, 1)), Field(3, 2, (2, 1, 1))
+    assert a.np_arith() is b.np_arith() and len(a.np_arith().log) == 65280
+    with pytest.raises(ValueError):
+        a.np_arith().log[0] = 0
+    other = Field(3, 2, (2, 2, 1))
+    assert (other.np_arith().log != a.np_arith().log).any()
+    assert other.np_codes(other.np_add(np.arange(8), 1)) == [other.add(x, 1) for x in range(8)]
+
+
 @pytest.mark.parametrize("p,m,poly", [
     (2, 3, (1, 1, 0, 1)),
     (3, 2, (2, 1, 1)),
@@ -233,7 +246,8 @@ def test_np_dot_matches_scalar(p, m, poly):
     ar = f.np_arith()
     assert f.np_arith() is ar and f.op_count == 0
     q = f.q
-    assert ar.exp.shape == (4 * (q - 1) + 1,) and ar.log.shape == (q,)  # O(q), no q x q table
+    # bounded memory: exp is O(q), log at most max(q, 2^16), no q x q table
+    assert ar.exp.shape == (4 * (q - 1) + 1,) and q <= len(ar.log) <= max(q, 1 << 16)
     rng = np.random.default_rng(q)
     codes = rng.integers(-1, q - 1, size=(3, 300))  # 300 > ar.chunk for GF(3^8)
     codes[:, :3] = ZERO

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from avcodes.gf import ZERO, ONE
+from avcodes.gf import Field, ZERO, ONE
 from avcodes.mindex import MonomialOrder, format_index
 from avcodes.transform import Spectrum, Word, omega_space, idft_at
 from avcodes.ideal import vanishing_gb
@@ -100,6 +102,32 @@ def test_canonical_roundtrip(f8_module, f9, hermitian, hcrs, rng):
                      {p: rng.randrange(-1, f.q - 1) for p in psi.points})
             again = canonical_iso(proper_transform(c, delta), gb, psi)
             assert again.values == c.values
+
+
+ROUNDTRIP_FIELDS = {4: Field(2, 2, (1, 1, 1)), 8: Field(2, 3, (1, 1, 0, 1)),
+                    9: Field(3, 2, (2, 1, 1)), 16: Field(2, 4, (1, 1, 0, 0, 1)),
+                    25: Field(5, 2, (2, 1, 1)), 27: Field(3, 3, (1, 2, 0, 1)),
+                    32: Field(2, 5, (1, 0, 0, 1, 0, 1))}
+
+
+@pytest.mark.parametrize("q", sorted(ROUNDTRIP_FIELDS), ids="GF({})".format)
+def test_canonical_roundtrip_on_random_point_sets(q):
+    # both characteristics, the log table (GF(9), GF(25), GF(27)) and
+    # XOR sums: the canonical map and the proper transform invert each
+    # other on random point sets under random orders
+    f = ROUNDTRIP_FIELDS[q]
+    rnd = random.Random(q)
+    for ndim in (1, 1, 2, 2, 2):
+        omega = omega_space(f, ndim)
+        psi = PointSet(f, ndim, tuple(rnd.sample(omega, rnd.randrange(1, min(16, q ** ndim)))))
+        kind = rnd.choice(["lex", "grlex", "weighted_grlex"])
+        order = MonomialOrder(kind, rnd.choices(range(1, 5), k=ndim)
+                              if kind == "weighted_grlex" else None)
+        gb, delta = vanishing_gb(psi, order)
+        h = Spectrum(f, ndim, {d: rnd.randrange(-1, q - 1) for d in delta.members})
+        assert proper_transform(canonical_iso(h, gb, psi), delta).values == h.values
+        c = Word(f, ndim, {p: rnd.randrange(-1, q - 1) for p in psi.points})
+        assert canonical_iso(proper_transform(c, delta), gb, psi).values == c.values
 
 
 def test_vanishing_on_basis_vectors(f8_module, rs_setup):
