@@ -466,6 +466,8 @@ def check_systematic_support(phi, code):
     """True iff the |B| x |Phi| evaluation matrix is invertible."""
     if len(phi) != len(code.b_list):
         raise SystematicSupportError("|Phi| = %d but |B| = %d" % (len(phi), len(code.b_list)))
+    if not set(phi.points) <= set(code.psi.points):
+        raise SystematicSupportError("Phi is not a subset of the code's point set")
     f = code.field
     vecs = power_matrix(f, index_array(code.b_list, code.ndim),
                         index_array(phi.points, code.ndim))

@@ -31,27 +31,23 @@ seeds it on a check set B, which is what erasure-only decoding beyond
 the radius and systematic encoding require.
 
 The extension (``extend``) is split in two.  A plan, built from the
-basis shape alone (q, N, order, leading indices, seed set, target and
-family kind) and kept in a bounded cache of PLAN_CACHE_SIZE shapes,
-lists over flat integer slots the seed slots, then for each other index
-in evaluation order its admissible recurrences as reference slots (the
-sweep's as tuples, the checks packed into integer arrays), then the
-output slots.  Sequential families read every element at the seed
-exponents preceding its lead, so their key holds only the tail exponents
-outside the seed set; worklist families, whose pass order depends on
-which references are known, are keyed on their exact tail supports.
-The executor fills the slots from the seed values and the coefficients
-read from the basis on each call with one scalar sweep that reads the
-field's add (or Zech) and negation tables directly, skipping zero
-coefficients and zero values.  It then checks every admissible
-recurrence the sweep did not use to set a value (every one, for
-worklist families) as one numpy product over the plan's packed check
-arrays.  The count of both is added once, as the scalar recurrences
-they stand for: one mul and one add per nonzero coefficient and one
-neg per recurrence.  Building a plan costs no field operations, so the
-counts of a call do not depend on the cache.  ``extend`` returns the
-values on its target as a dict; the inverse transform is handed the
-values on all of A as one flat exponent array (``_extension_array``).
+basis shape alone (q, N, order, leads, seed set, target and family
+kind) and kept in a bounded cache of PLAN_CACHE_SIZE shapes, lists over
+flat integer slots the seed slots, the recurrence that sets each other
+index (found by worklist passes), every other admissible recurrence as
+a check packed into integer arrays, and the output slots.  Sequential
+families (tails before leads) settle in one increasing pass and read
+each element at the seed exponents preceding its lead, so their key
+holds only the tail exponents outside the seed set; other families are
+keyed on their exact tails.  Per call, one scalar sweep over the
+field's add (or Zech) and negation tables fills the slots from the seed
+values and the basis coefficients, skipping zeros, and one numpy
+product over the slots as an exponent array runs the checks.  Each
+recurrence is counted once: one mul and one add per nonzero coefficient
+and one neg.  A plan costs no field operations, so the counts of a call
+do not depend on the cache.  ``extend`` zips the target's entries of
+that array into a dict; ``_extension_array`` hands it over all of A to
+the inverse transform in flat order.
 """
 
 import threading
@@ -598,7 +594,7 @@ class _Plan:
     The checks are packed: check k applies element ``check_elems[k]``
     with the lead at slot ``check_slots[k, 0]`` and the coefficients at
     the slots that follow, padded with slot ``size``, which holds zero;
-    ``uses[w]`` counts the recurrences of element w, swept or checked."""
+    ``uses[w]`` counts the recurrences of element w, each once."""
 
     indices: tuple
     size: int
@@ -615,10 +611,13 @@ class _Plan:
 def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails):
     """Build the plan of a basis shape; no field operations.
 
-    ``tails`` holds per element the tail exponents the schedule reads
-    besides the aligned ones: a sequential family reads every element at
-    the seed exponents preceding its lead, plus its tail exponents
-    outside the seed set; a worklist family reads its exact tails."""
+    Worklist passes set each index outside the seeds by its first
+    admissible recurrence whose references are known; every other one is
+    a check.  A sequential family (tails before leads) settles in one
+    increasing pass over the prefix of A up to the target, and reads each
+    element at the seed exponents preceding its lead plus its ``tails``
+    outside the seed set, so that bases of one shape share a plan; any
+    other family covers A and reads its exact ``tails``."""
     order = MonomialOrder(*order_spec)
     key = order.key
     for t in target:
@@ -650,38 +649,30 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
         if not recs[a]:
             raise IdealError("no admissible basis element for %s (corrupt basis)" % (a,))
 
-    if sequential:
-        # one increasing sweep: the first recurrence sets the value, the
-        # others must agree with it
-        program = [(slot[a],) + r[0] for a, r in recs.items()]
-        checks = [(slot[a],) + rec for a, r in recs.items() for rec in r[1:]]
-    else:
-        # worklist passes: each index takes its first recurrence whose
-        # references are known; every recurrence is verified at the end
-        known = {slot[a] for a in space if a in seeds}
-        program = []
-        pending = list(recs)
-        while pending:
-            left = []
-            for a in pending:
-                rec = next((r for r in recs[a] if known.issuperset(r[1])), None)
-                if rec is None:
-                    left.append(a)
-                else:
-                    program.append((slot[a],) + rec)
-                    known.add(slot[a])
-            if len(left) == len(pending):
-                raise IdealError(
-                    "recurrence family is not sequentially computable (stuck on %d indices)"
-                    % len(left))
-            pending = left
-        checks = [(slot[a],) + rec for a, r in recs.items() for rec in r]
+    known = {slot[a] for a in space if a in seeds}
+    chosen = {}
+    pending = list(recs)
+    while pending:
+        left = []
+        for a in pending:
+            rec = next((r for r in recs[a] if known.issuperset(r[1])), None)
+            if rec is None:
+                left.append(a)
+            else:
+                chosen[a] = rec
+                known.add(slot[a])
+        if len(left) == len(pending):
+            raise IdealError(
+                "recurrence family is not sequentially computable (stuck on %d indices)"
+                % len(left))
+        pending = left
+    program = [(slot[a],) + rec for a, rec in chosen.items()]
+    checks = [(slot[a],) + rec for a, r in recs.items() for rec in r if rec is not chosen[a]]
     width = 1 + max(map(len, exps), default=0)
     check_slots = np.full((len(checks), width), len(space), dtype=np.intp)
     for row, (s, _, refs) in zip(check_slots, checks):
         row[:1 + len(refs)] = (s,) + refs
     elems = np.array([w for _, w, _ in checks], dtype=np.intp)
-    swept = np.array([w for _, w, _ in program], dtype=np.intp)
     return _Plan(
         indices=box,
         size=len(space),
@@ -690,7 +681,7 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
         program=tuple(program),
         check_elems=elems,
         check_slots=check_slots,
-        uses=tuple(np.bincount(np.concatenate([swept, elems]),
+        uses=tuple(np.bincount(np.array([w for r in recs.values() for w, _ in r], dtype=np.intp),
                                minlength=len(leads)).tolist()),
         output_slots=np.array([slot[t] for t in target], dtype=np.intp),
     )
@@ -700,9 +691,10 @@ def _run_plan(plan, gb, seed_values):
     """Fill the plan's slots from the seed values and the basis
     coefficients with one scalar sweep over the field's tables, skipping
     zero coefficients and zero values, then run every check as one numpy
-    product.  The count is added once, as the scalar recurrences the
-    sweep and the checks stand for: one mul and one add per nonzero
-    coefficient and one neg per recurrence."""
+    product over the slots as an exponent array, which is returned (with
+    the zero pad slot last).  The count is added once, as the scalar
+    recurrences the sweep and the checks stand for: one mul and one add
+    per nonzero coefficient and one neg per recurrence."""
     f = gb.field
     table, zech, neg = f.scalar_tables()
     n = f.q - 1
@@ -740,45 +732,43 @@ def _run_plan(plan, gb, seed_values):
             vals[s] = neg[acc]
     f.op_count += sum(u * (2 * len(tw) + 1) for u, tw in zip(plan.uses, terms))
 
+    x = f.np_exponents(np.array(vals + [ZERO], dtype=np.intp))
     if len(plan.check_elems):
         # lead coefficient one, then the tail, padded with zero
         width = plan.check_slots.shape[1]
         rows = [[ONE] + cw + [ZERO] * (width - 1 - len(cw)) for cw in coeffs]
         cmat = f.np_exponents(np.array(rows, dtype=np.intp))
-        x = f.np_exponents(np.array(vals + [ZERO], dtype=np.intp))
         bad = f.np_dot(cmat[plan.check_elems], x[plan.check_slots]) != f.np_arith().zero
         if bad.any():
             s = plan.check_slots[bad.argmax(), 0]
             raise IdealError("inconsistent recurrences at %s (corrupt basis)"
                              % (plan.indices[s],))
-    return vals
+    return x
 
 
 def _extension_run(h, gb, target):
     """Check the seed spectrum and run the plan of the basis shape for the
-    target (a tuple of index tuples); returns (plan, slot values), or
-    (None, None) for an empty target."""
+    target (a tuple of index tuples); returns the values on the target as
+    an exponent array, empty for an empty target."""
     dset = gb.delta.members
     if h.domain() != set(dset):
         raise IdealError("seed spectrum domain does not match the basis seed set")
     check_values(h, "seed spectrum")
     if not target:
-        return None, None
+        return np.empty(0, dtype=np.intp)
     tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
                   for tail in gb._tails)
     plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
                            tuple(gb.leading), dset, target, gb.sequential, tails)
-    return plan, _run_plan(plan, gb, h.values)
+    return _run_plan(plan, gb, h.values)[plan.output_slots]
 
 
 def _extension_array(h, gb):
     """The extension of h over all of A as an exponent array in the flat
     order of the transform kernels (first component fastest, as
-    index_space), read through the plan's output slots: the hand-off to
-    the inverse transform, with no dict built and no value checked again."""
-    f = gb.field
-    plan, vals = _extension_run(h, gb, index_space(f, gb.ndim))
-    return f.np_exponents(np.array(vals, dtype=np.intp)[plan.output_slots])
+    index_space): the hand-off to the inverse transform, with no dict
+    built and no value checked again."""
+    return _extension_run(h, gb, index_space(gb.field, gb.ndim))
 
 
 def extend(h, gb, target):
@@ -787,21 +777,20 @@ def extend(h, gb, target):
     For a outside the seed set, every basis element whose leading index
     is dominated by a yields h_a = -sum_d g_d h_{(a - a_w) (+) d} with
     semigroup addition; all admissible elements are evaluated and must
-    agree.  For bases whose tails precede their leads (vanishing-ideal
-    bases) the values are generated in one increasing-order sweep of the
-    prefix of A covering the target; check-set-seeded families may
-    reference forward indices, so they are generated over all of A in
-    worklist passes and every admissible recurrence is verified at the
-    end.  The schedule comes from the plan of the basis shape, built once
-    and cached; only the coefficients and seed values are read per call.
+    agree.  The values are generated in worklist passes, each index set by
+    its first recurrence whose references are known, and every other
+    admissible recurrence is checked at the end.  Bases whose tails
+    precede their leads (vanishing-ideal bases) settle in one increasing
+    pass over the prefix of A covering the target; check-set-seeded
+    families may reference forward indices and run over all of A.  The
+    schedule comes from the plan of the basis shape, built once and
+    cached; only the coefficients and seed values are read per call.
     A seed domain other than the basis seed set raises IdealError, and a
     seed value that is no element code FieldError.  A tuple target is
     taken as a tuple of index tuples.
     """
     if not isinstance(target, tuple):
         target = tuple(tuple(t) for t in target)
-    plan, vals = _extension_run(h, gb, target)
     out = dict(h.values)
-    if plan is not None:
-        out.update(zip(target, map(vals.__getitem__, plan.output_slots.tolist())))
+    out.update(zip(target, gb.field.np_codes(_extension_run(h, gb, target))))
     return Spectrum(gb.field, gb.ndim, out)

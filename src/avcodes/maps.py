@@ -120,9 +120,13 @@ def canonical_iso(h, gb, psi, return_omega=False):
     """Canonical isomorphism: extend h over A, inverse-transform, restrict to psi.
 
     Raises VanishingError if the Omega-word is nonzero off psi, which
-    signals inconsistent basis / point-set inputs.
+    signals inconsistent basis / point-set inputs, and MapError, before
+    any work, if psi lies over another field or dimension than the basis.
     """
     f = gb.field
+    if (psi.field, psi.ndim) != (f, gb.ndim):
+        raise MapError("point set over %r, N = %d, but basis over %r, N = %d"
+                       % (psi.field, psi.ndim, f, gb.ndim))
     w, at = _omega_idft(_extension_array(h, gb), psi)
     restricted = Word(f, gb.ndim, dict(zip(psi.points, f.np_codes(w[at]))))
     if return_omega:

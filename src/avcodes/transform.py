@@ -23,7 +23,7 @@ omega, including zero.
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -37,39 +37,29 @@ class DomainError(ValueError):
 
 
 @dataclass
-class Spectrum:
+class _Values:
+    """Field values (element codes) keyed by index or point tuples."""
+
+    field: object
+    ndim: int
+    values: dict
+
+    def domain(self):
+        return set(self.values)
+
+    def copy(self):
+        return replace(self, values=dict(self.values))
+
+    def restrict(self, keys):
+        return replace(self, values={k: self.values[k] for k in keys})
+
+
+class Spectrum(_Values):
     """Field values indexed by multi-indices (all of A or a declared subset)."""
 
-    field: object
-    ndim: int
-    values: dict
 
-    def domain(self):
-        return set(self.values)
-
-    def copy(self):
-        return Spectrum(self.field, self.ndim, dict(self.values))
-
-    def restrict(self, indices):
-        return Spectrum(self.field, self.ndim, {a: self.values[a] for a in indices})
-
-
-@dataclass
-class Word:
+class Word(_Values):
     """Field values indexed by points (all of Omega or a declared subset)."""
-
-    field: object
-    ndim: int
-    values: dict
-
-    def domain(self):
-        return set(self.values)
-
-    def copy(self):
-        return Word(self.field, self.ndim, dict(self.values))
-
-    def restrict(self, points):
-        return Word(self.field, self.ndim, {w: self.values[w] for w in points})
 
 
 def _codes(field, vals):
@@ -151,15 +141,22 @@ def dft_partial(c, indices, what="dft input"):
     transform of the word restricted to ``indices``.  One numpy product
     of the power matrix with the values; same output and op count as
     dft(c, indices).  A value that is no element code raises FieldError
-    naming ``what`` and its position."""
+    naming ``what`` and its position, an index outside A (a component
+    outside 0..q-1, or the wrong arity) DomainError."""
     f = c.field
     indices = list(indices)
     x = _element_array(c, list(c.values.values()), what)
+    try:
+        a = np.array(indices, dtype=np.intp).reshape(len(indices), -1 if indices else c.ndim)
+    except ValueError:  # indices of mixed arity, or not integers
+        a = np.empty((len(indices), 0), dtype=np.intp)
+    if a.shape[1] != c.ndim:
+        bad = [i for i in indices if np.shape(i) != (c.ndim,)] or indices
+        raise DomainError("index %s outside A" % (bad[0],))
+    outside = ((a < 0) | (a >= f.q)).any(axis=1)
+    if outside.any():
+        raise DomainError("index %s outside A" % (indices[outside.argmax()],))
     f.op_count += len(indices) * len(x) * (2 * c.ndim + 1)
-    a = np.array(indices, dtype=np.intp).reshape(len(indices), c.ndim)
-    negative = (a < 0).any(axis=1)
-    if negative.any():
-        raise DomainError("index %s outside A" % (indices[negative.argmax()],))
     w = np.array(list(c.values), dtype=np.intp).reshape(len(x), c.ndim)
     out = np.empty(len(indices), dtype=np.intp)
     step = max(1, BLOCK // max(1, len(x)))

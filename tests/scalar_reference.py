@@ -7,7 +7,10 @@ field operation.
 ``dft_fast``/``idft_fast`` are the loop kernels of ``avcodes.transform``;
 ``extend`` runs the tuple-based extension plan and checks every
 recurrence one field operation at a time, like ``avcodes.ideal.extend``
-did.
+did.  Its ``_extension_plan`` keeps two schedules, an increasing sweep
+for sequential families and worklist passes for the others, as the
+oracle of the library's one worklist schedule; ``plan_args`` gives the
+key both are called with.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
 ``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
 ``transpose_check`` build on it and on point_power as the library did
@@ -187,7 +190,7 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
         checks = [(slot[a],) + rec for a, r in recs.items() for rec in r[1:]]
     else:
         known = {slot[a] for a in space if a in seeds}
-        program = []
+        program, chosen = [], {}
         pending = list(recs)
         while pending:
             left = []
@@ -197,31 +200,37 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
                     left.append(a)
                 else:
                     program.append((slot[a],) + rec)
+                    chosen[a] = rec
                     known.add(slot[a])
             if len(left) == len(pending):
                 raise IdealError(
                     "recurrence family is not sequentially computable (stuck on %d indices)"
                     % len(left))
             pending = left
-        checks = [(slot[a],) + rec for a, r in recs.items() for rec in r]
+        # the recurrence that set a value cannot fail its check
+        checks = [(slot[a],) + rec for a, r in recs.items() for rec in r if rec is not chosen[a]]
     return (tuple(space), tuple((d, slot[d]) for d in seeds if d in slot), exps,
             program, checks, tuple((t, slot[t]) for t in target))
 
 
+def plan_args(gb, target):
+    """The arguments of ``_extension_plan`` (here and in the library) for a
+    basis and a tuple target: the shape key ``ideal.extend`` builds."""
+    dset = gb.delta.members
+    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
+                  for tail in gb._tails)
+    return (gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
+            tuple(gb.leading), dset, target, gb.sequential, tails)
+
+
 def extend(h, gb, target):
     """``avcodes.ideal.extend`` with every check run through Field calls."""
-    dset = gb.delta.members
-    if h.domain() != set(dset):
+    if h.domain() != set(gb.delta.members):
         raise IdealError("seed spectrum domain does not match the basis seed set")
     target = tuple(tuple(t) for t in target)
     if not target:
         return Spectrum(gb.field, gb.ndim, dict(h.values))
-    sequential = gb.sequential
-    tails = tuple(tuple(sorted(e for e, _ in tail if not (sequential and e in dset)))
-                  for tail in gb._tails)
-    indices, seeds, exps, program, checks, outputs = _extension_plan(
-        gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
-        tuple(gb.leading), dset, target, sequential, tails)
+    indices, seeds, exps, program, checks, outputs = _extension_plan(*plan_args(gb, target))
     f = gb.field
     coeffs = [[g.terms.get(d, ZERO) for d in e] for g, e in zip(gb.elements, exps)]
     vals = [ZERO] * len(indices)

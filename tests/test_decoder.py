@@ -337,6 +337,15 @@ def test_systematic_support_errors(hermitian, rs_like, rng):
     small = PointSet(f, 2, (hermitian.psi.points[0],))
     with pytest.raises(SystematicSupportError):
         check_systematic_support(small, hermitian)
+    # nine points off the curve: the same error from all three entries
+    inside = set(hermitian.psi.points)
+    off = PointSet(f, 2, tuple(p for p in omega_space(f, 2) if p not in inside)[:9])
+    info = Word(f, 2, {p: ZERO for p in hermitian.psi.points})
+    for call in (lambda: check_systematic_support(off, hermitian),
+                 lambda: systematic_basis(off, hermitian),
+                 lambda: systematic_encode(info, off, hermitian)):
+        with pytest.raises(SystematicSupportError, match="not a subset of the code's point set"):
+            call()
     # wrong info domain
     from avcodes.golden import HERM_SYS_PHI
 
@@ -675,6 +684,25 @@ def test_extension_meta(hcrs, rng):
     r = Word(hcrs.field, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
     meta = decode_word(r, phi, hcrs).report.meta
     assert meta["extension"] == {"family": "check-set", "schedule": "worklist"}
+
+
+def test_hcrs_golden_systematic_counts(rng):
+    # the worklist extension of hcrs's golden Phi checks every recurrence
+    # but the one that set each value: warm, a systematic encode counts
+    # 20,093 operations and the Phi-erasure decode's extension 8,619
+    # (22,122 and 10,648 when the setting recurrences were checked too)
+    code = preset("hcrs")
+    f, phi = code.field, PointSet(code.field, 2, HCRS_SYS_PHI)
+    info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
+    systematic_encode(info, phi, code)  # builds Phi's family
+    before = f.op_count
+    cw = systematic_encode(info, phi, code)
+    assert f.op_count - before == 20093
+    r = Word(f, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
+    res = decode_word(r, phi, code)
+    assert res.codeword.values == cw.values
+    assert res.report.meta["extension"]["schedule"] == "worklist"
+    assert res.report.steps["extension"] == 8619
 
 
 def test_code_columns_cached(hermitian):

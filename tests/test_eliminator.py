@@ -134,7 +134,7 @@ def test_bases_match_scalar():
                     lambda: reference.check_set_basis(sub, b_list, order))
         seen.add(("check_set_basis", isinstance(out, str)))
         phi = PointSet(f, ndim, tuple(rnd.sample(pts.points, len(b_list))))
-        code = SimpleNamespace(field=f, ndim=ndim, b_list=b_list)
+        code = SimpleNamespace(field=f, ndim=ndim, b_list=b_list, psi=pts)
         out = _same(f, lambda: check_systematic_support(phi, code),
                     lambda: reference.check_systematic_support(phi, code))
         seen.add(("check_systematic_support", out))

@@ -601,3 +601,72 @@ def test_extend_matches_scalar_reference():
     check()
     assert any(worklist) and not all(worklist)
     assert any(zech) and not all(zech)
+
+
+def _assert_plan_matches_reference(gb, target):
+    """The one worklist schedule of the plan against the scalar oracle's
+    two schedules; returns whether the family is a worklist one."""
+    args = reference.plan_args(gb, target)
+    plan = _extension_plan(*args)
+    _, _, exps, program, checks, _ = reference._extension_plan(*args)
+    assert plan.exps == exps and plan.program == tuple(program)
+    got = [(int(row[0]), int(w), tuple(row[1:1 + len(exps[w])].tolist()))
+           for row, w in zip(plan.check_slots, plan.check_elems)]
+    assert got == checks
+    # no check repeats the recurrence that set its value, and each
+    # recurrence is counted once
+    assert not set(plan.program) & set(got)
+    assert sum(plan.uses) == len(program) + len(checks)
+    return not gb.sequential
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_plans_match_the_scalar_schedule_on_presets(name):
+    """The code's basis, located sets of 1..3 points and a check-set
+    family on a systematic Phi (hcrs's golden one forward-references),
+    on all of A, on D and on a random target."""
+    from avcodes.decoder import check_systematic_support, systematic_basis
+
+    code = code_from_config(HERM16) if name == "herm16" else preset(name)
+    f, rnd = code.field, random.Random(7)
+    families = [code.gb] + [vanishing_gb(PointSet(f, code.ndim, tuple(rnd.sample(code.psi.points, k))),
+                                         code.order)[0] for k in (1, 2, 3)]
+    phi = PointSet(f, code.ndim, HCRS_SYS_PHI) if name == "hcrs" else None
+    while phi is None or not check_systematic_support(phi, code):
+        phi = PointSet(f, code.ndim, tuple(rnd.sample(code.psi.points, len(code.b_list))))
+    families.append(systematic_basis(phi, code))
+    space = index_space(f, code.ndim)
+    targets = (space, tuple(code.delta.sorted(code.order)), tuple(rnd.sample(space, 5)))
+    worklist = [_assert_plan_matches_reference(gb, t) for gb in families for t in targets]
+    assert any(worklist) == (name == "hcrs")
+
+
+def test_plans_match_the_scalar_schedule_on_random_bases():
+    """Vanishing-ideal and check-set families over GF(4)..GF(27), N in
+    {1, 2, 3} with q^N <= 729, on all of A and a random target."""
+    worklist = []
+    fields = {q: f for q, f in REFERENCE_FIELDS.items() if q <= 27}
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(fields)), st.sampled_from([1, 2, 3]), st.integers(0, 2 ** 32))
+    def check(q, ndim, seed):
+        assume(q ** ndim <= 729)
+        f, rnd = fields[q], random.Random(seed)
+        omega = omega_space(f, ndim)
+        pts = rnd.sample(omega, rnd.randrange(2, min(10, len(omega)) + 1))
+        order = MonomialOrder(rnd.choice(["lex", "grlex"]))
+        gb, delta = vanishing_gb(PointSet(f, ndim, tuple(pts)), order)
+        families = [gb]
+        b_list = rnd.sample(order.sort(delta.members), rnd.randrange(1, len(delta)))
+        try:
+            families.append(check_set_basis(PointSet(f, ndim, tuple(pts[:len(b_list)])),
+                                            b_list, order))
+        except IdealError:
+            pass
+        space = index_space(f, ndim)
+        for basis in families:
+            for target in (space, tuple(rnd.sample(space, rnd.randrange(1, len(space) + 1)))):
+                worklist.append(_assert_plan_matches_reference(basis, target))
+
+    check()
+    assert any(worklist) and not all(worklist)

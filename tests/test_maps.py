@@ -158,6 +158,20 @@ def test_vanishing_violation_detected(f8_module, rs_setup):
     assert len(idft_at(f8_module, x, smaller.array)) == 3
 
 
+def test_canonical_iso_rejects_a_point_set_of_another_space(f8_module, hermitian, rs_like):
+    # hermitian's basis lives over GF(9)^2; rs-like's points (GF(8)^1),
+    # points over GF(8)^2 and points over GF(9)^1 are refused before any work
+    gb = hermitian.gb
+    h = Spectrum(hermitian.field, 2, {d: ONE for d in gb.delta.members})
+    with pytest.raises(MapError, match=r"^point set over Field\(p=2, m=3, q=8\), N = 1, "
+                                       r"but basis over Field\(p=3, m=2, q=9\), N = 2$"):
+        canonical_iso(h, gb, rs_like.psi)
+    for other in (PointSet(f8_module, 2, ((ZERO, ZERO), (0, 1))),
+                  PointSet(hermitian.field, 1, ((ZERO,), (0,)))):
+        with pytest.raises(MapError, match="but basis over"):
+            canonical_iso(h, gb, other)
+
+
 def test_idft_at_reads_the_canonical_map(hcrs, rng):
     # on hcrs (q = 9, N = 2) a point with both coordinates nonzero costs
     # the IDFT at given points 176 operations: 20 such points read the

@@ -201,7 +201,7 @@ def test_partial_transform_is_restriction(f9, rng):
     assert part.values == {a: full.values[a] for a in subset}
 
 
-def test_partial_domain_rejected(f8):
+def test_partial_domain_rejected(f8, f9):
     c = Word(f8, 1, {(ZERO,): ONE})
     with pytest.raises(DomainError):
         dft(c)
@@ -210,6 +210,18 @@ def test_partial_domain_rejected(f8):
         idft(h)
     with pytest.raises(DomainError, match=r"index \(-1,\) outside A"):
         dft_partial(c, [(0,), (-1,)])
+    # a component q or above, and an index of the wrong arity (alone or
+    # among right ones)
+    with pytest.raises(DomainError, match=r"index \(8,\) outside A"):
+        dft_partial(c, [(0,), (8,)])
+    with pytest.raises(DomainError, match=r"index \(9, 0\) outside A"):
+        dft_partial(Word(f9, 2, {(ZERO, ZERO): ONE}), [(9, 0)])
+    before = f8.op_count
+    for bad in ([(0, 1)], [(0,), (0, 1)]):
+        with pytest.raises(DomainError, match=r"index \(0, 1\) outside A"):
+            dft_partial(c, bad)
+    assert f8.op_count == before  # a refused call counts nothing
+    assert dft_partial(c, []).values == {}
 
 
 def test_serialization_roundtrip(f9, rng):
