@@ -34,20 +34,23 @@ The extension (``extend``) is split in two.  A plan, built from the
 basis shape alone (q, N, order, leads, seed set, target and family
 kind) and kept in a bounded cache of PLAN_CACHE_SIZE shapes, lists over
 flat integer slots the seed slots, the recurrence that sets each other
-index (found by worklist passes), every other admissible recurrence as
-a check packed into integer arrays, and the output slots.  Sequential
-families (tails before leads) settle in one increasing pass and read
-each element at the seed exponents preceding its lead, so their key
-holds only the tail exponents outside the seed set; other families are
-keyed on their exact tails.  Per call, one scalar sweep over the
-field's add (or Zech) and negation tables fills the slots from the seed
-values and the basis coefficients, skipping zeros, and one numpy
-product over the slots as an exponent array runs the checks.  Each
-recurrence is counted once: one mul and one add per nonzero coefficient
-and one neg.  A plan costs no field operations, so the counts of a call
-do not depend on the cache.  ``extend`` zips the target's entries of
-that array into a dict; ``_extension_array`` hands it over all of A to
-the inverse transform in flat order.
+index, every other admissible recurrence as a check packed into integer
+arrays, and the output slots.  Admissible recurrences agree, so worklist
+passes set each index by its shortest register whose references are
+known: the first in the order (references read, lead, element index),
+which the shape alone fixes.  Sequential families (tails before leads)
+settle in one increasing pass and read each element at the seed
+exponents preceding its lead, so their key holds only the tail
+exponents outside the seed set; other families are keyed on their exact
+tails.  Per call, one scalar sweep over the field's add (or Zech) and
+negation tables fills the slots from the seed values and the basis
+coefficients, skipping zeros, and one numpy product over the slots as
+an exponent array runs the checks.  Each recurrence is counted once:
+one mul and one add per nonzero coefficient and one neg.  A plan costs
+no field operations, so the counts of a call do not depend on the
+cache.  ``extend`` zips the target's entries of that array into a dict;
+``_extension_array`` hands it over all of A to the inverse transform in
+flat order.
 """
 
 import threading
@@ -611,9 +614,13 @@ class _Plan:
 def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails):
     """Build the plan of a basis shape; no field operations.
 
-    Worklist passes set each index outside the seeds by its first
-    admissible recurrence whose references are known; every other one is
-    a check.  A sequential family (tails before leads) settles in one
+    Worklist passes set each index outside the seeds by the first of its
+    admissible recurrences whose references are known, in the order
+    (number of references read, lead, element index): the shortest
+    register.  Every other one is a check; the checks are listed by
+    index in increasing order and, at an index, in that order, so a
+    corrupt basis fails at the first of them that disagrees.  A
+    sequential family (tails before leads) settles in one
     increasing pass over the prefix of A up to the target, and reads each
     element at the seed exponents preceding its lead plus its ``tails``
     outside the seed set, so that bases of one shape share a plan; any
@@ -635,6 +642,9 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
     else:
         exps = list(tails)
     exps = tuple(exps[w] if w in admissible else () for w in range(len(leads)))
+    # shortest register first; the order is structural, so the plan key
+    # stays the basis shape
+    admissible.sort(key=lambda w: (len(exps[w]), key(leads[w]), w))
     slot = {a: s for s, a in enumerate(space)}
 
     recs = {}
@@ -750,6 +760,9 @@ def _extension_run(h, gb, target):
     """Check the seed spectrum and run the plan of the basis shape for the
     target (a tuple of index tuples); returns the values on the target as
     an exponent array, empty for an empty target."""
+    if h.field is not gb.field and h.field != gb.field:
+        raise IdealError("seed spectrum over %r (polynomial %s), basis over %r (polynomial %s)"
+                         % (h.field, h.field.primitive_poly, gb.field, gb.field.primitive_poly))
     dset = gb.delta.members
     if h.domain() != set(dset):
         raise IdealError("seed spectrum domain does not match the basis seed set")
@@ -778,16 +791,18 @@ def extend(h, gb, target):
     is dominated by a yields h_a = -sum_d g_d h_{(a - a_w) (+) d} with
     semigroup addition; all admissible elements are evaluated and must
     agree.  The values are generated in worklist passes, each index set by
-    its first recurrence whose references are known, and every other
-    admissible recurrence is checked at the end.  Bases whose tails
+    its shortest register (fewest references read, then smaller lead,
+    then smaller element index) whose references are known, and every
+    other admissible recurrence is checked at the end.  Bases whose tails
     precede their leads (vanishing-ideal bases) settle in one increasing
     pass over the prefix of A covering the target; check-set-seeded
     families may reference forward indices and run over all of A.  The
     schedule comes from the plan of the basis shape, built once and
     cached; only the coefficients and seed values are read per call.
-    A seed domain other than the basis seed set raises IdealError, and a
-    seed value that is no element code FieldError.  A tuple target is
-    taken as a tuple of index tuples.
+    A seed over another field or on a domain other than the basis seed
+    set raises IdealError, a disagreement IdealError naming the index of
+    the first failing check, and a seed value that is no element code
+    FieldError.  A tuple target is taken as a tuple of index tuples.
     """
     if not isinstance(target, tuple):
         target = tuple(tuple(t) for t in target)

@@ -142,17 +142,23 @@ def dft_partial(c, indices, what="dft input"):
     of the power matrix with the values; same output and op count as
     dft(c, indices).  A value that is no element code raises FieldError
     naming ``what`` and its position, an index outside A (a component
-    outside 0..q-1, or the wrong arity) DomainError."""
+    that is not an integer or lies outside 0..q-1, or the wrong arity)
+    DomainError.  A bool component is read as its int, as it is when the
+    index is a key: (True, 1) == (1, 1)."""
     f = c.field
     indices = list(indices)
     x = _element_array(c, list(c.values.values()), what)
     try:
-        a = np.array(indices, dtype=np.intp).reshape(len(indices), -1 if indices else c.ndim)
-    except ValueError:  # indices of mixed arity, or not integers
-        a = np.empty((len(indices), 0), dtype=np.intp)
+        a = np.array(indices).reshape(len(indices), -1 if indices else c.ndim)
+    except ValueError:  # indices of mixed arity
+        a = np.empty((len(indices), 0))
     if a.shape[1] != c.ndim:
         bad = [i for i in indices if np.shape(i) != (c.ndim,)] or indices
         raise DomainError("index %s outside A" % (bad[0],))
+    if indices and a.dtype.kind not in "biu":
+        bad = next((i for i in indices if np.asarray(i).dtype.kind not in "biu"), indices[0])
+        raise DomainError("index %s outside A" % (bad,))
+    a = a.astype(np.intp, copy=False)
     outside = ((a < 0) | (a >= f.q)).any(axis=1)
     if outside.any():
         raise DomainError("index %s outside A" % (indices[outside.argmax()],))

@@ -8,9 +8,10 @@ field operation.
 ``extend`` runs the tuple-based extension plan and checks every
 recurrence one field operation at a time, like ``avcodes.ideal.extend``
 did.  Its ``_extension_plan`` keeps two schedules, an increasing sweep
-for sequential families and worklist passes for the others, as the
-oracle of the library's one worklist schedule; ``plan_args`` gives the
-key both are called with.
+for sequential families and worklist passes for the others, both over
+the admissible elements in the library's shortest-register order, as
+the oracle of the library's one worklist schedule; ``plan_args`` gives
+the key both are called with.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
 ``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
 ``transpose_check`` build on it and on point_power as the library did
@@ -171,6 +172,7 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
     else:
         exps = list(tails)
     exps = tuple(exps[w] if w in admissible else () for w in range(len(leads)))
+    admissible.sort(key=lambda w: (len(exps[w]), key(leads[w]), w))
     slot = {a: s for s, a in enumerate(space)}
 
     recs = {}

@@ -10,7 +10,7 @@ from avcodes.mindex import MonomialOrder, dominates, semigroup_add
 from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form, SumForms,
                            extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
-                           _extension_plan, _level_leads, index_array)
+                           _extension_array, _extension_plan, _level_leads, index_array)
 from avcodes.maps import PointSet, canonical_iso, proper_transform
 from avcodes.codes import code_from_config, preset
 import scalar_reference as reference
@@ -163,6 +163,26 @@ def test_extend_rejects_bad_seed_domain(f8_module):
     gb, _ = vanishing_gb(psi, MonomialOrder("lex"))
     with pytest.raises(IdealError):
         extend(Spectrum(f8_module, 1, {(0,): ONE}), gb, index_space(f8_module, 1))
+
+
+@pytest.mark.parametrize("entry", [lambda h, gb: extend(h, gb, index_space(gb.field, gb.ndim)),
+                                   _extension_array])
+def test_extend_rejects_a_seed_over_another_field(f8_module, hermitian, entry):
+    # a GF(8) seed on the GF(9) basis used to extend to GF(9) values
+    gb = hermitian.gb
+    seed = {d: ONE for d in gb.delta.members}
+    before = (f8_module.op_count, gb.field.op_count)
+    with pytest.raises(IdealError, match=r"seed spectrum over Field\(p=2, m=3, q=8\) "
+                                         r"\(polynomial \(1, 1, 0, 1\)\), basis over "
+                                         r"Field\(p=3, m=2, q=9\) \(polynomial \(2, 1, 1\)\)"):
+        entry(Spectrum(f8_module, 2, seed), gb)
+    assert (f8_module.op_count, gb.field.op_count) == before
+    # an equal field that is another object is the same field
+    same = Field(3, 2, gb.field.primitive_poly)
+    assert same is not gb.field
+    want = entry(Spectrum(gb.field, 2, seed), gb)
+    got = entry(Spectrum(same, 2, seed), gb)
+    assert (got.values == want.values) if isinstance(got, Spectrum) else (got == want).all()
 
 
 @pytest.mark.parametrize("bad", [100, True, 2.5])
@@ -576,17 +596,7 @@ def test_extend_matches_scalar_reference():
         f = REFERENCE_FIELDS[q]
         zech.append(f.scalar_tables()[0] is None)
         rnd = random.Random(seed)
-        omega = omega_space(f, ndim)
-        pts = rnd.sample(omega, rnd.randrange(2, min(10, len(omega)) + 1))
-        order = MonomialOrder(rnd.choice(["lex", "grlex"]))
-        gb, delta = vanishing_gb(PointSet(f, ndim, tuple(pts)), order)
-        families = [gb]
-        b_list = rnd.sample(order.sort(delta.members), rnd.randrange(1, len(delta)))
-        try:
-            families.append(check_set_basis(PointSet(f, ndim, tuple(pts[:len(b_list)])),
-                                            b_list, order))
-        except IdealError:
-            pass
+        families = _random_families(f, ndim, rnd)
         space = index_space(f, ndim)
         for basis in families:
             worklist.append(not basis.sequential)
@@ -620,11 +630,10 @@ def _assert_plan_matches_reference(gb, target):
     return not gb.sequential
 
 
-@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
-def test_plans_match_the_scalar_schedule_on_presets(name):
-    """The code's basis, located sets of 1..3 points and a check-set
-    family on a systematic Phi (hcrs's golden one forward-references),
-    on all of A, on D and on a random target."""
+def _preset_families(name):
+    """The code's basis, the bases of located sets of 1..3 points and a
+    check-set family on a systematic Phi (hcrs's golden one
+    forward-references), and the targets A, D and 5 random indices."""
     from avcodes.decoder import check_systematic_support, systematic_basis
 
     code = code_from_config(HERM16) if name == "herm16" else preset(name)
@@ -636,15 +645,29 @@ def test_plans_match_the_scalar_schedule_on_presets(name):
         phi = PointSet(f, code.ndim, tuple(rnd.sample(code.psi.points, len(code.b_list))))
     families.append(systematic_basis(phi, code))
     space = index_space(f, code.ndim)
-    targets = (space, tuple(code.delta.sorted(code.order)), tuple(rnd.sample(space, 5)))
-    worklist = [_assert_plan_matches_reference(gb, t) for gb in families for t in targets]
-    assert any(worklist) == (name == "hcrs")
+    return families, (space, tuple(code.delta.sorted(code.order)), tuple(rnd.sample(space, 5)))
 
 
-def test_plans_match_the_scalar_schedule_on_random_bases():
-    """Vanishing-ideal and check-set families over GF(4)..GF(27), N in
-    {1, 2, 3} with q^N <= 729, on all of A and a random target."""
-    worklist = []
+def _random_families(f, ndim, rnd):
+    """The basis of 2..10 random points of Omega under lex or grlex, and
+    the check-set family on a random part of its delta set when the
+    points carry one."""
+    omega = omega_space(f, ndim)
+    pts = rnd.sample(omega, rnd.randrange(2, min(10, len(omega)) + 1))
+    order = MonomialOrder(rnd.choice(["lex", "grlex"]))
+    gb, delta = vanishing_gb(PointSet(f, ndim, tuple(pts)), order)
+    b_list = rnd.sample(order.sort(delta.members), rnd.randrange(1, len(delta)))
+    try:
+        return [gb, check_set_basis(PointSet(f, ndim, tuple(pts[:len(b_list)])), b_list, order)]
+    except IdealError:
+        return [gb]
+
+
+def _random_plan_cases(assert_plan):
+    """Run ``assert_plan(basis, target)`` on random families over
+    GF(4)..GF(27), N in {1, 2, 3} with q^N <= 729, on all of A and a
+    random target; returns what it returned, one entry per plan."""
+    out = []
     fields = {q: f for q, f in REFERENCE_FIELDS.items() if q <= 27}
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -652,21 +675,65 @@ def test_plans_match_the_scalar_schedule_on_random_bases():
     def check(q, ndim, seed):
         assume(q ** ndim <= 729)
         f, rnd = fields[q], random.Random(seed)
-        omega = omega_space(f, ndim)
-        pts = rnd.sample(omega, rnd.randrange(2, min(10, len(omega)) + 1))
-        order = MonomialOrder(rnd.choice(["lex", "grlex"]))
-        gb, delta = vanishing_gb(PointSet(f, ndim, tuple(pts)), order)
-        families = [gb]
-        b_list = rnd.sample(order.sort(delta.members), rnd.randrange(1, len(delta)))
-        try:
-            families.append(check_set_basis(PointSet(f, ndim, tuple(pts[:len(b_list)])),
-                                            b_list, order))
-        except IdealError:
-            pass
+        families = _random_families(f, ndim, rnd)
         space = index_space(f, ndim)
         for basis in families:
             for target in (space, tuple(rnd.sample(space, rnd.randrange(1, len(space) + 1)))):
-                worklist.append(_assert_plan_matches_reference(basis, target))
+                out.append(assert_plan(basis, target))
 
     check()
+    return out
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_plans_match_the_scalar_schedule_on_presets(name):
+    families, targets = _preset_families(name)
+    worklist = [_assert_plan_matches_reference(gb, t) for gb in families for t in targets]
+    assert any(worklist) == (name == "hcrs")
+
+
+def test_plans_match_the_scalar_schedule_on_random_bases():
+    worklist = _random_plan_cases(_assert_plan_matches_reference)
     assert any(worklist) and not all(worklist)
+
+
+def _assert_shortest_register(gb, target):
+    """On a sequential plan, where every reference precedes its index,
+    each index is set by the first of its admissible recurrences in the
+    order (references read, lead, element).  Returns the nonzero
+    coefficients the sweep reads, None for a worklist plan."""
+    plan = _extension_plan(*reference.plan_args(gb, target))
+    if not gb.sequential:
+        return None
+    key, seeds = gb.order.key, gb.delta.members
+    admissible = [w for w, aw in enumerate(gb.leading) if max(aw) < gb.field.q]
+    # the seed exponents before the lead, then the tail outside the seeds
+    width = {w: sum(key(d) < key(gb.leading[w]) for d in seeds)
+             + sum(e not in seeds for e, _ in gb._tails[w]) for w in admissible}
+    assert {w: len(plan.exps[w]) for w in admissible} == width
+    rank = sorted(admissible, key=lambda w: (width[w], key(gb.leading[w]), w))
+    for s, w, _ in plan.program:
+        assert w == next(v for v in rank if dominates(plan.indices[s], gb.leading[v]))
+    return sum(sum(gb.elements[w].terms.get(d, ZERO) != ZERO for d in plan.exps[w])
+               for _, w, _ in plan.program)
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16", "random"])
+def test_program_takes_the_shortest_register(name):
+    """The preset families and random bases of both kinds, read without
+    the scalar oracle; the sweep's reads on herm16's Phi family are
+    pinned."""
+    if name == "random":
+        reads = _random_plan_cases(_assert_shortest_register)
+        assert any(r is None for r in reads) and not all(r is None for r in reads)
+        return
+    families, targets = _preset_families(name)
+    reads = [_assert_shortest_register(gb, t) for gb in families for t in targets]
+    assert (None in reads) == (name == "hcrs")
+    if name == "herm16":
+        # the Phi family over all of A: its elements read 15 references
+        # each, so the smallest lead, y^4 of the curve equation
+        # y^4 + y + x^5 (2 nonzero tail terms), goes first and sets 192
+        # of the 241 indices; the first element in basis order, x^6 + ...,
+        # would make the sweep read 3,249 coefficients
+        assert reads[-3] == 1113

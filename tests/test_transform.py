@@ -220,8 +220,18 @@ def test_partial_domain_rejected(f8, f9):
     for bad in ([(0, 1)], [(0,), (0, 1)]):
         with pytest.raises(DomainError, match=r"index \(0, 1\) outside A"):
             dft_partial(c, bad)
-    assert f8.op_count == before  # a refused call counts nothing
+    # a component that is not an integer, alone or among integer indices
+    w9 = Word(f9, 2, {(ZERO, ZERO): ONE})
+    f9_before = f9.op_count
+    for bad, named in (([(0.5, 1)], r"\(0\.5, 1\)"), ([(0, 1), (1.0, 2)], r"\(1\.0, 2\)"),
+                       ([("1", 2)], r"\('1', 2\)"), ([(None, 0)], r"\(None, 0\)"),
+                       ([(2 ** 70, 0)], r"\(%d, 0\)" % 2 ** 70)):
+        with pytest.raises(DomainError, match=r"index %s outside A" % named):
+            dft_partial(w9, bad)
+    assert (f8.op_count, f9.op_count) == (before, f9_before)  # a refused call counts nothing
     assert dft_partial(c, []).values == {}
+    # a bool component is its int, as in the key: (True, 1) == (1, 1)
+    assert dft_partial(w9, [(True, 1)]).values == dft_partial(w9, [(1, 1)]).values
 
 
 def test_serialization_roundtrip(f9, rng):
