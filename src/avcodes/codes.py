@@ -40,8 +40,9 @@ class PointSetEntry:
       projects a syndrome off them (the erasure projection of decoder.locate);
     - ``vanishing``: the reduced basis of the vanishing ideal of Phi
       (ideal.vanishing_gb), the locator of a located set ({1} for no points);
-    - ``check_set``: the check-set family of Phi (ideal.check_set_basis),
-      which seeds systematic encoding and erasure decoding beyond the radius.
+    - ``family``: the recurrence family of the erasure decoding of Phi and
+      of systematic encoding on Phi: ``vanishing`` when its delta set lies
+      in B, else the check-set family (ideal.check_set_basis).
 
     ``rows`` is Phi as increasing point rows, ``points`` in the code's
     point order.  ``get(name)`` returns a member and whether the call built
@@ -54,7 +55,7 @@ class PointSetEntry:
         self.rows = rows
         self.points = PointSet(code.field, code.ndim, tuple(code.psi.points[r] for r in rows))
         self._members = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # family reads vanishing
 
     def get(self, name):
         with self._lock:
@@ -79,7 +80,10 @@ class PointSetEntry:
                                         DeltaSet(frozenset()))
         return vanishing_gb(self.points, code.order)[0]
 
-    def _check_set(self):
+    def _family(self):
+        gb = self.get("vanishing")[0]
+        if gb.delta.members <= self.code.b_members:
+            return gb
         return check_set_basis(self.points, self.code.b_list, self.code.order)
 
 

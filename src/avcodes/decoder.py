@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, dft_partial, idft_at, idft_at_count, power_matrix
+from .transform import (Spectrum, Word, check_field, check_values, dft_partial, idft_at,
+                        idft_at_count, power_matrix)
 from .maps import PointSet
 from .ideal import (extend, IdealError, Eliminator, index_array, rows_independent,
                     _extension_array)
@@ -304,7 +305,9 @@ def locate(synd, phi1, code, t_max=None):
     union Phi2, located point set in the code's point order).  Raises
     UndecodableError at more than t_max pivots, when no pair votes, or
     when no support passes the stop rule once every syndrome is filled,
-    and ValueError at a t_max that is not a nonnegative integer (a bool
+    and at a syndrome over another field or missing a check index;
+    FieldError, naming the index, at a syndrome value that is no element
+    code; ValueError at a t_max that is not a nonnegative integer (a bool
     or 2.5 included).  The erasure projection comes from Phi1's entry in
     the code's point-set store, which is also the located set's when no
     error is located; errors make the located set an entry that is not
@@ -315,10 +318,12 @@ def locate(synd, phi1, code, t_max=None):
         t_max = default_t_max(code, len(phi1))
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
         raise ValueError("t_max must be a nonnegative integer, not %r" % (t_max,))
+    check_field(synd, f, "syndrome", "code", UndecodableError)
     b_list = code.b_list
     missing = [b for b in b_list if b not in synd.values]
     if missing:
         raise UndecodableError("syndrome is missing %d check indices" % len(missing))
+    check_values(synd, "syndrome")
     target = f.np_exponents(np.array([synd.values[b] for b in b_list], dtype=np.intp))
 
     try:
@@ -343,33 +348,6 @@ def locate(synd, phi1, code, t_max=None):
 
 # -- the two decoding algorithms --------------------------------------------
 
-def _validate_received(r, code):
-    # the values are checked by the received word's transform
-    if r.domain() != set(code.psi.points):
-        raise UndecodableError("received word is not indexed by the code's point set")
-
-
-def _locator_seed(synd_values, loc, code):
-    """Seed spectrum and matching recurrence basis for the error-spectrum
-    extension from a LocateResult, and whether the call built the basis.
-    Inside the radius the locator's delta set sits inside the check set
-    and seeds the extension directly; beyond it (erasure-only decoding
-    with |Phi1| up to |B|) the check-set-seeded family of the located set
-    takes over, per the erasure-only decodable condition."""
-    gb_loc = loc[0]
-    delta = gb_loc.delta.members
-    if delta <= code.b_members:
-        return Spectrum(code.field, code.ndim, {d: synd_values[d] for d in delta}), gb_loc, 0
-    try:
-        gb_b, built = loc.entry.get("check_set")
-    except IdealError as exc:
-        raise UndecodableError(
-            "locator delta escapes the check set and the check-set system "
-            "is unsolvable: %s" % (exc,))
-    seed = Spectrum(code.field, code.ndim, {b: synd_values[b] for b in code.b_list})
-    return seed, gb_b, built
-
-
 def _decode_head(r, phi1, code, t_max, kind, indices):
     """The steps shared by both decoders: the transform of r on
     ``indices`` and the locator, plus the recurrence basis and seed for
@@ -379,7 +357,9 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     Returns (meter, report, transform, located point set, (seed, basis)
     or None when nothing is located).
     """
-    _validate_received(r, code)
+    check_field(r, code.field, "received word", "code", UndecodableError)
+    if r.domain() != set(code.psi.points):  # the transform checks the values
+        raise UndecodableError("received word is not indexed by the code's point set")
     meter = _Meter(code.field)
     rt = dft_partial(r, indices, "received word")
     # a bad value is reported before a bad erasure set; locate rejects an
@@ -392,8 +372,13 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     meter.lap("locator")
     ext, family, built = None, None, loc.built
     if len(located):
-        seed, basis, fresh = _locator_seed(rt.values, loc, code)
-        ext, built = (seed, basis), built + fresh
+        try:
+            basis, fresh = loc.entry.get("family")
+        except IdealError as exc:
+            raise UndecodableError(
+                "locator delta escapes the check set and the check-set system "
+                "is unsolvable: %s" % (exc,))
+        ext, built = (rt.restrict(basis.delta.members), basis), built + fresh
         family = {"family": "vanishing-ideal" if basis is gb_loc else "check-set",
                   "schedule": "sequential" if basis.sequential else "worklist"}
     report = StepCounts(meter.steps, {
@@ -462,12 +447,17 @@ def decode_word(r, phi1, code, t_max=None):
 
 # -- systematic encoding -----------------------------------------------------
 
-def check_systematic_support(phi, code):
-    """True iff the |B| x |Phi| evaluation matrix is invertible."""
+def _check_phi(phi, code):
+    """SystematicSupportError unless Phi is |B| points of the code."""
     if len(phi) != len(code.b_list):
         raise SystematicSupportError("|Phi| = %d but |B| = %d" % (len(phi), len(code.b_list)))
-    if not set(phi.points) <= set(code.psi.points):
+    if not all(p in code.psi for p in phi.points):
         raise SystematicSupportError("Phi is not a subset of the code's point set")
+
+
+def check_systematic_support(phi, code):
+    """True iff the |B| x |Phi| evaluation matrix is invertible."""
+    _check_phi(phi, code)
     f = code.field
     vecs = power_matrix(f, index_array(code.b_list, code.ndim),
                         index_array(phi.points, code.ndim))
@@ -477,17 +467,15 @@ def check_systematic_support(phi, code):
 
 
 def systematic_basis(phi, code):
-    """The check-set-seeded recurrence family G_Phi used by systematic
-    encoding.  It is built once per redundant-position set and kept in the
-    code's point-set store (CodeSpec.point_set), where the erasure decoding
-    of Phi beyond the radius finds it too; a repeated call counts no field
-    operations."""
+    """The recurrence family G_Phi used by systematic encoding: the
+    ``family`` member of Phi's entry in the code's point-set store
+    (CodeSpec.point_set), the vanishing ideal's basis when Delta(Phi) = B
+    and else the check-set family.  The erasure decoding of Phi reads the
+    same member, so it is built once per redundant-position set and a
+    repeated call counts no field operations."""
+    _check_phi(phi, code)
     try:
-        entry = code.point_set(phi.points)
-    except KeyError:
-        raise SystematicSupportError("Phi is not a subset of the code's point set")
-    try:
-        return entry.get("check_set")[0]
+        return code.point_set(phi.points).get("family")[0]
     except IdealError as exc:
         raise SystematicSupportError("Phi not generic: %s" % (exc,))
 
@@ -496,17 +484,11 @@ def systematic_encode(info, phi, code):
     """Fill the redundant positions Phi so the word is a dual codeword
     agreeing with the information symbols on Psi \\ Phi."""
     f = code.field
-    if len(phi) != len(code.b_list):
-        raise SystematicSupportError("|Phi| = %d but |B| = %d" % (len(phi), len(code.b_list)))
-    phi_set = set(phi.points)
-    inside = set(code.psi.points)
-    if not phi_set <= inside:
-        raise SystematicSupportError("Phi is not a subset of the code's point set")
-    expected = inside - phi_set
-    if info.domain() != expected:
+    check_field(info, f, "information word", "code", SystematicSupportError)
+    gb_phi = systematic_basis(phi, code)
+    if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
     seed = dft_partial(info, code.b_list, "information word")
-    gb_phi = systematic_basis(phi, code)
     w = Word(f, code.ndim, dict(zip(phi.points, f.np_codes(
         idft_at(f, _extension_array(seed, gb_phi), phi.array)))))
     # the word is info on Psi \ Phi and -w on Phi, so its syndrome is

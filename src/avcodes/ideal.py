@@ -27,8 +27,8 @@ synthesis produces, which may include order-redundant elements such as
 y*g over a two-point set); every minimal index outside S is one of these
 leads or dominates one.  vanishing_gb seeds it on the delta set its scan
 finds and adds the x_i^q-carrying minimal generators; check_set_basis
-seeds it on a check set B, which is what erasure-only decoding beyond
-the radius and systematic encoding require.
+seeds it on a check set B, which erasure-only decoding and systematic
+encoding take when the delta set of their points leaves B.
 
 The extension (``extend``) is split in two.  A plan, built from the
 basis shape alone (q, N, order, leads, seed set, target and family
@@ -61,7 +61,8 @@ import numpy as np
 
 from .gf import ZERO, ONE
 from .mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
-from .transform import Spectrum, check_values, index_space, point_power, power_matrix
+from .transform import (Spectrum, check_field, check_values, index_space, point_power,
+                        power_matrix)
 
 
 class IdealError(ValueError):
@@ -460,12 +461,13 @@ def check_set_basis(points, b_set, order):
     index x_i * b outside B), with tail supported on B, vanishing on the
     points.
 
-    This is the basis that drives erasure-only decoding beyond the
-    radius (and hence systematic encoding): the tail coefficients of
-    each element are solved from the point-evaluation system, which is
-    solvable for every lead exactly when ev restricted to (V_B, points)
-    is surjective.  When the delta set of the points equals B it
-    coincides with vanishing_gb on the leads inside A.  The returned
+    Erasure-only decoding of a point set and systematic encoding on it
+    extend with this family when the delta set of the points leaves B
+    (codes.PointSetEntry): the tail coefficients of each element are
+    solved from the point-evaluation system, which is solvable for every
+    lead exactly when ev restricted to (V_B, points) is surjective.  When
+    the delta set of the points equals B it coincides with vanishing_gb
+    on the leads inside A, and the store reads that basis.  The returned
     object's delta set is B, the seed domain of the recurrences.  The
     leads depend on (q, N, B) alone and are cached.
     """
@@ -760,9 +762,7 @@ def _extension_run(h, gb, target):
     """Check the seed spectrum and run the plan of the basis shape for the
     target (a tuple of index tuples); returns the values on the target as
     an exponent array, empty for an empty target."""
-    if h.field is not gb.field and h.field != gb.field:
-        raise IdealError("seed spectrum over %r (polynomial %s), basis over %r (polynomial %s)"
-                         % (h.field, h.field.primitive_poly, gb.field, gb.field.primitive_poly))
+    check_field(h, gb.field, "seed spectrum", "basis", IdealError)
     dset = gb.delta.members
     if h.domain() != set(dset):
         raise IdealError("seed spectrum domain does not match the basis seed set")

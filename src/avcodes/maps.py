@@ -56,8 +56,12 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
+    @cached_property
+    def _members(self):
+        return frozenset(self.points)
+
     def __contains__(self, p):
-        return tuple(p) in set(self.points)
+        return tuple(p) in self._members
 
     def __iter__(self):
         return iter(self.points)

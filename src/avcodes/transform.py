@@ -87,6 +87,15 @@ def check_values(vec, what):
             raise FieldError("%s at %s: %s" % (what, key, exc)) from None
 
 
+def check_field(vec, field, what, whose, error):
+    """Raise ``error`` naming both fields when a Word or Spectrum is over
+    another field than ``field`` (``is`` first, ``==`` after)."""
+    g = vec.field
+    if g is not field and g != field:
+        raise error("%s over %r (polynomial %s), %s over %r (polynomial %s)"
+                    % (what, g, g.primitive_poly, whose, field, field.primitive_poly))
+
+
 def index_space(field, ndim):
     """A = {0..q-1}^N in serialization order (first component fastest), as
     a tuple shared by every caller: the flat order of the kernels."""

@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 import re
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference as reference
 from test_codes import HERM16
-from avcodes import decoder, maps
+from avcodes import codes, decoder, maps
 from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import vanishing_gb
@@ -210,6 +212,58 @@ def test_t_max_must_be_a_nonnegative_integer(hermitian, rng, fn, t_max):
     assert decode_word(r, phi1, hermitian, t_max=np.int64(3)).codeword.values == cw.values
 
 
+@pytest.mark.parametrize("bad", [100, -2, 8, 2.0, True])
+def test_locate_checks_the_syndrome_values(hermitian, rng, bad):
+    # valid element codes of GF(9) are -1..7: 100 used to escape as an
+    # IndexError, -2 was read as zero, and 8, 2.0 and True ran the locator
+    # until it found more than t_max pivots
+    f = hermitian.field
+    synd = syndrome(encode_nonsystematic(random_info(hermitian, rng), hermitian),
+                    hermitian.b_list)
+    at = hermitian.b_list[4]
+    synd.values[at] = bad
+    before = f.op_count
+    msg = r"^syndrome at \(%d, %d\): bad element code %s" % (*at, re.escape(repr(bad)))
+    with pytest.raises(FieldError, match=msg):
+        locate(synd, PointSet(f, 2, ()), hermitian)
+    assert f.op_count == before
+
+
+OTHER_FIELDS = {"GF(8)": Field(2, 3, (1, 1, 0, 1)), "GF(9)-221": Field(3, 2, (2, 2, 1))}
+
+
+@pytest.mark.parametrize("other", sorted(OTHER_FIELDS))
+@pytest.mark.parametrize("entry", ["locate", "decode_info", "decode_word", "systematic_encode"])
+def test_inputs_over_another_field_rejected(entry, other, rng):
+    # a GF(8) word used to fail inside the transform or the locator, a
+    # GF(9) word under another polynomial to find more than t_max pivots,
+    # and systematic encoding to fail in the extension: now each entry
+    # names both fields before any work.  An equal field object passes.
+    code = preset("hermitian")
+    f, g = code.field, OTHER_FIELDS[other]
+    phi = PointSet(f, 2, HERM_SYS_PHI)
+    if entry == "systematic_encode":
+        vec = Word(f, 2, {p: rng.randrange(-1, 7) for p in code.psi.points if p not in phi})
+        call, error = lambda v: systematic_encode(v, phi, code), SystematicSupportError
+    else:
+        vec = encode_nonsystematic(random_info(code, rng), code)
+        if entry == "locate":
+            vec = syndrome(vec, code.b_list)
+        fn = {"locate": locate, "decode_info": decode_info, "decode_word": decode_word}[entry]
+        call, error = lambda v: fn(v, PointSet(f, 2, ()), code), UndecodableError
+    what = {"locate": "syndrome", "systematic_encode": "information word"}.get(
+        entry, "received word")
+    msg = "%s over %r (polynomial %s), code over %r (polynomial %s)" % (
+        what, g, g.primitive_poly, f, f.primitive_poly)
+    before = f.op_count
+    with pytest.raises(error, match="^" + re.escape(msg)):
+        call(replace(vec, field=g))
+    assert f.op_count == before and not code._point_sets
+    equal = Field(f.p, f.m, f.primitive_poly)
+    assert equal is not f
+    call(replace(vec, field=equal))
+
+
 def test_decode_rejects_bad_inputs(hermitian, rng):
     f = hermitian.field
     cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
@@ -333,10 +387,13 @@ def test_systematic_support_errors(hermitian, rs_like, rng):
         systematic_encode(info, phi, hermitian)
     with pytest.raises(SystematicSupportError):
         systematic_basis(phi, hermitian)
-    # size mismatch
-    small = PointSet(f, 2, (hermitian.psi.points[0],))
-    with pytest.raises(SystematicSupportError):
-        check_systematic_support(small, hermitian)
+    # size mismatch, also for a Phi whose vanishing ideal's delta set lies in B
+    for size in (1, 4):
+        small = PointSet(f, 2, hermitian.psi.points[:size])
+        for call in (check_systematic_support, systematic_basis):
+            with pytest.raises(SystematicSupportError,
+                               match=re.escape("|Phi| = %d but |B| = 9" % size)):
+                call(small, hermitian)
     # nine points off the curve: the same error from all three entries
     inside = set(hermitian.psi.points)
     off = PointSet(f, 2, tuple(p for p in omega_space(f, 2) if p not in inside)[:9])
@@ -919,24 +976,33 @@ def _erasure_round(code, phi, info):
 
 
 def test_point_set_store_threads(rng):
-    # eight threads encode systematically and erasure-decode on one fresh
-    # code, four on one shared Phi and four on Phis of their own, so that
-    # they build and read the store at once; each must get the solo result
-    solo = preset("hermitian")
-    f = solo.field
-    phis = _systematic_sets(solo, 5, rng)
+    # twelve threads encode systematically and erasure-decode on fresh
+    # codes, so that they build and read the store at once; each must get
+    # the solo result.  On hermitian four share one Phi and four have Phis
+    # of their own.  On hcrs the Phis' delta sets leave B, so the family
+    # build nests the vanishing and check-set builds: two threads share
+    # the golden Phi and two have random Phis of their own.
     cases = []
-    for k in range(8):
-        phi = phis[0] if k < 4 else phis[k - 3]
-        info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
-                           for p in solo.psi.points if p not in set(phi.points)})
-        cases.append((phi, info, _erasure_round(solo, phi, info)))
-    code = preset("hermitian")
+    for name, shared, own in (("hermitian", 4, 4), ("hcrs", 2, 2)):
+        solo = preset(name)
+        f = solo.field
+        phis = _systematic_sets(solo, own + 1, rng)
+        if name == "hcrs":
+            phis[0] = PointSet(f, 2, HCRS_SYS_PHI)
+        for k in range(shared + own):
+            phi = phis[0] if k < shared else phis[k - shared + 1]
+            info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
+                               for p in solo.psi.points if p not in set(phi.points)})
+            cases.append((name, phi, info, _erasure_round(solo, phi, info)))
+        if name == "hcrs":
+            assert not any(solo.point_set(phi.points).get("vanishing")[0].delta.members
+                           <= solo.b_members for phi in phis)
+    fresh = {name: preset(name) for name in ("hermitian", "hcrs")}
     found = {}
 
     def work(k):
-        phi, info, want = cases[k]
-        found[k] = _erasure_round(code, phi, info) == want
+        name, phi, info, want = cases[k]
+        found[k] = _erasure_round(fresh[name], phi, info) == want
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
     interval = sys.getswitchinterval()
@@ -1008,7 +1074,7 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     locator = _build_ops(fresh, phi1.points, "projection")
     if not n_err:
         locator += _build_ops(fresh, cold.located.points, "vanishing")
-    extension = (_build_ops(fresh, cold.located.points, "check_set")
+    extension = (_build_ops(fresh, cold.located.points, "family")
                  if family == "check-set" else 0)
     # the empty erasure set's projection costs nothing to build
     assert (locator > 0) == bool(len(phi1))
@@ -1023,7 +1089,7 @@ def test_warm_systematic_encode_leaves_out_the_build(rng):
     code = preset("hermitian")
     f = code.field
     phi = PointSet(f, 2, HERM_SYS_PHI)
-    build = _build_ops(preset("hermitian"), phi.points, "check_set")
+    build = _build_ops(preset("hermitian"), phi.points, "family")
     counts = []
     for _ in range(3):
         info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
@@ -1032,3 +1098,66 @@ def test_warm_systematic_encode_leaves_out_the_build(rng):
         systematic_encode(info, phi, code)
         counts.append(f.op_count - before)
     assert build > 0 and counts[0] - build == counts[1] == counts[2]
+
+
+def _herm16_phi(code):
+    """The redundant set of the herm16-systematic benchmark at seed 0: the
+    first draw of its search with an invertible evaluation matrix."""
+    rnd = random.Random("0:phi")
+    while True:
+        phi = code.psi.subset(rnd.sample(code.psi.points, len(code.b_list)))
+        if check_systematic_support(phi, code):
+            return phi
+
+
+# (systematic encode, Phi-erasure decode_word) cold and then warm, and the
+# warm decode's extension step, on the test's information word.  A cold
+# decode used to build a second basis of Phi: it counted 6,221 on
+# hermitian and 42,615 on herm16; on hcrs the vanishing_gb build moved
+# from the decode (33,618 + 40,203) into the encode, the same total
+SHARED_FAMILY_COUNTS = {
+    "hermitian": (5142, 5303, 4224, 4771, 1868),
+    "hcrs": (44623, 29198, 20093, 22800, 8619),
+    "herm16": (37843, 36776, 32004, 33604, 19612),
+}
+
+
+@pytest.mark.parametrize("name", ["hermitian", "hcrs", "herm16"])
+def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, monkeypatch):
+    # systematic encoding on Phi and the erasure decoding of Phi extend with
+    # one stored basis: when Delta(Phi) = B (hermitian, herm16) it is the
+    # vanishing ideal's, built once, and no check-set family is built;
+    # hcrs's golden Phi, whose delta set leaves B, builds both in the encode
+    make = (lambda: code_from_config(HERM16)) if name == "herm16" else (lambda: preset(name))
+    code = make()
+    f = code.field
+    phi = (_herm16_phi(code) if name == "herm16" else
+           PointSet(f, 2, HERM_SYS_PHI if name == "hermitian" else HCRS_SYS_PHI))
+    builds, extended = [], []
+
+    def spy(module, fn, record):
+        real = getattr(module, fn)
+        monkeypatch.setattr(module, fn, lambda *args: (record(args), real(*args))[1])
+
+    spy(codes, "vanishing_gb", lambda args: builds.append("vanishing_gb"))
+    spy(codes, "check_set_basis", lambda args: builds.append("check_set_basis"))
+    spy(decoder, "_extension_array", lambda args: extended.append(args[1]))
+    info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
+    counts = []
+    for _ in range(2):
+        before = f.op_count
+        cw = systematic_encode(info, phi, code)
+        r = Word(f, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
+        middle = f.op_count
+        res = decode_word(r, phi, code)
+        counts += [middle - before, f.op_count - middle]
+        assert res.codeword.values == cw.values
+    basis = systematic_basis(phi, code)
+    assert len(extended) == 4 and all(gb is basis for gb in extended)
+    assert builds == (["vanishing_gb"] if name != "hcrs" else ["vanishing_gb", "check_set_basis"])
+    assert res.report.meta["extension"] == (
+        {"family": "check-set", "schedule": "worklist"} if name == "hcrs"
+        else {"family": "vanishing-ideal", "schedule": "sequential"})
+    assert (*counts, res.report.steps["extension"]) == SHARED_FAMILY_COUNTS[name]
+    # the cold decode builds Phi's erasure projection alone
+    assert counts[1] - counts[3] == _build_ops(make(), phi.points, "projection")
