@@ -18,10 +18,10 @@ import numpy as np
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, dft_partial, omega_space, power_matrix
+from .transform import Spectrum, dft_partial, idft_at, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
 from .ideal import (DeltaSet, Eliminator, Polynomial, ReducedGroebnerBasis, SumForms,
-                    check_set_basis, index_array, vanishing_gb)
+                    check_set_basis, index_array, vanishing_gb, _extension_units)
 
 
 class CodeConfigError(ValueError):
@@ -42,12 +42,23 @@ class PointSetEntry:
       (ideal.vanishing_gb), the locator of a located set ({1} for no points);
     - ``family``: the recurrence family of the erasure decoding of Phi and
       of systematic encoding on Phi: ``vanishing`` when its delta set lies
-      in B, else the check-set family (ideal.check_set_basis).
+      in B, else the check-set family (ideal.check_set_basis);
+    - ``map``: the lemma's map compiled, (S, M): S the seed set of
+      ``family`` as a tuple, M the |Phi| x |S| exponent matrix taking a
+      seed on S to the values on Phi of the IDFT of its extension.  The
+      lemma builds it: the family's plan extends all |S| unit seeds at
+      once (ideal._extension_units), then one IDFT at Phi takes every
+      column (transform.idft_at).
 
     ``rows`` is Phi as increasing point rows, ``points`` in the code's
     point order.  ``get(name)`` returns a member and whether the call built
     it.  A build adds its field operations to ``op_count`` as the uncached
-    call does; a reuse adds none.  A build that raises keeps nothing.
+    call does (the map: |S| extensions and |S| IDFTs at Phi); a reuse adds
+    none.  A build that raises keeps nothing.  ``compiled_map()`` is how
+    systematic encoding and erasure decoding read the map: None on the
+    entry's first call, the map (built under the entry's lock) from the
+    second on, so that a set used once never pays the compile; a family
+    whose seed set is larger than Phi is never compiled.
     decoder.locate makes an unstored entry for a set it locates errors in."""
 
     def __init__(self, code, rows):
@@ -55,7 +66,8 @@ class PointSetEntry:
         self.rows = rows
         self.points = PointSet(code.field, code.ndim, tuple(code.psi.points[r] for r in rows))
         self._members = {}
-        self._lock = threading.RLock()  # family reads vanishing
+        self._lock = threading.RLock()  # family reads vanishing, map reads family
+        self._map_calls = 0
 
     def get(self, name):
         with self._lock:
@@ -64,6 +76,19 @@ class PointSetEntry:
             value = getattr(self, "_" + name)()
             self._members[name] = value
             return value, True
+
+    def compiled_map(self):
+        """(the ``map`` member or None, whether the call built it): None
+        on this entry's first call, and on every call when the family
+        seeds more indices than Phi has points (a check-set family on
+        fewer than |B| points), whose recurrences agree only on the seeds
+        that are transforms of words on Phi, so that unit seeds would fail
+        the checks."""
+        with self._lock:
+            self._map_calls += 1
+            if self._map_calls < 2 or len(self.get("family")[0].delta) != len(self.rows):
+                return None, False
+            return self.get("map")
 
     def _projection(self):
         code = self.code
@@ -85,6 +110,10 @@ class PointSetEntry:
         if gb.delta.members <= self.code.b_members:
             return gb
         return check_set_basis(self.points, self.code.b_list, self.code.order)
+
+    def _map(self):
+        seeds, units = _extension_units(self.get("family")[0], self.points.array)
+        return seeds, idft_at(self.code.field, units, self.points.array)
 
 
 class CodeSpec:

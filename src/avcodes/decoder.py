@@ -13,7 +13,10 @@ and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
 ``decode_word`` and ``systematic_encode`` hand the extension to the
 inverse transform as a flat array, read the values on the located or
 redundant set alone (transform.idft_at) and check the result by the
-syndrome of that set's part, by linearity.
+syndrome of that set's part, by linearity.  From the second call on a
+stored set (a redundant set, or an erasure set with no error located)
+they read the values as one product with the set's compiled map
+(codes.PointSetEntry) and check them the same way.
 
 The locator finds the errors off the erasures Phi1 by Feng-Rao majority
 voting, the erasures entering through erasure rows (Sakata, Leonard,
@@ -299,7 +302,7 @@ class _Staircase:
         f.op_count += ops
 
 
-def locate(synd, phi1, code, t_max=None):
+def locate(synd, phi1, code, t_max=None, *, checked=False):
     """The error support of the B-indexed syndrome, by Feng-Rao majority
     voting: a LocateResult (reduced basis of the vanishing ideal of Phi1
     union Phi2, located point set in the code's point order).  Raises
@@ -308,23 +311,26 @@ def locate(synd, phi1, code, t_max=None):
     and at a syndrome over another field or missing a check index;
     FieldError, naming the index, at a syndrome value that is no element
     code; ValueError at a t_max that is not a nonnegative integer (a bool
-    or 2.5 included).  The erasure projection comes from Phi1's entry in
-    the code's point-set store, which is also the located set's when no
-    error is located; errors make the located set an entry that is not
-    stored.  ``built`` on the result counts the members this call built.
+    or 2.5 included).  ``checked=True`` skips the syndrome's field, index
+    and value checks, for the decode head, whose transform of the
+    received word has just made them.  The erasure projection comes from
+    Phi1's entry in the code's point-set store, which is also the located
+    set's when no error is located; errors make the located set an entry
+    that is not stored.  ``built`` on the result counts the members this
+    call built.
     """
     f = code.field
     if t_max is None:
         t_max = default_t_max(code, len(phi1))
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
         raise ValueError("t_max must be a nonnegative integer, not %r" % (t_max,))
-    check_field(synd, f, "syndrome", "code", UndecodableError)
-    b_list = code.b_list
-    missing = [b for b in b_list if b not in synd.values]
-    if missing:
-        raise UndecodableError("syndrome is missing %d check indices" % len(missing))
-    check_values(synd, "syndrome")
-    target = f.np_exponents(np.array([synd.values[b] for b in b_list], dtype=np.intp))
+    if not checked:
+        check_field(synd, f, "syndrome", "code", UndecodableError)
+        missing = [b for b in code.b_list if b not in synd.values]
+        if missing:
+            raise UndecodableError("syndrome is missing %d check indices" % len(missing))
+        check_values(synd, "syndrome")
+    target = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
 
     try:
         entry = code.point_set(phi1.points)
@@ -354,7 +360,8 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     the error-spectrum extension, whose cost falls into the caller's
     ``extension`` step.
 
-    Returns (meter, report, transform, located point set, (seed, basis)
+    Returns (meter, report, transform, located point set, (seed, basis,
+    the located set's store entry when no error is located, else None)
     or None when nothing is located).
     """
     check_field(r, code.field, "received word", "code", UndecodableError)
@@ -367,7 +374,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
         raise UndecodableError("every position erased, no information positions")
     meter.lap("transform")
-    loc = locate(rt.restrict(code.b_list), phi1, code, t_max)
+    loc = locate(rt, phi1, code, t_max, checked=True)
     gb_loc, located = loc
     meter.lap("locator")
     ext, family, built = None, None, loc.built
@@ -378,9 +385,11 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
             raise UndecodableError(
                 "locator delta escapes the check set and the check-set system "
                 "is unsolvable: %s" % (exc,))
-        ext, built = (rt.restrict(basis.delta.members), basis), built + fresh
+        ext = (rt.restrict(basis.delta.members), basis, None if loc.stats["t"] else loc.entry)
+        built += fresh
         family = {"family": "vanishing-ideal" if basis is gb_loc else "check-set",
-                  "schedule": "sequential" if basis.sequential else "worklist"}
+                  "schedule": "sequential" if basis.sequential else "worklist",
+                  "compiled": False}
     report = StepCounts(meter.steps, {
         "kind": kind,
         "code": code.name or repr(code),
@@ -406,7 +415,7 @@ def decode_info(r, phi1, code, t_max=None):
     dsorted = code.delta.sorted(code.order)
     meter, report, rtilde, _, ext = _decode_head(r, phi1, code, t_max,
                                                  "decode_info", dsorted)
-    k = extend(*ext, dsorted).values if ext else {d: ZERO for d in dsorted}
+    k = extend(*ext[:2], dsorted).values if ext else {d: ZERO for d in dsorted}
     meter.lap("extension")
     out = {d: f.sub(rtilde.values[d], k[d]) for d in dsorted}
     meter.lap("subtract")
@@ -421,19 +430,33 @@ def decode_word(r, phi1, code, t_max=None):
     """Split a received word into codeword + error (erasure-and-error
     decoding with explicit error values).  The error values come from the
     IDFT of the extended error spectrum on the located set alone (its
-    count in ``report.meta["idft"]``).  The codeword is checked by
-    linearity: its syndrome is the received word's, already computed on
-    B, minus the error's, which vanishes off the located set."""
+    count in ``report.meta["idft"]``).  When no error is located, the
+    located set is the caller's Phi1, and from the second such call on
+    Phi1 (PointSetEntry.compiled_map) the values are one product with its
+    compiled map, counted in the ``extension`` step, no IDFT run
+    (``report.meta["extension"]["compiled"]``).  The codeword is checked
+    by linearity: its syndrome is the received word's, already computed
+    on B, minus the error's, which vanishes off the located set."""
     f = code.field
     meter, report, rt, located, ext = _decode_head(r, phi1, code, t_max,
                                                    "decode_word", code.b_list)
+    lemma = None
     if ext:
-        x = _extension_array(*ext)
+        seed, basis, entry = ext
+        if entry is not None:
+            lemma, built = entry.compiled_map()
+            report.meta["point_sets_reused"] &= not built
+        if lemma is None:
+            x = _extension_array(seed, basis)
+        else:
+            vals = _mapped(lemma, seed)
+            report.meta["extension"]["compiled"] = True
     meter.lap("extension")
     e_loc = Word(f, code.ndim, {})
     if ext:
-        vals = idft_at(f, x, located.array)
-        report.meta["idft"] = idft_at_count(f.q, located.array)
+        if lemma is None:
+            vals = idft_at(f, x, located.array)
+            report.meta["idft"] = idft_at_count(f.q, located.array)
         e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(vals))))
     meter.lap("idft")
     e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
@@ -443,6 +466,16 @@ def decode_word(r, phi1, code, t_max=None):
         raise UndecodableError("decoded word fails the check set")
     meter.lap("check")
     return DecodeResult(codeword=c, error=e, located=located, report=report)
+
+
+def _mapped(lemma, seed):
+    """The values on Phi of a compiled map (S, M) at a seed spectrum on S,
+    as exponents: one product, |Phi| |S| muls and |Phi| (|S| - 1) adds."""
+    seeds, matrix = lemma
+    f = seed.field
+    x = f.np_exponents(np.array([seed.values[d] for d in seeds], dtype=np.intp))
+    f.op_count += len(matrix) * (2 * len(seeds) - 1)
+    return f.np_dot(matrix, x)
 
 
 # -- systematic encoding -----------------------------------------------------
@@ -466,6 +499,18 @@ def check_systematic_support(phi, code):
     return independent
 
 
+def _phi_family(phi, code):
+    """Phi's entry in the code's point-set store and its ``family``
+    member; SystematicSupportError unless Phi is |B| points of the code
+    whose family is solvable."""
+    _check_phi(phi, code)
+    entry = code.point_set(phi.points)
+    try:
+        return entry, entry.get("family")[0]
+    except IdealError as exc:
+        raise SystematicSupportError("Phi not generic: %s" % (exc,))
+
+
 def systematic_basis(phi, code):
     """The recurrence family G_Phi used by systematic encoding: the
     ``family`` member of Phi's entry in the code's point-set store
@@ -473,24 +518,29 @@ def systematic_basis(phi, code):
     and else the check-set family.  The erasure decoding of Phi reads the
     same member, so it is built once per redundant-position set and a
     repeated call counts no field operations."""
-    _check_phi(phi, code)
-    try:
-        return code.point_set(phi.points).get("family")[0]
-    except IdealError as exc:
-        raise SystematicSupportError("Phi not generic: %s" % (exc,))
+    return _phi_family(phi, code)[1]
 
 
 def systematic_encode(info, phi, code):
     """Fill the redundant positions Phi so the word is a dual codeword
-    agreeing with the information symbols on Psi \\ Phi."""
+    agreeing with the information symbols on Psi \\ Phi.  The values on
+    Phi are the lemma's: the extension of the information word's syndrome
+    by Phi's family, then the IDFT at Phi; from the second call on Phi
+    (PointSetEntry.compiled_map, shared with the erasure decoding of Phi)
+    they are one product with Phi's compiled map.  Either way the word is
+    checked by its syndrome."""
     f = code.field
     check_field(info, f, "information word", "code", SystematicSupportError)
-    gb_phi = systematic_basis(phi, code)
+    entry, gb_phi = _phi_family(phi, code)
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
     seed = dft_partial(info, code.b_list, "information word")
-    w = Word(f, code.ndim, dict(zip(phi.points, f.np_codes(
-        idft_at(f, _extension_array(seed, gb_phi), phi.array)))))
+    lemma, _ = entry.compiled_map()
+    if lemma is None:
+        vals = idft_at(f, _extension_array(seed, gb_phi), entry.points.array)
+    else:
+        vals = _mapped(lemma, seed)
+    w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(vals))))
     # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
     # seed - syndrome(w): zero when the seed is minus the Phi part's
     if dft_partial(w, code.b_list).values != seed.values:

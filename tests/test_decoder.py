@@ -736,30 +736,48 @@ def test_extension_meta(hcrs, rng):
     cw = encode_nonsystematic(random_info(hcrs, rng), hcrs)
     r, phi1 = corrupt(hcrs, cw, 0, 2, rng)
     meta = decode_info(r, phi1, hcrs).report.meta
-    assert meta["extension"] == {"family": "vanishing-ideal", "schedule": "sequential"}
+    assert meta["extension"] == {"family": "vanishing-ideal", "schedule": "sequential",
+                                 "compiled": False}
     phi = PointSet(hcrs.field, 2, HCRS_SYS_PHI)
     r = Word(hcrs.field, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
-    meta = decode_word(r, phi, hcrs).report.meta
-    assert meta["extension"] == {"family": "check-set", "schedule": "worklist"}
+    # the second erasure decoding of Phi reads its compiled map
+    code = preset("hcrs")
+    for compiled in (False, True):
+        meta = decode_word(r, phi, code).report.meta
+        assert meta["extension"] == {"family": "check-set", "schedule": "worklist",
+                                     "compiled": compiled}
 
 
 def test_hcrs_golden_systematic_counts(rng):
     # the worklist extension of hcrs's golden Phi checks every recurrence
-    # but the one that set each value: warm, a systematic encode counts
-    # 20,093 operations and the Phi-erasure decode's extension 8,619
-    # (22,122 and 10,648 when the setting recurrences were checked too)
-    code = preset("hcrs")
+    # but the one that set each value: on the lemma's path, a first use of
+    # Phi, a systematic encode counts 20,093 operations and the
+    # Phi-erasure decode's extension 8,619 past the builds (22,122 and
+    # 10,648 when the setting recurrences were checked too).  From the
+    # second use on they read Phi's compiled 20 x 20 map: 8,900 and
+    # 780 = 20 * 39
+    code, decoded_first, fresh = preset("hcrs"), preset("hcrs"), preset("hcrs")
     f, phi = code.field, PointSet(code.field, 2, HCRS_SYS_PHI)
+    vanishing = _build_ops(fresh, phi.points, "vanishing")
+    check_set = _build_ops(fresh, phi.points, "family")
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
-    systematic_encode(info, phi, code)  # builds Phi's family
     before = f.op_count
     cw = systematic_encode(info, phi, code)
-    assert f.op_count - before == 20093
+    assert f.op_count - before - vanishing - check_set == 20093
     r = Word(f, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
+    rep = decode_word(r, phi, decoded_first).report
+    assert rep.meta["extension"] == {"family": "check-set", "schedule": "worklist",
+                                     "compiled": False}
+    assert rep.steps["extension"] - check_set == 8619
+    decode_word(r, phi, code)  # the second use of Phi compiles its map
+    before = f.op_count
+    assert systematic_encode(info, phi, code).values == cw.values
+    assert f.op_count - before == 8900
     res = decode_word(r, phi, code)
     assert res.codeword.values == cw.values
-    assert res.report.meta["extension"]["schedule"] == "worklist"
-    assert res.report.steps["extension"] == 8619
+    assert res.report.meta["extension"] == {"family": "check-set", "schedule": "worklist",
+                                            "compiled": True}
+    assert res.report.steps["extension"] == 780 and res.report.steps["idft"] == 0
 
 
 def test_code_columns_cached(hermitian):
@@ -975,13 +993,15 @@ def _erasure_round(code, phi, info):
     return word.values, res.codeword.values, res.error.values
 
 
-def test_point_set_store_threads(rng):
+def test_point_set_store_threads(rng, monkeypatch):
     # twelve threads encode systematically and erasure-decode on fresh
     # codes, so that they build and read the store at once; each must get
     # the solo result.  On hermitian four share one Phi and four have Phis
     # of their own.  On hcrs the Phis' delta sets leave B, so the family
     # build nests the vanishing and check-set builds: two threads share
-    # the golden Phi and two have random Phis of their own.
+    # the golden Phi and two have random Phis of their own.  Then six
+    # threads make the second use of one Phi at once: the map is compiled
+    # once, under the entry's lock, and each gets the solo word.
     cases = []
     for name, shared, own in (("hermitian", 4, 4), ("hcrs", 2, 2)):
         solo = preset(name)
@@ -1004,18 +1024,39 @@ def test_point_set_store_threads(rng):
         name, phi, info, want = cases[k]
         found[k] = _erasure_round(fresh[name], phi, info) == want
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    def run(threads):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+
+    run([threading.Thread(target=work, args=(k,)) for k in range(len(cases))])
     assert found == {k: True for k in range(len(cases))}
+
+    code, solo = preset("hermitian"), preset("hermitian")
+    f, phi = code.field, PointSet(code.field, 2, HERM_SYS_PHI)
+    infos = [Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
+             for _ in range(6)]
+    want = [systematic_encode(info, phi, solo).values for info in infos]
+    systematic_encode(infos[0], phi, code)  # the first use
+    compiles = []
+    real = codes._extension_units
+    monkeypatch.setattr(codes, "_extension_units",
+                        lambda *args: (compiles.append(args[0]), real(*args))[1])
+    barrier, words = threading.Barrier(len(infos)), {}
+
+    def second_use(k):
+        barrier.wait()
+        words[k] = systematic_encode(infos[k], phi, code).values
+
+    run([threading.Thread(target=second_use, args=(k,)) for k in range(len(infos))])
+    assert len(compiles) == 1 and words == dict(enumerate(want))
 
 
 def test_point_set_store_is_bounded(rng):
@@ -1053,7 +1094,10 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     # call's minus the ops of building the stored members it read, counted
     # on a third fresh code.  Erasing the golden systematic set of hcrs (None),
     # whose delta set leaves B, takes the check-set family, the other
-    # patterns the vanishing-ideal one.
+    # patterns the vanishing-ideal one.  With no error located, the second
+    # call compiles Phi1's map, counted as |S| extensions and |S| IDFTs at
+    # Phi1 of the first call, and from then on the values are one product
+    # with it, |Phi1| (2 |S| - 1) operations, and no IDFT
     code = preset(name)
     cw = encode_nonsystematic(random_info(code, rng), code)
     if n_erase is None:
@@ -1062,12 +1106,14 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     else:
         r, phi1 = corrupt(code, cw, n_erase, n_err, rng)
     cold = decode_word(r, phi1, code)
-    warm = decode_word(r, phi1, code).report
+    second, warm = (decode_word(r, phi1, code).report for _ in range(2))
     rep = cold.report
     assert cold.codeword.values == cw.values
     # a located set with errors is built per call, so only Phi1 reads warm
-    assert not rep.meta["point_sets_reused"] and warm.meta["point_sets_reused"] == (not n_err)
-    assert warm.meta["extension"] == rep.meta["extension"]
+    assert not rep.meta["point_sets_reused"] and not second.meta["point_sets_reused"]
+    assert warm.meta["point_sets_reused"] == (not n_err)
+    assert second.meta["extension"] == warm.meta["extension"] == dict(
+        rep.meta["extension"], compiled=not n_err)
     family = rep.meta["extension"]["family"]
     assert family == ("check-set" if n_erase is None else "vanishing-ideal")
     fresh = preset(name)
@@ -1078,26 +1124,42 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
                  if family == "check-set" else 0)
     # the empty erasure set's projection costs nothing to build
     assert (locator > 0) == bool(len(phi1))
+    if n_err:
+        assert second.steps == warm.steps == dict(
+            rep.steps, locator=rep.steps["locator"] - locator,
+            extension=rep.steps["extension"] - extension)
+        assert warm.total == rep.total - locator - extension
+        return
+    seeds = len(code.point_set(phi1.points).get("family")[0].delta)
+    product = len(phi1) * (2 * seeds - 1)
+    compile_ops = seeds * (rep.steps["extension"] - extension + rep.steps["idft"])
     assert warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator,
-                              extension=rep.steps["extension"] - extension)
-    assert warm.total == rep.total - locator - extension
+                              extension=product, idft=0)
+    assert second.steps == dict(warm.steps, extension=product + compile_ops)
+    assert compile_ops == _build_ops(fresh, phi1.points, "map")
 
 
 def test_warm_systematic_encode_leaves_out_the_build(rng):
-    # the first systematic encoding on Phi builds its check-set family;
-    # later ones count everything else the same
+    # the first systematic encoding on Phi builds its family and runs the
+    # lemma's path; the second compiles Phi's map, |S| times the first
+    # call's extension and IDFT, and later ones count the first call's
+    # other operations plus the product with the map, |Phi| (2 |S| - 1)
     code = preset("hermitian")
     f = code.field
     phi = PointSet(f, 2, HERM_SYS_PHI)
     build = _build_ops(preset("hermitian"), phi.points, "family")
     counts = []
-    for _ in range(3):
+    for _ in range(4):
         info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
                            for p in code.psi.points if p not in set(phi.points)})
         before = f.op_count
         systematic_encode(info, phi, code)
         counts.append(f.op_count - before)
-    assert build > 0 and counts[0] - build == counts[1] == counts[2]
+    seeds = len(systematic_basis(phi, code).delta)
+    product = len(phi) * (2 * seeds - 1)
+    lemma = counts[0] - build - counts[2] + product  # the extension and the IDFT
+    assert build > 0 and counts[1] - counts[2] == seeds * lemma
+    assert counts[2] == counts[3] < counts[0] - build
 
 
 def _herm16_phi(code):
@@ -1110,15 +1172,19 @@ def _herm16_phi(code):
             return phi
 
 
-# (systematic encode, Phi-erasure decode_word) cold and then warm, and the
-# warm decode's extension step, on the test's information word.  A cold
-# decode used to build a second basis of Phi: it counted 6,221 on
+# (systematic encode, Phi-erasure decode_word) twice, and the last decode's
+# extension step, on the test's information word: the first encode runs
+# the lemma's path, the first decode compiles Phi's map and the later calls
+# read it.  On the lemma's path the decodes counted 5,303 / 4,771 / 1,868
+# on hermitian, 29,198 / 22,800 / 8,619 on hcrs and 36,776 / 33,604 /
+# 19,612 on herm16, and the second encodes 4,224, 20,093 and 32,004.  A
+# cold decode used to build a second basis of Phi: it counted 6,221 on
 # hermitian and 42,615 on herm16; on hcrs the vanishing_gb build moved
 # from the decode (33,618 + 40,203) into the encode, the same total
 SHARED_FAMILY_COUNTS = {
-    "hermitian": (5142, 5303, 4224, 4771, 1868),
-    "hcrs": (44623, 29198, 20093, 22800, 8619),
-    "herm16": (37843, 36776, 32004, 33604, 19612),
+    "hermitian": (5142, 29456, 1377, 1924, 153),
+    "hcrs": (44623, 257465, 8900, 11607, 780),
+    "herm16": (37843, 417857, 5250, 6850, 435),
 }
 
 
@@ -1127,13 +1193,14 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
     # systematic encoding on Phi and the erasure decoding of Phi extend with
     # one stored basis: when Delta(Phi) = B (hermitian, herm16) it is the
     # vanishing ideal's, built once, and no check-set family is built;
-    # hcrs's golden Phi, whose delta set leaves B, builds both in the encode
+    # hcrs's golden Phi, whose delta set leaves B, builds both in the encode.
+    # The encode extends with it and the decode compiles Phi's map from it
     make = (lambda: code_from_config(HERM16)) if name == "herm16" else (lambda: preset(name))
     code = make()
     f = code.field
     phi = (_herm16_phi(code) if name == "herm16" else
            PointSet(f, 2, HERM_SYS_PHI if name == "hermitian" else HCRS_SYS_PHI))
-    builds, extended = [], []
+    builds, extended, compiled = [], [], []
 
     def spy(module, fn, record):
         real = getattr(module, fn)
@@ -1142,6 +1209,7 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
     spy(codes, "vanishing_gb", lambda args: builds.append("vanishing_gb"))
     spy(codes, "check_set_basis", lambda args: builds.append("check_set_basis"))
     spy(decoder, "_extension_array", lambda args: extended.append(args[1]))
+    spy(codes, "_extension_units", lambda args: compiled.append(args[0]))
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
     counts = []
     for _ in range(2):
@@ -1153,11 +1221,131 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
         counts += [middle - before, f.op_count - middle]
         assert res.codeword.values == cw.values
     basis = systematic_basis(phi, code)
-    assert len(extended) == 4 and all(gb is basis for gb in extended)
+    assert len(extended) == len(compiled) == 1 and extended[0] is compiled[0] is basis
     assert builds == (["vanishing_gb"] if name != "hcrs" else ["vanishing_gb", "check_set_basis"])
     assert res.report.meta["extension"] == (
-        {"family": "check-set", "schedule": "worklist"} if name == "hcrs"
-        else {"family": "vanishing-ideal", "schedule": "sequential"})
+        {"family": "check-set", "schedule": "worklist", "compiled": True} if name == "hcrs"
+        else {"family": "vanishing-ideal", "schedule": "sequential", "compiled": True})
     assert (*counts, res.report.steps["extension"]) == SHARED_FAMILY_COUNTS[name]
-    # the cold decode builds Phi's erasure projection alone
-    assert counts[1] - counts[3] == _build_ops(make(), phi.points, "projection")
+    # the first decode builds Phi's erasure projection and compiles its map
+    fresh = make()
+    projection = _build_ops(fresh, phi.points, "projection")
+    assert counts[1] - counts[3] == projection + _build_ops(fresh, phi.points, "map") - (
+        _build_ops(make(), phi.points, "family"))
+
+
+def _lemma_and_compiled(code, call):
+    """``call()`` on the lemma's path (the code's point-set store emptied
+    first, so the call is its set's first use) and then compiled (on the
+    set's third use); both results."""
+    code._point_sets.clear()
+    lemma = call()
+    call()
+    return lemma, call()
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_compiled_map_words_equal_the_lemma_path(name):
+    # systematic encoding on the golden (or seeded) Phi and the erasure
+    # decoding of random sets Phi1 give the same words through the
+    # compiled map as through the extension and the IDFT
+    code = code_from_config(HERM16) if name == "herm16" else preset(name)
+    f, rnd = code.field, random.Random(name)
+    phi = (PointSet(f, 1, code.psi.points[:2]) if name == "rs-like" else
+           _herm16_phi(code) if name == "herm16" else
+           PointSet(f, 2, HERM_SYS_PHI if name == "hermitian" else HCRS_SYS_PHI))
+    for _ in range(3):
+        info = Word(f, code.ndim, {p: rnd.randrange(-1, f.q - 1)
+                                   for p in code.psi.points if p not in phi})
+        lemma, compiled = _lemma_and_compiled(code, lambda: systematic_encode(info, phi, code))
+        assert compiled.values == lemma.values
+    compiled_meta = []
+    for size in range(1, code.d_fr):
+        cw = encode_nonsystematic(random_info(code, rnd), code)
+        r, phi1 = corrupt(code, cw, size, 0, rnd)
+        lemma, compiled = _lemma_and_compiled(code, lambda: decode_word(r, phi1, code))
+        assert compiled.codeword.values == lemma.codeword.values == cw.values
+        assert compiled.error.values == lemma.error.values
+        assert not lemma.report.meta["extension"]["compiled"]
+        assert lemma.report.meta["idft"] and compiled.report.meta["idft"] is None
+        compiled_meta.append(compiled.report.meta["extension"])
+    assert all(meta["compiled"] for meta in compiled_meta)
+
+
+def test_erasure_decoding_reads_the_map_of_a_square_family():
+    # erasing the first k points of a systematic Phi of a random small
+    # code: from the second decode on, the compiled map gives the first
+    # decode's word when the family seeds exactly k indices.  A check-set
+    # family seeds all of B; on fewer than |B| points its recurrences
+    # agree only on the seeds that are transforms of words on the points,
+    # so it keeps the lemma's path on every decode
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(systematic_cases())
+    def check(case):
+        code, phi, info = case
+        word = systematic_encode(info, phi, code)
+        code._point_sets.clear()  # each decode below starts on a first use
+        for k in range(1, len(phi) + 1):
+            phi1 = PointSet(code.field, code.ndim, phi.points[:k])
+            r = Word(code.field, code.ndim,
+                     {p: ZERO if p in phi1 else v for p, v in word.values.items()})
+            try:
+                first = decode_word(r, phi1, code, t_max=0)
+            except UndecodableError:  # an unsolvable check-set system
+                continue
+            square = len(code.point_set(phi1.points).get("family")[0].delta) == k
+            seen.add((first.report.meta["extension"]["family"], square))
+            assert not first.report.meta["extension"]["compiled"]
+            for _ in range(2):
+                res = decode_word(r, phi1, code, t_max=0)
+                assert res.codeword.values == first.codeword.values
+                assert res.error.values == first.error.values
+                assert res.report.meta["extension"]["compiled"] == square
+
+    check()
+    assert seen == {("vanishing-ideal", True), ("check-set", True), ("check-set", False)}
+
+
+# seeded full-grid codes at N = 3 with d_fr the Feng-Rao bound
+N3_CODES = {
+    "GF(4)^3": ({"p": 2, "m": 2, "primitive_poly": [1, 1, 1]}, "prodplus<8"),
+    "GF(3)^3": ({"p": 3, "m": 1, "primitive_poly": [1, 1]}, "prodplus<6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(N3_CODES))
+def test_round_trips_at_n3(name):
+    # every (erasures, errors) pattern inside the radius through both
+    # decoders, then systematic encoding on a Phi against the erasure
+    # decoding of Phi, on the lemma's path and compiled
+    field, b_spec = N3_CODES[name]
+    cfg = {"field": field, "N": 3, "order": {"kind": "grlex"}, "points": "full-grid",
+           "B": b_spec, "d_fr": 1}
+    cfg["d_fr"] = code_from_config(cfg).feng_rao
+    code = code_from_config(cfg)
+    f, rnd = code.field, random.Random(name)
+    assert code.n == f.q ** 3 and code.d_fr >= 6
+    for n_erase in range(code.d_fr):
+        for n_err in range((code.d_fr - 1 - n_erase) // 2 + 1):
+            h = random_info(code, rnd)
+            cw = encode_nonsystematic(h, code)
+            r, phi1 = corrupt(code, cw, n_erase, n_err, rnd)
+            assert decode_info(r, phi1, code).values == h.values
+            res = decode_word(r, phi1, code)
+            assert res.codeword.values == cw.values and len(res.located) == n_erase + n_err
+    phi = next(phi for phi in (code.psi.subset(rnd.sample(code.psi.points, len(code.b_list)))
+                               for _ in range(100)) if check_systematic_support(phi, code))
+    for compiled in (False, True):
+        info = Word(f, 3, {p: rnd.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
+        if not compiled:
+            code._point_sets.clear()  # a first use of Phi: the lemma's path
+        word = systematic_encode(info, phi, code)
+        assert is_dual_codeword(word, code)
+        r = Word(f, 3, {p: ZERO if p in phi else v for p, v in word.values.items()})
+        if not compiled:
+            code._point_sets.clear()
+        res = decode_word(r, phi, code)
+        assert res.codeword.values == word.values
+        assert res.report.meta["extension"]["compiled"] == compiled
