@@ -18,10 +18,10 @@ import numpy as np
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, dft_partial, idft_at, omega_space, power_matrix
+from .transform import Spectrum, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
 from .ideal import (DeltaSet, Eliminator, Polynomial, ReducedGroebnerBasis, SumForms,
-                    check_set_basis, index_array, vanishing_gb, _extension_units)
+                    check_set_basis, index_array, vanishing_gb)
 
 
 class CodeConfigError(ValueError):
@@ -44,21 +44,25 @@ class PointSetEntry:
       of systematic encoding on Phi: ``vanishing`` when its delta set lies
       in B, else the check-set family (ideal.check_set_basis);
     - ``map``: the lemma's map compiled, (S, M): S the seed set of
-      ``family`` as a tuple, M the |Phi| x |S| exponent matrix taking a
-      seed on S to the values on Phi of the IDFT of its extension.  The
-      lemma builds it: the family's plan extends all |S| unit seeds at
-      once (ideal._extension_units), then one IDFT at Phi takes every
-      column (transform.idft_at).
+      ``family`` as a tuple in increasing order, M the |Phi| x |S|
+      exponent matrix taking a seed on S to the values on Phi of the IDFT
+      of its extension.  On |S| = |Phi| points the seed is the transform
+      on S of the word on Phi, so M is the inverse of the evaluation
+      matrix E_S[s, p] = p^s: an Eliminator takes Phi's columns on S,
+      and reducing minus each unit vector of S leaves column s of M as
+      its tail.
 
     ``rows`` is Phi as increasing point rows, ``points`` in the code's
     point order.  ``get(name)`` returns a member and whether the call built
     it.  A build adds its field operations to ``op_count`` as the uncached
-    call does (the map: |S| extensions and |S| IDFTs at Phi); a reuse adds
-    none.  A build that raises keeps nothing.  ``compiled_map()`` is how
-    systematic encoding and erasure decoding read the map: None on the
-    entry's first call, the map (built under the entry's lock) from the
-    second on, so that a set used once never pays the compile; a family
-    whose seed set is larger than Phi is never compiled.
+    call does (the map: evaluating the |S| |Phi| powers, 2N - 1 each, and
+    the elimination's count, as decoder.check_systematic_support); a reuse
+    adds none.  A build that raises keeps nothing.  ``compiled_map()`` is
+    how systematic encoding and erasure decoding read the map: None on the
+    entry's first call, which takes the lemma's path, and the map (built
+    under the entry's lock) from the second on, so that a set used once
+    never pays the compile; a family whose seed set is larger than Phi is
+    never compiled.
     decoder.locate makes an unstored entry for a set it locates errors in."""
 
     def __init__(self, code, rows):
@@ -81,9 +85,8 @@ class PointSetEntry:
         """(the ``map`` member or None, whether the call built it): None
         on this entry's first call, and on every call when the family
         seeds more indices than Phi has points (a check-set family on
-        fewer than |B| points), whose recurrences agree only on the seeds
-        that are transforms of words on Phi, so that unit seeds would fail
-        the checks."""
+        fewer than |B| points): the lemma then takes only the seeds that
+        are transforms of words on Phi, and E_S has no inverse."""
         with self._lock:
             self._map_calls += 1
             if self._map_calls < 2 or len(self.get("family")[0].delta) != len(self.rows):
@@ -112,8 +115,15 @@ class PointSetEntry:
         return check_set_basis(self.points, self.code.b_list, self.code.order)
 
     def _map(self):
-        seeds, units = _extension_units(self.get("family")[0], self.points.array)
-        return seeds, idft_at(self.code.field, units, self.points.array)
+        code, f = self.code, self.code.field
+        seeds = tuple(self.get("family")[0].delta.sorted(code.order))
+        elim = Eliminator(f, len(seeds))
+        _, ops = elim.insert(power_matrix(f, index_array(seeds, code.ndim), self.points.array).T,
+                             self.points.points)
+        ar = f.np_arith()
+        _, tails, more = elim.reduce(np.where(np.eye(len(seeds), dtype=bool), ar.neg, ar.zero))
+        f.op_count += (2 * code.ndim - 1) * len(seeds) * len(self.rows) + ops + int(more.sum())
+        return seeds, tails.T
 
 
 class CodeSpec:

@@ -302,34 +302,39 @@ class _Staircase:
         f.op_count += ops
 
 
-def locate(synd, phi1, code, t_max=None, *, checked=False):
+def locate(synd, phi1, code, t_max=None):
     """The error support of the B-indexed syndrome, by Feng-Rao majority
     voting: a LocateResult (reduced basis of the vanishing ideal of Phi1
     union Phi2, located point set in the code's point order).  Raises
     UndecodableError at more than t_max pivots, when no pair votes, or
     when no support passes the stop rule once every syndrome is filled,
-    and at a syndrome over another field or missing a check index;
-    FieldError, naming the index, at a syndrome value that is no element
-    code; ValueError at a t_max that is not a nonnegative integer (a bool
-    or 2.5 included).  ``checked=True`` skips the syndrome's field, index
-    and value checks, for the decode head, whose transform of the
-    received word has just made them.  The erasure projection comes from
-    Phi1's entry in the code's point-set store, which is also the located
-    set's when no error is located; errors make the located set an entry
-    that is not stored.  ``built`` on the result counts the members this
-    call built.
+    and at a syndrome or erasure set over another field or a syndrome
+    missing a check index; FieldError, naming the index, at a syndrome
+    value that is no element code; ValueError at a t_max that is not a
+    nonnegative integer (a bool or 2.5 included).  The erasure projection
+    comes from Phi1's entry in the code's point-set store, which is also
+    the located set's when no error is located; errors make the located
+    set an entry that is not stored.  ``built`` on the result counts the
+    members this call built.
     """
+    check_field(synd, code.field, "syndrome", "code", UndecodableError)
+    check_field(phi1, code.field, "erasure set", "code", UndecodableError)
+    missing = [b for b in code.b_list if b not in synd.values]
+    if missing:
+        raise UndecodableError("syndrome is missing %d check indices" % len(missing))
+    check_values(synd, "syndrome")
+    return _locate(synd, phi1, code, t_max)
+
+
+def _locate(synd, phi1, code, t_max):
+    """``locate`` without its input checks, for the decode head, which
+    checks the erasure set's field and whose transform of the received
+    word checks the syndrome's."""
     f = code.field
     if t_max is None:
         t_max = default_t_max(code, len(phi1))
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
         raise ValueError("t_max must be a nonnegative integer, not %r" % (t_max,))
-    if not checked:
-        check_field(synd, f, "syndrome", "code", UndecodableError)
-        missing = [b for b in code.b_list if b not in synd.values]
-        if missing:
-            raise UndecodableError("syndrome is missing %d check indices" % len(missing))
-        check_values(synd, "syndrome")
     target = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
 
     try:
@@ -365,6 +370,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     or None when nothing is located).
     """
     check_field(r, code.field, "received word", "code", UndecodableError)
+    check_field(phi1, code.field, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):  # the transform checks the values
         raise UndecodableError("received word is not indexed by the code's point set")
     meter = _Meter(code.field)
@@ -374,7 +380,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
         raise UndecodableError("every position erased, no information positions")
     meter.lap("transform")
-    loc = locate(rt, phi1, code, t_max, checked=True)
+    loc = _locate(rt, phi1, code, t_max)
     gb_loc, located = loc
     meter.lap("locator")
     ext, family, built = None, None, loc.built
@@ -481,7 +487,9 @@ def _mapped(lemma, seed):
 # -- systematic encoding -----------------------------------------------------
 
 def _check_phi(phi, code):
-    """SystematicSupportError unless Phi is |B| points of the code."""
+    """SystematicSupportError unless Phi is |B| points of the code, over
+    its field."""
+    check_field(phi, code.field, "Phi", "code", SystematicSupportError)
     if len(phi) != len(code.b_list):
         raise SystematicSupportError("|Phi| = %d but |B| = %d" % (len(phi), len(code.b_list)))
     if not all(p in code.psi for p in phi.points):

@@ -240,20 +240,20 @@ class Field:
         """Exponent array of an intp array of element codes."""
         return np.where(codes < 0, self.np_arith().zero, codes)
 
-    def np_dot(self, x, y, axis=-1):
-        """sum_k x[..., k] * y[..., k] over the last axis (or ``axis``) of
-        the broadcast exponent arrays, as exponents; not op-counted.  For
-        odd p the products are summed ``chunk`` + 1 at a time, each
-        partial sum read back to one encoding through ``np_log``."""
+    def np_dot(self, x, y):
+        """sum_k x[..., k] * y[..., k] over the last axis of the broadcast
+        exponent arrays, as exponents; not op-counted.  For odd p the
+        products are summed ``chunk`` + 1 at a time, each partial sum
+        read back to one encoding through ``np_log``."""
         ar = self.np_arith()
         terms = ar.exp[x + y]
         if self.p == 2:
-            return ar.log[np.bitwise_xor.reduce(terms, axis=axis)]
+            return ar.log[np.bitwise_xor.reduce(terms, axis=-1)]
         step = ar.chunk + 1
-        while terms.shape[axis] > step:
-            part = np.add.reduceat(terms, np.arange(0, terms.shape[axis], step), axis=axis)
+        while terms.shape[-1] > step:
+            part = np.add.reduceat(terms, np.arange(0, terms.shape[-1], step), axis=-1)
             terms = ar.exp[self.np_log(part)]
-        return self.np_log(terms.sum(axis=axis))
+        return self.np_log(terms.sum(axis=-1))
 
     def np_add(self, x, y):
         """x + y of the broadcast exponent arrays (each entry an exponent

@@ -50,14 +50,12 @@ one mul and one add per nonzero coefficient and one neg.  A plan costs
 no field operations, so the counts of a call do not depend on the
 cache.  ``extend`` zips the target's entries of that array into a dict;
 ``_extension_array`` hands it over all of A to the inverse transform in
-flat order.  ``_extension_units`` runs a plan on every unit seed of the
-seed set at once, level by level over the program's dependency levels,
-for compiling the lemma's map (codes.PointSetEntry).
+flat order.
 """
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -601,9 +599,7 @@ class _Plan:
     The checks are packed: check k applies element ``check_elems[k]``
     with the lead at slot ``check_slots[k, 0]`` and the coefficients at
     the slots that follow, padded with slot ``size``, which holds zero;
-    ``uses[w]`` counts the recurrences of element w, each once.
-    ``levels``, built on first use and kept, is the program in
-    dependency levels for the batched run (_extension_units)."""
+    ``uses[w]`` counts the recurrences of element w, each once."""
 
     indices: tuple
     size: int
@@ -614,33 +610,6 @@ class _Plan:
     check_slots: np.ndarray
     uses: tuple  # per element, the recurrences (swept and checked) it applies
     output_slots: np.ndarray  # the slot of each target index
-
-    @cached_property
-    def levels(self):
-        """The program in dependency levels: an entry's level is one more
-        than the deepest of its references (seeds at level 0), so a
-        level reads only slots set before it.  Per level, its (first,
-        end) entries in level order, its slots and its reference slots
-        padded with ``size``, one column per entry; then the elements of
-        all entries in level order."""
-        depth = [0] * self.size
-        grouped = []
-        for s, w, refs in self.program:
-            d = depth[s] = 1 + max((depth[r] for r in refs), default=0)
-            if d > len(grouped):
-                grouped.append([])
-            grouped[d - 1].append((s, w, refs))
-        out, end = [], 0
-        for level in grouped:
-            refs = np.full((max(len(r) for _, _, r in level), len(level)), self.size,
-                           dtype=np.intp)
-            for col, (_, _, r) in enumerate(level):
-                refs[:len(r), col] = r
-            out.append((end, end + len(level),
-                        np.array([s for s, _, _ in level], dtype=np.intp), refs))
-            end += len(level)
-        return tuple(out), np.array([w for level in grouped for _, w, _ in level],
-                                    dtype=np.intp)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -730,43 +699,21 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
     )
 
 
-def _coefficients(plan, gb):
-    """Per basis element, its coefficients (element codes) at the
-    exponents the plan reads it at, and its nonzero ones with their
-    reference positions; and the count of one run, the scalar
-    recurrences the sweep and the checks stand for: one mul and one add
-    per nonzero coefficient and one neg per recurrence."""
-    coeffs = [[g.terms.get(d, ZERO) for d in exps]
-              for g, exps in zip(gb.elements, plan.exps)]
-    terms = [[(c, k) for k, c in enumerate(cw) if c != ZERO] for cw in coeffs]
-    return coeffs, terms, sum(u * (2 * len(tw) + 1) for u, tw in zip(plan.uses, terms))
-
-
-def _coefficient_matrix(f, plan, coeffs):
-    """The exponent matrix of the elements, one row each: the lead
-    coefficient one, then the coefficients, padded with zero to the width
-    of ``check_slots``."""
-    width = plan.check_slots.shape[1]
-    rows = [[ONE] + cw + [ZERO] * (width - 1 - len(cw)) for cw in coeffs]
-    return f.np_exponents(np.array(rows, dtype=np.intp))
-
-
-def _inconsistent(plan, check):
-    """The error of a failing check, naming its index."""
-    return IdealError("inconsistent recurrences at %s (corrupt basis)"
-                      % (plan.indices[plan.check_slots[check, 0]],))
-
-
 def _run_plan(plan, gb, seed_values):
     """Fill the plan's slots from the seed values and the basis
     coefficients with one scalar sweep over the field's tables, skipping
     zero coefficients and zero values, then run every check as one numpy
     product over the slots as an exponent array, which is returned (with
-    the zero pad slot last).  The count (_coefficients) is added once."""
+    the zero pad slot last).  The count is added once, as the scalar
+    recurrences the sweep and the checks stand for: one mul and one add
+    per nonzero coefficient and one neg per recurrence."""
     f = gb.field
     table, zech, neg = f.scalar_tables()
     n = f.q - 1
-    coeffs, terms, ops = _coefficients(plan, gb)
+    coeffs = [[g.terms.get(d, ZERO) for d in exps]
+              for g, exps in zip(gb.elements, plan.exps)]
+    # per element, its nonzero coefficients with their reference positions
+    terms = [[(c, k) for k, c in enumerate(cw) if c != ZERO] for cw in coeffs]
     vals = [ZERO] * plan.size
     for d, s in plan.seeds:
         vals[s] = seed_values[d]
@@ -795,25 +742,20 @@ def _run_plan(plan, gb, seed_values):
                         z = zech[t - acc]
                         acc = ZERO if z == ZERO else (acc + z) % n
             vals[s] = neg[acc]
-    f.op_count += ops
+    f.op_count += sum(u * (2 * len(tw) + 1) for u, tw in zip(plan.uses, terms))
 
     x = f.np_exponents(np.array(vals + [ZERO], dtype=np.intp))
     if len(plan.check_elems):
-        cmat = _coefficient_matrix(f, plan, coeffs)
+        # lead coefficient one, then the tail, padded with zero
+        width = plan.check_slots.shape[1]
+        rows = [[ONE] + cw + [ZERO] * (width - 1 - len(cw)) for cw in coeffs]
+        cmat = f.np_exponents(np.array(rows, dtype=np.intp))
         bad = f.np_dot(cmat[plan.check_elems], x[plan.check_slots]) != f.np_arith().zero
         if bad.any():
-            raise _inconsistent(plan, bad.argmax())
+            s = plan.check_slots[bad.argmax(), 0]
+            raise IdealError("inconsistent recurrences at %s (corrupt basis)"
+                             % (plan.indices[s],))
     return x
-
-
-def _basis_plan(gb, target):
-    """The plan of the basis shape for the target (a tuple of index
-    tuples)."""
-    dset = gb.delta.members
-    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
-                  for tail in gb._tails)
-    return _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
-                           tuple(gb.leading), dset, target, gb.sequential, tails)
 
 
 def _extension_run(h, gb, target):
@@ -821,12 +763,16 @@ def _extension_run(h, gb, target):
     target (a tuple of index tuples); returns the values on the target as
     an exponent array, empty for an empty target."""
     check_field(h, gb.field, "seed spectrum", "basis", IdealError)
-    if h.domain() != set(gb.delta.members):
+    dset = gb.delta.members
+    if h.domain() != set(dset):
         raise IdealError("seed spectrum domain does not match the basis seed set")
     check_values(h, "seed spectrum")
     if not target:
         return np.empty(0, dtype=np.intp)
-    plan = _basis_plan(gb, target)
+    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
+                  for tail in gb._tails)
+    plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
+                           tuple(gb.leading), dset, target, gb.sequential, tails)
     return _run_plan(plan, gb, h.values)[plan.output_slots]
 
 
@@ -836,66 +782,6 @@ def _extension_array(h, gb):
     index_space): the hand-off to the inverse transform, with no dict
     built and no value checked again."""
     return _extension_run(h, gb, index_space(gb.field, gb.ndim))
-
-
-def _recurrences_vanish(f, plan, gb, cmat, points):
-    """Whether the polynomial of every admissible recurrence the plan
-    reads (x^lead plus the coefficients ``cmat`` at ``plan.exps``)
-    vanishes on the points (an integer array, one row each); numpy, not
-    op-counted."""
-    rows = [w for w, aw in enumerate(gb.leading) if max(aw) < f.q]
-    width = cmat.shape[1]
-    exps = [(gb.leading[w],) + plan.exps[w]
-            + (gb.leading[w],) * (width - 1 - len(plan.exps[w])) for w in rows]
-    powers = power_matrix(f, index_array([e for row in exps for e in row], gb.ndim), points)
-    vals = f.np_dot(cmat[rows, :, None], powers.reshape(len(rows), width, len(points)), axis=1)
-    return bool((vals == f.np_arith().zero).all())
-
-
-def _extension_units(gb, points):
-    """The extension over all of A, in the flat order of _extension_array,
-    of each unit seed of the basis seed set S: (the seed indices, an
-    exponent array with one row per seed).  The lemma's map is linear in
-    the seed, so these rows compile it (codes.PointSetEntry).
-
-    The plan's program runs level by level (_Plan.levels) on a batch
-    axis of the |S| seeds, one gather-multiply-sum per level; the count
-    is |S| times _run_plan's.  A single seed keeps the scalar sweep: run
-    level by level alone it was measured 2.3 times slower on the small
-    plans of decoding inside the radius, so this runner serves the
-    compile only.
-
-    ``points`` are |S| points (an integer array) on which the seed
-    monomials evaluate to an invertible matrix, as for the family of a
-    set of |S| points.  Then every seed is the transform on S of a word
-    on the points, and when every recurrence polynomial vanishes on them
-    the extension is that word's transform, which satisfies every
-    recurrence: no check can fail.  Otherwise every check runs as one
-    product over the batch and raises _run_plan's IdealError at the
-    first check that fails on any seed."""
-    f = gb.field
-    ar = f.np_arith()
-    plan = _basis_plan(gb, index_space(f, gb.ndim))
-    coeffs, _, ops = _coefficients(plan, gb)
-    levels, elems = plan.levels
-    # int32 halves the temporaries: an exponent sum stays below 4 q
-    cmat = _coefficient_matrix(f, plan, coeffs).astype(np.int32)
-    coef = cmat[elems, 1:].T
-    seeds = tuple(d for d, _ in plan.seeds)
-    x = np.full((len(seeds), plan.size + 1), ar.zero, dtype=np.int32)
-    x[np.arange(len(seeds)), [s for _, s in plan.seeds]] = ONE
-    for lo, hi, slots, refs in levels:
-        v = f.np_dot(x[:, refs], coef[:len(refs), lo:hi], axis=-2)
-        if ar.neg:
-            v = np.where(v == ar.zero, v, (v + ar.neg) % (f.q - 1))
-        x[:, slots] = v
-    f.op_count += len(seeds) * ops
-    if not _recurrences_vanish(f, plan, gb, cmat, points):
-        bad = f.np_dot(x[:, plan.check_slots.T], cmat[plan.check_elems].T,
-                       axis=-2) != ar.zero
-        if bad.any():
-            raise _inconsistent(plan, bad.any(axis=0).argmax())
-    return seeds, x[:, plan.output_slots]
 
 
 def extend(h, gb, target):

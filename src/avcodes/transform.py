@@ -10,13 +10,12 @@ fiber at once, blocked so that a temporary stays near BLOCK elements;
 ``dft_kernel`` and ``idft_kernel`` are the N = 1 case.  ``dft_partial`` is
 one |indices| x |points| product over the matrix of exponents of
 omega^a.  ``idft_at`` evaluates the IDFT at given points only, one
-inverse kernel row per point and axis, of one spectrum or a batch, and
-``idft_flat`` is the fast IDFT that ``idft_fast`` wraps; both take and
-return flat exponent arrays.  The kernels count analytically: each
-adds, in one addition to ``Field.op_count``, the field operations the
-scalar loop kernels make (at most 3*N*q^(N+1) for the fast transforms).
-Each that takes a Word or Spectrum rejects a value that is no element
-code with FieldError, naming its position.
+inverse kernel row per point and axis, and ``idft_flat`` is the fast
+IDFT that ``idft_fast`` wraps; both take and return flat exponent
+arrays.  The kernels count analytically: each adds, in one addition to
+``Field.op_count``, the field operations the scalar loop kernels make
+(at most 3*N*q^(N+1) for the fast transforms).  Each that takes a Word or Spectrum rejects a
+value that is no element code with FieldError, naming its position.
 
 Powers follow the substituted-value convention omega^0 = 1 for every
 omega, including zero.
@@ -392,16 +391,13 @@ def idft_at(field, x, points):
     inverse kernel row of the point's coordinate is built, never the
     q x q matrix, and contracted with the spectrum axis by axis; points
     and fibers are blocked so that a temporary stays near BLOCK elements.
-    A 2-D x is a batch of spectra, one per row, contracted at once as a
-    slowest axis of the flat array; the result then has one column per
-    spectrum.  Adds idft_at_count per spectrum to op_count."""
+    Adds idft_at_count to op_count."""
     q, ndim = field.q, points.shape[1]
-    batch = x.shape[:-1]
     pos = np.where(points < 0, 0, points + 1)  # the kernel row of each coordinate
-    out = np.empty((len(points),) + batch, dtype=np.intp)
-    step = max(1, BLOCK // x.size)
+    out = np.empty(len(points), dtype=np.intp)
+    step = max(1, BLOCK // q ** ndim)
     for lo in range(0, len(points), step):
-        y = x.reshape(1, -1)
+        y = x[None]
         for axis in range(ndim):
             y = y.reshape(len(y), -1, q)  # the last axis is component ``axis``
             k = _kernel_rows(field, pos[lo:lo + step, axis], True)[:, None, :]
@@ -410,8 +406,8 @@ def idft_at(field, x, points):
             for r in range(0, y.shape[1], rstep):
                 z[:, r:r + rstep] = field.np_dot(k, y[:, r:r + rstep])
             y = z
-        out[lo:lo + step] = y.reshape((-1,) + batch)
-    field.op_count += idft_at_count(q, points) * (x.size // q ** ndim)
+        out[lo:lo + step] = y[:, 0]
+    field.op_count += idft_at_count(q, points)
     return out
 
 

@@ -13,11 +13,11 @@ the admissible elements in the library's shortest-register order, as
 the oracle of the library's one worklist schedule; ``plan_args`` gives
 the key both are called with.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
-``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
-``transpose_check`` build on it and on point_power as the library did
-before its batched eliminator.  ``find_supports`` is the plain
-meet-in-the-middle enumeration of consistent supports, the oracle of the
-voting locator.  ``sum_forms`` computes normal forms of monomials by
+``vanishing_gb``, ``check_set_basis``, ``check_systematic_support``,
+``compiled_map`` and ``transpose_check`` build on it and on point_power
+as the library did before its batched eliminator.  ``find_supports``
+is the plain meet-in-the-middle enumeration of consistent supports, the
+oracle of the voting locator.  ``sum_forms`` computes normal forms of monomials by
 eliminating evaluation vectors, the oracle of ``ideal.SumForms``, which
 divides on the basis.  The direct formulas (``transform.dft``,
 ``transform.idft``) stay in the library as the transform oracle;
@@ -410,6 +410,20 @@ def check_systematic_support(phi, code):
     elim = Eliminator(f)
     return all(elim.insert([point_power(f, p, b) for p in phi.points], b) is None
                for b in code.b_list)
+
+
+def compiled_map(points, seeds):
+    """The lemma's map on |seeds| = |points| points as element codes, one
+    row per point and one column per seed: column s combines the points'
+    columns on the seeds into the unit vector at s, so the matrix is the
+    inverse of E[s, p] = p^s.  The oracle of the ``map`` member of
+    ``avcodes.codes.PointSetEntry``, values and count."""
+    f = points.field
+    elim = Eliminator(f)
+    for p in points.points:
+        assert elim.insert([point_power(f, p, s) for s in seeds], p) is None
+    cols = [elim.reduce([ONE if d == s else ZERO for d in seeds])[1] for s in seeds]
+    return [[col.get(p, ZERO) for col in cols] for p in points.points]
 
 
 def transpose_check(delta, psi):

@@ -16,16 +16,16 @@ from test_codes import HERM16
 from avcodes import codes, decoder, maps
 from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
-from avcodes.ideal import vanishing_gb
-from avcodes.transform import Spectrum, Word, point_power, omega_space, idft_at
+from avcodes.ideal import IdealError, index_array, vanishing_gb, _extension_array
+from avcodes.transform import Spectrum, Word, point_power, omega_space, idft_at, power_matrix
 from avcodes.maps import PointSet
 from avcodes.codes import (CodeSpec, POINT_SET_CACHE_SIZE, encode_nonsystematic,
                            is_dual_codeword, syndrome, code_from_config, preset)
 from avcodes.decoder import (locate, decode_info, decode_word, systematic_encode,
                              systematic_basis, check_systematic_support,
                              default_t_max, UndecodableError, SystematicSupportError)
-from avcodes.golden import (hermitian_alg2_received, HERM_G_LOCATED, HERM_SYS_PHI,
-                            HCRS_SYS_PHI)
+from avcodes.golden import (hermitian_alg2_received, located_points, HERM_G_LOCATED,
+                            HERM_PHI1, HERM_SYS_PHI, HCRS_G_LOCATED, HCRS_PHI1, HCRS_SYS_PHI)
 
 
 def random_info(code, rng):
@@ -262,6 +262,42 @@ def test_inputs_over_another_field_rejected(entry, other, rng):
     equal = Field(f.p, f.m, f.primitive_poly)
     assert equal is not f
     call(replace(vec, field=equal))
+
+
+@pytest.mark.parametrize("other", sorted(OTHER_FIELDS))
+@pytest.mark.parametrize("entry", ["locate", "decode_info", "decode_word", "systematic_encode",
+                                   "systematic_basis", "check_systematic_support"])
+def test_point_sets_over_another_field_rejected(entry, other, rng):
+    # an erasure set or a redundant set Phi over GF(8) (points of the code
+    # whose codes GF(8) has) used to pass every entry point; now each
+    # names both fields before any work.  An equal field object passes.
+    code = preset("hermitian")
+    f, g = code.field, OTHER_FIELDS[other]
+    phi = PointSet(f, 2, HERM_SYS_PHI)
+    info = Word(f, 2, {p: rng.randrange(-1, 7) for p in code.psi.points if p not in phi})
+    r = encode_nonsystematic(random_info(code, rng), code)
+    synd = syndrome(r, code.b_list)
+    calls = {
+        "locate": lambda s: locate(synd, s, code),
+        "decode_info": lambda s: decode_info(r, s, code),
+        "decode_word": lambda s: decode_word(r, s, code),
+        "systematic_encode": lambda s: systematic_encode(info, s, code),
+        "systematic_basis": lambda s: systematic_basis(s, code),
+        "check_systematic_support": lambda s: check_systematic_support(s, code),
+    }
+    systematic = entry.startswith(("systematic", "check"))
+    what, error = (("Phi", SystematicSupportError) if systematic
+                   else ("erasure set", UndecodableError))
+    points = phi.points if systematic else phi.points[:2]
+    msg = "%s over %r (polynomial %s), code over %r (polynomial %s)" % (
+        what, g, g.primitive_poly, f, f.primitive_poly)
+    before = f.op_count
+    with pytest.raises(error, match="^" + re.escape(msg)):
+        calls[entry](PointSet(g, 2, points))
+    assert f.op_count == before and not code._point_sets
+    equal = Field(f.p, f.m, f.primitive_poly)
+    assert equal is not f
+    calls[entry](PointSet(equal, 2, points))
 
 
 def test_decode_rejects_bad_inputs(hermitian, rng):
@@ -1046,9 +1082,9 @@ def test_point_set_store_threads(rng, monkeypatch):
     want = [systematic_encode(info, phi, solo).values for info in infos]
     systematic_encode(infos[0], phi, code)  # the first use
     compiles = []
-    real = codes._extension_units
-    monkeypatch.setattr(codes, "_extension_units",
-                        lambda *args: (compiles.append(args[0]), real(*args))[1])
+    real = codes.PointSetEntry._map
+    monkeypatch.setattr(codes.PointSetEntry, "_map",
+                        lambda entry: (compiles.append(entry), real(entry))[1])
     barrier, words = threading.Barrier(len(infos)), {}
 
     def second_use(k):
@@ -1087,6 +1123,17 @@ def _build_ops(code, points, name):
     return f.op_count - before
 
 
+def _reference_map(code, points):
+    """The scalar oracle (reference.compiled_map) of the map of a set of
+    the code's points on the seeds of its stored family: the matrix as
+    element codes and its count."""
+    entry, f = code.point_set(points), code.field
+    seeds = entry.get("family")[0].delta.sorted(code.order)
+    before = f.op_count
+    matrix = reference.compiled_map(entry.points, seeds)
+    return matrix, f.op_count - before
+
+
 @pytest.mark.parametrize("name, n_erase, n_err", [
     ("hermitian", 0, 3), ("hermitian", 2, 2), ("hermitian", 4, 0), ("hcrs", None, 0)])
 def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
@@ -1095,8 +1142,8 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     # on a third fresh code.  Erasing the golden systematic set of hcrs (None),
     # whose delta set leaves B, takes the check-set family, the other
     # patterns the vanishing-ideal one.  With no error located, the second
-    # call compiles Phi1's map, counted as |S| extensions and |S| IDFTs at
-    # Phi1 of the first call, and from then on the values are one product
+    # call compiles Phi1's map, counted as the scalar elimination of the
+    # reference counts it, and from then on the values are one product
     # with it, |Phi1| (2 |S| - 1) operations, and no IDFT
     code = preset(name)
     cw = encode_nonsystematic(random_info(code, rng), code)
@@ -1132,18 +1179,19 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
         return
     seeds = len(code.point_set(phi1.points).get("family")[0].delta)
     product = len(phi1) * (2 * seeds - 1)
-    compile_ops = seeds * (rep.steps["extension"] - extension + rep.steps["idft"])
+    compile_ops = _build_ops(fresh, phi1.points, "map")
     assert warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator,
                               extension=product, idft=0)
     assert second.steps == dict(warm.steps, extension=product + compile_ops)
-    assert compile_ops == _build_ops(fresh, phi1.points, "map")
+    assert compile_ops == _reference_map(fresh, phi1.points)[1] > 0
 
 
 def test_warm_systematic_encode_leaves_out_the_build(rng):
     # the first systematic encoding on Phi builds its family and runs the
-    # lemma's path; the second compiles Phi's map, |S| times the first
-    # call's extension and IDFT, and later ones count the first call's
-    # other operations plus the product with the map, |Phi| (2 |S| - 1)
+    # lemma's path; the second compiles Phi's map, counted as the scalar
+    # elimination of the reference counts it, and later ones count the
+    # first call's other operations plus the product with the map,
+    # |Phi| (2 |S| - 1), in place of its extension and IDFT
     code = preset("hermitian")
     f = code.field
     phi = PointSet(f, 2, HERM_SYS_PHI)
@@ -1155,10 +1203,7 @@ def test_warm_systematic_encode_leaves_out_the_build(rng):
         before = f.op_count
         systematic_encode(info, phi, code)
         counts.append(f.op_count - before)
-    seeds = len(systematic_basis(phi, code).delta)
-    product = len(phi) * (2 * seeds - 1)
-    lemma = counts[0] - build - counts[2] + product  # the extension and the IDFT
-    assert build > 0 and counts[1] - counts[2] == seeds * lemma
+    assert build > 0 and counts[1] - counts[2] == _reference_map(code, phi.points)[1]
     assert counts[2] == counts[3] < counts[0] - build
 
 
@@ -1180,11 +1225,13 @@ def _herm16_phi(code):
 # 19,612 on herm16, and the second encodes 4,224, 20,093 and 32,004.  A
 # cold decode used to build a second basis of Phi: it counted 6,221 on
 # hermitian and 42,615 on herm16; on hcrs the vanishing_gb build moved
-# from the decode (33,618 + 40,203) into the encode, the same total
+# from the decode (33,618 + 40,203) into the encode, the same total.  A
+# map built by the lemma (|S| extensions and |S| IDFTs at Phi) made the
+# first decodes count 29,456, 257,465 and 417,857
 SHARED_FAMILY_COUNTS = {
-    "hermitian": (5142, 29456, 1377, 1924, 153),
-    "hcrs": (44623, 257465, 8900, 11607, 780),
-    "herm16": (37843, 417857, 5250, 6850, 435),
+    "hermitian": (5142, 3525, 1377, 1924, 153),
+    "hcrs": (44623, 32719, 8900, 11607, 780),
+    "herm16": (37843, 16891, 5250, 6850, 435),
 }
 
 
@@ -1209,7 +1256,7 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
     spy(codes, "vanishing_gb", lambda args: builds.append("vanishing_gb"))
     spy(codes, "check_set_basis", lambda args: builds.append("check_set_basis"))
     spy(decoder, "_extension_array", lambda args: extended.append(args[1]))
-    spy(codes, "_extension_units", lambda args: compiled.append(args[0]))
+    spy(codes.PointSetEntry, "_map", lambda args: compiled.append(args[0]))
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
     counts = []
     for _ in range(2):
@@ -1221,7 +1268,8 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
         counts += [middle - before, f.op_count - middle]
         assert res.codeword.values == cw.values
     basis = systematic_basis(phi, code)
-    assert len(extended) == len(compiled) == 1 and extended[0] is compiled[0] is basis
+    assert len(extended) == len(compiled) == 1
+    assert extended[0] is compiled[0].get("family")[0] is basis
     assert builds == (["vanishing_gb"] if name != "hcrs" else ["vanishing_gb", "check_set_basis"])
     assert res.report.meta["extension"] == (
         {"family": "check-set", "schedule": "worklist", "compiled": True} if name == "hcrs"
@@ -1315,16 +1363,20 @@ N3_CODES = {
 }
 
 
+def _n3_code(name):
+    field, b_spec = N3_CODES[name]
+    cfg = {"field": field, "N": 3, "order": {"kind": "grlex"}, "points": "full-grid",
+           "B": b_spec, "d_fr": 1}
+    cfg["d_fr"] = code_from_config(cfg).feng_rao
+    return code_from_config(cfg)
+
+
 @pytest.mark.parametrize("name", sorted(N3_CODES))
 def test_round_trips_at_n3(name):
     # every (erasures, errors) pattern inside the radius through both
     # decoders, then systematic encoding on a Phi against the erasure
     # decoding of Phi, on the lemma's path and compiled
-    field, b_spec = N3_CODES[name]
-    cfg = {"field": field, "N": 3, "order": {"kind": "grlex"}, "points": "full-grid",
-           "B": b_spec, "d_fr": 1}
-    cfg["d_fr"] = code_from_config(cfg).feng_rao
-    code = code_from_config(cfg)
+    code = _n3_code(name)
     f, rnd = code.field, random.Random(name)
     assert code.n == f.q ** 3 and code.d_fr >= 6
     for n_erase in range(code.d_fr):
@@ -1349,3 +1401,71 @@ def test_round_trips_at_n3(name):
         res = decode_word(r, phi, code)
         assert res.codeword.values == word.values
         assert res.report.meta["extension"]["compiled"] == compiled
+
+
+def _assert_map_is_the_lemma(code, points):
+    """On a set of the code's points whose family seeds as many indices
+    as it has points: column s of the set's compiled map is the lemma's
+    path on the unit seed at s (the extension over A, then the IDFT at
+    the points), the scalar oracle's matrix with its count, and
+    map . E_S = I for E_S[s, p] = p^s.  Returns the family's kind, None
+    for a family that seeds more indices."""
+    f, entry = code.field, code.point_set(points)
+    family = entry.get("family")[0]
+    if len(family.delta) != len(points):
+        return None
+    want, ops = _reference_map(code, points)
+    fresh = codes.PointSetEntry(code, entry.rows)
+    fresh.get("family")
+    before = f.op_count
+    (seeds, matrix), _ = fresh.get("map")
+    assert f.op_count - before == ops
+    assert matrix.shape == (len(points), len(seeds)) and f.np_codes(matrix) == sum(want, [])
+    for k, s in enumerate(seeds):
+        unit = Spectrum(f, code.ndim, {d: ONE if d == s else ZERO for d in seeds})
+        lemma = idft_at(f, _extension_array(unit, family), entry.points.array)
+        assert (matrix[:, k] == lemma).all()
+    e_s = power_matrix(f, index_array(seeds, code.ndim), entry.points.array)
+    eye = f.np_exponents(np.eye(len(seeds), dtype=np.intp) - 1)
+    assert (f.np_dot(matrix[:, None, :], e_s.T[None]) == eye).all()
+    return "vanishing-ideal" if family is entry.get("vanishing")[0] else "check-set"
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16", *sorted(N3_CODES)])
+def test_compiled_map_is_the_lemma_on_unit_seeds(name):
+    # the golden sets (the redundant set Phi, and on hermitian and hcrs
+    # the worked decode's erasure and located sets), the seeded Phi of
+    # herm16 and a seeded Phi of each N = 3 code
+    code = (code_from_config(HERM16) if name == "herm16" else
+            _n3_code(name) if name in N3_CODES else preset(name))
+    f, rnd = code.field, random.Random(name)
+    if name == "rs-like":
+        sets = [code.psi.points[:1], code.psi.points[:2]]
+    elif name in ("hermitian", "hcrs"):
+        phi, phi1, located = ((HERM_SYS_PHI, HERM_PHI1, HERM_G_LOCATED) if name == "hermitian"
+                              else (HCRS_SYS_PHI, HCRS_PHI1, HCRS_G_LOCATED))
+        sets = [phi, phi1, located_points(code, located).points]
+    else:
+        sets = [next(phi for phi in (code.psi.subset(rnd.sample(code.psi.points, len(code.b_list)))
+                                     for _ in range(100))
+                     if check_systematic_support(phi, code)).points]
+    assert None not in [_assert_map_is_the_lemma(code, points) for points in sets]
+
+
+def test_compiled_map_is_the_lemma_on_random_codes():
+    # the redundant set Phi of a small random code and each prefix of it
+    # whose family seeds as many indices as it has points
+    kinds = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(systematic_cases())
+    def check(case):
+        code, phi, _ = case
+        for k in range(1, len(phi) + 1):
+            try:
+                kinds.add(_assert_map_is_the_lemma(code, phi.points[:k]))
+            except IdealError:  # an unsolvable check-set system
+                pass
+
+    check()
+    assert kinds == {"vanishing-ideal", "check-set", None}

@@ -10,7 +10,7 @@ from avcodes.mindex import MonomialOrder, dominates, semigroup_add
 from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form, SumForms,
                            extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
-                           _extension_array, _extension_plan, _extension_units, _level_leads,
+                           _extension_array, _extension_plan, _level_leads,
                            index_array)
 from avcodes.maps import PointSet, canonical_iso, proper_transform
 from avcodes.codes import code_from_config, preset
@@ -738,86 +738,3 @@ def test_program_takes_the_shortest_register(name):
         # of the 241 indices; the first element in basis order, x^6 + ...,
         # would make the sweep read 3,249 coefficients
         assert reads[-3] == 1113
-
-
-def _assert_units_match_sweeps(gb):
-    """The batched run of the unit seeds of the basis against the scalar
-    sweep on each: its values over A, its count the sum of theirs.  On
-    all of Omega no admissible recurrence vanishes, so every check runs
-    over the batch.  Returns (worklist family, p)."""
-    f = gb.field
-    before = f.op_count
-    seeds, units = _extension_units(gb, index_array(omega_space(f, gb.ndim), gb.ndim))
-    ops = f.op_count - before
-    assert sorted(seeds) == sorted(gb.delta.members)
-    assert units.shape == (len(seeds), f.q ** gb.ndim)
-    before = f.op_count
-    for d, row in zip(seeds, units):
-        unit = Spectrum(f, gb.ndim, {e: ONE if e == d else ZERO for e in gb.delta.members})
-        assert (row == _extension_array(unit, gb)).all()
-    assert ops == f.op_count - before
-    return not gb.sequential, f.p
-
-
-@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
-def test_unit_seed_run_matches_the_sweep_on_presets(name):
-    families, _ = _preset_families(name)
-    kinds = [_assert_units_match_sweeps(gb) for gb in families]
-    assert any(w for w, _ in kinds) == (name == "hcrs")
-
-
-def test_unit_seed_run_matches_the_sweep_on_random_bases():
-    """Vanishing-ideal and check-set families over GF(4)..GF(27), N in
-    {1, 2, 3} with q^N <= 729, and over GF(2^10) at N = 1."""
-    kinds = []
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.sampled_from(sorted(REFERENCE_FIELDS)), st.sampled_from([1, 2, 3]),
-           st.integers(0, 2 ** 32))
-    def check(q, ndim, seed):
-        assume(q ** ndim <= 729 or (q, ndim) == (1024, 1))
-        for basis in _random_families(REFERENCE_FIELDS[q], ndim, random.Random(seed)):
-            kinds.append(_assert_units_match_sweeps(basis))
-
-    check()
-    worklist, odd = [w for w, _ in kinds], [p != 2 for _, p in kinds]
-    assert any(worklist) and not all(worklist) and any(odd) and not all(odd)
-
-
-def test_unit_seed_run_detects_corrupt_basis(f9, hermitian, monkeypatch):
-    # on the basis's own points every recurrence vanishes, so the batched
-    # run skips its checks and gives the same rows as running them.  A
-    # flipped tail coefficient of the worked located basis breaks that,
-    # and the run fails at the first check, in the plan's order, that the
-    # scalar sweep fails on some unit seed, with its message
-    from avcodes import ideal
-    from avcodes.golden import HERM_G_LOCATED, located_points
-
-    points = located_points(hermitian, HERM_G_LOCATED)
-    gb, delta = vanishing_gb(points, hermitian.order)
-    vanish = []
-    real = ideal._recurrences_vanish
-    monkeypatch.setattr(ideal, "_recurrences_vanish",
-                        lambda *args: (vanish.append(real(*args)), vanish[-1])[1])
-    omega = index_array(omega_space(f9, 2), 2)
-    seeds, units = _extension_units(gb, points.array)
-    assert vanish == [True] and (_extension_units(gb, omega)[1] == units).all()
-    for w in range(len(gb)):
-        bad_elems = [Polynomial(f9, 2, dict(g.terms)) for g in gb.elements]
-        tail_key = next(e for e in bad_elems[w].terms if e != gb.leading[w])
-        bad_elems[w].terms[tail_key] = f9.add(bad_elems[w].terms[tail_key], ONE)
-        bad = ReducedGroebnerBasis(f9, 2, gb.order, bad_elems, gb.leading, gb.delta)
-        plan = _extension_plan(*reference.plan_args(bad, index_space(f9, 2)))
-        order = ["inconsistent recurrences at %s (corrupt basis)" % (plan.indices[s],)
-                 for s in plan.check_slots[:, 0]]
-        failed = []
-        for d in delta.members:
-            unit = Spectrum(f9, 2, {e: ONE if e == d else ZERO for e in delta.members})
-            try:
-                _extension_array(unit, bad)
-            except IdealError as exc:
-                failed.append(str(exc))
-        with pytest.raises(IdealError) as got:
-            _extension_units(bad, points.array)
-        assert failed and str(got.value) == min(failed, key=order.index)
-        assert not vanish[-1]

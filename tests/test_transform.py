@@ -401,7 +401,3 @@ def test_restricted_idft_agrees_with_full(case, rnd):
         got, ops = _counted(f, idft_at, f, x, points)
         assert (got == full[(points + 1) @ f.q ** np.arange(ndim)]).all()
         assert ops == idft_at_count(f.q, points)
-    # a batch of spectra, one per row, gives one column each
-    got, ops = _counted(f, idft_at, f, np.stack([ext, noise]), points)
-    assert (got == np.stack([idft_at(f, ext, points), idft_at(f, noise, points)], axis=1)).all()
-    assert ops == 2 * idft_at_count(f.q, points)
