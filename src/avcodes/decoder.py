@@ -315,26 +315,22 @@ def locate(synd, phi1, code, t_max=None):
     comes from Phi1's entry in the code's point-set store, which is also
     the located set's when no error is located; errors make the located
     set an entry that is not stored.  ``built`` on the result counts the
-    members this call built.
+    members this call built.  The decode head calls this public name too,
+    re-running the syndrome checks its transform has made (a few
+    microseconds), so that a wrapper of ``decoder.locate`` sees every
+    decode.
     """
-    check_field(synd, code.field, "syndrome", "code", UndecodableError)
-    check_field(phi1, code.field, "erasure set", "code", UndecodableError)
-    missing = [b for b in code.b_list if b not in synd.values]
-    if missing:
-        raise UndecodableError("syndrome is missing %d check indices" % len(missing))
-    check_values(synd, "syndrome")
-    return _locate(synd, phi1, code, t_max)
-
-
-def _locate(synd, phi1, code, t_max):
-    """``locate`` without its input checks, for the decode head, which
-    checks the erasure set's field and whose transform of the received
-    word checks the syndrome's."""
     f = code.field
     if t_max is None:
         t_max = default_t_max(code, len(phi1))
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
         raise ValueError("t_max must be a nonnegative integer, not %r" % (t_max,))
+    check_field(synd, f, "syndrome", "code", UndecodableError)
+    check_field(phi1, f, "erasure set", "code", UndecodableError)
+    missing = [b for b in code.b_list if b not in synd.values]
+    if missing:
+        raise UndecodableError("syndrome is missing %d check indices" % len(missing))
+    check_values(synd, "syndrome")
     target = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
 
     try:
@@ -380,7 +376,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
         raise UndecodableError("every position erased, no information positions")
     meter.lap("transform")
-    loc = _locate(rt, phi1, code, t_max)
+    loc = locate(rt, phi1, code, t_max)
     gb_loc, located = loc
     meter.lap("locator")
     ext, family, built = None, None, loc.built

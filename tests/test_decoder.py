@@ -229,6 +229,24 @@ def test_locate_checks_the_syndrome_values(hermitian, rng, bad):
     assert f.op_count == before
 
 
+def test_decoders_call_locate_by_its_module_name(hermitian, rng, monkeypatch):
+    # a wrapper bound to decoder.locate (a tracer's per-layer span) sees one
+    # call per decode, erasure-only decodes included
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "locate", spy)
+    cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
+    for n_erase, n_err in ((2, 0), (0, 2), (1, 1)):
+        r, phi1 = corrupt(hermitian, cw, n_erase, n_err, rng)
+        assert decode_word(r, phi1, hermitian).codeword.values == cw.values
+        decode_info(r, phi1, hermitian)
+    assert calls == [2, 2, 0, 0, 1, 1]
+
+
 OTHER_FIELDS = {"GF(8)": Field(2, 3, (1, 1, 0, 1)), "GF(9)-221": Field(3, 2, (2, 2, 1))}
 
 
