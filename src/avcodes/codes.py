@@ -20,8 +20,8 @@ from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
 from .transform import Spectrum, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
-from .ideal import (DeltaSet, Eliminator, Polynomial, ReducedGroebnerBasis, SumForms,
-                    check_set_basis, index_array, vanishing_gb)
+from .ideal import (DeltaSet, Eliminator, IdealError, Polynomial, ReducedGroebnerBasis,
+                    SumForms, check_set_basis, index_array, vanishing_gb)
 
 
 class CodeConfigError(ValueError):
@@ -40,38 +40,29 @@ class PointSetEntry:
       projects a syndrome off them (the erasure projection of decoder.locate);
     - ``vanishing``: the reduced basis of the vanishing ideal of Phi
       (ideal.vanishing_gb), the locator of a located set ({1} for no points);
-    - ``family``: the recurrence family of the erasure decoding of Phi and
-      of systematic encoding on Phi: ``vanishing`` when its delta set lies
-      in B, else the check-set family (ideal.check_set_basis);
-    - ``map``: the lemma's map compiled, (S, M): S the seed set of
-      ``family`` as a tuple in increasing order, M the |Phi| x |S|
-      exponent matrix taking a seed on S to the values on Phi of the IDFT
-      of its extension.  On |S| = |Phi| points the seed is the transform
-      on S of the word on Phi, so M is the inverse of the evaluation
-      matrix E_S[s, p] = p^s: an Eliminator takes Phi's columns on S,
-      and reducing minus each unit vector of S leaves column s of M as
-      its tail.
+    - ``family``: the recurrence family of the lemma's path on Phi:
+      ``vanishing`` when its delta set lies in B, else the check-set family
+      (ideal.check_set_basis);
+    - ``map``: the |Phi| x |B| exponent matrix taking the syndrome on B of
+      a word on Phi to its values on Phi, read off ``projection``: the
+      tail of minus the unit vector at b, reduced by Phi's columns, is
+      column b.  It is the lemma's map on Phi, by which systematic
+      encoding and the erasure decoding of Phi evaluate; IdealError when
+      the columns have rank below |Phi|, where no such map exists.
 
     ``rows`` is Phi as increasing point rows, ``points`` in the code's
     point order.  ``get(name)`` returns a member and whether the call built
     it.  A build adds its field operations to ``op_count`` as the uncached
-    call does (the map: evaluating the |S| |Phi| powers, 2N - 1 each, and
-    the elimination's count, as decoder.check_systematic_support); a reuse
-    adds none.  A build that raises keeps nothing.  ``compiled_map()`` is
-    how systematic encoding and erasure decoding read the map: None on the
-    entry's first call, which takes the lemma's path, and the map (built
-    under the entry's lock) from the second on, so that a set used once
-    never pays the compile; a family whose seed set is larger than Phi is
-    never compiled.
-    decoder.locate makes an unstored entry for a set it locates errors in."""
+    call does (the map: its |B| reductions); a reuse adds none.  A build
+    that raises keeps nothing.  decoder.locate makes an unstored entry for
+    a set it locates errors in."""
 
     def __init__(self, code, rows):
         self.code = code
         self.rows = rows
         self.points = PointSet(code.field, code.ndim, tuple(code.psi.points[r] for r in rows))
         self._members = {}
-        self._lock = threading.RLock()  # family reads vanishing, map reads family
-        self._map_calls = 0
+        self._lock = threading.RLock()  # family reads vanishing, map reads projection
 
     def get(self, name):
         with self._lock:
@@ -80,18 +71,6 @@ class PointSetEntry:
             value = getattr(self, "_" + name)()
             self._members[name] = value
             return value, True
-
-    def compiled_map(self):
-        """(the ``map`` member or None, whether the call built it): None
-        on this entry's first call, and on every call when the family
-        seeds more indices than Phi has points (a check-set family on
-        fewer than |B| points): the lemma then takes only the seeds that
-        are transforms of words on Phi, and E_S has no inverse."""
-        with self._lock:
-            self._map_calls += 1
-            if self._map_calls < 2 or len(self.get("family")[0].delta) != len(self.rows):
-                return None, False
-            return self.get("map")
 
     def _projection(self):
         code = self.code
@@ -115,15 +94,14 @@ class PointSetEntry:
         return check_set_basis(self.points, self.code.b_list, self.code.order)
 
     def _map(self):
-        code, f = self.code, self.code.field
-        seeds = tuple(self.get("family")[0].delta.sorted(code.order))
-        elim = Eliminator(f, len(seeds))
-        _, ops = elim.insert(power_matrix(f, index_array(seeds, code.ndim), self.points.array).T,
-                             self.points.points)
+        elim, f = self.get("projection")[0], self.code.field
+        if len(elim.pivots) < len(self.rows):
+            raise IdealError("the check columns of the %d points have rank %d"
+                             % (len(self.rows), len(elim.pivots)))
         ar = f.np_arith()
-        _, tails, more = elim.reduce(np.where(np.eye(len(seeds), dtype=bool), ar.neg, ar.zero))
-        f.op_count += (2 * code.ndim - 1) * len(seeds) * len(self.rows) + ops + int(more.sum())
-        return seeds, tails.T
+        _, tails, more = elim.reduce(np.where(np.eye(elim.length, dtype=bool), ar.neg, ar.zero))
+        f.op_count += int(more.sum())
+        return tails.T
 
 
 class CodeSpec:

@@ -10,13 +10,13 @@ meta data on the code, the locator and the IDFT.
 ``decode_word`` runs all six and carries the report in
 ``DecodeResult.report``; ``decode_info`` skips ``idft`` and ``check``
 and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
-``decode_word`` and ``systematic_encode`` hand the extension to the
-inverse transform as a flat array, read the values on the located or
-redundant set alone (transform.idft_at) and check the result by the
-syndrome of that set's part, by linearity.  From the second call on a
-stored set (a redundant set, or an erasure set with no error located)
-they read the values as one product with the set's compiled map
-(codes.PointSetEntry) and check them the same way.
+``decode_word`` hands the extension to the inverse transform as a flat
+array, reads the values on the located set alone (transform.idft_at) and
+checks the result by the syndrome of that set's part, by linearity.
+Systematic encoding is erasure-only decoding: on a redundant set, and on
+an erasure set with no error located, the values are one product of the
+syndrome with the set's map (codes.PointSetEntry), read off the erasure
+projection that the locator reduces by, and are checked the same way.
 
 The locator finds the errors off the erasures Phi1 by Feng-Rao majority
 voting, the erasures entering through erasure rows (Sakata, Leonard,
@@ -357,14 +357,9 @@ def locate(synd, phi1, code, t_max=None):
 
 def _decode_head(r, phi1, code, t_max, kind, indices):
     """The steps shared by both decoders: the transform of r on
-    ``indices`` and the locator, plus the recurrence basis and seed for
-    the error-spectrum extension, whose cost falls into the caller's
-    ``extension`` step.
-
-    Returns (meter, report, transform, located point set, (seed, basis,
-    the located set's store entry when no error is located, else None)
-    or None when nothing is located).
-    """
+    ``indices`` and the locator.  Returns (meter, report, transform,
+    LocateResult); the caller reads the located set's family or map
+    (``_member``) in its ``extension`` step."""
     check_field(r, code.field, "received word", "code", UndecodableError)
     check_field(phi1, code.field, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):  # the transform checks the values
@@ -379,19 +374,6 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
     loc = locate(rt, phi1, code, t_max)
     gb_loc, located = loc
     meter.lap("locator")
-    ext, family, built = None, None, loc.built
-    if len(located):
-        try:
-            basis, fresh = loc.entry.get("family")
-        except IdealError as exc:
-            raise UndecodableError(
-                "locator delta escapes the check set and the check-set system "
-                "is unsolvable: %s" % (exc,))
-        ext = (rt.restrict(basis.delta.members), basis, None if loc.stats["t"] else loc.entry)
-        built += fresh
-        family = {"family": "vanishing-ideal" if basis is gb_loc else "check-set",
-                  "schedule": "sequential" if basis.sequential else "worklist",
-                  "compiled": False}
     report = StepCounts(meter.steps, {
         "kind": kind,
         "code": code.name or repr(code),
@@ -403,10 +385,31 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
         "fast_idft_bound": 3 * code.ndim * code.field.q ** (code.ndim + 1),
         "idft": None,
         "locator": loc.stats,
-        "extension": family,
-        "point_sets_reused": not built,
+        "extension": None,
+        "point_sets_reused": not loc.built,
     }, meter.ms)
-    return meter, report, rt, located, ext
+    return meter, report, rt, loc
+
+
+def _member(entry, name, report):
+    """A member of the located set's store entry, its build noted in the
+    report; UndecodableError when the set's check columns are dependent."""
+    try:
+        value, built = entry.get(name)
+    except IdealError as exc:
+        raise UndecodableError("locator delta escapes the check set and the check-set "
+                               "system is unsolvable: %s" % (exc,))
+    report.meta["point_sets_reused"] &= not built
+    return value
+
+
+def _family(loc, report):
+    """The located set's recurrence family, named in the report."""
+    basis = _member(loc.entry, "family", report)
+    report.meta["extension"] = {
+        "family": "vanishing-ideal" if basis is loc[0] else "check-set",
+        "schedule": "sequential" if basis.sequential else "worklist", "compiled": False}
+    return basis
 
 
 def decode_info(r, phi1, code, t_max=None):
@@ -415,9 +418,11 @@ def decode_info(r, phi1, code, t_max=None):
     Returns an InfoSpectrum, whose ``report`` holds the call's counts."""
     f = code.field
     dsorted = code.delta.sorted(code.order)
-    meter, report, rtilde, _, ext = _decode_head(r, phi1, code, t_max,
-                                                 "decode_info", dsorted)
-    k = extend(*ext[:2], dsorted).values if ext else {d: ZERO for d in dsorted}
+    meter, report, rtilde, loc = _decode_head(r, phi1, code, t_max, "decode_info", dsorted)
+    k = {d: ZERO for d in dsorted}
+    if len(loc[1]):
+        basis = _family(loc, report)
+        k = extend(rtilde.restrict(basis.delta.members), basis, dsorted).values
     meter.lap("extension")
     out = {d: f.sub(rtilde.values[d], k[d]) for d in dsorted}
     meter.lap("subtract")
@@ -433,30 +438,26 @@ def decode_word(r, phi1, code, t_max=None):
     decoding with explicit error values).  The error values come from the
     IDFT of the extended error spectrum on the located set alone (its
     count in ``report.meta["idft"]``).  When no error is located, the
-    located set is the caller's Phi1, and from the second such call on
-    Phi1 (PointSetEntry.compiled_map) the values are one product with its
-    compiled map, counted in the ``extension`` step, no IDFT run
-    (``report.meta["extension"]["compiled"]``).  The codeword is checked
-    by linearity: its syndrome is the received word's, already computed
-    on B, minus the error's, which vanishes off the located set."""
+    located set is the caller's Phi1 and the values are one product of
+    the syndrome with Phi1's map (PointSetEntry), counted in the
+    ``extension`` step with the map's build, no IDFT run
+    (``report.meta["extension"]["compiled"]``); UndecodableError when
+    Phi1's check columns are dependent.  The codeword is checked by
+    linearity: its syndrome is the received word's, already computed on
+    B, minus the error's, which vanishes off the located set."""
     f = code.field
-    meter, report, rt, located, ext = _decode_head(r, phi1, code, t_max,
-                                                   "decode_word", code.b_list)
-    lemma = None
-    if ext:
-        seed, basis, entry = ext
-        if entry is not None:
-            lemma, built = entry.compiled_map()
-            report.meta["point_sets_reused"] &= not built
-        if lemma is None:
-            x = _extension_array(seed, basis)
-        else:
-            vals = _mapped(lemma, seed)
-            report.meta["extension"]["compiled"] = True
+    meter, report, rt, loc = _decode_head(r, phi1, code, t_max, "decode_word", code.b_list)
+    located, vals = loc[1], None
+    if len(located) and loc.stats["t"]:
+        basis = _family(loc, report)
+        x = _extension_array(rt.restrict(basis.delta.members), basis)
+    elif len(located):
+        vals = _mapped(_member(loc.entry, "map", report), rt, code)
+        report.meta["extension"] = {"family": None, "schedule": None, "compiled": True}
     meter.lap("extension")
     e_loc = Word(f, code.ndim, {})
-    if ext:
-        if lemma is None:
+    if len(located):
+        if vals is None:
             vals = idft_at(f, x, located.array)
             report.meta["idft"] = idft_at_count(f.q, located.array)
         e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(vals))))
@@ -470,13 +471,12 @@ def decode_word(r, phi1, code, t_max=None):
     return DecodeResult(codeword=c, error=e, located=located, report=report)
 
 
-def _mapped(lemma, seed):
-    """The values on Phi of a compiled map (S, M) at a seed spectrum on S,
-    as exponents: one product, |Phi| |S| muls and |Phi| (|S| - 1) adds."""
-    seeds, matrix = lemma
-    f = seed.field
-    x = f.np_exponents(np.array([seed.values[d] for d in seeds], dtype=np.intp))
-    f.op_count += len(matrix) * (2 * len(seeds) - 1)
+def _mapped(matrix, synd, code):
+    """The values on Phi of Phi's map at a syndrome on B, as exponents:
+    one product, |Phi| |B| muls and |Phi| (|B| - 1) adds."""
+    f = code.field
+    x = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
+    f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
     return f.np_dot(matrix, x)
 
 
@@ -503,48 +503,43 @@ def check_systematic_support(phi, code):
     return independent
 
 
-def _phi_family(phi, code):
-    """Phi's entry in the code's point-set store and its ``family``
-    member; SystematicSupportError unless Phi is |B| points of the code
-    whose family is solvable."""
+def _phi_member(phi, code, name):
+    """Phi's entry in the code's point-set store and its member ``name``;
+    SystematicSupportError unless Phi is |B| points of the code whose
+    check columns are independent."""
     _check_phi(phi, code)
     entry = code.point_set(phi.points)
     try:
-        return entry, entry.get("family")[0]
+        return entry, entry.get(name)[0]
     except IdealError as exc:
         raise SystematicSupportError("Phi not generic: %s" % (exc,))
 
 
 def systematic_basis(phi, code):
-    """The recurrence family G_Phi used by systematic encoding: the
+    """The recurrence family G_Phi of the lemma's path on Phi: the
     ``family`` member of Phi's entry in the code's point-set store
     (CodeSpec.point_set), the vanishing ideal's basis when Delta(Phi) = B
-    and else the check-set family.  The erasure decoding of Phi reads the
-    same member, so it is built once per redundant-position set and a
-    repeated call counts no field operations."""
-    return _phi_family(phi, code)[1]
+    and else the check-set family.  Extending the information word's
+    syndrome by it and taking the IDFT at Phi gives minus the values that
+    systematic_encode fills in; it is built once per redundant-position
+    set, and a repeated call counts no field operations."""
+    return _phi_member(phi, code, "family")[1]
 
 
 def systematic_encode(info, phi, code):
     """Fill the redundant positions Phi so the word is a dual codeword
-    agreeing with the information symbols on Psi \\ Phi.  The values on
-    Phi are the lemma's: the extension of the information word's syndrome
-    by Phi's family, then the IDFT at Phi; from the second call on Phi
-    (PointSetEntry.compiled_map, shared with the erasure decoding of Phi)
-    they are one product with Phi's compiled map.  Either way the word is
-    checked by its syndrome."""
+    agreeing with the information symbols on Psi \\ Phi: the erasure-only
+    decoding of Phi.  The values on Phi are one product of the
+    information word's syndrome with Phi's map (PointSetEntry, shared
+    with the erasure decoding of Phi), which is the lemma's map, and the
+    word is checked by its syndrome."""
     f = code.field
     check_field(info, f, "information word", "code", SystematicSupportError)
-    entry, gb_phi = _phi_family(phi, code)
+    entry, matrix = _phi_member(phi, code, "map")
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
     seed = dft_partial(info, code.b_list, "information word")
-    lemma, _ = entry.compiled_map()
-    if lemma is None:
-        vals = idft_at(f, _extension_array(seed, gb_phi), entry.points.array)
-    else:
-        vals = _mapped(lemma, seed)
-    w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(vals))))
+    w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(_mapped(matrix, seed, code)))))
     # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
     # seed - syndrome(w): zero when the seed is minus the Phi part's
     if dft_partial(w, code.b_list).values != seed.values:

@@ -412,18 +412,22 @@ def check_systematic_support(phi, code):
                for b in code.b_list)
 
 
-def compiled_map(points, seeds):
-    """The lemma's map on |seeds| = |points| points as element codes, one
-    row per point and one column per seed: column s combines the points'
-    columns on the seeds into the unit vector at s, so the matrix is the
-    inverse of E[s, p] = p^s.  The oracle of the ``map`` member of
-    ``avcodes.codes.PointSetEntry``, values and count."""
+def compiled_map(points, b_list):
+    """The map of a set of points with independent check columns as
+    element codes, one row per point and one column per check index, and
+    the count of its reductions: the points' columns on B are inserted in
+    store order, then minus the unit vector at each b is reduced, and
+    minus its combination is column b.  The oracle of the ``map`` member
+    of ``avcodes.codes.PointSetEntry``, values and count."""
     f = points.field
     elim = Eliminator(f)
     for p in points.points:
-        assert elim.insert([point_power(f, p, s) for s in seeds], p) is None
-    cols = [elim.reduce([ONE if d == s else ZERO for d in seeds])[1] for s in seeds]
-    return [[col.get(p, ZERO) for col in cols] for p in points.points]
+        assert elim.insert([point_power(f, p, b) for b in b_list], p) is None
+    minus_one = f.neg(ONE)
+    before = f.op_count
+    combs = [elim.reduce([minus_one if d == b else ZERO for d in b_list])[1] for b in b_list]
+    ops = f.op_count - before
+    return [[f.neg(comb.get(p, ZERO)) for comb in combs] for p in points.points], ops
 
 
 def transpose_check(delta, psi):

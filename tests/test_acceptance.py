@@ -20,7 +20,7 @@ from avcodes.ideal import vanishing_gb, extend
 from avcodes.maps import PointSet, canonical_iso, proper_transform, evaluate
 from avcodes.codes import (preset, code_from_config, encode_nonsystematic,
                            primal_encode, syndrome, is_dual_codeword)
-from avcodes.decoder import decode_info, decode_word
+from avcodes.decoder import decode_info, decode_word, systematic_basis, systematic_encode
 from avcodes import golden
 from avcodes.golden import run_examples
 
@@ -278,15 +278,32 @@ def test_criterion_8_decode_roundtrip(codes):
                "trials (<= 8) all recovered exactly, zero failures")
 
 
-def test_criterion_9_systematic_equals_erasure_only(battery):
+def test_criterion_9_systematic_equals_erasure_only(battery, codes):
     for name in ("hermitian/systematic-support", "hcrs/systematic-support",
                  "hermitian/systematic-equals-erasure-decode",
                  "hcrs/systematic-equals-erasure-decode",
                  "hermitian/syndrome-00", "hermitian/located-basis"):
         _ok(battery, name)
-    _passed(9, "systematic output bitwise-equal to erasure-only decoding on "
-               "both printed Phi sets; support checks true; the (0,0) "
-               "syndrome value alpha^2 reproduced in the worked run")
+    # systematic encoding and erasure decoding read one map of Phi, so
+    # their equality alone does not test the lemma: the battery's two
+    # systematic words (its information words, drawn again) are also the
+    # lemma's path, the syndrome extended by Phi's family over A and
+    # transformed back, negated on Phi
+    rng = random.Random(17)
+    for name, phi_points in (("hermitian", golden.HERM_SYS_PHI), ("hcrs", golden.HCRS_SYS_PHI)):
+        code = codes[name]
+        f, phi = code.field, PointSet(code.field, 2, phi_points)
+        info = Word(f, 2, {p: rng.randrange(-1, 8) for p in code.psi.points
+                           if p not in set(phi.points)})
+        basis = systematic_basis(phi, code)
+        seed = syndrome(info, code.b_list).restrict(basis.delta.members)
+        lemma = idft_fast(extend(seed, basis, index_space(f, 2)))
+        word = systematic_encode(info, phi, code)
+        assert word.values == {**info.values, **{p: f.neg(lemma.values[p]) for p in phi.points}}
+    _passed(9, "systematic output bitwise-equal to erasure-only decoding and "
+               "to the lemma's extension and IDFT on both printed Phi sets; "
+               "support checks true; the (0,0) syndrome value alpha^2 "
+               "reproduced in the worked run")
 
 
 def test_criterion_10_extension_consistency(codes):

@@ -794,44 +794,46 @@ def test_extension_meta(hcrs, rng):
                                  "compiled": False}
     phi = PointSet(hcrs.field, 2, HCRS_SYS_PHI)
     r = Word(hcrs.field, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
-    # the second erasure decoding of Phi reads its compiled map
+    # decode_info extends with Phi's check-set family; every erasure
+    # decoding of Phi reads its map, no family
     code = preset("hcrs")
-    for compiled in (False, True):
+    meta = decode_info(r, phi, code).report.meta
+    assert meta["extension"] == {"family": "check-set", "schedule": "worklist",
+                                 "compiled": False}
+    for _ in range(2):
         meta = decode_word(r, phi, code).report.meta
-        assert meta["extension"] == {"family": "check-set", "schedule": "worklist",
-                                     "compiled": compiled}
+        assert meta["extension"] == {"family": None, "schedule": None, "compiled": True}
 
 
 def test_hcrs_golden_systematic_counts(rng):
-    # the worklist extension of hcrs's golden Phi checks every recurrence
-    # but the one that set each value: on the lemma's path, a first use of
-    # Phi, a systematic encode counts 20,093 operations and the
-    # Phi-erasure decode's extension 8,619 past the builds (22,122 and
-    # 10,648 when the setting recurrences were checked too).  From the
-    # second use on they read Phi's compiled 20 x 20 map: 8,900 and
-    # 780 = 20 * 39
-    code, decoded_first, fresh = preset("hcrs"), preset("hcrs"), preset("hcrs")
+    # systematic encoding and erasure decoding on hcrs's golden Phi read
+    # its 20 x 20 map: 8,900 operations and an extension step of
+    # 780 = 20 * 39.  On the lemma's path the worklist extension checks
+    # every recurrence but the one that set each value: 8,619 operations
+    # (10,648 with the setting recurrences checked too), so with the IDFT
+    # in place of the product an encode counts 20,093
+    code = preset("hcrs")
     f, phi = code.field, PointSet(code.field, 2, HCRS_SYS_PHI)
-    vanishing = _build_ops(fresh, phi.points, "vanishing")
-    check_set = _build_ops(fresh, phi.points, "family")
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
-    before = f.op_count
-    cw = systematic_encode(info, phi, code)
-    assert f.op_count - before - vanishing - check_set == 20093
-    r = Word(f, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
-    rep = decode_word(r, phi, decoded_first).report
-    assert rep.meta["extension"] == {"family": "check-set", "schedule": "worklist",
-                                     "compiled": False}
-    assert rep.steps["extension"] - check_set == 8619
-    decode_word(r, phi, code)  # the second use of Phi compiles its map
+    cw = systematic_encode(info, phi, code)  # builds Phi's map
     before = f.op_count
     assert systematic_encode(info, phi, code).values == cw.values
     assert f.op_count - before == 8900
+    r = Word(f, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
     res = decode_word(r, phi, code)
     assert res.codeword.values == cw.values
-    assert res.report.meta["extension"] == {"family": "check-set", "schedule": "worklist",
-                                            "compiled": True}
+    assert res.report.meta["extension"] == {"family": None, "schedule": None, "compiled": True}
     assert res.report.steps["extension"] == 780 and res.report.steps["idft"] == 0
+    # the lemma's path on the same syndrome, its family built first
+    family = systematic_basis(phi, code)
+    seed = syndrome(info, code.b_list)
+    before = f.op_count
+    x = _extension_array(seed, family)
+    extension = f.op_count - before
+    lemma = idft_at(f, x, phi.array)
+    idft = f.op_count - before - extension
+    assert extension == 8619 and 8900 - 780 + extension + idft == 20093
+    assert f.np_codes(lemma) == [f.neg(cw.values[p]) for p in phi.points]
 
 
 def test_code_columns_cached(hermitian):
@@ -1051,11 +1053,11 @@ def test_point_set_store_threads(rng, monkeypatch):
     # twelve threads encode systematically and erasure-decode on fresh
     # codes, so that they build and read the store at once; each must get
     # the solo result.  On hermitian four share one Phi and four have Phis
-    # of their own.  On hcrs the Phis' delta sets leave B, so the family
-    # build nests the vanishing and check-set builds: two threads share
-    # the golden Phi and two have random Phis of their own.  Then six
-    # threads make the second use of one Phi at once: the map is compiled
-    # once, under the entry's lock, and each gets the solo word.
+    # of their own; on hcrs, whose Phis' delta sets leave B, two share the
+    # golden Phi and two have random Phis of their own.  The map build
+    # nests the projection build.  Then six threads make the first use of
+    # one Phi at once: one projection and one map are built, under the
+    # entry's lock, and each gets the solo word.
     cases = []
     for name, shared, own in (("hermitian", 4, 4), ("hcrs", 2, 2)):
         solo = preset(name)
@@ -1098,19 +1100,18 @@ def test_point_set_store_threads(rng, monkeypatch):
     infos = [Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
              for _ in range(6)]
     want = [systematic_encode(info, phi, solo).values for info in infos]
-    systematic_encode(infos[0], phi, code)  # the first use
-    compiles = []
-    real = codes.PointSetEntry._map
-    monkeypatch.setattr(codes.PointSetEntry, "_map",
-                        lambda entry: (compiles.append(entry), real(entry))[1])
+    built = []
+    for name in ("_projection", "_map"):
+        monkeypatch.setattr(codes.PointSetEntry, name, lambda entry, real=getattr(
+            codes.PointSetEntry, name), name=name: (built.append(name), real(entry))[1])
     barrier, words = threading.Barrier(len(infos)), {}
 
-    def second_use(k):
+    def first_use(k):
         barrier.wait()
         words[k] = systematic_encode(infos[k], phi, code).values
 
-    run([threading.Thread(target=second_use, args=(k,)) for k in range(len(infos))])
-    assert len(compiles) == 1 and words == dict(enumerate(want))
+    run([threading.Thread(target=first_use, args=(k,)) for k in range(len(infos))])
+    assert sorted(built) == ["_map", "_projection"] and words == dict(enumerate(want))
 
 
 def test_point_set_store_is_bounded(rng):
@@ -1143,13 +1144,19 @@ def _build_ops(code, points, name):
 
 def _reference_map(code, points):
     """The scalar oracle (reference.compiled_map) of the map of a set of
-    the code's points on the seeds of its stored family: the matrix as
-    element codes and its count."""
-    entry, f = code.point_set(points), code.field
-    seeds = entry.get("family")[0].delta.sorted(code.order)
-    before = f.op_count
-    matrix = reference.compiled_map(entry.points, seeds)
-    return matrix, f.op_count - before
+    the code's points: the matrix as element codes and the count of its
+    reductions."""
+    return reference.compiled_map(code.point_set(points).points, code.b_list)
+
+
+def _lemma_values(code, points, synd):
+    """The lemma's path on a set of the code's points: the syndrome on B
+    extended by the set's family over A, then the IDFT at the points, as
+    {point: element code}."""
+    f, entry = code.field, code.point_set(points)
+    family = entry.get("family")[0]
+    x = _extension_array(synd.restrict(family.delta.members), family)
+    return dict(zip(entry.points.points, f.np_codes(idft_at(f, x, entry.points.array))))
 
 
 @pytest.mark.parametrize("name, n_erase, n_err", [
@@ -1157,12 +1164,13 @@ def _reference_map(code, points):
 def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     # decoding the same word again reads the store: its steps are the first
     # call's minus the ops of building the stored members it read, counted
-    # on a third fresh code.  Erasing the golden systematic set of hcrs (None),
-    # whose delta set leaves B, takes the check-set family, the other
-    # patterns the vanishing-ideal one.  With no error located, the second
-    # call compiles Phi1's map, counted as the scalar elimination of the
-    # reference counts it, and from then on the values are one product
-    # with it, |Phi1| (2 |S| - 1) operations, and no IDFT
+    # on a fresh code.  With errors the located set's vanishing-ideal
+    # family is built per call.  With no error located (the erasure-only
+    # patterns, and the golden systematic set of hcrs (None), whose delta
+    # set leaves B) every call reads Phi1's map, built on the first,
+    # counted as the scalar reductions of the reference count them: the
+    # values are one product with it, |Phi1| (2 |B| - 1) operations, and
+    # no IDFT
     code = preset(name)
     cw = encode_nonsystematic(random_info(code, rng), code)
     if n_erase is None:
@@ -1175,45 +1183,42 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     rep = cold.report
     assert cold.codeword.values == cw.values
     # a located set with errors is built per call, so only Phi1 reads warm
-    assert not rep.meta["point_sets_reused"] and not second.meta["point_sets_reused"]
-    assert warm.meta["point_sets_reused"] == (not n_err)
-    assert second.meta["extension"] == warm.meta["extension"] == dict(
-        rep.meta["extension"], compiled=not n_err)
-    family = rep.meta["extension"]["family"]
-    assert family == ("check-set" if n_erase is None else "vanishing-ideal")
+    assert not rep.meta["point_sets_reused"]
+    assert second.meta["point_sets_reused"] == warm.meta["point_sets_reused"] == (not n_err)
+    assert second.meta["extension"] == warm.meta["extension"] == rep.meta["extension"] == (
+        {"family": "vanishing-ideal", "schedule": "sequential", "compiled": False} if n_err
+        else {"family": None, "schedule": None, "compiled": True})
     fresh = preset(name)
     locator = _build_ops(fresh, phi1.points, "projection")
     if not n_err:
         locator += _build_ops(fresh, cold.located.points, "vanishing")
-    extension = (_build_ops(fresh, cold.located.points, "family")
-                 if family == "check-set" else 0)
     # the empty erasure set's projection costs nothing to build
     assert (locator > 0) == bool(len(phi1))
     if n_err:
-        assert second.steps == warm.steps == dict(
-            rep.steps, locator=rep.steps["locator"] - locator,
-            extension=rep.steps["extension"] - extension)
-        assert warm.total == rep.total - locator - extension
+        assert second.steps == warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator)
+        assert warm.total == rep.total - locator
         return
-    seeds = len(code.point_set(phi1.points).get("family")[0].delta)
-    product = len(phi1) * (2 * seeds - 1)
-    compile_ops = _build_ops(fresh, phi1.points, "map")
-    assert warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator,
-                              extension=product, idft=0)
-    assert second.steps == dict(warm.steps, extension=product + compile_ops)
-    assert compile_ops == _reference_map(fresh, phi1.points)[1] > 0
+    product = len(phi1) * (2 * len(code.b_list) - 1)
+    build = _build_ops(fresh, phi1.points, "map")
+    assert second.steps == warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator,
+                                              extension=product)
+    assert rep.steps["extension"] == product + build and warm.steps["idft"] == 0
+    assert build == _reference_map(fresh, phi1.points)[1] > 0
 
 
 def test_warm_systematic_encode_leaves_out_the_build(rng):
-    # the first systematic encoding on Phi builds its family and runs the
-    # lemma's path; the second compiles Phi's map, counted as the scalar
-    # elimination of the reference counts it, and later ones count the
-    # first call's other operations plus the product with the map,
-    # |Phi| (2 |S| - 1), in place of its extension and IDFT
+    # the first systematic encoding on Phi builds Phi's erasure projection
+    # and its map, the map counted as the scalar reductions of the
+    # reference count them; every call counts the same product with the
+    # map, |Phi| (2 |B| - 1), so later ones count the first minus the
+    # builds
     code = preset("hermitian")
     f = code.field
     phi = PointSet(f, 2, HERM_SYS_PHI)
-    build = _build_ops(preset("hermitian"), phi.points, "family")
+    fresh = preset("hermitian")
+    projection = _build_ops(fresh, phi.points, "projection")
+    build = _build_ops(fresh, phi.points, "map")
+    assert build == _reference_map(fresh, phi.points)[1] > 0
     counts = []
     for _ in range(4):
         info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
@@ -1221,8 +1226,7 @@ def test_warm_systematic_encode_leaves_out_the_build(rng):
         before = f.op_count
         systematic_encode(info, phi, code)
         counts.append(f.op_count - before)
-    assert build > 0 and counts[1] - counts[2] == _reference_map(code, phi.points)[1]
-    assert counts[2] == counts[3] < counts[0] - build
+    assert counts[0] - projection - build == counts[1] == counts[2] == counts[3]
 
 
 def _herm16_phi(code):
@@ -1236,36 +1240,31 @@ def _herm16_phi(code):
 
 
 # (systematic encode, Phi-erasure decode_word) twice, and the last decode's
-# extension step, on the test's information word: the first encode runs
-# the lemma's path, the first decode compiles Phi's map and the later calls
-# read it.  On the lemma's path the decodes counted 5,303 / 4,771 / 1,868
-# on hermitian, 29,198 / 22,800 / 8,619 on hcrs and 36,776 / 33,604 /
-# 19,612 on herm16, and the second encodes 4,224, 20,093 and 32,004.  A
-# cold decode used to build a second basis of Phi: it counted 6,221 on
-# hermitian and 42,615 on herm16; on hcrs the vanishing_gb build moved
-# from the decode (33,618 + 40,203) into the encode, the same total.  A
-# map built by the lemma (|S| extensions and |S| IDFTs at Phi) made the
-# first decodes count 29,456, 257,465 and 417,857
+# extension step, on the test's information word: every call reads Phi's
+# map, which the first encode builds; the first decode builds Phi's
+# vanishing ideal, the locator's basis of the located set
 SHARED_FAMILY_COUNTS = {
-    "hermitian": (5142, 3525, 1377, 1924, 153),
-    "hcrs": (44623, 32719, 8900, 11607, 780),
-    "herm16": (37843, 16891, 5250, 6850, 435),
+    "hermitian": (2203, 2842, 1377, 1924, 153),
+    "hcrs": (22414, 22612, 8900, 11607, 780),
+    "herm16": (11444, 12689, 5250, 6850, 435),
 }
 
 
 @pytest.mark.parametrize("name", ["hermitian", "hcrs", "herm16"])
 def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, monkeypatch):
-    # systematic encoding on Phi and the erasure decoding of Phi extend with
-    # one stored basis: when Delta(Phi) = B (hermitian, herm16) it is the
-    # vanishing ideal's, built once, and no check-set family is built;
-    # hcrs's golden Phi, whose delta set leaves B, builds both in the encode.
-    # The encode extends with it and the decode compiles Phi's map from it
+    # systematic encoding on Phi and the erasure decoding of Phi read one
+    # stored map, which the first encode builds from Phi's erasure
+    # projection; neither builds a recurrence family or extends.  The
+    # first decode builds the vanishing ideal's basis of Phi, the
+    # locator's basis of the located set, and the map's values are the
+    # lemma's path by Phi's family (systematic_basis): on hcrs's golden
+    # Phi, whose delta set leaves B, the check-set family
     make = (lambda: code_from_config(HERM16)) if name == "herm16" else (lambda: preset(name))
     code = make()
     f = code.field
     phi = (_herm16_phi(code) if name == "herm16" else
            PointSet(f, 2, HERM_SYS_PHI if name == "hermitian" else HCRS_SYS_PHI))
-    builds, extended, compiled = [], [], []
+    builds, extended, maps_built = [], [], []
 
     def spy(module, fn, record):
         real = getattr(module, fn)
@@ -1274,7 +1273,7 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
     spy(codes, "vanishing_gb", lambda args: builds.append("vanishing_gb"))
     spy(codes, "check_set_basis", lambda args: builds.append("check_set_basis"))
     spy(decoder, "_extension_array", lambda args: extended.append(args[1]))
-    spy(codes.PointSetEntry, "_map", lambda args: compiled.append(args[0]))
+    spy(codes.PointSetEntry, "_map", lambda args: maps_built.append(args[0]))
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
     counts = []
     for _ in range(2):
@@ -1285,36 +1284,28 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
         res = decode_word(r, phi, code)
         counts += [middle - before, f.op_count - middle]
         assert res.codeword.values == cw.values
-    basis = systematic_basis(phi, code)
-    assert len(extended) == len(compiled) == 1
-    assert extended[0] is compiled[0].get("family")[0] is basis
-    assert builds == (["vanishing_gb"] if name != "hcrs" else ["vanishing_gb", "check_set_basis"])
-    assert res.report.meta["extension"] == (
-        {"family": "check-set", "schedule": "worklist", "compiled": True} if name == "hcrs"
-        else {"family": "vanishing-ideal", "schedule": "sequential", "compiled": True})
+    assert not extended and len(maps_built) == 1 and builds == ["vanishing_gb"]
+    assert res.report.meta["extension"] == {"family": None, "schedule": None, "compiled": True}
     assert (*counts, res.report.steps["extension"]) == SHARED_FAMILY_COUNTS[name]
-    # the first decode builds Phi's erasure projection and compiles its map
+    builds.clear()
+    assert systematic_basis(phi, code).delta.members == code.b_members
+    assert builds == ["check_set_basis"] * (name == "hcrs")
+    lemma = _lemma_values(code, phi.points, syndrome(info, code.b_list))
+    assert lemma == {p: f.neg(cw.values[p]) for p in phi.points}
+    # the first encode builds Phi's erasure projection and its map, the
+    # first decode the located set's vanishing ideal
     fresh = make()
-    projection = _build_ops(fresh, phi.points, "projection")
-    assert counts[1] - counts[3] == projection + _build_ops(fresh, phi.points, "map") - (
-        _build_ops(make(), phi.points, "family"))
-
-
-def _lemma_and_compiled(code, call):
-    """``call()`` on the lemma's path (the code's point-set store emptied
-    first, so the call is its set's first use) and then compiled (on the
-    set's third use); both results."""
-    code._point_sets.clear()
-    lemma = call()
-    call()
-    return lemma, call()
+    assert counts[0] - counts[2] == (_build_ops(fresh, phi.points, "projection")
+                                     + _build_ops(fresh, phi.points, "map"))
+    assert counts[1] - counts[3] == _build_ops(fresh, phi.points, "vanishing")
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
 def test_compiled_map_words_equal_the_lemma_path(name):
     # systematic encoding on the golden (or seeded) Phi and the erasure
-    # decoding of random sets Phi1 give the same words through the
-    # compiled map as through the extension and the IDFT
+    # decoding of random sets Phi1 inside the radius give, through the
+    # map, the words of the lemma's path: the extension by the set's
+    # family and the IDFT at the set
     code = code_from_config(HERM16) if name == "herm16" else preset(name)
     f, rnd = code.field, random.Random(name)
     phi = (PointSet(f, 1, code.psi.points[:2]) if name == "rs-like" else
@@ -1323,28 +1314,25 @@ def test_compiled_map_words_equal_the_lemma_path(name):
     for _ in range(3):
         info = Word(f, code.ndim, {p: rnd.randrange(-1, f.q - 1)
                                    for p in code.psi.points if p not in phi})
-        lemma, compiled = _lemma_and_compiled(code, lambda: systematic_encode(info, phi, code))
-        assert compiled.values == lemma.values
-    compiled_meta = []
+        lemma = _lemma_values(code, phi.points, syndrome(info, code.b_list))
+        want = {**info.values, **{p: f.neg(v) for p, v in lemma.items()}}
+        assert systematic_encode(info, phi, code).values == want
     for size in range(1, code.d_fr):
         cw = encode_nonsystematic(random_info(code, rnd), code)
         r, phi1 = corrupt(code, cw, size, 0, rnd)
-        lemma, compiled = _lemma_and_compiled(code, lambda: decode_word(r, phi1, code))
-        assert compiled.codeword.values == lemma.codeword.values == cw.values
-        assert compiled.error.values == lemma.error.values
-        assert not lemma.report.meta["extension"]["compiled"]
-        assert lemma.report.meta["idft"] and compiled.report.meta["idft"] is None
-        compiled_meta.append(compiled.report.meta["extension"])
-    assert all(meta["compiled"] for meta in compiled_meta)
+        res = decode_word(r, phi1, code)
+        assert res.codeword.values == cw.values
+        lemma = _lemma_values(code, phi1.points, syndrome(r, code.b_list))
+        assert {p: res.error.values[p] for p in phi1.points} == lemma
+        assert res.report.meta["extension"]["compiled"] and res.report.meta["idft"] is None
 
 
-def test_erasure_decoding_reads_the_map_of_a_square_family():
+def test_erasure_decoding_reads_the_map_of_every_independent_set():
     # erasing the first k points of a systematic Phi of a random small
-    # code: from the second decode on, the compiled map gives the first
-    # decode's word when the family seeds exactly k indices.  A check-set
-    # family seeds all of B; on fewer than |B| points its recurrences
-    # agree only on the seeds that are transforms of words on the points,
-    # so it keeps the lemma's path on every decode
+    # code, whose check columns are independent: the first decode reads
+    # the set's map and gives the lemma path's error values, whichever
+    # family the lemma extends with, a check-set family on fewer than |B|
+    # points included
     seen = set()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1352,26 +1340,55 @@ def test_erasure_decoding_reads_the_map_of_a_square_family():
     def check(case):
         code, phi, info = case
         word = systematic_encode(info, phi, code)
-        code._point_sets.clear()  # each decode below starts on a first use
+        code._point_sets.clear()  # each decode below is its set's first use
         for k in range(1, len(phi) + 1):
             phi1 = PointSet(code.field, code.ndim, phi.points[:k])
             r = Word(code.field, code.ndim,
                      {p: ZERO if p in phi1 else v for p, v in word.values.items()})
-            try:
-                first = decode_word(r, phi1, code, t_max=0)
-            except UndecodableError:  # an unsolvable check-set system
-                continue
-            square = len(code.point_set(phi1.points).get("family")[0].delta) == k
-            seen.add((first.report.meta["extension"]["family"], square))
-            assert not first.report.meta["extension"]["compiled"]
-            for _ in range(2):
-                res = decode_word(r, phi1, code, t_max=0)
-                assert res.codeword.values == first.codeword.values
-                assert res.error.values == first.error.values
-                assert res.report.meta["extension"]["compiled"] == square
+            res = decode_word(r, phi1, code, t_max=0)
+            assert res.report.meta["extension"]["compiled"]
+            assert res.codeword.values == word.values
+            lemma = _lemma_values(code, phi1.points, syndrome(r, code.b_list))
+            assert {p: res.error.values[p] for p in phi1.points} == lemma
+            entry = code.point_set(phi1.points)
+            family = entry.get("family")[0]
+            seen.add(("vanishing-ideal" if family is entry.get("vanishing")[0] else "check-set",
+                      k < len(code.b_list)))
 
     check()
-    assert seen == {("vanishing-ideal", True), ("check-set", True), ("check-set", False)}
+    assert seen == {("vanishing-ideal", True), ("vanishing-ideal", False),
+                    ("check-set", True), ("check-set", False)}
+
+
+@pytest.mark.parametrize("name", ["hermitian", "hcrs"])
+def test_dependent_check_columns_are_refused(name, rng):
+    # seeded erasure sets beyond the radius whose check columns are
+    # dependent have no map: both decoders refuse them with the check-set
+    # message, systematic encoding on |B| such points with "Phi not
+    # generic", and the failed builds keep nothing
+    code = preset(name)
+    f, rnd = code.field, random.Random(name)
+    cw = encode_nonsystematic(random_info(code, rng), code)
+    refused = set()
+    while len(refused) < 2:
+        size = rnd.randrange(code.d_fr, len(code.b_list) + 1)
+        phi1 = code.psi.subset(rnd.sample(code.psi.points, size))
+        entry = code.point_set(phi1.points)
+        if len(entry.get("projection")[0].pivots) == size:
+            continue
+        r = Word(f, 2, {p: ZERO if p in phi1 else v for p, v in cw.values.items()})
+        for decode in (decode_word, decode_info):
+            with pytest.raises(UndecodableError, match="^locator delta escapes the check set"):
+                decode(r, phi1, code)
+        if size == len(code.b_list):
+            info = Word(f, 2, {p: v for p, v in cw.values.items() if p not in phi1})
+            with pytest.raises(SystematicSupportError, match="^Phi not generic"):
+                systematic_encode(info, phi1, code)
+            assert not check_systematic_support(phi1, code)
+        assert "map" not in entry._members
+        with pytest.raises(IdealError, match="rank %d$" % len(entry.get("projection")[0].pivots)):
+            entry.get("map")
+        refused.add(size == len(code.b_list))
 
 
 # seeded full-grid codes at N = 3 with d_fr the Feng-Rao bound
@@ -1393,7 +1410,7 @@ def _n3_code(name):
 def test_round_trips_at_n3(name):
     # every (erasures, errors) pattern inside the radius through both
     # decoders, then systematic encoding on a Phi against the erasure
-    # decoding of Phi, on the lemma's path and compiled
+    # decoding of Phi and the lemma's path
     code = _n3_code(name)
     f, rnd = code.field, random.Random(name)
     assert code.n == f.q ** 3 and code.d_fr >= 6
@@ -1407,53 +1424,52 @@ def test_round_trips_at_n3(name):
             assert res.codeword.values == cw.values and len(res.located) == n_erase + n_err
     phi = next(phi for phi in (code.psi.subset(rnd.sample(code.psi.points, len(code.b_list)))
                                for _ in range(100)) if check_systematic_support(phi, code))
-    for compiled in (False, True):
+    for _ in range(2):
         info = Word(f, 3, {p: rnd.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
-        if not compiled:
-            code._point_sets.clear()  # a first use of Phi: the lemma's path
         word = systematic_encode(info, phi, code)
         assert is_dual_codeword(word, code)
+        lemma = _lemma_values(code, phi.points, syndrome(info, code.b_list))
+        assert all(word.values[p] == f.neg(v) for p, v in lemma.items())
         r = Word(f, 3, {p: ZERO if p in phi else v for p, v in word.values.items()})
-        if not compiled:
-            code._point_sets.clear()
         res = decode_word(r, phi, code)
         assert res.codeword.values == word.values
-        assert res.report.meta["extension"]["compiled"] == compiled
+        assert res.report.meta["extension"]["compiled"]
 
 
-def _assert_map_is_the_lemma(code, points):
-    """On a set of the code's points whose family seeds as many indices
-    as it has points: column s of the set's compiled map is the lemma's
-    path on the unit seed at s (the extension over A, then the IDFT at
-    the points), the scalar oracle's matrix with its count, and
-    map . E_S = I for E_S[s, p] = p^s.  Returns the family's kind, None
-    for a family that seeds more indices."""
+def _assert_map_is_the_lemma(code, points, rnd):
+    """On a set of the code's points with independent check columns: the
+    set's map is the scalar oracle's matrix with its count, map . E_B = I
+    for E_B[b, p] = p^b, and on the syndromes of random words on the
+    points it gives the words, as the lemma's path (the extension by the
+    set's family over A, then the IDFT at the points) does.  Returns the
+    family's kind."""
     f, entry = code.field, code.point_set(points)
-    family = entry.get("family")[0]
-    if len(family.delta) != len(points):
-        return None
     want, ops = _reference_map(code, points)
     fresh = codes.PointSetEntry(code, entry.rows)
-    fresh.get("family")
+    fresh.get("projection")
     before = f.op_count
-    (seeds, matrix), _ = fresh.get("map")
+    matrix = fresh.get("map")[0]
     assert f.op_count - before == ops
-    assert matrix.shape == (len(points), len(seeds)) and f.np_codes(matrix) == sum(want, [])
-    for k, s in enumerate(seeds):
-        unit = Spectrum(f, code.ndim, {d: ONE if d == s else ZERO for d in seeds})
-        lemma = idft_at(f, _extension_array(unit, family), entry.points.array)
-        assert (matrix[:, k] == lemma).all()
-    e_s = power_matrix(f, index_array(seeds, code.ndim), entry.points.array)
-    eye = f.np_exponents(np.eye(len(seeds), dtype=np.intp) - 1)
-    assert (f.np_dot(matrix[:, None, :], e_s.T[None]) == eye).all()
+    assert matrix.shape == (len(points), len(code.b_list)) and f.np_codes(matrix) == sum(want, [])
+    e_b = power_matrix(f, index_array(code.b_list, code.ndim), entry.points.array)
+    eye = f.np_exponents(np.eye(len(points), dtype=np.intp) - 1)
+    assert (f.np_dot(matrix[:, None, :], e_b.T[None]) == eye).all()
+    for _ in range(3):
+        word = Word(f, code.ndim, {p: rnd.randrange(-1, f.q - 1) for p in entry.points.points})
+        synd = syndrome(word, code.b_list)
+        x = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
+        assert dict(zip(entry.points.points, f.np_codes(f.np_dot(matrix, x)))) == (
+            _lemma_values(code, points, synd)) == word.values
+    family = entry.get("family")[0]
     return "vanishing-ideal" if family is entry.get("vanishing")[0] else "check-set"
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16", *sorted(N3_CODES)])
 def test_compiled_map_is_the_lemma_on_unit_seeds(name):
-    # the golden sets (the redundant set Phi, and on hermitian and hcrs
-    # the worked decode's erasure and located sets), the seeded Phi of
-    # herm16 and a seeded Phi of each N = 3 code
+    # the map against the scalar oracle and the lemma's path on the golden
+    # sets (the redundant set Phi, and on hermitian and hcrs the worked
+    # decode's erasure and located sets), the seeded Phi of herm16 and a
+    # seeded Phi of each N = 3 code
     code = (code_from_config(HERM16) if name == "herm16" else
             _n3_code(name) if name in N3_CODES else preset(name))
     f, rnd = code.field, random.Random(name)
@@ -1467,23 +1483,23 @@ def test_compiled_map_is_the_lemma_on_unit_seeds(name):
         sets = [next(phi for phi in (code.psi.subset(rnd.sample(code.psi.points, len(code.b_list)))
                                      for _ in range(100))
                      if check_systematic_support(phi, code)).points]
-    assert None not in [_assert_map_is_the_lemma(code, points) for points in sets]
+    for points in sets:
+        _assert_map_is_the_lemma(code, points, rnd)
 
 
 def test_compiled_map_is_the_lemma_on_random_codes():
     # the redundant set Phi of a small random code and each prefix of it
-    # whose family seeds as many indices as it has points
+    # with independent check columns, of either family
     kinds = set()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(systematic_cases())
     def check(case):
         code, phi, _ = case
+        rnd = random.Random(len(phi))
         for k in range(1, len(phi) + 1):
-            try:
-                kinds.add(_assert_map_is_the_lemma(code, phi.points[:k]))
-            except IdealError:  # an unsolvable check-set system
-                pass
+            if len(code.point_set(phi.points[:k]).get("projection")[0].pivots) == k:
+                kinds.add(_assert_map_is_the_lemma(code, phi.points[:k], rnd))
 
     check()
-    assert kinds == {"vanishing-ideal", "check-set", None}
+    assert kinds == {"vanishing-ideal", "check-set"}
