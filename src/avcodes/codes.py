@@ -39,16 +39,16 @@ class PointSetEntry:
     - ``projection``: an Eliminator holding the check columns of Phi, which
       projects a syndrome off them (the erasure projection of decoder.locate);
     - ``vanishing``: the reduced basis of the vanishing ideal of Phi
-      (ideal.vanishing_gb), the locator of a located set ({1} for no points);
-    - ``family``: the recurrence family of the lemma's path on Phi:
-      ``vanishing`` when its delta set lies in B, else the check-set family
-      (ideal.check_set_basis);
+      (ideal.vanishing_gb), a located set's lazy LocateResult.basis ({1} for none);
+    - ``family``: the recurrence family of the lemma's path on Phi
+      (decoder.systematic_basis): ``vanishing`` when its delta set lies in
+      B, else the check-set family (ideal.check_set_basis);
     - ``map``: the |Phi| x |B| exponent matrix taking the syndrome on B of
       a word on Phi to its values on Phi, read off ``projection``: the
       tail of minus the unit vector at b, reduced by Phi's columns, is
       column b.  It is the lemma's map on Phi, by which systematic
-      encoding and the erasure decoding of Phi evaluate; IdealError when
-      the columns have rank below |Phi|, where no such map exists.
+      encoding evaluates; IdealError when the columns have rank below
+      |Phi|, where no such map exists.
 
     ``rows`` is Phi as increasing point rows, ``points`` in the code's
     point order.  ``get(name)`` returns a member and whether the call built

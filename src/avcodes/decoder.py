@@ -2,21 +2,21 @@
 variety codes, plus per-step field-operation accounting.
 
 Each decode call returns its own report (``StepCounts``): the field
-operations of every named step it runs, in order ``transform`` (the
-received word's transform), ``locator``, ``extension`` (the locator
-seed and the error-spectrum extension), ``idft``, ``subtract`` and
+operations of every named step, in order ``transform`` (the received
+word's transform), ``locator``, ``extension``, ``idft``, ``subtract`` and
 ``check``, their wall times in milliseconds (``ms``, same labels), and
-meta data on the code, the locator and the IDFT.
-``decode_word`` runs all six and carries the report in
-``DecodeResult.report``; ``decode_info`` skips ``idft`` and ``check``
-and returns an ``InfoSpectrum``, a Spectrum with a ``report`` field.
-``decode_word`` hands the extension to the inverse transform as a flat
-array, reads the values on the located set alone (transform.idft_at) and
-checks the result by the syndrome of that set's part, by linearity.
-Systematic encoding is erasure-only decoding: on a redundant set, and on
-an erasure set with no error located, the values are one product of the
-syndrome with the set's map (codes.PointSetEntry), read off the erasure
-projection that the locator reduces by, and are checked the same way.
+meta data on the code and the locator (``point_sets_reused``: the call
+built no point-set store member).  ``decode_word`` runs all six and
+carries the report in ``DecodeResult.report``; ``decode_info`` skips
+``idft`` and ``check`` and returns an ``InfoSpectrum``, a Spectrum with a
+``report`` field.  The error values come with the locator, so no decode
+extends or runs an IDFT (those steps count 0; ``meta["extension"]`` and
+``meta["idft"]`` are None); ``decode_word`` checks its word by the
+error's syndrome, by linearity, and ``decode_info`` transforms the values
+to the delta set.  Systematic encoding is erasure-only decoding: the
+values on the redundant set are one product of the syndrome with the
+set's map (codes.PointSetEntry), read off the erasure projection the
+locator reduces by, and are checked the same way.
 
 The locator finds the errors off the erasures Phi1 by Feng-Rao majority
 voting, the erasures entering through erasure rows (Sakata, Leonard,
@@ -33,8 +33,10 @@ the span of the columns of Phi1 and Z.  Otherwise the well-behaving pairs
 at eta free of pivots to their left and above vote on the syndrome at
 eta.  Inside the Feng-Rao radius the majority is always right and Z is
 the error support; beyond it a decode returns a checked word or raises
-UndecodableError.  The numpy steps count the scalar operations they
-stand for, each once.
+UndecodableError.  The projection and the span test leave the syndrome's
+combination of the columns of Phi1 and Z as tails, which are minus the
+error values.  The numpy steps count the scalar operations they stand
+for, each once.
 """
 
 import numbers
@@ -44,11 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import (Spectrum, Word, check_field, check_values, dft_partial, idft_at,
-                        idft_at_count, power_matrix)
+from .transform import Spectrum, Word, check_field, check_values, dft_partial, power_matrix
 from .maps import PointSet
-from .ideal import (extend, IdealError, Eliminator, index_array, rows_independent,
-                    _extension_array)
+from .ideal import IdealError, Eliminator, index_array, rows_independent
 from .codes import PointSetEntry
 
 
@@ -116,17 +116,30 @@ def default_t_max(code, phi1_size):
 
 # -- the locator -------------------------------------------------------------
 
-class LocateResult(tuple):
-    """The pair (basis, located) of ``locate``; ``entry`` holds the located
-    set's PointSetEntry, ``stats`` the errors located off Phi1 (t), the
-    syndromes filled by majority (votes), the pivot count (rank) and the
-    staircase block's rows and cols, and ``built`` the members the call
-    built."""
+@dataclass(eq=False)
+class LocateResult:
+    """What ``locate`` returns: ``entry``, the located set's PointSetEntry;
+    ``values``, the error values on its points (``located``) as exponents,
+    None when their check columns are dependent; ``stats``, the errors
+    located off Phi1 (t), the syndromes filled by majority (votes), the
+    pivot count (rank) and the staircase block's rows and cols; ``built``,
+    whether the call built Phi1's erasure projection.  ``basis``, the
+    reduced basis of the vanishing ideal of the located set, is built on
+    first access; the result unpacks as (basis, located)."""
 
-    def __new__(cls, basis, entry, stats, built):
-        pair = super().__new__(cls, (basis, entry.points))
-        pair.entry, pair.stats, pair.built = entry, stats, built
-        return pair
+    entry: PointSetEntry
+    values: np.ndarray
+    stats: dict
+    built: bool
+
+    located = property(lambda self: self.entry.points)
+    basis = property(lambda self: self.entry.get("vanishing")[0])
+
+    def __iter__(self):
+        return iter((self.basis, self.located))
+
+    def __getitem__(self, i):
+        return getattr(self, ("basis", "located")[i])
 
 
 def _dots(ar, x):
@@ -178,16 +191,18 @@ class _Staircase:
         self.tried = None
 
     def run(self):
-        """The located positions off Phi1 and the statistics."""
+        """The located positions off Phi1, their combination (``_located``)
+        and the statistics."""
         while True:
             eta = self.n if self.known.all() else int(self.known.argmin())
             m = min(self.n, eta + 1)
             self._advance(eta, m)
-            z = self._located(m)
-            if z is not None:
-                return z, {"t": len(z), "votes": self.votes, "rank": len(self.pivots),
-                           "rows": int(np.count_nonzero(self.rows & (self.width > 0))),
-                           "cols": int(self.width.max())}
+            found = self._located(m)
+            if found is not None:
+                z, comb = found
+                return z, comb, {"t": len(z), "votes": self.votes, "rank": len(self.pivots),
+                                 "rows": int(np.count_nonzero(self.rows & (self.width > 0))),
+                                 "cols": int(self.width.max())}
             if eta == self.n:
                 raise UndecodableError("no error support of size <= %d is consistent "
                                        "with the syndrome" % self.t_max)
@@ -251,7 +266,9 @@ class _Staircase:
                 + 2 * int((self.width[rows] - col - 1).sum()))
 
     def _located(self, m):
-        """The stop rule: the candidate locator's zeros off Phi1, or None."""
+        """The stop rule: the candidate locator's zeros Z off Phi1 and the
+        target's combination of the columns of Phi1 and Z as tails (None
+        when the columns of Z are dependent), or None."""
         f, code, zero = self.f, self.code, self.ar.zero
         last = max((col for col, _, _ in self.pivots), default=0)
         cand = np.flatnonzero(self.rows[:m] & (self.pivot_col[:m] < 0)
@@ -271,10 +288,18 @@ class _Staircase:
             return None
         # the target is in the span of the columns of Phi1 and Z when its
         # residual off Phi1 is in the span of theirs
-        res, _, more = self.erasures.reduce(np.vstack([code.columns[z], self.target]))
+        res, tails, more = self.erasures.reduce(np.vstack([code.columns[z], self.target]))
         done, ops = Eliminator(f, len(code.b_list)).insert(res, range(len(res)))
         f.op_count += ops + int(more.sum())
-        return z if done[-1][1] is not None else None
+        if done[-1][1] is None:
+            return None
+        if any(tail is not None for _, tail in done[:-1]):
+            return z, None
+        # the target's tail c_Z over Z; over Phi1 its erasure tail plus
+        # sum_z c_z times column z's: |Z| muls and |Z| adds per tail entry
+        c_z = done[-1][1]
+        f.op_count += 2 * len(z) * tails.shape[1]
+        return z, np.concatenate([f.np_dot(tails.T, np.append(c_z, 0)), c_z])
 
     def _vote(self, eta, m):
         """Fill the syndrome at eta with the majority vote of the
@@ -304,21 +329,21 @@ class _Staircase:
 
 def locate(synd, phi1, code, t_max=None):
     """The error support of the B-indexed syndrome, by Feng-Rao majority
-    voting: a LocateResult (reduced basis of the vanishing ideal of Phi1
-    union Phi2, located point set in the code's point order).  Raises
-    UndecodableError at more than t_max pivots, when no pair votes, or
-    when no support passes the stop rule once every syndrome is filled,
-    and at a syndrome or erasure set over another field or a syndrome
-    missing a check index; FieldError, naming the index, at a syndrome
-    value that is no element code; ValueError at a t_max that is not a
-    nonnegative integer (a bool or 2.5 included).  The erasure projection
-    comes from Phi1's entry in the code's point-set store, which is also
-    the located set's when no error is located; errors make the located
-    set an entry that is not stored.  ``built`` on the result counts the
-    members this call built.  The decode head calls this public name too,
-    re-running the syndrome checks its transform has made (a few
-    microseconds), so that a wrapper of ``decoder.locate`` sees every
-    decode.
+    voting, and the error values on it: a LocateResult (located point set
+    Phi1 union Phi2 in the code's point order).  Raises UndecodableError
+    at more than t_max pivots, when no pair votes, or when no support
+    passes the stop rule once every syndrome is filled, and at a syndrome
+    or erasure set over another field or a syndrome missing a check index;
+    FieldError, naming the index, at a syndrome value that is no element
+    code; ValueError at a t_max that is not a nonnegative integer (a bool
+    or 2.5 included).  The erasure projection comes from Phi1's entry in
+    the code's point-set store, which is also the located set's when no
+    error is located; errors make the located set an entry that is not
+    stored.  The values are minus the tails of the projection and the stop
+    rule's span test, None where the located set's columns are dependent.
+    The decode head calls this public name too, re-running the syndrome
+    checks its transform has made (a few microseconds), so that a wrapper
+    of ``decoder.locate`` sees every decode.
     """
     f = code.field
     if t_max is None:
@@ -339,18 +364,24 @@ def locate(synd, phi1, code, t_max=None):
         raise UndecodableError("erasure location %s is not a code point" % (exc.args[0],))
     # the erasure projection: only the target is reduced
     elim, built = entry.get("projection")
-    res, _, reduce_ops = elim.reduce(target[None])
+    res, tails, reduce_ops = elim.reduce(target[None])
     f.op_count += int(reduce_ops[0])
 
+    ar = f.np_arith()
     stats = {"t": 0, "votes": 0, "rank": 0, "rows": 0, "cols": 0}
-    if (res != f.np_arith().zero).any():
+    rows, comb = entry.rows, tails[0]
+    if (res != ar.zero).any():
         if not t_max:
             raise UndecodableError(
                 "no error support of size <= 0 is consistent with the syndrome")
-        z, stats = _Staircase(code, target, elim, entry.rows, t_max).run()
-        entry = PointSetEntry(code, tuple(sorted(entry.rows + tuple(z.tolist()))))
-    gb, fresh = entry.get("vanishing")
-    return LocateResult(gb, entry, stats, built + fresh)
+        z, comb, stats = _Staircase(code, target, elim, entry.rows, t_max).run()
+        rows = entry.rows + tuple(z.tolist())
+        entry = PointSetEntry(code, tuple(sorted(rows)))
+    values = None
+    if comb is not None and len(comb) == len(rows):  # tails skip dependent columns of Phi1
+        f.op_count += len(rows)
+        values = np.where(comb == ar.zero, ar.zero, (comb + ar.neg) % (f.q - 1))[np.argsort(rows)]
+    return LocateResult(entry, values, stats, built)
 
 
 # -- the two decoding algorithms --------------------------------------------
@@ -358,13 +389,14 @@ def locate(synd, phi1, code, t_max=None):
 def _decode_head(r, phi1, code, t_max, kind, indices):
     """The steps shared by both decoders: the transform of r on
     ``indices`` and the locator.  Returns (meter, report, transform,
-    LocateResult); the caller reads the located set's family or map
-    (``_member``) in its ``extension`` step."""
-    check_field(r, code.field, "received word", "code", UndecodableError)
-    check_field(phi1, code.field, "erasure set", "code", UndecodableError)
+    located set, error word on it); UndecodableError when the located
+    set's check columns are dependent, where it has no error values."""
+    f = code.field
+    check_field(r, f, "received word", "code", UndecodableError)
+    check_field(phi1, f, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):  # the transform checks the values
         raise UndecodableError("received word is not indexed by the code's point set")
-    meter = _Meter(code.field)
+    meter = _Meter(f)
     rt = dft_partial(r, indices, "received word")
     # a bad value is reported before a bad erasure set; locate rejects an
     # erasure outside the code
@@ -372,57 +404,40 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
         raise UndecodableError("every position erased, no information positions")
     meter.lap("transform")
     loc = locate(rt, phi1, code, t_max)
-    gb_loc, located = loc
     meter.lap("locator")
+    located = loc.located
+    if loc.values is None:
+        raise UndecodableError("locator delta escapes the check set and the check-set "
+                               "system is unsolvable: the check columns of the %d "
+                               "located points are dependent" % len(located))
     report = StepCounts(meter.steps, {
         "kind": kind,
         "code": code.name or repr(code),
-        "q": code.field.q,
+        "q": f.q,
         "N": code.ndim,
         "n": code.n,
-        "z": len(gb_loc),
         "located": len(located),
-        "fast_idft_bound": 3 * code.ndim * code.field.q ** (code.ndim + 1),
+        "fast_idft_bound": 3 * code.ndim * f.q ** (code.ndim + 1),
         "idft": None,
         "locator": loc.stats,
         "extension": None,
         "point_sets_reused": not loc.built,
     }, meter.ms)
-    return meter, report, rt, loc
-
-
-def _member(entry, name, report):
-    """A member of the located set's store entry, its build noted in the
-    report; UndecodableError when the set's check columns are dependent."""
-    try:
-        value, built = entry.get(name)
-    except IdealError as exc:
-        raise UndecodableError("locator delta escapes the check set and the check-set "
-                               "system is unsolvable: %s" % (exc,))
-    report.meta["point_sets_reused"] &= not built
-    return value
-
-
-def _family(loc, report):
-    """The located set's recurrence family, named in the report."""
-    basis = _member(loc.entry, "family", report)
-    report.meta["extension"] = {
-        "family": "vanishing-ideal" if basis is loc[0] else "check-set",
-        "schedule": "sequential" if basis.sequential else "worklist", "compiled": False}
-    return basis
+    e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(loc.values))))
+    return meter, report, rt, located, e_loc
 
 
 def decode_info(r, phi1, code, t_max=None):
     """Recover the information spectrum on D\\B from a received word
     (non-systematic decoding).  Erased positions of r must hold zero.
+    The error spectrum on D is the transform of the locator's error values
+    on the located set L, |D| |L| terms (the ``extension`` step).
     Returns an InfoSpectrum, whose ``report`` holds the call's counts."""
     f = code.field
     dsorted = code.delta.sorted(code.order)
-    meter, report, rtilde, loc = _decode_head(r, phi1, code, t_max, "decode_info", dsorted)
-    k = {d: ZERO for d in dsorted}
-    if len(loc[1]):
-        basis = _family(loc, report)
-        k = extend(rtilde.restrict(basis.delta.members), basis, dsorted).values
+    meter, report, rtilde, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_info",
+                                                         dsorted)
+    k = dft_partial(e_loc, dsorted).values if len(located) else dict.fromkeys(dsorted, ZERO)
     meter.lap("extension")
     out = {d: f.sub(rtilde.values[d], k[d]) for d in dsorted}
     meter.lap("subtract")
@@ -435,32 +450,17 @@ def decode_info(r, phi1, code, t_max=None):
 
 def decode_word(r, phi1, code, t_max=None):
     """Split a received word into codeword + error (erasure-and-error
-    decoding with explicit error values).  The error values come from the
-    IDFT of the extended error spectrum on the located set alone (its
-    count in ``report.meta["idft"]``).  When no error is located, the
-    located set is the caller's Phi1 and the values are one product of
-    the syndrome with Phi1's map (PointSetEntry), counted in the
-    ``extension`` step with the map's build, no IDFT run
-    (``report.meta["extension"]["compiled"]``); UndecodableError when
-    Phi1's check columns are dependent.  The codeword is checked by
-    linearity: its syndrome is the received word's, already computed on
-    B, minus the error's, which vanishes off the located set."""
+    decoding with explicit error values).  The error values on the located
+    set come with the locator (LocateResult), so the ``extension`` and
+    ``idft`` steps count nothing; UndecodableError when the located set's
+    check columns are dependent.  The codeword is checked by linearity:
+    its syndrome is the received word's, already computed on B, minus the
+    error's, which vanishes off the located set."""
     f = code.field
-    meter, report, rt, loc = _decode_head(r, phi1, code, t_max, "decode_word", code.b_list)
-    located, vals = loc[1], None
-    if len(located) and loc.stats["t"]:
-        basis = _family(loc, report)
-        x = _extension_array(rt.restrict(basis.delta.members), basis)
-    elif len(located):
-        vals = _mapped(_member(loc.entry, "map", report), rt, code)
-        report.meta["extension"] = {"family": None, "schedule": None, "compiled": True}
+    meter, report, rt, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_word",
+                                                     code.b_list)
+    # the values came with the locator: no extension and no IDFT to run
     meter.lap("extension")
-    e_loc = Word(f, code.ndim, {})
-    if len(located):
-        if vals is None:
-            vals = idft_at(f, x, located.array)
-            report.meta["idft"] = idft_at_count(f.q, located.array)
-        e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(vals))))
     meter.lap("idft")
     e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
     c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
@@ -469,15 +469,6 @@ def decode_word(r, phi1, code, t_max=None):
         raise UndecodableError("decoded word fails the check set")
     meter.lap("check")
     return DecodeResult(codeword=c, error=e, located=located, report=report)
-
-
-def _mapped(matrix, synd, code):
-    """The values on Phi of Phi's map at a syndrome on B, as exponents:
-    one product, |Phi| |B| muls and |Phi| (|B| - 1) adds."""
-    f = code.field
-    x = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
-    f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
-    return f.np_dot(matrix, x)
 
 
 # -- systematic encoding -----------------------------------------------------
@@ -539,7 +530,10 @@ def systematic_encode(info, phi, code):
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
     seed = dft_partial(info, code.b_list, "information word")
-    w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(_mapped(matrix, seed, code)))))
+    # the values on Phi: |Phi| |B| muls and |Phi| (|B| - 1) adds
+    x = f.np_exponents(np.array([seed.values[b] for b in code.b_list], dtype=np.intp))
+    f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
+    w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(f.np_dot(matrix, x)))))
     # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
     # seed - syndrome(w): zero when the seed is minus the Phi part's
     if dft_partial(w, code.b_list).values != seed.values:

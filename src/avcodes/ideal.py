@@ -27,8 +27,8 @@ synthesis produces, which may include order-redundant elements such as
 y*g over a two-point set); every minimal index outside S is one of these
 leads or dominates one.  vanishing_gb seeds it on the delta set its scan
 finds and adds the x_i^q-carrying minimal generators; check_set_basis
-seeds it on a check set B, which erasure-only decoding and systematic
-encoding take when the delta set of their points leaves B.
+seeds it on a check set B, the lemma's family of a point set whose
+delta set leaves B (decoder.systematic_basis).
 
 The extension (``extend``) is split in two.  A plan, built from the
 basis shape alone (q, N, order, leads, seed set, target and family
@@ -461,8 +461,8 @@ def check_set_basis(points, b_set, order):
     index x_i * b outside B), with tail supported on B, vanishing on the
     points.
 
-    Erasure-only decoding of a point set and systematic encoding on it
-    extend with this family when the delta set of the points leaves B
+    The lemma's path on a point set (decoder.systematic_basis) extends
+    with this family when the delta set of the points leaves B
     (codes.PointSetEntry): the tail coefficients of each element are
     solved from the point-evaluation system, which is solvable for every
     lead exactly when ev restricted to (V_B, points) is surjective.  When

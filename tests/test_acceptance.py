@@ -23,6 +23,7 @@ from avcodes.codes import (preset, code_from_config, encode_nonsystematic,
 from avcodes.decoder import decode_info, decode_word, systematic_basis, systematic_encode
 from avcodes import golden
 from avcodes.golden import run_examples
+from test_decoder import _lemma_values
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +269,10 @@ def _decode_trials(code, trials, rng):
             for p in pts:
                 assert res.error.values[p] == f.sub(r.values[p], cw.values[p])
             assert is_dual_codeword(res.codeword, code)
+            # the locator's values are the lemma path's on the located set
+            if len(res.located):
+                lemma = _lemma_values(code, res.located.points, syndrome(r, code.b_list))
+                assert {p: res.error.values[p] for p in res.located.points} == lemma
 
 
 def test_criterion_8_decode_roundtrip(codes):
@@ -275,7 +280,8 @@ def test_criterion_8_decode_roundtrip(codes):
     _decode_trials(codes["hermitian"], 500, rng)
     _decode_trials(codes["hcrs"], 500, rng)
     _passed(8, "500 Hermitian trials (|Phi1|+2|Phi2| <= 6) and 500 HCRS "
-               "trials (<= 8) all recovered exactly, zero failures")
+               "trials (<= 8) all recovered exactly, zero failures; the "
+               "error values equal the lemma's extension and IDFT")
 
 
 def test_criterion_9_systematic_equals_erasure_only(battery, codes):
@@ -367,7 +373,10 @@ def test_criterion_11_complexity_trend(codes):
         res = decode_word(r, PointSet(f, code.ndim, ()), code)
         assert res.codeword.values == cw.values
         rep = res.report
-        bound = rep.meta["z"] * code.n ** 2 + code.ndim * f.q ** (code.ndim + 1)
+        # z = |G(L)|, the size of the reduced basis of the vanishing ideal
+        # of the located set, which the decoder does not build
+        z = len(vanishing_gb(res.located, code.order)[0])
+        bound = z * code.n ** 2 + code.ndim * f.q ** (code.ndim + 1)
         table.append((name, code.n, rep.total, bound, rep.total / bound))
     # constant calibrated at the smallest configuration; larger ones must
     # not grow faster than the model by more than the factor-2 tolerance

@@ -288,12 +288,9 @@ def test_bench_json(tmp_path, capsys):
         assert rec["meta"]["code"] == name and "votes" in rec["meta"]["locator"]
         # each preset is decoded once on a fresh code: every point set is built
         assert rec["meta"]["point_sets_reused"] is False
-        ext = rec["meta"]["extension"]
-        if ext["compiled"]:  # an erasure-only decode reads its set's map
-            assert ext == {"family": None, "schedule": None, "compiled": True}
-        else:
-            assert ext["family"] in ("vanishing-ideal", "check-set")
-            assert ext["schedule"] in ("sequential", "worklist")
+        # the error values come with the locator: no extension, no IDFT
+        assert rec["meta"]["extension"] is None and rec["meta"]["idft"] is None
+        assert rec["steps"]["extension"] == rec["steps"]["idft"] == 0
     assert next(lines) == "idft q=9 N=2: fast %d ops, direct %d ops" % (
         doc["idft"]["fast_ops"], doc["idft"]["direct_ops"])
     path = tmp_path / "bench.json"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -390,12 +391,12 @@ def test_reports_are_per_call(rng):
     assert rep_b.meta["locator"]["t"] == 0
     assert list(rep_b.steps) == ["transform", "locator", "extension", "subtract"]
     assert rep_a.steps is not rep_b.steps
-    # decoding A again reads Phi1's projection from the store but builds
-    # the basis of its located set, which holds errors, again: the same
-    # counts but the projection's build, and B's report is left alone
+    # decoding A again reads Phi1's projection from the store and builds
+    # nothing, its located set's basis included: the same counts but the
+    # projection's build, and B's report is left alone
     steps_b = dict(rep_b.steps)
     again = decode_word(r_a, phi_a, hermitian).report
-    assert not again.meta["point_sets_reused"]
+    assert not rep_a.meta["point_sets_reused"] and again.meta["point_sets_reused"]
     projection = _build_ops(preset("hermitian"), phi_a.points, "projection")
     assert again.steps == dict(rep_a.steps, locator=rep_a.steps["locator"] - projection)
     assert info_b.report.steps == steps_b
@@ -612,8 +613,13 @@ def test_decode_round_trip_inside_radius(case, rnd):
     cw = encode_nonsystematic(h, code)
     r = Word(f, code.ndim, {p: ZERO if p in phi1 else f.add(v, e.values[p])
                             for p, v in cw.values.items()})
-    assert decode_word(r, phi1, code).codeword.values == cw.values
+    res = decode_word(r, phi1, code)
+    assert res.codeword.values == cw.values
     assert decode_info(r, phi1, code).values == h.values
+    # the locator's values are the lemma path's on the located set
+    if len(res.located):
+        lemma = _lemma_values(code, res.located.points, syndrome(r, code.b_list))
+        assert {p: res.error.values[p] for p in res.located.points} == lemma
 
 
 @pytest.mark.parametrize("name", ["hermitian", "hcrs"])
@@ -646,25 +652,16 @@ def test_beyond_radius_returns_checked_or_raises(name, rng):
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs"])
-def test_omega_word_vanishes_off_the_located_set(name, rng, monkeypatch):
-    # decode_word reads the error values on the located set L alone; at
-    # every call that reaches its idft step, the full Omega-word of the
-    # extended error spectrum must vanish off L (as the lemma says for a
-    # basis of I(L)) and agree with the restricted values on it.  400
-    # words with 1..|B| errors and 0-2 erasures, each decoded at the
-    # default t_max, d_fr and |B|
+def test_omega_word_vanishes_off_the_located_set(name, rng):
+    # decode_word takes the error values on the located set L from the
+    # locator's elimination; at every call that locates a nonempty L they
+    # must equal the lemma's path on L (the syndrome extended by L's
+    # family, then the IDFT at L), whose full Omega-word must vanish off L
+    # (as the lemma says for a basis of I(L)).  400 words with 1..|B|
+    # errors and 0-2 erasures, each decoded at the default t_max, d_fr
+    # and |B|
     code = preset(name)
     reached = []
-
-    def checked(field, x, points):
-        got = idft_at(field, x, points)
-        psi = PointSet(field, code.ndim, tuple(map(tuple, points.tolist())))
-        w, at = maps._omega_idft(x, psi)  # VanishingError off psi
-        assert (w[at] == got).all()
-        reached.append(len(points))
-        return got
-
-    monkeypatch.setattr(decoder, "idft_at", checked)
     nb = len(code.b_list)
     for _ in range(400):
         cw = encode_nonsystematic(random_info(code, rng), code)
@@ -676,7 +673,42 @@ def test_omega_word_vanishes_off_the_located_set(name, rng, monkeypatch):
             except UndecodableError:
                 continue
             assert is_dual_codeword(res.codeword, code)
+            if len(res.located):
+                lemma = _lemma_values(code, res.located.points, syndrome(r, code.b_list))
+                assert {p: res.error.values[p] for p in res.located.points} == lemma
+                reached.append(len(res.located))
     assert len(reached) > 100
+
+
+@pytest.mark.parametrize("name", ["hermitian", "hcrs"])
+def test_decoders_build_no_basis_family_or_map(name, rng, monkeypatch):
+    # the error values come with the locator: over both decoders, on
+    # every pattern inside the radius with a fresh erasure set, no
+    # vanishing-ideal basis, check-set family or map is built.  The
+    # locator's basis of the located set is built on first access and
+    # then kept with its entry
+    code = preset(name)
+    calls = []
+    for owner, fn in ((codes, "vanishing_gb"), (codes, "check_set_basis"),
+                      (codes.PointSetEntry, "_vanishing"), (codes.PointSetEntry, "_family"),
+                      (codes.PointSetEntry, "_map")):
+        monkeypatch.setattr(owner, fn, lambda *args, fn=fn, real=getattr(owner, fn): (
+            calls.append(fn), real(*args))[1])
+    for n_err in range((code.d_fr - 1) // 2 + 1):
+        for n_erase in range(code.d_fr - 2 * n_err):
+            h = random_info(code, rng)
+            cw = encode_nonsystematic(h, code)
+            r, phi1 = corrupt(code, cw, n_erase, n_err, rng)
+            code._point_sets.clear()
+            assert decode_word(r, phi1, code).codeword.values == cw.values
+            code._point_sets.clear()
+            assert decode_info(r, phi1, code).values == h.values
+    assert not calls
+    loc = locate(syndrome(r, code.b_list), phi1, code)
+    assert not calls
+    gb, located = loc
+    assert loc[0] is loc.basis is gb and loc[1] is located
+    assert calls == ["_vanishing", "vanishing_gb"]
 
 
 def test_store_keeps_only_named_sets(rng):
@@ -706,7 +738,10 @@ def test_locator_ops_within_model(name, t, rng):
         rep = res.report
         assert rep.meta["locator"]["t"] == t
         votes += rep.meta["locator"]["votes"]
-        model = rep.meta["z"] * code.n ** 2 + code.ndim * f.q ** (code.ndim + 1)
+        # z = |G(L)|, the size of the reduced basis of the vanishing ideal
+        # of the located set, which the decoder does not build
+        z = len(vanishing_gb(res.located, code.order)[0])
+        model = z * code.n ** 2 + code.ndim * f.q ** (code.ndim + 1)
         assert rep.steps["locator"] <= model, (rep.steps["locator"], model)
     # on hcrs, whose B is no prefix of the order, four errors need votes
     assert votes > 0 or name != "hcrs"
@@ -778,40 +813,35 @@ def test_locator_report(hermitian, rng):
     assert res.report.meta["locator"] == {"t": 0, "votes": 0, "rank": 0, "rows": 0,
                                           "cols": 0}
     # nothing located, nothing extended; the repeated decode reads the empty
-    # erasure set's projection and its locator {1} from the store
+    # erasure set's projection from the store
     assert res.report.meta["extension"] is None and res.report.meta["point_sets_reused"]
-    assert res.report.meta["z"] == 1
 
 
 def test_extension_meta(hcrs, rng):
-    # the report names the family and schedule of the extension; the
-    # check-set family of hcrs's golden systematic set has forward tails,
-    # so it runs the worklist schedule
+    # the values come with the locator, so no decode extends or reads a
+    # map: meta["extension"] and meta["idft"] are None on every decode,
+    # with errors located and on the erasure decoding of hcrs's golden
+    # systematic set, whose delta set leaves B
     cw = encode_nonsystematic(random_info(hcrs, rng), hcrs)
     r, phi1 = corrupt(hcrs, cw, 0, 2, rng)
-    meta = decode_info(r, phi1, hcrs).report.meta
-    assert meta["extension"] == {"family": "vanishing-ideal", "schedule": "sequential",
-                                 "compiled": False}
     phi = PointSet(hcrs.field, 2, HCRS_SYS_PHI)
-    r = Word(hcrs.field, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
-    # decode_info extends with Phi's check-set family; every erasure
-    # decoding of Phi reads its map, no family
+    r_phi = Word(hcrs.field, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
     code = preset("hcrs")
-    meta = decode_info(r, phi, code).report.meta
-    assert meta["extension"] == {"family": "check-set", "schedule": "worklist",
-                                 "compiled": False}
-    for _ in range(2):
-        meta = decode_word(r, phi, code).report.meta
-        assert meta["extension"] == {"family": None, "schedule": None, "compiled": True}
+    for word, erased in ((r, phi1), (r_phi, phi), (r_phi, phi)):
+        for decode in (decode_info, decode_word):
+            meta = decode(word, erased, code).report.meta
+            assert meta["extension"] is None and meta["idft"] is None
+    assert set(code.point_set(phi.points)._members) == {"projection"}
 
 
 def test_hcrs_golden_systematic_counts(rng):
-    # systematic encoding and erasure decoding on hcrs's golden Phi read
-    # its 20 x 20 map: 8,900 operations and an extension step of
-    # 780 = 20 * 39.  On the lemma's path the worklist extension checks
+    # systematic encoding on hcrs's golden Phi reads its 20 x 20 map:
+    # 8,900 operations.  The erasure decoding of Phi takes the values off
+    # the locator's erasure projection, so its extension and idft steps
+    # count nothing.  On the lemma's path the worklist extension checks
     # every recurrence but the one that set each value: 8,619 operations
     # (10,648 with the setting recurrences checked too), so with the IDFT
-    # in place of the product an encode counts 20,093
+    # in place of the product (780 = 20 * 39) an encode counts 20,093
     code = preset("hcrs")
     f, phi = code.field, PointSet(code.field, 2, HCRS_SYS_PHI)
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
@@ -822,8 +852,8 @@ def test_hcrs_golden_systematic_counts(rng):
     r = Word(f, 2, {p: ZERO if p in phi else v for p, v in cw.values.items()})
     res = decode_word(r, phi, code)
     assert res.codeword.values == cw.values
-    assert res.report.meta["extension"] == {"family": None, "schedule": None, "compiled": True}
-    assert res.report.steps["extension"] == 780 and res.report.steps["idft"] == 0
+    assert res.report.meta["extension"] is None
+    assert res.report.steps["extension"] == res.report.steps["idft"] == 0
     # the lemma's path on the same syndrome, its family built first
     family = systematic_basis(phi, code)
     seed = syndrome(info, code.b_list)
@@ -904,31 +934,47 @@ def test_large_field_three_error_roundtrip(name, rng):
 
 @pytest.mark.parametrize("name", sorted(LARGE_FIELDS))
 def test_line_code_idft_reads_three_values(name, rng):
-    # the error values of three located points: one inverse kernel row
-    # each, q - 1 powers plus q - 1 muls, q - 2 adds and a neg, against
-    # the fast transform's q^2-sized count
+    # the error values of three located points come with the locator: a
+    # warm decode counts no q^N-sized step (the extension over A used to
+    # count 57,323 operations on GF(2^13)).  The lemma's path reads the
+    # same three values with one inverse kernel row each: q - 1 powers
+    # plus q - 1 muls, q - 2 adds and a neg, against the fast transform's
+    # q^2-sized count
     code = _line_code(LARGE_FIELDS[name], 40, 6)
     f, q = code.field, code.field.q
     r = Word(f, 1, {p: ZERO for p in code.psi.points})
     errs = rng.sample([p for p in code.psi.points if p != (ZERO,)], 3)
     for p in errs:
         r.values[p] = rng.randrange(0, f.q - 1)
-    rep = decode_word(r, PointSet(f, 1, ()), code).report
-    assert rep.meta["idft"] == 3 * (3 * q - 3)
-    assert rep.steps["idft"] == 3 * (3 * q - 3) < 1 + (q - 1) * (3 * q - 2)
+    empty = PointSet(f, 1, ())
+    decode_word(r, empty, code)
+    res = decode_word(r, empty, code)
+    rep = res.report
+    assert rep.meta["point_sets_reused"] and rep.meta["idft"] is None
+    assert rep.steps["extension"] == rep.steps["idft"] == 0
+    assert max(rep.steps.values()) < q
     assert rep.steps["check"] == 3 * len(code.b_list) * 3
+    lemma = _lemma_values(code, errs, syndrome(r, code.b_list))
+    assert {p: res.error.values[p] for p in errs} == lemma == {p: r.values[p] for p in errs}
+    family = vanishing_gb(res.located, code.order)[0]
+    x = _extension_array(syndrome(r, code.b_list).restrict(family.delta.members), family)
+    before = f.op_count
+    got = f.np_codes(idft_at(f, x, res.located.array))
+    assert got == [r.values[p] for p in res.located.points]
+    assert f.op_count - before == 3 * (3 * q - 3) < 1 + (q - 1) * (3 * q - 2)
 
 
 def test_idft_report_meta(hermitian, rng):
-    # the count of the IDFT at the located points, next to
-    # fast_idft_bound; None when no IDFT runs
+    # fast_idft_bound stays in the report; no decode runs an IDFT, so
+    # meta["idft"] is None and the idft step counts nothing on every decode
     cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
     r, phi1 = corrupt(hermitian, cw, 2, 1, rng)
-    rep = decode_word(r, phi1, hermitian).report
-    assert rep.meta["idft"] == rep.steps["idft"] < rep.meta["fast_idft_bound"]
-    assert decode_info(r, phi1, hermitian).report.meta["idft"] is None
-    clean = decode_word(cw, PointSet(hermitian.field, 2, ()), hermitian).report
-    assert clean.meta["idft"] is None and clean.steps["idft"] == clean.steps["check"] == 0
+    empty = PointSet(hermitian.field, 2, ())
+    for rep in (decode_word(r, phi1, hermitian).report, decode_info(r, phi1, hermitian).report,
+                decode_word(cw, empty, hermitian).report):
+        assert rep.meta["idft"] is None and rep.steps.get("idft", 0) == 0
+        assert rep.meta["fast_idft_bound"] == 4374
+    assert rep.steps["extension"] == rep.steps["check"] == 0  # the clean word's
 
 
 def test_decode_info_zech_range():
@@ -1008,14 +1054,15 @@ def test_systematic_encode_equals_erasure_decoding():
         code, phi, info = case
         f = code.field
         padded = Word(f, code.ndim, {p: info.values.get(p, ZERO) for p in code.psi.points})
-        # the first round builds Phi's store entry, the second reads it
-        for reused in (False, True):
+        # the first encode builds Phi's store entry; each decode reads its
+        # projection and builds nothing
+        for _ in range(2):
             word = systematic_encode(info, phi, code)
             assert is_dual_codeword(word, code)
             assert all(word.values[p] == v for p, v in info.values.items())
             res = decode_word(padded, phi, code)
             assert res.codeword.values == word.values
-            assert res.report.meta["point_sets_reused"] == reused
+            assert res.report.meta["point_sets_reused"]
         worklist.append(not systematic_basis(phi, code).sequential)
 
     check()
@@ -1150,27 +1197,33 @@ def _reference_map(code, points):
 
 
 def _lemma_values(code, points, synd):
-    """The lemma's path on a set of the code's points: the syndrome on B
-    extended by the set's family over A, then the IDFT at the points, as
-    {point: element code}."""
-    f, entry = code.field, code.point_set(points)
+    """The lemma's path on a set L of the code's points: the syndrome on B
+    extended over A by L's family (the vanishing ideal's basis when its
+    delta set lies in B, else the check-set family; IdealError when that is
+    unsolvable), then the IDFT at L, as {point: element code}.  The full
+    Omega-word of the extension must vanish off L (maps._omega_idft raises
+    VanishingError) and agree with the IDFT at L.  L's entry is built
+    aside, so the code's store is left alone."""
+    f = code.field
+    entry = codes.PointSetEntry(code, tuple(sorted(code.point_row[p] for p in points)))
     family = entry.get("family")[0]
     x = _extension_array(synd.restrict(family.delta.members), family)
-    return dict(zip(entry.points.points, f.np_codes(idft_at(f, x, entry.points.array))))
+    got = idft_at(f, x, entry.points.array)
+    w, at = maps._omega_idft(x, entry.points)
+    assert (w[at] == got).all()
+    return dict(zip(entry.points.points, f.np_codes(got)))
 
 
 @pytest.mark.parametrize("name, n_erase, n_err", [
     ("hermitian", 0, 3), ("hermitian", 2, 2), ("hermitian", 4, 0), ("hcrs", None, 0)])
 def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     # decoding the same word again reads the store: its steps are the first
-    # call's minus the ops of building the stored members it read, counted
-    # on a fresh code.  With errors the located set's vanishing-ideal
-    # family is built per call.  With no error located (the erasure-only
+    # call's minus the ops of building Phi1's erasure projection, counted on
+    # a fresh code, the one member a decode builds.  The error values come
+    # with the locator, with errors located or not (the erasure-only
     # patterns, and the golden systematic set of hcrs (None), whose delta
-    # set leaves B) every call reads Phi1's map, built on the first,
-    # counted as the scalar reductions of the reference count them: the
-    # values are one product with it, |Phi1| (2 |B| - 1) operations, and
-    # no IDFT
+    # set leaves B): no basis, family or map is built and the extension
+    # and idft steps count nothing
     code = preset(name)
     cw = encode_nonsystematic(random_info(code, rng), code)
     if n_erase is None:
@@ -1182,28 +1235,16 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     second, warm = (decode_word(r, phi1, code).report for _ in range(2))
     rep = cold.report
     assert cold.codeword.values == cw.values
-    # a located set with errors is built per call, so only Phi1 reads warm
     assert not rep.meta["point_sets_reused"]
-    assert second.meta["point_sets_reused"] == warm.meta["point_sets_reused"] == (not n_err)
-    assert second.meta["extension"] == warm.meta["extension"] == rep.meta["extension"] == (
-        {"family": "vanishing-ideal", "schedule": "sequential", "compiled": False} if n_err
-        else {"family": None, "schedule": None, "compiled": True})
-    fresh = preset(name)
-    locator = _build_ops(fresh, phi1.points, "projection")
-    if not n_err:
-        locator += _build_ops(fresh, cold.located.points, "vanishing")
+    assert second.meta["point_sets_reused"] and warm.meta["point_sets_reused"]
+    assert second.meta["extension"] == warm.meta["extension"] == rep.meta["extension"] is None
+    locator = _build_ops(preset(name), phi1.points, "projection")
     # the empty erasure set's projection costs nothing to build
     assert (locator > 0) == bool(len(phi1))
-    if n_err:
-        assert second.steps == warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator)
-        assert warm.total == rep.total - locator
-        return
-    product = len(phi1) * (2 * len(code.b_list) - 1)
-    build = _build_ops(fresh, phi1.points, "map")
-    assert second.steps == warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator,
-                                              extension=product)
-    assert rep.steps["extension"] == product + build and warm.steps["idft"] == 0
-    assert build == _reference_map(fresh, phi1.points)[1] > 0
+    assert second.steps == warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator)
+    assert warm.total == rep.total - locator
+    assert warm.steps["extension"] == warm.steps["idft"] == 0
+    assert set(code.point_set(phi1.points)._members) == {"projection"}
 
 
 def test_warm_systematic_encode_leaves_out_the_build(rng):
@@ -1240,31 +1281,30 @@ def _herm16_phi(code):
 
 
 # (systematic encode, Phi-erasure decode_word) twice, and the last decode's
-# extension step, on the test's information word: every call reads Phi's
-# map, which the first encode builds; the first decode builds Phi's
-# vanishing ideal, the locator's basis of the located set
+# extension step, on the test's information word: every encode reads Phi's
+# map, which the first builds with Phi's erasure projection; every decode
+# takes its values off that projection and builds nothing
 SHARED_FAMILY_COUNTS = {
-    "hermitian": (2203, 2842, 1377, 1924, 153),
-    "hcrs": (22414, 22612, 8900, 11607, 780),
-    "herm16": (11444, 12689, 5250, 6850, 435),
+    "hermitian": (2203, 1780, 1377, 1780, 0),
+    "hcrs": (22414, 10847, 8900, 10847, 0),
+    "herm16": (11444, 6430, 5250, 6430, 0),
 }
 
 
 @pytest.mark.parametrize("name", ["hermitian", "hcrs", "herm16"])
 def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, monkeypatch):
-    # systematic encoding on Phi and the erasure decoding of Phi read one
-    # stored map, which the first encode builds from Phi's erasure
-    # projection; neither builds a recurrence family or extends.  The
-    # first decode builds the vanishing ideal's basis of Phi, the
-    # locator's basis of the located set, and the map's values are the
-    # lemma's path by Phi's family (systematic_basis): on hcrs's golden
-    # Phi, whose delta set leaves B, the check-set family
+    # systematic encoding on Phi reads one stored map, which the first
+    # encode builds from Phi's erasure projection; the erasure decoding of
+    # Phi takes its values off the same projection.  Neither builds a
+    # basis or a recurrence family, and the values are the lemma's path
+    # by Phi's family (systematic_basis): on hcrs's golden Phi, whose
+    # delta set leaves B, the check-set family
     make = (lambda: code_from_config(HERM16)) if name == "herm16" else (lambda: preset(name))
     code = make()
     f = code.field
     phi = (_herm16_phi(code) if name == "herm16" else
            PointSet(f, 2, HERM_SYS_PHI if name == "hermitian" else HCRS_SYS_PHI))
-    builds, extended, maps_built = [], [], []
+    builds, maps_built = [], []
 
     def spy(module, fn, record):
         real = getattr(module, fn)
@@ -1272,7 +1312,7 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
 
     spy(codes, "vanishing_gb", lambda args: builds.append("vanishing_gb"))
     spy(codes, "check_set_basis", lambda args: builds.append("check_set_basis"))
-    spy(decoder, "_extension_array", lambda args: extended.append(args[1]))
+    spy(codes.PointSetEntry, "_family", lambda args: builds.append("family"))
     spy(codes.PointSetEntry, "_map", lambda args: maps_built.append(args[0]))
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
     counts = []
@@ -1284,28 +1324,27 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
         res = decode_word(r, phi, code)
         counts += [middle - before, f.op_count - middle]
         assert res.codeword.values == cw.values
-    assert not extended and len(maps_built) == 1 and builds == ["vanishing_gb"]
-    assert res.report.meta["extension"] == {"family": None, "schedule": None, "compiled": True}
+    assert not builds and len(maps_built) == 1
+    assert res.report.meta["extension"] is None
     assert (*counts, res.report.steps["extension"]) == SHARED_FAMILY_COUNTS[name]
-    builds.clear()
     assert systematic_basis(phi, code).delta.members == code.b_members
-    assert builds == ["check_set_basis"] * (name == "hcrs")
+    assert builds == ["family", "vanishing_gb"] + ["check_set_basis"] * (name == "hcrs")
     lemma = _lemma_values(code, phi.points, syndrome(info, code.b_list))
     assert lemma == {p: f.neg(cw.values[p]) for p in phi.points}
-    # the first encode builds Phi's erasure projection and its map, the
-    # first decode the located set's vanishing ideal
+    # the first encode builds Phi's erasure projection and its map
     fresh = make()
     assert counts[0] - counts[2] == (_build_ops(fresh, phi.points, "projection")
                                      + _build_ops(fresh, phi.points, "map"))
-    assert counts[1] - counts[3] == _build_ops(fresh, phi.points, "vanishing")
+    assert counts[1] == counts[3]
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
 def test_compiled_map_words_equal_the_lemma_path(name):
-    # systematic encoding on the golden (or seeded) Phi and the erasure
-    # decoding of random sets Phi1 inside the radius give, through the
-    # map, the words of the lemma's path: the extension by the set's
-    # family and the IDFT at the set
+    # systematic encoding on the golden (or seeded) Phi, through the map,
+    # and the erasure decoding of random sets Phi1 inside the radius,
+    # through the locator's erasure projection, give the words of the
+    # lemma's path: the extension by the set's family and the IDFT at the
+    # set
     code = code_from_config(HERM16) if name == "herm16" else preset(name)
     f, rnd = code.field, random.Random(name)
     phi = (PointSet(f, 1, code.psi.points[:2]) if name == "rs-like" else
@@ -1324,15 +1363,15 @@ def test_compiled_map_words_equal_the_lemma_path(name):
         assert res.codeword.values == cw.values
         lemma = _lemma_values(code, phi1.points, syndrome(r, code.b_list))
         assert {p: res.error.values[p] for p in phi1.points} == lemma
-        assert res.report.meta["extension"]["compiled"] and res.report.meta["idft"] is None
+        assert res.report.meta["extension"] is None and res.report.meta["idft"] is None
 
 
-def test_erasure_decoding_reads_the_map_of_every_independent_set():
+def test_erasure_decoding_gives_the_lemma_values_on_every_independent_set():
     # erasing the first k points of a systematic Phi of a random small
-    # code, whose check columns are independent: the first decode reads
-    # the set's map and gives the lemma path's error values, whichever
-    # family the lemma extends with, a check-set family on fewer than |B|
-    # points included
+    # code, whose check columns are independent: the first decode builds
+    # only the set's projection and gives the lemma path's error values,
+    # whichever family the lemma extends with, a check-set family on
+    # fewer than |B| points included
     seen = set()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1346,11 +1385,11 @@ def test_erasure_decoding_reads_the_map_of_every_independent_set():
             r = Word(code.field, code.ndim,
                      {p: ZERO if p in phi1 else v for p, v in word.values.items()})
             res = decode_word(r, phi1, code, t_max=0)
-            assert res.report.meta["extension"]["compiled"]
             assert res.codeword.values == word.values
             lemma = _lemma_values(code, phi1.points, syndrome(r, code.b_list))
             assert {p: res.error.values[p] for p in phi1.points} == lemma
             entry = code.point_set(phi1.points)
+            assert set(entry._members) == {"projection"}
             family = entry.get("family")[0]
             seen.add(("vanishing-ideal" if family is entry.get("vanishing")[0] else "check-set",
                       k < len(code.b_list)))
@@ -1360,22 +1399,34 @@ def test_erasure_decoding_reads_the_map_of_every_independent_set():
                     ("check-set", True), ("check-set", False)}
 
 
+def _rank_deficient_sets(code, rnd):
+    """Seeded erasure sets beyond the radius whose check columns are
+    dependent, with their store entries, drawn without end."""
+    while True:
+        size = rnd.randrange(code.d_fr, len(code.b_list) + 1)
+        phi1 = code.psi.subset(rnd.sample(code.psi.points, size))
+        entry = code.point_set(phi1.points)
+        if len(entry.get("projection")[0].pivots) < size:
+            yield phi1, entry
+
+
 @pytest.mark.parametrize("name", ["hermitian", "hcrs"])
 def test_dependent_check_columns_are_refused(name, rng):
     # seeded erasure sets beyond the radius whose check columns are
-    # dependent have no map: both decoders refuse them with the check-set
-    # message, systematic encoding on |B| such points with "Phi not
-    # generic", and the failed builds keep nothing
+    # dependent have no map and no error values: both decoders refuse
+    # them with the check-set message, systematic encoding on |B| such
+    # points with "Phi not generic", and the failed builds keep nothing.
+    # With an error off the set too (t_max raised to d_fr), the located
+    # set holds the dependent columns: wherever the locator returns, it
+    # gives no values and both decoders refuse with the same message
     code = preset(name)
     f, rnd = code.field, random.Random(name)
     cw = encode_nonsystematic(random_info(code, rng), code)
     refused = set()
+    sets = _rank_deficient_sets(code, rnd)
     while len(refused) < 2:
-        size = rnd.randrange(code.d_fr, len(code.b_list) + 1)
-        phi1 = code.psi.subset(rnd.sample(code.psi.points, size))
-        entry = code.point_set(phi1.points)
-        if len(entry.get("projection")[0].pivots) == size:
-            continue
+        phi1, entry = next(sets)
+        size = len(phi1)
         r = Word(f, 2, {p: ZERO if p in phi1 else v for p, v in cw.values.items()})
         for decode in (decode_word, decode_info):
             with pytest.raises(UndecodableError, match="^locator delta escapes the check set"):
@@ -1389,6 +1440,63 @@ def test_dependent_check_columns_are_refused(name, rng):
         with pytest.raises(IdealError, match="rank %d$" % len(entry.get("projection")[0].pivots)):
             entry.get("map")
         refused.add(size == len(code.b_list))
+    with_errors = 0
+    while with_errors < 3:
+        phi1, entry = next(sets)
+        r = Word(f, 2, {p: ZERO if p in phi1 else v for p, v in cw.values.items()})
+        p = rnd.choice([p for p in code.psi.points if p not in phi1])
+        r.values[p] = f.add(r.values[p], rnd.randrange(0, f.q - 1))
+        try:
+            loc = locate(syndrome(r, code.b_list), phi1, code, code.d_fr)
+        except UndecodableError:
+            continue
+        assert loc.values is None
+        for decode in (decode_word, decode_info):
+            with pytest.raises(UndecodableError, match="^locator delta escapes the check set"):
+                decode(r, phi1, code, code.d_fr)
+        with_errors += 1
+
+
+@pytest.mark.parametrize("name", ["hermitian", "hcrs"])
+def test_beyond_radius_values_are_the_lemma(name):
+    # seeded words with 0..|B| erasures and 1-4 errors, decoded at t_max
+    # the error count, d_fr or |B|: whenever the locator returns a located
+    # set L, both decoders refuse exactly where the lemma's family of L is
+    # unsolvable, and otherwise decode_word's values on L are the lemma
+    # path's and decode_info's spectrum encodes to its codeword; where the
+    # locator raises, both decoders raise
+    code = preset(name)
+    f, rnd = code.field, random.Random(name)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        cw = encode_nonsystematic(random_info(code, rnd), code)
+        n_err = rnd.randint(1, 4)
+        n_erase = rnd.randint(0, len(code.b_list))
+        r, phi1 = corrupt(code, cw, n_erase, n_err, rnd)
+        t_max = rnd.choice([n_err, code.d_fr, len(code.b_list)])
+        synd = syndrome(r, code.b_list)
+        try:
+            loc = locate(synd, phi1, code, t_max)
+        except UndecodableError:
+            loc = lemma = None
+        else:
+            try:
+                lemma = _lemma_values(code, loc.located.points, synd)
+            except IdealError:
+                lemma = None
+        if lemma is None:
+            for decode in (decode_word, decode_info):
+                with pytest.raises(UndecodableError, match=None if loc is None else
+                                   "^locator delta escapes the check set"):
+                    decode(r, phi1, code, t_max)
+            outcomes["locate raises" if loc is None else "refused"] += 1
+            continue
+        res = decode_word(r, phi1, code, t_max)
+        assert {p: res.error.values[p] for p in res.located.points} == lemma
+        assert encode_nonsystematic(decode_info(r, phi1, code, t_max), code).values == (
+            res.codeword.values)
+        outcomes["errors" if loc.stats["t"] else "erasures"] += 1
+    assert outcomes["errors"] > 50 and outcomes["erasures"] > 10
 
 
 # seeded full-grid codes at N = 3 with d_fr the Feng-Rao bound
@@ -1433,7 +1541,7 @@ def test_round_trips_at_n3(name):
         r = Word(f, 3, {p: ZERO if p in phi else v for p, v in word.values.items()})
         res = decode_word(r, phi, code)
         assert res.codeword.values == word.values
-        assert res.report.meta["extension"]["compiled"]
+        assert res.report.meta["extension"] is None
 
 
 def _assert_map_is_the_lemma(code, points, rnd):
