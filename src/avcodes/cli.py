@@ -310,7 +310,6 @@ def cmd_bench(args):
                         rep.meta["locator"]["votes"]))
         for row in rep.lines():
             lines.append("  step " + row)
-        lines.append("  fast-idft bound 3*N*q^(N+1) = %d" % rep.meta["fast_idft_bound"])
         doc["presets"][name] = {"steps": rep.steps, "ms": rep.ms, "meta": rep.meta,
                                 "layers": layers}
     f = preset("hermitian").field

@@ -20,8 +20,7 @@ from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
 from .transform import Spectrum, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
-from .ideal import (DeltaSet, Eliminator, IdealError, Polynomial, ReducedGroebnerBasis,
-                    SumForms, check_set_basis, index_array, vanishing_gb)
+from .ideal import Eliminator, IdealError, SumForms, index_array, vanishing_gb
 
 
 class CodeConfigError(ValueError):
@@ -38,11 +37,8 @@ class PointSetEntry:
 
     - ``projection``: an Eliminator holding the check columns of Phi, which
       projects a syndrome off them (the erasure projection of decoder.locate);
-    - ``vanishing``: the reduced basis of the vanishing ideal of Phi
-      (ideal.vanishing_gb), a located set's lazy LocateResult.basis ({1} for none);
-    - ``family``: the recurrence family of the lemma's path on Phi
-      (decoder.systematic_basis): ``vanishing`` when its delta set lies in
-      B, else the check-set family (ideal.check_set_basis);
+      its pivot count is the rank of the columns
+      (decoder.check_systematic_support);
     - ``map``: the |Phi| x |B| exponent matrix taking the syndrome on B of
       a word on Phi to its values on Phi, read off ``projection``: the
       tail of minus the unit vector at b, reduced by Phi's columns, is
@@ -54,15 +50,14 @@ class PointSetEntry:
     point order.  ``get(name)`` returns a member and whether the call built
     it.  A build adds its field operations to ``op_count`` as the uncached
     call does (the map: its |B| reductions); a reuse adds none.  A build
-    that raises keeps nothing.  decoder.locate makes an unstored entry for
-    a set it locates errors in."""
+    that raises keeps nothing."""
 
     def __init__(self, code, rows):
         self.code = code
         self.rows = rows
         self.points = PointSet(code.field, code.ndim, tuple(code.psi.points[r] for r in rows))
         self._members = {}
-        self._lock = threading.RLock()  # family reads vanishing, map reads projection
+        self._lock = threading.RLock()  # map reads projection
 
     def get(self, name):
         with self._lock:
@@ -78,20 +73,6 @@ class PointSetEntry:
         _, ops = elim.insert(code.columns[list(self.rows)], self.points.points)
         code.field.op_count += ops
         return elim
-
-    def _vanishing(self):
-        code, one = self.code, (0,) * self.code.ndim
-        if not self.rows:
-            unit = Polynomial(code.field, code.ndim, {one: 0})
-            return ReducedGroebnerBasis(code.field, code.ndim, code.order, [unit], [one],
-                                        DeltaSet(frozenset()))
-        return vanishing_gb(self.points, code.order)[0]
-
-    def _family(self):
-        gb = self.get("vanishing")[0]
-        if gb.delta.members <= self.code.b_members:
-            return gb
-        return check_set_basis(self.points, self.code.b_list, self.code.order)
 
     def _map(self):
         elim, f = self.get("projection")[0], self.code.field

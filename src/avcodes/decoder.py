@@ -2,19 +2,18 @@
 variety codes, plus per-step field-operation accounting.
 
 Each decode call returns its own report (``StepCounts``): the field
-operations of every named step, in order ``transform`` (the received
-word's transform), ``locator``, ``extension``, ``idft``, ``subtract`` and
-``check``, their wall times in milliseconds (``ms``, same labels), and
-meta data on the code and the locator (``point_sets_reused``: the call
-built no point-set store member).  ``decode_word`` runs all six and
-carries the report in ``DecodeResult.report``; ``decode_info`` skips
-``idft`` and ``check`` and returns an ``InfoSpectrum``, a Spectrum with a
+operations of every named step, their wall times in milliseconds (``ms``,
+same labels), and meta data on the code and the locator
+(``point_sets_reused``: the call built no point-set store member).
+``decode_word`` runs ``transform`` (the received word's transform),
+``locator``, ``subtract`` and ``check`` and carries the report in
+``DecodeResult.report``; ``decode_info`` runs ``transform``, ``locator``,
+``spectrum`` (the error values' transform to the delta set) and
+``subtract`` and returns an ``InfoSpectrum``, a Spectrum with a
 ``report`` field.  The error values come with the locator, so no decode
-extends or runs an IDFT (those steps count 0; ``meta["extension"]`` and
-``meta["idft"]`` are None); ``decode_word`` checks its word by the
-error's syndrome, by linearity, and ``decode_info`` transforms the values
-to the delta set.  Systematic encoding is erasure-only decoding: the
-values on the redundant set are one product of the syndrome with the
+extends or runs an IDFT; ``decode_word`` checks its word by the error's
+syndrome, by linearity.  Systematic encoding is erasure-only decoding:
+the values on the redundant set are one product of the syndrome with the
 set's map (codes.PointSetEntry), read off the erasure projection the
 locator reduces by, and are checked the same way.
 
@@ -46,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, check_field, check_values, dft_partial, power_matrix
+from .transform import Spectrum, Word, check_field, check_values, dft_partial
 from .maps import PointSet
-from .ideal import IdealError, Eliminator, index_array, rows_independent
-from .codes import PointSetEntry
+from .ideal import IdealError, Eliminator, lemma_family
 
 
 class UndecodableError(Exception):
@@ -118,28 +116,17 @@ def default_t_max(code, phi1_size):
 
 @dataclass(eq=False)
 class LocateResult:
-    """What ``locate`` returns: ``entry``, the located set's PointSetEntry;
-    ``values``, the error values on its points (``located``) as exponents,
-    None when their check columns are dependent; ``stats``, the errors
-    located off Phi1 (t), the syndromes filled by majority (votes), the
-    pivot count (rank) and the staircase block's rows and cols; ``built``,
-    whether the call built Phi1's erasure projection.  ``basis``, the
-    reduced basis of the vanishing ideal of the located set, is built on
-    first access; the result unpacks as (basis, located)."""
+    """What ``locate`` returns: ``located``, the located point set in the
+    code's point order; ``values``, the error values on its points as
+    exponents, None when their check columns are dependent; ``stats``, the
+    errors located off Phi1 (t), the syndromes filled by majority (votes),
+    the pivot count (rank) and the staircase block's rows and cols;
+    ``built``, whether the call built Phi1's erasure projection."""
 
-    entry: PointSetEntry
+    located: PointSet
     values: np.ndarray
     stats: dict
     built: bool
-
-    located = property(lambda self: self.entry.points)
-    basis = property(lambda self: self.entry.get("vanishing")[0])
-
-    def __iter__(self):
-        return iter((self.basis, self.located))
-
-    def __getitem__(self, i):
-        return getattr(self, ("basis", "located")[i])
 
 
 def _dots(ar, x):
@@ -337,10 +324,9 @@ def locate(synd, phi1, code, t_max=None):
     FieldError, naming the index, at a syndrome value that is no element
     code; ValueError at a t_max that is not a nonnegative integer (a bool
     or 2.5 included).  The erasure projection comes from Phi1's entry in
-    the code's point-set store, which is also the located set's when no
-    error is located; errors make the located set an entry that is not
-    stored.  The values are minus the tails of the projection and the stop
-    rule's span test, None where the located set's columns are dependent.
+    the code's point-set store; the located set is not stored.  The values
+    are minus the tails of the projection and the stop rule's span test,
+    None where the located set's columns are dependent.
     The decode head calls this public name too, re-running the syndrome
     checks its transform has made (a few microseconds), so that a wrapper
     of ``decoder.locate`` sees every decode.
@@ -369,19 +355,19 @@ def locate(synd, phi1, code, t_max=None):
 
     ar = f.np_arith()
     stats = {"t": 0, "votes": 0, "rank": 0, "rows": 0, "cols": 0}
-    rows, comb = entry.rows, tails[0]
+    located, rows, comb = entry.points, entry.rows, tails[0]
     if (res != ar.zero).any():
         if not t_max:
             raise UndecodableError(
                 "no error support of size <= 0 is consistent with the syndrome")
         z, comb, stats = _Staircase(code, target, elim, entry.rows, t_max).run()
         rows = entry.rows + tuple(z.tolist())
-        entry = PointSetEntry(code, tuple(sorted(rows)))
+        located = PointSet(f, code.ndim, tuple(code.psi.points[r] for r in sorted(rows)))
     values = None
     if comb is not None and len(comb) == len(rows):  # tails skip dependent columns of Phi1
         f.op_count += len(rows)
         values = np.where(comb == ar.zero, ar.zero, (comb + ar.neg) % (f.q - 1))[np.argsort(rows)]
-    return LocateResult(entry, values, stats, built)
+    return LocateResult(located, values, stats, built)
 
 
 # -- the two decoding algorithms --------------------------------------------
@@ -417,10 +403,7 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
         "N": code.ndim,
         "n": code.n,
         "located": len(located),
-        "fast_idft_bound": 3 * code.ndim * f.q ** (code.ndim + 1),
-        "idft": None,
         "locator": loc.stats,
-        "extension": None,
         "point_sets_reused": not loc.built,
     }, meter.ms)
     e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(loc.values))))
@@ -429,16 +412,17 @@ def _decode_head(r, phi1, code, t_max, kind, indices):
 
 def decode_info(r, phi1, code, t_max=None):
     """Recover the information spectrum on D\\B from a received word
-    (non-systematic decoding).  Erased positions of r must hold zero.
-    The error spectrum on D is the transform of the locator's error values
-    on the located set L, |D| |L| terms (the ``extension`` step).
+    (non-systematic decoding).  Erased positions of r may hold any value:
+    the locator takes them as unknown error values.  The error spectrum on
+    D is the transform of the locator's error values on the located set L,
+    |D| |L| terms (the ``spectrum`` step).
     Returns an InfoSpectrum, whose ``report`` holds the call's counts."""
     f = code.field
     dsorted = code.delta.sorted(code.order)
     meter, report, rtilde, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_info",
                                                          dsorted)
     k = dft_partial(e_loc, dsorted).values if len(located) else dict.fromkeys(dsorted, ZERO)
-    meter.lap("extension")
+    meter.lap("spectrum")
     out = {d: f.sub(rtilde.values[d], k[d]) for d in dsorted}
     meter.lap("subtract")
     for b in code.b_list:
@@ -451,17 +435,14 @@ def decode_info(r, phi1, code, t_max=None):
 def decode_word(r, phi1, code, t_max=None):
     """Split a received word into codeword + error (erasure-and-error
     decoding with explicit error values).  The error values on the located
-    set come with the locator (LocateResult), so the ``extension`` and
-    ``idft`` steps count nothing; UndecodableError when the located set's
-    check columns are dependent.  The codeword is checked by linearity:
+    set come with the locator (LocateResult), so no extension or IDFT
+    runs; UndecodableError when the located set's check columns are
+    dependent.  The codeword is checked by linearity:
     its syndrome is the received word's, already computed on B, minus the
     error's, which vanishes off the located set."""
     f = code.field
     meter, report, rt, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_word",
                                                      code.b_list)
-    # the values came with the locator: no extension and no IDFT to run
-    meter.lap("extension")
-    meter.lap("idft")
     e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
     c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
     meter.lap("subtract")
@@ -484,37 +465,27 @@ def _check_phi(phi, code):
 
 
 def check_systematic_support(phi, code):
-    """True iff the |B| x |Phi| evaluation matrix is invertible."""
+    """True iff the |B| x |Phi| evaluation matrix is invertible: the check
+    columns held by the erasure projection of Phi's store entry have rank
+    |Phi|, the rank the map's build needs.  Counts the projection's build,
+    nothing when the entry already holds it."""
     _check_phi(phi, code)
-    f = code.field
-    vecs = power_matrix(f, index_array(code.b_list, code.ndim),
-                        index_array(phi.points, code.ndim))
-    independent, inserted = rows_independent(f, vecs)
-    f.op_count += inserted * (2 * code.ndim - 1) * len(phi)
-    return independent
-
-
-def _phi_member(phi, code, name):
-    """Phi's entry in the code's point-set store and its member ``name``;
-    SystematicSupportError unless Phi is |B| points of the code whose
-    check columns are independent."""
-    _check_phi(phi, code)
-    entry = code.point_set(phi.points)
-    try:
-        return entry, entry.get(name)[0]
-    except IdealError as exc:
-        raise SystematicSupportError("Phi not generic: %s" % (exc,))
+    return len(code.point_set(phi.points).get("projection")[0].pivots) == len(phi)
 
 
 def systematic_basis(phi, code):
-    """The recurrence family G_Phi of the lemma's path on Phi: the
-    ``family`` member of Phi's entry in the code's point-set store
-    (CodeSpec.point_set), the vanishing ideal's basis when Delta(Phi) = B
-    and else the check-set family.  Extending the information word's
+    """The recurrence family G_Phi of the lemma's path on Phi
+    (ideal.lemma_family): the vanishing ideal's basis when Delta(Phi) lies
+    in B, else the check-set family.  Extending the information word's
     syndrome by it and taking the IDFT at Phi gives minus the values that
-    systematic_encode fills in; it is built once per redundant-position
-    set, and a repeated call counts no field operations."""
-    return _phi_member(phi, code, "family")[1]
+    systematic_encode fills in.  It is built on each call, so a repeated
+    call counts the same field operations; SystematicSupportError when
+    the check-set family is unsolvable."""
+    _check_phi(phi, code)
+    try:
+        return lemma_family(code.psi.subset(phi.points), code.b_list, code.order)
+    except IdealError as exc:
+        raise SystematicSupportError("Phi not generic: %s" % (exc,))
 
 
 def systematic_encode(info, phi, code):
@@ -526,9 +497,14 @@ def systematic_encode(info, phi, code):
     word is checked by its syndrome."""
     f = code.field
     check_field(info, f, "information word", "code", SystematicSupportError)
-    entry, matrix = _phi_member(phi, code, "map")
+    _check_phi(phi, code)
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
+    entry = code.point_set(phi.points)
+    try:
+        matrix = entry.get("map")[0]
+    except IdealError as exc:
+        raise SystematicSupportError("Phi not generic: %s" % (exc,))
     seed = dft_partial(info, code.b_list, "information word")
     # the values on Phi: |Phi| |B| muls and |Phi| (|B| - 1) adds
     x = f.np_exponents(np.array([seed.values[b] for b in code.b_list], dtype=np.intp))

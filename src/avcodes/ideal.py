@@ -27,8 +27,8 @@ synthesis produces, which may include order-redundant elements such as
 y*g over a two-point set); every minimal index outside S is one of these
 leads or dominates one.  vanishing_gb seeds it on the delta set its scan
 finds and adds the x_i^q-carrying minimal generators; check_set_basis
-seeds it on a check set B, the lemma's family of a point set whose
-delta set leaves B (decoder.systematic_basis).
+seeds it on a check set B.  ``lemma_family`` picks the one the lemma
+extends with on a point set (decoder.systematic_basis).
 
 The extension (``extend``) is split in two.  A plan, built from the
 basis shape alone (q, N, order, leads, seed set, target and family
@@ -461,13 +461,12 @@ def check_set_basis(points, b_set, order):
     index x_i * b outside B), with tail supported on B, vanishing on the
     points.
 
-    The lemma's path on a point set (decoder.systematic_basis) extends
-    with this family when the delta set of the points leaves B
-    (codes.PointSetEntry): the tail coefficients of each element are
-    solved from the point-evaluation system, which is solvable for every
-    lead exactly when ev restricted to (V_B, points) is surjective.  When
-    the delta set of the points equals B it coincides with vanishing_gb
-    on the leads inside A, and the store reads that basis.  The returned
+    The lemma's path on a point set extends with this family when the
+    delta set of the points leaves B (lemma_family): the tail coefficients
+    of each element are solved from the point-evaluation system, which is
+    solvable for every lead exactly when ev restricted to (V_B, points) is
+    surjective.  When the delta set of the points equals B it coincides
+    with vanishing_gb on the leads inside A.  The returned
     object's delta set is B, the seed domain of the recurrences.  The
     leads depend on (q, N, B) alone and are cached.
     """
@@ -489,6 +488,17 @@ def check_set_basis(points, b_set, order):
     _, ops = elim.insert(power_matrix(f, index_array(b_list, ndim), w), b_list)
     f.op_count += len(b_list) * (2 * ndim - 1) * n + ops
     return _family(elim, w, order, members, {})
+
+
+def lemma_family(points, b_set, order):
+    """The recurrence family by which the lemma extends a syndrome on the
+    check set B to the values at a point set: the reduced basis of the
+    points' vanishing ideal when its delta set lies in B, else
+    check_set_basis (IdealError where that is unsolvable)."""
+    gb, delta = vanishing_gb(points, order)
+    if delta.members <= frozenset(tuple(b) for b in b_set):
+        return gb
+    return check_set_basis(points, b_set, order)
 
 
 def normal_form(poly, gb):

@@ -5,9 +5,11 @@ The extension reaches the inverse transform as one flat exponent array
 over A (ideal._extension_array).  The canonical map computes the full
 Omega-word with the fast transform and verifies that it vanishes off
 Psi before restricting, turning the vanishing guarantee into a runtime
-self-test.  Decoding and systematic encoding take their values off the
-erasure projection (decoder.locate, codes.PointSetEntry); the lemma's
-values at a point set alone are transform.idft_at on ``PointSet.array``.
+self-test.  Decoding takes its values off the erasure projection of a
+point set's store entry (decoder.locate) and systematic encoding off
+its map (codes.PointSetEntry); the lemma's values at a point set alone,
+by the set's family (ideal.lemma_family), are transform.idft_at on
+``PointSet.array``.
 """
 
 from dataclasses import dataclass

@@ -412,17 +412,29 @@ def check_systematic_support(phi, code):
                for b in code.b_list)
 
 
+def column_insertion(points, b_list):
+    """The points' columns on B inserted in store order, every one:
+    (the eliminator, whether the columns are independent, the count of
+    the insertion, without the powers).  The oracle of the ``projection``
+    member of ``avcodes.codes.PointSetEntry``, rank and count."""
+    f = points.field
+    columns = [[point_power(f, p, b) for b in b_list] for p in points.points]
+    elim = Eliminator(f)
+    before = f.op_count
+    dependent = [elim.insert(col, p) for p, col in zip(points.points, columns)]
+    return elim, all(comb is None for comb in dependent), f.op_count - before
+
+
 def compiled_map(points, b_list):
     """The map of a set of points with independent check columns as
     element codes, one row per point and one column per check index, and
     the count of its reductions: the points' columns on B are inserted in
-    store order, then minus the unit vector at each b is reduced, and
-    minus its combination is column b.  The oracle of the ``map`` member
-    of ``avcodes.codes.PointSetEntry``, values and count."""
+    store order (column_insertion), then minus the unit vector at each b
+    is reduced, and minus its combination is column b.  The oracle of the
+    ``map`` member of ``avcodes.codes.PointSetEntry``, values and count."""
     f = points.field
-    elim = Eliminator(f)
-    for p in points.points:
-        assert elim.insert([point_power(f, p, b) for b in b_list], p) is None
+    elim, independent, _ = column_insertion(points, b_list)
+    assert independent
     minus_one = f.neg(ONE)
     before = f.op_count
     combs = [elim.reduce([minus_one if d == b else ZERO for d in b_list])[1] for b in b_list]

@@ -253,7 +253,7 @@ def test_examples_subcommand(capsys):
 def test_bench_subcommand(capsys):
     rc, out, _ = run(capsys, "bench", "--seed", "5")
     assert rc == EXIT_OK
-    assert "fast-idft bound" in out
+    assert "fast-idft bound" not in out
     assert "idft q=9 N=2" in out
     # reproducible byte for byte
     rc, out2, _ = run(capsys, "bench", "--seed", "5")
@@ -283,14 +283,13 @@ def test_bench_json(tmp_path, capsys):
         for label, ops in rec["steps"].items():
             assert next(lines).split() == ["step", label, str(ops)]
         next(lines)  # total
-        next(lines)  # fast-idft bound
         assert list(rec["ms"]) == list(rec["steps"])
         assert rec["meta"]["code"] == name and "votes" in rec["meta"]["locator"]
         # each preset is decoded once on a fresh code: every point set is built
         assert rec["meta"]["point_sets_reused"] is False
-        # the error values come with the locator: no extension, no IDFT
-        assert rec["meta"]["extension"] is None and rec["meta"]["idft"] is None
-        assert rec["steps"]["extension"] == rec["steps"]["idft"] == 0
+        # the error values come with the locator: no extension or IDFT step
+        assert list(rec["steps"]) == ["transform", "locator", "subtract", "check"]
+        assert not {"extension", "idft", "fast_idft_bound"} & set(rec["meta"])
     assert next(lines) == "idft q=9 N=2: fast %d ops, direct %d ops" % (
         doc["idft"]["fast_ops"], doc["idft"]["direct_ops"])
     path = tmp_path / "bench.json"

@@ -61,8 +61,8 @@ def test_feng_rao_bound(name):
     # normal forms the bound shares, does not compute it
     error = Word(code.field, code.ndim, {p: ZERO for p in code.psi.points})
     error.values[code.psi.points[-1]] = ONE
-    _, located = locate(syndrome(error, code.b_list), PointSet(code.field, code.ndim, ()),
-                        code)
+    located = locate(syndrome(error, code.b_list), PointSet(code.field, code.ndim, ()),
+                     code).located
     assert located.points == code.psi.points[-1:]
     assert "sum_forms" in vars(code) and "feng_rao" not in vars(code)
     assert code.feng_rao == bound == code.d_fr

@@ -3,13 +3,11 @@ reference: same residuals, combinations, pivots, outputs, IdealError
 messages and exact op counts."""
 
 import random
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from avcodes.codes import code_from_config, is_dual_codeword
+from avcodes.codes import CodeSpec, code_from_config, is_dual_codeword
 from avcodes.decoder import check_systematic_support, decode_info
 from avcodes.gf import Field, MAX_Q, ONE, ZERO
 from avcodes.ideal import Eliminator, IdealError, check_set_basis, vanishing_gb
@@ -112,7 +110,11 @@ def _same(f, got, want):
 def test_bases_match_scalar():
     """vanishing_gb, check_set_basis, check_systematic_support and
     transpose_check against the scalar builds on random point sets over
-    GF(4)..GF(27), N in {1, 2, 3}, and random B inside the delta set."""
+    GF(4)..GF(27), N in {1, 2, 3}, and random B inside the delta set.
+    check_systematic_support runs on a code on those points, order and B:
+    its answer is the scalar reference's and its count the scalar
+    insertion of Phi's columns in store order, the projection it builds;
+    asked again, it counts nothing."""
     seen = set()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -134,9 +136,11 @@ def test_bases_match_scalar():
                     lambda: reference.check_set_basis(sub, b_list, order))
         seen.add(("check_set_basis", isinstance(out, str)))
         phi = PointSet(f, ndim, tuple(rnd.sample(pts.points, len(b_list))))
-        code = SimpleNamespace(field=f, ndim=ndim, b_list=b_list, psi=pts)
-        out = _same(f, lambda: check_systematic_support(phi, code),
-                    lambda: reference.check_systematic_support(phi, code))
+        code = CodeSpec(f, ndim, order, pts, b_list, 1)
+        out, ops = _counted(f, lambda: check_systematic_support(phi, code))
+        assert out == reference.check_systematic_support(phi, code)
+        assert ops == reference.column_insertion(code.psi.subset(phi.points), code.b_list)[2]
+        assert _counted(f, lambda: check_systematic_support(phi, code)) == (out, 0)
         seen.add(("check_systematic_support", out))
         other = rnd.sample(index_space(f, ndim), len(pts))
         for members in (delta, other):
