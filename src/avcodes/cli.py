@@ -56,8 +56,12 @@ def _emit(args, lines):
         sys.stdout.write(text)
 
 
-def _parse_poly(text):
-    return tuple(int(x) for x in text.split(","))
+def _int_list(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
 
 
 def _nonnegative(text):
@@ -85,11 +89,10 @@ def _context(args):
     else:
         if None in (args.p, args.m, args.poly):
             raise CliError("need --p, --m and --poly (or --config/--preset)")
-        field = Field(args.p, args.m, _parse_poly(args.poly))
+        field = Field(args.p, args.m, args.poly)
         if args.ndim is None:
             raise CliError("need --ndim with explicit field flags")
-        weights = _parse_poly(args.weights) if args.weights else None
-        return field, args.ndim, MonomialOrder(args.order, weights), None
+        return field, args.ndim, MonomialOrder(args.order, args.weights), None
     return code.field, code.ndim, code.order, code
 
 
@@ -132,7 +135,7 @@ def _flat_word_line(word, points):
 # -- subcommand bodies -------------------------------------------------------
 
 def cmd_field_table(args):
-    field = Field(args.p, args.m, _parse_poly(args.poly))
+    field = Field(args.p, args.m, args.poly)
     lines = ["# GF(%d), p=%d, m=%d, poly=%s" % (field.q, field.p, field.m,
                                                 ",".join(map(str, field.primitive_poly)))]
     lines.append("-1 -> " + ":".join(map(str, field.poly_coeffs(ZERO))))
@@ -339,10 +342,12 @@ def build_parser():
     flags = _Parser(add_help=False)
     flags.add_argument("--p", type=int, help="field characteristic")
     flags.add_argument("--m", type=int, help="extension degree")
-    flags.add_argument("--poly", help="primitive polynomial coefficients, ascending, comma-separated")
+    flags.add_argument("--poly", type=_int_list,
+                       help="primitive polynomial coefficients, ascending, comma-separated")
     flags.add_argument("--ndim", type=_positive, help="number of variables N")
     flags.add_argument("--order", default="lex", choices=("lex", "grlex", "weighted_grlex"))
-    flags.add_argument("--weights", help="weights for weighted_grlex, comma-separated")
+    flags.add_argument("--weights", type=_int_list,
+                       help="weights for weighted_grlex, comma-separated")
 
     def add(name, fn, text, *parents):
         p = sub.add_parser(name, help=text, parents=[*parents, output])
@@ -352,7 +357,7 @@ def build_parser():
     p = add("field-table", cmd_field_table, "print the log/antilog table")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--poly", required=True)
+    p.add_argument("--poly", type=_int_list, required=True)
 
     for name, inverse in (("dft", False), ("idft", True)):
         p = add(name, lambda a, inv=inverse: cmd_dft(a, inv),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import Spectrum, dft_partial, omega_space, power_matrix
+from .transform import Spectrum, check_field, dft_partial, omega_space, power_matrix
 from .maps import PointSet, canonical_iso, evaluate
 from .ideal import Eliminator, IdealError, SumForms, index_array, vanishing_gb
 
@@ -187,6 +187,7 @@ class CodeSpec:
 
 def encode_nonsystematic(h, code):
     """Codeword of the dual code from an information spectrum on D\\B."""
+    check_field(h, code.field, "information spectrum", "code", CodeConfigError)
     for b in code.b_list:
         if h.values.get(b, ZERO) != ZERO:
             raise CodeConfigError("information spectrum has support at check index %s" % (b,))
@@ -203,6 +204,7 @@ def encode_nonsystematic(h, code):
 
 def primal_encode(h, code):
     """Generator-side codeword ev(h) of C(V_B, Psi) for h supported on B."""
+    check_field(h, code.field, "primal information spectrum", "code", CodeConfigError)
     for d in h.values:
         if h.values[d] != ZERO and tuple(d) not in code.b_members:
             raise CodeConfigError("primal information index %s outside B" % (d,))
@@ -215,6 +217,7 @@ def syndrome(r, b_set):
 
 
 def is_dual_codeword(c, code):
+    check_field(c, code.field, "word", "code", CodeConfigError)
     s = syndrome(c, code.b_list)
     return all(v == ZERO for v in s.values.values())
 

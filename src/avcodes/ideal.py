@@ -30,27 +30,24 @@ finds and adds the x_i^q-carrying minimal generators; check_set_basis
 seeds it on a check set B.  ``lemma_family`` picks the one the lemma
 extends with on a point set (decoder.systematic_basis).
 
-The extension (``extend``) is split in two.  A plan, built from the
-basis shape alone (q, N, order, leads, seed set, target and family
-kind) and kept in a bounded cache of PLAN_CACHE_SIZE shapes, lists over
-flat integer slots the seed slots, the recurrence that sets each other
-index, every other admissible recurrence as a check packed into integer
-arrays, and the output slots.  Admissible recurrences agree, so worklist
-passes set each index by its shortest register whose references are
-known: the first in the order (references read, lead, element index),
-which the shape alone fixes.  Sequential families (tails before leads)
-settle in one increasing pass and read each element at the seed
-exponents preceding its lead, so their key holds only the tail
-exponents outside the seed set; other families are keyed on their exact
-tails.  Per call, one scalar sweep over the field's add (or Zech) and
-negation tables fills the slots from the seed values and the basis
-coefficients, skipping zeros, and one numpy product over the slots as
-an exponent array runs the checks.  Each recurrence is counted once:
-one mul and one add per nonzero coefficient and one neg.  A plan costs
-no field operations, so the counts of a call do not depend on the
-cache.  ``extend`` zips the target's entries of that array into a dict;
-``_extension_array`` hands it over all of A to the inverse transform in
-flat order.
+The extension (``extend``) is split in two.  A plan, keyed on
+(q, N, order, leads, seed set, target, tails), each element's tail
+being its exact sorted tail exponents, and kept in a bounded cache of
+PLAN_CACHE_SIZE keys, lists over one flat integer slot per index of A
+the seed slots, the recurrence that sets each other index, every other
+admissible recurrence as a check packed into integer arrays, and the
+output slots.  Admissible recurrences agree, so worklist passes over A
+set each index by its shortest register whose references are known:
+the first in the order (tail terms, lead, element index).  A family
+whose tails precede its leads (every vanishing-ideal basis) settles in
+the first pass.  Per call, one scalar sweep over the field's add (or
+Zech) and negation tables fills the slots from the seed values and the
+tail coefficients, and one numpy product over the slots as an exponent
+array runs the checks.  Each recurrence is counted once: one mul and
+one add per tail term and one neg.  A plan costs no field operations,
+so the counts of a call do not depend on the cache.  ``extend`` zips
+the target's entries of that array into a dict; ``_extension_array``
+hands it over all of A to the inverse transform in flat order.
 """
 
 import threading
@@ -287,17 +284,11 @@ class ReducedGroebnerBasis:
         self.elements = list(elements)
         self.leading = list(leading)
         self.delta = delta
-        # tail term lists, used by the extension recurrence
+        # tail term lists (nonzero terms), used by the extension recurrence
         self._tails = [
-            [(e, c) for e, c in g.terms.items() if e != aw]
+            [(e, c) for e, c in g.terms.items() if e != aw and c != ZERO]
             for g, aw in zip(self.elements, self.leading)
         ]
-        # every tail monomial precedes its lead: the recurrences close over
-        # the prefix already generated, in one increasing sweep
-        key = {e: order.key(e)
-               for e in set(self.leading).union(*(g.terms for g in self.elements))}
-        self.sequential = all(key[e] < key[aw] for tail, aw in zip(self._tails, self.leading)
-                              for e, _ in tail)
 
     def __len__(self):
         return len(self.elements)
@@ -595,26 +586,24 @@ class SumForms:
         self._block = (pairs, lead, box, lead > rest)
 
 
-# extension plans kept at once, one per basis shape (see _extension_plan)
+# extension plans kept at once, one per key (see _extension_plan)
 PLAN_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """The schedule of one extension over flat integer slots, one slot
-    per index of the swept part of A: the first ``size`` indices of
-    ``indices``, all of A in increasing order and shared by every plan
-    of the same q, N and order.
+    per index of A in increasing order (``indices``, shared by every plan
+    of the same q, N and order), then a pad slot that holds zero.
 
     The checks are packed: check k applies element ``check_elems[k]``
     with the lead at slot ``check_slots[k, 0]`` and the coefficients at
-    the slots that follow, padded with slot ``size``, which holds zero;
-    ``uses[w]`` counts the recurrences of element w, each once."""
+    the slots that follow, padded with the pad slot; ``uses[w]`` counts
+    the recurrences of element w, each once."""
 
     indices: tuple
-    size: int
     seeds: tuple  # (seed index, slot)
-    exps: tuple  # per basis element, the exponents its coefficients are read at
+    tails: tuple  # per basis element, its sorted tail exponents
     program: tuple  # (slot, element, reference slots), in evaluation order
     check_elems: np.ndarray
     check_slots: np.ndarray
@@ -623,40 +612,24 @@ class _Plan:
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails):
-    """Build the plan of a basis shape; no field operations.
+def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
+    """Build the plan of a basis over all of A; no field operations.
 
-    Worklist passes set each index outside the seeds by the first of its
-    admissible recurrences whose references are known, in the order
-    (number of references read, lead, element index): the shortest
-    register.  Every other one is a check; the checks are listed by
-    index in increasing order and, at an index, in that order, so a
-    corrupt basis fails at the first of them that disagrees.  A
-    sequential family (tails before leads) settles in one
-    increasing pass over the prefix of A up to the target, and reads each
-    element at the seed exponents preceding its lead plus its ``tails``
-    outside the seed set, so that bases of one shape share a plan; any
-    other family covers A and reads its exact ``tails``."""
-    order = MonomialOrder(*order_spec)
-    key = order.key
+    ``tails`` holds each element's sorted tail exponents.  Worklist passes
+    over A in increasing order set each index outside the seeds by the
+    first of its admissible recurrences whose references are known, in
+    the order (number of tail terms, lead, element index): the shortest
+    register.  A family whose tails precede its leads settles in the
+    first pass.  Every other recurrence is a check; the checks are listed
+    by index in increasing order and, at an index, in that order, so a
+    corrupt basis fails at the first of them that disagrees."""
+    key = MonomialOrder(*order_spec).key
     for t in target:
         if len(t) != ndim or any(not 0 <= x < q for x in t):
             raise IdealError("target index %s outside A" % (t,))
     admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
-    space = box = _sorted_space(q, ndim, order_spec)
-    if sequential:
-        # the prefix of A up to the order-maximum of the target
-        top = key(max(target, key=key))
-        space = space[:sum(1 for a in space if key(a) <= top)]
-        seed_order = sorted(seeds, key=key)
-        exps = [tuple(d for d in seed_order if key(d) < key(aw)) + tail
-                for aw, tail in zip(leads, tails)]
-    else:
-        exps = list(tails)
-    exps = tuple(exps[w] if w in admissible else () for w in range(len(leads)))
-    # shortest register first; the order is structural, so the plan key
-    # stays the basis shape
-    admissible.sort(key=lambda w: (len(exps[w]), key(leads[w]), w))
+    space = _sorted_space(q, ndim, order_spec)
+    admissible.sort(key=lambda w: (len(tails[w]), key(leads[w]), w))
     slot = {a: s for s, a in enumerate(space)}
 
     recs = {}
@@ -665,13 +638,13 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
             continue
         recs[a] = [
             (w, tuple(slot[semigroup_add(dominated_sub(a, leads[w]), d, q)]
-                      for d in exps[w]))
+                      for d in tails[w]))
             for w in admissible if dominates(a, leads[w])
         ]
         if not recs[a]:
             raise IdealError("no admissible basis element for %s (corrupt basis)" % (a,))
 
-    known = {slot[a] for a in space if a in seeds}
+    known = {slot[d] for d in seeds}
     chosen = {}
     pending = list(recs)
     while pending:
@@ -690,16 +663,15 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
         pending = left
     program = [(slot[a],) + rec for a, rec in chosen.items()]
     checks = [(slot[a],) + rec for a, r in recs.items() for rec in r if rec is not chosen[a]]
-    width = 1 + max(map(len, exps), default=0)
+    width = 1 + max(map(len, tails), default=0)
     check_slots = np.full((len(checks), width), len(space), dtype=np.intp)
     for row, (s, _, refs) in zip(check_slots, checks):
         row[:1 + len(refs)] = (s,) + refs
     elems = np.array([w for _, w, _ in checks], dtype=np.intp)
     return _Plan(
-        indices=box,
-        size=len(space),
-        seeds=tuple((d, slot[d]) for d in seeds if d in slot),
-        exps=exps,
+        indices=space,
+        seeds=tuple((d, slot[d]) for d in seeds),
+        tails=tails,
         program=tuple(program),
         check_elems=elems,
         check_slots=check_slots,
@@ -710,21 +682,21 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
 
 
 def _run_plan(plan, gb, seed_values):
-    """Fill the plan's slots from the seed values and the basis
+    """Fill the plan's slots from the seed values and the tail
     coefficients with one scalar sweep over the field's tables, skipping
-    zero coefficients and zero values, then run every check as one numpy
-    product over the slots as an exponent array, which is returned (with
-    the zero pad slot last).  The count is added once, as the scalar
-    recurrences the sweep and the checks stand for: one mul and one add
-    per nonzero coefficient and one neg per recurrence."""
+    zero values, then run every check as one numpy product over the
+    slots as an exponent array, which is returned (with the zero pad
+    slot last).  The count is added once, as the scalar recurrences the
+    sweep and the checks stand for: one mul and one add per tail term
+    and one neg per recurrence."""
     f = gb.field
     table, zech, neg = f.scalar_tables()
     n = f.q - 1
-    coeffs = [[g.terms.get(d, ZERO) for d in exps]
-              for g, exps in zip(gb.elements, plan.exps)]
-    # per element, its nonzero coefficients with their reference positions
-    terms = [[(c, k) for k, c in enumerate(cw) if c != ZERO] for cw in coeffs]
-    vals = [ZERO] * plan.size
+    coeffs = [[g.terms[d] for d in tail] for g, tail in zip(gb.elements, plan.tails)]
+    # per element, its coefficients with their reference positions, built
+    # once per call: a zip per recurrence would cost more than the sweep
+    terms = [list(zip(cw, range(len(cw)))) for cw in coeffs]
+    vals = [ZERO] * len(plan.indices)
     for d, s in plan.seeds:
         vals[s] = seed_values[d]
 
@@ -752,7 +724,7 @@ def _run_plan(plan, gb, seed_values):
                         z = zech[t - acc]
                         acc = ZERO if z == ZERO else (acc + z) % n
             vals[s] = neg[acc]
-    f.op_count += sum(u * (2 * len(tw) + 1) for u, tw in zip(plan.uses, terms))
+    f.op_count += sum(u * (2 * len(cw) + 1) for u, cw in zip(plan.uses, coeffs))
 
     x = f.np_exponents(np.array(vals + [ZERO], dtype=np.intp))
     if len(plan.check_elems):
@@ -769,7 +741,7 @@ def _run_plan(plan, gb, seed_values):
 
 
 def _extension_run(h, gb, target):
-    """Check the seed spectrum and run the plan of the basis shape for the
+    """Check the seed spectrum and run the plan of the basis for the
     target (a tuple of index tuples); returns the values on the target as
     an exponent array, empty for an empty target."""
     check_field(h, gb.field, "seed spectrum", "basis", IdealError)
@@ -779,10 +751,9 @@ def _extension_run(h, gb, target):
     check_values(h, "seed spectrum")
     if not target:
         return np.empty(0, dtype=np.intp)
-    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
-                  for tail in gb._tails)
+    tails = tuple(tuple(sorted(e for e, _ in tail)) for tail in gb._tails)
     plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
-                           tuple(gb.leading), dset, target, gb.sequential, tails)
+                           tuple(gb.leading), dset, target, tails)
     return _run_plan(plan, gb, h.values)[plan.output_slots]
 
 
@@ -800,15 +771,15 @@ def extend(h, gb, target):
     For a outside the seed set, every basis element whose leading index
     is dominated by a yields h_a = -sum_d g_d h_{(a - a_w) (+) d} with
     semigroup addition; all admissible elements are evaluated and must
-    agree.  The values are generated in worklist passes, each index set by
-    its shortest register (fewest references read, then smaller lead,
-    then smaller element index) whose references are known, and every
-    other admissible recurrence is checked at the end.  Bases whose tails
-    precede their leads (vanishing-ideal bases) settle in one increasing
-    pass over the prefix of A covering the target; check-set-seeded
-    families may reference forward indices and run over all of A.  The
-    schedule comes from the plan of the basis shape, built once and
-    cached; only the coefficients and seed values are read per call.
+    agree.  The values are generated over all of A in worklist passes,
+    each index set by its shortest register (fewest tail terms, then
+    smaller lead, then smaller element index) whose references are
+    known, and every other admissible recurrence is checked at the end;
+    a family whose tails precede its leads (every vanishing-ideal basis)
+    settles in the first pass, whatever the target.  The schedule comes
+    from the plan keyed on the basis's leads, seed set and exact tail
+    exponents and the target, built once and cached; only the
+    coefficients and seed values are read per call.
     A seed over another field or on a domain other than the basis seed
     set raises IdealError, a disagreement IdealError naming the index of
     the first failing check, and a seed value that is no element code

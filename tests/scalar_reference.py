@@ -7,15 +7,19 @@ field operation.
 ``dft_fast``/``idft_fast`` are the loop kernels of ``avcodes.transform``;
 ``extend`` runs the tuple-based extension plan and checks every
 recurrence one field operation at a time, like ``avcodes.ideal.extend``
-did.  Its ``_extension_plan`` keeps two schedules, an increasing sweep
-for sequential families and worklist passes for the others, both over
-the admissible elements in the library's shortest-register order, as
-the oracle of the library's one worklist schedule; ``plan_args`` gives
-the key both are called with.
+did.  Its ``_extension_plan`` keeps two schedules over all of A, an
+increasing sweep for families whose tails precede their leads
+(``tails_precede_leads`` tells them apart) and worklist passes for the
+others, both over the admissible elements in the library's
+shortest-register order, as the oracle of the library's one worklist
+schedule; ``plan_args`` gives the key both are called with, each
+element's exact tail exponents.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
-``vanishing_gb``, ``check_set_basis``, ``check_systematic_support``,
-``compiled_map`` and ``transpose_check`` build on it and on point_power
-as the library did before its batched eliminator.  ``find_supports``
+``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
+``transpose_check`` build on it and on point_power as the library did
+before its batched eliminator; ``column_insertion`` and ``compiled_map``
+build on it the oracles of ``avcodes.codes.PointSetEntry``'s
+``projection`` and ``map``.  ``find_supports``
 is the plain meet-in-the-middle enumeration of consistent supports, the
 oracle of the voting locator.  ``sum_forms`` computes normal forms of monomials by
 eliminating evaluation vectors, the oracle of ``ideal.SumForms``, which
@@ -153,9 +157,21 @@ def idft_fast(h):
 
 # -- the extension with tuple plans and scalar checks ----------------------
 
-def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails):
-    """(indices, seeds, exps, program, checks, outputs) of a basis shape,
-    every recurrence a tuple (slot, element, reference slots)."""
+def _tails_precede(key, leads, tails):
+    """Whether every tail exponent precedes its element's lead."""
+    return all(key(e) < key(aw) for aw, tail in zip(leads, tails) for e in tail)
+
+
+def tails_precede_leads(gb):
+    """Whether the basis is a family whose tails precede its leads (every
+    vanishing-ideal basis), which the oracle settles in one increasing
+    sweep; any other family takes its worklist passes."""
+    return _tails_precede(gb.order.key, gb.leading, [[e for e, _ in t] for t in gb._tails])
+
+
+def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
+    """(indices, seeds, tails, program, checks, outputs) of a basis over
+    all of A, every recurrence a tuple (slot, element, reference slots)."""
     order = MonomialOrder(*order_spec)
     key = order.key
     for t in target:
@@ -163,16 +179,7 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
             raise IdealError("target index %s outside A" % (t,))
     admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
     space = sorted(index_box(q, ndim), key=key)
-    if sequential:
-        top = key(max(target, key=key))
-        space = [a for a in space if key(a) <= top]
-        seed_order = sorted(seeds, key=key)
-        exps = [tuple(d for d in seed_order if key(d) < key(aw)) + tail
-                for aw, tail in zip(leads, tails)]
-    else:
-        exps = list(tails)
-    exps = tuple(exps[w] if w in admissible else () for w in range(len(leads)))
-    admissible.sort(key=lambda w: (len(exps[w]), key(leads[w]), w))
+    admissible.sort(key=lambda w: (len(tails[w]), key(leads[w]), w))
     slot = {a: s for s, a in enumerate(space)}
 
     recs = {}
@@ -181,17 +188,17 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
             continue
         recs[a] = [
             (w, tuple(slot[semigroup_add(dominated_sub(a, leads[w]), d, q)]
-                      for d in exps[w]))
+                      for d in tails[w]))
             for w in admissible if dominates(a, leads[w])
         ]
         if not recs[a]:
             raise IdealError("no admissible basis element for %s (corrupt basis)" % (a,))
 
-    if sequential:
+    if _tails_precede(key, leads, tails):
         program = [(slot[a],) + r[0] for a, r in recs.items()]
         checks = [(slot[a],) + rec for a, r in recs.items() for rec in r[1:]]
     else:
-        known = {slot[a] for a in space if a in seeds}
+        known = {slot[d] for d in seeds}
         program, chosen = [], {}
         pending = list(recs)
         while pending:
@@ -211,18 +218,16 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, sequential, tails
             pending = left
         # the recurrence that set a value cannot fail its check
         checks = [(slot[a],) + rec for a, r in recs.items() for rec in r if rec is not chosen[a]]
-    return (tuple(space), tuple((d, slot[d]) for d in seeds if d in slot), exps,
+    return (tuple(space), tuple((d, slot[d]) for d in seeds), tails,
             program, checks, tuple((t, slot[t]) for t in target))
 
 
 def plan_args(gb, target):
     """The arguments of ``_extension_plan`` (here and in the library) for a
-    basis and a tuple target: the shape key ``ideal.extend`` builds."""
-    dset = gb.delta.members
-    tails = tuple(tuple(sorted(e for e, _ in tail if not (gb.sequential and e in dset)))
-                  for tail in gb._tails)
-    return (gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
-            tuple(gb.leading), dset, target, gb.sequential, tails)
+    basis and a tuple target: the key ``ideal.extend`` builds, each
+    element's tail as its sorted tail exponents."""
+    return (gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights), tuple(gb.leading),
+            gb.delta.members, target, tuple(tuple(sorted(e for e, _ in t)) for t in gb._tails))
 
 
 def extend(h, gb, target):
@@ -232,9 +237,9 @@ def extend(h, gb, target):
     target = tuple(tuple(t) for t in target)
     if not target:
         return Spectrum(gb.field, gb.ndim, dict(h.values))
-    indices, seeds, exps, program, checks, outputs = _extension_plan(*plan_args(gb, target))
+    indices, seeds, tails, program, checks, outputs = _extension_plan(*plan_args(gb, target))
     f = gb.field
-    coeffs = [[g.terms.get(d, ZERO) for d in e] for g, e in zip(gb.elements, exps)]
+    coeffs = [[g.terms.get(d, ZERO) for d in e] for g, e in zip(gb.elements, tails)]
     vals = [ZERO] * len(indices)
     for d, s in seeds:
         vals[s] = h.values[d]

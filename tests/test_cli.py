@@ -52,6 +52,22 @@ def test_dft_grid_output(tmp_path, capsys):
     assert len(out.splitlines()) == 1  # one row for N = 1
 
 
+def test_malformed_integer_lists_exit_3(tmp_path, capsys):
+    # each used to end in a ValueError traceback with exit 1
+    pts = tmp_path / "pts.txt"
+    pts.write_text("(-1)\n(1)\n")
+    for bad in ("1,a", "1,,1", "1,b"):
+        field = ["--p", "2", "--m", "3", "--ndim", "1"]
+        for argv, flag in ((["field-table", "--p", "2", "--m", "3", "--poly", bad], "--poly"),
+                           (["gb", *field, "--poly", bad, str(pts)], "--poly"),
+                           (["gb", *F8_FLAGS, "--order", "weighted_grlex", "--weights", bad,
+                             str(pts)], "--weights")):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (EXIT_CONFIG, "")
+            assert err == "config error: argument %s: expected comma-separated integers, got %r\n" % (
+                flag, bad)
+
+
 def test_gb_and_extend(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("(-1)\n(1)\n(3)\n(6)\n")

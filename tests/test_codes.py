@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from avcodes.gf import ZERO, ONE
+from avcodes.gf import Field, ZERO, ONE
 from avcodes.transform import Spectrum, Word
 from avcodes.maps import PointSet, evaluate
 from avcodes.decoder import locate
@@ -90,6 +90,33 @@ def test_encode_membership_and_support_check(hermitian, rng):
     off = Spectrum(hermitian.field, 2, {(0, 5): ONE})
     with pytest.raises(CodeConfigError):
         encode_nonsystematic(off, hermitian)
+
+
+def test_inputs_over_another_field_rejected(hermitian, f8, rng):
+    """A spectrum or word over another field is refused before any work,
+    naming both fields; an equal field built anew is accepted."""
+    code, f = hermitian, hermitian.field
+    info = {d: rng.randrange(-1, 7) for d in code.info_support()}
+    word = {p: rng.randrange(-1, 7) for p in code.psi.points}
+    calls = [
+        (encode_nonsystematic, Spectrum(f8, 2, info), "information spectrum"),
+        (primal_encode, Spectrum(f8, 2, {b: ONE for b in code.b_list}),
+         "primal information spectrum"),
+        (is_dual_codeword, Word(f8, 2, word), "word"),
+    ]
+    for fn, arg, what in calls:
+        before = f.op_count, f8.op_count
+        with pytest.raises(CodeConfigError, match=r"^%s over Field\(p=2, m=3, q=8\) .*, code "
+                           r"over Field\(p=3, m=2, q=9\)" % what):
+            fn(arg, code)
+        assert (f.op_count, f8.op_count) == before
+    same = Field(f.p, f.m, f.primitive_poly)
+    assert same is not f
+    cw = encode_nonsystematic(Spectrum(same, 2, info), code)
+    assert cw.values == encode_nonsystematic(Spectrum(f, 2, info), code).values
+    assert is_dual_codeword(Word(same, 2, cw.values), code)
+    pe = primal_encode(Spectrum(same, 2, {b: ONE for b in code.b_list}), code)
+    assert pe.values == primal_encode(Spectrum(f, 2, {b: ONE for b in code.b_list}), code).values
 
 
 def test_encoded_words_orthogonal_to_check_monomials(hermitian, rng):

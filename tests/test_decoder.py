@@ -1094,10 +1094,10 @@ def test_systematic_encode_equals_erasure_decoding():
             res = decode_word(padded, phi, code)
             assert res.codeword.values == word.values
             assert res.report.meta["point_sets_reused"]
-        worklist.append(not systematic_basis(phi, code).sequential)
+        worklist.append(not reference.tails_precede_leads(systematic_basis(phi, code)))
 
     check()
-    # the check-set families with forward tails take extend's worklist path
+    # the draws include check-set families whose tails reach past their leads
     assert any(worklist) and not all(worklist)
 
 
@@ -1221,9 +1221,9 @@ def _build_ops(code, points, name):
 
 
 def _reference_map(code, points):
-    """The scalar oracle (reference.compiled_map) of the map of a set of
-    the code's points: the matrix as element codes and the count of its
-    reductions."""
+    """The scalar oracle (reference.compiled_map) of the ``map`` member of
+    ``codes.PointSetEntry`` on a set of the code's points: the matrix as
+    element codes and the count of its reductions."""
     return reference.compiled_map(code.point_set(points).points, code.b_list)
 
 

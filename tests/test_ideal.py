@@ -212,7 +212,7 @@ def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng):
     tail_key = next(e for e in bad_elems[0].terms if e != gb.leading[0])
     bad_elems[0].terms[tail_key] = f9.add(bad_elems[0].terms[tail_key], ONE)
     bad = ReducedGroebnerBasis(f9, 2, gb.order, bad_elems, gb.leading, gb.delta)
-    # the plan of the shape is built by the first call and reused by the
+    # the plan of the basis is built by the first call and reused by the
     # second, which must still check every recurrence
     # and must name the first failing index that the scalar checks name
     with pytest.raises(IdealError, match="inconsistent recurrences") as want:
@@ -449,9 +449,9 @@ def test_extend_ops_independent_of_call_history(f8_module, hermitian, rng):
     loc = located_points(hermitian, HERM_G_LOCATED)
     gb_h, delta_h = vanishing_gb(loc, hermitian.order)
     seed_h = Spectrum(hermitian.field, 2, {d: rng.randrange(-1, 8) for d in delta_h.members})
-    # B = {1, x^2} over GF(8): a worklist family
+    # B = {1, x^2} over GF(8): a family with a tail past its lead
     gb_w = check_set_basis(PointSet(f, 1, ((0,), (1,))), [(0,), (2,)], MonomialOrder("lex"))
-    assert not gb_w.sequential
+    assert not reference.tails_precede_leads(gb_w)
     seed_w = Spectrum(f, 1, {(0,): 3, (2,): 5})
     counts = []
     for seed, gb in ((seed_h, gb_h), (seed_w, gb_w)):
@@ -463,14 +463,14 @@ def test_extend_ops_independent_of_call_history(f8_module, hermitian, rng):
         assert _extension_plan.cache_info().hits == 1
         assert again.values == first.values and built == cached > 0
         counts.append(built)
-    # a sequential sweep costs one mul and one add per tail term and one
+    # a vanishing-ideal basis costs one mul and one add per tail term and one
     # neg per admissible recurrence, whatever the cache holds
     q = hermitian.field.q
     assert counts[0] == sum(2 * (len(g.terms) - 1) + 1
                           for a in index_space(hermitian.field, 2) if a not in delta_h
                           for g, aw in zip(gb_h.elements, gb_h.leading)
                           if all(x < q for x in aw) and dominates(a, aw))
-    # one shape, other coefficients: the RS tail scaled by alpha is another
+    # one plan key, other coefficients: the RS tail scaled by alpha is another
     # recurrence of the same support
     gb, delta = vanishing_gb(PointSet(f, 1, RS_PSI), MonomialOrder("lex"))
     g = gb.elements[0]
@@ -494,7 +494,7 @@ def test_extend_plan_key_holds_tails_outside_the_seed_set(f9, rng):
                                for e in {**g0, **g2}})
     assert (2, 0) in mixed.terms and (2, 0) not in delta
     gb2 = ReducedGroebnerBasis(f9, 2, order, gb.elements[:2] + [mixed], gb.leading, delta)
-    assert gb2.sequential
+    assert reference.tails_precede_leads(gb2)
     c = Word(f9, 2, {p: rng.randrange(-1, 8) for p in pts.points})
     seed = proper_transform(c, delta)
     padded = Word(f9, 2, {w: c.values.get(w, ZERO) for w in omega_space(f9, 2)})
@@ -504,7 +504,7 @@ def test_extend_plan_key_holds_tails_outside_the_seed_set(f9, rng):
 
 
 def test_plan_cache_is_bounded():
-    # tiny GF(4) shapes that differ only in their target
+    # tiny GF(4) plan keys that differ only in their target
     f = PROPERTY_FIELDS[4]
     gb, delta = vanishing_gb(PointSet(f, 2, ((-1, 0), (1, 2))), MonomialOrder("grlex"))
     seed = Spectrum(f, 2, {d: ONE for d in delta.members})
@@ -560,18 +560,18 @@ def test_extend_plans_match_transform():
             padded = Word(f, ndim, {w: word.values.get(w, ZERO) for w in omega_space(f, ndim)})
             want = dft(padded).values
             misses = _extension_plan.cache_info().misses
-            # builds the plan, or reuses one an earlier basis of its shape built
+            # builds the plan, or reuses one an earlier basis of its key built
             assert extend(seed, basis, space).values == want
             info = _extension_plan.cache_info()
             built.append(info.misses > misses)
             assert extend(seed, basis, space).values == want  # reuses it
             assert _extension_plan.cache_info().hits == info.hits + 1
-        worklist.append(not gb_b.sequential)
+        worklist.append(not reference.tails_precede_leads(gb_b))
 
     _extension_plan.cache_clear()
     check()
     # the check-set families include forward-referencing (worklist) ones,
-    # and some first calls find their shape's plan already cached
+    # and some first calls find their key's plan already cached
     assert any(worklist) and not all(worklist)
     assert any(built) and not all(built)
 
@@ -600,7 +600,7 @@ def test_extend_matches_scalar_reference():
         families = _random_families(f, ndim, rnd)
         space = index_space(f, ndim)
         for basis in families:
-            worklist.append(not basis.sequential)
+            worklist.append(not reference.tails_precede_leads(basis))
             seed_h = Spectrum(f, ndim, {d: rnd.randrange(-1, q - 1) for d in basis.delta.members})
             target = rnd.sample(space, rnd.randrange(1, len(space) + 1))
             for tgt in (space, target):
@@ -619,16 +619,16 @@ def _assert_plan_matches_reference(gb, target):
     two schedules; returns whether the family is a worklist one."""
     args = reference.plan_args(gb, target)
     plan = _extension_plan(*args)
-    _, _, exps, program, checks, _ = reference._extension_plan(*args)
-    assert plan.exps == exps and plan.program == tuple(program)
-    got = [(int(row[0]), int(w), tuple(row[1:1 + len(exps[w])].tolist()))
+    _, _, tails, program, checks, _ = reference._extension_plan(*args)
+    assert plan.tails == tails and plan.program == tuple(program)
+    got = [(int(row[0]), int(w), tuple(row[1:1 + len(tails[w])].tolist()))
            for row, w in zip(plan.check_slots, plan.check_elems)]
     assert got == checks
     # no check repeats the recurrence that set its value, and each
     # recurrence is counted once
     assert not set(plan.program) & set(got)
     assert sum(plan.uses) == len(program) + len(checks)
-    return not gb.sequential
+    return not reference.tails_precede_leads(gb)
 
 
 def _preset_families(name):
@@ -693,30 +693,56 @@ def test_plans_match_the_scalar_schedule_on_presets(name):
     assert any(worklist) == (name == "hcrs")
 
 
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_program_reads_each_element_at_its_tail(name):
+    """Every recurrence of a plan, swept or checked, reads its element at
+    the exact tail: no seed exponent without a term in it."""
+    families, targets = _preset_families(name)
+    for gb in families:
+        for target in targets:
+            plan = _extension_plan(*reference.plan_args(gb, target))
+            assert all(len(refs) == len(gb._tails[w]) for _, w, refs in plan.program)
+            width = [1 + len(gb._tails[w]) for w in plan.check_elems.tolist()]
+            assert all((row[k:] == len(plan.indices)).all() and (row[:k] < len(plan.indices)).all()
+                       for row, k in zip(plan.check_slots, width))
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_vanishing_basis_sweeps_all_of_a_for_any_target(name):
+    """An extend to one index of A counts what one to all of A counts,
+    on the code's basis and on located sets' bases, and gives that
+    extension's value there."""
+    families, (space, _, picks) = _preset_families(name)
+    rnd = random.Random(name)
+    for gb in families[:-1]:
+        seed = Spectrum(gb.field, gb.ndim, {d: rnd.randrange(-1, gb.field.q - 1)
+                                            for d in gb.delta.members})
+        full, ops = _extend_ops(seed, gb, space)
+        for a in picks:
+            one, one_ops = _extend_ops(seed, gb, (a,))
+            assert one.values[a] == full.values[a] and one_ops == ops
+
+
 def test_plans_match_the_scalar_schedule_on_random_bases():
     worklist = _random_plan_cases(_assert_plan_matches_reference)
     assert any(worklist) and not all(worklist)
 
 
 def _assert_shortest_register(gb, target):
-    """On a sequential plan, where every reference precedes its index,
-    each index is set by the first of its admissible recurrences in the
-    order (references read, lead, element).  Returns the nonzero
-    coefficients the sweep reads, None for a worklist plan."""
+    """On a family whose tails precede its leads, where every reference
+    precedes its index, each index is set by the first of its admissible
+    recurrences in the order (tail terms, lead, element).  Returns the
+    coefficients the sweep reads, None for any other family."""
     plan = _extension_plan(*reference.plan_args(gb, target))
-    if not gb.sequential:
+    if not reference.tails_precede_leads(gb):
         return None
-    key, seeds = gb.order.key, gb.delta.members
+    key = gb.order.key
     admissible = [w for w, aw in enumerate(gb.leading) if max(aw) < gb.field.q]
-    # the seed exponents before the lead, then the tail outside the seeds
-    width = {w: sum(key(d) < key(gb.leading[w]) for d in seeds)
-             + sum(e not in seeds for e, _ in gb._tails[w]) for w in admissible}
-    assert {w: len(plan.exps[w]) for w in admissible} == width
+    width = {w: len(gb._tails[w]) for w in admissible}
     rank = sorted(admissible, key=lambda w: (width[w], key(gb.leading[w]), w))
     for s, w, _ in plan.program:
         assert w == next(v for v in rank if dominates(plan.indices[s], gb.leading[v]))
-    return sum(sum(gb.elements[w].terms.get(d, ZERO) != ZERO for d in plan.exps[w])
-               for _, w, _ in plan.program)
+    return sum(width[w] for _, w, _ in plan.program)
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16", "random"])
@@ -732,9 +758,10 @@ def test_program_takes_the_shortest_register(name):
     reads = [_assert_shortest_register(gb, t) for gb in families for t in targets]
     assert (None in reads) == (name == "hcrs")
     if name == "herm16":
-        # the Phi family over all of A: its elements read 15 references
-        # each, so the smallest lead, y^4 of the curve equation
-        # y^4 + y + x^5 (2 nonzero tail terms), goes first and sets 192
-        # of the 241 indices; the first element in basis order, x^6 + ...,
-        # would make the sweep read 3,249 coefficients
-        assert reads[-3] == 1113
+        # the Phi family over all of A: its elements have 15, 15, 13, 13
+        # and 2 tail terms, so y^4 of the curve equation y^4 + y + x^5
+        # goes first and sets 192 of the 241 indices, and the 13-term
+        # x^3 y^2 and x^2 y^3 elements go before the 15-term ones; the
+        # first element in basis order, x^6 + ..., would make the sweep
+        # read 3,249 coefficients.  Every target sweeps all of A.
+        assert reads[-3] == reads[-2] == reads[-1] == 1065
