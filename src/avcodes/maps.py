@@ -5,11 +5,14 @@ The extension reaches the inverse transform as one flat exponent array
 over A (ideal._extension_array).  The canonical map computes the full
 Omega-word with the fast transform and verifies that it vanishes off
 Psi before restricting, turning the vanishing guarantee into a runtime
-self-test.  Decoding takes its values off the erasure projection of a
-point set's store entry (decoder.locate) and systematic encoding off
-its map (codes.PointSetEntry); the lemma's values at a point set alone,
-by the set's family (ideal.lemma_family), are transform.idft_at on
-``PointSet.array``.
+self-test.  The library's paths read the map compiled instead:
+decoding takes its values off the erasure projection of a point set's
+store entry (decoder.locate), systematic encoding off its map
+(codes.PointSetEntry) and non-systematic encoding off the code's n x k
+generator (codes.encode_nonsystematic), each checking its word by its
+syndrome.  ``canonical_iso`` is their oracle, and the evaluator of
+encode_nonsystematic on a code whose generator would take more than
+codes.GENERATOR_BUDGET to build.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,8 @@ class MapError(ValueError):
 
 
 class VanishingError(MapError):
-    """The prolonged word is nonzero outside the point set."""
+    """The prolonged word is nonzero outside the point set, or an encoded
+    word has a nonzero syndrome: the map's self-test failed."""
 
 
 @dataclass(frozen=True)

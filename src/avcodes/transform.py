@@ -9,13 +9,12 @@ run one pass per axis, each the q x q kernel matrix applied to every
 fiber at once, blocked so that a temporary stays near BLOCK elements;
 ``dft_kernel`` and ``idft_kernel`` are the N = 1 case.  ``dft_partial`` is
 one |indices| x |points| product over the matrix of exponents of
-omega^a.  ``idft_at`` evaluates the IDFT at given points only, one
-inverse kernel row per point and axis, and ``idft_flat`` is the fast
-IDFT that ``idft_fast`` wraps; both take and return flat exponent
-arrays.  The kernels count analytically: each adds, in one addition to
-``Field.op_count``, the field operations the scalar loop kernels make
-(at most 3*N*q^(N+1) for the fast transforms).  Each that takes a Word or Spectrum rejects a
-value that is no element code with FieldError, naming its position.
+omega^a.  ``idft_flat`` is the fast IDFT that ``idft_fast`` wraps, on
+flat exponent arrays.  The kernels count analytically: each adds, in
+one addition to ``Field.op_count``, the field operations the scalar
+loop kernels make (at most 3*N*q^(N+1) for the fast transforms).  Each
+that takes a Word or Spectrum rejects a value that is no element code
+with FieldError, naming its position.
 
 Powers follow the substituted-value convention omega^0 = 1 for every
 omega, including zero.
@@ -369,46 +368,6 @@ def idft_flat(field, x, ndim):
     """The fast IDFT of the flat exponent array x over all of Omega, as a
     flat exponent array (position j of a component the element j - 1)."""
     return _passes(field, x, ndim, True)
-
-
-def idft_at_count(q, points):
-    """The scalar count of idft_at at the points (an integer array of
-    element codes, one row each), known before any work.  The spectrum
-    is contracted axis by axis, the first component first, so axis i has
-    q^(N-1-i) fibers per point.  A zero coordinate takes
-    h_0 - h_(q-1) per fiber; a nonzero one builds its q - 1 kernel powers
-    once and takes q - 1 muls, q - 2 adds and a neg per fiber, as the
-    scalar kernel does."""
-    fibers = q ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
-    per = np.where(points < 0, fibers, (q - 1) + (2 * q - 2) * fibers)
-    return int(per.sum())
-
-
-def idft_at(field, x, points):
-    """The generalized IDFT of the flat exponent array x (all of A, first
-    component fastest) at the given points only (an integer array of
-    element codes, one row each), as exponents.  Per point and axis the
-    inverse kernel row of the point's coordinate is built, never the
-    q x q matrix, and contracted with the spectrum axis by axis; points
-    and fibers are blocked so that a temporary stays near BLOCK elements.
-    Adds idft_at_count to op_count."""
-    q, ndim = field.q, points.shape[1]
-    pos = np.where(points < 0, 0, points + 1)  # the kernel row of each coordinate
-    out = np.empty(len(points), dtype=np.intp)
-    step = max(1, BLOCK // q ** ndim)
-    for lo in range(0, len(points), step):
-        y = x[None]
-        for axis in range(ndim):
-            y = y.reshape(len(y), -1, q)  # the last axis is component ``axis``
-            k = _kernel_rows(field, pos[lo:lo + step, axis], True)[:, None, :]
-            z = np.empty((len(k), y.shape[1]), dtype=np.intp)
-            rstep = max(1, BLOCK // (len(k) * q))
-            for r in range(0, y.shape[1], rstep):
-                z[:, r:r + rstep] = field.np_dot(k, y[:, r:r + rstep])
-            y = z
-        out[lo:lo + step] = y[:, 0]
-    field.op_count += idft_at_count(q, points)
-    return out
 
 
 # -- text forms ------------------------------------------------------------

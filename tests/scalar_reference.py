@@ -5,6 +5,8 @@ field operation.
 ``digit_add`` adds two base-p encodings digit by digit, the oracle of
 ``Field.add``.  ``dft_kernel``/``idft_kernel`` and the axis-by-axis
 ``dft_fast``/``idft_fast`` are the loop kernels of ``avcodes.transform``;
+``idft_at`` evaluates the IDFT at given points only, one inverse kernel
+row per point and axis, counting ``idft_at_count``;
 ``extend`` runs the tuple-based extension plan and checks every
 recurrence one field operation at a time, like ``avcodes.ideal.extend``
 did.  Its ``_extension_plan`` keeps two schedules over all of A, an
@@ -32,7 +34,7 @@ import itertools
 
 import numpy as np
 
-from avcodes import ideal
+from avcodes import ideal, transform
 from avcodes.gf import ZERO, ONE
 from avcodes.ideal import (IdealError, _level_leads, DeltaSet, Polynomial, ReducedGroebnerBasis,
                            index_array)
@@ -153,6 +155,49 @@ def idft_fast(h):
             rem //= f.q
         out[tuple(pt)] = v
     return Word(f, ndim, out)
+
+
+# -- the IDFT at given points ----------------------------------------------
+
+def idft_at_count(q, points):
+    """The scalar count of idft_at at the points (an integer array of
+    element codes, one row each), known before any work.  The spectrum
+    is contracted axis by axis, the first component first, so axis i has
+    q^(N-1-i) fibers per point.  A zero coordinate takes
+    h_0 - h_(q-1) per fiber; a nonzero one builds its q - 1 kernel powers
+    once and takes q - 1 muls, q - 2 adds and a neg per fiber, as the
+    scalar kernel does."""
+    fibers = q ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
+    per = np.where(points < 0, fibers, (q - 1) + (2 * q - 2) * fibers)
+    return int(per.sum())
+
+
+def idft_at(field, x, points):
+    """The generalized IDFT of the flat exponent array x (all of A, first
+    component fastest) at the given points only (an integer array of
+    element codes, one row each), as exponents.  Per point and axis the
+    inverse kernel row of the point's coordinate is built, never the
+    q x q matrix, and contracted with the spectrum axis by axis; points
+    and fibers are blocked so that a temporary stays near BLOCK elements.
+    Adds idft_at_count to op_count.  The lemma's values at a point set
+    alone, the oracle of what the library reads off eliminations."""
+    q, ndim = field.q, points.shape[1]
+    pos = np.where(points < 0, 0, points + 1)  # the kernel row of each coordinate
+    out = np.empty(len(points), dtype=np.intp)
+    step = max(1, transform.BLOCK // q ** ndim)
+    for lo in range(0, len(points), step):
+        y = x[None]
+        for axis in range(ndim):
+            y = y.reshape(len(y), -1, q)  # the last axis is component ``axis``
+            k = transform._kernel_rows(field, pos[lo:lo + step, axis], True)[:, None, :]
+            z = np.empty((len(k), y.shape[1]), dtype=np.intp)
+            rstep = max(1, transform.BLOCK // (len(k) * q))
+            for r in range(0, y.shape[1], rstep):
+                z[:, r:r + rstep] = field.np_dot(k, y[:, r:r + rstep])
+            y = z
+        out[lo:lo + step] = y[:, 0]
+    field.op_count += idft_at_count(q, points)
+    return out
 
 
 # -- the extension with tuple plans and scalar checks ----------------------

@@ -1,15 +1,19 @@
 import json
+import random
+import sys
+import threading
 import time
 
 import pytest
 
+from avcodes import codes
 from avcodes.gf import Field, ZERO, ONE
 from avcodes.transform import Spectrum, Word
-from avcodes.maps import PointSet, evaluate
+from avcodes.maps import PointSet, VanishingError, canonical_iso, evaluate
 from avcodes.decoder import locate
 from avcodes.codes import (CodeConfigError, code_from_config, load_code,
                            preset, PRESET_CONFIGS, encode_nonsystematic, primal_encode,
-                           syndrome, is_dual_codeword)
+                           syndrome, is_dual_codeword, generator_work, GENERATOR_BUDGET)
 
 
 def inner(field, a, b):
@@ -36,6 +40,15 @@ HERM16 = {
     "points": "hermitian",
     "B": "wdeg<=20",
     "d_fr": 10,
+}
+# the Hermitian code x^9 = y^8 + y over GF(64), n = 512, k = 479
+HERM64 = {
+    "field": {"p": 2, "m": 6, "primitive_poly": [1, 1, 0, 0, 0, 0, 1]},
+    "N": 2,
+    "order": {"kind": "weighted_grlex", "weights": [8, 9]},
+    "points": "hermitian",
+    "B": "wdeg<=60",
+    "d_fr": 8,
 }
 RS4 = {"field": {"p": 2, "m": 2, "primitive_poly": [1, 1, 1]},
        "N": 1, "order": {"kind": "lex"}, "points": "full-grid",
@@ -242,6 +255,141 @@ def test_encode_injective(rs_like, rng):
         if key in seen:
             assert seen[key] == hkey
         seen[key] = hkey
+
+
+GENERATOR_CODES = {"rs-like": PRESET_CONFIGS["rs-like"],
+                   "hermitian": PRESET_CONFIGS["hermitian"],
+                   "hcrs": PRESET_CONFIGS["hcrs"],
+                   "herm16": HERM16,
+                   "herm64": HERM64}
+
+
+def _info(code, rng):
+    f = code.field
+    return Spectrum(f, code.ndim, {d: rng.randrange(-1, f.q - 1) for d in code.info_support()})
+
+
+def _generator_of(code):
+    return codes._generator(code.field, (code.order.kind, code.order.weights),
+                            code.psi.points, tuple(code.b_list), code.delta)
+
+
+def _encode_ops(code):
+    """What a warm encode counts: the product and the syndrome check."""
+    return code.n * (2 * code.k - 1) + len(code.b_list) * (2 * code.n - 1)
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_CODES))
+def test_generator_words_equal_the_lemma(name):
+    """Every code here encodes by its compiled generator, whose words are
+    the lemma's on a seeded sweep; a warm encode counts the product and
+    its check."""
+    code = code_from_config(GENERATOR_CODES[name])
+    assert generator_work(code.n, code.k) <= GENERATOR_BUDGET
+    encode_nonsystematic(Spectrum(code.field, code.ndim, {}), code)  # builds G if cold
+    rng = random.Random(name)
+    for _ in range(30):
+        h = _info(code, rng)
+        want = canonical_iso(code.zero_padded(h), code.gb, code.psi)
+        before = code.field.op_count
+        assert encode_nonsystematic(h, code).values == want.values
+        assert code.field.op_count - before == _encode_ops(code)
+    info, g = _generator_of(code)
+    assert list(info) == code.info_support()
+    assert g.shape == (code.n, code.k) and not g.flags.writeable
+
+
+def test_generator_shared_by_codes_of_one_definition():
+    """The first encode of a definition builds its generator and counts
+    the build once; a second code of the same config reuses it, adding
+    only the product and the check, and gives the same words."""
+    codes._generator.cache_clear()
+    first, second = code_from_config(HERM16), code_from_config(HERM16)
+    assert first.field is not second.field
+    rng = random.Random(16)
+    h = _info(first, rng)
+    before = first.field.op_count
+    word = encode_nonsystematic(h, first)
+    assert first.field.op_count - before > _encode_ops(first)
+    assert codes._generator.cache_info().currsize == 1
+    before = second.field.op_count
+    assert encode_nonsystematic(Spectrum(second.field, 2, h.values), second).values == word.values
+    assert second.field.op_count - before == _encode_ops(second)
+    assert codes._generator.cache_info().currsize == 1
+    assert _generator_of(first)[1] is _generator_of(second)[1]
+
+
+def test_corrupted_generator_raises(hermitian):
+    """One overwritten entry of the cached generator makes the next word
+    fail its syndrome check: VanishingError, and no word leaves the
+    encoder."""
+    rng = random.Random(9)
+    h = _info(hermitian, rng)
+    j = next(i for i, d in enumerate(hermitian.info_support()) if h.values[d] != ZERO)
+    g = _generator_of(hermitian)[1]
+    old = int(g[5, j])
+    g.flags.writeable = True
+    try:
+        g[5, j] = (old + 1) % (hermitian.field.q - 1)
+        with pytest.raises(VanishingError, match="nonzero syndrome at check index"):
+            encode_nonsystematic(h, hermitian)
+    finally:
+        g[5, j] = old
+        g.flags.writeable = False
+    assert is_dual_codeword(encode_nonsystematic(h, hermitian), hermitian)
+
+
+def test_evaluator_chosen_by_the_build_estimate(hermitian, monkeypatch):
+    """The n = 4096 GF(256) Hermitian code (k = 3955) is past the budget
+    by the estimate alone, so it encodes by the lemma; the n = 512 code
+    is inside it.  A code past the budget never reaches the generator
+    and counts the lemma's operations."""
+    assert generator_work(4096, 3955) > GENERATOR_BUDGET
+    assert generator_work(512, 479) <= GENERATOR_BUDGET
+
+    def refuse(*args):
+        raise AssertionError("generator built past the budget")
+
+    monkeypatch.setattr(codes, "_generator", refuse)
+    monkeypatch.setattr(codes, "GENERATOR_BUDGET", generator_work(hermitian.n, hermitian.k) - 1)
+    h = _info(hermitian, random.Random(27))
+    f = hermitian.field
+    before = f.op_count
+    want = canonical_iso(hermitian.zero_padded(h), hermitian.gb, hermitian.psi)
+    lemma_ops = f.op_count - before
+    before = f.op_count
+    assert encode_nonsystematic(h, hermitian).values == want.values
+    assert f.op_count - before == lemma_ops
+
+
+def test_first_encodes_from_threads_agree():
+    """Threads whose first encode on fresh codes of one config meet at the
+    generator's build, under a short switch interval, all get the lemma's
+    word."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(3):
+            codes._generator.cache_clear()
+            fresh = [code_from_config(PRESET_CONFIGS["hcrs"]) for _ in range(4)]
+            h = _info(fresh[0], random.Random(seed))
+            words = [None] * len(fresh)
+            start = threading.Barrier(len(fresh), timeout=30)
+
+            def run(i):
+                start.wait()
+                words[i] = encode_nonsystematic(Spectrum(fresh[i].field, 2, h.values), fresh[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(fresh))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            want = canonical_iso(fresh[0].zero_padded(h), fresh[0].gb, fresh[0].psi)
+            assert all(w.values == want.values for w in words)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_config_roundtrip_matches_preset(hermitian):

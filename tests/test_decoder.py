@@ -13,12 +13,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import scalar_reference as reference
+from scalar_reference import idft_at
 from test_codes import HERM16
 from avcodes import codes, decoder, ideal, maps
 from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import IdealError, index_array, lemma_family, vanishing_gb, _extension_array
-from avcodes.transform import Spectrum, Word, point_power, omega_space, idft_at, power_matrix
+from avcodes.transform import Spectrum, Word, point_power, omega_space, power_matrix
 from avcodes.maps import PointSet
 from avcodes.codes import (CodeSpec, POINT_SET_CACHE_SIZE, encode_nonsystematic,
                            is_dual_codeword, syndrome, code_from_config, preset)

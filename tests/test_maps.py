@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from scalar_reference import idft_at
 from avcodes.gf import Field, ZERO, ONE
 from avcodes.mindex import MonomialOrder, format_index
-from avcodes.transform import Spectrum, Word, omega_space, idft_at
+from avcodes.transform import Spectrum, Word, omega_space
 from avcodes.ideal import vanishing_gb
 from avcodes.maps import (PointSet, evaluate, proper_transform, canonical_iso,
                           transpose_check, _omega_idft, MapError, VanishingError)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as reference
+from scalar_reference import idft_at, idft_at_count
 from avcodes.codes import is_dual_codeword
 from avcodes.gf import ZERO, ONE, Field, FieldError, DENSE_Q
 from avcodes.transform import (Spectrum, Word, dft, idft, dft_fast, idft_fast,
-                               dft_partial, dft_kernel, idft_kernel, idft_at, idft_at_count,
+                               dft_partial, dft_kernel, idft_kernel,
                                idft_flat, index_space, omega_space,
                                spectrum_lines, word_lines, parse_assoc_lines,
                                grid_lines, DomainError)
