@@ -3,14 +3,17 @@ non-systematic encoding, syndromes, membership.
 
 Only check sets of the shape U = V_B for B a subset of the delta set are
 supported; the dual code is the image of V_{D\\B} under the canonical
-isomorphism.  On a fixed code that map is one n x k matrix G, compiled
-once per code definition (field, order, points, B) by one elimination
-and kept at module level, so ``encode_nonsystematic`` is one product
-with G, checked by the word's syndrome on B.  A code whose estimated
-build, ``generator_work(n, k)`` = n^2 (n + k), exceeds GENERATOR_BUDGET
-encodes by the lemma (``maps.canonical_iso``) instead.  Code parameters
-come from a JSON config (see ``code_from_config``) or one of the bundled
-presets.
+isomorphism.  The transforms of a word on B and on D read exponent rows
+the code precomputes (``CodeSpec.transform``), and the check columns of a
+set of points are kept with their reduction compiled
+(``PointSetEntry``).  On a fixed code the canonical map is one n x k
+matrix G, compiled once per code definition (field, order, points, B)
+by one elimination and kept at module level, so ``encode_nonsystematic``
+is one product with G, checked by the word's syndrome on B.  A code
+whose estimated build, ``generator_work(n, k)`` = n^2 (n + k), exceeds
+GENERATOR_BUDGET encodes by the lemma (``maps.canonical_iso``) instead.
+Code parameters come from a JSON config (see ``code_from_config``) or
+one of the bundled presets.
 """
 
 import json
@@ -24,8 +27,8 @@ import numpy as np
 
 from .gf import ZERO, Field, FieldError
 from .mindex import MonomialOrder
-from .transform import (Spectrum, Word, check_field, check_values, dft_partial, omega_space,
-                        power_matrix)
+from .transform import (BLOCK, Spectrum, Word, check_field, check_values, dft_partial,
+                        omega_space, power_matrix, _element_array)
 from .maps import PointSet, VanishingError, canonical_iso, evaluate
 from .ideal import Eliminator, IdealError, SumForms, index_array, vanishing_gb
 
@@ -49,22 +52,25 @@ class PointSetEntry:
     """What a code precomputes for one set Phi of its points, each member
     built on first use and then kept:
 
-    - ``projection``: an Eliminator holding the check columns of Phi, which
-      projects a syndrome off them (the erasure projection of decoder.locate);
-      its pivot count is the rank of the columns
-      (decoder.check_systematic_support);
+    - ``projection``: the erasure projection of decoder.locate, which
+      projects a syndrome off the check columns of Phi: the reduction by
+      the columns, compiled along their insertion into an Eliminator
+      (ideal.CompiledReduction), so that a syndrome, or a batch, is
+      reduced by one product at the sequential count; its pivot count is
+      the rank of the columns (decoder.check_systematic_support);
     - ``map``: the |Phi| x |B| exponent matrix taking the syndrome on B of
       a word on Phi to its values on Phi, read off ``projection``: the
       tail of minus the unit vector at b, reduced by Phi's columns, is
-      column b.  It is the lemma's map on Phi, by which systematic
-      encoding evaluates; IdealError when the columns have rank below
-      |Phi|, where no such map exists.
+      column b, the compiled tail row times -1.  It is the lemma's map on
+      Phi, by which systematic encoding evaluates; IdealError when the
+      columns have rank below |Phi|, where no such map exists.
 
     ``rows`` is Phi as increasing point rows, ``points`` in the code's
     point order.  ``get(name)`` returns a member and whether the call built
     it.  A build adds its field operations to ``op_count`` as the uncached
-    call does (the map: its |B| reductions); a reuse adds none.  A build
-    that raises keeps nothing."""
+    call does (the projection: its insertions, not the compile; the map:
+    the counts of its |B| reductions); a reuse adds none.  A build that
+    raises keeps nothing."""
 
     def __init__(self, code, rows):
         self.code = code
@@ -84,19 +90,21 @@ class PointSetEntry:
     def _projection(self):
         code = self.code
         elim = Eliminator(code.field, len(code.b_list))
-        _, ops = elim.insert(code.columns[list(self.rows)], self.points.points)
+        _, ops, proj = elim.insert_compiled(code.columns[list(self.rows)], self.points.points)
         code.field.op_count += ops
-        return elim
+        return proj
 
     def _map(self):
-        elim, f = self.get("projection")[0], self.code.field
-        if len(elim.pivots) < len(self.rows):
+        proj, f = self.get("projection")[0], self.code.field
+        size, r = proj.length, len(proj.pivots)
+        if r < len(self.rows):
             raise IdealError("the check columns of the %d points have rank %d"
-                             % (len(self.rows), len(elim.pivots)))
+                             % (len(self.rows), r))
+        # the tails of minus the unit vectors: the compiled tail rows times -1
         ar = f.np_arith()
-        _, tails, more = elim.reduce(np.where(np.eye(elim.length, dtype=bool), ar.neg, ar.zero))
-        f.op_count += int(more.sum())
-        return tails.T
+        tails = proj.matrix[size:size + r]
+        f.op_count += int(proj.unit_ops.sum())
+        return np.where(tails == ar.zero, ar.zero, (tails + ar.neg) % (f.q - 1))
 
 
 class CodeSpec:
@@ -104,8 +112,12 @@ class CodeSpec:
     Groebner basis, delta set, and the supplied distance bound d_fr.
 
     ``b_set`` is a list of check indices or a B spec ("wdeg<=K",
-    "prodplus<K"), resolved against the delta set of psi.  What the
-    decoders and systematic encoding precompute per set of the code's
+    "prodplus<K"), resolved against the delta set of psi.  ``b_list`` is
+    B and ``d_sorted`` the delta set D, each in increasing order.  The
+    exponent rows of the transform on B (``columns``, one row per point)
+    and on D (``d_rows``, built on first use) are precomputed, so the
+    decoders and systematic encoding transform their words by one
+    product (``transform``).  What they precompute per set of the code's
     points is kept in a bounded store (``point_set``)."""
 
     def __init__(self, field, ndim, order, psi, b_set, d_fr, name=None):
@@ -133,6 +145,7 @@ class CodeSpec:
         if not b_norm:
             raise CodeConfigError("the check set B is empty")
         self.b_list = order.sort(b_norm)
+        self.d_sorted = tuple(self.delta.sorted(order))
         self.b_members = frozenset(self.b_list)
         self.n = len(psi)
         self.k = self.n - len(self.b_list)
@@ -166,6 +179,42 @@ class CodeSpec:
         return entry
 
     @cached_property
+    def d_rows(self):
+        """E_D, the read-only n x n exponent matrix of p^d: rows the indices
+        d of ``d_sorted``, columns the code's points.  Built on first use;
+        not op-counted, as ``columns`` is not."""
+        e = power_matrix(self.field, index_array(self.d_sorted, self.ndim),
+                         index_array(self.psi.points, self.ndim))
+        e.flags.writeable = False
+        return e
+
+    def transform(self, c, onto, what="dft input"):
+        """The proper transform of the word c, over the code's field and on
+        any subset of its points, on B (``onto`` "B", in ``b_list`` order)
+        or on D ("D", in ``d_sorted`` order): the Spectrum, the FieldError
+        naming ``what`` and the op count, |indices| |points| (2N + 1), of
+        dft_partial(c, indices, what), read off the precomputed exponent
+        rows of the indices (``columns.T`` for B, ``d_rows`` for D) at the
+        word's points.  A word with a point outside the code goes to
+        dft_partial."""
+        if onto not in ("B", "D"):
+            raise ValueError("onto must be 'B' or 'D', not %r" % (onto,))
+        indices = self.b_list if onto == "B" else self.d_sorted
+        try:
+            at = [self.point_row[p] for p in c.values]
+        except KeyError:
+            return dft_partial(c, indices, what)
+        f = self.field
+        x = _element_array(c, list(c.values.values()), what)
+        rows = self.columns.T if onto == "B" else self.d_rows
+        f.op_count += len(indices) * len(x) * (2 * self.ndim + 1)
+        out = np.empty(len(indices), dtype=np.intp)
+        step = max(1, BLOCK // max(1, len(x)))
+        for lo in range(0, len(indices), step):
+            out[lo:lo + step] = f.np_dot(rows[lo:lo + step, at], x)
+        return Spectrum(f, self.ndim, dict(zip(indices, f.np_codes(out))))
+
+    @cached_property
     def sum_forms(self):
         """The normal forms of the delta-set products (ideal.SumForms), by
         division on the code's basis."""
@@ -184,7 +233,7 @@ class CodeSpec:
 
     def info_support(self):
         """D \\ B in increasing monomial order."""
-        return [d for d in self.delta.sorted(self.order) if d not in self.b_members]
+        return [d for d in self.d_sorted if d not in self.b_members]
 
     def zero_padded(self, h):
         """Spectrum on the full delta set with missing entries zero."""
@@ -287,7 +336,7 @@ def syndrome(r, b_set):
 
 def is_dual_codeword(c, code):
     check_field(c, code.field, "word", "code", CodeConfigError)
-    s = syndrome(c, code.b_list)
+    s = code.transform(c, "B")
     return all(v == ZERO for v in s.values.values())
 
 

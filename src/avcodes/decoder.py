@@ -17,6 +17,15 @@ the values on the redundant set are one product of the syndrome with the
 set's map (codes.PointSetEntry), read off the erasure projection the
 locator reduces by, and are checked the same way.
 
+On a fixed code and erasure set each of these steps up to the error
+values is a fixed linear map, read off a matrix built once: every
+transform, on B or D, is one product with the code's exponent rows
+(codes.CodeSpec.transform), and the erasure projection and the stop
+rule's span test are one product with Phi1's compiled reduction
+(ideal.CompiledReduction).  Each counts what the sequential computation
+counts: transform.dft_partial's |indices| |points| (2N + 1), and per
+reduced vector the weights of the elimination steps it meets.
+
 The locator finds the errors off the erasures Phi1 by Feng-Rao majority
 voting, the erasures entering through erasure rows (Sakata, Leonard,
 Jensen and Hoeholdt 1998).  A syndrome projected to zero off the columns
@@ -45,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, check_field, check_values, dft_partial
+from .transform import Spectrum, Word, check_field, check_values
 from .maps import PointSet
 from .ideal import IdealError, Eliminator, lemma_family
 
@@ -372,18 +381,19 @@ def locate(synd, phi1, code, t_max=None):
 
 # -- the two decoding algorithms --------------------------------------------
 
-def _decode_head(r, phi1, code, t_max, kind, indices):
-    """The steps shared by both decoders: the transform of r on
-    ``indices`` and the locator.  Returns (meter, report, transform,
-    located set, error word on it); UndecodableError when the located
-    set's check columns are dependent, where it has no error values."""
+def _decode_head(r, phi1, code, t_max, kind, onto):
+    """The steps shared by both decoders: the transform of r on B or D
+    (``onto``, CodeSpec.transform) and the locator.  Returns (meter,
+    report, transform, located set, error word on it); UndecodableError
+    when the located set's check columns are dependent, where it has no
+    error values."""
     f = code.field
     check_field(r, f, "received word", "code", UndecodableError)
     check_field(phi1, f, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):  # the transform checks the values
         raise UndecodableError("received word is not indexed by the code's point set")
     meter = _Meter(f)
-    rt = dft_partial(r, indices, "received word")
+    rt = code.transform(r, onto, "received word")
     # a bad value is reported before a bad erasure set; locate rejects an
     # erasure outside the code
     if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
@@ -418,10 +428,10 @@ def decode_info(r, phi1, code, t_max=None):
     |D| |L| terms (the ``spectrum`` step).
     Returns an InfoSpectrum, whose ``report`` holds the call's counts."""
     f = code.field
-    dsorted = code.delta.sorted(code.order)
+    dsorted = code.d_sorted
     meter, report, rtilde, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_info",
-                                                         dsorted)
-    k = dft_partial(e_loc, dsorted).values if len(located) else dict.fromkeys(dsorted, ZERO)
+                                                         "D")
+    k = code.transform(e_loc, "D").values
     meter.lap("spectrum")
     out = {d: f.sub(rtilde.values[d], k[d]) for d in dsorted}
     meter.lap("subtract")
@@ -442,11 +452,11 @@ def decode_word(r, phi1, code, t_max=None):
     error's, which vanishes off the located set."""
     f = code.field
     meter, report, rt, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_word",
-                                                     code.b_list)
+                                                     "B")
     e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
     c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
     meter.lap("subtract")
-    if dft_partial(e_loc, code.b_list).values != rt.values:
+    if code.transform(e_loc, "B").values != rt.values:
         raise UndecodableError("decoded word fails the check set")
     meter.lap("check")
     return DecodeResult(codeword=c, error=e, located=located, report=report)
@@ -505,14 +515,14 @@ def systematic_encode(info, phi, code):
         matrix = entry.get("map")[0]
     except IdealError as exc:
         raise SystematicSupportError("Phi not generic: %s" % (exc,))
-    seed = dft_partial(info, code.b_list, "information word")
+    seed = code.transform(info, "B", "information word")
     # the values on Phi: |Phi| |B| muls and |Phi| (|B| - 1) adds
     x = f.np_exponents(np.array([seed.values[b] for b in code.b_list], dtype=np.intp))
     f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
     w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(f.np_dot(matrix, x)))))
     # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
     # seed - syndrome(w): zero when the seed is minus the Phi part's
-    if dft_partial(w, code.b_list).values != seed.values:
+    if code.transform(w, "B").values != seed.values:
         raise SystematicSupportError("systematic output fails the check set")
     out = dict(info.values)
     for p in phi.points:

@@ -17,8 +17,12 @@ right-looking, one pivot step per kept row over the stacked
 sequence of row operations of inserting one vector at a time, so each
 step returns the scalar count of its rows and the bases count exactly
 what the one-vector-at-a-time scan counts (2N - 1 per evaluated entry,
-as point_power).  What does not depend on the points is cached: the
-sorted scan box per (q, N, order), and the leads per (q, N, seed set).
+as point_power).  Reduction by a fixed eliminator is linear, so
+``Eliminator.insert_compiled`` reads it off the unit vectors, reduced
+alongside the insertion, as one matrix (CompiledReduction, the
+decoder's erasure projection), which reduces at the same count.  What
+does not depend on the points is cached: the sorted scan box per
+(q, N, order), and the leads per (q, N, seed set).
 
 Both bases are one recurrence family, built by one routine: seeded on a
 set S of indices, it has one monic element with tail on S per
@@ -161,10 +165,11 @@ class Eliminator:
 
     def _step(self, j, x, ops):
         """Subtract c * row j from each vector of x, c its entry at the
-        row's pivot, and add the scalar count of each to ``ops``."""
+        row's pivot, and add the scalar count of each to ``ops``.  Returns
+        the exponents c."""
         f, ar = self.field, self._ar
         if not len(x):
-            return
+            return None
         cols = self.length + j + 1  # the row's combination covers tags 0..j
         c = f.np_log(x[:, self.pivots[j]])
         terms = ar.exp[c[:, None] + self._rows[j, :cols]]
@@ -177,6 +182,7 @@ class Eliminator:
             if (j + 1) % ar.chunk == 0:
                 x[:] = ar.exp[f.np_log(x)]
         ops += self._weights[j] * (c != ar.zero)
+        return c
 
     def reduce(self, vecs):
         """Reduce each vector (a row of the exponent array ``vecs``) by the
@@ -196,17 +202,31 @@ class Eliminator:
         count of the insertions.  ``prune``, called as prune(row, tail) at
         each dependent vector, returns a boolean mask over the rows of
         ``vecs`` marking later vectors not to insert."""
+        return self._insert(vecs, tags, prune, False)[:2]
+
+    def insert_compiled(self, vecs, tags):
+        """``insert(vecs, tags)``, and the reduction by every row kept then
+        compiled to one product (CompiledReduction) as a third value, not
+        op-counted.  The ``length`` unit vectors ride along after the
+        batch, so each kept row is subtracted from them in the same step
+        as from the batch's later vectors."""
+        return self._insert(vecs, tags, None, True)
+
+    def _insert(self, vecs, tags, prune, compiled):
         f, ar = self.field, self._ar
         n, size = f.q - 1, self.length
         x = self._work(vecs)
+        batch = len(x)  # the vectors to insert; the unit vectors follow
+        if compiled:
+            x = np.vstack([x, np.zeros((size, 2 * size), dtype=x.dtype)])
+            np.fill_diagonal(x[batch:], ar.exp[0])
         ops = np.zeros(len(x), dtype=np.int64)
-        for j in range(len(self.pivots)):
-            self._step(j, x, ops)
+        coeffs = [self._step(j, x, ops) for j in range(len(self.pivots))]
         rows = np.arange(len(x))
         out = []
         total = 0
         i = 0
-        while i < len(x):
+        while i < batch:
             e = f.np_log(x[i])
             live = e != ar.zero
             r = len(self.pivots)
@@ -219,6 +239,7 @@ class Eliminator:
                     keep[:i + 1] = True
                     if not keep.all():
                         x, ops, rows = x[keep], ops[keep], rows[keep]
+                        batch = len(x)
             else:
                 nnz, nnz_comb = np.count_nonzero(live), np.count_nonzero(live[size:])
                 total += 1 + 2 * int(nnz_comb) + size
@@ -229,14 +250,53 @@ class Eliminator:
                 self.pivots.append(pivot)
                 self.tags.append(tags[rows[i]])
                 out.append((int(rows[i]), None))
-                self._step(r, x[i + 1:], ops[i + 1:])
+                coeffs.append(self._step(r, x[i + 1:], ops[i + 1:]))
             i += 1
-        # every vector left in x was inserted
-        return out, total + int(ops.sum())
+        # every vector of the batch left in x was inserted
+        count = total + int(ops[:batch].sum())
+        if not compiled:
+            return out, count, None
+        r = len(self.pivots)
+        matrix = np.empty((size + 2 * r, size), dtype=np.intp)
+        matrix[:size + r] = f.np_log(x[batch:, :size + r]).T
+        for j, c in enumerate(coeffs):
+            matrix[size + r + j] = c[-size:]
+        return out, count, CompiledReduction(f, size, tuple(self.pivots), matrix,
+                                             np.array(self._weights, dtype=np.int64),
+                                             ops[batch:])
 
     def terms(self, tail):
         """The nonzero entries of a tail as {tag: element code}."""
         return {t: x for t, x in zip(self.tags, tail.tolist()) if x != self._ar.zero}
+
+
+class CompiledReduction:
+    """Reduction by a fixed Eliminator with r kept rows, compiled.  The
+    residual and the tail of a vector are linear in it, and so is the
+    coefficient c_j that step j subtracts row j by: the vector's entry at
+    the row's pivot when the step meets it.  So one reduction of the
+    ``length`` unit vectors gives the read-only (length + 2r) x length
+    exponent matrix ``matrix``, whose column b is unit vector b's
+    residual, tail and coefficients stacked, and ``reduce`` is one
+    product with it.  ``unit_ops`` holds the scalar count of each unit
+    vector's reduction, ``pivots`` the eliminator's pivots (its rank)."""
+
+    def __init__(self, field, length, pivots, matrix, weights, unit_ops):
+        self.field, self.length, self.pivots = field, length, pivots
+        self.matrix, self.weights, self.unit_ops = matrix, weights, unit_ops
+        matrix.flags.writeable = False
+
+    def reduce(self, vecs):
+        """Eliminator.reduce by one product: the residuals, the tails and the
+        scalar count of each vector, which is the sequential one, the
+        weights of the steps at its nonzero coefficients."""
+        size, r = self.length, len(self.pivots)
+        vecs = np.asarray(vecs, dtype=np.intp).reshape(-1, size)
+        if not r:  # no kept row: each vector is its own residual
+            return vecs.copy(), vecs[:, :0].copy(), np.zeros(len(vecs), dtype=np.int64)
+        out = self.field.np_dot(self.matrix, vecs[:, None, :])
+        live = out[:, size + r:] != self.field.np_arith().zero
+        return out[:, :size], out[:, size:size + r], live @ self.weights
 
 
 def rows_independent(field, vecs):

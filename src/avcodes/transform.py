@@ -9,12 +9,16 @@ run one pass per axis, each the q x q kernel matrix applied to every
 fiber at once, blocked so that a temporary stays near BLOCK elements;
 ``dft_kernel`` and ``idft_kernel`` are the N = 1 case.  ``dft_partial`` is
 one |indices| x |points| product over the matrix of exponents of
-omega^a.  ``idft_flat`` is the fast IDFT that ``idft_fast`` wraps, on
-flat exponent arrays.  The kernels count analytically: each adds, in
-one addition to ``Field.op_count``, the field operations the scalar
-loop kernels make (at most 3*N*q^(N+1) for the fast transforms).  Each
-that takes a Word or Spectrum rejects a value that is no element code
-with FieldError, naming its position.
+omega^a, which it builds on every call (``power_matrix``): the general
+path, for any indices and points, and the oracle of
+codes.CodeSpec.transform, which reads the rows of a code's B and D
+precomputed and gives the same spectrum at the same count.
+``idft_flat`` is the fast IDFT that ``idft_fast`` wraps, on flat
+exponent arrays.  The kernels count analytically: each adds, in one
+addition to ``Field.op_count``, the field operations the scalar loop
+kernels make (at most 3*N*q^(N+1) for the fast transforms).  Each that
+takes a Word or Spectrum rejects a value that is no element code with
+FieldError, naming its position.
 
 Powers follow the substituted-value convention omega^0 = 1 for every
 omega, including zero.

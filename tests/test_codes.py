@@ -4,12 +4,14 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from avcodes import codes
 from avcodes.gf import Field, ZERO, ONE
 from avcodes.transform import Spectrum, Word
 from avcodes.maps import PointSet, VanishingError, canonical_iso, evaluate
+from avcodes.ideal import Eliminator
 from avcodes.decoder import locate
 from avcodes.codes import (CodeConfigError, code_from_config, load_code,
                            preset, PRESET_CONFIGS, encode_nonsystematic, primal_encode,
@@ -390,6 +392,75 @@ def test_first_encodes_from_threads_agree():
             assert all(w.values == want.values for w in words)
     finally:
         sys.setswitchinterval(old)
+
+
+REDUCTION_CODES = {"rs-like": PRESET_CONFIGS["rs-like"],
+                   "hermitian": PRESET_CONFIGS["hermitian"],
+                   "hcrs": PRESET_CONFIGS["hcrs"],
+                   "herm16": HERM16}
+
+
+def _reduction_sets(code, rng):
+    """Seeded point sets, as row lists, for the erasure projection: the
+    empty set, sets of 1..|B| points, one with more points than |B| and,
+    where a draw finds one, |B| or fewer points with dependent columns."""
+    size, rows = len(code.b_list), list(range(code.n))
+    sets = [[]] + [rng.sample(rows, rng.randrange(1, size + 1)) for _ in range(6)]
+    sets.append(rng.sample(rows, min(code.n, size + 3)))
+    for _ in range(200):
+        draw = rng.sample(rows, rng.randrange(1, size + 1))
+        elim = Eliminator(code.field, size)
+        elim.insert(code.columns[draw], draw)
+        if len(elim.pivots) < len(draw):
+            sets.append(draw)
+            break
+    return sets
+
+
+@pytest.mark.parametrize("name", list(REDUCTION_CODES))
+def test_compiled_reduction_equals_reduce(name):
+    """The erasure projection of a point-set entry, reduction compiled to
+    one product along the insertion, gives Eliminator.reduce's residuals,
+    tails and per-vector counts on multi-row batches; the insertion keeps
+    its pairs and count and the compile counts nothing, and the map read
+    off it equals the elimination of the negated unit vectors, with the
+    same count."""
+    code = code_from_config(REDUCTION_CODES[name])
+    f, rng, size = code.field, random.Random(name), len(code.b_list)
+    ar = f.np_arith()
+    deficient = False
+    # each set once, in the store's insertion order
+    for rows in map(list, dict.fromkeys(tuple(sorted(r)) for r in _reduction_sets(code, rng))):
+        elim = Eliminator(f, size)
+        done, ops = elim.insert(code.columns[rows], rows)
+        before = f.op_count
+        got = Eliminator(f, size).insert_compiled(code.columns[rows], rows)
+        assert f.op_count == before
+        compiled = got[2]
+        assert [(i, None if t is None else t.tolist()) for i, t in got[0]] == [
+            (i, None if t is None else t.tolist()) for i, t in done] and got[1] == ops
+        entry = code.point_set([code.psi.points[r] for r in rows])
+        proj = entry.get("projection")[0]
+        assert compiled.pivots == proj.pivots == tuple(elim.pivots)
+        assert not proj.matrix.flags.writeable
+        assert proj.matrix.shape == (size + 2 * len(elim.pivots), size)
+        deficient |= len(elim.pivots) < len(rows)
+        for m in (1, 2, 7):
+            batch = np.array([[rng.randrange(f.q) for _ in range(size)] for _ in range(m)])
+            batch = np.where(batch == f.q - 1, ar.zero, batch)
+            batch = np.vstack([batch, np.full(size, ar.zero), code.columns[rng.sample(
+                range(code.n), 3)], np.where(np.eye(size, dtype=bool), 0, ar.zero)])
+            want = elim.reduce(batch)
+            for got in (compiled.reduce(batch), proj.reduce(batch)):
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+        if len(elim.pivots) < len(rows) or not rows:
+            continue
+        _, tails, more = elim.reduce(np.where(np.eye(size, dtype=bool), ar.neg, ar.zero))
+        before = f.op_count
+        got = entry.get("map")[0]
+        assert np.array_equal(got, tails.T) and f.op_count - before == int(more.sum())
+    assert deficient
 
 
 def test_config_roundtrip_matches_preset(hermitian):

@@ -19,7 +19,7 @@ from avcodes import codes, decoder, ideal, maps
 from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import IdealError, index_array, lemma_family, vanishing_gb, _extension_array
-from avcodes.transform import Spectrum, Word, point_power, omega_space, power_matrix
+from avcodes.transform import Spectrum, Word, dft_partial, point_power, omega_space, power_matrix
 from avcodes.maps import PointSet
 from avcodes.codes import (CodeSpec, POINT_SET_CACHE_SIZE, encode_nonsystematic,
                            is_dual_codeword, syndrome, code_from_config, preset)
@@ -1211,6 +1211,111 @@ def test_point_set_store_is_bounded(rng):
     assert len(code._point_sets) == POINT_SET_CACHE_SIZE
     last = {tuple(sorted(code.point_row[p] for p in pair)) for pair in pairs[-20:]}
     assert last <= set(code._point_sets)
+
+
+def test_first_locates_on_one_erasure_set_from_threads_agree():
+    # four threads locate at once on one erasure set that a fresh code has
+    # not seen, each with an error off it, under a short switch interval:
+    # one builds the compiled projection and all get the solo result
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for name, config in (("hermitian", codes.PRESET_CONFIGS["hermitian"]),
+                             ("herm16", HERM16)):
+            solo, rnd = code_from_config(config), random.Random(name)
+            f, pts = solo.field, list(solo.psi.points)
+            phi1 = solo.psi.subset(rnd.sample(pts, solo.d_fr - 3))
+            synds = []
+            for _ in range(4):
+                cw = encode_nonsystematic(random_info(solo, rnd), solo)
+                r = Word(f, 2, {p: ZERO if p in phi1 else v for p, v in cw.values.items()})
+                p = rnd.choice([p for p in pts if p not in phi1])
+                r.values[p] = f.add(r.values[p], rnd.randrange(f.q - 1))
+                synds.append(solo.transform(r, "B"))
+            want = [locate(s, phi1, solo) for s in synds]
+            fresh, got = code_from_config(config), [None] * len(synds)
+            start = threading.Barrier(len(synds), timeout=30)
+
+            def run(k):
+                start.wait()
+                got[k] = locate(synds[k], phi1, fresh)
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(synds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert sum(g.built for g in got) == 1
+            for g, w in zip(got, want):
+                assert g.located.points == w.located.points and g.stats == w.stats
+                assert np.array_equal(g.values, w.values)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def _transform_words(code, rng):
+    """Seeded words on subsets of the code's points, keys in a shuffled
+    order: a full word, one on Psi minus |B| points, small located sets,
+    the empty word and a full word of zeros."""
+    f, pts = code.field, list(code.psi.points)
+
+    def word(points):
+        points = list(points)
+        rng.shuffle(points)
+        return Word(f, code.ndim, {p: rng.randrange(-1, f.q - 1) for p in points})
+
+    phi = set(rng.sample(pts, len(code.b_list)))
+    out = [word(pts), word(p for p in pts if p not in phi), Word(f, code.ndim, {}),
+           Word(f, code.ndim, dict.fromkeys(pts, ZERO))]
+    out += [word(rng.sample(pts, k)) for k in range(1, min(code.n, 5))]
+    return out
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_code_transform_equals_dft_partial(name):
+    # CodeSpec.transform reads the precomputed rows of B or D and gives
+    # dft_partial's spectrum, in the same key order, at the same count; a
+    # word with a point off the code goes to dft_partial
+    code = code_from_config(HERM16 if name == "herm16" else codes.PRESET_CONFIGS[name])
+    f, rng = code.field, random.Random(name)
+    assert code.d_sorted == tuple(code.delta.sorted(code.order))
+    assert code.info_support() == [d for d in code.d_sorted if d not in code.b_members]
+    assert code.d_rows.shape == (code.n, code.n) and not code.d_rows.flags.writeable
+    off = [p for p in omega_space(f, code.ndim) if p not in code.psi]
+    words = _transform_words(code, rng)
+    if off:
+        words.append(Word(f, code.ndim, dict(words[0].values) | {off[0]: 3}))
+    for onto, indices in (("B", code.b_list), ("D", code.d_sorted)):
+        for w in words:
+            before = f.op_count
+            want = dft_partial(w, indices)
+            ops = f.op_count - before
+            got = code.transform(w, onto)
+            assert f.op_count - before == 2 * ops
+            assert list(got.values.items()) == list(want.values.items())
+            assert ops == len(indices) * len(w.values) * (2 * code.ndim + 1)
+    with pytest.raises(ValueError, match="onto"):
+        code.transform(words[0], "A")
+
+
+@pytest.mark.parametrize("what", ["received word", "information word", "dft input"])
+@pytest.mark.parametrize("bad", [9, -2, 1.5, True])
+def test_code_transform_field_errors_match_dft_partial(hermitian, what, bad):
+    # a value that is no element code raises dft_partial's FieldError,
+    # naming the word and the position, and counts nothing
+    f, rng = hermitian.field, random.Random(what)
+    for w in _transform_words(hermitian, rng)[:2]:
+        pos = list(w.values)[rng.randrange(len(w.values))]
+        w.values[pos] = bad
+        msg = r"^%s at \(%d, %d\): bad element code %s" % (what, *pos, re.escape(repr(bad)))
+        for onto, indices in (("B", hermitian.b_list), ("D", hermitian.d_sorted)):
+            with pytest.raises(FieldError, match=msg) as want:
+                dft_partial(w, indices, what)
+            before = f.op_count
+            with pytest.raises(FieldError, match=msg) as got:
+                hermitian.transform(w, onto, what)
+            assert str(got.value) == str(want.value) and f.op_count == before
 
 
 def _build_ops(code, points, name):
