@@ -278,9 +278,12 @@ def cmd_bench(args):
     direct IDFT counts on hermitian, and per preset d_fr, the Feng-Rao
     bound and the locator's votes.  The JSON form adds per preset the
     ``layers`` block: the ops and ms of vanishing_gb on the decoded
-    word's located set and of check_set_basis on the preset's golden
-    systematic set, where it has one (its first call on the preset's
-    check set, so it includes building the cached leads)."""
+    word's located set and, where the preset has a golden systematic
+    set, of check_set_basis on it (its first call on the preset's check
+    set, so it includes building the cached leads) and of a warm
+    systematic_encode on it (a second call, after the first has built
+    the set's map), whose information word is drawn from its own
+    generator, so that the text output does not move."""
     import json
     import random
 
@@ -308,6 +311,11 @@ def cmd_bench(args):
             phi = PointSet(f, code.ndim, SYS_PHI[name])
             layers["check_set_basis"] = _layer(
                 f, lambda: check_set_basis(phi, code.b_list, code.order))
+            own = random.Random("%d:%s" % (args.seed, name))
+            info = Word(f, code.ndim, {p: own.randrange(-1, f.q - 1)
+                                       for p in pts if p not in phi})
+            systematic_encode(info, phi, code)
+            layers["systematic_encode"] = _layer(f, lambda: systematic_encode(info, phi, code))
         lines.append("%s (n=%d, k=%d, q=%d, N=%d, d_fr=%d, feng_rao=%d): %d votes"
                      % (name, code.n, code.k, f.q, code.ndim, code.d_fr, code.feng_rao,
                         rep.meta["locator"]["votes"]))

@@ -101,10 +101,8 @@ class PointSetEntry:
             raise IdealError("the check columns of the %d points have rank %d"
                              % (len(self.rows), r))
         # the tails of minus the unit vectors: the compiled tail rows times -1
-        ar = f.np_arith()
-        tails = proj.matrix[size:size + r]
         f.op_count += int(proj.unit_ops.sum())
-        return np.where(tails == ar.zero, ar.zero, (tails + ar.neg) % (f.q - 1))
+        return f.np_neg(proj.matrix[size:size + r])
 
 
 class CodeSpec:
@@ -113,12 +111,14 @@ class CodeSpec:
 
     ``b_set`` is a list of check indices or a B spec ("wdeg<=K",
     "prodplus<K"), resolved against the delta set of psi.  ``b_list`` is
-    B and ``d_sorted`` the delta set D, each in increasing order.  The
-    exponent rows of the transform on B (``columns``, one row per point)
-    and on D (``d_rows``, built on first use) are precomputed, so the
-    decoders and systematic encoding transform their words by one
-    product (``transform``).  What they precompute per set of the code's
-    points is kept in a bounded store (``point_set``)."""
+    B and ``d_sorted`` the delta set D, each in increasing order;
+    ``d_check`` marks the entries of ``d_sorted`` in B and ``d_info``
+    holds the others, D \\ B.  The exponent rows of the transform on B
+    (``columns``, one row per point) and on D (``d_rows``, built on first
+    use) are precomputed, so the decoders and systematic encoding
+    transform their exponent arrays by one product (``transform_at``).
+    What they precompute per set of the code's points is kept in a
+    bounded store (``point_set``)."""
 
     def __init__(self, field, ndim, order, psi, b_set, d_fr, name=None):
         self.field = field
@@ -147,6 +147,8 @@ class CodeSpec:
         self.b_list = order.sort(b_norm)
         self.d_sorted = tuple(self.delta.sorted(order))
         self.b_members = frozenset(self.b_list)
+        self.d_check = np.array([d in self.b_members for d in self.d_sorted])
+        self.d_info = tuple(d for d in self.d_sorted if d not in self.b_members)
         self.n = len(psi)
         self.k = self.n - len(self.b_list)
         if not 1 <= _integer("d_fr", d_fr) <= self.n:
@@ -192,11 +194,9 @@ class CodeSpec:
         """The proper transform of the word c, over the code's field and on
         any subset of its points, on B (``onto`` "B", in ``b_list`` order)
         or on D ("D", in ``d_sorted`` order): the Spectrum, the FieldError
-        naming ``what`` and the op count, |indices| |points| (2N + 1), of
-        dft_partial(c, indices, what), read off the precomputed exponent
-        rows of the indices (``columns.T`` for B, ``d_rows`` for D) at the
-        word's points.  A word with a point outside the code goes to
-        dft_partial."""
+        naming ``what`` and the op count of dft_partial(c, indices, what),
+        read off the precomputed exponent rows by ``transform_at``.  A word
+        with a point outside the code goes to dft_partial."""
         if onto not in ("B", "D"):
             raise ValueError("onto must be 'B' or 'D', not %r" % (onto,))
         indices = self.b_list if onto == "B" else self.d_sorted
@@ -204,15 +204,25 @@ class CodeSpec:
             at = [self.point_row[p] for p in c.values]
         except KeyError:
             return dft_partial(c, indices, what)
+        out = self.transform_at(at, _element_array(c, list(c.values.values()), what), onto)
+        return Spectrum(self.field, self.ndim, dict(zip(indices, self.field.np_codes(out))))
+
+    def transform_at(self, at, x, onto):
+        """The transform on B or D (``onto``) of the word with exponents x at
+        the point rows ``at``, as an exponent array in ``b_list`` or
+        ``d_sorted`` order: the exponent rows of the indices (``columns.T``
+        for B, ``d_rows`` for D) at those points times x, counting
+        dft_partial's |indices| |points| (2N + 1).  The array core of
+        ``transform``, which the decoders and systematic encoding call on
+        arrays they hold; neither input is checked."""
         f = self.field
-        x = _element_array(c, list(c.values.values()), what)
         rows = self.columns.T if onto == "B" else self.d_rows
-        f.op_count += len(indices) * len(x) * (2 * self.ndim + 1)
-        out = np.empty(len(indices), dtype=np.intp)
+        f.op_count += len(rows) * len(x) * (2 * self.ndim + 1)
+        out = np.empty(len(rows), dtype=np.intp)
         step = max(1, BLOCK // max(1, len(x)))
-        for lo in range(0, len(indices), step):
-            out[lo:lo + step] = f.np_dot(rows[lo:lo + step, at], x)
-        return Spectrum(f, self.ndim, dict(zip(indices, f.np_codes(out))))
+        for lo in range(0, len(rows), step):
+            out[lo:lo + step] = f.np_dot(rows[lo:lo + step].take(at, axis=1), x)
+        return out
 
     @cached_property
     def sum_forms(self):
@@ -233,7 +243,7 @@ class CodeSpec:
 
     def info_support(self):
         """D \\ B in increasing monomial order."""
-        return [d for d in self.d_sorted if d not in self.b_members]
+        return list(self.d_info)
 
     def zero_padded(self, h):
         """Spectrum on the full delta set with missing entries zero."""

@@ -20,11 +20,16 @@ locator reduces by, and are checked the same way.
 On a fixed code and erasure set each of these steps up to the error
 values is a fixed linear map, read off a matrix built once: every
 transform, on B or D, is one product with the code's exponent rows
-(codes.CodeSpec.transform), and the erasure projection and the stop
+(codes.CodeSpec.transform_at), and the erasure projection and the stop
 rule's span test are one product with Phi1's compiled reduction
 (ideal.CompiledReduction).  Each counts what the sequential computation
 counts: transform.dft_partial's |indices| |points| (2N + 1), and per
-reduced vector the weights of the elimination steps it meets.
+reduced vector the weights of the elimination steps it meets.  From the
+input word to the output word these paths hold exponent arrays: the
+input's values are converted once, the checks compare arrays, and the
+only dicts built on the way are the syndrome handed to ``locate``, a
+public name, and the output.  The subtractions and negations made on
+arrays count one operation per entry, as the scalar calls did.
 
 The locator finds the errors off the erasures Phi1 by Feng-Rao majority
 voting, the erasures entering through erasure rows (Sakata, Leonard,
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import ZERO
-from .transform import Spectrum, Word, check_field, check_values
+from .transform import Spectrum, Word, check_field, check_values, _element_array
 from .maps import PointSet
 from .ideal import IdealError, Eliminator, lemma_family
 
@@ -126,13 +131,15 @@ def default_t_max(code, phi1_size):
 @dataclass(eq=False)
 class LocateResult:
     """What ``locate`` returns: ``located``, the located point set in the
-    code's point order; ``values``, the error values on its points as
-    exponents, None when their check columns are dependent; ``stats``, the
+    code's point order, and ``rows``, its increasing point rows;
+    ``values``, the error values on its points as exponents, None when
+    their check columns are dependent; ``stats``, the
     errors located off Phi1 (t), the syndromes filled by majority (votes),
     the pivot count (rank) and the staircase block's rows and cols;
     ``built``, whether the call built Phi1's erasure projection."""
 
     located: PointSet
+    rows: tuple
     values: np.ndarray
     stats: dict
     built: bool
@@ -362,62 +369,65 @@ def locate(synd, phi1, code, t_max=None):
     res, tails, reduce_ops = elim.reduce(target[None])
     f.op_count += int(reduce_ops[0])
 
-    ar = f.np_arith()
     stats = {"t": 0, "votes": 0, "rank": 0, "rows": 0, "cols": 0}
     located, rows, comb = entry.points, entry.rows, tails[0]
-    if (res != ar.zero).any():
+    if (res != f.np_arith().zero).any():
         if not t_max:
             raise UndecodableError(
                 "no error support of size <= 0 is consistent with the syndrome")
         z, comb, stats = _Staircase(code, target, elim, entry.rows, t_max).run()
         rows = entry.rows + tuple(z.tolist())
-        located = PointSet(f, code.ndim, tuple(code.psi.points[r] for r in sorted(rows)))
+        if comb is not None and len(comb) == len(rows):  # Phi1's rows, then Z's
+            comb = comb[np.argsort(rows)]
+        rows = tuple(sorted(rows))
+        located = PointSet(f, code.ndim, tuple(code.psi.points[r] for r in rows))
     values = None
     if comb is not None and len(comb) == len(rows):  # tails skip dependent columns of Phi1
         f.op_count += len(rows)
-        values = np.where(comb == ar.zero, ar.zero, (comb + ar.neg) % (f.q - 1))[np.argsort(rows)]
-    return LocateResult(located, values, stats, built)
+        values = f.np_neg(comb)
+    return LocateResult(located, rows, values, stats, built)
 
 
 # -- the two decoding algorithms --------------------------------------------
 
 def _decode_head(r, phi1, code, t_max, kind, onto):
     """The steps shared by both decoders: the transform of r on B or D
-    (``onto``, CodeSpec.transform) and the locator.  Returns (meter,
-    report, transform, located set, error word on it); UndecodableError
-    when the located set's check columns are dependent, where it has no
-    error values."""
+    (``onto``, CodeSpec.transform_at) and the locator, called on the
+    syndrome as a Spectrum.  Returns (meter, report, the transform as an
+    exponent array, LocateResult); UndecodableError when the located
+    set's check columns are dependent, where it has no error values."""
     f = code.field
     check_field(r, f, "received word", "code", UndecodableError)
     check_field(phi1, f, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):  # the transform checks the values
         raise UndecodableError("received word is not indexed by the code's point set")
     meter = _Meter(f)
-    rt = code.transform(r, onto, "received word")
+    x = _element_array(r, list(r.values.values()), "received word")
+    rt = code.transform_at([code.point_row[p] for p in r.values], x, onto)
     # a bad value is reported before a bad erasure set; locate rejects an
     # erasure outside the code
     if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
         raise UndecodableError("every position erased, no information positions")
     meter.lap("transform")
-    loc = locate(rt, phi1, code, t_max)
+    synd = rt if onto == "B" else rt[code.d_check]
+    loc = locate(Spectrum(f, code.ndim, dict(zip(code.b_list, f.np_codes(synd)))), phi1, code,
+                 t_max)
     meter.lap("locator")
-    located = loc.located
     if loc.values is None:
         raise UndecodableError("locator delta escapes the check set and the check-set "
                                "system is unsolvable: the check columns of the %d "
-                               "located points are dependent" % len(located))
+                               "located points are dependent" % len(loc.located))
     report = StepCounts(meter.steps, {
         "kind": kind,
         "code": code.name or repr(code),
         "q": f.q,
         "N": code.ndim,
         "n": code.n,
-        "located": len(located),
+        "located": len(loc.located),
         "locator": loc.stats,
         "point_sets_reused": not loc.built,
     }, meter.ms)
-    e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(loc.values))))
-    return meter, report, rt, located, e_loc
+    return meter, report, rt, loc
 
 
 def decode_info(r, phi1, code, t_max=None):
@@ -425,41 +435,48 @@ def decode_info(r, phi1, code, t_max=None):
     (non-systematic decoding).  Erased positions of r may hold any value:
     the locator takes them as unknown error values.  The error spectrum on
     D is the transform of the locator's error values on the located set L,
-    |D| |L| terms (the ``spectrum`` step).
+    |D| |L| terms (the ``spectrum`` step), subtracted from the received
+    word's, |D| subtractions.
     Returns an InfoSpectrum, whose ``report`` holds the call's counts."""
     f = code.field
-    dsorted = code.d_sorted
-    meter, report, rtilde, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_info",
-                                                         "D")
-    k = code.transform(e_loc, "D").values
+    meter, report, rt, loc = _decode_head(r, phi1, code, t_max, "decode_info", "D")
+    k = code.transform_at(loc.rows, loc.values, "D")
     meter.lap("spectrum")
-    out = {d: f.sub(rtilde.values[d], k[d]) for d in dsorted}
+    f.op_count += len(rt)
+    out = f.np_add(rt, f.np_neg(k))
     meter.lap("subtract")
-    for b in code.b_list:
-        if out[b] != ZERO:
-            raise UndecodableError("recovered spectrum has support at check index %s" % (b,))
-    return InfoSpectrum(f, code.ndim,
-                        {d: out[d] for d in dsorted if d not in code.b_members}, report)
+    bad = (out != f.np_arith().zero) & code.d_check
+    if bad.any():
+        raise UndecodableError("recovered spectrum has support at check index %s"
+                               % (code.d_sorted[int(bad.argmax())],))
+    return InfoSpectrum(f, code.ndim, dict(zip(code.d_info, f.np_codes(out[~code.d_check]))),
+                        report)
 
 
 def decode_word(r, phi1, code, t_max=None):
     """Split a received word into codeword + error (erasure-and-error
     decoding with explicit error values).  The error values on the located
-    set come with the locator (LocateResult), so no extension or IDFT
+    set L come with the locator (LocateResult), so no extension or IDFT
     runs; UndecodableError when the located set's check columns are
-    dependent.  The codeword is checked by linearity:
-    its syndrome is the received word's, already computed on B, minus the
-    error's, which vanishes off the located set."""
+    dependent.  The codeword is r minus the error, which vanishes off L:
+    n subtractions, |L| of them made.  It is checked by linearity: its
+    syndrome is the received word's, already computed on B, minus the
+    error's, the check columns of L times the error values."""
     f = code.field
-    meter, report, rt, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_word",
-                                                     "B")
-    e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
-    c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
+    meter, report, rt, loc = _decode_head(r, phi1, code, t_max, "decode_word", "B")
+    located, values = loc.located.points, f.np_codes(loc.values)
+    e = dict.fromkeys(code.psi.points, ZERO)
+    e.update(zip(located, values))
+    c = {p: r.values[p] for p in code.psi.points}
+    for p, v in zip(located, values):
+        c[p] = f.sub(c[p], v)
+    f.op_count += code.n - len(located)
     meter.lap("subtract")
-    if code.transform(e_loc, "B").values != rt.values:
+    if (code.transform_at(loc.rows, loc.values, "B") != rt).any():
         raise UndecodableError("decoded word fails the check set")
     meter.lap("check")
-    return DecodeResult(codeword=c, error=e, located=located, report=report)
+    return DecodeResult(codeword=Word(f, code.ndim, c), error=Word(f, code.ndim, e),
+                        located=loc.located, report=report)
 
 
 # -- systematic encoding -----------------------------------------------------
@@ -504,7 +521,9 @@ def systematic_encode(info, phi, code):
     decoding of Phi.  The values on Phi are one product of the
     information word's syndrome with Phi's map (PointSetEntry, shared
     with the erasure decoding of Phi), which is the lemma's map, and the
-    word is checked by its syndrome."""
+    word is checked by its syndrome, on exponent arrays: the information
+    word is converted once, and the output is it with minus the values
+    on Phi added, in the code's point order."""
     f = code.field
     check_field(info, f, "information word", "code", SystematicSupportError)
     _check_phi(phi, code)
@@ -515,16 +534,16 @@ def systematic_encode(info, phi, code):
         matrix = entry.get("map")[0]
     except IdealError as exc:
         raise SystematicSupportError("Phi not generic: %s" % (exc,))
-    seed = code.transform(info, "B", "information word")
+    x = _element_array(info, list(info.values.values()), "information word")
+    seed = code.transform_at([code.point_row[p] for p in info.values], x, "B")
     # the values on Phi: |Phi| |B| muls and |Phi| (|B| - 1) adds
-    x = f.np_exponents(np.array([seed.values[b] for b in code.b_list], dtype=np.intp))
     f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
-    w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(f.np_dot(matrix, x)))))
+    w = f.np_dot(matrix, seed)
     # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
     # seed - syndrome(w): zero when the seed is minus the Phi part's
-    if code.transform(w, "B").values != seed.values:
+    if (code.transform_at(entry.rows, w, "B") != seed).any():
         raise SystematicSupportError("systematic output fails the check set")
+    f.op_count += len(w)  # the negation
     out = dict(info.values)
-    for p in phi.points:
-        out[p] = f.neg(w.values[p])
+    out.update(zip(entry.points.points, f.np_codes(f.np_neg(w))))
     return Word(f, code.ndim, out)

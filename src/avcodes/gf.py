@@ -263,6 +263,13 @@ class Field:
         a, b = ar.exp[x], ar.exp[y]
         return self.np_log(a ^ b if self.p == 2 else a + b)
 
+    def np_neg(self, x):
+        """-x of an exponent array, as a new exponent array; not op-counted."""
+        if self.p == 2:  # -1 = 1
+            return x.copy()
+        ar = self.np_arith()
+        return np.where(x == ar.zero, ar.zero, (x + ar.neg) % (self.q - 1))
+
     def np_log(self, x):
         """Exponents of an array of encodings, each ``exp`` of an exponent
         or, for odd p, a sum of at most ``chunk`` + 1 of them; not

@@ -25,7 +25,12 @@ build on it the oracles of ``avcodes.codes.PointSetEntry``'s
 is the plain meet-in-the-middle enumeration of consistent supports, the
 oracle of the voting locator.  ``sum_forms`` computes normal forms of monomials by
 eliminating evaluation vectors, the oracle of ``ideal.SumForms``, which
-divides on the basis.  The direct formulas (``transform.dft``,
+divides on the basis.  ``decode_info``, ``decode_word`` and
+``systematic_encode`` are the decoders and systematic encoding on
+Spectrum and Word dicts, every transform from the public
+``CodeSpec.transform`` and every subtraction and negation one Field
+call: the oracle of the library's exponent-array paths, words, per-step
+counts and errors.  The direct formulas (``transform.dft``,
 ``transform.idft``) stay in the library as the transform oracle;
 ``dft(c, indices)`` is the reference of ``dft_partial``.
 """
@@ -34,13 +39,14 @@ import itertools
 
 import numpy as np
 
-from avcodes import ideal, transform
+from avcodes import decoder, ideal, transform
+from avcodes.decoder import SystematicSupportError, UndecodableError
 from avcodes.gf import ZERO, ONE
 from avcodes.ideal import (IdealError, _level_leads, DeltaSet, Polynomial, ReducedGroebnerBasis,
                            index_array)
 from avcodes.mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
-from avcodes.transform import (Spectrum, Word, index_space, omega_space, _require_full,
-                               point_power, dft_partial, power_matrix)
+from avcodes.transform import (Spectrum, Word, check_field, index_space, omega_space,
+                               _require_full, point_power, dft_partial, power_matrix)
 
 
 # -- field addition, digit by digit ----------------------------------------
@@ -572,3 +578,100 @@ def sum_forms(gb, psi, keys):
     forms = np.where(live, (tails + ar.neg) % (f.q - 1), ar.zero)
     leads = np.where(live.any(axis=1), len(delta) - 1 - live[:, ::-1].argmax(axis=1), -1)
     return forms, leads
+
+
+# -- the dict paths of the decoders and systematic encoding ----------------
+
+def _decode_head(r, phi1, code, t_max, kind, onto):
+    """``avcodes.decoder``'s decode head on Spectrum and Word dicts: the
+    received word's transform from the public ``CodeSpec.transform``,
+    handed whole to ``decoder.locate``, and the error word on the located
+    set.  Returns (meter, report, transform, located set, error word)."""
+    f = code.field
+    check_field(r, f, "received word", "code", UndecodableError)
+    check_field(phi1, f, "erasure set", "code", UndecodableError)
+    if r.domain() != set(code.psi.points):
+        raise UndecodableError("received word is not indexed by the code's point set")
+    meter = decoder._Meter(f)
+    rt = code.transform(r, onto, "received word")
+    if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
+        raise UndecodableError("every position erased, no information positions")
+    meter.lap("transform")
+    loc = decoder.locate(rt, phi1, code, t_max)
+    meter.lap("locator")
+    located = loc.located
+    if loc.values is None:
+        raise UndecodableError("locator delta escapes the check set and the check-set "
+                               "system is unsolvable: the check columns of the %d "
+                               "located points are dependent" % len(located))
+    report = decoder.StepCounts(meter.steps, {
+        "kind": kind,
+        "code": code.name or repr(code),
+        "q": f.q,
+        "N": code.ndim,
+        "n": code.n,
+        "located": len(located),
+        "locator": loc.stats,
+        "point_sets_reused": not loc.built,
+    }, meter.ms)
+    e_loc = Word(f, code.ndim, dict(zip(located.points, f.np_codes(loc.values))))
+    return meter, report, rt, located, e_loc
+
+
+def decode_info(r, phi1, code, t_max=None):
+    """The dict path of ``avcodes.decoder.decode_info``: the error
+    spectrum a Spectrum, the subtraction one Field.sub per index of D."""
+    f = code.field
+    meter, report, rtilde, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_info",
+                                                         "D")
+    k = code.transform(e_loc, "D").values
+    meter.lap("spectrum")
+    out = {d: f.sub(rtilde.values[d], k[d]) for d in code.d_sorted}
+    meter.lap("subtract")
+    for b in code.b_list:
+        if out[b] != ZERO:
+            raise UndecodableError("recovered spectrum has support at check index %s" % (b,))
+    return decoder.InfoSpectrum(f, code.ndim, {d: out[d] for d in code.d_sorted
+                                               if d not in code.b_members}, report)
+
+
+def decode_word(r, phi1, code, t_max=None):
+    """The dict path of ``avcodes.decoder.decode_word``: the error and the
+    codeword built point by point, one Field.sub per point, and the check
+    a Spectrum of the error word on the located set."""
+    f = code.field
+    meter, report, rt, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_word",
+                                                     "B")
+    e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
+    c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
+    meter.lap("subtract")
+    if code.transform(e_loc, "B").values != rt.values:
+        raise UndecodableError("decoded word fails the check set")
+    meter.lap("check")
+    return decoder.DecodeResult(codeword=c, error=e, located=located, report=report)
+
+
+def systematic_encode(info, phi, code):
+    """The dict path of ``avcodes.decoder.systematic_encode``: the seed a
+    Spectrum, the values on Phi a Word checked by its Spectrum, and one
+    Field.neg per point of Phi."""
+    f = code.field
+    check_field(info, f, "information word", "code", SystematicSupportError)
+    decoder._check_phi(phi, code)
+    if info.domain() != set(code.psi.points) - set(phi.points):
+        raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
+    entry = code.point_set(phi.points)
+    try:
+        matrix = entry.get("map")[0]
+    except IdealError as exc:
+        raise SystematicSupportError("Phi not generic: %s" % (exc,))
+    seed = code.transform(info, "B", "information word")
+    x = f.np_exponents(np.array([seed.values[b] for b in code.b_list], dtype=np.intp))
+    f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
+    w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(f.np_dot(matrix, x)))))
+    if code.transform(w, "B").values != seed.values:
+        raise SystematicSupportError("systematic output fails the check set")
+    out = dict(info.values)
+    for p in phi.points:
+        out[p] = f.neg(w.values[p])
+    return Word(f, code.ndim, out)

@@ -313,11 +313,19 @@ def test_bench_json(tmp_path, capsys):
     assert rc == EXIT_OK and out == ""
     again = json.loads(path.read_text())
     assert again["presets"].keys() == doc["presets"].keys()
-    # the basis layers: keys per preset, and op counts that repeat
+    # the layers: keys per preset, and op counts that repeat; a warm
+    # systematic encode counts the information word's syndrome, the
+    # product with Phi's map, the check and the negation
     for name, rec in doc["presets"].items():
         layers = rec["layers"]
-        sys_phi = {"check_set_basis"} if name in ("hermitian", "hcrs") else set()
+        sys_phi = {"check_set_basis", "systematic_encode"} if name in ("hermitian", "hcrs") \
+            else set()
         assert set(layers) == {"vanishing_gb"} | sys_phi
+        if sys_phi:
+            code = preset(name)
+            n_b = len(code.b_list)
+            assert layers["systematic_encode"]["ops"] == (
+                n_b * code.n * (2 * code.ndim + 1) + n_b * (2 * n_b - 1) + n_b)
         for layer, row in layers.items():
             assert set(row) == {"ops", "ms"} and row["ops"] > 0 and row["ms"] >= 0
             assert again["presets"][name]["layers"][layer]["ops"] == row["ops"]

@@ -464,14 +464,19 @@ def test_systematic_support_errors(hermitian, rs_like, rng):
     okphi = PointSet(f, 2, HERM_SYS_PHI)
     with pytest.raises(SystematicSupportError):
         systematic_encode(Word(f, 2, {}), okphi, hermitian)
-    # an information word on all of Psi, Phi included, is refused before
-    # any work: no count and no store entry
+    # an information word on all of Psi, or on Psi \ Phi with one point of
+    # Phi or one point off the code, is refused before any work: the same
+    # error, no count and no store entry
     code = preset("hermitian")
-    whole = Word(code.field, 2, {p: ZERO for p in code.psi.points})
-    before = code.field.op_count
-    with pytest.raises(SystematicSupportError, match="indexed by Psi"):
-        systematic_encode(whole, okphi, code)
-    assert code.field.op_count == before and not code._point_sets
+    rest = {p: ZERO for p in code.psi.points if p not in set(okphi.points)}
+    foreign = next(p for p in omega_space(f, 2) if p not in code.psi)
+    for values in ({p: ZERO for p in code.psi.points}, rest | {okphi.points[0]: 1},
+                   rest | {foreign: 1}):
+        before = code.field.op_count
+        with pytest.raises(SystematicSupportError,
+                           match=r"^information word must be indexed by Psi \\ Phi$"):
+            systematic_encode(Word(code.field, 2, values), okphi, code)
+        assert code.field.op_count == before and not code._point_sets
 
 
 @pytest.mark.parametrize("bad", [8, 50, -2, 1.5, True])
@@ -516,14 +521,14 @@ SMALL_FIELDS = {q: Field(*spec) for q, spec in {
 
 @st.composite
 def located_cases(draw):
-    """A random code over GF(4), GF(8) or GF(9) (N = 1 or 2; lex, grlex
+    """A random code over GF(4), GF(8) or GF(9) (N = 1, 2 or 3; lex, grlex
     or weighted_grlex; random points or a product grid; B a prefix, a
     hyperbolic set or a random subset of the delta set; d_fr its Feng-Rao
     bound) and an erasure-and-error pattern with |Phi1| + 2t < d_fr: the
     erasure set and the error word."""
     q = draw(st.sampled_from([4, 8, 9]))
     f = SMALL_FIELDS[q]
-    ndim = draw(st.sampled_from([1, 2]))
+    ndim = draw(st.sampled_from([1, 2, 3]))
     kind = draw(st.sampled_from(MonomialOrder.KINDS))
     weights = (tuple(draw(st.integers(1, 3)) for _ in range(ndim))
                if kind == "weighted_grlex" else None)
@@ -534,10 +539,12 @@ def located_cases(draw):
         return hi - draw(st.integers(0, max(0, hi - lo)))
 
     elem = st.integers(-1, q - 2)
-    if ndim == 2 and draw(st.booleans()):
-        # a product grid, whose normal forms are monomials
-        axes = [draw(st.lists(elem, min_size=large(2, 4), max_size=4, unique=True))
-                for _ in range(2)]
+    if ndim > 1 and draw(st.booleans()):
+        # a product grid, whose normal forms are monomials; at most 27
+        # points at N = 3
+        side = 4 if ndim == 2 else 3
+        axes = [draw(st.lists(elem, min_size=large(2, side), max_size=side, unique=True))
+                for _ in range(ndim)]
         pts = tuple(itertools.product(*axes))
     else:
         n = large(min(q ** ndim, 6), min(q ** ndim, 16))
@@ -1316,6 +1323,124 @@ def test_code_transform_field_errors_match_dft_partial(hermitian, what, bad):
             with pytest.raises(FieldError, match=msg) as got:
                 hermitian.transform(w, onto, what)
             assert str(got.value) == str(want.value) and f.op_count == before
+
+
+def _outcome(code, call, *args):
+    """What a decode or encode call gives on a code: its result, or the
+    type and text of the error it raises, and its field operations."""
+    f = code.field
+    before = f.op_count
+    try:
+        out = call(*args, code)
+    except (UndecodableError, SystematicSupportError, FieldError) as exc:
+        out = (type(exc), str(exc))
+    return out, f.op_count - before
+
+
+def _assert_same_outcome(got, want):
+    (out, ops), (ref, ref_ops) = got, want
+    assert ops == ref_ops
+    if isinstance(ref, (tuple, Word)):
+        assert type(out) is type(ref) and out == ref
+        return
+    assert (out.report.steps, out.report.meta, out.report.total) == (
+        ref.report.steps, ref.report.meta, ref.report.total)
+    assert list(out.report.ms) == list(ref.report.ms)
+    if isinstance(ref, decoder.DecodeResult):
+        assert (out.codeword, out.error, out.located) == (ref.codeword, ref.error, ref.located)
+        assert list(out.codeword.values) == list(ref.codeword.values) == list(out.error.values)
+    else:
+        assert (out.field, out.ndim) == (ref.field, ref.ndim)
+        assert list(out.values.items()) == list(ref.values.items())
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_array_paths_equal_the_dict_oracle(name, monkeypatch):
+    # both decoders and systematic encoding against their dict paths
+    # (scalar_reference), each on a fresh code of its own, so that the
+    # store's builds count alike: patterns inside the radius and up to two
+    # errors beyond it, erased positions holding any value, more erasures
+    # than check indices, every position erased, t_max = 0, a bad value;
+    # systematic encoding on the golden, random and likely dependent Phi
+    # (the first |B| points, whose first coordinates take the fewest
+    # values), a Phi of the wrong size, a wrong domain and a bad value
+    make = lambda: code_from_config(HERM16 if name == "herm16" else codes.PRESET_CONFIGS[name])
+    code, ref = make(), make()
+    f, rnd = code.field, random.Random(name)
+    n, n_b, radius = code.n, len(code.b_list), (code.d_fr - 1) // 2
+    patterns = sorted({(e, t) for t in range(radius + 3)
+                       for e in (0, 1, code.d_fr - 1 - 2 * t, code.d_fr - 2 * t) if e >= 0})
+    patterns += [(n_b + 1, 0), (n, 0)]
+    cases = []
+    for n_erase, n_err in patterns:
+        cw = encode_nonsystematic(random_info(code, rnd), code)
+        r, phi1 = corrupt(code, cw, n_erase, n_err, rnd)
+        for p in phi1.points[:2]:
+            r.values[p] = rnd.randrange(-1, f.q - 1)
+        cases.append((r, phi1, None))
+    cases.append((r, code.psi.subset(()), 0))
+    bad = r.copy()
+    bad.values[code.psi.points[1]] = f.q
+    cases.append((bad, code.psi.subset(()), None))
+    kinds = set()
+    for r, phi1, t_max in cases:
+        for fn, oracle in ((decode_word, reference.decode_word),
+                           (decode_info, reference.decode_info)):
+            got = _outcome(code, lambda r, phi1, c: fn(r, phi1, c, t_max), r, phi1)
+            want = _outcome(ref, lambda r, phi1, c: oracle(r, phi1, c, t_max), r, phi1)
+            _assert_same_outcome(got, want)
+            kinds.add(got[0][0] if isinstance(got[0], tuple) else "decoded")
+    assert {"decoded", UndecodableError, FieldError} <= kinds
+
+    phis = [code.psi.subset(rnd.sample(code.psi.points, n_b)) for _ in range(3)]
+    phis.append(code.psi.subset(sorted(code.psi.points)[:n_b]))
+    if name in ("hermitian", "hcrs"):
+        phis.append(PointSet(f, 2, HERM_SYS_PHI if name == "hermitian" else HCRS_SYS_PHI))
+    phis.append(code.psi.subset(code.psi.points[:n_b - 1]))
+    for phi in phis:
+        rest = [p for p in code.psi.points if p not in set(phi.points)]
+        infos = [Word(f, code.ndim, {p: rnd.randrange(-1, f.q - 1) for p in rest})
+                 for _ in range(2)]
+        infos.append(Word(f, code.ndim, dict(infos[0].values) | {phi.points[0]: 0}))
+        infos.append(Word(f, code.ndim, dict(infos[1].values) | {rest[0]: -2}))
+        for info in infos:
+            got = _outcome(code, systematic_encode, info, phi)
+            _assert_same_outcome(got, _outcome(ref, reference.systematic_encode, info, phi))
+            if isinstance(got[0], tuple):
+                kinds.add(got[0][1].split(":")[0])
+            else:
+                kinds.add("encoded")
+                generic = phi
+    assert "encoded" in kinds
+    assert ("Phi not generic" in kinds) == (name != "rs-like")
+
+    # the checks, which hold on the library's own values: with the first
+    # error value bent by the locator and Phi's map bent in both stores,
+    # the same check fails on both paths
+    def bend(x):
+        x = x.copy()
+        x.flat[0] = 0 if x.flat[0] == f.np_arith().zero else (x.flat[0] + 1) % (f.q - 1)
+        return x
+
+    def bent_locate(*args):
+        loc = locate(*args)
+        return replace(loc, values=bend(loc.values))
+
+    monkeypatch.setattr(decoder, "locate", bent_locate)
+    r, phi1 = corrupt(code, encode_nonsystematic(random_info(code, rnd), code), 1, 0, rnd)
+    for fn, oracle, text in ((decode_word, reference.decode_word, "decoded word fails"),
+                             (decode_info, reference.decode_info, "recovered spectrum has")):
+        got = _outcome(code, fn, r, phi1)
+        _assert_same_outcome(got, _outcome(ref, oracle, r, phi1))
+        assert got[0][0] is UndecodableError and got[0][1].startswith(text)
+    info = Word(f, code.ndim, {p: rnd.randrange(-1, f.q - 1) for p in code.psi.points
+                               if p not in set(generic.points)})
+    for c in (code, ref):
+        entry = c.point_set(generic.points)
+        entry._members["map"] = bend(entry.get("map")[0])
+    got = _outcome(code, systematic_encode, info, generic)
+    _assert_same_outcome(got, _outcome(ref, reference.systematic_encode, info, generic))
+    assert got[0] == (SystematicSupportError, "systematic output fails the check set")
 
 
 def _build_ops(code, points, name):
