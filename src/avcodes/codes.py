@@ -271,22 +271,23 @@ def _generator(field, order_spec, points, b_list, delta):
     field, order, points and check indices (``delta`` is their delta
     set), compiled: the information indices D\\B in increasing order and
     the read-only n x k exponent matrix G whose column j is the word of
-    the j-th unit spectrum on them.  One Eliminator holds the n point
-    columns of E_D, E_D[d, p] = p^d; the tail of minus the unit vector at
-    d, reduced by them, is column d.  The build adds its field operations
-    (the insertions and the k reductions) to op_count once; every code
-    of the definition shares G."""
+    the j-th unit spectrum on them.  The n point columns of E_D,
+    E_D[d, p] = p^d, are inserted into one Eliminator with their
+    reduction compiled (Eliminator.insert_compiled); the tail of minus
+    the unit vector at d, reduced by them, is column d: the compiled tail
+    row at d times -1, the read of PointSetEntry's map.  The build adds
+    its field operations (the insertions and the k unit reductions) to
+    op_count once; every code of the definition shares G."""
     order = MonomialOrder(*order_spec)
     ds = delta.sorted(order)
     at = [i for i, d in enumerate(ds) if d not in b_list]
     ndim = len(points[0])
     elim = Eliminator(field, len(ds))
-    _, ops = elim.insert(power_matrix(field, index_array(ds, ndim), index_array(points, ndim)).T,
-                         range(len(points)))
-    ar = field.np_arith()
-    _, tails, more = elim.reduce(np.where(np.eye(len(ds), dtype=bool)[at], ar.neg, ar.zero))
-    field.op_count += ops + int(more.sum())
-    g = np.ascontiguousarray(tails.T)
+    _, ops, proj = elim.insert_compiled(
+        power_matrix(field, index_array(ds, ndim), index_array(points, ndim)).T,
+        range(len(points)))
+    field.op_count += ops + int(proj.unit_ops[at].sum())
+    g = np.ascontiguousarray(field.np_neg(proj.matrix[len(ds):len(ds) + len(points), at]))
     g.flags.writeable = False
     return tuple(ds[i] for i in at), g
 

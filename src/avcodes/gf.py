@@ -27,8 +27,8 @@ ZERO = -1
 ONE = 0
 
 MAX_Q = 1 << 16
-# dense q x q add tables are built below this size; larger fields fall
-# back to Zech logarithms
+# Field.add and Field.sub read a dense q x q add table up to this size
+# and Zech logarithms above it
 DENSE_Q = 512
 
 
@@ -129,8 +129,9 @@ class Field:
     ``antilog[k]`` is the base-p digit encoding of alpha^k and ``log``
     inverts it.  Construction fails with NotPrimitiveError unless the
     root of the polynomial has multiplicative order exactly q-1.  The
-    scalar add tables are read off ``np_add``, the one definition of
-    the sum: a dense table up to DENSE_Q, Zech logarithms above.
+    add table of the scalar methods is read off ``np_add``, the one
+    definition of the sum: a dense table up to DENSE_Q, indexed by two
+    element codes, and Zech logarithms above.
 
     The instance is immutable after construction apart from
     ``op_count``, a diagnostic counter bumped once per arithmetic call;
@@ -207,11 +208,8 @@ class Field:
         # so that Python's index -1 lands on the ZERO row/column
         self._neg = [(a + neg) % n for a in range(n)] + [ZERO]
         if q <= DENSE_Q:
-            # each row's nonzero columns twice over, sharing their int
-            # objects: a sum of two exponents indexes it unreduced
             slots = np.append(np.arange(n), zero)
-            self._add_table = [row[:n] * 2 + row[n:] for row in
-                               map(self.np_codes, self.np_add(slots[:, None], slots))]
+            self._add_table = [self.np_codes(row) for row in self.np_add(slots[:, None], slots)]
             self._zech = None
         else:
             self._add_table = None
@@ -220,17 +218,6 @@ class Field:
     def np_arith(self):
         """The numpy layer's ``GFArrays``; not op-counted."""
         return self._np_arith
-
-    def scalar_tables(self):
-        """The tables of the scalar methods, (dense add table or None, Zech
-        logarithms or None, negation), for a loop that reads them directly
-        and adds its own count; not op-counted.  The add table and the
-        negation are indexed by element codes, ZERO landing on the last
-        entry; each add-table row holds its q - 1 nonzero columns twice
-        over, so that it is also indexed by the sum of two exponents
-        (a product) without reduction.  ``zech[d]`` is the code of
-        1 + alpha^d, d = 0..q-2."""
-        return self._add_table, self._zech, self._neg
 
     def np_codes(self, x):
         """Element codes (a list of ints, -1 for zero) of an exponent array."""

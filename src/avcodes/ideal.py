@@ -38,20 +38,22 @@ The extension (``extend``) is split in two.  A plan, keyed on
 (q, N, order, leads, seed set, target, tails), each element's tail
 being its exact sorted tail exponents, and kept in a bounded cache of
 PLAN_CACHE_SIZE keys, lists over one flat integer slot per index of A
-the seed slots, the recurrence that sets each other index, every other
-admissible recurrence as a check packed into integer arrays, and the
-output slots.  Admissible recurrences agree, so worklist passes over A
-set each index by its shortest register whose references are known:
-the first in the order (tail terms, lead, element index).  A family
-whose tails precede its leads (every vanishing-ideal basis) settles in
-the first pass.  Per call, one scalar sweep over the field's add (or
-Zech) and negation tables fills the slots from the seed values and the
-tail coefficients, and one numpy product over the slots as an exponent
-array runs the checks.  Each recurrence is counted once: one mul and
-one add per tail term and one neg.  A plan costs no field operations,
-so the counts of a call do not depend on the cache.  ``extend`` zips
-the target's entries of that array into a dict; ``_extension_array``
-hands it over all of A to the inverse transform in flat order.
+the seed slots, the recurrences that set the other indices, every other
+admissible recurrence as a check, and the output slots.  Admissible
+recurrences agree, so worklist passes over A set each index by its
+shortest register whose references are known: the first in the order
+(tail terms, lead, element index).  A family whose tails precede its
+leads (every vanishing-ideal basis) settles in the first pass.  The
+recurrences that set values are grouped by dependency level, each level
+reading only seeds and earlier levels, and packed into integer arrays
+as the checks are.  Per call, one numpy product over the slots as an
+exponent array per level fills the slots from the seed values and the
+tail coefficients, and one more runs the checks, on every field.  Each
+recurrence is counted once: one mul and one add per tail term and one
+neg.  A plan costs no field operations, so the counts of a call do not
+depend on the cache.  ``extend`` zips the target's entries of that
+array into a dict; ``_extension_array`` hands it over all of A to the
+inverse transform in flat order.
 """
 
 import threading
@@ -656,19 +658,30 @@ class _Plan:
     per index of A in increasing order (``indices``, shared by every plan
     of the same q, N and order), then a pad slot that holds zero.
 
-    The checks are packed: check k applies element ``check_elems[k]``
-    with the lead at slot ``check_slots[k, 0]`` and the coefficients at
-    the slots that follow, padded with the pad slot; ``uses[w]`` counts
-    the recurrences of element w, each once."""
+    Recurrences are packed: one applies element ``elems[k]`` with the
+    lead at slot ``slots[k, 0]`` and the coefficients at the slots that
+    follow, padded with the pad slot.  ``levels`` packs the recurrences
+    that set the values, one (elems, slots) pair per dependency level,
+    each reading only seeds and slots of earlier levels; ``check_elems``
+    and ``check_slots`` pack the checks; ``uses[w]`` counts the
+    recurrences of element w, each once."""
 
     indices: tuple
     seeds: tuple  # (seed index, slot)
     tails: tuple  # per basis element, its sorted tail exponents
-    program: tuple  # (slot, element, reference slots), in evaluation order
+    levels: tuple  # (elements, slots) per dependency level, in order
     check_elems: np.ndarray
     check_slots: np.ndarray
     uses: tuple  # per element, the recurrences (swept and checked) it applies
     output_slots: np.ndarray  # the slot of each target index
+
+
+def _pack(recs, width, pad):
+    """Recurrences (slot, element, reference slots) as an element array
+    and a slot array of ``width`` columns, padded with ``pad``."""
+    slots = [(s,) + refs + (pad,) * (width - 1 - len(refs)) for s, _, refs in recs]
+    return (np.array([w for _, w, _ in recs], dtype=np.intp),
+            np.array(slots, dtype=np.intp).reshape(len(recs), width))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -680,7 +693,9 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
     first of its admissible recurrences whose references are known, in
     the order (number of tail terms, lead, element index): the shortest
     register.  A family whose tails precede its leads settles in the
-    first pass.  Every other recurrence is a check; the checks are listed
+    first pass.  That choice fixes each index's dependency level: seeds
+    are at level 0, any other index at 1 + the highest level of its
+    references.  Every other recurrence is a check; the checks are listed
     by index in increasing order and, at an index, in that order, so a
     corrupt basis fails at the first of them that disagrees."""
     key = MonomialOrder(*order_spec).key
@@ -705,6 +720,7 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
             raise IdealError("no admissible basis element for %s (corrupt basis)" % (a,))
 
     known = {slot[d] for d in seeds}
+    level = dict.fromkeys(known, 0)
     chosen = {}
     pending = list(recs)
     while pending:
@@ -716,24 +732,24 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
             else:
                 chosen[a] = rec
                 known.add(slot[a])
+                level[slot[a]] = 1 + max(map(level.get, rec[1]), default=0)
         if len(left) == len(pending):
             raise IdealError(
                 "recurrence family is not sequentially computable (stuck on %d indices)"
                 % len(left))
         pending = left
-    program = [(slot[a],) + rec for a, rec in chosen.items()]
+    swept = [[] for _ in range(max(level.values(), default=0))]
+    for a, rec in chosen.items():
+        swept[level[slot[a]] - 1].append((slot[a],) + rec)
     checks = [(slot[a],) + rec for a, r in recs.items() for rec in r if rec is not chosen[a]]
-    width = 1 + max(map(len, tails), default=0)
-    check_slots = np.full((len(checks), width), len(space), dtype=np.intp)
-    for row, (s, _, refs) in zip(check_slots, checks):
-        row[:1 + len(refs)] = (s,) + refs
-    elems = np.array([w for _, w, _ in checks], dtype=np.intp)
+    check_elems, check_slots = _pack(checks, 1 + max(map(len, tails), default=0), len(space))
     return _Plan(
         indices=space,
         seeds=tuple((d, slot[d]) for d in seeds),
         tails=tails,
-        program=tuple(program),
-        check_elems=elems,
+        levels=tuple(_pack(recs_k, 1 + max(len(r[2]) for r in recs_k), len(space))
+                     for recs_k in swept),
+        check_elems=check_elems,
         check_slots=check_slots,
         uses=tuple(np.bincount(np.array([w for r in recs.values() for w, _ in r], dtype=np.intp),
                                minlength=len(leads)).tolist()),
@@ -743,55 +759,25 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
 
 def _run_plan(plan, gb, seed_values):
     """Fill the plan's slots from the seed values and the tail
-    coefficients with one scalar sweep over the field's tables, skipping
-    zero values, then run every check as one numpy product over the
-    slots as an exponent array, which is returned (with the zero pad
-    slot last).  The count is added once, as the scalar recurrences the
-    sweep and the checks stand for: one mul and one add per tail term
-    and one neg per recurrence."""
+    coefficients, one numpy product per dependency level, then run every
+    check as one more, over the slots as an exponent array, which is
+    returned (with the zero pad slot last).  The count is added once, as
+    the scalar recurrences the levels and the checks stand for: one mul
+    and one add per tail term and one neg per recurrence."""
     f = gb.field
-    table, zech, neg = f.scalar_tables()
-    n = f.q - 1
     coeffs = [[g.terms[d] for d in tail] for g, tail in zip(gb.elements, plan.tails)]
-    # per element, its coefficients with their reference positions, built
-    # once per call: a zip per recurrence would cost more than the sweep
-    terms = [list(zip(cw, range(len(cw)))) for cw in coeffs]
-    vals = [ZERO] * len(plan.indices)
-    for d, s in plan.seeds:
-        vals[s] = seed_values[d]
-
-    if table:
-        # each row holds its entries twice over, so c + v needs no mod
-        for s, w, refs in plan.program:
-            acc = ZERO
-            for c, k in terms[w]:
-                v = vals[refs[k]]
-                if v != ZERO:
-                    acc = table[acc][c + v]
-            vals[s] = neg[acc]
-    else:
-        for s, w, refs in plan.program:
-            acc = ZERO
-            for c, k in terms[w]:
-                v = vals[refs[k]]
-                if v != ZERO:
-                    t = (c + v) % n
-                    if acc == ZERO:
-                        acc = t
-                    else:
-                        # acc + t = acc (1 + alpha^(t - acc)); a negative
-                        # difference indexes zech modulo q - 1
-                        z = zech[t - acc]
-                        acc = ZERO if z == ZERO else (acc + z) % n
-            vals[s] = neg[acc]
     f.op_count += sum(u * (2 * len(cw) + 1) for u, cw in zip(plan.uses, coeffs))
-
-    x = f.np_exponents(np.array(vals + [ZERO], dtype=np.intp))
+    x = np.full(len(plan.indices) + 1, f.np_arith().zero, dtype=np.intp)
+    x[[s for _, s in plan.seeds]] = f.np_exponents(
+        np.array([seed_values[d] for d, _ in plan.seeds], dtype=np.intp))
+    # lead coefficient one, then the tail, padded with zero
+    width = plan.check_slots.shape[1]
+    cmat = f.np_exponents(np.array([[ONE] + cw + [ZERO] * (width - 1 - len(cw))
+                                    for cw in coeffs], dtype=np.intp))
+    minus = f.np_neg(cmat[:, 1:])  # h_lead = sum of -c_d h_d
+    for elems, slots in plan.levels:
+        x[slots[:, 0]] = f.np_dot(minus[elems, :slots.shape[1] - 1], x[slots[:, 1:]])
     if len(plan.check_elems):
-        # lead coefficient one, then the tail, padded with zero
-        width = plan.check_slots.shape[1]
-        rows = [[ONE] + cw + [ZERO] * (width - 1 - len(cw)) for cw in coeffs]
-        cmat = f.np_exponents(np.array(rows, dtype=np.intp))
         bad = f.np_dot(cmat[plan.check_elems], x[plan.check_slots]) != f.np_arith().zero
         if bad.any():
             s = plan.check_slots[bad.argmax(), 0]
@@ -831,10 +817,11 @@ def extend(h, gb, target):
     For a outside the seed set, every basis element whose leading index
     is dominated by a yields h_a = -sum_d g_d h_{(a - a_w) (+) d} with
     semigroup addition; all admissible elements are evaluated and must
-    agree.  The values are generated over all of A in worklist passes,
-    each index set by its shortest register (fewest tail terms, then
-    smaller lead, then smaller element index) whose references are
-    known, and every other admissible recurrence is checked at the end;
+    agree.  The values are generated over all of A, each index set by
+    the shortest register (fewest tail terms, then smaller lead, then
+    smaller element index) whose references the plan's worklist passes
+    know, one dependency level per numpy product, and every other
+    admissible recurrence is checked at the end;
     a family whose tails precede its leads (every vanishing-ideal basis)
     settles in the first pass, whatever the target.  The schedule comes
     from the plan keyed on the basis's leads, seed set and exact tail

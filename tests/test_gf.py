@@ -63,18 +63,18 @@ def test_non_integer_p_or_m_is_a_field_error(p, m, poly):
 
 @pytest.mark.parametrize("p,m,poly", [(2, 3, (1, 1, 0, 1)), (3, 2, (2, 1, 1)),
                                       (5, 1, (2, 1))])
-def test_add_table_rows_read_unreduced_products(p, m, poly):
-    # each dense row holds its nonzero columns twice over: a sum c + v of
-    # two exponents indexes it as the element of exponent (c + v) mod q-1,
-    # and the last entry still adds the zero element
+def test_add_and_sub_match_digit_addition(p, m, poly):
+    # every pair, the zero element included: Field.add is the digit-wise
+    # sum of the encodings and Field.sub its inverse, one count per call
     f = Field(p, m, poly)
-    table = f.scalar_tables()[0]
-    n = f.q - 1
     enc = lambda x: 0 if x == ZERO else f.antilog[x]
     for a in f.elements():
-        assert len(table[a]) == 2 * n + 1 and table[a][ZERO] == a
-        for s in range(2 * n - 1):
-            assert enc(table[a][s]) == reference.digit_add(f, enc(a), enc(s % n))
+        for b in f.elements():
+            before = f.op_count
+            total, diff = f.add(a, b), f.sub(a, b)
+            assert f.op_count - before == 2
+            assert enc(total) == reference.digit_add(f, enc(a), enc(b))
+            assert reference.digit_add(f, enc(diff), enc(b)) == enc(a)
 
 
 def test_identities(f8, f9):

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from avcodes.gf import Field, FieldError, ZERO, ONE
+from avcodes.gf import DENSE_Q, Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder, dominates, semigroup_add
 from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form, SumForms,
@@ -15,7 +15,7 @@ from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_for
 from avcodes.maps import PointSet, canonical_iso, proper_transform
 from avcodes.codes import code_from_config, preset
 import scalar_reference as reference
-from test_codes import HERM16
+from test_codes import HERM16, HERM64
 from avcodes.golden import (RS_PSI, RS_G, RS_SEED, RS_EXTENSION, CROSS_PSI,
                             CROSS_SEED_KNOWN, CROSS_H22, HERM_PHI1, HERM_G_PHI1,
                             HCRS_SYS_PHI, HCRS_SYS_LEADS)
@@ -576,7 +576,7 @@ def test_extend_plans_match_transform():
     assert any(built) and not all(built)
 
 
-# GF(2^10) is above DENSE_Q: its sweep runs on Zech logarithms
+# GF(2^10) is above DENSE_Q: the scalar reference adds by Zech logarithms
 REFERENCE_FIELDS = {**PLAN_FIELDS, 25: Field(5, 2, (2, 1, 1)), 27: Field(3, 3, (1, 2, 0, 1)),
                     1024: Field(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))}
 
@@ -595,7 +595,7 @@ def test_extend_matches_scalar_reference():
     def check(q, ndim, seed):
         assume(q ** ndim <= 729 or (q, ndim) == (1024, 1))
         f = REFERENCE_FIELDS[q]
-        zech.append(f.scalar_tables()[0] is None)
+        zech.append(f.q > DENSE_Q)
         rnd = random.Random(seed)
         families = _random_families(f, ndim, rnd)
         space = index_space(f, ndim)
@@ -620,15 +620,41 @@ def _assert_plan_matches_reference(gb, target):
     args = reference.plan_args(gb, target)
     plan = _extension_plan(*args)
     _, _, tails, program, checks, _ = reference._extension_plan(*args)
-    assert plan.tails == tails and plan.program == tuple(program)
-    got = [(int(row[0]), int(w), tuple(row[1:1 + len(tails[w])].tolist()))
-           for row, w in zip(plan.check_slots, plan.check_elems)]
+    swept = _swept(plan)
+    assert plan.tails == tails and len(swept) == len(program)
+    assert {s: rec for s, *rec in swept} == {s: rec for s, *rec in program}
+    got = _unpack(plan, plan.check_elems, plan.check_slots)
     assert got == checks
     # no check repeats the recurrence that set its value, and each
     # recurrence is counted once
-    assert not set(plan.program) & set(got)
+    assert not set(swept) & set(got)
     assert sum(plan.uses) == len(program) + len(checks)
     return not reference.tails_precede_leads(gb)
+
+
+def _unpack(plan, elems, slots):
+    """Packed recurrences as (slot, element, reference slots)."""
+    return [(int(row[0]), int(w), tuple(row[1:1 + len(plan.tails[w])].tolist()))
+            for row, w in zip(slots, elems)]
+
+
+def _swept(plan):
+    """The recurrences that set the plan's values, level by level.  Each
+    level reads only seeds and slots set at earlier levels, at least one
+    of them at the level just before, and the levels set every slot of A
+    outside the seeds once."""
+    level = {s: 0 for _, s in plan.seeds}
+    out = []
+    for depth, (elems, slots) in enumerate(plan.levels, 1):
+        recs = _unpack(plan, elems, slots)
+        assert recs
+        for _, _, refs in recs:
+            assert all(r in level for r in refs)
+            assert 1 + max(map(level.get, refs), default=0) == depth
+        level.update((s, depth) for s, _, _ in recs)
+        out.extend(recs)
+    assert len(level) == len(plan.indices) == len(plan.seeds) + len(out)
+    return out
 
 
 def _preset_families(name):
@@ -701,10 +727,11 @@ def test_program_reads_each_element_at_its_tail(name):
     for gb in families:
         for target in targets:
             plan = _extension_plan(*reference.plan_args(gb, target))
-            assert all(len(refs) == len(gb._tails[w]) for _, w, refs in plan.program)
-            width = [1 + len(gb._tails[w]) for w in plan.check_elems.tolist()]
-            assert all((row[k:] == len(plan.indices)).all() and (row[:k] < len(plan.indices)).all()
-                       for row, k in zip(plan.check_slots, width))
+            for elems, slots in plan.levels + ((plan.check_elems, plan.check_slots),):
+                width = [1 + len(gb._tails[w]) for w in elems.tolist()]
+                assert all((row[k:] == len(plan.indices)).all()
+                           and (row[:k] < len(plan.indices)).all()
+                           for row, k in zip(slots, width))
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
@@ -721,6 +748,30 @@ def test_vanishing_basis_sweeps_all_of_a_for_any_target(name):
         for a in picks:
             one, one_ops = _extend_ops(seed, gb, (a,))
             assert one.values[a] == full.values[a] and one_ops == ops
+
+
+def test_extend_matches_scalar_reference_on_herm64():
+    """The n = 512 GF(64) Hermitian code's basis over all of A, beyond the
+    q^N <= 729 of the hypothesis sweep: values and the exact count
+    against the scalar oracle."""
+    code = code_from_config(HERM64)
+    f, rnd = code.field, random.Random(64)
+    seed = Spectrum(f, 2, {d: rnd.randrange(-1, f.q - 1) for d in code.gb.delta.members})
+    space = index_space(f, 2)
+    want, ops = _extend_ops(seed, code.gb, space, reference.extend)
+    got, got_ops = _extend_ops(seed, code.gb, space)
+    assert got.values == want.values and got_ops == ops == 17920
+
+
+@pytest.mark.parametrize("name,depth", [("hermitian", 3), ("herm16", 4), ("herm64", 8)])
+def test_hermitian_basis_plan_depth(name, depth):
+    """The dependency levels of a Hermitian code's basis over all of A,
+    each one numpy product of the sweep."""
+    configs = {"herm16": HERM16, "herm64": HERM64}
+    code = code_from_config(configs[name]) if name in configs else preset(name)
+    plan = _extension_plan(*reference.plan_args(code.gb, index_space(code.field, 2)))
+    assert len(plan.levels) == depth
+    assert len(_swept(plan)) == len(plan.indices) - code.n
 
 
 def test_plans_match_the_scalar_schedule_on_random_bases():
@@ -740,9 +791,10 @@ def _assert_shortest_register(gb, target):
     admissible = [w for w, aw in enumerate(gb.leading) if max(aw) < gb.field.q]
     width = {w: len(gb._tails[w]) for w in admissible}
     rank = sorted(admissible, key=lambda w: (width[w], key(gb.leading[w]), w))
-    for s, w, _ in plan.program:
+    swept = _swept(plan)
+    for s, w, _ in swept:
         assert w == next(v for v in rank if dominates(plan.indices[s], gb.leading[v]))
-    return sum(width[w] for _, w, _ in plan.program)
+    return sum(width[w] for _, w, _ in swept)
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16", "random"])
