@@ -5,15 +5,16 @@ Only check sets of the shape U = V_B for B a subset of the delta set are
 supported; the dual code is the image of V_{D\\B} under the canonical
 isomorphism.  The transforms of a word on B and on D read exponent rows
 the code precomputes (``CodeSpec.transform``), and the check columns of a
-set of points are kept with their reduction compiled
-(``PointSetEntry``).  On a fixed code the canonical map is one n x k
-matrix G, compiled once per code definition (field, order, points, B)
-by one elimination and kept at module level, so ``encode_nonsystematic``
-is one product with G, checked by the word's syndrome on B.  A code
-whose estimated build, ``generator_work(n, k)`` = n^2 (n + k), exceeds
-GENERATOR_BUDGET encodes by the lemma (``maps.canonical_iso``) instead.
-Code parameters come from a JSON config (see ``code_from_config``) or
-one of the bundled presets.
+set of points are kept with their reduction compiled, one object per set
+(``PointSetEntry``), whose tail rows are minus the set's systematic map.
+On a fixed code the canonical map is one n x k matrix G, compiled once
+per code definition (field, order, points, B) by one elimination, read
+off its tail rows the same way and kept at module level, so
+``encode_nonsystematic`` is one product with G, checked by the word's
+syndrome on B.  A code whose estimated build, ``generator_work(n, k)`` =
+n^2 (n + k), exceeds GENERATOR_BUDGET encodes by the lemma
+(``maps.canonical_iso``) instead.  Code parameters come from a JSON
+config (see ``code_from_config``) or one of the bundled presets.
 """
 
 import json
@@ -30,7 +31,7 @@ from .mindex import MonomialOrder
 from .transform import (BLOCK, Spectrum, Word, check_field, check_values, dft_partial,
                         omega_space, power_matrix, _element_array)
 from .maps import PointSet, VanishingError, canonical_iso, evaluate
-from .ideal import Eliminator, IdealError, SumForms, index_array, vanishing_gb
+from .ideal import Eliminator, SumForms, index_array, vanishing_gb
 
 
 class CodeConfigError(ValueError):
@@ -49,60 +50,28 @@ GENERATOR_CACHE_SIZE = 8
 
 
 class PointSetEntry:
-    """What a code precomputes for one set Phi of its points, each member
-    built on first use and then kept:
-
-    - ``projection``: the erasure projection of decoder.locate, which
-      projects a syndrome off the check columns of Phi: the reduction by
-      the columns, compiled along their insertion into an Eliminator
-      (ideal.CompiledReduction), so that a syndrome, or a batch, is
-      reduced by one product at the sequential count; its pivot count is
-      the rank of the columns (decoder.check_systematic_support);
-    - ``map``: the |Phi| x |B| exponent matrix taking the syndrome on B of
-      a word on Phi to its values on Phi, read off ``projection``: the
-      tail of minus the unit vector at b, reduced by Phi's columns, is
-      column b, the compiled tail row times -1.  It is the lemma's map on
-      Phi, by which systematic encoding evaluates; IdealError when the
-      columns have rank below |Phi|, where no such map exists.
-
-    ``rows`` is Phi as increasing point rows, ``points`` in the code's
-    point order.  ``get(name)`` returns a member and whether the call built
-    it.  A build adds its field operations to ``op_count`` as the uncached
-    call does (the projection: its insertions, not the compile; the map:
-    the counts of its |B| reductions); a reuse adds none.  A build that
-    raises keeps nothing."""
+    """What a code precomputes for one set Phi of its points, all of it
+    built when the code's store first meets the set (CodeSpec.point_set):
+    ``rows``, Phi as increasing point rows; ``points``, Phi in the code's
+    point order; and ``projection``, the erasure projection of
+    decoder.locate, which projects a syndrome off the check columns of
+    Phi: the reduction by the columns, compiled along their insertion into
+    an Eliminator (ideal.CompiledReduction), so that a syndrome, or a
+    batch, is reduced by one product at the sequential count.  Its pivot
+    count is the rank of the columns (decoder.check_systematic_support).
+    At rank |Phi| its tail rows (``CompiledReduction.tails``) are minus
+    the lemma's map on Phi, which takes the syndrome on B of a word on Phi
+    to the word; systematic encoding evaluates by them.  The build adds
+    the insertion's field operations to ``op_count`` (not the compile's),
+    as the uncached call does."""
 
     def __init__(self, code, rows):
-        self.code = code
         self.rows = rows
         self.points = PointSet(code.field, code.ndim, tuple(code.psi.points[r] for r in rows))
-        self._members = {}
-        self._lock = threading.RLock()  # map reads projection
-
-    def get(self, name):
-        with self._lock:
-            if name in self._members:
-                return self._members[name], False
-            value = getattr(self, "_" + name)()
-            self._members[name] = value
-            return value, True
-
-    def _projection(self):
-        code = self.code
         elim = Eliminator(code.field, len(code.b_list))
-        _, ops, proj = elim.insert_compiled(code.columns[list(self.rows)], self.points.points)
+        _, ops, self.projection = elim.insert_compiled(code.columns[list(rows)],
+                                                       self.points.points)
         code.field.op_count += ops
-        return proj
-
-    def _map(self):
-        proj, f = self.get("projection")[0], self.code.field
-        size, r = proj.length, len(proj.pivots)
-        if r < len(self.rows):
-            raise IdealError("the check columns of the %d points have rank %d"
-                             % (len(self.rows), r))
-        # the tails of minus the unit vectors: the compiled tail rows times -1
-        f.op_count += int(proj.unit_ops.sum())
-        return f.np_neg(proj.matrix[size:size + r])
 
 
 class CodeSpec:
@@ -165,25 +134,28 @@ class CodeSpec:
 
     def point_set(self, points):
         """The store entry (PointSetEntry) of a set of the code's points,
-        given in any order; KeyError at a point outside the code.  The
-        store is keyed by the points in the code's order and keeps the
-        POINT_SET_CACHE_SIZE entries used last: erasure sets and systematic
-        redundant sets, the sets callers name."""
+        given in any order, and whether this call built it; KeyError at a
+        point outside the code.  The store is keyed by the points in the
+        code's order and keeps the POINT_SET_CACHE_SIZE entries used last:
+        erasure sets and systematic redundant sets, the sets callers name.
+        An entry is built under the store's lock, so threads meeting a new
+        set at once build it once, and a build that raises keeps nothing."""
         key = tuple(sorted(self.point_row[p] for p in points))
         with self._point_sets_lock:
             entry = self._point_sets.get(key)
-            if entry is None:
-                entry = self._point_sets[key] = PointSetEntry(self, key)
-                if len(self._point_sets) > POINT_SET_CACHE_SIZE:
-                    self._point_sets.popitem(last=False)
-            else:
+            if entry is not None:
                 self._point_sets.move_to_end(key)
-        return entry
+                return entry, False
+            entry = self._point_sets[key] = PointSetEntry(self, key)
+            if len(self._point_sets) > POINT_SET_CACHE_SIZE:
+                self._point_sets.popitem(last=False)
+            return entry, True
 
     @cached_property
     def d_rows(self):
         """E_D, the read-only n x n exponent matrix of p^d: rows the indices
-        d of ``d_sorted``, columns the code's points.  Built on first use;
+        d of ``d_sorted``, columns the code's points.  Built on first use,
+        by ``transform_at`` onto D or by ``sum_forms``, which shares it;
         not op-counted, as ``columns`` is not."""
         e = power_matrix(self.field, index_array(self.d_sorted, self.ndim),
                          index_array(self.psi.points, self.ndim))
@@ -227,8 +199,8 @@ class CodeSpec:
     @cached_property
     def sum_forms(self):
         """The normal forms of the delta-set products (ideal.SumForms), by
-        division on the code's basis."""
-        return SumForms(self.gb, self.psi)
+        division on the code's basis, over the code's E_D (``d_rows``)."""
+        return SumForms(self.gb, self.d_rows)
 
     @cached_property
     def feng_rao(self):
@@ -274,10 +246,11 @@ def _generator(field, order_spec, points, b_list, delta):
     the j-th unit spectrum on them.  The n point columns of E_D,
     E_D[d, p] = p^d, are inserted into one Eliminator with their
     reduction compiled (Eliminator.insert_compiled); the tail of minus
-    the unit vector at d, reduced by them, is column d: the compiled tail
-    row at d times -1, the read of PointSetEntry's map.  The build adds
-    its field operations (the insertions and the k unit reductions) to
-    op_count once; every code of the definition shares G."""
+    the unit vector at d, reduced by them, is column d: column d of the
+    compiled tails (CompiledReduction.tails) times -1, as minus Phi's
+    tails are its map (PointSetEntry).  The build adds its field
+    operations (the insertions and the k unit reductions) to op_count
+    once; every code of the definition shares G."""
     order = MonomialOrder(*order_spec)
     ds = delta.sorted(order)
     at = [i for i, d in enumerate(ds) if d not in b_list]
@@ -287,7 +260,7 @@ def _generator(field, order_spec, points, b_list, delta):
         power_matrix(field, index_array(ds, ndim), index_array(points, ndim)).T,
         range(len(points)))
     field.op_count += ops + int(proj.unit_ops[at].sum())
-    g = np.ascontiguousarray(field.np_neg(proj.matrix[len(ds):len(ds) + len(points), at]))
+    g = np.ascontiguousarray(field.np_neg(proj.tails[:, at]))
     g.flags.writeable = False
     return tuple(ds[i] for i in at), g
 

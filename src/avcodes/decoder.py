@@ -4,7 +4,7 @@ variety codes, plus per-step field-operation accounting.
 Each decode call returns its own report (``StepCounts``): the field
 operations of every named step, their wall times in milliseconds (``ms``,
 same labels), and meta data on the code and the locator
-(``point_sets_reused``: the call built no point-set store member).
+(``point_sets_reused``: the call built no point-set store entry).
 ``decode_word`` runs ``transform`` (the received word's transform),
 ``locator``, ``subtract`` and ``check`` and carries the report in
 ``DecodeResult.report``; ``decode_info`` runs ``transform``, ``locator``,
@@ -14,8 +14,8 @@ same labels), and meta data on the code and the locator
 extends or runs an IDFT; ``decode_word`` checks its word by the error's
 syndrome, by linearity.  Systematic encoding is erasure-only decoding:
 the values on the redundant set are one product of the syndrome with the
-set's map (codes.PointSetEntry), read off the erasure projection the
-locator reduces by, and are checked the same way.
+tail rows of the erasure projection the locator reduces by (the set's
+one store entry, codes.PointSetEntry), and are checked the same way.
 
 On a fixed code and erasure set each of these steps up to the error
 values is a fixed linear map, read off a matrix built once: every
@@ -136,7 +136,7 @@ class LocateResult:
     their check columns are dependent; ``stats``, the
     errors located off Phi1 (t), the syndromes filled by majority (votes),
     the pivot count (rank) and the staircase block's rows and cols;
-    ``built``, whether the call built Phi1's erasure projection."""
+    ``built``, whether the call built Phi1's store entry."""
 
     located: PointSet
     rows: tuple
@@ -361,11 +361,11 @@ def locate(synd, phi1, code, t_max=None):
     target = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
 
     try:
-        entry = code.point_set(phi1.points)
+        entry, built = code.point_set(phi1.points)
     except KeyError as exc:
         raise UndecodableError("erasure location %s is not a code point" % (exc.args[0],))
     # the erasure projection: only the target is reduced
-    elim, built = entry.get("projection")
+    elim = entry.projection
     res, tails, reduce_ops = elim.reduce(target[None])
     f.op_count += int(reduce_ops[0])
 
@@ -494,10 +494,10 @@ def _check_phi(phi, code):
 def check_systematic_support(phi, code):
     """True iff the |B| x |Phi| evaluation matrix is invertible: the check
     columns held by the erasure projection of Phi's store entry have rank
-    |Phi|, the rank the map's build needs.  Counts the projection's build,
-    nothing when the entry already holds it."""
+    |Phi|, the rank at which its tail rows are minus Phi's map.  Counts
+    the entry's build, nothing when the store already holds it."""
     _check_phi(phi, code)
-    return len(code.point_set(phi.points).get("projection")[0].pivots) == len(phi)
+    return len(code.point_set(phi.points)[0].projection.pivots) == len(phi)
 
 
 def systematic_basis(phi, code):
@@ -519,31 +519,33 @@ def systematic_encode(info, phi, code):
     """Fill the redundant positions Phi so the word is a dual codeword
     agreeing with the information symbols on Psi \\ Phi: the erasure-only
     decoding of Phi.  The values on Phi are one product of the
-    information word's syndrome with Phi's map (PointSetEntry, shared
-    with the erasure decoding of Phi), which is the lemma's map, and the
-    word is checked by its syndrome, on exponent arrays: the information
-    word is converted once, and the output is it with minus the values
-    on Phi added, in the code's point order."""
+    information word's syndrome with the tail rows of Phi's erasure
+    projection (PointSetEntry, shared with the erasure decoding of Phi),
+    minus the lemma's map, and the word is checked by its syndrome, on
+    exponent arrays: the information word is converted once, and the
+    output is it with the values on Phi added, in the code's point order.
+    SystematicSupportError, "Phi not generic", when Phi's check columns
+    have rank below |Phi|, where no such map exists."""
     f = code.field
     check_field(info, f, "information word", "code", SystematicSupportError)
     _check_phi(phi, code)
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
-    entry = code.point_set(phi.points)
-    try:
-        matrix = entry.get("map")[0]
-    except IdealError as exc:
-        raise SystematicSupportError("Phi not generic: %s" % (exc,))
+    entry = code.point_set(phi.points)[0]
+    tails = entry.projection.tails
+    if len(tails) < len(phi):
+        raise SystematicSupportError("Phi not generic: the check columns of the %d points "
+                                     "have rank %d" % (len(phi), len(tails)))
     x = _element_array(info, list(info.values.values()), "information word")
     seed = code.transform_at([code.point_row[p] for p in info.values], x, "B")
     # the values on Phi: |Phi| |B| muls and |Phi| (|B| - 1) adds
-    f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
-    w = f.np_dot(matrix, seed)
-    # the word is info on Psi \ Phi and -w on Phi, so its syndrome is
-    # seed - syndrome(w): zero when the seed is minus the Phi part's
-    if (code.transform_at(entry.rows, w, "B") != seed).any():
+    f.op_count += len(tails) * (2 * len(code.b_list) - 1)
+    v = f.np_dot(tails, seed)
+    # the word is info on Psi \ Phi and v on Phi, so its syndrome is
+    # seed + syndrome(v): zero when the Phi part's is minus the seed
+    if (code.transform_at(entry.rows, v, "B") != f.np_neg(seed)).any():
         raise SystematicSupportError("systematic output fails the check set")
-    f.op_count += len(w)  # the negation
+    f.op_count += len(v)  # the seed's negation, counted once the word checks
     out = dict(info.values)
-    out.update(zip(entry.points.points, f.np_codes(f.np_neg(w))))
+    out.update(zip(entry.points.points, f.np_codes(v)))
     return Word(f, code.ndim, out)

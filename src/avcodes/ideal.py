@@ -280,13 +280,19 @@ class CompiledReduction:
     ``length`` unit vectors gives the read-only (length + 2r) x length
     exponent matrix ``matrix``, whose column b is unit vector b's
     residual, tail and coefficients stacked, and ``reduce`` is one
-    product with it.  ``unit_ops`` holds the scalar count of each unit
+    product with it.  ``tails``, the read-only r x length view of its
+    tail rows, takes a vector to its tail, minus its combination of the
+    kept rows: when r = length, minus ``tails`` is the inverse of the
+    matrix whose columns are the inserted vectors (a point set's
+    systematic map, codes.PointSetEntry, and the generator,
+    codes._generator).  ``unit_ops`` holds the scalar count of each unit
     vector's reduction, ``pivots`` the eliminator's pivots (its rank)."""
 
     def __init__(self, field, length, pivots, matrix, weights, unit_ops):
         self.field, self.length, self.pivots = field, length, pivots
         self.matrix, self.weights, self.unit_ops = matrix, weights, unit_ops
         matrix.flags.writeable = False
+        self.tails = matrix[length:length + len(pivots)]
 
     def reduce(self, vecs):
         """Eliminator.reduce by one product: the residuals, the tails and the
@@ -588,15 +594,15 @@ class SumForms:
     for the pairs asked for: the coefficient exponents over the delta set
     of normal_form(x^sum, gb), by division on the code's basis ``gb``, and
     the lead position (-1 for zero).  Not op-counted: they belong to the
-    code, like its evaluation columns."""
+    code, like its evaluation columns.  ``evals`` is the exponent matrix
+    given, evals[k, p] the k-th delta monomial at the p-th point: the
+    code's E_D (codes.CodeSpec.d_rows), kept, not copied."""
 
-    def __init__(self, gb, psi):
+    def __init__(self, gb, evals):
         self.gb = gb
         self.delta = gb.delta.sorted(gb.order)
         self.position = {d: k for k, d in enumerate(self.delta)}
-        # evals[k, p]: the k-th delta monomial at the p-th point
-        self.evals = power_matrix(gb.field, index_array(self.delta, gb.ndim),
-                                  index_array(psi.points, gb.ndim))
+        self.evals = evals
         # the forms and leads filled so far: views of buffers that double
         # when they fill up
         self._buf = (np.empty((0, len(self.delta)), dtype=np.intp), np.empty(0, dtype=np.intp))

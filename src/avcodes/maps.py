@@ -7,7 +7,7 @@ Omega-word with the fast transform and verifies that it vanishes off
 Psi before restricting, turning the vanishing guarantee into a runtime
 self-test.  The library's paths read the map compiled instead:
 decoding takes its values off the erasure projection of a point set's
-store entry (decoder.locate), systematic encoding off its map
+store entry (decoder.locate), systematic encoding off its tail rows
 (codes.PointSetEntry) and non-systematic encoding off the code's n x k
 generator (codes.encode_nonsystematic), each checking its word by its
 syndrome.  ``canonical_iso`` is their oracle, and the evaluator of

@@ -21,7 +21,7 @@ element's exact tail exponents.
 ``transpose_check`` build on it and on point_power as the library did
 before its batched eliminator; ``column_insertion`` and ``compiled_map``
 build on it the oracles of ``avcodes.codes.PointSetEntry``'s
-``projection`` and ``map``.  ``find_supports``
+``projection`` and of the map its tail rows give.  ``find_supports``
 is the plain meet-in-the-middle enumeration of consistent supports, the
 oracle of the voting locator.  ``sum_forms`` computes normal forms of monomials by
 eliminating evaluation vectors, the oracle of ``ideal.SumForms``, which
@@ -471,8 +471,8 @@ def check_systematic_support(phi, code):
 def column_insertion(points, b_list):
     """The points' columns on B inserted in store order, every one:
     (the eliminator, whether the columns are independent, the count of
-    the insertion, without the powers).  The oracle of the ``projection``
-    member of ``avcodes.codes.PointSetEntry``, rank and count."""
+    the insertion, without the powers).  The oracle of the
+    ``projection`` of ``avcodes.codes.PointSetEntry``, rank and count."""
     f = points.field
     columns = [[point_power(f, p, b) for b in b_list] for p in points.points]
     elim = Eliminator(f)
@@ -486,8 +486,9 @@ def compiled_map(points, b_list):
     element codes, one row per point and one column per check index, and
     the count of its reductions: the points' columns on B are inserted in
     store order (column_insertion), then minus the unit vector at each b
-    is reduced, and minus its combination is column b.  The oracle of the
-    ``map`` member of ``avcodes.codes.PointSetEntry``, values and count."""
+    is reduced, and minus its combination is column b.  The oracle of
+    minus the tail rows of ``avcodes.codes.PointSetEntry``'s
+    ``projection``, values, and of the count of its unit reductions."""
     f = points.field
     elim, independent, _ = column_insertion(points, b_list)
     assert independent
@@ -652,19 +653,21 @@ def decode_word(r, phi1, code, t_max=None):
 
 
 def systematic_encode(info, phi, code):
-    """The dict path of ``avcodes.decoder.systematic_encode``: the seed a
-    Spectrum, the values on Phi a Word checked by its Spectrum, and one
+    """The dict path of ``avcodes.decoder.systematic_encode``: Phi's map
+    minus the tail rows of its erasure projection, the seed a Spectrum,
+    the values of the map a Word checked by its Spectrum, and one
     Field.neg per point of Phi."""
     f = code.field
     check_field(info, f, "information word", "code", SystematicSupportError)
     decoder._check_phi(phi, code)
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
-    entry = code.point_set(phi.points)
-    try:
-        matrix = entry.get("map")[0]
-    except IdealError as exc:
-        raise SystematicSupportError("Phi not generic: %s" % (exc,))
+    entry = code.point_set(phi.points)[0]
+    tails = entry.projection.tails
+    if len(tails) < len(phi):
+        raise SystematicSupportError("Phi not generic: the check columns of the %d points "
+                                     "have rank %d" % (len(phi), len(tails)))
+    matrix = f.np_neg(tails)
     seed = code.transform(info, "B", "information word")
     x = f.np_exponents(np.array([seed.values[b] for b in code.b_list], dtype=np.intp))
     f.op_count += len(matrix) * (2 * len(code.b_list) - 1)

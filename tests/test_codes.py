@@ -422,9 +422,10 @@ def test_compiled_reduction_equals_reduce(name):
     """The erasure projection of a point-set entry, reduction compiled to
     one product along the insertion, gives Eliminator.reduce's residuals,
     tails and per-vector counts on multi-row batches; the insertion keeps
-    its pairs and count and the compile counts nothing, and the map read
-    off it equals the elimination of the negated unit vectors, with the
-    same count."""
+    its pairs and count, the compile counts nothing and the entry's build
+    counts the insertion, and at full rank minus its read-only tail rows
+    equal the elimination of the negated unit vectors, with the unit
+    vectors' count."""
     code = code_from_config(REDUCTION_CODES[name])
     f, rng, size = code.field, random.Random(name), len(code.b_list)
     ar = f.np_arith()
@@ -439,8 +440,10 @@ def test_compiled_reduction_equals_reduce(name):
         compiled = got[2]
         assert [(i, None if t is None else t.tolist()) for i, t in got[0]] == [
             (i, None if t is None else t.tolist()) for i, t in done] and got[1] == ops
-        entry = code.point_set([code.psi.points[r] for r in rows])
-        proj = entry.get("projection")[0]
+        before = f.op_count
+        entry, built = code.point_set([code.psi.points[r] for r in rows])
+        assert built and f.op_count - before == ops
+        proj = entry.projection
         assert compiled.pivots == proj.pivots == tuple(elim.pivots)
         assert not proj.matrix.flags.writeable
         assert proj.matrix.shape == (size + 2 * len(elim.pivots), size)
@@ -457,9 +460,9 @@ def test_compiled_reduction_equals_reduce(name):
         if len(elim.pivots) < len(rows) or not rows:
             continue
         _, tails, more = elim.reduce(np.where(np.eye(size, dtype=bool), ar.neg, ar.zero))
-        before = f.op_count
-        got = entry.get("map")[0]
-        assert np.array_equal(got, tails.T) and f.op_count - before == int(more.sum())
+        assert not proj.tails.flags.writeable
+        assert np.array_equal(f.np_neg(proj.tails), tails.T)
+        assert int(proj.unit_ops.sum()) == int(more.sum())
     assert deficient
 
 

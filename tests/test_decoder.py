@@ -397,7 +397,7 @@ def test_reports_are_per_call(rng):
     steps_b = dict(rep_b.steps)
     again = decode_word(r_a, phi_a, hermitian).report
     assert not rep_a.meta["point_sets_reused"] and again.meta["point_sets_reused"]
-    projection = _build_ops(preset("hermitian"), phi_a.points, "projection")
+    projection = _build_ops(preset("hermitian"), phi_a.points)
     assert again.steps == dict(rep_a.steps, locator=rep_a.steps["locator"] - projection)
     assert info_b.report.steps == steps_b
 
@@ -706,23 +706,32 @@ def test_decoders_build_no_basis_family_or_map(name, rng, monkeypatch):
     # the error values come with the locator: over both decoders, on
     # every pattern inside the radius with a fresh erasure set, and in
     # the locator alone, no vanishing-ideal basis, check-set family or map
-    # is built.  The locator's result is plain data, with no basis
+    # is built: each decode builds its erasure set's store entry, which
+    # holds the projection and nothing more.  The locator's result is
+    # plain data, with no basis
     code = preset(name)
-    calls = []
+    calls, entries = [], []
     for owner, fn in ((ideal, "vanishing_gb"), (ideal, "check_set_basis"),
                       (ideal, "lemma_family"), (codes, "vanishing_gb"),
-                      (decoder, "lemma_family"), (codes.PointSetEntry, "_map")):
+                      (decoder, "lemma_family")):
         monkeypatch.setattr(owner, fn, lambda *args, fn=fn, real=getattr(owner, fn): (
             calls.append(fn), real(*args))[1])
+    real_init = codes.PointSetEntry.__init__
+    monkeypatch.setattr(codes.PointSetEntry, "__init__", lambda entry, *args: (
+        entries.append(entry), real_init(entry, *args))[1])
     for n_err in range((code.d_fr - 1) // 2 + 1):
         for n_erase in range(code.d_fr - 2 * n_err):
             h = random_info(code, rng)
             cw = encode_nonsystematic(h, code)
             r, phi1 = corrupt(code, cw, n_erase, n_err, rng)
-            code._point_sets.clear()
-            assert decode_word(r, phi1, code).codeword.values == cw.values
-            code._point_sets.clear()
-            assert decode_info(r, phi1, code).values == h.values
+            rows = tuple(sorted(code.point_row[p] for p in phi1.points))
+            for decode, want in ((decode_word, cw.values), (decode_info, h.values)):
+                code._point_sets.clear()
+                del entries[:]
+                out = decode(r, phi1, code)
+                assert (out.codeword.values if decode is decode_word else out.values) == want
+                assert [e.rows for e in entries] == [rows]
+                assert set(vars(entries[0])) == ENTRY_FIELDS
     assert not calls
     loc = locate(syndrome(r, code.b_list), phi1, code)
     assert not calls and not hasattr(loc, "basis")
@@ -850,7 +859,8 @@ def test_extension_meta(hcrs, rng):
         for decode in (decode_info, decode_word):
             rep = decode(word, erased, code).report
             assert not {"extension", "idft"} & (set(rep.meta) | set(rep.steps))
-    assert set(code.point_set(phi.points)._members) == {"projection"}
+    entry, built = code.point_set(phi.points)
+    assert not built and set(vars(entry)) == ENTRY_FIELDS
 
 
 def test_hcrs_golden_systematic_counts(rng):
@@ -1140,10 +1150,9 @@ def test_point_set_store_threads(rng, monkeypatch):
     # codes, so that they build and read the store at once; each must get
     # the solo result.  On hermitian four share one Phi and four have Phis
     # of their own; on hcrs, whose Phis' delta sets leave B, two share the
-    # golden Phi and two have random Phis of their own.  The map build
-    # nests the projection build.  Then six threads make the first use of
-    # one Phi at once: one projection and one map are built, under the
-    # entry's lock, and each gets the solo word.
+    # golden Phi and two have random Phis of their own.  Then six threads
+    # make the first use of one Phi at once: one store entry is built,
+    # under the store's lock, and each gets the solo word.
     cases = []
     for name, shared, own in (("hermitian", 4, 4), ("hcrs", 2, 2)):
         solo = preset(name)
@@ -1186,10 +1195,9 @@ def test_point_set_store_threads(rng, monkeypatch):
     infos = [Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
              for _ in range(6)]
     want = [systematic_encode(info, phi, solo).values for info in infos]
-    built = []
-    for name in ("_projection", "_map"):
-        monkeypatch.setattr(codes.PointSetEntry, name, lambda entry, real=getattr(
-            codes.PointSetEntry, name), name=name: (built.append(name), real(entry))[1])
+    built, real_init = [], codes.PointSetEntry.__init__
+    monkeypatch.setattr(codes.PointSetEntry, "__init__", lambda entry, code, rows: (
+        built.append(rows), real_init(entry, code, rows))[1])
     barrier, words = threading.Barrier(len(infos)), {}
 
     def first_use(k):
@@ -1197,7 +1205,8 @@ def test_point_set_store_threads(rng, monkeypatch):
         words[k] = systematic_encode(infos[k], phi, code).values
 
     run([threading.Thread(target=first_use, args=(k,)) for k in range(len(infos))])
-    assert sorted(built) == ["_map", "_projection"] and words == dict(enumerate(want))
+    assert built == [tuple(sorted(code.point_row[p] for p in phi.points))]
+    assert words == dict(enumerate(want))
 
 
 def test_point_set_store_is_bounded(rng):
@@ -1214,7 +1223,7 @@ def test_point_set_store_is_bounded(rng):
         phi1 = code.psi.subset(pair)
         assert decode_word(r, phi1, code).codeword.values == cw.values
         assert len(code._point_sets) <= POINT_SET_CACHE_SIZE
-        assert code.point_set(pair) is code.point_set(reversed(pair))
+        assert code.point_set(pair)[0] is code.point_set(reversed(pair))[0]
     assert len(code._point_sets) == POINT_SET_CACHE_SIZE
     last = {tuple(sorted(code.point_row[p] for p in pair)) for pair in pairs[-20:]}
     assert last <= set(code._point_sets)
@@ -1415,8 +1424,9 @@ def test_array_paths_equal_the_dict_oracle(name, monkeypatch):
     assert ("Phi not generic" in kinds) == (name != "rs-like")
 
     # the checks, which hold on the library's own values: with the first
-    # error value bent by the locator and Phi's map bent in both stores,
-    # the same check fails on both paths
+    # error value bent by the locator and a bent copy of the tail rows of
+    # Phi's projection swapped into both stores, the same check fails on
+    # both paths
     def bend(x):
         x = x.copy()
         x.flat[0] = 0 if x.flat[0] == f.np_arith().zero else (x.flat[0] + 1) % (f.q - 1)
@@ -1436,26 +1446,31 @@ def test_array_paths_equal_the_dict_oracle(name, monkeypatch):
     info = Word(f, code.ndim, {p: rnd.randrange(-1, f.q - 1) for p in code.psi.points
                                if p not in set(generic.points)})
     for c in (code, ref):
-        entry = c.point_set(generic.points)
-        entry._members["map"] = bend(entry.get("map")[0])
+        proj = c.point_set(generic.points)[0].projection
+        proj.tails = bend(proj.tails)
     got = _outcome(code, systematic_encode, info, generic)
     _assert_same_outcome(got, _outcome(ref, reference.systematic_encode, info, generic))
     assert got[0] == (SystematicSupportError, "systematic output fails the check set")
 
 
-def _build_ops(code, points, name):
-    """Field operations of building one store member from cold."""
+# what a store entry holds (codes.PointSetEntry): no member is added later
+ENTRY_FIELDS = {"rows", "points", "projection"}
+
+
+def _build_ops(code, points):
+    """Field operations of building one store entry from cold."""
     f = code.field
     before = f.op_count
-    code.point_set(points).get(name)
+    assert code.point_set(points)[1]
     return f.op_count - before
 
 
 def _reference_map(code, points):
-    """The scalar oracle (reference.compiled_map) of the ``map`` member of
-    ``codes.PointSetEntry`` on a set of the code's points: the matrix as
-    element codes and the count of its reductions."""
-    return reference.compiled_map(code.point_set(points).points, code.b_list)
+    """The scalar oracle (reference.compiled_map) of minus the tail rows
+    of the erasure projection of a set of the code's points (its
+    ``codes.PointSetEntry``): the matrix as element codes and the count
+    of the unit vectors' reductions."""
+    return reference.compiled_map(code.point_set(points)[0].points, code.b_list)
 
 
 def _lemma_values(code, points, synd):
@@ -1505,27 +1520,26 @@ def test_warm_decode_counts_leave_out_the_builds(name, n_erase, n_err, rng):
     assert cold.codeword.values == cw.values
     assert not rep.meta["point_sets_reused"]
     assert second.meta["point_sets_reused"] and warm.meta["point_sets_reused"]
-    locator = _build_ops(preset(name), phi1.points, "projection")
+    locator = _build_ops(preset(name), phi1.points)
     # the empty erasure set's projection costs nothing to build
     assert (locator > 0) == bool(len(phi1))
     assert second.steps == warm.steps == dict(rep.steps, locator=rep.steps["locator"] - locator)
     assert warm.total == rep.total - locator
-    assert set(code.point_set(phi1.points)._members) == {"projection"}
+    entry, built = code.point_set(phi1.points)
+    assert not built and set(vars(entry)) == ENTRY_FIELDS
 
 
 def test_warm_systematic_encode_leaves_out_the_build(rng):
-    # the first systematic encoding on Phi builds Phi's erasure projection
-    # and its map, the map counted as the scalar reductions of the
-    # reference count them; every call counts the same product with the
-    # map, |Phi| (2 |B| - 1), so later ones count the first minus the
-    # builds
+    # the first systematic encoding on Phi builds Phi's store entry, its
+    # erasure projection counted as the scalar insertion of the reference
+    # counts it; every call counts the same product with the projection's
+    # tail rows, |Phi| (2 |B| - 1), so later ones count the first minus
+    # the build
     code = preset("hermitian")
     f = code.field
     phi = PointSet(f, 2, HERM_SYS_PHI)
-    fresh = preset("hermitian")
-    projection = _build_ops(fresh, phi.points, "projection")
-    build = _build_ops(fresh, phi.points, "map")
-    assert build == _reference_map(fresh, phi.points)[1] > 0
+    projection = _build_ops(preset("hermitian"), phi.points)
+    assert projection == reference.column_insertion(phi, code.b_list)[2] > 0
     counts = []
     for _ in range(4):
         info = Word(f, 2, {p: rng.randrange(-1, f.q - 1)
@@ -1533,7 +1547,7 @@ def test_warm_systematic_encode_leaves_out_the_build(rng):
         before = f.op_count
         systematic_encode(info, phi, code)
         counts.append(f.op_count - before)
-    assert counts[0] - projection - build == counts[1] == counts[2] == counts[3]
+    assert counts[0] - projection == counts[1] == counts[2] == counts[3]
 
 
 def _herm16_phi(code):
@@ -1547,31 +1561,31 @@ def _herm16_phi(code):
 
 
 # (systematic encode, Phi-erasure decode_word) twice on the test's
-# information word: every encode reads Phi's
-# map, which the first builds with Phi's erasure projection; every decode
-# takes its values off that projection and builds nothing
+# information word: every encode reads the tail rows of Phi's erasure
+# projection, which the first builds; every decode takes its values off
+# that projection and builds nothing
 SHARED_FAMILY_COUNTS = {
-    "hermitian": (2203, 1780, 1377, 1780),
-    "hcrs": (22414, 10847, 8900, 10847),
-    "herm16": (11444, 6430, 5250, 6430),
+    "hermitian": (1909, 1780, 1377, 1780),
+    "hcrs": (15298, 10847, 8900, 10847),
+    "herm16": (8422, 6430, 5250, 6430),
 }
 
 
 @pytest.mark.parametrize("name", ["hermitian", "hcrs", "herm16"])
 def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, monkeypatch):
-    # systematic encoding on Phi reads one stored map, which the first
-    # encode builds from Phi's erasure projection; the erasure decoding of
-    # Phi takes its values off the same projection.  Neither builds a
-    # basis or a recurrence family, and the values are the lemma's path
-    # by Phi's family (systematic_basis): on hcrs's golden Phi, whose
-    # delta set leaves B, the check-set family
+    # systematic encoding on Phi reads the tail rows of Phi's one stored
+    # erasure projection, which the first encode builds; the erasure
+    # decoding of Phi takes its values off the same projection.  Neither
+    # builds a basis or a recurrence family, and the values are the
+    # lemma's path by Phi's family (systematic_basis): on hcrs's golden
+    # Phi, whose delta set leaves B, the check-set family
     make = (lambda: code_from_config(HERM16)) if name == "herm16" else (lambda: preset(name))
     code = make()
     f = code.field
     # herm16's Phi is drawn on another code, whose store its search fills
     phi = (_herm16_phi(make()) if name == "herm16" else
            PointSet(f, 2, HERM_SYS_PHI if name == "hermitian" else HCRS_SYS_PHI))
-    builds, maps_built = [], []
+    builds, entries_built = [], []
 
     def spy(module, fn, record):
         real = getattr(module, fn)
@@ -1580,7 +1594,7 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
     spy(ideal, "vanishing_gb", lambda args: builds.append("vanishing_gb"))
     spy(ideal, "check_set_basis", lambda args: builds.append("check_set_basis"))
     spy(decoder, "lemma_family", lambda args: builds.append("lemma_family"))
-    spy(codes.PointSetEntry, "_map", lambda args: maps_built.append(args[0]))
+    spy(codes.PointSetEntry, "__init__", lambda args: entries_built.append(args[2]))
     info = Word(f, 2, {p: rng.randrange(-1, f.q - 1) for p in code.psi.points if p not in phi})
     counts = []
     for _ in range(2):
@@ -1591,16 +1605,14 @@ def test_systematic_encoding_and_erasure_decoding_share_one_family(name, rng, mo
         res = decode_word(r, phi, code)
         counts += [middle - before, f.op_count - middle]
         assert res.codeword.values == cw.values
-    assert not builds and len(maps_built) == 1
+    assert not builds and entries_built == [tuple(sorted(code.point_row[p] for p in phi.points))]
     assert tuple(counts) == SHARED_FAMILY_COUNTS[name]
     assert systematic_basis(phi, code).delta.members == code.b_members
     assert builds == ["lemma_family", "vanishing_gb"] + ["check_set_basis"] * (name == "hcrs")
     lemma = _lemma_values(code, phi.points, syndrome(info, code.b_list))
     assert lemma == {p: f.neg(cw.values[p]) for p in phi.points}
-    # the first encode builds Phi's erasure projection and its map
-    fresh = make()
-    assert counts[0] - counts[2] == (_build_ops(fresh, phi.points, "projection")
-                                     + _build_ops(fresh, phi.points, "map"))
+    # the first encode builds Phi's store entry, its erasure projection
+    assert counts[0] - counts[2] == _build_ops(make(), phi.points)
     assert counts[1] == counts[3]
 
 
@@ -1653,8 +1665,8 @@ def test_erasure_decoding_gives_the_lemma_values_on_every_independent_set():
             assert res.codeword.values == word.values
             lemma = _lemma_values(code, phi1.points, syndrome(r, code.b_list))
             assert {p: res.error.values[p] for p in phi1.points} == lemma
-            entry = code.point_set(phi1.points)
-            assert set(entry._members) == {"projection"}
+            entry, built = code.point_set(phi1.points)
+            assert not built and set(vars(entry)) == ENTRY_FIELDS
             seen.add((_family_kind(code, phi1.points), k < len(code.b_list)))
 
     check()
@@ -1668,8 +1680,8 @@ def _rank_deficient_sets(code, rnd):
     while True:
         size = rnd.randrange(code.d_fr, len(code.b_list) + 1)
         phi1 = code.psi.subset(rnd.sample(code.psi.points, size))
-        entry = code.point_set(phi1.points)
-        if len(entry.get("projection")[0].pivots) < size:
+        entry = code.point_set(phi1.points)[0]
+        if len(entry.projection.pivots) < size:
             yield phi1, entry
 
 
@@ -1678,7 +1690,8 @@ def test_dependent_check_columns_are_refused(name, rng):
     # seeded erasure sets beyond the radius whose check columns are
     # dependent have no map and no error values: both decoders refuse
     # them with the check-set message, systematic encoding on |B| such
-    # points with "Phi not generic", and the failed builds keep nothing.
+    # points with "Phi not generic" and the rank of the columns, and the
+    # entries keep nothing but the projection.
     # With an error off the set too (t_max raised to d_fr), the located
     # set holds the dependent columns: wherever the locator returns, it
     # gives no values and both decoders refuse with the same message
@@ -1696,12 +1709,12 @@ def test_dependent_check_columns_are_refused(name, rng):
                 decode(r, phi1, code)
         if size == len(code.b_list):
             info = Word(f, 2, {p: v for p, v in cw.values.items() if p not in phi1})
-            with pytest.raises(SystematicSupportError, match="^Phi not generic"):
+            with pytest.raises(SystematicSupportError, match=(
+                    "^Phi not generic: the check columns of the %d points have rank %d$"
+                    % (size, len(entry.projection.pivots)))):
                 systematic_encode(info, phi1, code)
             assert not check_systematic_support(phi1, code)
-        assert "map" not in entry._members
-        with pytest.raises(IdealError, match="rank %d$" % len(entry.get("projection")[0].pivots)):
-            entry.get("map")
+        assert set(vars(entry)) == ENTRY_FIELDS
         refused.add(size == len(code.b_list))
     with_errors = 0
     while with_errors < 3:
@@ -1808,18 +1821,16 @@ def test_round_trips_at_n3(name):
 
 def _assert_map_is_the_lemma(code, points, rnd):
     """On a set of the code's points with independent check columns: the
-    set's map is the scalar oracle's matrix with its count, map . E_B = I
+    set's map, minus the tail rows of its erasure projection, is the
+    scalar oracle's matrix, with its count the unit vectors', map . E_B = I
     for E_B[b, p] = p^b, and on the syndromes of random words on the
     points it gives the words, as the lemma's path (the extension by the
     set's family over A, then the IDFT at the points) does.  Returns the
     family's kind."""
-    f, entry = code.field, code.point_set(points)
+    f, entry = code.field, code.point_set(points)[0]
     want, ops = _reference_map(code, points)
-    fresh = codes.PointSetEntry(code, entry.rows)
-    fresh.get("projection")
-    before = f.op_count
-    matrix = fresh.get("map")[0]
-    assert f.op_count - before == ops
+    matrix = f.np_neg(entry.projection.tails)
+    assert int(entry.projection.unit_ops.sum()) == ops
     assert matrix.shape == (len(points), len(code.b_list)) and f.np_codes(matrix) == sum(want, [])
     e_b = power_matrix(f, index_array(code.b_list, code.ndim), entry.points.array)
     eye = f.np_exponents(np.eye(len(points), dtype=np.intp) - 1)
@@ -1867,7 +1878,7 @@ def test_compiled_map_is_the_lemma_on_random_codes():
         code, phi, _ = case
         rnd = random.Random(len(phi))
         for k in range(1, len(phi) + 1):
-            if len(code.point_set(phi.points[:k]).get("projection")[0].pivots) == k:
+            if len(code.point_set(phi.points[:k])[0].projection.pivots) == k:
                 kinds.add(_assert_map_is_the_lemma(code, phi.points[:k], rnd))
 
     check()

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from avcodes.gf import DENSE_Q, Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder, dominates, semigroup_add
-from avcodes.transform import Spectrum, index_space, dft, dft_partial, Word, omega_space
+from avcodes.transform import (Spectrum, index_space, dft, dft_partial, Word, omega_space,
+                               power_matrix)
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form, SumForms,
                            extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
                            _extension_array, _extension_plan, _level_leads,
@@ -389,6 +390,13 @@ def test_normal_form_properties(case, data):
     assert all(poly.eval(p) == nf.eval(p) for p in pts)
 
 
+def _delta_evals(gb, psi):
+    """E_D of a point set: the exponent matrix of its basis's delta
+    monomials, in increasing order, at its points."""
+    return power_matrix(gb.field, index_array(gb.delta.sorted(gb.order), gb.ndim),
+                        index_array(psi.points, gb.ndim))
+
+
 def _assert_sum_forms_match_elimination(forms, gb, psi):
     # the form and lead of every pair of delta monomials, as division on
     # the basis gives them, equal the elimination's of the pair's sum
@@ -413,12 +421,23 @@ def test_sum_forms_match_elimination(name):
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
+def test_sum_forms_share_the_code_e_d(name):
+    # a code keeps one E_D: its normal forms read the code's d_rows, over
+    # the same delta order, and d_rows is the matrix of the delta
+    # monomials at the points
+    code = code_from_config(HERM16) if name == "herm16" else preset(name)
+    assert code.sum_forms.evals is code.d_rows
+    assert code.sum_forms.delta == list(code.d_sorted)
+    assert (code.d_rows == _delta_evals(code.gb, code.psi)).all()
+
+
+@pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
 def test_sum_forms_grow_amortized(name):
     # grown one monomial at a time, the memo is reallocated a logarithmic
     # number of times (capacity doubling, not a copy per growth), and its
     # entries stay the elimination's
     code = code_from_config(HERM16) if name == "herm16" else preset(name)
-    forms = SumForms(code.gb, code.psi)
+    forms = SumForms(code.gb, _delta_evals(code.gb, code.psi))
     capacities = set()
     for m in range(1, code.n + 1):
         forms.block(m)
@@ -433,7 +452,7 @@ def test_sum_forms_grow_amortized(name):
 def test_sum_forms_match_elimination_on_random_codes(case):
     pts, order = case
     gb, _ = vanishing_gb(pts, order)
-    _assert_sum_forms_match_elimination(SumForms(gb, pts), gb, pts)
+    _assert_sum_forms_match_elimination(SumForms(gb, _delta_evals(gb, pts)), gb, pts)
 
 
 def _extend_ops(seed, gb, target, fn=extend):
