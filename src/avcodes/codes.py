@@ -3,9 +3,10 @@ non-systematic encoding, syndromes, membership.
 
 Only check sets of the shape U = V_B for B a subset of the delta set are
 supported; the dual code is the image of V_{D\\B} under the canonical
-isomorphism.  The transforms of a word on B and on D read exponent rows
-the code precomputes (``CodeSpec.transform``), and the check columns of a
-set of points are kept with their reduction compiled, one object per set
+isomorphism.  The transforms of a word on B and on D, membership
+included, are one product with exponent rows the code precomputes
+(``CodeSpec.transform_at``), and the check columns of a set of points
+are kept with their reduction compiled, one object per set
 (``PointSetEntry``), whose tail rows are minus the set's systematic map.
 On a fixed code the canonical map is one n x k matrix G, compiled once
 per code definition (field, order, points, B) by one elimination, read
@@ -84,8 +85,9 @@ class CodeSpec:
     ``d_check`` marks the entries of ``d_sorted`` in B and ``d_info``
     holds the others, D \\ B.  The exponent rows of the transform on B
     (``columns``, one row per point) and on D (``d_rows``, built on first
-    use) are precomputed, so the decoders and systematic encoding
-    transform their exponent arrays by one product (``transform_at``).
+    use) are precomputed, so the decoders, systematic encoding and
+    ``is_dual_codeword`` transform their exponent arrays by one product
+    (``transform_at``).
     What they precompute per set of the code's points is kept in a
     bounded store (``point_set``)."""
 
@@ -155,38 +157,22 @@ class CodeSpec:
     def d_rows(self):
         """E_D, the read-only n x n exponent matrix of p^d: rows the indices
         d of ``d_sorted``, columns the code's points.  Built on first use,
-        by ``transform_at`` onto D or by ``sum_forms``, which shares it;
+        by ``transform_at`` onto D or by the locator (decoder._Staircase),
+        which reads its erasure rows and its candidates' values off it;
         not op-counted, as ``columns`` is not."""
         e = power_matrix(self.field, index_array(self.d_sorted, self.ndim),
                          index_array(self.psi.points, self.ndim))
         e.flags.writeable = False
         return e
 
-    def transform(self, c, onto, what="dft input"):
-        """The proper transform of the word c, over the code's field and on
-        any subset of its points, on B (``onto`` "B", in ``b_list`` order)
-        or on D ("D", in ``d_sorted`` order): the Spectrum, the FieldError
-        naming ``what`` and the op count of dft_partial(c, indices, what),
-        read off the precomputed exponent rows by ``transform_at``.  A word
-        with a point outside the code goes to dft_partial."""
-        if onto not in ("B", "D"):
-            raise ValueError("onto must be 'B' or 'D', not %r" % (onto,))
-        indices = self.b_list if onto == "B" else self.d_sorted
-        try:
-            at = [self.point_row[p] for p in c.values]
-        except KeyError:
-            return dft_partial(c, indices, what)
-        out = self.transform_at(at, _element_array(c, list(c.values.values()), what), onto)
-        return Spectrum(self.field, self.ndim, dict(zip(indices, self.field.np_codes(out))))
-
     def transform_at(self, at, x, onto):
         """The transform on B or D (``onto``) of the word with exponents x at
         the point rows ``at``, as an exponent array in ``b_list`` or
         ``d_sorted`` order: the exponent rows of the indices (``columns.T``
         for B, ``d_rows`` for D) at those points times x, counting
-        dft_partial's |indices| |points| (2N + 1).  The array core of
-        ``transform``, which the decoders and systematic encoding call on
-        arrays they hold; neither input is checked."""
+        dft_partial's |indices| |points| (2N + 1).  The code's one
+        transform path: its callers hold the points as rows and the values
+        as exponents, checked; it checks neither."""
         f = self.field
         rows = self.columns.T if onto == "B" else self.d_rows
         f.op_count += len(rows) * len(x) * (2 * self.ndim + 1)
@@ -199,19 +185,17 @@ class CodeSpec:
     @cached_property
     def sum_forms(self):
         """The normal forms of the delta-set products (ideal.SumForms), by
-        division on the code's basis, over the code's E_D (``d_rows``)."""
-        return SumForms(self.gb, self.d_rows)
+        division on the code's basis."""
+        return SumForms(self.gb)
 
     @cached_property
     def feng_rao(self):
         """The Feng-Rao bound of the dual code, computed on first use: the
         least number of well-behaving pairs (ideal.SumForms.block) at an
         index of the delta set outside B; n + 1 when B is all of it."""
-        forms = self.sum_forms
-        _, lead, _, good = forms.block(self.n)
-        counts = np.bincount(lead[good], minlength=self.n)
-        outside = [forms.position[d] for d in forms.delta if d not in self.b_members]
-        return int(counts[outside].min()) if outside else self.n + 1
+        _, lead, _, good = self.sum_forms.block(self.n)
+        outside = np.bincount(lead[good], minlength=self.n)[~self.d_check]
+        return int(outside.min()) if outside.size else self.n + 1
 
     def info_support(self):
         """D \\ B in increasing monomial order."""
@@ -319,9 +303,19 @@ def syndrome(r, b_set):
 
 
 def is_dual_codeword(c, code):
+    """Whether the word c, zero where it has no value, is a codeword of
+    the dual code: every point of c is a code point and its syndrome on
+    B (``CodeSpec.transform_at``) is zero.  CodeConfigError for a word
+    over another field and FieldError, naming the position, at a value
+    that is no element code, both before any work; a word with a point off
+    the code is no codeword, and no syndrome is counted for it."""
     check_field(c, code.field, "word", "code", CodeConfigError)
-    s = code.transform(c, "B")
-    return all(v == ZERO for v in s.values.values())
+    x = _element_array(c, list(c.values.values()), "dft input")
+    try:
+        at = [code.point_row[p] for p in c.values]
+    except KeyError:
+        return False
+    return not (code.transform_at(at, x, "B") != code.field.np_arith().zero).any()
 
 
 # -- configuration ----------------------------------------------------------

@@ -36,10 +36,11 @@ voting, the erasures entering through erasure rows (Sakata, Leonard,
 Jensen and Hoeholdt 1998).  A syndrome projected to zero off the columns
 of Phi1 locates Phi1 alone.  Otherwise the known staircase of the
 syndrome matrix M[g, b] = sum_p e_p R_g(p) p^b is eliminated: rows
-R_g = x^g + tail vanishing on Phi1 for g in the delta set outside
-Delta(Phi1), columns b in the delta set, entries through the normal forms
-of x^(g+b) (ideal.SumForms), known while every pair of the box leads below
-eta, the first unknown syndrome; more than t_max pivots is undecodable.
+R_g = x^g + tail vanishing on Phi1 (eliminated on the code's E_D,
+codes.CodeSpec.d_rows) for g in the delta set outside Delta(Phi1),
+columns b in the delta set, entries through the normal forms of x^(g+b)
+(ideal.SumForms), known while every pair of the box leads below eta,
+the first unknown syndrome; more than t_max pivots is undecodable.
 The common zeros Z off Phi1 of the pivot-free rows covering every pivot
 column are accepted when |Z| is the pivot count and the syndrome lies in
 the span of the columns of Phi1 and Z.  Otherwise the well-behaving pairs
@@ -152,8 +153,9 @@ def _dots(ar, x):
 
 
 class _Staircase:
-    """Feng-Rao majority voting for one locate call, over delta indices
-    in increasing order.  ``poly[i]`` is row i reduced by the pivot rows
+    """Feng-Rao majority voting for one locate call, over the delta
+    indices of ``code.d_sorted``, whose values at the points are the rows
+    of ``code.d_rows``.  ``poly[i]`` is row i reduced by the pivot rows
     above it, a polynomial over the delta monomials (at first R_g);
     ``red`` holds its known entries (the two side by side in ``both``),
     ``u`` the syndrome sum of each normal form of ``code.sum_forms``."""
@@ -166,8 +168,7 @@ class _Staircase:
         zero = self.ar.zero
         self.sval = np.full(n, zero, dtype=np.intp)
         self.known = np.zeros(n, dtype=bool)
-        at = [self.forms.position[b] for b in code.b_list]
-        self.sval[at], self.known[at] = target, True
+        self.sval[code.d_check], self.known[code.d_check] = target, True
         self.both = np.full((n, 2 * n), zero, dtype=np.intp)
         self.red, self.poly = self.both[:, :n], self.both[:, n:]
         np.fill_diagonal(self.poly, 0)
@@ -176,7 +177,7 @@ class _Staircase:
             # R_g = x^g + tail vanishes on Phi1: one insertion of the delta
             # monomials' values on Phi1 until the footprint is complete,
             # the rest reduced in one batch
-            evals = self.forms.evals[:, phi1_rows]
+            evals = code.d_rows[:, phi1_rows]
             ne = len(phi1_rows)
             elim = Eliminator(f, ne)
             done, ops = elim.insert(evals, range(n), lambda row, tail: np.full(
@@ -281,7 +282,7 @@ class _Staircase:
             return None
         self.tried = key
         # the first polynomial on every point off Phi1, the others on its zeros
-        poly, evals = self.poly[cand, :m], self.forms.evals[:m]
+        poly, evals = self.poly[cand, :m], code.d_rows[:m]
         z = self.off[f.np_dot(poly[0], evals[:, self.off].T) == zero]
         ops = _dots(self.ar, poly[:1]) * len(self.off) + _dots(self.ar, poly[1:]) * len(z)
         if len(cand) > 1 and z.size:
@@ -313,7 +314,7 @@ class _Staircase:
         good[:, [col for col, _, _ in self.pivots]] = False
         ii, jj = np.nonzero(good)
         if not ii.size:
-            raise UndecodableError("no pair votes at %s" % (self.forms.delta[eta],))
+            raise UndecodableError("no pair votes at %s" % (self.code.d_sorted[eta],))
         forms = self.forms.forms[self.slots[ii, jj]]
         # each entry with the syndrome at eta left out, then reduced
         sums = self.sums[:, jj].copy()

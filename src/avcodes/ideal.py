@@ -594,15 +594,12 @@ class SumForms:
     for the pairs asked for: the coefficient exponents over the delta set
     of normal_form(x^sum, gb), by division on the code's basis ``gb``, and
     the lead position (-1 for zero).  Not op-counted: they belong to the
-    code, like its evaluation columns.  ``evals`` is the exponent matrix
-    given, evals[k, p] the k-th delta monomial at the p-th point: the
-    code's E_D (codes.CodeSpec.d_rows), kept, not copied."""
+    code, like its evaluation columns."""
 
-    def __init__(self, gb, evals):
+    def __init__(self, gb):
         self.gb = gb
         self.delta = gb.delta.sorted(gb.order)
         self.position = {d: k for k, d in enumerate(self.delta)}
-        self.evals = evals
         # the forms and leads filled so far: views of buffers that double
         # when they fill up
         self._buf = (np.empty((0, len(self.delta)), dtype=np.intp), np.empty(0, dtype=np.intp))

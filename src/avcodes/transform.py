@@ -11,8 +11,9 @@ fiber at once, blocked so that a temporary stays near BLOCK elements;
 one |indices| x |points| product over the matrix of exponents of
 omega^a, which it builds on every call (``power_matrix``): the general
 path, for any indices and points, and the oracle of
-codes.CodeSpec.transform, which reads the rows of a code's B and D
-precomputed and gives the same spectrum at the same count.
+codes.CodeSpec.transform_at, which reads the rows of a code's B and D
+precomputed and gives the same spectrum at the same count on the code's
+points.
 ``idft_flat`` is the fast IDFT that ``idft_fast`` wraps, on flat
 exponent arrays.  The kernels count analytically: each adds, in one
 addition to ``Field.op_count``, the field operations the scalar loop

@@ -27,10 +27,10 @@ oracle of the voting locator.  ``sum_forms`` computes normal forms of monomials 
 eliminating evaluation vectors, the oracle of ``ideal.SumForms``, which
 divides on the basis.  ``decode_info``, ``decode_word`` and
 ``systematic_encode`` are the decoders and systematic encoding on
-Spectrum and Word dicts, every transform from the public
-``CodeSpec.transform`` and every subtraction and negation one Field
-call: the oracle of the library's exponent-array paths, words, per-step
-counts and errors.  The direct formulas (``transform.dft``,
+Spectrum and Word dicts, every transform ``dft_partial``'s on the word
+rebuilt over the code's field (``code_transform``) and every subtraction
+and negation one Field call: the oracle of the library's exponent-array
+paths, words, per-step counts and errors.  The direct formulas (``transform.dft``,
 ``transform.idft``) stay in the library as the transform oracle;
 ``dft(c, indices)`` is the reference of ``dft_partial``.
 """
@@ -583,18 +583,26 @@ def sum_forms(gb, psi, keys):
 
 # -- the dict paths of the decoders and systematic encoding ----------------
 
+def code_transform(c, code, onto, what="dft input"):
+    """The transform of the word c on B (``onto`` "B", in ``b_list``
+    order) or D ("D", in ``d_sorted`` order) by ``dft_partial``, with c
+    rebuilt over the code's field: ``dft_partial`` counts on its word's
+    field, and a word may come from another code over an equal field."""
+    indices = code.b_list if onto == "B" else code.d_sorted
+    return dft_partial(Word(code.field, c.ndim, c.values), indices, what)
+
+
 def _decode_head(r, phi1, code, t_max, kind, onto):
     """``avcodes.decoder``'s decode head on Spectrum and Word dicts: the
-    received word's transform from the public ``CodeSpec.transform``,
-    handed whole to ``decoder.locate``, and the error word on the located
-    set.  Returns (meter, report, transform, located set, error word)."""
+    received word's transform by ``code_transform``, handed whole to
+    ``decoder.locate``, and the error word on the located set.  Returns (meter, report, transform, located set, error word)."""
     f = code.field
     check_field(r, f, "received word", "code", UndecodableError)
     check_field(phi1, f, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):
         raise UndecodableError("received word is not indexed by the code's point set")
     meter = decoder._Meter(f)
-    rt = code.transform(r, onto, "received word")
+    rt = code_transform(r, code, onto, "received word")
     if len(phi1) == len(code.psi) and set(phi1.points) == set(code.psi.points):
         raise UndecodableError("every position erased, no information positions")
     meter.lap("transform")
@@ -625,7 +633,7 @@ def decode_info(r, phi1, code, t_max=None):
     f = code.field
     meter, report, rtilde, located, e_loc = _decode_head(r, phi1, code, t_max, "decode_info",
                                                          "D")
-    k = code.transform(e_loc, "D").values
+    k = code_transform(e_loc, code, "D").values
     meter.lap("spectrum")
     out = {d: f.sub(rtilde.values[d], k[d]) for d in code.d_sorted}
     meter.lap("subtract")
@@ -646,7 +654,7 @@ def decode_word(r, phi1, code, t_max=None):
     e = Word(f, code.ndim, {p: e_loc.values.get(p, ZERO) for p in code.psi.points})
     c = Word(f, code.ndim, {p: f.sub(r.values[p], e.values[p]) for p in code.psi.points})
     meter.lap("subtract")
-    if code.transform(e_loc, "B").values != rt.values:
+    if code_transform(e_loc, code, "B").values != rt.values:
         raise UndecodableError("decoded word fails the check set")
     meter.lap("check")
     return decoder.DecodeResult(codeword=c, error=e, located=located, report=report)
@@ -668,11 +676,11 @@ def systematic_encode(info, phi, code):
         raise SystematicSupportError("Phi not generic: the check columns of the %d points "
                                      "have rank %d" % (len(phi), len(tails)))
     matrix = f.np_neg(tails)
-    seed = code.transform(info, "B", "information word")
+    seed = code_transform(info, code, "B", "information word")
     x = f.np_exponents(np.array([seed.values[b] for b in code.b_list], dtype=np.intp))
     f.op_count += len(matrix) * (2 * len(code.b_list) - 1)
     w = Word(f, code.ndim, dict(zip(entry.points.points, f.np_codes(f.np_dot(matrix, x)))))
-    if code.transform(w, "B").values != seed.values:
+    if code_transform(w, code, "B").values != seed.values:
         raise SystematicSupportError("systematic output fails the check set")
     out = dict(info.values)
     for p in phi.points:

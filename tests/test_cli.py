@@ -4,8 +4,9 @@ import time
 
 from avcodes.cli import main, EXIT_OK, EXIT_UNDECODABLE, EXIT_CONFIG, EXIT_IO
 from avcodes.codes import preset, PRESET_CONFIGS, encode_nonsystematic
-from avcodes.transform import Spectrum, spectrum_lines
+from avcodes.transform import Spectrum, spectrum_lines, word_lines
 from avcodes.golden import RS_OMEGA_WORD, RS_SEED, RS_EXTENSION
+from test_codes import off_curve_codeword
 
 
 F8_FLAGS = ["--p", "2", "--m", "3", "--poly", "1,1,0,1", "--ndim", "1"]
@@ -140,6 +141,16 @@ def test_check_non_codeword(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text(" ".join(["0"] * 26 + ["1"]) + "\n")
     rc, out, _ = run(capsys, "check", "--preset", "hermitian", str(bad))
+    assert rc == EXIT_UNDECODABLE
+    assert out.strip() == "not a codeword"
+
+
+def test_check_word_off_the_code(tmp_path, capsys):
+    # a word with points off the Hermitian curve is no codeword of it,
+    # though its syndrome over all of its points is zero
+    grid = tmp_path / "grid.txt"
+    grid.write_text("\n".join(word_lines(off_curve_codeword())) + "\n")
+    rc, out, _ = run(capsys, "check", "--preset", "hermitian", str(grid))
     assert rc == EXIT_UNDECODABLE
     assert out.strip() == "not a codeword"
 

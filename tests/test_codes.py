@@ -81,6 +81,9 @@ def test_feng_rao_bound(name):
     assert located.points == code.psi.points[-1:]
     assert "sum_forms" in vars(code) and "feng_rao" not in vars(code)
     assert code.feng_rao == bound == code.d_fr
+    # the bound reads the normal forms alone: a fresh code builds no E_D
+    fresh = code_from_config(cfg, name=name)
+    assert fresh.feng_rao == bound and "d_rows" not in vars(fresh)
 
 
 def test_hermitian_b_chain(hermitian):
@@ -143,6 +146,30 @@ def test_encoded_words_orthogonal_to_check_monomials(hermitian, rng):
     for b in hermitian.b_list:
         gen = evaluate(Spectrum(f, 2, {b: ONE}), hermitian.psi)
         assert inner(f, [cw.values[p] for p in pts], [gen.values[p] for p in pts]) == ZERO
+
+
+def off_curve_codeword():
+    """A codeword on all 81 points of GF(9)^2 of the code with hermitian's
+    check indices and grid points: its syndrome on B over the grid is
+    zero, yet it has nonzero values off the Hermitian curve."""
+    cfg = dict(PRESET_CONFIGS["hcrs"], B=[list(b) for b in preset("hermitian").b_list], d_fr=1)
+    grid, rnd = code_from_config(cfg), random.Random(0)
+    h = Spectrum(grid.field, 2, {d: rnd.randrange(-1, 8) for d in grid.info_support()})
+    return encode_nonsystematic(h, grid)
+
+
+def test_words_off_the_code_are_no_codewords(hermitian):
+    # a word with a point off the code is no codeword, whatever its
+    # syndrome over its own points: here zero for the grid codeword, and
+    # for a zero word on off-curve points; neither is transformed
+    f, word = hermitian.field, off_curve_codeword()
+    off = [p for p in word.values if p not in hermitian.psi]
+    assert len(word.values) == 81 and any(word.values[p] != ZERO for p in off)
+    assert all(v == ZERO for v in syndrome(word, hermitian.b_list).values.values())
+    before = f.op_count
+    assert not is_dual_codeword(word, hermitian)
+    assert not is_dual_codeword(Word(f, 2, dict.fromkeys(off[:10], ZERO)), hermitian)
+    assert f.op_count == before
 
 
 def test_non_codeword_detected(rs_like, rng):

@@ -19,7 +19,8 @@ from avcodes import codes, decoder, ideal, maps
 from avcodes.gf import Field, FieldError, ZERO, ONE
 from avcodes.mindex import MonomialOrder
 from avcodes.ideal import IdealError, index_array, lemma_family, vanishing_gb, _extension_array
-from avcodes.transform import Spectrum, Word, dft_partial, point_power, omega_space, power_matrix
+from avcodes.transform import (Spectrum, Word, dft_partial, point_power, omega_space,
+                               power_matrix, _element_array)
 from avcodes.maps import PointSet
 from avcodes.codes import (CodeSpec, POINT_SET_CACHE_SIZE, encode_nonsystematic,
                            is_dual_codeword, syndrome, code_from_config, preset)
@@ -1247,7 +1248,7 @@ def test_first_locates_on_one_erasure_set_from_threads_agree():
                 r = Word(f, 2, {p: ZERO if p in phi1 else v for p, v in cw.values.items()})
                 p = rnd.choice([p for p in pts if p not in phi1])
                 r.values[p] = f.add(r.values[p], rnd.randrange(f.q - 1))
-                synds.append(solo.transform(r, "B"))
+                synds.append(syndrome(r, solo.b_list))
             want = [locate(s, phi1, solo) for s in synds]
             fresh, got = code_from_config(config), [None] * len(synds)
             start = threading.Barrier(len(synds), timeout=30)
@@ -1290,48 +1291,46 @@ def _transform_words(code, rng):
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
 def test_code_transform_equals_dft_partial(name):
-    # CodeSpec.transform reads the precomputed rows of B or D and gives
-    # dft_partial's spectrum, in the same key order, at the same count; a
-    # word with a point off the code goes to dft_partial
+    # CodeSpec.transform_at on a word's point rows and its values as
+    # exponents (_element_array) reads the precomputed rows of B or D and
+    # gives dft_partial's spectrum, in the same key order, at the same count
     code = code_from_config(HERM16 if name == "herm16" else codes.PRESET_CONFIGS[name])
     f, rng = code.field, random.Random(name)
     assert code.d_sorted == tuple(code.delta.sorted(code.order))
     assert code.info_support() == [d for d in code.d_sorted if d not in code.b_members]
     assert code.d_rows.shape == (code.n, code.n) and not code.d_rows.flags.writeable
-    off = [p for p in omega_space(f, code.ndim) if p not in code.psi]
     words = _transform_words(code, rng)
-    if off:
-        words.append(Word(f, code.ndim, dict(words[0].values) | {off[0]: 3}))
     for onto, indices in (("B", code.b_list), ("D", code.d_sorted)):
         for w in words:
             before = f.op_count
             want = dft_partial(w, indices)
             ops = f.op_count - before
-            got = code.transform(w, onto)
+            x = _element_array(w, list(w.values.values()), "dft input")
+            got = code.transform_at([code.point_row[p] for p in w.values], x, onto)
             assert f.op_count - before == 2 * ops
-            assert list(got.values.items()) == list(want.values.items())
+            assert list(zip(indices, f.np_codes(got))) == list(want.values.items())
             assert ops == len(indices) * len(w.values) * (2 * code.ndim + 1)
-    with pytest.raises(ValueError, match="onto"):
-        code.transform(words[0], "A")
 
 
 @pytest.mark.parametrize("what", ["received word", "information word", "dft input"])
 @pytest.mark.parametrize("bad", [9, -2, 1.5, True])
 def test_code_transform_field_errors_match_dft_partial(hermitian, what, bad):
-    # a value that is no element code raises dft_partial's FieldError,
-    # naming the word and the position, and counts nothing
+    # a value that is no element code raises, from _element_array before
+    # any transform, dft_partial's FieldError, naming the word and the
+    # position, and counts nothing
     f, rng = hermitian.field, random.Random(what)
     for w in _transform_words(hermitian, rng)[:2]:
         pos = list(w.values)[rng.randrange(len(w.values))]
         w.values[pos] = bad
         msg = r"^%s at \(%d, %d\): bad element code %s" % (what, *pos, re.escape(repr(bad)))
-        for onto, indices in (("B", hermitian.b_list), ("D", hermitian.d_sorted)):
+        before = f.op_count
+        with pytest.raises(FieldError, match=msg) as got:
+            _element_array(w, list(w.values.values()), what)
+        assert f.op_count == before
+        for indices in (hermitian.b_list, hermitian.d_sorted):
             with pytest.raises(FieldError, match=msg) as want:
                 dft_partial(w, indices, what)
-            before = f.op_count
-            with pytest.raises(FieldError, match=msg) as got:
-                hermitian.transform(w, onto, what)
-            assert str(got.value) == str(want.value) and f.op_count == before
+            assert str(got.value) == str(want.value)
 
 
 def _outcome(code, call, *args):

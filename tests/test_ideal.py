@@ -422,11 +422,11 @@ def test_sum_forms_match_elimination(name):
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
 def test_sum_forms_share_the_code_e_d(name):
-    # a code keeps one E_D: its normal forms read the code's d_rows, over
-    # the same delta order, and d_rows is the matrix of the delta
-    # monomials at the points
+    # a code keeps one E_D, its d_rows, the matrix of the delta monomials
+    # at the points, which the locator reads; its normal forms run over the
+    # same delta order and hold no E_D of their own
     code = code_from_config(HERM16) if name == "herm16" else preset(name)
-    assert code.sum_forms.evals is code.d_rows
+    assert not hasattr(code.sum_forms, "evals")
     assert code.sum_forms.delta == list(code.d_sorted)
     assert (code.d_rows == _delta_evals(code.gb, code.psi)).all()
 
@@ -437,7 +437,7 @@ def test_sum_forms_grow_amortized(name):
     # number of times (capacity doubling, not a copy per growth), and its
     # entries stay the elimination's
     code = code_from_config(HERM16) if name == "herm16" else preset(name)
-    forms = SumForms(code.gb, _delta_evals(code.gb, code.psi))
+    forms = SumForms(code.gb)
     capacities = set()
     for m in range(1, code.n + 1):
         forms.block(m)
@@ -452,7 +452,7 @@ def test_sum_forms_grow_amortized(name):
 def test_sum_forms_match_elimination_on_random_codes(case):
     pts, order = case
     gb, _ = vanishing_gb(pts, order)
-    _assert_sum_forms_match_elimination(SumForms(gb, _delta_evals(gb, pts)), gb, pts)
+    _assert_sum_forms_match_elimination(SumForms(gb), gb, pts)
 
 
 def _extend_ops(seed, gb, target, fn=extend):
