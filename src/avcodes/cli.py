@@ -178,7 +178,7 @@ def cmd_extend(args):
     if seed.domain() != set(delta.members):
         raise CliError("seed spectrum must be indexed exactly by the delta set "
                        "(%s)" % " ".join(format_index(d) for d in delta.sorted(order)))
-    out = extend(seed, gb, index_space(field, ndim))
+    out = extend(seed, gb)
     _emit(args, spectrum_lines(out))
     return EXIT_OK
 

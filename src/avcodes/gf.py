@@ -139,7 +139,9 @@ class Field:
     """
 
     def __init__(self, p, m, primitive_poly):
-        for name, value in (("p", p), ("m", m)):
+        poly = tuple(primitive_poly)
+        named = [("p", p), ("m", m)] + [("primitive_poly[%d]" % i, c) for i, c in enumerate(poly)]
+        for name, value in named:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise FieldError("%s = %r is not an integer" % (name, value))
         if m < 1:
@@ -149,7 +151,7 @@ class Field:
             raise FieldError("field size p^m exceeds the %d table limit" % MAX_Q)
         if not is_prime(p):
             raise FieldError("p = %d is not prime" % p)
-        poly = tuple(c % p for c in primitive_poly)
+        poly = tuple(c % p for c in poly)
         if len(poly) != m + 1:
             raise FieldError("primitive polynomial needs m+1 coefficients")
         if poly[m] != 1:

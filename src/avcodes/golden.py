@@ -7,7 +7,7 @@ import random
 
 from .gf import ZERO, Field
 from .mindex import MonomialOrder
-from .transform import Spectrum, Word, idft_kernel, index_space
+from .transform import Spectrum, Word, idft_fast, idft_kernel
 from .ideal import Polynomial, vanishing_gb, extend
 from .maps import PointSet, canonical_iso, evaluate, proper_transform
 from .codes import preset, syndrome, encode_nonsystematic
@@ -17,10 +17,6 @@ from .decoder import (decode_word, decode_info, systematic_encode, systematic_ba
 
 def f8():
     return Field(2, 3, (1, 1, 0, 1))
-
-
-def f9():
-    return Field(3, 2, (2, 1, 1))
 
 
 # q=8, N=1 worked example: Psi, its basis polynomial, a seed spectrum, its
@@ -168,11 +164,11 @@ def run_examples():
           gb.elements[0].text())
     check("rs/delta", delta.members == frozenset({(0,), (1,), (2,), (3,)}))
     seed = Spectrum(field, 1, dict(RS_SEED))
-    ext = extend(seed, gb, index_space(field, 1))
+    ext = extend(seed, gb)
     want_ext = dict(RS_SEED)
     want_ext.update(RS_EXTENSION)
     check("rs/extension", ext.values == want_ext)
-    word, omega = canonical_iso(seed, gb, psi, return_omega=True)
+    word, omega = canonical_iso(seed, gb, psi), idft_fast(ext)
     omega_seq = tuple(omega.values[(w,)] for w in [ZERO] + list(range(7)))
     check("rs/omega-word", omega_seq == RS_OMEGA_WORD, str(omega_seq))
     check("rs/restriction",
@@ -187,7 +183,7 @@ def run_examples():
             zip(DUAL_SEEDS, DUAL_EXTENSIONS, DUAL_CODEWORDS)):
         padded = {(a,): seed_terms.get((a,), ZERO) for a in range(4)}
         s = Spectrum(field, 1, padded)
-        got_ext = extend(s, gb, index_space(field, 1))
+        got_ext = extend(s, gb)
         full = dict(padded)
         full.update(ext_terms)
         check("dual-pair/extension-%d" % i, got_ext.values == full)
@@ -212,7 +208,7 @@ def run_examples():
     check("cross/delta",
           d_cross.members == frozenset((a1, a2) for a1 in range(8) for a2 in range(2)))
     seed_vals = {d: CROSS_SEED_KNOWN.get(d, ZERO) for d in d_cross.members}
-    ext_cross = extend(Spectrum(field, 2, seed_vals), gb_cross, [(2, 2)])
+    ext_cross = extend(Spectrum(field, 2, seed_vals), gb_cross)
     check("cross/h22", ext_cross.values[(2, 2)] == CROSS_H22,
           str(ext_cross.values[(2, 2)]))
 

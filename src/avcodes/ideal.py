@@ -34,28 +34,28 @@ finds and adds the x_i^q-carrying minimal generators; check_set_basis
 seeds it on a check set B.  ``lemma_family`` picks the one the lemma
 extends with on a point set (decoder.systematic_basis).
 
-The extension (``extend``) is split in two.  A plan, keyed on
-(q, N, order, leads, seed set, target, tails), each element's tail
-being its exact sorted tail exponents, and kept in a bounded cache of
-PLAN_CACHE_SIZE keys, lists over one flat integer slot per index of A
-the seed slots, the recurrences that set the other indices, every other
-admissible recurrence as a check, and the output slots.  Admissible
-recurrences agree, so worklist passes over A set each index by its
-shortest register whose references are known: the first in the order
-(tail terms, lead, element index).  A family whose tails precede its
-leads (every vanishing-ideal basis) settles in the first pass.  The
-recurrences that set values are grouped by dependency level, each level
-reading only seeds and earlier levels, and packed into integer arrays
-as the checks are.  Per call, one numpy product over the slots as an
-exponent array per level fills the slots from the seed values and the
-tail coefficients, and one more runs the checks, on every field.  Each
-recurrence is counted once: one mul and one add per tail term and one
-neg.  A plan costs no field operations, so the counts of a call do not
-depend on the cache.  ``extend`` zips the target's entries of that
-array into a dict; ``_extension_array`` hands it over all of A to the
-inverse transform in flat order.
+The extension (``extend``) is split in two.  A plan, built from a
+basis by its first extension and kept on it, lists over one flat integer
+slot per index of A the seed slots, the recurrences that set the other
+indices and every other admissible recurrence as a check, each reading
+its element at its exact sorted tail exponents.  Admissible recurrences
+agree, so worklist passes over A set each index by its shortest register
+whose references are known: the first in the order (tail terms, lead,
+element index).  A family whose tails precede its leads (every
+vanishing-ideal basis) settles in the first pass.  The recurrences that
+set values are grouped by dependency level, each level reading only
+seeds and earlier levels, and packed into integer arrays as the checks
+are; the tail coefficients are read into the plan with them.  Per call,
+one numpy product over the slots as an exponent array per level fills
+the slots from the seed values, and one more runs the checks, on every
+field.  Each recurrence is counted once: one mul and one add per tail
+term and one neg.  A plan costs no field operations, so the counts of a
+call do not depend on whether it built the plan.  ``_extension_array``
+hands the extension over all of A to the inverse transform in flat
+order; ``extend`` zips it into a dict.
 """
 
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -343,7 +343,10 @@ class DeltaSet:
 
 
 class ReducedGroebnerBasis:
-    """Basis {g^(w)}, each monic with tail supported on the delta set."""
+    """Basis {g^(w)}, each monic with tail supported on the delta set.
+    Its extension plan, coefficients included, is built by its first
+    extension (_extension_array) and kept, so a basis is read-only once
+    extended, and one that is never extended builds none."""
 
     def __init__(self, field, ndim, order, elements, leading, delta):
         self.field = field
@@ -357,6 +360,8 @@ class ReducedGroebnerBasis:
             [(e, c) for e, c in g.terms.items() if e != aw and c != ZERO]
             for g, aw in zip(self.elements, self.leading)
         ]
+        self._plan = None
+        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.elements)
@@ -537,8 +542,9 @@ def check_set_basis(points, b_set, order):
     q = f.q
     b_list = [tuple(b) for b in b_set]
     members = frozenset(b_list)
-    for b in members:
-        if len(b) != ndim or any(not 0 <= x < q for x in b):
+    for b in members:  # a bool component is read as its int, as dft_partial reads it
+        if len(b) != ndim or any(not isinstance(x, numbers.Integral) or not 0 <= x < q
+                                 for x in b):
             raise IdealError("check index %s outside A" % (b,))
     # tails use only the B columns independent of the earlier ones, so a
     # lead's solution is unique: the free-variables-zero one
@@ -651,32 +657,36 @@ class SumForms:
         self._block = (pairs, lead, box, lead > rest)
 
 
-# extension plans kept at once, one per key (see _extension_plan)
-PLAN_CACHE_SIZE = 256
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """The schedule of one extension over flat integer slots, one slot
-    per index of A in increasing order (``indices``, shared by every plan
-    of the same q, N and order), then a pad slot that holds zero.
+    """The extension of one basis over all of A, scheduled over flat
+    integer slots: one slot per index of A in increasing order
+    (``indices``, shared by every plan of the same q, N and order), then
+    a pad slot that holds zero.
 
     Recurrences are packed: one applies element ``elems[k]`` with the
     lead at slot ``slots[k, 0]`` and the coefficients at the slots that
     follow, padded with the pad slot.  ``levels`` packs the recurrences
     that set the values, one (elems, slots) pair per dependency level,
     each reading only seeds and slots of earlier levels; ``check_elems``
-    and ``check_slots`` pack the checks; ``uses[w]`` counts the
-    recurrences of element w, each once."""
+    and ``check_slots`` pack the checks.  The basis's coefficients are
+    read in with the schedule: row w of ``coeffs`` holds element w's
+    lead coefficient one, then its tail coefficients at its sorted tail
+    exponents, padded with zero, as exponents, and row w of ``minus``
+    minus its tail.  ``ops`` is the count of one run, each recurrence
+    counted once, and ``flat`` the slot of each index of A in the
+    kernels' flat order."""
 
+    field: object
     indices: tuple
     seeds: tuple  # (seed index, slot)
-    tails: tuple  # per basis element, its sorted tail exponents
     levels: tuple  # (elements, slots) per dependency level, in order
     check_elems: np.ndarray
     check_slots: np.ndarray
-    uses: tuple  # per element, the recurrences (swept and checked) it applies
-    output_slots: np.ndarray  # the slot of each target index
+    coeffs: np.ndarray
+    minus: np.ndarray
+    ops: int
+    flat: np.ndarray
 
 
 def _pack(recs, width, pad):
@@ -687,26 +697,24 @@ def _pack(recs, width, pad):
             np.array(slots, dtype=np.intp).reshape(len(recs), width))
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
+def _extension_plan(gb):
     """Build the plan of a basis over all of A; no field operations.
 
-    ``tails`` holds each element's sorted tail exponents.  Worklist passes
-    over A in increasing order set each index outside the seeds by the
-    first of its admissible recurrences whose references are known, in
-    the order (number of tail terms, lead, element index): the shortest
-    register.  A family whose tails precede its leads settles in the
-    first pass.  That choice fixes each index's dependency level: seeds
-    are at level 0, any other index at 1 + the highest level of its
+    Each element's tail is read at its sorted tail exponents.  Worklist
+    passes over A in increasing order set each index outside the seeds by
+    the first of its admissible recurrences whose references are known,
+    in the order (number of tail terms, lead, element index): the
+    shortest register.  A family whose tails precede its leads settles in
+    the first pass.  That choice fixes each index's dependency level:
+    seeds are at level 0, any other index at 1 + the highest level of its
     references.  Every other recurrence is a check; the checks are listed
     by index in increasing order and, at an index, in that order, so a
     corrupt basis fails at the first of them that disagrees."""
-    key = MonomialOrder(*order_spec).key
-    for t in target:
-        if len(t) != ndim or any(not 0 <= x < q for x in t):
-            raise IdealError("target index %s outside A" % (t,))
+    f, ndim, leads, key = gb.field, gb.ndim, gb.leading, gb.order.key
+    q, seeds = f.q, gb.delta.members
+    tails = [sorted(e for e, _ in tail) for tail in gb._tails]
     admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
-    space = _sorted_space(q, ndim, order_spec)
+    space = _sorted_space(q, ndim, (gb.order.kind, gb.order.weights))
     admissible.sort(key=lambda w: (len(tails[w]), key(leads[w]), w))
     slot = {a: s for s, a in enumerate(space)}
 
@@ -745,98 +753,86 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
     for a, rec in chosen.items():
         swept[level[slot[a]] - 1].append((slot[a],) + rec)
     checks = [(slot[a],) + rec for a, r in recs.items() for rec in r if rec is not chosen[a]]
-    check_elems, check_slots = _pack(checks, 1 + max(map(len, tails), default=0), len(space))
+    width = 1 + max(map(len, tails), default=0)
+    check_elems, check_slots = _pack(checks, width, len(space))
+    # lead coefficient one, then the tail, padded with zero
+    coeffs = f.np_exponents(np.array(
+        [[ONE] + [g.terms[d] for d in tail] + [ZERO] * (width - 1 - len(tail))
+         for g, tail in zip(gb.elements, tails)], dtype=np.intp))
     return _Plan(
+        field=f,
         indices=space,
         seeds=tuple((d, slot[d]) for d in seeds),
-        tails=tails,
         levels=tuple(_pack(recs_k, 1 + max(len(r[2]) for r in recs_k), len(space))
                      for recs_k in swept),
         check_elems=check_elems,
         check_slots=check_slots,
-        uses=tuple(np.bincount(np.array([w for r in recs.values() for w, _ in r], dtype=np.intp),
-                               minlength=len(leads)).tolist()),
-        output_slots=np.array([slot[t] for t in target], dtype=np.intp),
+        coeffs=coeffs,
+        minus=f.np_neg(coeffs[:, 1:]),  # h_lead = sum of -c_d h_d
+        ops=sum(2 * len(tails[w]) + 1 for r in recs.values() for w, _ in r),
+        flat=np.array([slot[a] for a in index_space(f, ndim)], dtype=np.intp),
     )
 
 
-def _run_plan(plan, gb, seed_values):
-    """Fill the plan's slots from the seed values and the tail
-    coefficients, one numpy product per dependency level, then run every
-    check as one more, over the slots as an exponent array, which is
-    returned (with the zero pad slot last).  The count is added once, as
-    the scalar recurrences the levels and the checks stand for: one mul
-    and one add per tail term and one neg per recurrence."""
-    f = gb.field
-    coeffs = [[g.terms[d] for d in tail] for g, tail in zip(gb.elements, plan.tails)]
-    f.op_count += sum(u * (2 * len(cw) + 1) for u, cw in zip(plan.uses, coeffs))
+def _run_plan(plan, seed_values):
+    """Fill the plan's slots from the seed values, one numpy product with
+    the tail coefficients per dependency level, then run every check as
+    one more, over the slots as an exponent array; returns the values of
+    A in flat order.  The count is added once, as the scalar recurrences
+    the levels and the checks stand for: one mul and one add per tail
+    term and one neg per recurrence."""
+    f = plan.field
+    f.op_count += plan.ops
     x = np.full(len(plan.indices) + 1, f.np_arith().zero, dtype=np.intp)
     x[[s for _, s in plan.seeds]] = f.np_exponents(
         np.array([seed_values[d] for d, _ in plan.seeds], dtype=np.intp))
-    # lead coefficient one, then the tail, padded with zero
-    width = plan.check_slots.shape[1]
-    cmat = f.np_exponents(np.array([[ONE] + cw + [ZERO] * (width - 1 - len(cw))
-                                    for cw in coeffs], dtype=np.intp))
-    minus = f.np_neg(cmat[:, 1:])  # h_lead = sum of -c_d h_d
     for elems, slots in plan.levels:
-        x[slots[:, 0]] = f.np_dot(minus[elems, :slots.shape[1] - 1], x[slots[:, 1:]])
+        x[slots[:, 0]] = f.np_dot(plan.minus[elems, :slots.shape[1] - 1], x[slots[:, 1:]])
     if len(plan.check_elems):
-        bad = f.np_dot(cmat[plan.check_elems], x[plan.check_slots]) != f.np_arith().zero
+        bad = f.np_dot(plan.coeffs[plan.check_elems], x[plan.check_slots]) != f.np_arith().zero
         if bad.any():
             s = plan.check_slots[bad.argmax(), 0]
             raise IdealError("inconsistent recurrences at %s (corrupt basis)"
                              % (plan.indices[s],))
-    return x
-
-
-def _extension_run(h, gb, target):
-    """Check the seed spectrum and run the plan of the basis for the
-    target (a tuple of index tuples); returns the values on the target as
-    an exponent array, empty for an empty target."""
-    check_field(h, gb.field, "seed spectrum", "basis", IdealError)
-    dset = gb.delta.members
-    if h.domain() != set(dset):
-        raise IdealError("seed spectrum domain does not match the basis seed set")
-    check_values(h, "seed spectrum")
-    if not target:
-        return np.empty(0, dtype=np.intp)
-    tails = tuple(tuple(sorted(e for e, _ in tail)) for tail in gb._tails)
-    plan = _extension_plan(gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights),
-                           tuple(gb.leading), dset, target, tails)
-    return _run_plan(plan, gb, h.values)[plan.output_slots]
+    return x[plan.flat]
 
 
 def _extension_array(h, gb):
-    """The extension of h over all of A as an exponent array in the flat
-    order of the transform kernels (first component fastest, as
-    index_space): the hand-off to the inverse transform, with no dict
-    built and no value checked again."""
-    return _extension_run(h, gb, index_space(gb.field, gb.ndim))
+    """Check the seed spectrum and run the plan of the basis, which its
+    first extension builds and keeps: the extension of h over all of A as
+    an exponent array in the flat order of the transform kernels (first
+    component fastest, as index_space), the hand-off to the inverse
+    transform, with no dict built and no value checked again."""
+    check_field(h, gb.field, "seed spectrum", "basis", IdealError)
+    if h.domain() != set(gb.delta.members):
+        raise IdealError("seed spectrum domain does not match the basis seed set")
+    check_values(h, "seed spectrum")
+    with gb._lock:
+        if gb._plan is None:
+            gb._plan = _extension_plan(gb)
+    return _run_plan(gb._plan, h.values)
 
 
-def extend(h, gb, target):
-    """LFSR prolongation of a seed spectrum along the basis recurrences.
+def extend(h, gb):
+    """LFSR prolongation of a seed spectrum along the basis recurrences,
+    over all of A.
 
     For a outside the seed set, every basis element whose leading index
     is dominated by a yields h_a = -sum_d g_d h_{(a - a_w) (+) d} with
     semigroup addition; all admissible elements are evaluated and must
-    agree.  The values are generated over all of A, each index set by
-    the shortest register (fewest tail terms, then smaller lead, then
-    smaller element index) whose references the plan's worklist passes
-    know, one dependency level per numpy product, and every other
-    admissible recurrence is checked at the end;
-    a family whose tails precede its leads (every vanishing-ideal basis)
-    settles in the first pass, whatever the target.  The schedule comes
-    from the plan keyed on the basis's leads, seed set and exact tail
-    exponents and the target, built once and cached; only the
-    coefficients and seed values are read per call.
+    agree.  Each index is set by the shortest register (fewest tail
+    terms, then smaller lead, then smaller element index) whose
+    references the plan's worklist passes know, one dependency level per
+    numpy product, and every other admissible recurrence is checked at
+    the end; a family whose tails precede its leads (every
+    vanishing-ideal basis) settles in the first pass.  The schedule and
+    the coefficients are read into the basis's plan on its first
+    extension; only the seed values are read per call.
     A seed over another field or on a domain other than the basis seed
     set raises IdealError, a disagreement IdealError naming the index of
     the first failing check, and a seed value that is no element code
-    FieldError.  A tuple target is taken as a tuple of index tuples.
+    FieldError.
     """
-    if not isinstance(target, tuple):
-        target = tuple(tuple(t) for t in target)
-    out = dict(h.values)
-    out.update(zip(target, gb.field.np_codes(_extension_run(h, gb, target))))
-    return Spectrum(gb.field, gb.ndim, out)
+    f = gb.field
+    return Spectrum(f, gb.ndim, dict(zip(index_space(f, gb.ndim),
+                                         f.np_codes(_extension_array(h, gb)))))

@@ -2,10 +2,11 @@
 V_D -> V_Psi realized as restrict(idft(extend(.))).
 
 The extension reaches the inverse transform as one flat exponent array
-over A (ideal._extension_array).  The canonical map computes the full
-Omega-word with the fast transform and verifies that it vanishes off
-Psi before restricting, turning the vanishing guarantee into a runtime
-self-test.  The library's paths read the map compiled instead:
+over A (ideal._extension_array), run by the plan the basis keeps.  The
+canonical map computes the full Omega-word with the fast transform and
+verifies that it vanishes off Psi before restricting, turning the
+vanishing guarantee into a runtime self-test; it returns the word on
+Psi alone.  The library's paths read the map compiled instead:
 decoding takes its values off the erasure projection of a point set's
 store entry (decoder.locate), systematic encoding off its tail rows
 (codes.PointSetEntry) and non-systematic encoding off the code's n x k
@@ -126,23 +127,20 @@ def _omega_idft(x, psi):
     return w, at
 
 
-def canonical_iso(h, gb, psi, return_omega=False):
+def canonical_iso(h, gb, psi):
     """Canonical isomorphism: extend h over A, inverse-transform, restrict to psi.
 
     Raises VanishingError if the Omega-word is nonzero off psi, which
     signals inconsistent basis / point-set inputs, and MapError, before
     any work, if psi lies over another field or dimension than the basis.
+    The Omega-word itself is idft_fast(extend(h, gb)).
     """
     f = gb.field
     if (psi.field, psi.ndim) != (f, gb.ndim):
         raise MapError("point set over %r, N = %d, but basis over %r, N = %d"
                        % (psi.field, psi.ndim, f, gb.ndim))
     w, at = _omega_idft(_extension_array(h, gb), psi)
-    restricted = Word(f, gb.ndim, dict(zip(psi.points, f.np_codes(w[at]))))
-    if return_omega:
-        omega = Word(f, gb.ndim, dict(zip(_flat_keys(f.q, gb.ndim, -1)[0], f.np_codes(w))))
-        return restricted, omega
-    return restricted
+    return Word(f, gb.ndim, dict(zip(psi.points, f.np_codes(w[at]))))
 
 
 def transpose_check(delta, psi):

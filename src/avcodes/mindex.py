@@ -6,6 +6,8 @@ tie-breaks, later positions are more significant, so for N = 2 the
 second component is compared first.
 """
 
+import numbers
+
 
 class IndexError_(ValueError):
     pass
@@ -57,6 +59,9 @@ class MonomialOrder:
         if kind not in self.KINDS:
             raise IndexError_("unknown monomial order %r" % (kind,))
         if kind == "weighted_grlex":
+            for i, w in enumerate(weights or ()):
+                if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+                    raise IndexError_("weights[%d] = %r is not an integer" % (i, w))
             if not weights or any(w < 1 for w in weights):
                 raise IndexError_("weighted_grlex needs weights >= 1")
             weights = tuple(weights)

@@ -14,7 +14,7 @@ increasing sweep for families whose tails precede their leads
 (``tails_precede_leads`` tells them apart) and worklist passes for the
 others, both over the admissible elements in the library's
 shortest-register order, as the oracle of the library's one worklist
-schedule; ``plan_args`` gives the key both are called with, each
+schedule; ``plan_args`` gives what both read off a basis, each
 element's exact tail exponents.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
 ``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
@@ -220,14 +220,11 @@ def tails_precede_leads(gb):
     return _tails_precede(gb.order.key, gb.leading, [[e for e, _ in t] for t in gb._tails])
 
 
-def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
-    """(indices, seeds, tails, program, checks, outputs) of a basis over
-    all of A, every recurrence a tuple (slot, element, reference slots)."""
+def _extension_plan(q, ndim, order_spec, leads, seeds, tails):
+    """(indices, seeds, tails, program, checks) of a basis over all of A,
+    every recurrence a tuple (slot, element, reference slots)."""
     order = MonomialOrder(*order_spec)
     key = order.key
-    for t in target:
-        if len(t) != ndim or any(not 0 <= x < q for x in t):
-            raise IdealError("target index %s outside A" % (t,))
     admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
     space = sorted(index_box(q, ndim), key=key)
     admissible.sort(key=lambda w: (len(tails[w]), key(leads[w]), w))
@@ -269,26 +266,22 @@ def _extension_plan(q, ndim, order_spec, leads, seeds, target, tails):
             pending = left
         # the recurrence that set a value cannot fail its check
         checks = [(slot[a],) + rec for a, r in recs.items() for rec in r if rec is not chosen[a]]
-    return (tuple(space), tuple((d, slot[d]) for d in seeds), tails,
-            program, checks, tuple((t, slot[t]) for t in target))
+    return tuple(space), tuple((d, slot[d]) for d in seeds), tails, program, checks
 
 
-def plan_args(gb, target):
-    """The arguments of ``_extension_plan`` (here and in the library) for a
-    basis and a tuple target: the key ``ideal.extend`` builds, each
-    element's tail as its sorted tail exponents."""
+def plan_args(gb):
+    """The arguments of ``_extension_plan`` for a basis, each element's
+    tail as its sorted tail exponents: what ``ideal._extension_plan``
+    reads off the basis."""
     return (gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights), tuple(gb.leading),
-            gb.delta.members, target, tuple(tuple(sorted(e for e, _ in t)) for t in gb._tails))
+            gb.delta.members, tuple(tuple(sorted(e for e, _ in t)) for t in gb._tails))
 
 
-def extend(h, gb, target):
+def extend(h, gb):
     """``avcodes.ideal.extend`` with every check run through Field calls."""
     if h.domain() != set(gb.delta.members):
         raise IdealError("seed spectrum domain does not match the basis seed set")
-    target = tuple(tuple(t) for t in target)
-    if not target:
-        return Spectrum(gb.field, gb.ndim, dict(h.values))
-    indices, seeds, tails, program, checks, outputs = _extension_plan(*plan_args(gb, target))
+    indices, seeds, tails, program, checks = _extension_plan(*plan_args(gb))
     f = gb.field
     coeffs = [[g.terms.get(d, ZERO) for d in e] for g, e in zip(gb.elements, tails)]
     vals = [ZERO] * len(indices)
@@ -307,9 +300,7 @@ def extend(h, gb, target):
     for s, w, refs in checks:
         if recur(w, refs) != vals[s]:
             raise IdealError("inconsistent recurrences at %s (corrupt basis)" % (indices[s],))
-    out = dict(h.values)
-    out.update((t, vals[s]) for t, s in outputs)
-    return Spectrum(gb.field, gb.ndim, out)
+    return Spectrum(gb.field, gb.ndim, dict(zip(indices, vals)))
 
 
 # -- scalar Gaussian elimination and the bases built on it -----------------

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -565,6 +566,19 @@ def test_config_n_must_be_an_integer(n):
     # GF(9)^1
     with pytest.raises(CodeConfigError, match="N = .* is not an integer"):
         code_from_config(dict(PRESET_CONFIGS["hcrs"], N=n))
+
+
+@pytest.mark.parametrize("part,value,bad", [
+    ("field", {"p": 3, "m": 2, "primitive_poly": [2, 1, "x"]}, "primitive_poly[2] = 'x'"),
+    ("order", {"kind": "weighted_grlex", "weights": [3.5, 4]}, "weights[0] = 3.5"),
+    ("order", {"kind": "weighted_grlex", "weights": "34"}, "weights[0] = '3'"),
+], ids=["poly", "float-weight", "string-weights"])
+def test_config_coefficients_and_weights_must_be_integers(part, value, bad):
+    # weights 3.5 and 4 used to build another hermitian code (|B| = 8, not
+    # 9); "x" and "34" ended in a formatting or comparison error
+    with pytest.raises(CodeConfigError,
+                       match="^bad code config: %s is not an integer$" % re.escape(bad)):
+        code_from_config(dict(PRESET_CONFIGS["hermitian"], **{part: value}))
 
 
 def test_config_p_zero_is_a_config_error():

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -59,6 +60,15 @@ def test_non_integer_p_or_m_is_a_field_error(p, m, poly):
     # rejected before any arithmetic on them, which raised TypeError
     with pytest.raises(FieldError, match="is not an integer"):
         Field(p, m, poly)
+
+
+@pytest.mark.parametrize("poly,at", [((2.0, 1, 1), 0), ((2, 1, "x"), 2), ((2, True, 1), 1)])
+def test_non_integer_coefficient_is_a_field_error(poly, at):
+    # 2.0 used to build GF(9) with float antilogs, "x" ended in a string
+    # formatting TypeError and True was read as 1
+    bad = re.escape("primitive_poly[%d] = %r" % (at, poly[at]))
+    with pytest.raises(FieldError, match="^%s is not an integer$" % bad):
+        Field(3, 2, poly)
 
 
 @pytest.mark.parametrize("p,m,poly", [(2, 3, (1, 1, 0, 1)), (3, 2, (2, 1, 1)),

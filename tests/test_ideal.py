@@ -1,6 +1,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,9 +12,10 @@ from avcodes.mindex import MonomialOrder, dominates, semigroup_add
 from avcodes.transform import (Spectrum, index_space, dft, dft_partial, Word, omega_space,
                                power_matrix)
 from avcodes.ideal import (Polynomial, vanishing_gb, check_set_basis, normal_form, SumForms,
-                           extend, IdealError, ReducedGroebnerBasis, PLAN_CACHE_SIZE,
+                           extend, IdealError, ReducedGroebnerBasis,
                            _extension_array, _extension_plan, _level_leads,
                            index_array)
+from avcodes import ideal
 from avcodes.maps import PointSet, canonical_iso, proper_transform
 from avcodes.codes import code_from_config, preset
 import scalar_reference as reference
@@ -33,6 +36,19 @@ def f8_module():
     from avcodes.gf import Field
 
     return Field(2, 3, (1, 1, 0, 1))
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """The bases whose extension plan is built, one entry per build."""
+    built = []
+
+    def spy(gb):
+        built.append(gb)
+        return _extension_plan(gb)
+
+    monkeypatch.setattr(ideal, "_extension_plan", spy)
+    return built
 
 
 def test_rs_basis_matches_root_product(f8_module):
@@ -125,7 +141,7 @@ def test_extend_worked_example(f8_module):
     f = f8_module
     psi = PointSet(f, 1, RS_PSI)
     gb, delta = vanishing_gb(psi, MonomialOrder("lex"))
-    out = extend(Spectrum(f, 1, dict(RS_SEED)), gb, index_space(f, 1))
+    out = extend(Spectrum(f, 1, dict(RS_SEED)), gb)
     want = dict(RS_SEED)
     want.update(RS_EXTENSION)
     assert out.values == want
@@ -139,7 +155,7 @@ def test_extend_cross_wrap(f8_module):
     psi = PointSet(f, 2, CROSS_PSI)
     gb, delta = vanishing_gb(psi, MonomialOrder("lex"))
     seed = {d: CROSS_SEED_KNOWN.get(d, ZERO) for d in delta.members}
-    out = extend(Spectrum(f, 2, seed), gb, [(2, 2)])
+    out = extend(Spectrum(f, 2, seed), gb)
     assert out.values[(2, 2)] == CROSS_H22
 
 
@@ -157,18 +173,17 @@ def test_extend_multi_generator_consistency(hermitian, rng):
     for _ in range(5):
         seed = Spectrum(hermitian.field, 2,
                         {d: rng.randrange(-1, 8) for d in delta.members})
-        extend(seed, gb, space)
+        extend(seed, gb)
 
 
 def test_extend_rejects_bad_seed_domain(f8_module):
     psi = PointSet(f8_module, 1, RS_PSI)
     gb, _ = vanishing_gb(psi, MonomialOrder("lex"))
     with pytest.raises(IdealError):
-        extend(Spectrum(f8_module, 1, {(0,): ONE}), gb, index_space(f8_module, 1))
+        extend(Spectrum(f8_module, 1, {(0,): ONE}), gb)
 
 
-@pytest.mark.parametrize("entry", [lambda h, gb: extend(h, gb, index_space(gb.field, gb.ndim)),
-                                   _extension_array])
+@pytest.mark.parametrize("entry", [extend, _extension_array])
 def test_extend_rejects_a_seed_over_another_field(f8_module, hermitian, entry):
     # a GF(8) seed on the GF(9) basis used to extend to GF(9) values
     gb = hermitian.gb
@@ -198,10 +213,10 @@ def test_extend_rejects_bad_seed_values(f8_module, entry, bad):
     seed[(1,)] = bad
     h = Spectrum(f8_module, 1, seed)
     with pytest.raises(FieldError, match=r"seed spectrum at \(1,\)"):
-        entry(h, gb, index_space(f8_module, 1) if entry is extend else psi)
+        entry(h, gb, *(() if entry is extend else (psi,)))
 
 
-def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng):
+def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng, plans):
     # flip one tail coefficient of the worked located basis: the
     # multi-generator consistency check must fail somewhere
     from avcodes.golden import HERM_G_LOCATED, located_points
@@ -217,12 +232,11 @@ def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng):
     # second, which must still check every recurrence
     # and must name the first failing index that the scalar checks name
     with pytest.raises(IdealError, match="inconsistent recurrences") as want:
-        reference.extend(seed, bad, index_space(f9, 2))
-    _extension_plan.cache_clear()
-    for hits in (0, 1):
+        reference.extend(seed, bad)
+    for _ in range(2):
         with pytest.raises(IdealError, match="^%s$" % re.escape(str(want.value))):
-            extend(seed, bad, index_space(f9, 2))
-        assert _extension_plan.cache_info().hits == hits
+            extend(seed, bad)
+        assert plans == [bad]
     # cross pattern: dropping the only in-range element leaves indices with
     # no admissible generator
     f = f8_module
@@ -234,7 +248,7 @@ def test_extend_detects_corrupt_basis(f8_module, f9, hermitian, rng):
                                    [gb_c.elements[w] for w in keep],
                                    [gb_c.leading[w] for w in keep], gb_c.delta)
     with pytest.raises(IdealError):
-        extend(seed_c, partial, index_space(f, 2))
+        extend(seed_c, partial)
 
 
 def test_prolongation_matches_full_transform(f8_module, f9, hermitian, rng):
@@ -249,7 +263,7 @@ def test_prolongation_matches_full_transform(f8_module, f9, hermitian, rng):
         gb, delta = vanishing_gb(psi, order)
         c = Word(f, ndim, {p: rng.randrange(-1, f.q - 1) for p in psi.points})
         h = proper_transform(c, delta)
-        ext = extend(h, gb, index_space(f, ndim))
+        ext = extend(h, gb)
         padded = Word(f, ndim, {w: c.values.get(w, ZERO) for w in omega_space(f, ndim)})
         assert ext.values == dft(padded).values
 
@@ -265,6 +279,20 @@ def test_check_set_basis_properties(hcrs):
         for p in phi.points:
             assert g.eval(p) == ZERO
     assert gb.delta.members == hcrs.b_members
+
+
+def test_check_set_basis_rejects_a_non_integer_index(hermitian):
+    # (0.5, 0) used to pass the range check and be cast to (0, 0); a bool
+    # component is read as its int, as dft_partial reads it
+    psi, order = hermitian.psi, hermitian.order
+    for b in ((0.5, 0), (0, "1"), (0, None)):
+        with pytest.raises(IdealError, match=r"^check index %s outside A$" % re.escape(str(b))):
+            check_set_basis(psi, [b], order)
+    f = PROPERTY_FIELDS[4]
+    pts = PointSet(f, 2, ((0, 0), (1, 0)))
+    got = check_set_basis(pts, [(0, 0), (True, 0)], MonomialOrder("lex"))
+    want = check_set_basis(pts, [(0, 0), (1, 0)], MonomialOrder("lex"))
+    assert got.elements == want.elements and got.leading == want.leading
 
 
 def test_check_set_basis_unsolvable(f9):
@@ -293,7 +321,7 @@ def test_check_set_basis_off_a_closed_check_set(q, ndim, pts, b_list, leads):
     word = Word(f, ndim, {p: j for j, p in enumerate(pts)})
     full = dft_partial(word, index_space(f, ndim))
     seed = Spectrum(f, ndim, {b: full.values[b] for b in b_list})
-    assert extend(seed, gb, index_space(f, ndim)).values == full.values
+    assert extend(seed, gb).values == full.values
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -455,13 +483,13 @@ def test_sum_forms_match_elimination_on_random_codes(case):
     _assert_sum_forms_match_elimination(SumForms(gb), gb, pts)
 
 
-def _extend_ops(seed, gb, target, fn=extend):
+def _extend_ops(seed, gb, fn=extend):
     before = gb.field.op_count
-    out = fn(seed, gb, target)
+    out = fn(seed, gb)
     return out, gb.field.op_count - before
 
 
-def test_extend_ops_independent_of_call_history(f8_module, hermitian, rng):
+def test_extend_ops_independent_of_call_history(f8_module, hermitian, rng, plans):
     from avcodes.golden import HERM_G_LOCATED, located_points
 
     f = f8_module
@@ -474,36 +502,113 @@ def test_extend_ops_independent_of_call_history(f8_module, hermitian, rng):
     seed_w = Spectrum(f, 1, {(0,): 3, (2,): 5})
     counts = []
     for seed, gb in ((seed_h, gb_h), (seed_w, gb_w)):
-        space = index_space(gb.field, gb.ndim)
-        _extension_plan.cache_clear()
-        first, built = _extend_ops(seed, gb, space)
-        assert _extension_plan.cache_info().misses == 1
-        again, cached = _extend_ops(seed, gb, space)
-        assert _extension_plan.cache_info().hits == 1
-        assert again.values == first.values and built == cached > 0
+        first, built = _extend_ops(seed, gb)
+        assert plans[-1] is gb
+        again, kept = _extend_ops(seed, gb)
+        assert plans[-1] is gb and len(plans) == len(counts) + 1
+        assert again.values == first.values and built == kept > 0
         counts.append(built)
     # a vanishing-ideal basis costs one mul and one add per tail term and one
-    # neg per admissible recurrence, whatever the cache holds
+    # neg per admissible recurrence, whether the call built its plan or not
     q = hermitian.field.q
     assert counts[0] == sum(2 * (len(g.terms) - 1) + 1
                           for a in index_space(hermitian.field, 2) if a not in delta_h
                           for g, aw in zip(gb_h.elements, gb_h.leading)
                           if all(x < q for x in aw) and dominates(a, aw))
-    # one plan key, other coefficients: the RS tail scaled by alpha is another
-    # recurrence of the same support
+    # one schedule, other coefficients: the RS tail scaled by alpha is another
+    # recurrence of the same support, read into its basis's own plan
     gb, delta = vanishing_gb(PointSet(f, 1, RS_PSI), MonomialOrder("lex"))
     g = gb.elements[0]
     scaled = Polynomial(f, 1, {e: c if e == (4,) else f.mul(c, 1) for e, c in g.terms.items()})
     gb2 = ReducedGroebnerBasis(f, 1, gb.order, [scaled], gb.leading, gb.delta)
     seed = Spectrum(f, 1, dict(RS_SEED))
-    out1, ops1 = _extend_ops(seed, gb, index_space(f, 1))
-    out2, ops2 = _extend_ops(seed, gb2, index_space(f, 1))
+    out1, ops1 = _extend_ops(seed, gb)
+    out2, ops2 = _extend_ops(seed, gb2)
     assert out1.values != out2.values and ops1 == ops2
+
+
+def test_a_basis_builds_its_plan_once(hermitian, rng, plans):
+    """Two extends and a canonical_iso on one basis build one plan, on the
+    first extension; a fresh equal basis builds its own and counts the
+    same."""
+    f, psi = hermitian.field, hermitian.psi
+    gb, delta = vanishing_gb(psi, hermitian.order)
+    assert plans == [] and gb._plan is None
+    h = Spectrum(f, 2, {d: rng.randrange(-1, f.q - 1) for d in delta.members})
+    first, ops = _extend_ops(h, gb)
+    assert plans == [gb]
+    again, again_ops = _extend_ops(h, gb)
+    word = canonical_iso(h, gb, psi)
+    assert plans == [gb]
+    assert again.values == first.values and again_ops == ops > 0
+    assert proper_transform(word, delta).values == h.values
+    fresh, _ = vanishing_gb(psi, hermitian.order)
+    assert fresh is not gb and fresh.elements == gb.elements and fresh._plan is None
+    out, fresh_ops = _extend_ops(h, fresh)
+    assert plans == [gb, fresh] and fresh._plan is not gb._plan
+    assert out.values == first.values and fresh_ops == ops
+
+
+def test_threads_build_one_plan_per_basis(hcrs, rng, plans):
+    """Six threads whose first extensions on one fresh basis meet at a
+    barrier, under a short switch interval, build its plan once and agree
+    with the scalar oracle; three rounds, each on a fresh basis."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            gb, delta = vanishing_gb(hcrs.psi, hcrs.order)
+            seeds = [Spectrum(hcrs.field, 2, {d: rng.randrange(-1, 8) for d in delta.members})
+                     for _ in range(6)]
+            got = [None] * len(seeds)
+            start = threading.Barrier(len(seeds), timeout=30)
+
+            def run(k):
+                start.wait()
+                got[k] = extend(seeds[k], gb)
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert plans.count(gb) == 1
+            assert all(g.values == reference.extend(s, gb).values for g, s in zip(got, seeds))
+    finally:
+        sys.setswitchinterval(old)
+    assert len(plans) == 3
+
+
+def test_only_an_extension_builds_a_plan(rng, plans):
+    """Building a code, vanishing_gb, systematic_basis, and every decode
+    and encode under the generator's budget extend nothing, so they
+    build no plan."""
+    from avcodes.codes import PRESET_CONFIGS, encode_nonsystematic
+    from avcodes.decoder import decode_info, decode_word, systematic_basis, systematic_encode
+    from avcodes.golden import HERM_SYS_PHI
+    from test_decoder import corrupt, random_info
+
+    code = code_from_config(PRESET_CONFIGS["hermitian"])
+    vanishing_gb(code.psi, code.order)
+    phi = PointSet(code.field, 2, HERM_SYS_PHI)
+    systematic_basis(phi, code)
+    for n_erase, n_err in ((0, 0), (1, 0), (0, 2), (2, 2), (6, 0)):
+        h = random_info(code, rng)
+        cw = encode_nonsystematic(h, code)
+        r, phi1 = corrupt(code, cw, n_erase, n_err, rng)
+        assert decode_info(r, phi1, code).values == h.values
+        assert decode_word(r, phi1, code).codeword.values == cw.values
+    info = Word(code.field, 2, {p: rng.randrange(-1, 8) for p in code.psi.points
+                                if p not in set(phi.points)})
+    word = systematic_encode(info, phi, code)
+    assert decode_word(word, phi, code).codeword.values == word.values
+    assert plans == []
 
 
 def test_extend_plan_key_holds_tails_outside_the_seed_set(f9, rng):
     # y^2 + c*g_(2,0) is another ideal element of lead (0,2), with the
-    # non-seed x^2 in its tail: its plan must read that coefficient
+    # non-seed x^2 in its tail: its basis's plan must read that coefficient
     pts = PointSet(f9, 2, ((-1, -1), (0, -1), (-1, 0)))
     order = MonomialOrder("grlex")
     gb, delta = vanishing_gb(pts, order)
@@ -517,24 +622,8 @@ def test_extend_plan_key_holds_tails_outside_the_seed_set(f9, rng):
     c = Word(f9, 2, {p: rng.randrange(-1, 8) for p in pts.points})
     seed = proper_transform(c, delta)
     padded = Word(f9, 2, {w: c.values.get(w, ZERO) for w in omega_space(f9, 2)})
-    space = index_space(f9, 2)
-    assert extend(seed, gb, space).values == dft(padded).values
-    assert extend(seed, gb2, space).values == dft(padded).values
-
-
-def test_plan_cache_is_bounded():
-    # tiny GF(4) plan keys that differ only in their target
-    f = PROPERTY_FIELDS[4]
-    gb, delta = vanishing_gb(PointSet(f, 2, ((-1, 0), (1, 2))), MonomialOrder("grlex"))
-    seed = Spectrum(f, 2, {d: ONE for d in delta.members})
-    space = index_space(f, 2)
-    targets = itertools.chain(*(itertools.permutations(space, k) for k in (1, 2, 3)))
-    _extension_plan.cache_clear()
-    for target in itertools.islice(targets, PLAN_CACHE_SIZE + 5):
-        extend(seed, gb, target)
-    info = _extension_plan.cache_info()
-    assert info.misses == PLAN_CACHE_SIZE + 5
-    assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
+    assert extend(seed, gb).values == dft(padded).values
+    assert extend(seed, gb2).values == dft(padded).values
 
 
 PLAN_FIELDS = {**PROPERTY_FIELDS, 16: Field(2, 4, (1, 1, 0, 0, 1))}
@@ -563,9 +652,8 @@ def extension_cases(draw):
     return f, ndim, dict(zip(pts, word)), gb, delta, gb_b, b_list, phi_pts
 
 
-def test_extend_plans_match_transform():
+def test_extend_plans_match_transform(plans):
     worklist = []
-    built = []
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(extension_cases())
@@ -578,21 +666,15 @@ def test_extend_plans_match_transform():
         for seed, basis, word in families:
             padded = Word(f, ndim, {w: word.values.get(w, ZERO) for w in omega_space(f, ndim)})
             want = dft(padded).values
-            misses = _extension_plan.cache_info().misses
-            # builds the plan, or reuses one an earlier basis of its key built
-            assert extend(seed, basis, space).values == want
-            info = _extension_plan.cache_info()
-            built.append(info.misses > misses)
-            assert extend(seed, basis, space).values == want  # reuses it
-            assert _extension_plan.cache_info().hits == info.hits + 1
+            built = len(plans)
+            assert extend(seed, basis).values == want  # builds the basis's plan
+            assert extend(seed, basis).values == want  # reuses it
+            assert plans[built:] == [basis]
         worklist.append(not reference.tails_precede_leads(gb_b))
 
-    _extension_plan.cache_clear()
     check()
-    # the check-set families include forward-referencing (worklist) ones,
-    # and some first calls find their key's plan already cached
+    # the check-set families include forward-referencing (worklist) ones
     assert any(worklist) and not all(worklist)
-    assert any(built) and not all(built)
 
 
 # GF(2^10) is above DENSE_Q: the scalar reference adds by Zech logarithms
@@ -617,47 +699,52 @@ def test_extend_matches_scalar_reference():
         zech.append(f.q > DENSE_Q)
         rnd = random.Random(seed)
         families = _random_families(f, ndim, rnd)
-        space = index_space(f, ndim)
         for basis in families:
             worklist.append(not reference.tails_precede_leads(basis))
             seed_h = Spectrum(f, ndim, {d: rnd.randrange(-1, q - 1) for d in basis.delta.members})
-            target = rnd.sample(space, rnd.randrange(1, len(space) + 1))
-            for tgt in (space, target):
-                want, ops = _extend_ops(seed_h, basis, tgt, reference.extend)
-                for _ in range(2):  # the plan is built, then reused
-                    got, got_ops = _extend_ops(seed_h, basis, tgt)
-                    assert got.values == want.values and got_ops == ops
+            want, ops = _extend_ops(seed_h, basis, reference.extend)
+            for _ in range(2):  # the plan is built, then reused
+                got, got_ops = _extend_ops(seed_h, basis)
+                assert got.values == want.values and got_ops == ops
 
     check()
     assert any(worklist) and not all(worklist)
     assert any(zech) and not all(zech)
 
 
-def _assert_plan_matches_reference(gb, target):
-    """The one worklist schedule of the plan against the scalar oracle's
-    two schedules; returns whether the family is a worklist one."""
-    args = reference.plan_args(gb, target)
-    plan = _extension_plan(*args)
-    _, _, tails, program, checks, _ = reference._extension_plan(*args)
-    swept = _swept(plan)
-    assert plan.tails == tails and len(swept) == len(program)
+def _assert_plan_matches_reference(gb):
+    """The one worklist schedule of the basis's plan against the scalar
+    oracle's two schedules, and the coefficients and count read into the
+    plan; returns whether the family is a worklist one."""
+    plan = _extension_plan(gb)
+    _, _, tails, program, checks = reference._extension_plan(*reference.plan_args(gb))
+    swept = _swept(plan, tails)
+    assert len(swept) == len(program)
     assert {s: rec for s, *rec in swept} == {s: rec for s, *rec in program}
-    got = _unpack(plan, plan.check_elems, plan.check_slots)
+    got = _unpack(tails, plan.check_elems, plan.check_slots)
     assert got == checks
     # no check repeats the recurrence that set its value, and each
     # recurrence is counted once
     assert not set(swept) & set(got)
-    assert sum(plan.uses) == len(program) + len(checks)
+    assert plan.ops == sum(2 * len(tails[w]) + 1 for _, w, _ in program + checks)
+    # each element's coefficients at its sorted tail exponents, padded
+    # with zero, and minus them
+    f = gb.field
+    for g, tail, row, minus in zip(gb.elements, tails, plan.coeffs, plan.minus):
+        want = [ONE] + [g.terms[d] for d in tail]
+        assert f.np_codes(row) == want + [ZERO] * (len(row) - len(want))
+        assert f.np_codes(minus) == [f.neg(c) for c in f.np_codes(row[1:])]
     return not reference.tails_precede_leads(gb)
 
 
-def _unpack(plan, elems, slots):
-    """Packed recurrences as (slot, element, reference slots)."""
-    return [(int(row[0]), int(w), tuple(row[1:1 + len(plan.tails[w])].tolist()))
+def _unpack(tails, elems, slots):
+    """Packed recurrences as (slot, element, reference slots), element w
+    reading ``tails[w]``."""
+    return [(int(row[0]), int(w), tuple(row[1:1 + len(tails[w])].tolist()))
             for row, w in zip(slots, elems)]
 
 
-def _swept(plan):
+def _swept(plan, tails):
     """The recurrences that set the plan's values, level by level.  Each
     level reads only seeds and slots set at earlier levels, at least one
     of them at the level just before, and the levels set every slot of A
@@ -665,7 +752,7 @@ def _swept(plan):
     level = {s: 0 for _, s in plan.seeds}
     out = []
     for depth, (elems, slots) in enumerate(plan.levels, 1):
-        recs = _unpack(plan, elems, slots)
+        recs = _unpack(tails, elems, slots)
         assert recs
         for _, _, refs in recs:
             assert all(r in level for r in refs)
@@ -679,7 +766,7 @@ def _swept(plan):
 def _preset_families(name):
     """The code's basis, the bases of located sets of 1..3 points and a
     check-set family on a systematic Phi (hcrs's golden one
-    forward-references), and the targets A, D and 5 random indices."""
+    forward-references)."""
     from avcodes.decoder import check_systematic_support, systematic_basis
 
     code = code_from_config(HERM16) if name == "herm16" else preset(name)
@@ -690,8 +777,7 @@ def _preset_families(name):
     while phi is None or not check_systematic_support(phi, code):
         phi = PointSet(f, code.ndim, tuple(rnd.sample(code.psi.points, len(code.b_list))))
     families.append(systematic_basis(phi, code))
-    space = index_space(f, code.ndim)
-    return families, (space, tuple(code.delta.sorted(code.order)), tuple(rnd.sample(space, 5)))
+    return families
 
 
 def _random_families(f, ndim, rnd):
@@ -710,9 +796,9 @@ def _random_families(f, ndim, rnd):
 
 
 def _random_plan_cases(assert_plan):
-    """Run ``assert_plan(basis, target)`` on random families over
-    GF(4)..GF(27), N in {1, 2, 3} with q^N <= 729, on all of A and a
-    random target; returns what it returned, one entry per plan."""
+    """Run ``assert_plan(basis)`` on random families over GF(4)..GF(27),
+    N in {1, 2, 3} with q^N <= 729; returns what it returned, one entry
+    per plan."""
     out = []
     fields = {q: f for q, f in REFERENCE_FIELDS.items() if q <= 27}
 
@@ -721,11 +807,7 @@ def _random_plan_cases(assert_plan):
     def check(q, ndim, seed):
         assume(q ** ndim <= 729)
         f, rnd = fields[q], random.Random(seed)
-        families = _random_families(f, ndim, rnd)
-        space = index_space(f, ndim)
-        for basis in families:
-            for target in (space, tuple(rnd.sample(space, rnd.randrange(1, len(space) + 1)))):
-                out.append(assert_plan(basis, target))
+        out.extend(map(assert_plan, _random_families(f, ndim, rnd)))
 
     check()
     return out
@@ -733,8 +815,7 @@ def _random_plan_cases(assert_plan):
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
 def test_plans_match_the_scalar_schedule_on_presets(name):
-    families, targets = _preset_families(name)
-    worklist = [_assert_plan_matches_reference(gb, t) for gb in families for t in targets]
+    worklist = [_assert_plan_matches_reference(gb) for gb in _preset_families(name)]
     assert any(worklist) == (name == "hcrs")
 
 
@@ -742,31 +823,29 @@ def test_plans_match_the_scalar_schedule_on_presets(name):
 def test_program_reads_each_element_at_its_tail(name):
     """Every recurrence of a plan, swept or checked, reads its element at
     the exact tail: no seed exponent without a term in it."""
-    families, targets = _preset_families(name)
-    for gb in families:
-        for target in targets:
-            plan = _extension_plan(*reference.plan_args(gb, target))
-            for elems, slots in plan.levels + ((plan.check_elems, plan.check_slots),):
-                width = [1 + len(gb._tails[w]) for w in elems.tolist()]
-                assert all((row[k:] == len(plan.indices)).all()
-                           and (row[:k] < len(plan.indices)).all()
-                           for row, k in zip(slots, width))
+    for gb in _preset_families(name):
+        plan = _extension_plan(gb)
+        for elems, slots in plan.levels + ((plan.check_elems, plan.check_slots),):
+            width = [1 + len(gb._tails[w]) for w in elems.tolist()]
+            assert all((row[k:] == len(plan.indices)).all()
+                       and (row[:k] < len(plan.indices)).all()
+                       for row, k in zip(slots, width))
 
 
 @pytest.mark.parametrize("name", ["rs-like", "hermitian", "hcrs", "herm16"])
 def test_vanishing_basis_sweeps_all_of_a_for_any_target(name):
-    """An extend to one index of A counts what one to all of A counts,
-    on the code's basis and on located sets' bases, and gives that
-    extension's value there."""
-    families, (space, _, picks) = _preset_families(name)
+    """An extend gives all of A, with the scalar oracle's values and
+    count, on the first call and the repeated one, on every preset
+    family."""
     rnd = random.Random(name)
-    for gb in families[:-1]:
+    for gb in _preset_families(name):
         seed = Spectrum(gb.field, gb.ndim, {d: rnd.randrange(-1, gb.field.q - 1)
                                             for d in gb.delta.members})
-        full, ops = _extend_ops(seed, gb, space)
-        for a in picks:
-            one, one_ops = _extend_ops(seed, gb, (a,))
-            assert one.values[a] == full.values[a] and one_ops == ops
+        want, ops = _extend_ops(seed, gb, reference.extend)
+        assert set(want.values) == set(index_space(gb.field, gb.ndim))
+        for _ in range(2):
+            got, got_ops = _extend_ops(seed, gb)
+            assert got.values == want.values and got_ops == ops
 
 
 def test_extend_matches_scalar_reference_on_herm64():
@@ -776,9 +855,8 @@ def test_extend_matches_scalar_reference_on_herm64():
     code = code_from_config(HERM64)
     f, rnd = code.field, random.Random(64)
     seed = Spectrum(f, 2, {d: rnd.randrange(-1, f.q - 1) for d in code.gb.delta.members})
-    space = index_space(f, 2)
-    want, ops = _extend_ops(seed, code.gb, space, reference.extend)
-    got, got_ops = _extend_ops(seed, code.gb, space)
+    want, ops = _extend_ops(seed, code.gb, reference.extend)
+    got, got_ops = _extend_ops(seed, code.gb)
     assert got.values == want.values and got_ops == ops == 17920
 
 
@@ -788,9 +866,9 @@ def test_hermitian_basis_plan_depth(name, depth):
     each one numpy product of the sweep."""
     configs = {"herm16": HERM16, "herm64": HERM64}
     code = code_from_config(configs[name]) if name in configs else preset(name)
-    plan = _extension_plan(*reference.plan_args(code.gb, index_space(code.field, 2)))
+    plan = _extension_plan(code.gb)
     assert len(plan.levels) == depth
-    assert len(_swept(plan)) == len(plan.indices) - code.n
+    assert len(_swept(plan, reference.plan_args(code.gb)[-1])) == len(plan.indices) - code.n
 
 
 def test_plans_match_the_scalar_schedule_on_random_bases():
@@ -798,19 +876,19 @@ def test_plans_match_the_scalar_schedule_on_random_bases():
     assert any(worklist) and not all(worklist)
 
 
-def _assert_shortest_register(gb, target):
+def _assert_shortest_register(gb):
     """On a family whose tails precede its leads, where every reference
     precedes its index, each index is set by the first of its admissible
     recurrences in the order (tail terms, lead, element).  Returns the
     coefficients the sweep reads, None for any other family."""
-    plan = _extension_plan(*reference.plan_args(gb, target))
+    plan = _extension_plan(gb)
     if not reference.tails_precede_leads(gb):
         return None
     key = gb.order.key
     admissible = [w for w, aw in enumerate(gb.leading) if max(aw) < gb.field.q]
     width = {w: len(gb._tails[w]) for w in admissible}
     rank = sorted(admissible, key=lambda w: (width[w], key(gb.leading[w]), w))
-    swept = _swept(plan)
+    swept = _swept(plan, reference.plan_args(gb)[-1])
     for s, w, _ in swept:
         assert w == next(v for v in rank if dominates(plan.indices[s], gb.leading[v]))
     return sum(width[w] for _, w, _ in swept)
@@ -825,8 +903,7 @@ def test_program_takes_the_shortest_register(name):
         reads = _random_plan_cases(_assert_shortest_register)
         assert any(r is None for r in reads) and not all(r is None for r in reads)
         return
-    families, targets = _preset_families(name)
-    reads = [_assert_shortest_register(gb, t) for gb in families for t in targets]
+    reads = [_assert_shortest_register(gb) for gb in _preset_families(name)]
     assert (None in reads) == (name == "hcrs")
     if name == "herm16":
         # the Phi family over all of A: its elements have 15, 15, 13, 13
@@ -834,5 +911,5 @@ def test_program_takes_the_shortest_register(name):
         # goes first and sets 192 of the 241 indices, and the 13-term
         # x^3 y^2 and x^2 y^3 elements go before the 15-term ones; the
         # first element in basis order, x^6 + ..., would make the sweep
-        # read 3,249 coefficients.  Every target sweeps all of A.
-        assert reads[-3] == reads[-2] == reads[-1] == 1065
+        # read 3,249 coefficients.
+        assert reads[-1] == 1065

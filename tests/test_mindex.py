@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +128,15 @@ def test_order_validation():
         MonomialOrder("weighted_grlex", (0, 1))
     with pytest.raises(IndexError_):
         MonomialOrder("weighted_grlex")
+
+
+@pytest.mark.parametrize("weights,at", [((3.5, 4), 0), ("34", 0), ((3, True), 1)])
+def test_order_weights_must_be_integers(weights, at):
+    # 3.5 used to order by a float weighted degree, "34" ended in a
+    # comparison TypeError and True was read as 1
+    bad = re.escape("weights[%d] = %r" % (at, weights[at]))
+    with pytest.raises(IndexError_, match="^%s is not an integer$" % bad):
+        MonomialOrder("weighted_grlex", weights)
 
 
 def test_index_text_roundtrip():
