@@ -222,7 +222,7 @@ def generator_work(n, k):
 
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _generator(field, order_spec, points, b_list, delta):
+def _generator(field, order, points, b_list, delta):
     """The canonical map V_{D\\B} -> V_Psi of the code defined by the
     field, order, points and check indices (``delta`` is their delta
     set), compiled: the information indices D\\B in increasing order and
@@ -235,7 +235,6 @@ def _generator(field, order_spec, points, b_list, delta):
     tails are its map (PointSetEntry).  The build adds its field
     operations (the insertions and the k unit reductions) to op_count
     once; every code of the definition shares G."""
-    order = MonomialOrder(*order_spec)
     ds = delta.sorted(order)
     at = [i for i, d in enumerate(ds) if d not in b_list]
     ndim = len(points[0])
@@ -275,8 +274,7 @@ def encode_nonsystematic(h, code):
     n, k = code.n, code.k
     if generator_work(n, k) > GENERATOR_BUDGET:
         return canonical_iso(code.zero_padded(h), code.gb, code.psi)
-    info, g = _generator(f, (code.order.kind, code.order.weights), code.psi.points,
-                         tuple(code.b_list), code.delta)
+    info, g = _generator(f, code.order, code.psi.points, tuple(code.b_list), code.delta)
     x = f.np_exponents(np.array([h.values.get(d, ZERO) for d in info], dtype=np.intp))
     c = f.np_dot(g, x)
     s = f.np_dot(code.columns.T, c)

@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import ZERO, ONE
-from .mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
+from .mindex import dominates, dominated_sub, semigroup_add, index_box
 from .transform import (Spectrum, check_field, check_values, index_space, point_power,
                         power_matrix)
 
@@ -98,18 +98,14 @@ class Polynomial:
             raise IdealError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def sorted_terms(self, order=None):
-        if order is None:
-            key = lambda e: (sum(e),) + tuple(reversed(e))
-        else:
-            key = order.key
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=key)]
-
     def text(self, order=None):
+        """The terms as text, in increasing ``order`` (grlex by default)."""
         if not self.terms:
             return "0"
+        key = order.key if order is not None else lambda e: (sum(e),) + tuple(reversed(e))
         parts = []
-        for e, c in self.sorted_terms(order):
+        for e in sorted(self.terms, key=key):
+            c = self.terms[e]
             mono = "*".join(
                 ("x%d" % (i + 1)) + ("" if k == 1 else "^%d" % k)
                 for i, k in enumerate(e) if k != 0
@@ -307,18 +303,6 @@ class CompiledReduction:
         return out[:, :size], out[:, size:size + r], live @ self.weights
 
 
-def rows_independent(field, vecs):
-    """Whether the rows of the exponent array ``vecs`` are linearly
-    independent, by inserting them in order up to the first dependent one.
-    Adds the insertion's count to ``op_count`` and returns (answer, number
-    of rows inserted)."""
-    n = len(vecs)
-    done, ops = Eliminator(field, vecs.shape[1]).insert(
-        vecs, range(n), lambda row, tail: np.ones(n, dtype=bool))
-    field.op_count += ops
-    return all(tail is None for _, tail in done), len(done)
-
-
 @dataclass(frozen=True)
 class DeltaSet:
     members: frozenset
@@ -366,9 +350,6 @@ class ReducedGroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
 
 def _level_leads(members, q, ndim):
     """Shift-register-style leading indices of the complement of a
@@ -392,20 +373,20 @@ def _level_leads(members, q, ndim):
 
 
 @lru_cache(maxsize=16)
-def _scan_space(q, ndim, order_spec):
+def _scan_space(q, ndim, order):
     """The box {0..q}^N that vanishing_gb scans, in increasing order, as
     tuples and as an integer array."""
-    box = tuple(sorted(index_box(q, ndim, top=q), key=MonomialOrder(*order_spec).key))
+    box = tuple(sorted(index_box(q, ndim, top=q), key=order.key))
     arr = index_array(box, ndim)
     arr.flags.writeable = False  # shared by every caller
     return box, arr
 
 
 @lru_cache(maxsize=16)
-def _sorted_space(q, ndim, order_spec):
+def _sorted_space(q, ndim, order):
     """A = {0..q-1}^N in increasing order: the scan box without the
     indices that carry a component q."""
-    return tuple(a for a in _scan_space(q, ndim, order_spec)[0] if max(a) < q)
+    return tuple(a for a in _scan_space(q, ndim, order)[0] if max(a) < q)
 
 
 def index_array(indices, ndim):
@@ -433,7 +414,7 @@ def vanishing_gb(points, order):
         raise IdealError("empty point set has no vanishing-ideal basis")
     q = f.q
     per = (2 * ndim - 1) * n  # evaluating one monomial on the points
-    box, arr = _scan_space(q, ndim, (order.kind, order.weights))
+    box, arr = _scan_space(q, ndim, order)
     w = index_array(points.points, ndim)
     elim = Eliminator(f, n)
     skipped = np.zeros(len(box), dtype=bool)
@@ -714,7 +695,7 @@ def _extension_plan(gb):
     q, seeds = f.q, gb.delta.members
     tails = [sorted(e for e, _ in tail) for tail in gb._tails]
     admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
-    space = _sorted_space(q, ndim, (gb.order.kind, gb.order.weights))
+    space = _sorted_space(q, ndim, gb.order)
     admissible.sort(key=lambda w: (len(tails[w]), key(leads[w]), w))
     slot = {a: s for s, a in enumerate(space)}
 

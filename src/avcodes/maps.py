@@ -3,17 +3,17 @@ V_D -> V_Psi realized as restrict(idft(extend(.))).
 
 The extension reaches the inverse transform as one flat exponent array
 over A (ideal._extension_array), run by the plan the basis keeps.  The
-canonical map computes the full Omega-word with the fast transform and
-verifies that it vanishes off Psi before restricting, turning the
-vanishing guarantee into a runtime self-test; it returns the word on
-Psi alone.  The library's paths read the map compiled instead:
-decoding takes its values off the erasure projection of a point set's
-store entry (decoder.locate), systematic encoding off its tail rows
-(codes.PointSetEntry) and non-systematic encoding off the code's n x k
-generator (codes.encode_nonsystematic), each checking its word by its
-syndrome.  ``canonical_iso`` is their oracle, and the evaluator of
-encode_nonsystematic on a code whose generator would take more than
-codes.GENERATOR_BUDGET to build.
+canonical map computes the full Omega-word with the fast transform
+(transform.idft_flat) and verifies that it vanishes off Psi before
+restricting, turning the vanishing guarantee into a runtime self-test;
+it returns the word on Psi alone.  The library's paths read the map
+compiled instead: decoding takes its values off the erasure projection
+of a point set's store entry (decoder.locate), systematic encoding off
+its tail rows (codes.PointSetEntry) and non-systematic encoding off the
+code's n x k generator (codes.encode_nonsystematic), each checking its
+word by its syndrome.  ``canonical_iso`` is their oracle, and the
+evaluator of encode_nonsystematic on a code whose generator would take
+more than codes.GENERATOR_BUDGET to build.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,8 @@ import numpy as np
 
 from .gf import ZERO
 from .mindex import format_index, parse_index
-from .transform import Spectrum, Word, dft_partial, idft_flat, point_power, _flat_keys
-from .ideal import DeltaSet, rows_independent, index_array, _extension_array
+from .transform import Word, dft_partial, idft_flat, point_power, _flat_keys
+from .ideal import DeltaSet, index_array, _extension_array
 
 
 class MapError(ValueError):
@@ -109,13 +109,21 @@ def proper_transform(c, delta):
     return dft_partial(c, members)
 
 
-def _omega_idft(x, psi):
-    """The fast IDFT of the flat extension x over all of Omega, and the
-    flat positions of psi's points in it.  Raises VanishingError, naming
-    the first position in flat order, if the Omega-word is nonzero off
-    psi."""
-    f, ndim = psi.field, psi.ndim
-    w = idft_flat(f, x, ndim)
+def canonical_iso(h, gb, psi):
+    """Canonical isomorphism: extend h over A, inverse-transform, restrict to psi.
+
+    The Omega-word is the fast IDFT (transform.idft_flat) of the flat
+    extension over all of A, that is idft_fast(extend(h, gb)).  Raises
+    MapError, before any work, if psi lies over another field or
+    dimension than the basis, and VanishingError, naming the first
+    position in flat order, if the Omega-word is nonzero off psi, which
+    signals inconsistent basis / point-set inputs.
+    """
+    f, ndim = gb.field, gb.ndim
+    if (psi.field, psi.ndim) != (f, ndim):
+        raise MapError("point set over %r, N = %d, but basis over %r, N = %d"
+                       % (psi.field, psi.ndim, f, ndim))
+    w = idft_flat(f, _extension_array(h, gb), ndim)
     at = (psi.array + 1) @ f.q ** np.arange(ndim)
     off = w != f.np_arith().zero
     off[at] = False
@@ -124,49 +132,4 @@ def _omega_idft(x, psi):
         raise VanishingError("nonzero value %s at %s outside the point set"
                              % (f.format(f.np_codes(w[j])[0]),
                                 format_index(_flat_keys(f.q, ndim, -1)[0][j])))
-    return w, at
-
-
-def canonical_iso(h, gb, psi):
-    """Canonical isomorphism: extend h over A, inverse-transform, restrict to psi.
-
-    Raises VanishingError if the Omega-word is nonzero off psi, which
-    signals inconsistent basis / point-set inputs, and MapError, before
-    any work, if psi lies over another field or dimension than the basis.
-    The Omega-word itself is idft_fast(extend(h, gb)).
-    """
-    f = gb.field
-    if (psi.field, psi.ndim) != (f, gb.ndim):
-        raise MapError("point set over %r, N = %d, but basis over %r, N = %d"
-                       % (psi.field, psi.ndim, f, gb.ndim))
-    w, at = _omega_idft(_extension_array(h, gb), psi)
-    return Word(f, gb.ndim, dict(zip(psi.points, f.np_codes(w[at]))))
-
-
-def transpose_check(delta, psi):
-    """Verify that the matrix of evaluate is the transpose of the matrix of
-    proper_transform on the given delta set / point set, and that the
-    monomial-by-point matrix is invertible.  Returns False on failure."""
-    f = psi.field
-    members = delta.members if isinstance(delta, DeltaSet) else frozenset(delta)
-    if len(members) != len(psi):
-        return False
-    monos = sorted(members)
-    pts = list(psi.points)
-    n = len(pts)
-    ev_rows = []
-    for d in monos:
-        unit = Spectrum(f, psi.ndim, {e: (0 if e == d else ZERO) for e in monos})
-        w = evaluate(unit, psi)
-        ev_rows.append([w.values[p] for p in pts])
-    pt_rows = []
-    for p in pts:
-        unit = Word(f, psi.ndim, {pp: (0 if pp == p else ZERO) for pp in pts})
-        s = dft_partial(unit, monos)
-        pt_rows.append([s.values[d] for d in monos])
-    for i in range(len(monos)):
-        for j in range(n):
-            if ev_rows[i][j] != pt_rows[j][i]:
-                return False
-    rows = f.np_exponents(np.array(ev_rows, dtype=np.intp).reshape(n, n))
-    return rows_independent(f, rows)[0]
+    return Word(f, ndim, dict(zip(psi.points, f.np_codes(w[at]))))

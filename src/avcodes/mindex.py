@@ -89,6 +89,9 @@ class MonomialOrder:
         return (isinstance(other, MonomialOrder)
                 and self.kind == other.kind and self.weights == other.weights)
 
+    def __hash__(self):
+        return hash((self.kind, self.weights))
+
     def __repr__(self):
         if self.weights is not None:
             return "MonomialOrder(%r, weights=%r)" % (self.kind, self.weights)
@@ -117,8 +120,8 @@ def parse_index(text, ndim=None):
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     try:
-        parts = tuple(int(x) for x in body.split(",") if x.strip() != "")
-    except ValueError:
+        parts = tuple(int(x) for x in body.split(",")) if body.strip() else ()
+    except ValueError:  # int("") included: an empty component
         raise IndexError_("bad multi-index %r" % (text,))
     if ndim is not None and len(parts) != ndim:
         raise IndexError_("multi-index %r has %d components, expected %d"

@@ -7,10 +7,10 @@ the test oracle, one Field call per operation) and the numpy kernels of
 the gf layer, for every field up to MAX_Q.  ``dft_fast`` and ``idft_fast``
 run one pass per axis, each the q x q kernel matrix applied to every
 fiber at once, blocked so that a temporary stays near BLOCK elements;
-``dft_kernel`` and ``idft_kernel`` are the N = 1 case.  ``dft_partial`` is
-one |indices| x |points| product over the matrix of exponents of
-omega^a, which it builds on every call (``power_matrix``): the general
-path, for any indices and points, and the oracle of
+``idft_kernel`` is the N = 1 inverse, on the worked example's fibers.
+``dft_partial`` is one |indices| x |points| product over the matrix of
+exponents of omega^a, which it builds on every call (``power_matrix``):
+the general path, for any indices and points, and the oracle of
 codes.CodeSpec.transform_at, which reads the rows of a code's B and D
 precomputed and gives the same spectrum at the same count on the code's
 points.
@@ -340,16 +340,10 @@ def _passes(f, x, ndim, inverse):
     return x
 
 
-def dft_kernel(field, vec):
-    """1-D DFT of a length-q fiber; position j holds the value at omega =
-    alpha^(j-1), position 0 the value at omega = 0."""
-    x = field.np_exponents(np.array(vec, dtype=np.intp))
-    return field.np_codes(_fibers(field, x[None, :], False))
-
-
 def idft_kernel(field, vec):
-    """1-D IDFT of a length-q fiber indexed by a; output is omega-positioned
-    like dft_kernel's input.  c_0 = h_0 - h_{q-1}, and for omega != 0,
+    """1-D IDFT of a length-q fiber indexed by a; position j of the output
+    holds the value at omega = alpha^(j-1), position 0 the value at
+    omega = 0.  c_0 = h_0 - h_{q-1}, and for omega != 0,
     c_omega = -(h_1 omega^-1 + ... + h_{q-1} omega^-(q-1))."""
     x = field.np_exponents(np.array(vec, dtype=np.intp))
     return field.np_codes(_fibers(field, x[None, :], True))

@@ -4,7 +4,8 @@ field operation.
 
 ``digit_add`` adds two base-p encodings digit by digit, the oracle of
 ``Field.add``.  ``dft_kernel``/``idft_kernel`` and the axis-by-axis
-``dft_fast``/``idft_fast`` are the loop kernels of ``avcodes.transform``;
+``dft_fast``/``idft_fast`` are the loop kernels of ``avcodes.transform``
+(which keeps no 1-D forward kernel of its own);
 ``idft_at`` evaluates the IDFT at given points only, one inverse kernel
 row per point and axis, counting ``idft_at_count``;
 ``extend`` runs the tuple-based extension plan and checks every
@@ -17,9 +18,12 @@ shortest-register order, as the oracle of the library's one worklist
 schedule; ``plan_args`` gives what both read off a basis, each
 element's exact tail exponents.
 ``Eliminator`` is the one-vector-at-a-time Gaussian elimination, and
-``vanishing_gb``, ``check_set_basis``, ``check_systematic_support`` and
-``transpose_check`` build on it and on point_power as the library did
-before its batched eliminator; ``column_insertion`` and ``compiled_map``
+``vanishing_gb``, ``check_set_basis`` and ``check_systematic_support``
+build on it and on point_power as the library did before its batched
+eliminator.  ``transpose_check``, which has no library counterpart,
+checks on it that the matrix of ``avcodes.maps.evaluate`` is the
+transpose of ``dft_partial``'s on a delta set and point set, and
+invertible (False otherwise).  ``column_insertion`` and ``compiled_map``
 build on it the oracles of ``avcodes.codes.PointSetEntry``'s
 ``projection`` and of the map its tail rows give.  ``find_supports``
 is the plain meet-in-the-middle enumeration of consistent supports, the
@@ -44,7 +48,7 @@ from avcodes.decoder import SystematicSupportError, UndecodableError
 from avcodes.gf import ZERO, ONE
 from avcodes.ideal import (IdealError, _level_leads, DeltaSet, Polynomial, ReducedGroebnerBasis,
                            index_array)
-from avcodes.mindex import MonomialOrder, dominates, dominated_sub, semigroup_add, index_box
+from avcodes.mindex import dominates, dominated_sub, semigroup_add, index_box
 from avcodes.transform import (Spectrum, Word, check_field, index_space, omega_space,
                                _require_full, point_power, dft_partial, power_matrix)
 
@@ -220,10 +224,9 @@ def tails_precede_leads(gb):
     return _tails_precede(gb.order.key, gb.leading, [[e for e, _ in t] for t in gb._tails])
 
 
-def _extension_plan(q, ndim, order_spec, leads, seeds, tails):
+def _extension_plan(q, ndim, order, leads, seeds, tails):
     """(indices, seeds, tails, program, checks) of a basis over all of A,
     every recurrence a tuple (slot, element, reference slots)."""
-    order = MonomialOrder(*order_spec)
     key = order.key
     admissible = [w for w, aw in enumerate(leads) if all(x < q for x in aw)]
     space = sorted(index_box(q, ndim), key=key)
@@ -273,7 +276,7 @@ def plan_args(gb):
     """The arguments of ``_extension_plan`` for a basis, each element's
     tail as its sorted tail exponents: what ``ideal._extension_plan``
     reads off the basis."""
-    return (gb.field.q, gb.ndim, (gb.order.kind, gb.order.weights), tuple(gb.leading),
+    return (gb.field.q, gb.ndim, gb.order, tuple(gb.leading),
             gb.delta.members, tuple(tuple(sorted(e for e, _ in t)) for t in gb._tails))
 
 

@@ -43,6 +43,9 @@ def test_dft_idft_roundtrip(tmp_path, capsys):
     # direct path gives identical bytes
     code, out3, _ = run(capsys, "idft", "--direct", *F8_FLAGS, str(spec_file))
     assert out3 == out2
+    # so does the spectrum as a flat symbol list over A
+    spec_file.write_text(" ".join(str(want[(a,)]) for a in range(8)) + "\n")
+    assert run(capsys, "idft", *F8_FLAGS, str(spec_file)) == (EXIT_OK, out2, "")
 
 
 def test_dft_grid_output(tmp_path, capsys):
@@ -67,6 +70,19 @@ def test_malformed_integer_lists_exit_3(tmp_path, capsys):
             assert (rc, out) == (EXIT_CONFIG, "")
             assert err == "config error: argument %s: expected comma-separated integers, got %r\n" % (
                 flag, bad)
+
+
+def test_empty_index_component_exits_3(tmp_path, capsys):
+    # "(,1)" used to be read as the point (1), and "(1,) -> 2" as the
+    # entry at (1)
+    pts = tmp_path / "pts.txt"
+    pts.write_text("(-1)\n(,1)\n(3)\n")
+    assert run(capsys, "gb", *F8_FLAGS, str(pts)) == (
+        EXIT_CONFIG, "", "config error: bad multi-index '(,1)'\n")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("".join("(%d%s) -> 0\n" % (a, "," if a == 1 else "") for a in range(8)))
+    assert run(capsys, "idft", *F8_FLAGS, str(spec)) == (
+        EXIT_CONFIG, "", "config error: bad multi-index '(1,) '\n")
 
 
 def test_gb_and_extend(tmp_path, capsys):
@@ -245,7 +261,10 @@ def test_malformed_input_exits_without_traceback(tmp_path, capsys):
     info19 = write("info19.txt", " ".join(["0"] * 19) + "\n")
     info18 = write("info18.txt", " ".join(["0"] * 18) + "\n")
     zeros = write("zeros.txt", " ".join(["0"] * 27) + "\n")
+    erased = write("erased.txt", " ".join(["?"] + ["0"] * 26) + "\n")
     sys_cmd = ["encode-sys", "--preset", "hermitian", "--phi"]
+    f8_pts = write("f8_pts.txt", "(-1)\n(1)\n(3)\n(6)\n")
+    gf4_n3 = ["--p", "2", "--m", "2", "--poly", "1,1,1", "--ndim", "3"]
     cases = [
         # |Phi| = 8, |B| = 9
         (sys_cmd + [points("phi8.txt", HERM_SYS_PHI[:8]), info19], EXIT_CONFIG, "|B| = 9"),
@@ -262,6 +281,22 @@ def test_malformed_input_exits_without_traceback(tmp_path, capsys):
         (["encode", "--config",
           config("n0.json", N=0, points="full-grid", order={"kind": "lex"}), zeros],
          EXIT_CONFIG, "N >= 1"),
+        (["check", "--preset", "hermitian", info19], EXIT_CONFIG, "expected 27 symbols, got 19"),
+        (["idft", *F8_FLAGS, write("s7.txt", "0 " * 7)], EXIT_CONFIG,
+         "expected 8 symbols over A, got 7"),
+        (["dft", *F8_FLAGS, write("w_erased.txt", "? " + "0 " * 7)], EXIT_CONFIG,
+         "erasure marks are not meaningful for a transform"),
+        (sys_cmd + [points("phi9.txt", HERM_SYS_PHI), write("info_erased.txt", "? " + "0 " * 17)],
+         EXIT_CONFIG, "information word cannot contain erasures"),
+        (["check", "--preset", "hermitian", erased], EXIT_CONFIG,
+         "cannot check a word with erasures"),
+        (["extend", *F8_FLAGS, "--points", f8_pts, write("seed3.txt", "(0) -> 1\n(1) -> 2\n")],
+         EXIT_CONFIG, "seed spectrum must be indexed exactly by the delta set ((0) (1) (2) (3))"),
+        (["dft", *F8_FLAGS[:-2], zeros], EXIT_CONFIG, "need --ndim with explicit field flags"),
+        (["dft", "--p", "2", "--m", "3", "--ndim", "1", zeros], EXIT_CONFIG,
+         "need --p, --m and --poly (or --config/--preset)"),
+        (["idft", *gf4_n3, "--grid", write("s64.txt", "0 " * 64)], EXIT_CONFIG,
+         "grid form is only defined for N <= 2"),
     ]
     for argv, want, fragment in cases:
         rc, _, err = run(capsys, *argv)

@@ -300,8 +300,8 @@ def _info(code, rng):
 
 
 def _generator_of(code):
-    return codes._generator(code.field, (code.order.kind, code.order.weights),
-                            code.psi.points, tuple(code.b_list), code.delta)
+    return codes._generator(code.field, code.order, code.psi.points, tuple(code.b_list),
+                            code.delta)
 
 
 def _encode_ops(code):
@@ -538,6 +538,18 @@ def test_config_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(PRESET_CONFIGS["rs-like"]))
     assert load_code(str(good)).n == 4
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("hermitian", {"B": [[0, 0], [1, 0], [0, 0]]}, "repeated check index (0, 0)"),
+    ("hermitian", {"B": 7}, "B must be a list of index tuples or a spec string"),
+    ("hermitian", {"B": "deg<=4"}, "unknown B spec 'deg<=4'"),
+    ("hcrs", {"B": "wdeg<=4"}, "wdeg B-spec needs a weighted order"),
+    ("hermitian", {"N": 3}, "hermitian point generator needs N = 2"),
+], ids=["repeated-b", "b-not-iterable", "unknown-b-spec", "wdeg-unweighted", "hermitian-n3"])
+def test_config_errors_name_the_fault(name, change, message):
+    with pytest.raises(CodeConfigError, match="^%s$" % re.escape(message)):
+        code_from_config(dict(PRESET_CONFIGS[name], **change))
 
 
 def test_config_needs_positive_n():

@@ -232,6 +232,18 @@ def test_locate_checks_the_syndrome_values(hermitian, rng, bad):
     assert f.op_count == before
 
 
+def test_locate_needs_every_check_index(hermitian, rng):
+    f = hermitian.field
+    synd = syndrome(encode_nonsystematic(random_info(hermitian, rng), hermitian),
+                    hermitian.b_list)
+    for b in hermitian.b_list[2:5]:
+        del synd.values[b]
+    before = f.op_count
+    with pytest.raises(UndecodableError, match="^syndrome is missing 3 check indices$"):
+        locate(synd, PointSet(f, 2, ()), hermitian)
+    assert f.op_count == before
+
+
 def test_decoders_call_locate_by_its_module_name(hermitian, rng, monkeypatch):
     # a wrapper bound to decoder.locate (a tracer's per-layer span) sees one
     # call per decode, erasure-only decodes included
@@ -1478,15 +1490,14 @@ def _lemma_values(code, points, synd):
     delta set lies in B, else the check-set family; IdealError when that is
     unsolvable; ideal.lemma_family), then the IDFT at L, as {point: element
     code}.  The full Omega-word of the extension must vanish off L
-    (maps._omega_idft raises VanishingError) and agree with the IDFT at L.
+    (maps.canonical_iso raises VanishingError) and agree with the IDFT at L.
     The code's store is left alone."""
     f, pts = code.field, code.psi.subset(points)
     family = lemma_family(pts, code.b_list, code.order)
-    x = _extension_array(synd.restrict(family.delta.members), family)
-    got = idft_at(f, x, pts.array)
-    w, at = maps._omega_idft(x, pts)
-    assert (w[at] == got).all()
-    return dict(zip(pts.points, f.np_codes(got)))
+    seed = synd.restrict(family.delta.members)
+    got = f.np_codes(idft_at(f, _extension_array(seed, family), pts.array))
+    assert got == list(maps.canonical_iso(seed, family, pts).values.values())
+    return dict(zip(pts.points, got))
 
 
 def _family_kind(code, points):

@@ -83,8 +83,11 @@ def test_delta_set_invariants(hermitian, hcrs):
 
 
 def test_empty_point_set_rejected(f8_module):
+    empty = PointSet(f8_module, 1, ())
     with pytest.raises(IdealError):
-        vanishing_gb(PointSet(f8_module, 1, ()), MonomialOrder("lex"))
+        vanishing_gb(empty, MonomialOrder("lex"))
+    with pytest.raises(IdealError, match="^empty point set$"):
+        check_set_basis(empty, [(0,)], MonomialOrder("lex"))
 
 
 def test_full_grid_bases(f8_module, f9):
@@ -351,6 +354,8 @@ def test_leading_monomial(f8_module, f9):
     assert const.leading(MonomialOrder("grlex")) == (0, 0)
     with pytest.raises(IdealError):
         Polynomial(f9, 2, {}).leading(MonomialOrder("grlex"))
+    with pytest.raises(IdealError, match=r"^exponent \(0, 3, 1\) has wrong arity$"):
+        Polynomial(f9, 2, {(0, 3): 0, (0, 3, 1): 1})
 
 
 PROPERTY_FIELDS = {4: Field(2, 2, (1, 1, 1)), 8: Field(2, 3, (1, 1, 0, 1)),

@@ -6,8 +6,10 @@ a name bound by ``import`` or ``from ... import`` at any level of a module
 must be read somewhere in it.  The package's ``__init__.py`` is left out,
 since it imports names to re-export them.  A module-level function, class
 or constant must be read in its own module outside its own definition,
-imported by name, or read as an attribute somewhere in ``src/``,
-``perfbench/`` or ``tests/``.
+imported by name, or read as an attribute somewhere in ``src/`` or
+``perfbench/``.  A read in ``tests/`` does not count, so library code
+that only tests run is flagged; the names ``__init__.py`` exports count
+as read, since it imports them by name.
 """
 
 import ast
@@ -18,7 +20,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "avcodes"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
-READERS = ("src", "perfbench", "tests")
+READERS = ("src", "perfbench")
 
 
 def unused_imports(source):
@@ -95,9 +97,23 @@ def test_the_check_finds_an_unread_definition():
         (3, "_pad"), (4, "f"), (10, "D")]
 
 
+def library_reads(root):
+    """used_elsewhere over the sources of READERS under ``root``."""
+    return used_elsewhere(p.read_text() for d in READERS for p in sorted((root / d).rglob("*.py")))
+
+
+def test_a_read_in_a_test_does_not_count(tmp_path):
+    source = "def f():\n    pass\ndef g():\n    pass\n"
+    for path, text in (("src/m.py", source), ("perfbench/run.py", "import m\nm.g()\n"),
+                       ("tests/test_m.py", "from m import f\nf()\n")):
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_text(text)
+    assert unread_definitions(source, library_reads(tmp_path)) == [(1, "f")]
+
+
 @pytest.fixture(scope="module")
 def elsewhere():
-    return used_elsewhere(p.read_text() for d in READERS for p in sorted((ROOT / d).rglob("*.py")))
+    return library_reads(ROOT)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))

@@ -124,6 +124,9 @@ def test_total_order_compatible_with_dominates(order):
 def test_order_validation():
     with pytest.raises(IndexError_):
         MonomialOrder("degrevlex")
+    with pytest.raises(IndexError_, match=r"^weight vector length 2 does not match index "
+                                          r"\(1, 2, 3\)$"):
+        MonomialOrder("weighted_grlex", (3, 4)).key((1, 2, 3))
     with pytest.raises(IndexError_):
         MonomialOrder("weighted_grlex", (0, 1))
     with pytest.raises(IndexError_):
@@ -147,6 +150,27 @@ def test_index_text_roundtrip():
         parse_index("(1,2)", 3)
     with pytest.raises(IndexError_):
         parse_index("(a,b)")
+    assert parse_index("()", 0) == ()  # no component, not an empty one
+
+
+@pytest.mark.parametrize("text, ndim", [("(1,,2)", 2), ("(,1,2)", 2), ("(1,2,)", 2),
+                                        (" ( 3 , ) ", 1)])
+def test_parse_index_rejects_an_empty_component(text, ndim):
+    # each used to be read as another index, with ndim components
+    with pytest.raises(IndexError_, match="^bad multi-index %s$" % re.escape(repr(text))):
+        parse_index(text, ndim)
+
+
+def test_equal_orders_hash_equal():
+    # orders key the scan-box and generator caches themselves
+    for a, b in ((MonomialOrder("lex"), MonomialOrder("lex", (1, 2))),
+                 (MonomialOrder("weighted_grlex", [2, 3]), MonomialOrder("weighted_grlex", (2, 3)))):
+        assert a == b and hash(a) == hash(b)
+    table = {MonomialOrder(*spec): i for i, spec in enumerate(
+        [("lex",), ("grlex",), ("weighted_grlex", (2, 3)), ("weighted_grlex", (3, 2))])}
+    assert len(table) == 4
+    assert table[MonomialOrder("weighted_grlex", [3, 2])] == 3
+    assert table[MonomialOrder("grlex", (5, 5))] == 1
 
 
 def test_index_box_order():

@@ -11,7 +11,7 @@ from scalar_reference import idft_at, idft_at_count
 from avcodes.codes import is_dual_codeword
 from avcodes.gf import ZERO, ONE, Field, FieldError, DENSE_Q
 from avcodes.transform import (Spectrum, Word, dft, idft, dft_fast, idft_fast,
-                               dft_partial, dft_kernel, idft_kernel,
+                               dft_partial, idft_kernel,
                                idft_flat, index_space, omega_space,
                                spectrum_lines, word_lines, parse_assoc_lines,
                                grid_lines, DomainError)
@@ -209,6 +209,13 @@ def test_partial_domain_rejected(f8, f9):
     h = Spectrum(f8, 1, {(0,): ONE})
     with pytest.raises(DomainError):
         idft(h)
+    before = f8.op_count
+    with pytest.raises(DomainError, match=r"^dft input must be defined on the full domain "
+                                          r"\(missing 7 entries\)$"):
+        dft_fast(c)
+    with pytest.raises(DomainError, match=r"^idft input .* \(missing 7 entries\)$"):
+        idft_fast(h)
+    assert f8.op_count == before
     with pytest.raises(DomainError, match=r"index \(-1,\) outside A"):
         dft_partial(c, [(0,), (-1,)])
     # a component q or above, and an index of the wrong arity (alone or
@@ -246,12 +253,27 @@ def test_serialization_roundtrip(f9, rng):
     assert back.values == c.values
 
 
+@pytest.mark.parametrize("lines, kind, error, message", [
+    (["(0,0) -> 1", "(1,0) 2"], "spectrum", DomainError,
+     "bad line '(1,0) 2', expected 'index -> value'"),
+    (["(0,1) -> 1", " (0,1) -> -1"], "spectrum", DomainError, "duplicate entry for (0, 1)"),
+    (["(-1,3) -> 1", "(-1,3) -> 2"], "word", DomainError, "duplicate entry for (-1, 3)"),
+    (["(0,9) -> 1"], "spectrum", FieldError, "index (0, 9) out of A"),
+    (["(-1,0) -> 1"], "spectrum", FieldError, "index (-1, 0) out of A"),
+])
+def test_parse_assoc_lines_errors(f9, lines, kind, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        parse_assoc_lines(f9, 2, lines, kind)
+
+
 def test_grid_lines_shape(f8, rng):
     h = random_spectrum(f8, 2, rng)
     lines = grid_lines(h, "spectrum")
     assert len(lines) == 9  # header + 8 rows
     c = random_word(f8, 1, rng)
     assert len(grid_lines(c, "word")) == 1
+    with pytest.raises(DomainError, match=r"^grid form is only defined for N <= 2$"):
+        grid_lines(random_spectrum(f8, 3, rng), "spectrum")
 
 
 @pytest.mark.parametrize("bad", [-2, 9, 1.5, True, 2 ** 70])
@@ -318,10 +340,9 @@ def test_kernels_match_scalar_reference(q, ndim, seed):
         assert got.values == want.values and ops == ref_ops
         assert ops == len(indices) * len(vec.values) * (2 * ndim + 1)
     fiber = values(q)
-    for fast, ref in ((dft_kernel, reference.dft_kernel), (idft_kernel, reference.idft_kernel)):
-        got, ops = _counted(f, fast, f, fiber)
-        want, ref_ops = _counted(f, ref, f, fiber)
-        assert got == want and ops == ref_ops
+    got, ops = _counted(f, idft_kernel, f, fiber)
+    want, ref_ops = _counted(f, reference.idft_kernel, f, fiber)
+    assert got == want and ops == ref_ops
 
 
 # fields above the dense-table limits: no q x q table exists for them
