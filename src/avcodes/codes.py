@@ -263,7 +263,7 @@ def encode_nonsystematic(h, code):
     over another field, with a value that is no element code, or with
     support off D\\B."""
     f = code.field
-    check_field(h, f, "information spectrum", "code", CodeConfigError)
+    check_field(h, Spectrum, code, "information spectrum", "code", CodeConfigError)
     check_values(h, "information spectrum")
     for b in code.b_list:
         if h.values.get(b, ZERO) != ZERO:
@@ -288,7 +288,7 @@ def encode_nonsystematic(h, code):
 
 def primal_encode(h, code):
     """Generator-side codeword ev(h) of C(V_B, Psi) for h supported on B."""
-    check_field(h, code.field, "primal information spectrum", "code", CodeConfigError)
+    check_field(h, Spectrum, code, "primal information spectrum", "code", CodeConfigError)
     for d in h.values:
         if h.values[d] != ZERO and tuple(d) not in code.b_members:
             raise CodeConfigError("primal information index %s outside B" % (d,))
@@ -307,7 +307,7 @@ def is_dual_codeword(c, code):
     over another field and FieldError, naming the position, at a value
     that is no element code, both before any work; a word with a point off
     the code is no codeword, and no syndrome is counted for it."""
-    check_field(c, code.field, "word", "code", CodeConfigError)
+    check_field(c, Word, code, "word", "code", CodeConfigError)
     x = _element_array(c, list(c.values.values()), "dft input")
     try:
         at = [code.point_row[p] for p in c.values]

@@ -50,7 +50,12 @@ the error support; beyond it a decode returns a checked word or raises
 UndecodableError.  The projection and the span test leave the syndrome's
 combination of the columns of Phi1 and Z as tails, which are minus the
 error values.  The numpy steps count the scalar operations they stand
-for, each once.
+for, each once.  Each vote fills the next index outside B, so the etas
+a locate meets are the code's own: what a step reads of the code at eta
+(the known widths, the new entries and their forms, the voters) is
+compiled once per code and eta (ideal.SumForms.step), and a locate
+works on a store the size of the block, a fixed few array calls per
+step, pivot and vote.
 """
 
 import numbers
@@ -146,33 +151,72 @@ class LocateResult:
     built: bool
 
 
-def _dots(ar, x):
-    """Scalar count of a dot product per row of x: mul per term, add between."""
-    live = x != ar.zero
-    return 2 * int(live.sum()) - int(live.any(axis=1).sum())
+def _span(f, vecs):
+    """The insertion of the rows of the exponent array ``vecs`` in order
+    into a fresh Eliminator of their length, right-looking on one array
+    of [vector | -combination] exponents: whether every row but the last
+    was kept, the last one's tail over the kept rows (None when it was
+    kept), and Eliminator.insert's scalar count, read off the terms of
+    each kept row and the coefficients each step met."""
+    ar = f.np_arith()
+    k, size = vecs.shape
+    x = np.full((k, size + k), ar.zero, dtype=np.intp)
+    x[:, :size] = vecs
+    terms = np.zeros((k, size + k), dtype=bool)  # each kept row's, before its tag
+    coeffs = np.full((k, k), ar.zero, dtype=np.intp)  # step j's in column j
+    kept = 0
+    for i in range(k):
+        e = x[i]
+        live = e != ar.zero
+        pivot = live[:size].argmax()
+        if not live[pivot]:
+            continue
+        terms[i] = live
+        # scale by -1/pivot, with the row's own tag at coefficient one
+        e[size + kept], live[size + kept] = 0, True
+        row = (e + (ar.neg - e[pivot])) % (f.q - 1)
+        row[~live] = ar.zero
+        kept += 1
+        if i + 1 < k:
+            c = coeffs[i + 1:, i] = x[i + 1:, pivot]
+            x[i + 1:] = f.np_add(x[i + 1:], c[:, None] + row)
+    # per kept row 1 + 2 nnz(combination) + length, and per vector a step
+    # meets at a nonzero coefficient 2 (nnz(row) + 1)
+    nnz, nnz_comb = np.add.reduce(terms, axis=1), np.add.reduce(terms[:, size:], axis=1)
+    hits = np.add.reduce(coeffs != ar.zero)
+    ops = int(kept * (1 + size) + 2 * np.add.reduce(nnz_comb) + hits @ (2 * (nnz + 1)))
+    last = x[k - 1]
+    if (last[:size] != ar.zero).any():
+        return kept == k, None, ops
+    return kept == k - 1, last[size:size + kept], ops
 
 
 class _Staircase:
     """Feng-Rao majority voting for one locate call, over the delta
     indices of ``code.d_sorted``, whose values at the points are the rows
-    of ``code.d_rows``.  ``poly[i]`` is row i reduced by the pivot rows
-    above it, a polynomial over the delta monomials (at first R_g);
-    ``red`` holds its known entries (the two side by side in ``both``),
-    ``u`` the syndrome sum of each normal form of ``code.sum_forms``."""
+    of ``code.d_rows``.  What depends only on the code and on eta, the
+    first unknown syndrome, is read off its compiled schedule
+    (ideal.SumForms.step).  The store ``st`` covers the block, growing by
+    doubling: ``st[i, 1]`` (poly) is row i reduced by the pivot rows above
+    it, a polynomial over the delta monomials (at first R_g);
+    ``st[i, 0]`` (red) holds its known entries and ``st[i, 2]`` the
+    syndrome sums of the known pairs of row i, the sums of their normal
+    forms (``u`` per form slot)."""
 
     def __init__(self, code, target, erasures, phi1_rows, t_max):
         f = code.field
         self.f, self.ar, self.code, self.forms = f, f.np_arith(), code, code.sum_forms
         self.target, self.erasures, self.t_max = target, erasures, t_max
         n = self.n = code.n
-        zero = self.ar.zero
-        self.sval = np.full(n, zero, dtype=np.intp)
-        self.known = np.zeros(n, dtype=bool)
+        self.sval = np.full(n, self.ar.zero, dtype=np.intp)
+        # the syndromes known and the pivot columns
+        self.known, self.pivot_cols = np.zeros((2, n), dtype=bool)
         self.sval[code.d_check], self.known[code.d_check] = target, True
-        self.both = np.full((n, 2 * n), zero, dtype=np.intp)
-        self.red, self.poly = self.both[:, :n], self.both[:, n:]
-        np.fill_diagonal(self.poly, 0)
-        self.rows = np.ones(n, dtype=bool)
+        # the rows R_g (g outside Delta(Phi1)), those without a pivot, and
+        # the points off Phi1
+        live = np.ones((3, n), dtype=bool)
+        self.rows, self.free, self.off = live
+        self.tags = self.tails = None
         if phi1_rows:
             # R_g = x^g + tail vanishes on Phi1: one insertion of the delta
             # monomials' values on Phi1 until the footprint is complete,
@@ -182,153 +226,175 @@ class _Staircase:
             elim = Eliminator(f, ne)
             done, ops = elim.insert(evals, range(n), lambda row, tail: np.full(
                 n, len(elim.pivots) == ne))
-            _, tails, more = elim.reduce(evals)
+            _, self.tails, more = elim.reduce(evals)
             f.op_count += ops + int(more[len(done):].sum())
-            self.poly[:, elim.tags] = tails
-            self.rows[elim.tags] = False
-        self.off = np.delete(np.arange(n), phi1_rows)  # the points off Phi1
-        self.width = np.zeros(n, dtype=np.intp)  # the known prefix of each row
-        self.pivots = []  # (column, row, -1 / pivot entry)
-        self.pivot_col = np.full(n, -1, dtype=np.intp)
+            self.tags = np.array(elim.tags, dtype=np.intp)  # increasing
+            live[:2, self.tags] = False
+        self.off[list(phi1_rows)] = False
+        self.n_off = n - len(phi1_rows)
+        self.index = np.arange(n)
+        self.st = np.empty((0, 3, 0), dtype=np.intp)
         self.u = np.empty(0, dtype=np.intp)
+        self.pivots = []  # (column, row, -1 / pivot entry)
+        self.last = 0  # the rightmost pivot column, 0 with none
         self.votes = 0
         self.tried = None
 
     def run(self):
         """The located positions off Phi1, their combination (``_located``)
         and the statistics."""
+        prev = 0
         while True:
-            eta = self.n if self.known.all() else int(self.known.argmin())
-            m = min(self.n, eta + 1)
-            self._advance(eta, m)
-            found = self._located(m)
+            eta = int(self.known.argmin())
+            if self.known[eta]:
+                eta = self.n
+            s = self.forms.step(eta, prev)
+            self._advance(s)
+            found = self._located(s)
             if found is not None:
                 z, comb = found
                 return z, comb, {"t": len(z), "votes": self.votes, "rank": len(self.pivots),
-                                 "rows": int(np.count_nonzero(self.rows & (self.width > 0))),
-                                 "cols": int(self.width.max())}
+                                 "rows": int(np.count_nonzero(self.rows[:s.m] & (s.width > 0))),
+                                 "cols": int(s.width[0])}  # widths never grow downwards
             if eta == self.n:
                 raise UndecodableError("no error support of size <= %d is consistent "
                                        "with the syndrome" % self.t_max)
-            self._vote(eta, m)
+            self._vote(eta, s)
+            prev = eta
 
-    def _advance(self, eta, m):
+    def _fit(self, m):
+        """Grow the store, which holds fewer than m rows and columns, to 2m
+        (n at most), at least doubling; row g of the new poly is R_g, x^g
+        plus its tail on the erasure tags below g."""
+        size = self.st.shape[0]
+        grown = min(self.n, 2 * m)
+        st = np.full((grown, 3, grown), self.ar.zero, dtype=np.intp)
+        st[:size, :, :size] = self.st
+        g = self.index[size:grown]
+        st[g, 1, g] = 0
+        if self.tags is not None:
+            below = np.searchsorted(self.tags, grown)
+            st[size:, 1, self.tags[:below]] = self.tails[size:grown, :below]
+        self.st = st
+
+    def _advance(self, s):
         """Grow the staircase to the syndromes below eta; eliminate its new
         entries by the old pivots, in column order, then the new ones."""
-        f, zero = self.f, self.ar.zero
-        slots, self.lead, box, self.good = self.forms.block(m)
-        known = box < eta
-        width = known.sum(axis=1)
-        old = self.width[:m].copy()
-        ii, jj = np.nonzero(known & (np.arange(m) >= old[:, None]))
-        if len(self.u) < len(self.forms.leads):
-            self.u = np.append(self.u, np.full(len(self.forms.leads) - len(self.u), -1))
-        need = np.zeros(len(self.u), dtype=bool)
-        need[slots[ii, jj]] = True
-        need = np.flatnonzero(need & (self.u < 0))
-        forms = self.forms.forms[need]
-        self.u[need] = f.np_dot(forms, self.sval)
-        ops = _dots(self.ar, forms)
-        # the sums of unknown forms are never read: a row reaches a cell
-        # only through the known box of one of its own cells
-        self.slots, self.sums = slots, np.where(self.u[slots] < 0, zero, self.u[slots])
-        ii, jj = ii[self.rows[ii]], jj[self.rows[ii]]
-        poly = self.poly[ii, :m]
-        self.red[ii, jj] = f.np_dot(poly, self.sums[:, jj].T)
-        ops += _dots(self.ar, poly)
-        self.width[:m] = width
-        below = np.arange(m)
+        f, zero, m = self.f, self.ar.zero, s.m
+        if m > self.st.shape[0]:
+            self._fit(m)
+        st = self.st
+        red, sums = st[:, 0], st[:, 2]
+        if s.slots > self.u.size:
+            self.u = np.concatenate([self.u, np.empty(s.slots - self.u.size, dtype=np.intp)])
+        self.u[s.need] = f.np_dot(s.need_forms, self.sval[:m])
+        sums[s.new_i, s.new_j] = self.u[s.new_slots]
+        # a row reaches a pair only through the known box of its own pair
+        live = self.rows[s.new_i]
+        ii, jj = s.new_i[live], s.new_j[live]
+        poly = st[ii, 1, :m]
+        red[ii, jj] = f.np_dot(poly, sums[:m, jj].T)
+        # one dot per pair, over its row's terms (the diagonal one among them)
+        ops = s.need_ops + 2 * np.count_nonzero(poly != zero) - ii.size
+        known = (self.index[:m] < s.width[:, None]) & self.rows[:m, None]
+        new = known & (self.index[:m] >= s.old[:, None])
         for col, p, scale in sorted(self.pivots):
-            hit = (below > p) & self.rows[:m] & (old <= col) & (col < width)
-            ops += self._eliminate(p, col, scale, np.flatnonzero(hit), m)
+            ops += self._eliminate(p, col, scale, new, s)
+        search = known & self.free[:m, None]
         start = 0
         while True:
-            live = self.rows[:m] & (self.pivot_col[:m] < 0) & (below >= start)
-            nz = (self.red[:m, :m] != zero) & known & live[:, None]
-            hit = nz.any(axis=1)
-            if not hit.any():
+            nz = (red[start:m, :m] != zero) & search[start:]
+            k = nz.argmax()
+            if not nz.flat[k]:
                 break
             if len(self.pivots) >= self.t_max:
                 raise UndecodableError("more than t_max = %d pivots" % self.t_max)
-            p = int(hit.argmax())
-            col = int(nz[p].argmax())
-            scale = (self.ar.neg - self.red[p, col]) % (f.q - 1)
+            p, col = start + k // m, k % m
+            scale = (self.ar.neg - red[p, col]) % (f.q - 1)
             self.pivots.append((col, p, scale))
-            self.pivot_col[p] = col
-            hit = (below > p) & self.rows[:m] & (col < width)
-            ops += 1 + self._eliminate(p, col, scale, np.flatnonzero(hit), m)
+            self.free[p] = False
+            self.pivot_cols[col] = True
+            if col > self.last:
+                self.last = col
+            ops += 1 + self._eliminate(p, col, scale, known, s)
             start = p + 1
-        f.op_count += ops
+        f.op_count += int(ops)
 
-    def _eliminate(self, p, col, scale, rows, m):
-        """Clear column col of ``rows`` with pivot row p; the scalar count."""
-        f, ar = self.f, self.ar
-        rows = rows[self.red[rows, col] != ar.zero]
-        coeff = ((self.red[rows, col] + scale) % (f.q - 1))[:, None]
-        self.both[rows] = f.np_add(self.both[rows], coeff + self.both[p])
-        return (len(rows) * (1 + 2 * int(np.count_nonzero(self.poly[p] != self.ar.zero)))
-                + 2 * int((self.width[rows] - col - 1).sum()))
+    def _eliminate(self, p, col, scale, cells, s):
+        """Clear column col, with pivot row p, of the rows below p whose
+        pair at col is among ``cells`` and nonzero, on the block's m
+        columns of red and poly; the scalar count."""
+        f, st, m = self.f, self.st, s.m
+        at = st[p + 1:m, 0, col]
+        rows = ((at != self.ar.zero) & cells[p + 1:, col]).nonzero()[0]
+        if not rows.size:
+            return 0
+        coeff = (at[rows] + scale) % (f.q - 1)
+        rows += p + 1
+        st[rows, :2, :m] = f.np_add(st[rows, :2, :m], coeff[:, None, None] + st[p, :2, :m])
+        return (rows.size * (1 + 2 * np.count_nonzero(st[p, 1, :m] != self.ar.zero) - 2 * col)
+                + 2 * (np.add.reduce(s.width[rows]) - rows.size))
 
-    def _located(self, m):
+    def _located(self, s):
         """The stop rule: the candidate locator's zeros Z off Phi1 and the
         target's combination of the columns of Phi1 and Z as tails (None
         when the columns of Z are dependent), or None."""
-        f, code, zero = self.f, self.code, self.ar.zero
-        last = max((col for col, _, _ in self.pivots), default=0)
-        cand = np.flatnonzero(self.rows[:m] & (self.pivot_col[:m] < 0)
-                              & (self.width[:m] > last))
-        key = (tuple(cand.tolist()), len(self.pivots))
+        f, code, zero, m = self.f, self.code, self.ar.zero, s.m
+        cand = (self.free[:m] & (s.width > self.last)).nonzero()[0]
+        key = (cand.tobytes(), len(self.pivots))
         if not cand.size or key == self.tried:
             return None
         self.tried = key
-        # the first polynomial on every point off Phi1, the others on its zeros
-        poly, evals = self.poly[cand, :m], code.d_rows[:m]
-        z = self.off[f.np_dot(poly[0], evals[:, self.off].T) == zero]
-        ops = _dots(self.ar, poly[:1]) * len(self.off) + _dots(self.ar, poly[1:]) * len(z)
-        if len(cand) > 1 and z.size:
-            z = z[(f.np_dot(poly[1:, None, :], evals[:, z].T[None]) == zero).all(axis=0)]
-        f.op_count += ops
-        if len(z) != len(self.pivots):
+        # the first polynomial on every point (those of Phi1 left out),
+        # the others on its zeros
+        poly = self.st[cand, 1, :m]
+        z = ((f.np_dot(poly[0], code.d_rows[:m].T) == zero) & self.off).nonzero()[0]
+        # one dot per point, over each polynomial's terms (the diagonal one
+        # among them)
+        dots = 2 * np.add.reduce(poly != zero, axis=1) - 1
+        f.op_count += int(dots[0] * self.n_off + np.add.reduce(dots[1:]) * z.size)
+        if cand.size > 1 and z.size:
+            z = z[(f.np_dot(poly[1:, None, :], code.d_rows[:m, z].T[None]) == zero).all(axis=0)]
+        if z.size != len(self.pivots):
             return None
         # the target is in the span of the columns of Phi1 and Z when its
         # residual off Phi1 is in the span of theirs
-        res, tails, more = self.erasures.reduce(np.vstack([code.columns[z], self.target]))
-        done, ops = Eliminator(f, len(code.b_list)).insert(res, range(len(res)))
-        f.op_count += ops + int(more.sum())
-        if done[-1][1] is None:
+        res, tails, more = self.erasures.reduce(np.concatenate([code.columns[z],
+                                                                self.target[None]]))
+        independent, c_z, ops = _span(f, res)
+        f.op_count += ops + int(np.add.reduce(more))
+        if c_z is None:
             return None
-        if any(tail is not None for _, tail in done[:-1]):
+        if not independent:
             return z, None
         # the target's tail c_Z over Z; over Phi1 its erasure tail plus
         # sum_z c_z times column z's: |Z| muls and |Z| adds per tail entry
-        c_z = done[-1][1]
-        f.op_count += 2 * len(z) * tails.shape[1]
-        return z, np.concatenate([f.np_dot(tails.T, np.append(c_z, 0)), c_z])
+        f.op_count += 2 * z.size * tails.shape[1]
+        return z, np.concatenate([f.np_dot(tails.T, np.concatenate([c_z, [0]])), c_z])
 
-    def _vote(self, eta, m):
+    def _vote(self, eta, s):
         """Fill the syndrome at eta with the majority vote of the
         well-behaving pairs at eta free of pivots left and above."""
-        f, zero = self.f, self.ar.zero
-        good = self.good & (self.lead == eta)
-        good &= (self.rows[:m] & (self.pivot_col[:m] < 0))[:, None]
-        good[:, [col for col, _, _ in self.pivots]] = False
-        ii, jj = np.nonzero(good)
+        f, zero, m = self.f, self.ar.zero, s.m
+        sel = self.free[s.vote_i] & ~self.pivot_cols[s.vote_j]
+        ii, jj = s.vote_i[sel], s.vote_j[sel]
         if not ii.size:
             raise UndecodableError("no pair votes at %s" % (self.code.d_sorted[eta],))
-        forms = self.forms.forms[self.slots[ii, jj]]
-        # each entry with the syndrome at eta left out, then reduced
-        sums = self.sums[:, jj].copy()
-        sums[ii, np.arange(len(ii))] = f.np_dot(forms[:, :eta], self.sval[:eta])
-        poly = self.poly[ii, :m]
-        rest = f.np_dot(poly, sums.T)
+        # each pair's entry with the syndrome at eta left out, then reduced:
+        # no two voters share a row or a column, and no voter's pair is
+        # read by another's reduction
+        sums = self.st[:, 2]
+        sums[ii, jj] = f.np_dot(s.vote_forms[sel], self.sval[:eta])
+        poly = self.st[ii, 1, :m]
+        rest = f.np_dot(poly, sums[:m, jj].T)
         # the partial sum, the combination and a division per pair
-        ops = _dots(self.ar, forms[:, :eta]) + 2 * int((poly != zero).sum())
+        ops = np.add.reduce(s.vote_ops[sel]) + 2 * np.count_nonzero(poly != zero)
         # the vote: -rest / (the coefficient of the syndrome at eta)
-        votes = np.where(rest == zero, zero, (rest + self.ar.neg - forms[:, eta]) % (f.q - 1))
-        values, counts = np.unique(votes, return_counts=True)
-        self.sval[eta], self.known[eta] = values[counts.argmax()], True
+        votes = (rest + self.ar.neg - s.vote_coef[sel]) % (f.q - 1)
+        votes[rest == zero] = zero
+        self.sval[eta], self.known[eta] = np.bincount(votes).argmax(), True
         self.votes += 1
-        f.op_count += ops
+        f.op_count += int(ops)
 
 
 def locate(synd, phi1, code, t_max=None):
@@ -353,8 +419,8 @@ def locate(synd, phi1, code, t_max=None):
         t_max = default_t_max(code, len(phi1))
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
         raise ValueError("t_max must be a nonnegative integer, not %r" % (t_max,))
-    check_field(synd, f, "syndrome", "code", UndecodableError)
-    check_field(phi1, f, "erasure set", "code", UndecodableError)
+    check_field(synd, Spectrum, code, "syndrome", "code", UndecodableError)
+    check_field(phi1, PointSet, code, "erasure set", "code", UndecodableError)
     missing = [b for b in code.b_list if b not in synd.values]
     if missing:
         raise UndecodableError("syndrome is missing %d check indices" % len(missing))
@@ -378,8 +444,9 @@ def locate(synd, phi1, code, t_max=None):
                 "no error support of size <= 0 is consistent with the syndrome")
         z, comb, stats = _Staircase(code, target, elim, entry.rows, t_max).run()
         rows = entry.rows + tuple(z.tolist())
+        order = sorted(range(len(rows)), key=rows.__getitem__)
         if comb is not None and len(comb) == len(rows):  # Phi1's rows, then Z's
-            comb = comb[np.argsort(rows)]
+            comb = comb[order]
         rows = tuple(sorted(rows))
         located = PointSet(f, code.ndim, tuple(code.psi.points[r] for r in rows))
     values = None
@@ -398,8 +465,8 @@ def _decode_head(r, phi1, code, t_max, kind, onto):
     exponent array, LocateResult); UndecodableError when the located
     set's check columns are dependent, where it has no error values."""
     f = code.field
-    check_field(r, f, "received word", "code", UndecodableError)
-    check_field(phi1, f, "erasure set", "code", UndecodableError)
+    check_field(r, Word, code, "received word", "code", UndecodableError)
+    check_field(phi1, PointSet, code, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):  # the transform checks the values
         raise UndecodableError("received word is not indexed by the code's point set")
     meter = _Meter(f)
@@ -485,7 +552,7 @@ def decode_word(r, phi1, code, t_max=None):
 def _check_phi(phi, code):
     """SystematicSupportError unless Phi is |B| points of the code, over
     its field."""
-    check_field(phi, code.field, "Phi", "code", SystematicSupportError)
+    check_field(phi, PointSet, code, "Phi", "code", SystematicSupportError)
     if len(phi) != len(code.b_list):
         raise SystematicSupportError("|Phi| = %d but |B| = %d" % (len(phi), len(code.b_list)))
     if not all(p in code.psi for p in phi.points):
@@ -528,7 +595,7 @@ def systematic_encode(info, phi, code):
     SystematicSupportError, "Phi not generic", when Phi's check columns
     have rank below |Phi|, where no such map exists."""
     f = code.field
-    check_field(info, f, "information word", "code", SystematicSupportError)
+    check_field(info, Word, code, "information word", "code", SystematicSupportError)
     _check_phi(phi, code)
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")

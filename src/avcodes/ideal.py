@@ -575,13 +575,48 @@ def normal_form(poly, gb):
     return Polynomial(f, gb.ndim, remainder)
 
 
+@dataclass(frozen=True, eq=False)
+class StaircaseStep:
+    """What the decoder's Feng-Rao staircase reads when eta is the first
+    unknown syndrome and prev the one before it (0 at the first), on the
+    block of the first m = min(n, eta + 1) delta monomials; read-only.
+    A pair is known when every pair of its box leads below eta, so the
+    known pairs of row i are its first ``width[i]`` and those known at
+    prev its first ``old[i]``.  The pairs known since prev are
+    (``new_i``, ``new_j``) with slots ``new_slots``; ``need`` lists the
+    slots of the forms none of the pairs known at prev has, with their
+    first m coefficients (``need_forms``, whose leads are below eta) and
+    the scalar count of their syndrome sums (``need_ops``).  The
+    well-behaving pairs leading at eta, the voters, are (``vote_i``,
+    ``vote_j``), with their forms below eta (``vote_forms``), each one's
+    count of its sum (``vote_ops``) and its coefficient at eta
+    (``vote_coef``).  ``slots`` bounds every slot named."""
+
+    m: int
+    width: np.ndarray
+    old: np.ndarray
+    new_i: np.ndarray
+    new_j: np.ndarray
+    new_slots: np.ndarray
+    need: np.ndarray
+    need_forms: np.ndarray
+    need_ops: int
+    vote_i: np.ndarray
+    vote_j: np.ndarray
+    vote_forms: np.ndarray
+    vote_ops: np.ndarray
+    vote_coef: np.ndarray
+    slots: int
+
+
 class SumForms:
     """Normal forms mod I(Psi) of the products of pairs (i, j) of delta
     monomials (in increasing order), memoized per semigroup sum, computed
     for the pairs asked for: the coefficient exponents over the delta set
     of normal_form(x^sum, gb), by division on the code's basis ``gb``, and
-    the lead position (-1 for zero).  Not op-counted: they belong to the
-    code, like its evaluation columns."""
+    the lead position (-1 for zero).  The decoder's schedule per first
+    unknown syndrome (``step``) is compiled from them once and kept.  Not
+    op-counted: they belong to the code, like its evaluation columns."""
 
     def __init__(self, gb):
         self.gb = gb
@@ -593,6 +628,7 @@ class SumForms:
         self.forms, self.leads = self._buf
         self._slot = {}
         self._block = (np.empty((0, 0), dtype=np.intp),) * 4
+        self._steps = {}  # (prev, eta) -> StaircaseStep
         self._lock = threading.Lock()
 
     def block(self, m):
@@ -604,6 +640,42 @@ class SumForms:
             if m > len(self._block[0]):
                 self._grow(m)
             return tuple(a[:m, :m] for a in self._block)
+
+    def step(self, eta, prev):
+        """The StaircaseStep of first unknown syndrome eta after prev,
+        compiled on first use and kept."""
+        with self._lock:
+            step = self._steps.get((prev, eta))
+            if step is None:
+                step = self._steps[prev, eta] = self._compile(eta, prev)
+            return step
+
+    def _compile(self, eta, prev):
+        m = min(len(self.delta), eta + 1)
+        if m > len(self._block[0]):
+            self._grow(m)
+        zero = self.gb.field.np_arith().zero
+        pairs, lead, box, good = (a[:m, :m] for a in self._block)
+        new_i, new_j = np.nonzero((box < eta) & (box >= prev))
+        new_slots = pairs[new_i, new_j]
+        need = np.setdiff1d(new_slots, pairs[box < prev])
+        need_forms = self.forms[need, :m]
+        live = need_forms != zero
+        # np_dot's scalar count per form: a mul per term, an add between
+        need_ops = 2 * int(live.sum()) - int(live.any(axis=1).sum())
+        vote_i, vote_j = np.nonzero(good & (lead == eta))
+        at = self.forms[pairs[vote_i, vote_j], :eta + 1]
+        live = at[:, :eta] != zero
+        step = StaircaseStep(
+            m=m, width=(box < eta).sum(axis=1), old=(box < prev).sum(axis=1),
+            new_i=new_i, new_j=new_j, new_slots=new_slots, need=need, need_forms=need_forms,
+            need_ops=need_ops, vote_i=vote_i, vote_j=vote_j, vote_forms=at[:, :eta],
+            vote_ops=2 * live.sum(axis=1) - live.any(axis=1), vote_coef=at[:, -1],
+            slots=len(self.leads))
+        for a in vars(step).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return step
 
     def _grow(self, m):
         gb, f = self.gb, self.gb.field
@@ -784,7 +856,7 @@ def _extension_array(h, gb):
     an exponent array in the flat order of the transform kernels (first
     component fastest, as index_space), the hand-off to the inverse
     transform, with no dict built and no value checked again."""
-    check_field(h, gb.field, "seed spectrum", "basis", IdealError)
+    check_field(h, Spectrum, gb, "seed spectrum", "basis", IdealError)
     if h.domain() != set(gb.delta.members):
         raise IdealError("seed spectrum domain does not match the basis seed set")
     check_values(h, "seed spectrum")

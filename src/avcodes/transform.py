@@ -91,13 +91,18 @@ def check_values(vec, what):
             raise FieldError("%s at %s: %s" % (what, key, exc)) from None
 
 
-def check_field(vec, field, what, whose, error):
-    """Raise ``error`` naming both fields when a Word or Spectrum is over
-    another field than ``field`` (``is`` first, ``==`` after)."""
-    g = vec.field
+def check_field(vec, kind, owner, what, whose, error):
+    """Raise ``error`` unless ``vec`` is a ``kind`` (Word, Spectrum or
+    maps.PointSet) over the field of ``owner`` (a code or a basis), naming
+    both fields (``is`` first, ``==`` after), with owner's N."""
+    if not isinstance(vec, kind):
+        raise error("%s must be a %s, not %s" % (what, kind.__name__, type(vec).__name__))
+    g, field = vec.field, owner.field
     if g is not field and g != field:
         raise error("%s over %r (polynomial %s), %s over %r (polynomial %s)"
                     % (what, g, g.primitive_poly, whose, field, field.primitive_poly))
+    if vec.ndim != owner.ndim:
+        raise error("%s has N = %d, %s has N = %d" % (what, vec.ndim, whose, owner.ndim))
 
 
 def index_space(field, ndim):

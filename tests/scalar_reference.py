@@ -37,9 +37,16 @@ and negation one Field call: the oracle of the library's exponent-array
 paths, words, per-step counts and errors.  The direct formulas (``transform.dft``,
 ``transform.idft``) stay in the library as the transform oracle;
 ``dft(c, indices)`` is the reference of ``dft_partial``.
+``locate`` and its ``Staircase`` are the voting locator as it was before
+its schedule was compiled per first unknown syndrome: an n x 2n array of
+reduced rows and known entries, the block's masks, needed forms and
+voters recomputed on every step, and a fresh ``ideal.Eliminator`` for
+the stop rule's span test; the reference of ``avcodes.decoder.locate``'s
+located sets, values, statistics, counts and errors.
 """
 
 import itertools
+import numbers
 
 import numpy as np
 
@@ -48,9 +55,11 @@ from avcodes.decoder import SystematicSupportError, UndecodableError
 from avcodes.gf import ZERO, ONE
 from avcodes.ideal import (IdealError, _level_leads, DeltaSet, Polynomial, ReducedGroebnerBasis,
                            index_array)
+from avcodes.maps import PointSet
 from avcodes.mindex import dominates, dominated_sub, semigroup_add, index_box
-from avcodes.transform import (Spectrum, Word, check_field, index_space, omega_space,
-                               _require_full, point_power, dft_partial, power_matrix)
+from avcodes.transform import (Spectrum, Word, check_field, check_values, index_space,
+                               omega_space, _require_full, point_power, dft_partial,
+                               power_matrix)
 
 
 # -- field addition, digit by digit ----------------------------------------
@@ -591,8 +600,8 @@ def _decode_head(r, phi1, code, t_max, kind, onto):
     received word's transform by ``code_transform``, handed whole to
     ``decoder.locate``, and the error word on the located set.  Returns (meter, report, transform, located set, error word)."""
     f = code.field
-    check_field(r, f, "received word", "code", UndecodableError)
-    check_field(phi1, f, "erasure set", "code", UndecodableError)
+    check_field(r, Word, code, "received word", "code", UndecodableError)
+    check_field(phi1, PointSet, code, "erasure set", "code", UndecodableError)
     if r.domain() != set(code.psi.points):
         raise UndecodableError("received word is not indexed by the code's point set")
     meter = decoder._Meter(f)
@@ -660,7 +669,7 @@ def systematic_encode(info, phi, code):
     the values of the map a Word checked by its Spectrum, and one
     Field.neg per point of Phi."""
     f = code.field
-    check_field(info, f, "information word", "code", SystematicSupportError)
+    check_field(info, Word, code, "information word", "code", SystematicSupportError)
     decoder._check_phi(phi, code)
     if info.domain() != set(code.psi.points) - set(phi.points):
         raise SystematicSupportError("information word must be indexed by Psi \\ Phi")
@@ -680,3 +689,235 @@ def systematic_encode(info, phi, code):
     for p in phi.points:
         out[p] = f.neg(w.values[p])
     return Word(f, code.ndim, out)
+
+
+# -- the voting locator on an n x 2n staircase -----------------------------
+
+def _dots(ar, x):
+    """Scalar count of a dot product per row of x: mul per term, add between."""
+    live = x != ar.zero
+    return 2 * int(live.sum()) - int(live.any(axis=1).sum())
+
+
+class Staircase:
+    """Feng-Rao majority voting for one locate call, over the delta
+    indices of ``code.d_sorted``, whose values at the points are the rows
+    of ``code.d_rows``.  ``poly[i]`` is row i reduced by the pivot rows
+    above it, a polynomial over the delta monomials (at first R_g);
+    ``red`` holds its known entries (the two side by side in ``both``),
+    ``u`` the syndrome sum of each normal form of ``code.sum_forms``."""
+
+    def __init__(self, code, target, erasures, phi1_rows, t_max):
+        f = code.field
+        self.f, self.ar, self.code, self.forms = f, f.np_arith(), code, code.sum_forms
+        self.target, self.erasures, self.t_max = target, erasures, t_max
+        n = self.n = code.n
+        zero = self.ar.zero
+        self.sval = np.full(n, zero, dtype=np.intp)
+        self.known = np.zeros(n, dtype=bool)
+        self.sval[code.d_check], self.known[code.d_check] = target, True
+        self.both = np.full((n, 2 * n), zero, dtype=np.intp)
+        self.red, self.poly = self.both[:, :n], self.both[:, n:]
+        np.fill_diagonal(self.poly, 0)
+        self.rows = np.ones(n, dtype=bool)
+        if phi1_rows:
+            # R_g = x^g + tail vanishes on Phi1: one insertion of the delta
+            # monomials' values on Phi1 until the footprint is complete,
+            # the rest reduced in one batch
+            evals = code.d_rows[:, phi1_rows]
+            ne = len(phi1_rows)
+            elim = ideal.Eliminator(f, ne)
+            done, ops = elim.insert(evals, range(n), lambda row, tail: np.full(
+                n, len(elim.pivots) == ne))
+            _, tails, more = elim.reduce(evals)
+            f.op_count += ops + int(more[len(done):].sum())
+            self.poly[:, elim.tags] = tails
+            self.rows[elim.tags] = False
+        self.off = np.delete(np.arange(n), phi1_rows)  # the points off Phi1
+        self.width = np.zeros(n, dtype=np.intp)  # the known prefix of each row
+        self.pivots = []  # (column, row, -1 / pivot entry)
+        self.pivot_col = np.full(n, -1, dtype=np.intp)
+        self.u = np.empty(0, dtype=np.intp)
+        self.votes = 0
+        self.tried = None
+
+    def run(self):
+        """The located positions off Phi1, their combination (``_located``)
+        and the statistics."""
+        while True:
+            eta = self.n if self.known.all() else int(self.known.argmin())
+            m = min(self.n, eta + 1)
+            self._advance(eta, m)
+            found = self._located(m)
+            if found is not None:
+                z, comb = found
+                return z, comb, {"t": len(z), "votes": self.votes, "rank": len(self.pivots),
+                                 "rows": int(np.count_nonzero(self.rows & (self.width > 0))),
+                                 "cols": int(self.width.max())}
+            if eta == self.n:
+                raise UndecodableError("no error support of size <= %d is consistent "
+                                       "with the syndrome" % self.t_max)
+            self._vote(eta, m)
+
+    def _advance(self, eta, m):
+        """Grow the staircase to the syndromes below eta; eliminate its new
+        entries by the old pivots, in column order, then the new ones."""
+        f, zero = self.f, self.ar.zero
+        slots, self.lead, box, self.good = self.forms.block(m)
+        known = box < eta
+        width = known.sum(axis=1)
+        old = self.width[:m].copy()
+        ii, jj = np.nonzero(known & (np.arange(m) >= old[:, None]))
+        if len(self.u) < len(self.forms.leads):
+            self.u = np.append(self.u, np.full(len(self.forms.leads) - len(self.u), -1))
+        need = np.zeros(len(self.u), dtype=bool)
+        need[slots[ii, jj]] = True
+        need = np.flatnonzero(need & (self.u < 0))
+        forms = self.forms.forms[need]
+        self.u[need] = f.np_dot(forms, self.sval)
+        ops = _dots(self.ar, forms)
+        # the sums of unknown forms are never read: a row reaches a cell
+        # only through the known box of one of its own cells
+        self.slots, self.sums = slots, np.where(self.u[slots] < 0, zero, self.u[slots])
+        ii, jj = ii[self.rows[ii]], jj[self.rows[ii]]
+        poly = self.poly[ii, :m]
+        self.red[ii, jj] = f.np_dot(poly, self.sums[:, jj].T)
+        ops += _dots(self.ar, poly)
+        self.width[:m] = width
+        below = np.arange(m)
+        for col, p, scale in sorted(self.pivots):
+            hit = (below > p) & self.rows[:m] & (old <= col) & (col < width)
+            ops += self._eliminate(p, col, scale, np.flatnonzero(hit), m)
+        start = 0
+        while True:
+            live = self.rows[:m] & (self.pivot_col[:m] < 0) & (below >= start)
+            nz = (self.red[:m, :m] != zero) & known & live[:, None]
+            hit = nz.any(axis=1)
+            if not hit.any():
+                break
+            if len(self.pivots) >= self.t_max:
+                raise UndecodableError("more than t_max = %d pivots" % self.t_max)
+            p = int(hit.argmax())
+            col = int(nz[p].argmax())
+            scale = (self.ar.neg - self.red[p, col]) % (f.q - 1)
+            self.pivots.append((col, p, scale))
+            self.pivot_col[p] = col
+            hit = (below > p) & self.rows[:m] & (col < width)
+            ops += 1 + self._eliminate(p, col, scale, np.flatnonzero(hit), m)
+            start = p + 1
+        f.op_count += ops
+
+    def _eliminate(self, p, col, scale, rows, m):
+        """Clear column col of ``rows`` with pivot row p; the scalar count."""
+        f, ar = self.f, self.ar
+        rows = rows[self.red[rows, col] != ar.zero]
+        coeff = ((self.red[rows, col] + scale) % (f.q - 1))[:, None]
+        self.both[rows] = f.np_add(self.both[rows], coeff + self.both[p])
+        return (len(rows) * (1 + 2 * int(np.count_nonzero(self.poly[p] != self.ar.zero)))
+                + 2 * int((self.width[rows] - col - 1).sum()))
+
+    def _located(self, m):
+        """The stop rule: the candidate locator's zeros Z off Phi1 and the
+        target's combination of the columns of Phi1 and Z as tails (None
+        when the columns of Z are dependent), or None."""
+        f, code, zero = self.f, self.code, self.ar.zero
+        last = max((col for col, _, _ in self.pivots), default=0)
+        cand = np.flatnonzero(self.rows[:m] & (self.pivot_col[:m] < 0)
+                              & (self.width[:m] > last))
+        key = (tuple(cand.tolist()), len(self.pivots))
+        if not cand.size or key == self.tried:
+            return None
+        self.tried = key
+        # the first polynomial on every point off Phi1, the others on its zeros
+        poly, evals = self.poly[cand, :m], code.d_rows[:m]
+        z = self.off[f.np_dot(poly[0], evals[:, self.off].T) == zero]
+        ops = _dots(self.ar, poly[:1]) * len(self.off) + _dots(self.ar, poly[1:]) * len(z)
+        if len(cand) > 1 and z.size:
+            z = z[(f.np_dot(poly[1:, None, :], evals[:, z].T[None]) == zero).all(axis=0)]
+        f.op_count += ops
+        if len(z) != len(self.pivots):
+            return None
+        # the target is in the span of the columns of Phi1 and Z when its
+        # residual off Phi1 is in the span of theirs
+        res, tails, more = self.erasures.reduce(np.vstack([code.columns[z], self.target]))
+        done, ops = ideal.Eliminator(f, len(code.b_list)).insert(res, range(len(res)))
+        f.op_count += ops + int(more.sum())
+        if done[-1][1] is None:
+            return None
+        if any(tail is not None for _, tail in done[:-1]):
+            return z, None
+        # the target's tail c_Z over Z; over Phi1 its erasure tail plus
+        # sum_z c_z times column z's: |Z| muls and |Z| adds per tail entry
+        c_z = done[-1][1]
+        f.op_count += 2 * len(z) * tails.shape[1]
+        return z, np.concatenate([f.np_dot(tails.T, np.append(c_z, 0)), c_z])
+
+    def _vote(self, eta, m):
+        """Fill the syndrome at eta with the majority vote of the
+        well-behaving pairs at eta free of pivots left and above."""
+        f, zero = self.f, self.ar.zero
+        good = self.good & (self.lead == eta)
+        good &= (self.rows[:m] & (self.pivot_col[:m] < 0))[:, None]
+        good[:, [col for col, _, _ in self.pivots]] = False
+        ii, jj = np.nonzero(good)
+        if not ii.size:
+            raise UndecodableError("no pair votes at %s" % (self.code.d_sorted[eta],))
+        forms = self.forms.forms[self.slots[ii, jj]]
+        # each entry with the syndrome at eta left out, then reduced
+        sums = self.sums[:, jj].copy()
+        sums[ii, np.arange(len(ii))] = f.np_dot(forms[:, :eta], self.sval[:eta])
+        poly = self.poly[ii, :m]
+        rest = f.np_dot(poly, sums.T)
+        # the partial sum, the combination and a division per pair
+        ops = _dots(self.ar, forms[:, :eta]) + 2 * int((poly != zero).sum())
+        # the vote: -rest / (the coefficient of the syndrome at eta)
+        votes = np.where(rest == zero, zero, (rest + self.ar.neg - forms[:, eta]) % (f.q - 1))
+        values, counts = np.unique(votes, return_counts=True)
+        self.sval[eta], self.known[eta] = values[counts.argmax()], True
+        self.votes += 1
+        f.op_count += ops
+
+
+def locate(synd, phi1, code, t_max=None):
+    """``avcodes.decoder.locate`` with the staircase it had before its
+    schedule was compiled per first unknown syndrome: the same located
+    set, values, statistics, count and errors."""
+    f = code.field
+    if t_max is None:
+        t_max = decoder.default_t_max(code, len(phi1))
+    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral) or t_max < 0:
+        raise ValueError("t_max must be a nonnegative integer, not %r" % (t_max,))
+    check_field(synd, Spectrum, code, "syndrome", "code", UndecodableError)
+    check_field(phi1, PointSet, code, "erasure set", "code", UndecodableError)
+    missing = [b for b in code.b_list if b not in synd.values]
+    if missing:
+        raise UndecodableError("syndrome is missing %d check indices" % len(missing))
+    check_values(synd, "syndrome")
+    target = f.np_exponents(np.array([synd.values[b] for b in code.b_list], dtype=np.intp))
+
+    try:
+        entry, built = code.point_set(phi1.points)
+    except KeyError as exc:
+        raise UndecodableError("erasure location %s is not a code point" % (exc.args[0],))
+    # the erasure projection: only the target is reduced
+    elim = entry.projection
+    res, tails, reduce_ops = elim.reduce(target[None])
+    f.op_count += int(reduce_ops[0])
+
+    stats = {"t": 0, "votes": 0, "rank": 0, "rows": 0, "cols": 0}
+    located, rows, comb = entry.points, entry.rows, tails[0]
+    if (res != f.np_arith().zero).any():
+        if not t_max:
+            raise UndecodableError(
+                "no error support of size <= 0 is consistent with the syndrome")
+        z, comb, stats = Staircase(code, target, elim, entry.rows, t_max).run()
+        rows = entry.rows + tuple(z.tolist())
+        if comb is not None and len(comb) == len(rows):  # Phi1's rows, then Z's
+            comb = comb[np.argsort(rows)]
+        rows = tuple(sorted(rows))
+        located = PointSet(f, code.ndim, tuple(code.psi.points[r] for r in rows))
+    values = None
+    if comb is not None and len(comb) == len(rows):  # tails skip dependent columns of Phi1
+        f.op_count += len(rows)
+        values = f.np_neg(comb)
+    return decoder.LocateResult(located, rows, values, stats, built)

@@ -333,6 +333,58 @@ def test_point_sets_over_another_field_rejected(entry, other, rng):
     calls[entry](PointSet(equal, 2, points))
 
 
+@pytest.mark.parametrize("entry", ["decode_word", "decode_info", "locate", "systematic_encode",
+                                   "check_systematic_support", "systematic_basis",
+                                   "encode_nonsystematic", "is_dual_codeword"])
+def test_entry_points_refuse_non_vectors_and_other_n(entry, rng):
+    # a list, tuple or dict where a Word, Spectrum or PointSet belongs used
+    # to leak AttributeError ('list' object has no attribute 'field'), and
+    # an empty argument of another N passed: decode_word returned a result
+    # and encode_nonsystematic a Word.  Each entry now refuses both with
+    # its documented error before any work.
+    code = preset("hermitian")
+    f = code.field
+    p = code.psi.points[0]
+    phi = PointSet(f, 2, HERM_SYS_PHI)
+    cw = encode_nonsystematic(random_info(code, rng), code)
+    info = Word(f, 2, {q: v for q, v in cw.values.items() if q not in phi})
+    none = PointSet(f, 2, ())
+    # (call, a good argument, the argument as a plain container, the
+    # argument's kind and name, the documented error)
+    cases = {
+        "decode_word": (lambda v: decode_word(cw, v, code), none, [p], PointSet,
+                        "erasure set", UndecodableError),
+        "decode_info": (lambda v: decode_info(cw, v, code), none, (p,), PointSet,
+                        "erasure set", UndecodableError),
+        "locate": (lambda v: locate(v, none, code), syndrome(cw, code.b_list),
+                   dict(syndrome(cw, code.b_list).values), Spectrum, "syndrome",
+                   UndecodableError),
+        "systematic_encode": (lambda v: systematic_encode(info, v, code), phi,
+                              list(phi.points), PointSet, "Phi", SystematicSupportError),
+        "check_systematic_support": (lambda v: check_systematic_support(v, code), phi,
+                                     list(phi.points), PointSet, "Phi",
+                                     SystematicSupportError),
+        "systematic_basis": (lambda v: systematic_basis(v, code), phi, list(phi.points),
+                             PointSet, "Phi", SystematicSupportError),
+        "encode_nonsystematic": (lambda v: encode_nonsystematic(v, code),
+                                 random_info(code, rng), {}, Spectrum,
+                                 "information spectrum", codes.CodeConfigError),
+        "is_dual_codeword": (lambda v: is_dual_codeword(v, code), cw, dict(cw.values), Word,
+                             "word", codes.CodeConfigError),
+    }
+    call, good, plain, kind, what, error = cases[entry]
+    before = f.op_count
+    with pytest.raises(error, match="^%s must be a %s, not %s$" % (
+            what, kind.__name__, type(plain).__name__)):
+        call(plain)
+    other = replace(good, ndim=1, **{"points" if kind is PointSet else "values":
+                                     () if kind is PointSet else {}})
+    with pytest.raises(error, match="^%s has N = 1, code has N = 2$" % what):
+        call(other)
+    assert f.op_count == before
+    call(good)
+
+
 def test_decode_rejects_bad_inputs(hermitian, rng):
     f = hermitian.field
     cw = encode_nonsystematic(random_info(hermitian, rng), hermitian)
